@@ -370,8 +370,34 @@ fn bench_chip_step() {
     });
 }
 
+/// What content addressing costs (DESIGN.md "What a fingerprint
+/// costs"): one pass over a 16 MiB image the first time it is seen,
+/// a load every time after, and `point_key` on top of the latter.
+fn bench_fingerprint() {
+    let r = Runner::new("fingerprint");
+    let mut rng = vr_isa::SplitMix64::new(0x5EED);
+    let words: Vec<u64> = (0..(16 << 20) / 8).map(|_| rng.next_u64()).collect();
+    let mut mem = Memory::new();
+    mem.write_u64_slice(0x10_0000, &words);
+    let mut v = 0u64;
+    r.bench("digest_first_sight_16MiB", || {
+        // Any write drops the memo, so this digest walks the image.
+        v += 1;
+        mem.write_u64(0x10_0000, v);
+        black_box(mem.digest())
+    });
+    r.bench("digest_memo_hit", || black_box(mem.digest()));
+    let w = vr_workloads::hpcdb::kangaroo(Scale::Test);
+    let (core, mcfg, ra) = (CoreConfig::table1(), MemConfig::table1(), RunaheadConfig::vector());
+    black_box(w.memory.digest());
+    r.bench("point_key_memoised_image", || {
+        black_box(vr_campaign::point_key(&w, &core, &mcfg, &ra, 200_000))
+    });
+}
+
 fn main() {
     bench_memory();
+    bench_fingerprint();
     bench_emulator();
     bench_tage();
     bench_memory_system();

@@ -291,21 +291,22 @@ pub fn run_chip_point(p: &vr_campaign::ChipPoint, chip_threads: usize) -> vr_chi
     let Some(store) = cache::active() else {
         return execute().unwrap_or_else(|e| panic!("{e}"));
     };
-    if let Some(run) = p.load(store) {
+    let key = p.key();
+    if let Some(run) = p.load(store, key) {
         return run;
     }
-    if store.is_poisoned(p.key()) {
+    if store.is_poisoned(key) {
         cache::note_hole(&p.label);
         return hole_chip_run(p.slots.len());
     }
     match execute() {
         Ok(run) => {
-            let _ = p.save(store, &run);
+            let _ = p.save(store, key, &run);
             run
         }
         Err(e) => {
             let _ = store.poison(&vr_campaign::PoisonRecord {
-                key: p.key(),
+                key,
                 label: p.label.clone(),
                 error: e.to_string(),
                 attempts: 1,

@@ -120,8 +120,7 @@ impl SweepPoint for ChipPoint {
         &self.label
     }
 
-    fn load(&self, store: &ResultStore) -> Option<ChipRun> {
-        let base = self.key();
+    fn load(&self, store: &ResultStore, base: PointKey) -> Option<ChipRun> {
         let chip = store.load_chip(base)?;
         let per_core = (0..self.slots.len())
             .map(|i| store.load(chip_core_key(base, i)))
@@ -129,8 +128,7 @@ impl SweepPoint for ChipPoint {
         Some(ChipRun { per_core, chip })
     }
 
-    fn save(&self, store: &ResultStore, out: &ChipRun) -> std::io::Result<()> {
-        let base = self.key();
+    fn save(&self, store: &ResultStore, base: PointKey, out: &ChipRun) -> std::io::Result<()> {
         for (i, stats) in out.per_core.iter().enumerate() {
             store.save(chip_core_key(base, i), &format!("{}#core{i}", self.label), stats)?;
         }
@@ -140,8 +138,7 @@ impl SweepPoint for ChipPoint {
         store.save_chip(base, &self.label, &out.chip)
     }
 
-    fn present(&self, store: &ResultStore) -> bool {
-        let base = self.key();
+    fn present(&self, store: &ResultStore, base: PointKey) -> bool {
         store.contains_chip(base)
             && (0..self.slots.len()).all(|i| store.contains(chip_core_key(base, i)))
     }
@@ -222,23 +219,24 @@ mod tests {
     fn chip_point_round_trips_through_the_store() {
         let (dir, store) = tmp_store("roundtrip");
         let p = point(2, 400);
-        assert!(!p.present(&store));
-        assert!(p.load(&store).is_none());
+        let key = p.key();
+        assert!(!p.present(&store, key));
+        assert!(p.load(&store, key).is_none());
 
         let run = SimExecutor
             .execute(&p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new(), chip_threads: 1 })
             .expect("chip runs");
         assert_eq!(run.per_core.len(), 2);
-        p.save(&store, &run).expect("saves");
-        assert!(p.present(&store));
-        assert_eq!(p.load(&store), Some(run.clone()));
+        p.save(&store, key, &run).expect("saves");
+        assert!(p.present(&store, key));
+        assert_eq!(p.load(&store, key), Some(run.clone()));
 
         // Losing one per-core record degrades to a miss, not a torn
         // partial result.
-        let core0 = store.records_dir().join(format!("{}.json", chip_core_key(p.key(), 0).hex()));
+        let core0 = store.records_dir().join(format!("{}.json", chip_core_key(key, 0).hex()));
         std::fs::remove_file(&core0).unwrap();
-        assert!(p.load(&store).is_none());
-        assert!(!p.present(&store));
+        assert!(p.load(&store, key).is_none());
+        assert!(!p.present(&store, key));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -95,26 +95,33 @@ pub trait SweepPoint: Sync {
 
     /// The content address of this point in the result store. Poison
     /// records are keyed on this too.
+    ///
+    /// Deriving it reads the whole point (for simulation points, a
+    /// digest of every memory image), so callers derive it **once**
+    /// and hand it to [`SweepPoint::load`], [`SweepPoint::save`] and
+    /// [`SweepPoint::present`], whose impls never call `key()`.
     fn key(&self) -> PointKey;
 
     /// Human-readable name for progress lines and failure reports.
     fn label(&self) -> &str;
 
-    /// Loads this point's stored result, if complete and valid.
-    fn load(&self, store: &ResultStore) -> Option<Self::Output>;
+    /// Loads this point's stored result, if complete and valid. `key`
+    /// is this point's [`SweepPoint::key`].
+    fn load(&self, store: &ResultStore, key: PointKey) -> Option<Self::Output>;
 
-    /// Persists a computed result.
+    /// Persists a computed result under `key`, this point's
+    /// [`SweepPoint::key`].
     ///
     /// # Errors
     ///
     /// Propagates the store's I/O error; the engine degrades a failed
     /// save to "computed but not cached".
-    fn save(&self, store: &ResultStore, out: &Self::Output) -> std::io::Result<()>;
+    fn save(&self, store: &ResultStore, key: PointKey, out: &Self::Output) -> std::io::Result<()>;
 
     /// Cheap existence check (no payload validation) for status
     /// censuses. The default is the single-record case.
-    fn present(&self, store: &ResultStore) -> bool {
-        store.contains(self.key())
+    fn present(&self, store: &ResultStore, key: PointKey) -> bool {
+        store.contains(key)
     }
 }
 
@@ -129,12 +136,12 @@ impl SweepPoint for CampaignPoint {
         &self.label
     }
 
-    fn load(&self, store: &ResultStore) -> Option<SimStats> {
-        store.load(self.key())
+    fn load(&self, store: &ResultStore, key: PointKey) -> Option<SimStats> {
+        store.load(key)
     }
 
-    fn save(&self, store: &ResultStore, out: &SimStats) -> std::io::Result<()> {
-        store.save(self.key(), &self.label, out)
+    fn save(&self, store: &ResultStore, key: PointKey, out: &SimStats) -> std::io::Result<()> {
+        store.save(key, &self.label, out)
     }
 }
 
@@ -477,13 +484,14 @@ pub fn campaign_status<P: SweepPoint>(points: &[P], store: &ResultStore) -> Stat
     let mut seen = HashSet::new();
     let mut rep = StatusReport { submitted: points.len() as u64, ..StatusReport::default() };
     for p in points {
-        if !seen.insert(p.key()) {
+        let key = p.key();
+        if !seen.insert(key) {
             continue;
         }
         rep.total += 1;
-        if p.present(store) {
+        if p.present(store, key) {
             rep.present += 1;
-        } else if store.is_poisoned(p.key()) {
+        } else if store.is_poisoned(key) {
             rep.poisoned += 1;
         } else {
             rep.missing += 1;
@@ -531,6 +539,12 @@ impl Shared<'_> {
 /// simulation trouble — a worker panic (an executor bug) does
 /// propagate to the caller, matching `parallel_map`.
 ///
+/// Each submitted point's [`SweepPoint::key`] is derived exactly once,
+/// serially on the calling thread before any worker starts (a key
+/// digests the point's memory images: one pass the first time a
+/// process sees an image, a memo hit after); dedup, the hit and poison
+/// checks, the save and the backoff jitter all reuse that value.
+///
 /// Spawns fresh worker threads per call; long-running drivers (the
 /// serve loop, repeated figure sweeps) should hold a [`WorkerPool`]
 /// and use [`run_campaign_on`] to amortize the spawn cost.
@@ -552,10 +566,26 @@ pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
 /// process. `pool: None` falls back to scoped spawning; the effective
 /// worker count is additionally capped by the pool size. Results are
 /// identical either way — the scheduler only changes *where* workers
-/// run.
+/// run. Keys are derived once per point, as in [`run_campaign`].
 pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
     pool: Option<&vr_pool::WorkerPool>,
     points: &[P],
+    store: &ResultStore,
+    exec: &E,
+    cfg: &EngineConfig,
+    cancel: &CancelToken,
+    progress: Option<ProgressSink<'_>>,
+) -> CampaignOutcome {
+    let keyed: Vec<(&P, PointKey)> = points.iter().map(|p| (p, p.key())).collect();
+    run_keyed(pool, &keyed, store, exec, cfg, cancel, progress)
+}
+
+/// [`run_campaign_on`] over points whose keys the caller has already
+/// derived (the serve loop shard-filters by key first): every later
+/// use of a key — here and in the workers — reads `points[i].1`.
+pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
+    pool: Option<&vr_pool::WorkerPool>,
+    points: &[(&P, PointKey)],
     store: &ResultStore,
     exec: &E,
     cfg: &EngineConfig,
@@ -566,8 +596,8 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
     // output; later duplicates would compute the identical record.
     let mut seen = HashSet::new();
     let mut unique: Vec<usize> = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        if seen.insert(p.key()) {
+    for (i, &(_, key)) in points.iter().enumerate() {
+        if seen.insert(key) {
             unique.push(i);
         }
     }
@@ -647,7 +677,7 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
     let drain = |m: Mutex<Vec<(usize, String)>>| {
         let mut v = m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
         v.sort_by_key(|&(i, _)| i);
-        v.into_iter().map(|(i, e)| (points[i].label().to_string(), e)).collect::<Vec<_>>()
+        v.into_iter().map(|(i, e)| (points[i].0.label().to_string(), e)).collect::<Vec<_>>()
     };
     CampaignOutcome {
         submitted: points.len() as u64,
@@ -690,7 +720,12 @@ fn supervise(shared: &Shared<'_>, deadline: Duration, all_done: impl Fn() -> boo
 /// campaign is cancelled. Retries happen in place — a point never
 /// re-enters the queue, so an empty queue always means no pending work.
 /// `slot` indexes this worker's in-flight slot for the supervisor.
-fn worker<P: SweepPoint, E: Executor<P>>(points: &[P], shared: &Shared<'_>, exec: &E, slot: usize) {
+fn worker<P: SweepPoint, E: Executor<P>>(
+    points: &[(&P, PointKey)],
+    shared: &Shared<'_>,
+    exec: &E,
+    slot: usize,
+) {
     loop {
         if shared.cancel.is_cancelled() {
             return;
@@ -700,10 +735,9 @@ fn worker<P: SweepPoint, E: Executor<P>>(points: &[P], shared: &Shared<'_>, exec
             q.pop_front()
         };
         let Some(idx) = idx else { return };
-        let p = &points[idx];
-        let key = p.key();
+        let (p, key) = points[idx];
 
-        if let Some(_stats) = p.load(shared.store) {
+        if let Some(_stats) = p.load(shared.store, key) {
             let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.emit(done, p.label(), ProgressKind::CacheHit);
@@ -734,7 +768,7 @@ fn worker<P: SweepPoint, E: Executor<P>>(points: &[P], shared: &Shared<'_>, exec
                     // A failed save degrades to "computed but not
                     // cached" — the result is still counted; a re-run
                     // will recompute the point.
-                    let _ = p.save(shared.store, &stats);
+                    let _ = p.save(shared.store, key, &stats);
                     let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
                     shared.computed.fetch_add(1, Ordering::Relaxed);
                     shared.emit(done, p.label(), ProgressKind::Computed);
@@ -946,6 +980,80 @@ mod tests {
         assert_eq!(out.computed, 3);
         assert!(out.complete());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A point that counts how often it is asked for its key.
+    struct Counted {
+        inner: CampaignPoint,
+        keyed: AtomicU32,
+    }
+    impl SweepPoint for Counted {
+        type Output = SimStats;
+        fn key(&self) -> PointKey {
+            self.keyed.fetch_add(1, Ordering::Relaxed);
+            self.inner.key()
+        }
+        fn label(&self) -> &str {
+            &self.inner.label
+        }
+        fn load(&self, store: &ResultStore, key: PointKey) -> Option<SimStats> {
+            self.inner.load(store, key)
+        }
+        fn save(&self, store: &ResultStore, key: PointKey, out: &SimStats) -> std::io::Result<()> {
+            self.inner.save(store, key, out)
+        }
+    }
+    /// Computes `sick` points never, every other point at once.
+    struct CountedExec;
+    impl Executor<Counted> for CountedExec {
+        fn execute(&self, p: &Counted, ctx: &ExecCtx) -> Result<SimStats, SimError> {
+            if p.inner.label.contains("sick") {
+                return Err(SimError::Memory { cycle: 1, what: "injected fault".into() });
+            }
+            FakeExec.execute(&p.inner, ctx)
+        }
+    }
+
+    #[test]
+    fn every_submitted_point_is_keyed_exactly_once_per_run() {
+        for threads in [1, 2] {
+            let (dir, store) = tmp_store(&format!("keyed-once-{threads}"));
+            // p0..p3 healthy, p4/p5 always fail, then p0..p2 again.
+            let mut inner = tiny_points(6);
+            inner[4].label = "p4-sick".into();
+            inner[5].label = "p5-sick".into();
+            inner.extend(tiny_points(3));
+            let points: Vec<Counted> = inner
+                .into_iter()
+                .map(|inner| Counted { inner, keyed: AtomicU32::new(0) })
+                .collect();
+            let run = || {
+                let out = run_campaign(
+                    &points,
+                    &store,
+                    &CountedExec,
+                    &cfg_fast(threads),
+                    &CancelToken::new(),
+                    None,
+                );
+                let keyed: Vec<u32> =
+                    points.iter().map(|p| p.keyed.swap(0, Ordering::Relaxed)).collect();
+                assert_eq!(keyed, [1; 9], "threads={threads}: {out:?}");
+                out
+            };
+            // Computed, retried-then-poisoned and duplicate paths.
+            let first = run();
+            assert_eq!((first.computed, first.retries, first.duplicates), (4, 4, 3));
+            assert_eq!(first.poisoned.len(), 2);
+            // Hit, skipped-poisoned and duplicate paths.
+            let second = run();
+            assert_eq!((second.cache_hits, second.skipped_poisoned, second.computed), (4, 2, 0));
+            // The census keys each point once as well.
+            let status = campaign_status(&points, &store);
+            assert_eq!((status.present, status.poisoned, status.missing), (4, 2, 0));
+            assert!(points.iter().all(|p| p.keyed.load(Ordering::Relaxed) == 1));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -11,9 +11,20 @@
 //! The salt ([`CODE_SALT`]) is the store's staleness lever: whenever a
 //! change to the simulator alters *what* is simulated — i.e. whenever
 //! the golden fingerprints in `crates/core/tests/golden_stats.rs` are
-//! re-pinned — the salt must be bumped in the same commit, which
-//! atomically invalidates every cached result (`gc` reclaims them).
-//! Pure speed work that keeps the goldens bit-identical keeps the salt.
+//! re-pinned — **or the key derivation itself changes** (a different
+//! digest kernel, a new participating field), the salt must be bumped
+//! in the same commit. Either way every record written before the bump
+//! is orphaned once: loads miss, `verify` reports it stale, and
+//! `store gc` reclaims it. Pure speed work that keeps the goldens
+//! bit-identical and the keys unchanged keeps the salt.
+//!
+//! What a key costs: everything but the memory image is a few
+//! microseconds of FNV over the listing and the config hooks. The
+//! image is fingerprinted by [`vr_isa::Memory::digest`], one
+//! word-parallel pass the first time a process sees that image and a
+//! memoised load afterwards (DESIGN.md "What a fingerprint costs") —
+//! still, callers derive a point's key once and pass it on (see
+//! [`crate::SweepPoint`]).
 
 use vr_core::{CoreConfig, RunaheadConfig};
 use vr_mem::MemConfig;
@@ -24,10 +35,13 @@ use vr_workloads::Workload;
 ///
 /// **Bump this in the same commit that re-pins
 /// `crates/core/tests/golden_stats.rs`** (the only sanctioned way the
-/// simulator's reported statistics may change). History:
+/// simulator's reported statistics may change) **or that changes how a
+/// key is derived**. History:
 ///
 /// * 1 — initial value, pinned to the post-PR-2 golden set.
-pub const CODE_SALT: u64 = 1;
+/// * 2 — `Memory::digest` moved from byte-serial FNV-1a to the
+///   four-lane word kernel, so every key changed; the goldens did not.
+pub const CODE_SALT: u64 = 2;
 
 /// The 64-bit content address of one simulation point.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -6,11 +6,11 @@
 //! serve loop enumerates it through a caller-supplied closure (the
 //! harness wires its figure enumeration in — this crate stays
 //! figure-agnostic), filters the points down to the shard this process
-//! owns, and drives them through [`run_campaign_on`] on one persistent
-//! [`WorkerPool`] with deadlines, retries and poisoning exactly as a
-//! one-shot `campaign run`. Each manifest streams one
-//! [`CAMPAIGN_SCHEMA`] outcome line to the output writer, flushed
-//! immediately, so a supervisor can tail progress.
+//! owns, and drives them through the [`crate::run_campaign_on`] engine
+//! on one persistent [`WorkerPool`] with deadlines, retries and
+//! poisoning exactly as a one-shot `campaign run`. Each manifest
+//! streams one [`CAMPAIGN_SCHEMA`] outcome line to the output writer,
+//! flushed immediately, so a supervisor can tail progress.
 //!
 //! Sharding: [`shard_of`] deterministically partitions point
 //! *fingerprints* ([`PointKey`]), so N serve processes pointed at the
@@ -28,7 +28,7 @@ use vr_obs::{Json, CAMPAIGN_SCHEMA, MANIFEST_SCHEMA};
 
 use crate::chip::ChipPoint;
 use crate::engine::SweepPoint;
-use crate::engine::{run_campaign_on, CampaignOutcome, CancelToken, EngineConfig, Executor};
+use crate::engine::{run_keyed, CampaignOutcome, CancelToken, EngineConfig, Executor};
 use crate::fingerprint::PointKey;
 use crate::store::ResultStore;
 use crate::CampaignPoint;
@@ -395,8 +395,8 @@ fn serve_one<E: Executor + Executor<ChipPoint>>(
             // Sharding, driving and outcome accounting are identical
             // for both point kinds — only the static type differs.
             let (enumerated, outcome) = match points {
-                PointSet::Scalar(points) => drive(pool, points, store, exec, cfg, cancel),
-                PointSet::Chip(points) => drive(pool, points, store, exec, cfg, cancel),
+                PointSet::Scalar(points) => drive(pool, &points, store, exec, cfg, cancel),
+                PointSet::Chip(points) => drive(pool, &points, store, exec, cfg, cancel),
             };
             summary.absorb(enumerated, &outcome);
             emit(
@@ -421,16 +421,17 @@ fn serve_one<E: Executor + Executor<ChipPoint>>(
 /// outcome.
 fn drive<P: SweepPoint, E: Executor<P>>(
     pool: &WorkerPool,
-    points: Vec<P>,
+    points: &[P],
     store: &ResultStore,
     exec: &E,
     cfg: &ServeConfig,
     cancel: &CancelToken,
 ) -> (usize, CampaignOutcome) {
-    let enumerated = points.len();
-    let owned: Vec<P> = points.into_iter().filter(|p| cfg.shard.owns(p.key())).collect();
-    let outcome = run_campaign_on(Some(pool), &owned, store, exec, &cfg.engine, cancel, None);
-    (enumerated, outcome)
+    // One key per point: the shard filter and the engine share it.
+    let owned: Vec<(&P, PointKey)> =
+        points.iter().map(|p| (p, p.key())).filter(|&(_, key)| cfg.shard.owns(key)).collect();
+    let outcome = run_keyed(Some(pool), &owned, store, exec, &cfg.engine, cancel, None);
+    (points.len(), outcome)
 }
 
 /// One flushed JSON line (the streaming contract: a tailing supervisor

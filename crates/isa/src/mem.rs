@@ -1,6 +1,8 @@
 //! Sparse byte-addressed memory.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::prng::mix64;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -65,6 +67,15 @@ pub struct Memory {
     chunks: Vec<Chunk>,
     /// Count of mapped 4 KiB pages.
     mapped: usize,
+    /// The memoised [`Memory::digest`] of the current contents; 0 = no
+    /// memo (a digest that is itself 0 is simply never memoised).
+    /// `page_mut`, the only way to a writable page, clears it. An
+    /// atomic so `digest(&self)` can fill it on a shared `&Memory`;
+    /// `Relaxed` because the value publishes nothing but itself, and
+    /// racing fillers store the same number. Declared ahead of the
+    /// hint array so the store lands beside `chunks` and `mapped`,
+    /// which `page_mut` is about to touch anyway.
+    digest_memo: AtomicU64,
     /// Direct-mapped cache of chunk positions (`pos + 1`; 0 = empty),
     /// indexed by the low chunk-index bits. Entries self-verify
     /// against `chunks[pos].idx`, so stale hints (after an insert
@@ -79,6 +90,8 @@ impl Clone for Memory {
         Memory {
             chunks: self.chunks.clone(),
             mapped: self.mapped,
+            // Same contents, same digest.
+            digest_memo: AtomicU64::new(self.digest_memo.load(Ordering::Relaxed)),
             hints: std::array::from_fn(|i| AtomicUsize::new(self.hints[i].load(Ordering::Relaxed))),
         }
     }
@@ -120,6 +133,10 @@ impl Memory {
     /// The page containing page index `pidx`, mapping it (and its
     /// chunk) on demand.
     fn page_mut(&mut self, pidx: u64) -> &mut Page {
+        // The caller is about to write: whatever digest was memoised
+        // no longer describes the contents. A plain store (`&mut self`
+        // proves no other thread is looking).
+        *self.digest_memo.get_mut() = 0;
         let cidx = pidx >> CHUNK_BITS;
         let pos = match self.find_chunk(cidx) {
             Some(pos) => pos,
@@ -230,31 +247,41 @@ impl Memory {
         }
     }
 
+    /// Writes `values` as a contiguous array of `N`-byte little-endian
+    /// elements at `base`: encoded in bounded batches and handed to
+    /// [`Memory::write_bytes`], so the page lookup is paid per page,
+    /// not per element.
+    fn write_le_slice<T: Copy, const N: usize>(
+        &mut self,
+        base: u64,
+        values: &[T],
+        le_bytes: impl Fn(T) -> [u8; N],
+    ) {
+        // Elements per batch; bounds the temporary byte buffer.
+        const BATCH: usize = 1 << 16;
+        let mut bytes = Vec::with_capacity(values.len().min(BATCH) * N);
+        for (bi, batch) in values.chunks(BATCH).enumerate() {
+            bytes.clear();
+            for &v in batch {
+                bytes.extend_from_slice(&le_bytes(v));
+            }
+            self.write_bytes(base + (bi * BATCH * N) as u64, &bytes);
+        }
+    }
+
     /// Writes a slice of `u64` values as a contiguous array at `base`.
     pub fn write_u64_slice(&mut self, base: u64, values: &[u64]) {
-        // Chunk to bound the temporary byte buffer.
-        const CHUNK: usize = 1 << 16;
-        for (ci, chunk) in values.chunks(CHUNK).enumerate() {
-            let mut bytes = Vec::with_capacity(chunk.len() * 8);
-            for v in chunk {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            self.write_bytes(base + (ci * CHUNK * 8) as u64, &bytes);
-        }
+        self.write_le_slice(base, values, u64::to_le_bytes);
     }
 
     /// Writes a slice of `u32` values as a contiguous array at `base`.
     pub fn write_u32_slice(&mut self, base: u64, values: &[u32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write(base + 4 * i as u64, 4, u64::from(*v));
-        }
+        self.write_le_slice(base, values, u32::to_le_bytes);
     }
 
     /// Writes a slice of `f64` values as a contiguous array at `base`.
     pub fn write_f64_slice(&mut self, base: u64, values: &[f64]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f64(base + 8 * i as u64, *v);
-        }
+        self.write_le_slice(base, values, f64::to_le_bytes);
     }
 
     /// Reads `len` consecutive `u64` values starting at `base`.
@@ -267,38 +294,49 @@ impl Memory {
         (0..len).map(|i| self.read_f64(base + 8 * i as u64)).collect()
     }
 
-    /// Deterministic digest of the memory image (FNV-1a over mapped
-    /// pages in ascending address order, skipping all-zero pages so
-    /// that a page written and then zeroed compares equal to one never
-    /// touched — unmapped bytes read as zero either way).
+    /// Deterministic digest of the memory image: a function of the
+    /// readable contents only. An all-zero page contributes nothing, so
+    /// a page written and then zeroed compares equal to one never
+    /// touched (unmapped bytes read as zero either way); every other
+    /// page contributes its index and its bytes, in ascending address
+    /// order. Platform-independent (words are read little-endian).
+    ///
+    /// Each 4 KiB page is read once as 512 `u64` words dealt round-robin
+    /// to four independent multiply-rotate lanes (word `i` goes to lane
+    /// `i % 4`; the OR of the words doubles as the all-zero test); the
+    /// page index and the four lane values are then folded, in that
+    /// order, into the running digest through SplitMix64's bijective
+    /// mixer. Every step is a bijection of its state, so changing any
+    /// one word of any one page always changes the result.
+    ///
+    /// The result is memoised until the next write, and a clone
+    /// inherits the memo, so fingerprinting the same image again
+    /// (`vr-campaign`'s `point_key`, once per point) is a load.
     ///
     /// Used by the architectural-invisibility oracle: two memories
     /// with equal digests read identically at every address, so a
     /// fault-injected runahead run can be compared against the
     /// baseline without materializing a full image diff.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = FNV_OFFSET;
+        let memo = self.digest_memo.load(Ordering::Relaxed);
+        if memo != 0 {
+            return memo;
+        }
+        let mut h = DIGEST_SEED;
         // `chunks` is sorted by index and pages within a chunk are
         // positional, so this walks mapped pages in ascending address
-        // order — the same order the HashMap implementation produced
-        // by sorting its keys.
+        // order.
         for chunk in &self.chunks {
             for (i, page) in chunk.pages.iter().enumerate() {
                 let Some(page) = page else { continue };
-                if page.iter().all(|&b| b == 0) {
-                    continue;
-                }
-                let page_idx = (chunk.idx << CHUNK_BITS) | i as u64;
-                for b in page_idx.to_le_bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-                }
-                for &b in page.iter() {
-                    h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                let Some(lanes) = digest_lanes(page) else { continue };
+                h = mix64(h ^ ((chunk.idx << CHUNK_BITS) | i as u64));
+                for lane in lanes {
+                    h = mix64(h ^ lane);
                 }
             }
         }
+        self.digest_memo.store(h, Ordering::Relaxed);
         h
     }
 
@@ -312,6 +350,38 @@ impl Memory {
     fn write_byte(&mut self, addr: u64, value: u8) {
         self.page_mut(addr >> PAGE_SHIFT)[(addr & PAGE_MASK) as usize] = value;
     }
+}
+
+/// Independent accumulators per page in [`Memory::digest`]: enough to
+/// hide the multiply latency of one behind the other three.
+const DIGEST_LANES: usize = 4;
+
+/// Digest of the empty image, and the lanes' starting point (the
+/// 64-bit golden ratio, as in SplitMix64).
+const DIGEST_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The lane values of one page, or `None` if every byte is zero.
+///
+/// A lane absorbs a word as `(lane.rotate_left(32) ^ word) * odd`: a
+/// bijection of the lane for a fixed word and of the word for a fixed
+/// lane. The rotate brings the well-mixed high half down, so flips
+/// confined to the top bits of two words cannot cancel as they would
+/// under a bare multiply.
+fn digest_lanes(page: &Page) -> Option<[u64; DIGEST_LANES]> {
+    const MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+    // Distinct starts: a word moved to the same row of another lane
+    // then changes two lane values, not just their order.
+    let mut lanes: [u64; DIGEST_LANES] =
+        std::array::from_fn(|j| DIGEST_SEED.wrapping_mul(2 * j as u64 + 1));
+    let mut any = 0u64;
+    for row in page.chunks_exact(8 * DIGEST_LANES) {
+        for (lane, word) in lanes.iter_mut().zip(row.chunks_exact(8)) {
+            let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+            any |= w;
+            *lane = (lane.rotate_left(32) ^ w).wrapping_mul(MUL);
+        }
+    }
+    (any != 0).then_some(lanes)
 }
 
 #[cfg(test)]

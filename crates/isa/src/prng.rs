@@ -17,6 +17,14 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// SplitMix64's output mixer: a bijection on `u64` with full
+/// avalanche (also the fold step of `Memory::digest`).
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl SplitMix64 {
     /// Creates a generator from a seed. Equal seeds yield equal
     /// sequences forever.
@@ -27,10 +35,7 @@ impl SplitMix64 {
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Uniform value in `[0, bound)`. Returns 0 for `bound == 0`.

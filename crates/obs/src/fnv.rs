@@ -6,8 +6,9 @@
 //! survive process restarts. [`Fnv64`] is the classic FNV-1a
 //! parameterization: deterministic, platform-independent (inputs are
 //! folded in as little-endian bytes) and already the digest the
-//! simulator uses elsewhere (`vr_isa::Memory::digest`, the
-//! golden-stats register digest).
+//! golden-stats suites fold the committed registers with. (Bulk data
+//! is another matter: `vr_isa::Memory::digest` hashes ~1 GB of images
+//! with a word-parallel kernel and hands this hasher one `u64`.)
 //!
 //! This is a *fingerprint*, not a cryptographic hash: collisions are
 //! astronomically unlikely for the few thousand simulation points a
