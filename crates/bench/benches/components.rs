@@ -6,12 +6,10 @@
 //! Uses the offline `vr_bench::micro` harness (`harness = false`) so
 //! the workspace carries no registry dependencies.
 
-use std::sync::Mutex;
-
 use vr_bench::micro::{black_box, Runner};
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::wakeup::{WakeupLists, NO_LINK};
-use vr_core::{CoreConfig, RunaheadConfig};
+use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_frontend::{DirectionPredictor, Tage};
 use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
 use vr_mem::{Access, MemConfig, MemorySystem, Requestor, SharedLlc, SharedLlcConfig};
@@ -281,11 +279,8 @@ fn bench_wakeup_lists() {
 }
 
 /// The shared-LLC broker hot path (DESIGN.md §17): one `access_line`
-/// through an owned `&mut` (the install/take protocol the chip uses)
-/// vs the same access behind the per-access `Mutex` of the original
-/// design. Both locks are uncontended — the comparison isolates the
-/// pure lock/unlock tax the ownership move removed, which the chip
-/// pays once per *core memory access*.
+/// through an owned `&mut` (the install/take protocol the chip uses),
+/// which the chip pays once per *core memory access*.
 fn bench_shared_llc() {
     let r = Runner::new("shared_llc");
     let mem_cfg = MemConfig::table1();
@@ -319,19 +314,8 @@ fn bench_shared_llc() {
         black_box(owned.access_line((i & 3) as u32, 0x10_0000 + i * line, now))
     });
 
-    let mut inner = Box::new(SharedLlc::new(cfg));
-    warm(&mut inner);
-    let locked = Mutex::new(inner);
-    let mut now2 = u64::MAX / 2;
-    let mut j = 0u64;
-    r.bench("hit_mutexed", || {
-        now2 += 100;
-        j = (j + 1) & 0x3f;
-        black_box(locked.lock().unwrap().access_line((j & 3) as u32, 0x10_0000 + j * line, now2))
-    });
-
     // The miss path for scale: DRAM queueing + MSHR pool bookkeeping
-    // dominate here, so the lock tax matters proportionally less.
+    // dominate here.
     let mut cold = Box::new(SharedLlc::new(cfg));
     let mut addr = 0u64;
     let mut now3 = u64::MAX / 2;
@@ -342,17 +326,22 @@ fn bench_shared_llc() {
     });
 }
 
-/// One lockstep round of a 4-core VR chip (DESIGN.md §17's
-/// `Chip::step`): min-clock selection, broker install/take, and the
-/// per-core action (fast-forward, cheap engine step, or full tick).
-/// The chip is rebuilt when a run completes; at thousands of rounds
-/// per run the rebuild amortizes to noise.
+/// One round of a 4-core VR chip (DESIGN.md §17's `Chip::step`):
+/// min-clock selection, broker install/take, and the per-core
+/// `Simulator::advance` (skip, cheap engine step, or full tick). The
+/// chip is rebuilt when a run completes; at thousands of rounds per
+/// run the rebuild amortizes to noise.
+///
+/// The two whole-run rows put the round loop's cost at N = 1 on
+/// record: a 1-core chip and a bare `Simulator` execute the same
+/// `advance` calls (`n1_equivalence` pins the stats bit-identical), so
+/// the gap between them is the min-clock scan and telemetry per round.
 fn bench_chip_step() {
     let r = Runner::new("chip");
     const INSTS: u64 = 20_000;
     let w = vr_workloads::hpcdb::kangaroo(Scale::Test);
-    let mk = || {
-        let slots = (0..4)
+    let mk = |cores: usize| {
+        let slots = (0..cores)
             .map(|_| CoreSlot {
                 ra: RunaheadConfig::vector(),
                 program: w.program.clone(),
@@ -360,13 +349,25 @@ fn bench_chip_step() {
                 init_regs: w.init_regs.clone(),
             })
             .collect();
-        Chip::new(ChipConfig::with_cores(4), CoreConfig::table1(), MemConfig::table1(), slots)
+        Chip::new(ChipConfig::with_cores(cores), CoreConfig::table1(), MemConfig::table1(), slots)
     };
-    let mut chip = mk();
+    let mut chip = mk(4);
     r.bench("step_4core_vr", || {
         if !chip.step(INSTS).expect("chip round") {
-            chip = mk();
+            chip = mk(4);
         }
+    });
+    r.bench("run_1core_vr_chip", || black_box(mk(1).try_run(INSTS).expect("1-core chip run")));
+    r.bench("run_1core_vr_bare_sim", || {
+        let mut sim = Simulator::new(
+            CoreConfig::table1(),
+            MemConfig::table1(),
+            RunaheadConfig::vector(),
+            w.program.clone(),
+            w.memory.clone(),
+            &w.init_regs,
+        );
+        black_box(sim.try_run(INSTS).expect("standalone run"))
     });
 }
 

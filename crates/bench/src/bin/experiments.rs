@@ -59,10 +59,6 @@ struct Opts {
     /// `--spool DIR`: drain `campaign serve` manifests from `*.json`
     /// files in DIR instead of reading lines from stdin.
     spool: Option<PathBuf>,
-    /// `--chip-threads N`: worker threads for stepping each multi-core
-    /// chip point (default 1 = sequential; bit-identical stats at any
-    /// value).
-    chip_threads: usize,
 }
 
 /// One dispatchable subcommand: the id `main` matches on, the help
@@ -144,8 +140,6 @@ fn usage() -> String {
          \x20 --shards N    total shard count for `campaign serve` (default 1)\n\
          \x20 --shard I     this process's shard index for `campaign serve` (default 0)\n\
          \x20 --spool DIR   `campaign serve` drains *.json manifests from DIR instead of stdin\n\
-         \x20 --chip-threads N  threads for stepping each multi-core chip point (default 1;\n\
-         \x20               stats are bit-identical at any value)\n\
          \nthe `trace` id takes a positional workload name (see its error text \
          for the available names); `campaign` takes a positional action \
          (run, serve, status, verify, gc) and requires --cache DIR. `campaign \
@@ -182,7 +176,6 @@ fn main() {
     let mut shards: u32 = 1;
     let mut shard: u32 = 0;
     let mut spool: Option<PathBuf> = None;
-    let mut chip_threads: usize = 1;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -287,15 +280,6 @@ fn main() {
                     }
                 };
             }
-            "--chip-threads" => {
-                chip_threads = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("error: --chip-threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
             "--quick" => {
                 scale = Scale::Test;
@@ -346,7 +330,6 @@ fn main() {
         shards,
         shard,
         spool,
-        chip_threads,
     };
 
     if let Some(dir) = &cache_dir {
@@ -544,7 +527,6 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             let cfg = EngineConfig {
                 threads: opts.threads,
                 point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                chip_threads: opts.chip_threads,
                 ..EngineConfig::default()
             };
             let sink = |ev: &ProgressEvent<'_>| {
@@ -642,7 +624,6 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 engine: EngineConfig {
                     threads: opts.threads,
                     point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                    chip_threads: opts.chip_threads,
                     ..EngineConfig::default()
                 },
                 shard,
@@ -1370,7 +1351,7 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
     // lockstep internally, so the fan-out axis is the point list.
     let runs = parallel_map(&points, opts.threads, |p| {
         eprintln!("  [run] {} …", p.label);
-        run_chip_point(p, opts.chip_threads)
+        run_chip_point(p)
     });
 
     // Chip-level fast-forward telemetry (a `vr-telemetry-v1`
@@ -1395,15 +1376,10 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
             })
             .collect();
         let mut chip = vr_chip::Chip::new(p.chip, p.core.clone(), p.mem.clone(), slots);
-        chip.set_threads(opts.chip_threads);
         if chip.try_run(p.max_insts).is_ok() {
             let mut j = chip.telemetry().to_json();
             if let vr_obs::Json::Obj(fields) = &mut j {
                 fields.insert(0, ("point".into(), vr_obs::Json::Str(p.label.clone())));
-                fields.insert(
-                    1,
-                    ("chip_threads".into(), vr_obs::Json::U64(opts.chip_threads as u64)),
-                );
             }
             r.attach("chip_ff", j);
         }
@@ -1637,7 +1613,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     runner.samples = 5;
     runner.sample_time = Duration::from_millis(20);
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v5\",");
+    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v6\",");
     let _ = writeln!(json, "  \"insts_per_run\": {},", opts.insts);
     let _ = writeln!(json, "  \"threads\": {},", opts.threads);
     json.push_str("  \"kips\": [\n");
@@ -1716,7 +1692,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
              {ratio_skipped} ratio value(s) skipped (HOLE points?)"
         );
     }
-    // --- multi-core chip throughput (schema v5, DESIGN.md §16–17):
+    // --- multi-core chip throughput (schema v6, DESIGN.md §16–17):
     // homogeneous VR chip points timed end to end, N ∈ {2, 4, 8}. The
     // cores run in lockstep inside one wall-clock window, so every
     // per-core KIPS shares the denominator and the 4-core aggregate is
@@ -1746,7 +1722,6 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 MemConfig::table1(),
                 slots,
             );
-            chip.set_threads(opts.chip_threads);
             let t0 = Instant::now();
             let run = chip.try_run(opts.insts).unwrap_or_else(|e| {
                 eprintln!("error: chip perf point ({cores} cores): {e}");
@@ -1789,9 +1764,8 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             json,
             "  \"chip_kips\": {{\"cores\": 4, \"insts_per_core\": {}, \
              \"per_core\": [{per_core_json}], \"aggregate\": {chip_kips:.1}, \
-             \"chip_threads\": {}, \"scaling\": [{}], \"chip_ff\": {}}},",
+             \"scaling\": [{}], \"chip_ff\": {}}},",
             opts.insts,
-            opts.chip_threads,
             scaling.join(", "),
             ff.replace('\n', " ")
         );
@@ -1846,7 +1820,6 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             shards: 1,
             shard: 0,
             spool: None,
-            chip_threads: 1,
         };
         let timed = |o: &Opts| {
             vr_bench::reset_parallel_region();

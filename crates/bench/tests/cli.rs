@@ -62,11 +62,15 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
 fn unknown_flag_after_valid_subcommand_exits_nonzero_with_usage() {
     // Regression: a mistyped flag used to die with a bare one-line
     // error and no usage text.
-    let o = experiments(&["table1", "--bogus-flag"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown flag --bogus-flag"), "{err}");
-    assert!(err.contains("usage: experiments"), "{err}");
+    // The second flag is a retired one (DESIGN.md §17): it must be
+    // refused like any other unknown flag, never silently accepted.
+    for args in [&["table1", "--bogus-flag"][..], &["fig-chip", "--chip-threads", "2"]] {
+        let o = experiments(args);
+        assert_eq!(o.status.code(), Some(2), "{args:?}");
+        let err = stderr(&o);
+        assert!(err.contains(&format!("unknown flag {}", args[1])), "{err}");
+        assert!(err.contains("usage: experiments"), "{err}");
+    }
 }
 
 #[test]
@@ -485,7 +489,7 @@ fn perf_report_exports_cache_counters() {
     let doc = Json::parse(&std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap())
         .expect("BENCH_sim.json parses");
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("vr-bench-perf-report-v5"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("vr-bench-perf-report-v6"));
     // v4 additions (DESIGN.md §16): multi-core chip throughput — one
     // aggregate `chip_kips` plus a per-core breakdown whose entries
     // share the lockstep wall-clock window.
@@ -518,7 +522,11 @@ fn perf_report_exports_cache_counters() {
     for field in ["ff_windows", "ff_cycles_skipped", "episode_steps", "broker_installs"] {
         assert!(ff.get(field).and_then(Json::as_u64).is_some(), "chip_ff missing {field}: {ff:?}");
     }
-    assert_eq!(chip.get("chip_threads").and_then(Json::as_u64), Some(1));
+    // v6 (DESIGN.md §17): parallel chip stepping is gone, and so are
+    // the keys that described it.
+    for gone in ["par_cycles", "par_core_steps"] {
+        assert!(ff.get(gone).is_none(), "chip_ff still exports {gone}: {ff:?}");
+    }
     // v2 additions (DESIGN.md §14): per-workload VR/OoO throughput
     // ratio and its harmonic mean.
     let ratios = doc.get("vr_ooo_kips_ratio").expect("vr_ooo_kips_ratio section");

@@ -158,7 +158,6 @@ impl Executor<ChipPoint> for SimExecutor {
             .collect();
         let mut chip = Chip::new(p.chip, p.core.clone(), p.mem.clone(), slots);
         chip.set_stop_flag(ctx.stop.clone());
-        chip.set_threads(ctx.chip_threads);
         chip.try_run(p.max_insts)
     }
 }
@@ -224,7 +223,7 @@ mod tests {
         assert!(p.load(&store, key).is_none());
 
         let run = SimExecutor
-            .execute(&p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new(), chip_threads: 1 })
+            .execute(&p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new() })
             .expect("chip runs");
         assert_eq!(run.per_core.len(), 2);
         p.save(&store, key, &run).expect("saves");

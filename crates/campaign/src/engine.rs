@@ -155,11 +155,6 @@ pub struct ExecCtx {
     /// expires; a cooperative executor stops promptly and returns
     /// [`SimError::Deadline`].
     pub stop: StopFlag,
-    /// Worker threads for stepping a multi-core chip point
-    /// ([`vr_chip::Chip::set_threads`]); `1` (the default) steps cores
-    /// sequentially. An execution knob only — chip stats are
-    /// bit-identical at any value, and it never enters a point key.
-    pub chip_threads: usize,
 }
 
 /// How a campaign point is computed. The indirection exists so tests
@@ -249,11 +244,6 @@ pub struct EngineConfig {
     /// watches every in-flight attempt and trips its [`StopFlag`] at
     /// the deadline; `None` lets attempts run unbounded.
     pub point_deadline: Option<Duration>,
-    /// Threads for stepping each multi-core chip point (forwarded via
-    /// [`ExecCtx::chip_threads`]); `1` steps cores sequentially.
-    /// Orthogonal to [`EngineConfig::threads`], which parallelizes
-    /// *across* points.
-    pub chip_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -265,7 +255,6 @@ impl Default for EngineConfig {
             backoff_cap: Duration::from_millis(200),
             jitter_seed: 0,
             point_deadline: None,
-            chip_threads: 1,
         }
     }
 }
@@ -757,8 +746,7 @@ fn worker<P: SweepPoint, E: Executor<P>>(
         let mut attempt = 0u32;
         let mut deadline_trips = 0u32;
         loop {
-            let ctx =
-                ExecCtx { attempt, stop: StopFlag::new(), chip_threads: shared.cfg.chip_threads };
+            let ctx = ExecCtx { attempt, stop: StopFlag::new() };
             *shared.inflight[slot].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
                 Some(InFlight { started: Instant::now(), stop: ctx.stop.clone() });
             let result = exec.execute(p, &ctx);
@@ -927,7 +915,6 @@ mod tests {
             backoff_cap: Duration::ZERO,
             jitter_seed: 0,
             point_deadline: None,
-            chip_threads: 1,
         }
     }
 
@@ -1196,7 +1183,7 @@ mod tests {
         assert!(out.complete(), "{out:?}");
 
         // The stored record equals a direct simulation bit-for-bit.
-        let ctx = ExecCtx { attempt: 0, stop: StopFlag::new(), chip_threads: 1 };
+        let ctx = ExecCtx { attempt: 0, stop: StopFlag::new() };
         let direct = SimExecutor.execute(&p, &ctx).expect("sim runs");
         assert_eq!(store.load(p.key()), Some(direct));
 

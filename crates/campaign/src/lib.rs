@@ -43,9 +43,8 @@ pub use engine::{
     StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
 };
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
-// The worker pool moved to its own crate (`vr-pool`) so `vr-chip`
-// can step cores on it without a dependency cycle; re-exported here
-// for the existing `vr_campaign::WorkerPool` users.
+// The worker pool lives in its own crate (`vr-pool`); re-exported
+// here for the `vr_campaign::WorkerPool` users.
 pub use serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
 pub use serve::{
     serve_lines, serve_spool, shard_of, Manifest, PointSet, ServeConfig, ServeSummary, ShardSpec,

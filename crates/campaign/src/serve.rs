@@ -102,11 +102,6 @@ pub struct Manifest {
     /// Graph-preset abbreviations for the full-set figures (empty
     /// means the enumerate closure's default).
     pub presets: Vec<String>,
-    /// Threads for stepping each multi-core chip point this manifest
-    /// enumerates ([`EngineConfig::chip_threads`]); `None` keeps the
-    /// serve process's configured value. An execution knob only: chip
-    /// stats are bit-identical at any value.
-    pub chip_threads: Option<usize>,
 }
 
 impl Manifest {
@@ -156,14 +151,7 @@ impl Manifest {
             None => format!("{figure}@{insts}"),
             Some(v) => v.as_str().ok_or(r#"manifest "id" must be a string"#)?.to_string(),
         };
-        let chip_threads = match doc.get("chip_threads") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) if n >= 1 => Some(n as usize),
-                _ => return Err(r#"manifest "chip_threads" must be a positive integer"#.into()),
-            },
-        };
-        Ok(Manifest { id, figure, insts, scale, presets, chip_threads })
+        Ok(Manifest { id, figure, insts, scale, presets })
     }
 }
 
@@ -385,13 +373,6 @@ fn serve_one<E: Executor + Executor<ChipPoint>>(
             )
         }
         Ok((points, manifest)) => {
-            // A manifest may pin its own chip-stepping thread count;
-            // otherwise the serve process's configuration applies.
-            let mut cfg = *cfg;
-            if let Some(ct) = manifest.chip_threads {
-                cfg.engine.chip_threads = ct;
-            }
-            let cfg = &cfg;
             // Sharding, driving and outcome accounting are identical
             // for both point kinds — only the static type differs.
             let (enumerated, outcome) = match points {
@@ -535,7 +516,6 @@ mod tests {
                 insts: 5000,
                 scale: "quick".into(),
                 presets: vec![],
-                chip_threads: None,
             }
         );
         let full = format!(
@@ -556,6 +536,39 @@ mod tests {
         ] {
             assert!(Manifest::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    /// Old spool files keep draining: a manifest written for a serve
+    /// process that still had a retired field (here the chip-stepping
+    /// thread count, whatever its value) parses to the same `Manifest`
+    /// — hence enumerates the same points — as one without it, and is
+    /// served from the records the plain one computed.
+    #[test]
+    fn manifest_with_a_retired_key_serves_the_same_points() {
+        let plain = manifest_line(300);
+        let old = format!(
+            r#"{{"schema":"{MANIFEST_SCHEMA}","figure":"all","insts":300,"chip_threads":4}}"#
+        );
+        assert_eq!(Manifest::parse(&old).unwrap(), Manifest::parse(&plain).unwrap());
+        let garbled = old.replace(":4}", r#":"many"}"#);
+        assert_eq!(Manifest::parse(&garbled).unwrap(), Manifest::parse(&plain).unwrap());
+
+        let (dir, store) = tmp_store("retired-key");
+        let enumerate = |m: &Manifest| Ok(PointSet::Scalar(points(6, m.insts)));
+        let cfg = ServeConfig { engine: EngineConfig::default(), shard: ShardSpec::SOLO };
+        let summary = serve_lines(
+            &mut format!("{plain}\n{old}\n").as_bytes(),
+            &mut Vec::new(),
+            &store,
+            &FakeExec,
+            &cfg,
+            &CancelToken::new(),
+            &enumerate,
+        )
+        .unwrap();
+        assert_eq!((summary.manifests, summary.rejected), (2, 0));
+        assert_eq!((summary.enumerated, summary.computed, summary.cache_hits), (12, 6, 6));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

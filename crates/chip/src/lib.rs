@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-chip
 //!
 //! Multi-core chip simulation: N per-core [`vr_core::Simulator`]s
@@ -11,51 +12,39 @@
 //!
 //! ## Clocking model
 //!
-//! * **N = 1**: the chip is a thin wrapper around the single-core
-//!   simulator — same validate / `step_cycle` (with idle-cycle
-//!   fast-forward) / seal sequence as [`vr_core::Simulator::try_run`],
-//!   so the reported [`SimStats`] are **bit-identical** to a
-//!   standalone run (pinned by a differential test over every
-//!   golden-stats point).
-//! * **N ≥ 2**: cores follow the *lockstep schedule* — each core
-//!   ticks once per chip cycle via
-//!   [`vr_core::Simulator::step_cycle_lockstep`], and within a cycle
-//!   cores act in core-index order, which is the arrival (= age)
-//!   order the shared broker's FCFS arbitration serves.
-//!
-//! ## Chip-level fast-forward (the event horizon)
-//!
-//! Executing that schedule tick-by-tick wastes most of its time on
-//! provable no-ops. Instead, each chip round asks every core at the
-//! **minimum** core clock for its
-//! [`vr_core::Simulator::lockstep_horizon`] — the earliest future
-//! cycle at which it could possibly act (next completion event,
-//! dispatch gate, runahead-engine event, watchdog deadline). A
-//! quiescent core *fast-forwards*: it bulk-applies exactly the
-//! per-cycle stats its skipped no-op ticks would have recorded, jumps
-//! its clock to the horizon, and then sleeps — it is not stepped
-//! again until the chip's minimum clock catches up to it. A core that
-//! may act takes one real tick. Because a quiescent window contains
+//! Every core is moved by the one stepping kernel,
+//! [`vr_core::Simulator::advance`] — the same call, in the same loop
+//! shape, that [`vr_core::Simulator::try_run`] is. A chip round
+//! ([`Chip::step`]) finds the **minimum** clock over the unfinished
+//! cores and calls `advance` once on each core at that clock, in
+//! core-index order — the arrival (= age) order the shared broker's
+//! FCFS arbitration serves. A core that proves a quiescent window
+//! skips to its horizon (next completion event, dispatch gate,
+//! runahead-engine event, watchdog deadline), bulk-applying exactly
+//! the per-cycle stats its no-op ticks would have recorded, and then
+//! sleeps: it is ahead of the minimum, so no round touches it until
+//! the chip catches up. A core that may act takes one real tick (or
+//! one cheap vector-engine step). Because a quiescent window contains
 //! no broker arrivals by construction, and only minimum-clock cores
-//! ever access the broker (in core-index order), every arrival at the
-//! shared banks happens at the same timestamp, in the same order, as
-//! in the tick-by-tick walk — the result is bit-identical (pinned by
-//! the golden chip-stats tests). See DESIGN.md §17 for the full
-//! equivalence argument.
+//! ever access the broker, every arrival at the shared banks happens
+//! at the same timestamp, in the same order, as in a tick-by-tick
+//! walk of all cores (pinned by the golden chip-stats tests; DESIGN.md
+//! §17 has the full equivalence argument).
+//!
+//! There is one loop for every N. An N = 1 chip has no shared LLC, so
+//! its core is unattached and each round is exactly one iteration of
+//! `Simulator::try_run`'s loop: the reported [`SimStats`] are
+//! **bit-identical** to a standalone run (pinned by a differential
+//! test over every golden-stats point).
 //!
 //! ## LLC ownership (no lock)
 //!
 //! Cores are stepped on one thread in deterministic core-index order,
 //! so the broker needs no `Mutex`: the chip *owns* the
 //! [`SharedLlc`] in a `Box` and moves it into the stepping core's
-//! hierarchy before its tick, taking it back after — every access is
-//! an uncontended `&mut`. [`Chip::set_threads`] enables opt-in
-//! parallel stepping: each round's quiescent cores apply their
-//! fast-forward windows (pure per-core state, no shared reads or
-//! writes) concurrently on a persistent [`vr_pool::WorkerPool`],
-//! while cores that may act keep the sequential core-index-order walk
-//! with the broker installed — stats stay bit-identical at any thread
-//! count.
+//! hierarchy before its `advance`, taking it back after — every
+//! access is an uncontended `&mut`. There is no parallel stepping:
+//! DESIGN.md §17 records the measurement that retired it.
 //!
 //! Each core independently enters and leaves runahead episodes;
 //! per-core [`SimStats`] stay separate and [`ChipStats`] aggregates
@@ -85,13 +74,10 @@
 //! println!("bank conflicts: {}", run.chip.bank_conflicts);
 //! ```
 
-use vr_core::{
-    CoreConfig, LockstepAction, RunaheadConfig, SimError, SimStats, Simulator, StopFlag,
-};
+use vr_core::{Advance, CoreConfig, RunaheadConfig, SimError, SimStats, Simulator, StopFlag};
 use vr_isa::{Memory, Program, Reg};
 use vr_mem::{MemConfig, SharedLlc, SharedLlcConfig};
 use vr_obs::{Fnv64, Json};
-use vr_pool::WorkerPool;
 
 /// Chip-level configuration: core count plus the shared-LLC knobs
 /// that have no per-core analogue. The shared L3 geometry and DRAM
@@ -194,18 +180,20 @@ pub struct ChipTelemetry {
     /// Core-cycles those windows skipped — lockstep ticks that were
     /// never executed.
     pub ff_cycles_skipped: u64,
-    /// Cheap single-cycle vector-engine steps taken in place of full
-    /// pipeline ticks (live episode, every other phase proven frozen).
+    /// Cheap vector-engine advances taken in place of full pipeline
+    /// ticks (live episode, every other phase proven frozen): one cycle
+    /// each on a shared-LLC chip, a whole window each at N = 1.
     pub episode_steps: u64,
     /// Broker installs into a stepping core (the de-mutexed analogue
     /// of lock acquisitions: one per core-step that could touch the
     /// shared LLC).
     pub broker_installs: u64,
-    /// Chip rounds on which the parallel phase fast-forwarded at least
-    /// two quiescent cores on the worker pool.
+    /// Always 0: nothing increments it since parallel stepping was
+    /// deleted (DESIGN.md §17). The field exists **only** because
+    /// `benchmark/src/chip_wl.rs` reads it and the PR that removed
+    /// parallel stepping was not allowed to touch `benchmark/`; delete
+    /// it together with that read.
     pub par_cycles: u64,
-    /// Cores handled by the parallel phase in total.
-    pub par_core_steps: u64,
     /// Horizon-stall census, per core: real (possibly-acting) ticks
     /// this core took — how often it held the chip's minimum clock
     /// back instead of skipping ahead.
@@ -231,8 +219,6 @@ impl ChipTelemetry {
             ("ff_cycles_skipped".into(), Json::U64(self.ff_cycles_skipped)),
             ("episode_steps".into(), Json::U64(self.episode_steps)),
             ("broker_installs".into(), Json::U64(self.broker_installs)),
-            ("par_cycles".into(), Json::U64(self.par_cycles)),
-            ("par_core_steps".into(), Json::U64(self.par_core_steps)),
             (
                 "horizon_blocks".into(),
                 Json::Arr(self.horizon_blocks.iter().map(|&v| Json::U64(v)).collect()),
@@ -242,28 +228,6 @@ impl ChipTelemetry {
                 Json::Arr(self.core_ff_windows.iter().map(|&v| Json::U64(v)).collect()),
             ),
         ])
-    }
-}
-
-/// Shares a `*mut Simulator` with pool workers. Sound because the
-/// parallel phase hands each worker a *disjoint* strided subset of
-/// core indices and joins every worker before returning (see
-/// [`Chip::step_round_parallel`]).
-struct CoresPtr(*mut Simulator);
-// SAFETY: workers dereference disjoint offsets only, within the
-// blocking `WorkerPool::run` call that keeps the owner alive.
-unsafe impl Sync for CoresPtr {}
-
-impl CoresPtr {
-    /// Raw pointer to core `i`; the caller reborrows it `&mut` under
-    /// the disjointness guarantee below.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee `i` is in bounds and that no other
-    /// live reference (on any thread) aliases core `i`.
-    unsafe fn core_mut(&self, i: usize) -> *mut Simulator {
-        self.0.add(i)
     }
 }
 
@@ -279,13 +243,6 @@ pub struct Chip {
     /// this slot *during* a core-step.
     shared: Option<Box<SharedLlc>>,
     telemetry: ChipTelemetry,
-    /// Parallel-stepping pool ([`Chip::set_threads`]); `None` =
-    /// sequential stepping (the default).
-    pool: Option<WorkerPool>,
-    /// Scratch for the per-cycle quiescent/active partition
-    /// (pre-sized; stepping stays allocation-free).
-    quiescent: Vec<usize>,
-    active: Vec<usize>,
 }
 
 impl Chip {
@@ -333,32 +290,8 @@ impl Chip {
                 sim
             })
             .collect();
-        let n = cores.len();
-        Chip {
-            cfg: chip,
-            cores,
-            shared,
-            telemetry: ChipTelemetry::new(n),
-            pool: None,
-            quiescent: Vec::with_capacity(n),
-            active: Vec::with_capacity(n),
-        }
-    }
-
-    /// Opt-in parallel core stepping: with `threads ≥ 2` (and N ≥ 2),
-    /// each lockstep cycle partitions the unfinished cores into
-    /// *quiescent* (their tick is provably a no-op by
-    /// [`vr_core::Simulator::lockstep_horizon`], so it touches no
-    /// shared state) and *active*. Quiescent cores step concurrently
-    /// on a persistent worker pool; active cores keep the sequential
-    /// core-index-order walk with the broker installed. Because the
-    /// partition is a pure function of core state and quiescent ticks
-    /// commute with everything, the resulting stats are **bit-identical
-    /// to sequential stepping at any thread count** (pinned by the
-    /// thread-invariance test). `threads ≤ 1` restores sequential
-    /// stepping and drops the pool.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = (self.cores.len() > 1 && threads > 1).then(|| WorkerPool::new(threads));
+        let telemetry = ChipTelemetry::new(cores.len());
+        Chip { cfg: chip, cores, shared, telemetry }
     }
 
     /// The chip configuration in use.
@@ -397,204 +330,65 @@ impl Chip {
         Ok(())
     }
 
-    /// Advances the chip by one clock cycle: every core that has not
-    /// yet committed `max_insts` instructions (or halted) steps once.
-    /// Returns `false` once every core is finished. Allocation-free —
-    /// the alloc gate drives a 4-core chip through this directly.
+    /// One chip round (the module docs' clocking model): every
+    /// unfinished core (not yet at `max_insts` committed instructions,
+    /// not halted) sitting at the chip's **minimum** core clock takes
+    /// one [`Simulator::advance`], in core-index order with the owned
+    /// broker moved in and out. A round therefore moves the chip clock
+    /// by anything from zero cycles (another core still at the minimum)
+    /// to a whole quiescent window. Returns `false` once every core is
+    /// finished. Allocation-free — the alloc gate drives a 4-core chip
+    /// through this directly.
     ///
     /// # Errors
     ///
     /// Any core's `SimError` (deadlock, deadline, invariant) aborts
     /// the whole chip run.
     pub fn step(&mut self, max_insts: u64) -> Result<bool, SimError> {
-        if self.cores.len() == 1 {
-            // Single core: the standalone stepping path, fast-forward
-            // included (bit-identity with `Simulator::try_run`).
-            return self.cores[0].step_cycle(max_insts);
-        }
-        // One chip round: only cores at the *minimum* core clock can
-        // act — a core whose clock is ahead got there by proving a
-        // no-op window and now sleeps until the chip catches up.
-        let mut t = u64::MAX;
-        for core in &self.cores {
-            if !core.finished(max_insts) {
-                t = t.min(core.cycle());
-            }
-        }
-        if t == u64::MAX {
+        let unfinished = self.cores.iter().filter(|c| !c.finished(max_insts));
+        let Some(t) = unfinished.map(Simulator::cycle).min() else {
             return Ok(false); // every core finished
-        }
-        if self.pool.is_some() {
-            self.step_round_parallel(max_insts, t)?;
-        } else {
-            self.step_round_sequential(max_insts, t)?;
-        }
-        Ok(self.cores.iter().any(|c| !c.finished(max_insts)))
-    }
-
-    /// One chip round at minimum clock `t`, sequential. Each core at
-    /// `t` either **fast-forwards** through its proven-quiescent
-    /// window ([`vr_core::Simulator::lockstep_horizon`]) — bulk stats,
-    /// no tick, no broker — and then sleeps until the chip's minimum
-    /// clock catches up to it, or **steps one real tick** in
-    /// core-index order with the owned broker moved in and out (the
-    /// de-mutexed hot path). See DESIGN.md §17 for why this preserves
-    /// the lockstep schedule cycle-exactly.
-    fn step_round_sequential(&mut self, max_insts: u64, t: u64) -> Result<(), SimError> {
-        let mut llc = self.take_broker()?;
-        let mut installs = 0u64;
+        };
         for i in 0..self.cores.len() {
             let core = &mut self.cores[i];
             if core.finished(max_insts) || core.cycle() != t {
                 continue;
             }
-            core.install_shared_llc(llc);
-            installs += 1;
-            let r = core.lockstep_advance(max_insts);
-            llc = core.take_shared_llc();
-            match r {
-                Ok(LockstepAction::FastForwarded(h)) => {
+            let advanced = match self.shared.take() {
+                Some(llc) => {
+                    core.install_shared_llc(llc);
+                    self.telemetry.broker_installs += 1;
+                    let r = core.advance();
+                    self.shared = Some(core.take_shared_llc());
+                    r
+                }
+                // A multi-core chip always holds its broker between
+                // core-steps; its absence means an earlier step left it
+                // inside a core (install/take imbalance) — a structured
+                // error instead of a panic deep in the hierarchy.
+                None if self.cfg.cores > 1 => {
+                    return Err(SimError::Invariant {
+                        cycle: t,
+                        what: "chip shared-LLC broker missing (install/take imbalance)".into(),
+                    })
+                }
+                // N = 1: private L3/DRAM, no broker to install.
+                None => core.advance(),
+            };
+            match advanced? {
+                Advance::Skipped(h) => {
                     self.telemetry.ff_windows += 1;
                     self.telemetry.ff_cycles_skipped += h - t;
                     self.telemetry.core_ff_windows[i] += 1;
                 }
-                Ok(LockstepAction::EngineStepped) => {
+                Advance::EngineStepped => {
                     self.telemetry.episode_steps += 1;
                     self.telemetry.horizon_blocks[i] += 1;
                 }
-                Ok(LockstepAction::Ticked) => {
-                    self.telemetry.horizon_blocks[i] += 1;
-                }
-                Err(e) => {
-                    self.shared = Some(llc);
-                    self.telemetry.broker_installs += installs;
-                    return Err(e);
-                }
+                Advance::Ticked => self.telemetry.horizon_blocks[i] += 1,
             }
         }
-        self.shared = Some(llc);
-        self.telemetry.broker_installs += installs;
-        Ok(())
-    }
-
-    /// One chip round at minimum clock `t`, parallel
-    /// ([`Chip::set_threads`]): the two-phase split of the sequential
-    /// round. Phase 1 *computes and applies* the quiescent cores'
-    /// fast-forward windows concurrently on the worker pool — each
-    /// window is a pure function of that core's private state and its
-    /// application touches only that core, so any execution order
-    /// (including concurrent) gives the sequential result, and it
-    /// cannot error. Phase 2 then drains the cores that may act, in
-    /// deterministic core-index order with the broker installed —
-    /// identical to the sequential walk, so every broker arrival
-    /// happens in the same order with the same timestamps. Stats are
-    /// therefore **bit-identical at any thread count** (pinned by the
-    /// thread-invariance test).
-    fn step_round_parallel(&mut self, max_insts: u64, t: u64) -> Result<(), SimError> {
-        self.quiescent.clear();
-        self.active.clear();
-        for (i, core) in self.cores.iter().enumerate() {
-            if core.finished(max_insts) || core.cycle() != t {
-                continue;
-            }
-            if core.lockstep_horizon().is_some() {
-                self.quiescent.push(i);
-            } else {
-                self.active.push(i);
-            }
-        }
-
-        // Phase 1: fast-forward the quiescent cores, strided over the
-        // pool workers (deterministic assignment; the result doesn't
-        // depend on it). A single quiescent core isn't worth a pool
-        // broadcast.
-        if self.quiescent.len() >= 2 {
-            let pool = self.pool.as_ref().expect("parallel stepping without a pool");
-            let workers = pool.size().min(self.quiescent.len());
-            let base = CoresPtr(self.cores.as_mut_ptr());
-            let quiescent = &self.quiescent;
-            pool.run(workers, &|w| {
-                let mut j = w;
-                while j < quiescent.len() {
-                    let i = quiescent[j];
-                    // SAFETY: worker `w` owns exactly the strided
-                    // indices {w, w+workers, …} of `quiescent`, whose
-                    // entries are distinct core indices — the `&mut`s
-                    // are disjoint, and `run` joins every worker
-                    // before this frame returns.
-                    let core = unsafe { &mut *base.core_mut(i) };
-                    if let Some(h) = core.lockstep_horizon() {
-                        core.fast_forward_to(h);
-                    }
-                    j += workers;
-                }
-            });
-            self.telemetry.par_cycles += 1;
-            self.telemetry.par_core_steps += self.quiescent.len() as u64;
-            for k in 0..self.quiescent.len() {
-                let i = self.quiescent[k];
-                self.telemetry.ff_windows += 1;
-                self.telemetry.ff_cycles_skipped += self.cores[i].cycle() - t;
-                self.telemetry.core_ff_windows[i] += 1;
-            }
-        } else if let Some(&i) = self.quiescent.first() {
-            let core = &mut self.cores[i];
-            if let Some(h) = core.lockstep_horizon() {
-                core.fast_forward_to(h);
-                self.telemetry.ff_windows += 1;
-                self.telemetry.ff_cycles_skipped += h - t;
-                self.telemetry.core_ff_windows[i] += 1;
-            }
-        }
-
-        // Phase 2: the cores that may act, in core-index order with
-        // the broker — identical to the sequential walk. (Phase 1 only
-        // mutated *other* cores, so an active core's analysis is
-        // unchanged since classification; the fast-forward arm is
-        // unreachable but harmless.)
-        let mut llc = self.take_broker()?;
-        let mut installs = 0u64;
-        for k in 0..self.active.len() {
-            let i = self.active[k];
-            let core = &mut self.cores[i];
-            core.install_shared_llc(llc);
-            installs += 1;
-            let r = core.lockstep_advance(max_insts);
-            llc = core.take_shared_llc();
-            match r {
-                Ok(LockstepAction::FastForwarded(h)) => {
-                    self.telemetry.ff_windows += 1;
-                    self.telemetry.ff_cycles_skipped += h - t;
-                    self.telemetry.core_ff_windows[i] += 1;
-                }
-                Ok(LockstepAction::EngineStepped) => {
-                    self.telemetry.episode_steps += 1;
-                    self.telemetry.horizon_blocks[i] += 1;
-                }
-                Ok(LockstepAction::Ticked) => {
-                    self.telemetry.horizon_blocks[i] += 1;
-                }
-                Err(e) => {
-                    self.shared = Some(llc);
-                    self.telemetry.broker_installs += installs;
-                    return Err(e);
-                }
-            }
-        }
-        self.shared = Some(llc);
-        self.telemetry.broker_installs += installs;
-        Ok(())
-    }
-
-    /// Takes the owned broker for a stepping phase; its absence means
-    /// an install/take imbalance (a previous step left it inside a
-    /// core), surfaced as a structured error instead of a panic deep
-    /// in the hierarchy.
-    fn take_broker(&mut self) -> Result<Box<SharedLlc>, SimError> {
-        self.shared.take().ok_or_else(|| SimError::Invariant {
-            cycle: self.cores.iter().map(Simulator::cycle).max().unwrap_or(0),
-            what: "chip shared-LLC broker missing (install/take imbalance)".into(),
-        })
+        Ok(self.cores.iter().any(|c| !c.finished(max_insts)))
     }
 
     /// Chip-level execution telemetry (fast-forward windows, broker
@@ -611,7 +405,7 @@ impl Chip {
     /// [`vr_core::Simulator::try_run`]'s (bit-identical to one shot);
     /// for N ≥ 2 a pause freezes each core at a *different* chip
     /// cycle (whenever it hit the intermediate budget), so resuming
-    /// yields a valid lockstep schedule that need not match the
+    /// yields a valid chip schedule that need not match the
     /// uninterrupted one — chip campaigns therefore always run each
     /// point in one shot.
     ///

@@ -2,11 +2,13 @@
 //! to the standalone [`Simulator`] on every golden-stats point (the
 //! same matrix `crates/core/tests/golden_stats.rs` pins).
 //!
-//! A single-core chip has no shared LLC and steps its core through the
-//! same fast-forwarding `step_cycle` path the standalone `run` uses, so
-//! any drift here means the chip layer perturbed single-core semantics
-//! — which would silently re-address every existing result-store
-//! record. Run both with and without `--features checked` (CI does).
+//! A single-core chip has no shared LLC, so its core is unattached and
+//! every [`Chip::step`] round is one iteration of the loop
+//! `Simulator::try_run` runs — the same `Simulator::advance` kernel,
+//! free-running vector windows included. Any drift here means the chip
+//! layer perturbed single-core semantics — which would silently
+//! re-address every existing result-store record. Run both with and
+//! without `--features checked` (CI does).
 
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::{CoreConfig, RunaheadConfig, RunaheadKind, Simulator};
@@ -35,24 +37,44 @@ fn check(preset: GraphPreset, kind: RunaheadKind) {
     );
     let solo = sim.try_run(BUDGET).expect("standalone run must be clean");
 
-    let mut chip = Chip::new(
-        ChipConfig::with_cores(1),
-        CoreConfig::table1(),
-        MemConfig::table1(),
-        vec![CoreSlot {
-            ra,
-            program: w.program.clone(),
-            memory: w.memory.clone(),
-            init_regs: w.init_regs.clone(),
-        }],
-    );
-    let run = chip.try_run(BUDGET).expect("1-core chip run must be clean");
+    let chip = || {
+        Chip::new(
+            ChipConfig::with_cores(1),
+            CoreConfig::table1(),
+            MemConfig::table1(),
+            vec![CoreSlot {
+                ra: ra.clone(),
+                program: w.program.clone(),
+                memory: w.memory.clone(),
+                init_regs: w.init_regs.clone(),
+            }],
+        )
+    };
+    // Drives `Chip::step` directly, like any external clock owner.
+    let step_to = |chip: &mut Chip, budget: u64| {
+        chip.validate().expect("table-1 config is valid");
+        while chip.step(budget).expect("1-core chip run must be clean") {}
+    };
 
-    assert_eq!(run.per_core.len(), 1);
-    assert_eq!(
-        run.per_core[0], solo,
-        "1-core chip drifted from the standalone simulator on {preset:?}/{kind:?}"
-    );
+    let mut oneshot = chip();
+    step_to(&mut oneshot, BUDGET);
+    let mut resumed = chip();
+    step_to(&mut resumed, BUDGET / 4);
+    step_to(&mut resumed, BUDGET);
+
+    for (how, chip) in [("one-shot", &mut oneshot), ("resumed", &mut resumed)] {
+        let run = chip.try_run(BUDGET).expect("sealing a finished chip cannot fail");
+        assert_eq!(run.per_core.len(), 1);
+        assert_eq!(
+            run.per_core[0], solo,
+            "{how} 1-core chip drifted from the standalone simulator on {preset:?}/{kind:?}"
+        );
+        // N = 1 goes through the same round loop as any N: it skips
+        // quiescent windows, and has no broker to install.
+        let tel = chip.telemetry();
+        assert!(tel.ff_windows > 0, "{how} N=1 chip never fast-forwarded: {tel:?}");
+        assert_eq!(tel.broker_installs, 0, "{how} N=1 chip has no broker: {tel:?}");
+    }
 }
 
 #[test]

@@ -153,22 +153,22 @@ struct FfWindow {
     /// phases would have recomputed each cycle.
     stalled: bool,
     /// A live (non-decoupled) vector episode: the *pipeline* is
-    /// frozen, but the engine itself still has work — the standalone
-    /// skip runs it in virtual time, the lockstep skip requires it
-    /// independently idle.
+    /// frozen, but the engine itself still has work, which
+    /// [`Simulator::advance`] runs in virtual time.
     vector: bool,
 }
 
-/// The action [`Simulator::lockstep_advance`] took for one chip round.
+/// What one [`Simulator::advance`] call did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LockstepAction {
-    /// Fast-forwarded through a proven no-op window to the returned
-    /// cycle without ticking — no memory-system access was made, so
-    /// the core can sleep until the chip clock catches up.
-    FastForwarded(u64),
-    /// A live vector-runahead episode stepped its engine for one cycle
-    /// on the cheap path (identical memory accesses to a full tick;
-    /// every other pipeline phase proven frozen).
+pub enum Advance {
+    /// Skipped a proven no-op window up to the returned cycle without
+    /// ticking — no memory-system access was made, so under a chip
+    /// clock the core can sleep until the chip catches up.
+    Skipped(u64),
+    /// A live vector-runahead episode ran its engine on the cheap path
+    /// (identical memory accesses to full ticks; every other pipeline
+    /// phase proven frozen): one cycle on a core attached to a shared
+    /// LLC, up to the window's horizon otherwise.
     EngineStepped,
     /// One full pipeline tick (the core may act this cycle).
     Ticked,
@@ -409,7 +409,9 @@ impl Simulator {
     ///   (only with the `checked` cargo feature).
     pub fn try_run(&mut self, max_insts: u64) -> Result<SimStats, SimError> {
         self.validate()?;
-        while self.step_cycle(max_insts)? {}
+        while !self.finished(max_insts) {
+            self.advance()?;
+        }
         Ok(self.seal_stats())
     }
 
@@ -419,58 +421,84 @@ impl Simulator {
         self.halted || self.committed_insts >= max_insts
     }
 
-    /// Validates the configuration without running anything (also done
-    /// by [`Self::try_run`]; external clock owners — `vr-chip` — call
-    /// it once before their stepping loop).
+    /// The one stepping kernel: every run — [`Self::try_run`] and each
+    /// chip round of `vr-chip` — moves the model by calling this and
+    /// nothing else. `try_run` is exactly [`Self::validate`], this in a
+    /// `while !finished` loop, and [`Self::seal_stats`], so a
+    /// caller-driven loop is bit-identical by construction.
     ///
-    /// # Errors
+    /// One call does one of three things:
     ///
-    /// [`SimError::BadConfig`] when the configuration is internally
-    /// inconsistent.
-    pub fn validate(&self) -> Result<(), SimError> {
-        self.validate_config()
-    }
-
-    /// One scheduler iteration of [`Self::try_run`]'s loop: idle-cycle
-    /// fast-forward, one pipeline tick, then the watchdog and deadline
-    /// checks. Returns `Ok(true)` while there is more work (the budget
-    /// is not [`Self::finished`]); a call on a finished simulator is a
-    /// no-op returning `Ok(false)`. This is the externally-owned-clock
-    /// API: `try_run` is exactly `validate` + this in a loop +
-    /// [`Self::seal_stats`], so a caller-driven loop is bit-identical
-    /// by construction.
+    /// * **skips** a window `ff_analysis` proves quiescent — no
+    ///   tick, no memory-system access, per-cycle stall counters
+    ///   bulk-applied;
+    /// * **runs a live vector engine** forward in virtual time through
+    ///   a window in which every *other* phase is proven frozen: active
+    ///   cycles (gather issue, chain stepping) execute the engine's own
+    ///   `step_cycle` at the exact timestamps the full ticks would have,
+    ///   without the phase walk, and idle stretches jump via
+    ///   `idle_until`. The engine touches only its own state and the
+    ///   memory system, so the hierarchy observes exactly the unskipped
+    ///   access order. The cycle that *finishes* the episode is left
+    ///   for a real tick; or
+    /// * **ticks** the full pipeline for one cycle, then applies the
+    ///   watchdog and stop-flag checks.
+    ///
+    /// How far the engine may run in one call is read from state the
+    /// core already holds: a core attached to a chip-shared LLC stops
+    /// after one jump-or-step, so its accesses interleave with the other
+    /// cores' arrivals in exact chip-clock order; an unattached core
+    /// has nobody to interleave with and runs to the horizon.
+    ///
+    /// Because a window is skipped only when every phase is a no-op for
+    /// each of its cycles, the result does not depend on how callers
+    /// split a window across calls.
     ///
     /// # Errors
     ///
     /// Same as [`Self::try_run`] (minus `BadConfig`, which only
-    /// `validate` reports).
-    pub fn step_cycle(&mut self, max_insts: u64) -> Result<bool, SimError> {
-        if self.finished(max_insts) {
-            return Ok(false);
+    /// `validate` reports); only the full-tick path can fail.
+    pub fn advance(&mut self) -> Result<Advance, SimError> {
+        if let Some(w) = self.ff_analysis() {
+            if !w.vector {
+                self.apply_fast_forward(w.horizon, w.stalled);
+                return Ok(Advance::Skipped(w.horizon));
+            }
+            let c = self.cycle;
+            let one_event = self.ms.shared_attached();
+            let ep = self.runahead.as_mut().expect("a vector window implies a live episode");
+            let end_at = ep.end_at;
+            let Engine::Vector(eng) = &mut ep.engine else {
+                unreachable!("ff_analysis saw a vector engine")
+            };
+            let mut t = c;
+            let mut stepped = false;
+            loop {
+                match eng.idle_until(t, end_at) {
+                    Some(i) if i > t => t = i.min(w.horizon),
+                    _ if t < end_at => {
+                        let mut ctx =
+                            RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: t };
+                        let status = eng.step_cycle(&mut ctx, false);
+                        debug_assert_eq!(
+                            status,
+                            VrStatus::Working,
+                            "a vector engine cannot finish before end_at"
+                        );
+                        t += 1;
+                        stepped = true;
+                    }
+                    _ => break, // the finishing cycle needs a real tick
+                }
+                if one_event || t >= w.horizon {
+                    break;
+                }
+            }
+            if t > c {
+                self.apply_fast_forward(t, w.stalled);
+                return Ok(if stepped { Advance::EngineStepped } else { Advance::Skipped(t) });
+            }
         }
-        self.maybe_fast_forward();
-        self.tick_checked()?;
-        Ok(!self.finished(max_insts))
-    }
-
-    /// [`Self::step_cycle`] without the idle-cycle fast-forward: the
-    /// simulator advances by exactly one cycle per call. A multi-core
-    /// chip clock must step cores in lockstep — a per-core skip would
-    /// let one core's shared-LLC requests arrive out of timestamp
-    /// order at the banks — so it pays the idle cycles for ordering.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step_cycle`].
-    pub fn step_cycle_lockstep(&mut self, max_insts: u64) -> Result<bool, SimError> {
-        if self.finished(max_insts) {
-            return Ok(false);
-        }
-        self.tick_checked()?;
-        Ok(!self.finished(max_insts))
-    }
-
-    fn tick_checked(&mut self) -> Result<(), SimError> {
         self.try_tick()?;
         if self.cycle - self.last_commit_cycle >= self.cfg.watchdog {
             return Err(SimError::Deadlock(Box::new(self.deadlock_dump())));
@@ -481,7 +509,7 @@ impl Simulator {
         if self.stop.as_ref().is_some_and(StopFlag::is_set) {
             return Err(SimError::Deadline(Box::new(self.deadlock_dump())));
         }
-        Ok(())
+        Ok(Advance::Ticked)
     }
 
     /// Folds the live counters (cycles, committed instructions, memory
@@ -531,7 +559,15 @@ impl Simulator {
         self.try_run_roi(warmup, roi).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn validate_config(&self) -> Result<(), SimError> {
+    /// Validates the configuration without running anything (also done
+    /// by [`Self::try_run`]; external clock owners — `vr-chip` — call
+    /// it once before their [`Self::advance`] loop).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] when the configuration is internally
+    /// inconsistent.
+    pub fn validate(&self) -> Result<(), SimError> {
         fn bad(what: impl Into<String>) -> Result<(), SimError> {
             Err(SimError::BadConfig { what: what.into() })
         }
@@ -685,8 +721,9 @@ impl Simulator {
         &self.mem
     }
 
-    /// The current cycle count (the core's clock; under a lockstep
-    /// chip clock this equals the chip cycle while the core is live).
+    /// The current cycle count (the core's clock; under a chip clock
+    /// it runs ahead of the chip's minimum after an [`Advance::Skipped`]
+    /// window, and the chip lets the rest catch up).
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -695,9 +732,11 @@ impl Simulator {
     /// LLC + DRAM broker (see `vr_mem::SharedLlc`). `core` tags this
     /// core's lines in the shared cache. Must be called before the
     /// first cycle; a core with no attachment keeps its private
-    /// L3/DRAM, bit-identical to the pre-chip simulator. The broker
-    /// itself is owned by the chip and moved in/out around every tick
-    /// via [`Self::install_shared_llc`] / [`Self::take_shared_llc`].
+    /// L3/DRAM, bit-identical to the pre-chip simulator. An attached
+    /// core's [`Self::advance`] stops a vector engine after one event
+    /// so cross-core arrival order stays exact. The broker itself is
+    /// owned by the chip and moved in/out around every `advance` via
+    /// [`Self::install_shared_llc`] / [`Self::take_shared_llc`].
     pub fn attach_shared_llc(&mut self, core: u32) {
         self.ms.attach_shared_llc(core);
     }
@@ -801,11 +840,13 @@ impl Simulator {
         Ok(())
     }
 
-    /// Idle-cycle fast-forward: when every pipeline stage is provably
-    /// quiescent until a known future event, advance the cycle counter
-    /// in bulk instead of spinning through no-op ticks.
+    /// Quiescence analysis for [`Self::advance`]: decides, without
+    /// mutating anything, whether every `try_tick` phase is a provable
+    /// no-op from the current cycle up to a horizon, so the clock can
+    /// move there in bulk instead of spinning through no-op ticks.
+    /// Returns `None` when any phase may act this cycle.
     ///
-    /// This cannot change timing because a cycle is skipped only when
+    /// Skipping cannot change timing because a cycle is skipped only when
     /// *every* `try_tick` phase is a no-op for it, by induction over
     /// the skipped window (the state each phase reads is exactly the
     /// state that the phases are proven not to modify):
@@ -839,68 +880,11 @@ impl Simulator {
     /// window (waiting on a gather barrier, or dead until the interval
     /// expires) and the back end has no pending work, the same bulk
     /// skip applies with the engine's next event as an extra horizon
-    /// bound. Fault injection draws from its RNG every cycle an
-    /// episode is live, so any armed fault plan disables the episode
-    /// skip entirely.
-    fn maybe_fast_forward(&mut self) {
-        let Some(w) = self.ff_analysis() else { return };
-        let c = self.cycle;
-        let target = w.horizon;
-
-        // A live vector engine runs forward in virtual time up to the
-        // pipeline horizon: active cycles (gather issue, chain
-        // stepping) execute in this tight loop — identical `step_cycle`
-        // calls at identical timestamps, without paying the full
-        // `try_tick` phase walk each cycle — and idle windows jump via
-        // `idle_until`. Every other phase is a proven no-op for the
-        // whole window (the same freeze argument as above), and the
-        // engine only touches its own state and the memory system, so
-        // the access order the memory hierarchy observes is exactly the
-        // unskipped one. The cycle that *finishes* the episode
-        // (`interval_over`) is left for a real tick.
-        let mut t = target;
-        if w.vector {
-            t = c;
-            let Some(ep) = &mut self.runahead else { unreachable!("episode checked above") };
-            let end_at = ep.end_at;
-            let Engine::Vector(eng) = &mut ep.engine else { unreachable!("engine checked above") };
-            loop {
-                match eng.idle_until(t, end_at) {
-                    Some(i) if i > t => t = i.min(target),
-                    _ => {
-                        if t >= end_at {
-                            break; // finishing cycle needs a real tick
-                        }
-                        let mut ctx =
-                            RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: t };
-                        let status = eng.step_cycle(&mut ctx, false);
-                        debug_assert_eq!(
-                            status,
-                            VrStatus::Working,
-                            "a vector engine cannot finish before end_at"
-                        );
-                        let _ = status;
-                        t += 1;
-                    }
-                }
-                if t >= target {
-                    break;
-                }
-            }
-            if t <= c {
-                return;
-            }
-        }
-
-        self.apply_fast_forward(t, w.stalled);
-    }
-
-    /// Quiescence analysis for the fast-forward paths: decides whether
-    /// every `try_tick` phase is a provable no-op from the current
-    /// cycle up to a horizon, without mutating anything. Returns `None`
-    /// when any phase may act this cycle. Shared by the standalone
-    /// skip ([`Self::maybe_fast_forward`]) and the chip's cross-core
-    /// skip ([`Self::lockstep_horizon`]).
+    /// bound. A live *vector* engine needs no idle precondition: the
+    /// window is reported with `vector` set and `advance` runs the
+    /// engine through it. Fault injection draws from its RNG every
+    /// cycle an episode is live, so any armed fault plan disables the
+    /// episode skip entirely.
     fn ff_analysis(&self) -> Option<FfWindow> {
         if !self.ready.is_empty() || !self.store_buffer.is_empty() {
             return None;
@@ -920,10 +904,9 @@ impl Simulator {
                     Some(t) if t > c => engine_idle = Some(t),
                     _ => return None, // engine may act this cycle
                 },
-                // The vector engine needs no idle precondition here:
-                // the standalone skip runs it forward in *virtual
-                // time* (active cycles stepped, idle windows jumped),
-                // and the lockstep skip separately requires it idle.
+                // No idle precondition: `advance` runs the engine
+                // forward in virtual time (active cycles stepped,
+                // idle windows jumped).
                 Engine::Vector(_) => vector = true,
                 // The reference path never skips: the differential
                 // test runs it unskipped against the fast-forwarded
@@ -1024,123 +1007,6 @@ impl Simulator {
         if self.runahead.is_some() {
             self.stats.runahead_cycles += delta;
         }
-    }
-
-    /// The chip-level fast-forward hook: the earliest future cycle at
-    /// which this core could possibly act, or `None` if it may act
-    /// *this* cycle. Every `try_tick` phase is a proven no-op for each
-    /// cycle in `self.cycle() .. horizon` — in particular the core
-    /// makes **no memory-system access** in that window, so a lockstep
-    /// chip may bulk-advance a set of cores whose windows overlap
-    /// without reordering any arrivals at the shared LLC banks.
-    ///
-    /// Unlike the standalone skip, a live vector engine is *not* run
-    /// forward in virtual time here (its gathers would interleave with
-    /// other cores' arrivals out of lockstep order); instead the
-    /// engine must itself be idle, and its next event (capped at the
-    /// episode deadline, whose tick must stay real) bounds the
-    /// horizon.
-    pub fn lockstep_horizon(&self) -> Option<u64> {
-        let w = self.ff_analysis()?;
-        let mut h = w.horizon;
-        if w.vector {
-            let ep = self.runahead.as_ref().expect("a vector window implies a live episode");
-            let Engine::Vector(eng) = &ep.engine else {
-                unreachable!("ff_analysis saw a vector engine")
-            };
-            match eng.idle_until(self.cycle, ep.end_at) {
-                Some(i) if i > self.cycle => h = h.min(i).min(ep.end_at),
-                _ => return None, // engine may act this cycle
-            }
-        }
-        (h > self.cycle).then_some(h)
-    }
-
-    /// Bulk-advances this core to `target` — caller must have proven
-    /// quiescence via [`Self::lockstep_horizon`] (the chip uses the
-    /// minimum horizon across cores, so `target` is at or before this
-    /// core's own horizon). Stats are applied exactly as the skipped
-    /// lockstep ticks would have recorded them.
-    pub fn fast_forward_to(&mut self, target: u64) {
-        if target <= self.cycle {
-            return;
-        }
-        debug_assert!(
-            self.lockstep_horizon().is_some_and(|h| target <= h),
-            "fast_forward_to past the proven horizon"
-        );
-        let stalled = self.ff_analysis().is_some_and(|w| w.stalled);
-        self.apply_fast_forward(target, stalled);
-    }
-
-    /// One chip-round advance (DESIGN.md §17): the lockstep analogue
-    /// of [`Self::step_cycle`]'s skip-then-tick, restricted to
-    /// single-cycle granularity wherever the core touches the memory
-    /// system so a chip can keep cross-core arrival order exact.
-    /// Either
-    ///
-    /// * **fast-forwards** through a proven no-op window — no tick, no
-    ///   memory-system access; the caller must not advance this core
-    ///   again until the chip's minimum clock catches up to the
-    ///   returned cycle —
-    /// * **engine-steps** a live vector episode for one cycle: every
-    ///   other phase is proven frozen, so the cheap engine step makes
-    ///   exactly the accesses (same addresses, same timestamps) a full
-    ///   tick would have made, without the phase walk — or
-    /// * **ticks** the full pipeline for one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step_cycle`] (only the full-tick path can
-    /// fail).
-    pub fn lockstep_advance(&mut self, max_insts: u64) -> Result<LockstepAction, SimError> {
-        if let Some(w) = self.ff_analysis() {
-            let c = self.cycle;
-            if !w.vector {
-                self.apply_fast_forward(w.horizon, w.stalled);
-                return Ok(LockstepAction::FastForwarded(w.horizon));
-            }
-            let ep = self.runahead.as_mut().expect("a vector window implies a live episode");
-            let end_at = ep.end_at;
-            let Engine::Vector(eng) = &mut ep.engine else {
-                unreachable!("ff_analysis saw a vector engine")
-            };
-            match eng.idle_until(c, end_at) {
-                Some(i) if i > c => {
-                    // Idle engine: jump to its next event, capped at
-                    // the episode deadline (whose tick must stay real)
-                    // and the pipeline horizon.
-                    let t = w.horizon.min(i).min(end_at);
-                    if t > c {
-                        self.apply_fast_forward(t, w.stalled);
-                        return Ok(LockstepAction::FastForwarded(t));
-                    }
-                }
-                _ if c < end_at => {
-                    // Engine active this cycle: one virtual-time step,
-                    // exactly as the standalone loop in
-                    // [`Self::maybe_fast_forward`] (which the
-                    // differential suite proves cycle-exact), but at
-                    // single-cycle granularity so its gathers
-                    // interleave with other cores' arrivals in true
-                    // lockstep order.
-                    let mut ctx =
-                        RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
-                    let status = eng.step_cycle(&mut ctx, false);
-                    debug_assert_eq!(
-                        status,
-                        VrStatus::Working,
-                        "a vector engine cannot finish before end_at"
-                    );
-                    let _ = status;
-                    self.apply_fast_forward(c + 1, w.stalled);
-                    return Ok(LockstepAction::EngineStepped);
-                }
-                _ => {} // deadline cycle: a real tick ends the episode
-            }
-        }
-        self.step_cycle_lockstep(max_insts)?;
-        Ok(LockstepAction::Ticked)
     }
 
     /// Per-cycle structural assertions (the `checked` cargo feature).

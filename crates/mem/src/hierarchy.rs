@@ -155,6 +155,13 @@ impl MemorySystem {
         self.shared = Some(SharedAttachment { llc: None, core });
     }
 
+    /// Whether this hierarchy routes its L2 misses through a
+    /// chip-shared LLC ([`MemorySystem::attach_shared_llc`]), i.e.
+    /// whether other cores observe the order of its accesses.
+    pub fn shared_attached(&self) -> bool {
+        self.shared.is_some()
+    }
+
     /// Hands this core the chip's LLC broker for the duration of one
     /// tick (a `Box` move, no lock).
     ///
