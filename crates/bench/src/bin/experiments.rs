@@ -2,36 +2,37 @@
 //! evaluation (DESIGN.md §5 maps each id to the paper artifact).
 //!
 //! Run `experiments` with no arguments for the full usage text — it
-//! is generated from the same dispatch table `main` dispatches on, so
-//! the list of ids can never drift from the commands that actually
-//! exist.
+//! is generated from the same table `main` dispatches on, so the list
+//! of ids can never drift from the commands that actually exist.
 //!
-//! Every figure builds [`Report`]s; the text printed to stdout and
-//! the `--json` / `--csv` exports are rendered from the *same*
-//! reports, so exported values always equal the printed ones (see
-//! DESIGN.md §10).
+//! A simulating figure is a row of [`COMMANDS`] holding two functions:
+//! its point list (`vr_bench::points`) and the render of
+//! `(points, outputs)` into a [`Report`]. [`run_cmd`] is the only thing
+//! that connects them — enumerate, [`vr_bench::sweep`] (the campaign
+//! engine, against the `--cache` store when there is one), render — so
+//! `all`, `--cache`, `campaign run/status/serve` and `perf-report` all
+//! read the same table, and every figure is bit-identical at any
+//! `--threads` and against any store.
 //!
-//! Simulation points are fanned across a work pool
-//! ([`vr_bench::parallel_map`]); every table and figure is
-//! bit-identical to a `--threads 1` run because each point constructs
-//! its own simulator and results are reassembled in input order.
+//! The text printed to stdout and the `--json` / `--csv` exports are
+//! rendered from the *same* reports, so exported values always equal
+//! the printed ones (see DESIGN.md §10).
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
+use vr_bench::points::{self, FigureOpts, Sets};
 use vr_bench::report::{write_exports, Report, RunMeta};
-use vr_bench::{
-    holey, is_hole, parallel_map, pct, ratio, run_custom, run_technique, workload_set, BarChart,
-    Table, Technique,
-};
-use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, Simulator};
+use vr_bench::{cell, hmean, pct, ratio, run_technique, sweep, BarChart, Table, Technique};
+use vr_campaign::{CampaignPoint, ChipPoint, PointSet};
+use vr_chip::ChipRun;
+use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, SimStats, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
-use vr_workloads::{gap_suite, graph::GraphPreset, Scale, Workload};
+use vr_workloads::{graph::GraphPreset, Scale, Workload};
 
 struct Opts {
-    insts: u64,
-    presets: Vec<GraphPreset>,
-    scale: Scale,
+    /// `--insts`, `--all-inputs`, `--quick`: what determines a
+    /// figure's points.
+    fig: FigureOpts,
     threads: usize,
     /// First non-flag argument after the id (the `trace` workload, or
     /// the `campaign` action).
@@ -56,62 +57,150 @@ struct Opts {
     shards: u32,
     /// `--shard I`: this process's shard index for `campaign serve`.
     shard: u32,
-    /// `--spool DIR`: drain `campaign serve` manifests from `*.json`
-    /// files in DIR instead of reading lines from stdin.
-    spool: Option<PathBuf>,
 }
 
 /// One dispatchable subcommand: the id `main` matches on, the help
-/// line the usage text prints, and the figure function itself.
+/// line the usage text prints, whether `all` includes it, and what
+/// running it means.
 struct Cmd {
     id: &'static str,
     help: &'static str,
-    run: fn(&Opts) -> Vec<Report>,
+    in_all: bool,
+    run: Run,
 }
 
-/// The dispatch table. The usage text is generated from this table,
-/// so adding a command here is the *only* step needed to expose it.
+/// Renders a figure from its point list and the outputs of sweeping
+/// it (`None` = HOLE), position for position.
+type Render<P, O> = fn(&FigureOpts, &[P], &[Option<O>]) -> Report;
+
+#[derive(Clone, Copy)]
+enum Run {
+    /// Simulates nothing through the store: a configuration table or a
+    /// tool with its own side artifacts.
+    Tool(fn(&Opts) -> Vec<Report>),
+    /// A figure over single-core points: its point list and render.
+    Scalar(fn(&Sets) -> Vec<CampaignPoint>, Render<CampaignPoint, SimStats>),
+    /// A figure over multi-core chip points.
+    Chip(fn(&Sets) -> Vec<ChipPoint>, Render<ChipPoint, ChipRun>),
+}
+
+const fn tool(
+    id: &'static str,
+    help: &'static str,
+    in_all: bool,
+    run: fn(&Opts) -> Vec<Report>,
+) -> Cmd {
+    Cmd { id, help, in_all, run: Run::Tool(run) }
+}
+
+const fn figure(
+    id: &'static str,
+    help: &'static str,
+    points: fn(&Sets) -> Vec<CampaignPoint>,
+    render: Render<CampaignPoint, SimStats>,
+) -> Cmd {
+    Cmd { id, help, in_all: true, run: Run::Scalar(points, render) }
+}
+
+/// The one table: usage text, dispatch, `all`, the campaign point
+/// sets and `perf-report`'s figure timing are all read off it, in this
+/// order, so adding a row here is the *only* step needed to expose a
+/// command or a figure everywhere.
 const COMMANDS: &[Cmd] = &[
-    Cmd { id: "table1", help: "baseline core/memory configuration (Table 1)", run: table1 },
-    Cmd { id: "table2", help: "graph inputs + measured LLC MPKI (Table 2)", run: table2 },
-    Cmd { id: "fig-perf", help: "speedup over the baseline OoO (Fig. 7)", run: fig_perf },
-    Cmd { id: "fig-rob", help: "ROB-size sensitivity sweep (Fig. 2/12)", run: fig_rob },
-    Cmd { id: "fig-breakdown", help: "VR + extension breakdown (Fig. 8)", run: fig_breakdown },
-    Cmd { id: "fig-mlp", help: "memory-level parallelism (Fig. 9)", run: fig_mlp },
-    Cmd { id: "fig-accuracy", help: "prefetch accuracy/coverage (Fig. 10)", run: fig_accuracy },
-    Cmd {
-        id: "fig-timeliness",
-        help: "prefetch timeliness by level (Fig. 11)",
-        run: fig_timeliness,
-    },
-    Cmd { id: "fig-veclen", help: "vector-length sweep", run: fig_veclen },
-    Cmd { id: "fig-interval", help: "trigger/interval statistics", run: fig_interval },
-    Cmd { id: "table-hw", help: "hardware overhead of the VR structures", run: table_hw },
-    Cmd { id: "fig-ablation", help: "design-choice ablations", run: fig_ablation },
-    Cmd { id: "fig-mshr", help: "MSHR-count sensitivity sweep", run: fig_mshr },
+    tool("table1", "baseline core/memory configuration (Table 1)", true, table1),
+    figure("table2", "graph inputs + measured LLC MPKI (Table 2)", points::table2, table2),
+    figure("fig-perf", "speedup over the baseline OoO (Fig. 7)", points::fig_perf, fig_perf),
+    figure("fig-rob", "ROB-size sensitivity sweep (Fig. 2/12)", points::fig_rob, fig_rob),
+    figure(
+        "fig-breakdown",
+        "VR + extension breakdown (Fig. 8)",
+        points::fig_breakdown,
+        fig_breakdown,
+    ),
+    figure("fig-mlp", "memory-level parallelism (Fig. 9)", points::fig_mlp, fig_mlp),
+    figure(
+        "fig-accuracy",
+        "prefetch accuracy/coverage (Fig. 10)",
+        points::fig_accuracy,
+        fig_accuracy,
+    ),
+    figure(
+        "fig-timeliness",
+        "prefetch timeliness by level (Fig. 11)",
+        points::fig_timeliness,
+        fig_timeliness,
+    ),
+    figure("fig-veclen", "vector-length sweep", points::fig_veclen, fig_veclen),
+    figure("fig-interval", "trigger/interval statistics", points::fig_interval, fig_interval),
+    figure("fig-ablation", "design-choice ablations", points::fig_ablation, fig_ablation),
+    figure("fig-mshr", "MSHR-count sensitivity sweep", points::fig_mshr, fig_mshr),
+    tool("table-hw", "hardware overhead of the VR structures", true, table_hw),
     Cmd {
         id: "fig-chip",
         help: "multi-core chip: VR under shared-LLC contention (not in `all`)",
-        run: fig_chip,
+        in_all: false,
+        run: Run::Chip(points::fig_chip, fig_chip),
     },
-    Cmd { id: "trace", help: "pipeline-diagram trace of one workload under VR", run: trace_cmd },
-    Cmd {
-        id: "fault-oracle",
-        help: "fault-injection architectural-invisibility check",
-        run: fault_oracle,
-    },
-    Cmd {
-        id: "perf-report",
-        help: "simulator-throughput report (writes BENCH_sim.json)",
-        run: perf_report,
-    },
-    Cmd {
-        id: "campaign",
-        help: "result-store campaign over the figure sim points (run/serve/status/verify/gc)",
-        run: campaign_cmd,
-    },
-    Cmd { id: "all", help: "every paper table and figure above", run: all_figures },
+    tool("trace", "pipeline-diagram trace of one workload under VR", false, trace_cmd),
+    tool("fault-oracle", "fault-injection architectural-invisibility check", false, fault_oracle),
+    tool("perf-report", "simulator-throughput report (writes BENCH_sim.json)", false, perf_report),
+    tool(
+        "campaign",
+        "result-store campaign over the figure sim points (run/serve/status/verify/gc)",
+        false,
+        campaign_cmd,
+    ),
+    tool("all", "every paper table and figure above", false, all_figures),
 ];
+
+/// Runs one command. A figure is enumerated from `sets`, swept through
+/// the campaign engine against the `--cache` store (if any) and
+/// rendered from `(points, outputs)`.
+fn run_cmd(cmd: &Cmd, opts: &Opts, sets: &Sets) -> Vec<Report> {
+    let store = vr_bench::cache::active();
+    match cmd.run {
+        Run::Tool(run) => run(opts),
+        Run::Scalar(points, render) => {
+            let points = points(sets);
+            vec![render(&opts.fig, &points, &sweep(&points, store, opts.threads))]
+        }
+        Run::Chip(points, render) => {
+            let points = points(sets);
+            vec![render(&opts.fig, &points, &sweep(&points, store, opts.threads))]
+        }
+    }
+}
+
+fn all_figures(opts: &Opts) -> Vec<Report> {
+    let sets = Sets::new(opts.fig.clone());
+    COMMANDS.iter().filter(|c| c.in_all).flat_map(|c| run_cmd(c, opts, &sets)).collect()
+}
+
+/// The ids `campaign --figure` (and a serve manifest) accepts besides
+/// `all`: every figure with a point list.
+fn figure_ids() -> Vec<&'static str> {
+    COMMANDS.iter().filter(|c| !matches!(c.run, Run::Tool(_))).map(|c| c.id).collect()
+}
+
+/// The campaign point set of a figure id, or of `all` (the union of
+/// the single-core figures `all` renders; duplicates across figures
+/// are fine — the engine dedups by fingerprint). `None` for an id
+/// without a point list.
+fn enumerate(figure: &str, fig: &FigureOpts) -> Option<PointSet> {
+    let sets = Sets::new(fig.clone());
+    if figure == "all" {
+        let union = COMMANDS.iter().filter(|c| c.in_all).filter_map(|c| match c.run {
+            Run::Scalar(points, _) => Some(points(&sets)),
+            _ => None,
+        });
+        return Some(PointSet::Scalar(union.flatten().collect()));
+    }
+    match COMMANDS.iter().find(|c| c.id == figure)?.run {
+        Run::Tool(_) => None,
+        Run::Scalar(points, _) => Some(PointSet::Scalar(points(&sets))),
+        Run::Chip(points, _) => Some(PointSet::Chip(points(&sets))),
+    }
+}
 
 /// Usage text, generated from [`COMMANDS`] so it cannot drift.
 fn usage() -> String {
@@ -128,7 +217,7 @@ fn usage() -> String {
          \x20 --all-inputs  run GAP on all five graph presets (default KR + UR)\n\
          \x20 --quick       small inputs and budgets (smoke test)\n\
          \x20 --threads N   worker threads for the sweep runner (0 or default: all cores)\n\
-         \x20 --cache DIR   route every simulation through the result store at DIR\n\
+         \x20 --cache DIR   route every figure point through the result store at DIR\n\
          \x20               (cached figure output is byte-identical to uncached)\n\
          \x20 --json PATH   export every report as schema-versioned JSON\n\
          \x20 --csv PATH    export every table as CSV\n\
@@ -139,12 +228,11 @@ fn usage() -> String {
          \x20 --tmp-age-ms N       min tmp-file age for `campaign gc` (default 60000)\n\
          \x20 --shards N    total shard count for `campaign serve` (default 1)\n\
          \x20 --shard I     this process's shard index for `campaign serve` (default 0)\n\
-         \x20 --spool DIR   `campaign serve` drains *.json manifests from DIR instead of stdin\n\
          \nthe `trace` id takes a positional workload name (see its error text \
          for the available names); `campaign` takes a positional action \
          (run, serve, status, verify, gc) and requires --cache DIR. `campaign \
-         serve` reads one manifest JSON per stdin line (or per --spool file) \
-         and streams one outcome JSON line per manifest to stdout.\n",
+         serve` reads one manifest JSON per stdin line and streams one outcome \
+         JSON line per manifest to stdout.\n",
     );
     u
 }
@@ -175,7 +263,6 @@ fn main() {
     let mut tmp_age_ms: Option<u64> = None;
     let mut shards: u32 = 1;
     let mut shard: u32 = 0;
-    let mut spool: Option<PathBuf> = None;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -271,15 +358,6 @@ fn main() {
                     }
                 };
             }
-            "--spool" => {
-                spool = match it.next() {
-                    Some(p) => Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --spool requires a directory path");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
             "--quick" => {
                 scale = Scale::Test;
@@ -317,9 +395,7 @@ fn main() {
         }
     }
     let opts = Opts {
-        insts,
-        presets,
-        scale,
+        fig: FigureOpts { insts, presets, scale },
         threads,
         workload,
         figure,
@@ -329,7 +405,6 @@ fn main() {
         tmp_age_ms,
         shards,
         shard,
-        spool,
     };
 
     if let Some(dir) = &cache_dir {
@@ -339,15 +414,15 @@ fn main() {
         }
     }
 
-    let reports = (cmd.run)(&opts);
+    let reports = run_cmd(cmd, &opts, &Sets::new(opts.fig.clone()));
     for r in &reports {
         print!("{}", r.render_text());
     }
     let meta = RunMeta {
         command: id.clone(),
-        insts: opts.insts,
+        insts: opts.fig.insts,
         threads: opts.threads,
-        scale: match opts.scale {
+        scale: match opts.fig.scale {
             Scale::Paper => "paper".to_string(),
             Scale::Test => "test".to_string(),
         },
@@ -386,38 +461,6 @@ fn main() {
     }
 }
 
-fn all_figures(opts: &Opts) -> Vec<Report> {
-    let figures: [fn(&Opts) -> Vec<Report>; 13] = [
-        table1,
-        table2,
-        fig_perf,
-        fig_rob,
-        fig_breakdown,
-        fig_mlp,
-        fig_accuracy,
-        fig_timeliness,
-        fig_veclen,
-        fig_interval,
-        fig_ablation,
-        fig_mshr,
-        table_hw,
-    ];
-    figures.iter().flat_map(|f| f(opts)).collect()
-}
-
-fn build_set(opts: &Opts) -> Vec<Workload> {
-    match opts.scale {
-        Scale::Paper => workload_set(&opts.presets),
-        Scale::Test => vr_bench::quick_workload_set(),
-    }
-}
-
-/// A smaller, representative subset for parameter sweeps (shared with
-/// the campaign-point enumeration in `vr_bench::points`).
-fn sweep_set(opts: &Opts) -> Vec<Workload> {
-    vr_bench::sweep_workload_set(opts.scale)
-}
-
 // ---------------------------------------------------------------- campaign
 
 /// First line of a (possibly multi-line) error for table cells —
@@ -436,34 +479,31 @@ fn first_line(err: &str) -> String {
 /// files.
 fn campaign_cmd(opts: &Opts) -> Vec<Report> {
     use vr_campaign::{
-        campaign_status, run_campaign, serve_lines, serve_spool, CampaignPoint, CancelToken,
-        ChipPoint, EngineConfig, ExecCtx, Executor, Manifest, PointSet, ProgressEvent,
-        ProgressKind, ServeConfig, ServeSummary, ShardSpec, SimExecutor,
+        campaign_status, run_campaign, serve_lines, CancelToken, EngineConfig, ExecCtx, Executor,
+        Manifest, ProgressEvent, ProgressKind, ServeConfig, ShardSpec, SimExecutor,
     };
 
     /// `--fail-point SUBSTR`: points whose label contains the
-    /// substring fail deterministically; everything else runs the real
-    /// simulation. The CLI's lever for exercising the poison path end
-    /// to end (run → poison record → `status --json` → HOLE cells).
-    struct FailPointExec(String);
+    /// substring fail deterministically; everything else (and
+    /// everything, without the flag) runs the real simulation. The
+    /// CLI's lever for exercising the poison path end to end (run →
+    /// poison record → `status --json` → HOLE cells).
+    struct FailPointExec(Option<String>);
 
     impl FailPointExec {
-        fn injected(&self, label: &str) -> Option<vr_core::SimError> {
-            label.contains(&self.0).then(|| vr_core::SimError::BadConfig {
-                what: format!("injected by --fail-point {:?}", self.0),
-            })
+        fn injected(&self, label: &str) -> Result<(), vr_core::SimError> {
+            match &self.0 {
+                Some(s) if label.contains(s) => Err(vr_core::SimError::BadConfig {
+                    what: format!("injected by --fail-point {s:?}"),
+                }),
+                _ => Ok(()),
+            }
         }
     }
 
     impl Executor for FailPointExec {
-        fn execute(
-            &self,
-            p: &CampaignPoint,
-            ctx: &ExecCtx,
-        ) -> Result<vr_core::SimStats, vr_core::SimError> {
-            if let Some(e) = self.injected(&p.label) {
-                return Err(e);
-            }
+        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, vr_core::SimError> {
+            self.injected(&p.label)?;
             SimExecutor.execute(p, ctx)
         }
     }
@@ -472,14 +512,8 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
     // fig-chip poison path (`--fail-point` → HOLE cells) is
     // exercisable end to end too.
     impl Executor<ChipPoint> for FailPointExec {
-        fn execute(
-            &self,
-            p: &ChipPoint,
-            ctx: &ExecCtx,
-        ) -> Result<vr_chip::ChipRun, vr_core::SimError> {
-            if let Some(e) = self.injected(&p.label) {
-                return Err(e);
-            }
+        fn execute(&self, p: &ChipPoint, ctx: &ExecCtx) -> Result<ChipRun, vr_core::SimError> {
+            self.injected(&p.label)?;
             Executor::<ChipPoint>::execute(&SimExecutor, p, ctx)
         }
     }
@@ -492,43 +526,37 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
         std::process::exit(2);
     });
     let figure = opts.figure.as_deref().unwrap_or("all");
-    let fig_opts = vr_bench::points::FigureOpts {
-        insts: opts.insts,
-        presets: opts.presets.clone(),
-        scale: opts.scale,
-    };
     // Chip points are a different point type with a different result
     // shape; `PointSet` carries whichever the figure enumerates and
     // the actions below dispatch through the generic engine.
-    let enumerate = || {
-        vr_bench::points::chip_points(figure, &fig_opts)
-            .map(PointSet::Chip)
-            .or_else(|| vr_bench::points::campaign_points(figure, &fig_opts).map(PointSet::Scalar))
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown or uncacheable figure {figure:?}\navailable: {} fig-chip",
-                    vr_bench::points::CACHED_FIGURES.join(" ")
-                );
-                std::process::exit(2);
-            })
+    let points = || {
+        enumerate(figure, &opts.fig).unwrap_or_else(|| {
+            eprintln!(
+                "error: unknown or uncacheable figure {figure:?}\navailable: {}",
+                figure_ids().join(" ")
+            );
+            std::process::exit(2);
+        })
     };
+    // What `run` and `serve` share: the executor, the engine knobs and
+    // the `--cancel-after-ms` timer.
+    let exec = FailPointExec(opts.fail_point.clone());
+    let engine = EngineConfig {
+        threads: opts.threads,
+        point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
+        ..EngineConfig::default()
+    };
+    let cancel = CancelToken::new();
+    if let (Some(ms), "run" | "serve") = (opts.cancel_after_ms, action) {
+        let timer_token = cancel.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            timer_token.cancel();
+        });
+    }
     let mut r = Report::new("campaign", &format!("Campaign {action}: figure={figure}"));
     match action {
         "run" => {
-            let points = enumerate();
-            let cancel = CancelToken::new();
-            if let Some(ms) = opts.cancel_after_ms {
-                let timer_token = cancel.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                    timer_token.cancel();
-                });
-            }
-            let cfg = EngineConfig {
-                threads: opts.threads,
-                point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                ..EngineConfig::default()
-            };
             let sink = |ev: &ProgressEvent<'_>| {
                 let what = match ev.kind {
                     ProgressKind::CacheHit => "hit".to_string(),
@@ -540,28 +568,12 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 };
                 eprintln!("  [{}/{}] {} {}", ev.done, ev.total, ev.label, what);
             };
-            let out = match (points, &opts.fail_point) {
-                (PointSet::Scalar(points), Some(s)) => run_campaign(
-                    &points,
-                    store,
-                    &FailPointExec(s.clone()),
-                    &cfg,
-                    &cancel,
-                    Some(&sink),
-                ),
-                (PointSet::Scalar(points), None) => {
-                    run_campaign(&points, store, &SimExecutor, &cfg, &cancel, Some(&sink))
+            let out = match points() {
+                PointSet::Scalar(points) => {
+                    run_campaign(&points, store, &exec, &engine, &cancel, Some(&sink))
                 }
-                (PointSet::Chip(points), Some(s)) => run_campaign(
-                    &points,
-                    store,
-                    &FailPointExec(s.clone()),
-                    &cfg,
-                    &cancel,
-                    Some(&sink),
-                ),
-                (PointSet::Chip(points), None) => {
-                    run_campaign(&points, store, &SimExecutor, &cfg, &cancel, Some(&sink))
+                PointSet::Chip(points) => {
+                    run_campaign(&points, store, &exec, &engine, &cancel, Some(&sink))
                 }
             };
             let mut t = Table::new(&["metric", "value"]);
@@ -612,22 +624,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             });
-            let cancel = CancelToken::new();
-            if let Some(ms) = opts.cancel_after_ms {
-                let timer_token = cancel.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                    timer_token.cancel();
-                });
-            }
-            let cfg = ServeConfig {
-                engine: EngineConfig {
-                    threads: opts.threads,
-                    point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                    ..EngineConfig::default()
-                },
-                shard,
-            };
+            let cfg = ServeConfig { engine, shard };
             // Manifests carry their own budget/scale/presets; the
             // CLI-level figure options apply only to the other
             // actions. Presets default to the CLI default pair.
@@ -646,54 +643,19 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                         })
                         .collect::<Result<Vec<_>, String>>()?
                 };
-                let fo = vr_bench::points::FigureOpts { insts: m.insts, presets, scale };
-                vr_bench::points::chip_points(&m.figure, &fo)
-                    .map(PointSet::Chip)
-                    .or_else(|| {
-                        vr_bench::points::campaign_points(&m.figure, &fo).map(PointSet::Scalar)
-                    })
+                enumerate(&m.figure, &FigureOpts { insts: m.insts, presets, scale })
                     .ok_or_else(|| format!("unknown or uncacheable figure {:?}", m.figure))
             };
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            let served: std::io::Result<ServeSummary> = match (&opts.spool, &opts.fail_point) {
-                (Some(dir), Some(s)) => {
-                    let exec = FailPointExec(s.clone());
-                    serve_spool(dir, &mut out, store, &exec, &cfg, &cancel, &enumerate_manifest)
-                }
-                (Some(dir), None) => serve_spool(
-                    dir,
-                    &mut out,
-                    store,
-                    &SimExecutor,
-                    &cfg,
-                    &cancel,
-                    &enumerate_manifest,
-                ),
-                (None, Some(s)) => {
-                    let exec = FailPointExec(s.clone());
-                    serve_lines(
-                        &mut std::io::stdin().lock(),
-                        &mut out,
-                        store,
-                        &exec,
-                        &cfg,
-                        &cancel,
-                        &enumerate_manifest,
-                    )
-                }
-                (None, None) => serve_lines(
-                    &mut std::io::stdin().lock(),
-                    &mut out,
-                    store,
-                    &SimExecutor,
-                    &cfg,
-                    &cancel,
-                    &enumerate_manifest,
-                ),
-            };
-            drop(out);
-            let summary = served.unwrap_or_else(|e| {
+            let summary = serve_lines(
+                &mut std::io::stdin().lock(),
+                &mut std::io::stdout().lock(),
+                store,
+                &exec,
+                &cfg,
+                &cancel,
+                &enumerate_manifest,
+            )
+            .unwrap_or_else(|e| {
                 eprintln!("error: serve: {e}");
                 std::process::exit(1);
             });
@@ -723,7 +685,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             r.attach("serve", summary.to_json());
         }
         "status" => {
-            let st = match enumerate() {
+            let st = match points() {
                 PointSet::Scalar(points) => campaign_status(&points, store),
                 PointSet::Chip(points) => campaign_status(&points, store),
             };
@@ -878,322 +840,248 @@ fn table1(_opts: &Opts) -> Vec<Report> {
     vec![r]
 }
 
+// ------------------------------------------------------- figure helpers
+
+/// Exports a derived metric, unless a HOLE tainted it.
+fn metric(r: &mut Report, name: &str, derived: Option<f64>) {
+    if let Some(v) = derived {
+        r.metric(name, v);
+    }
+}
+
+fn speedup(s: Option<SimStats>, base: Option<SimStats>) -> Option<f64> {
+    Some(s?.speedup_over(&base?))
+}
+
+/// Per workload of a list laid out as `per` points per workload,
+/// baseline first: the workload name and each other point's speedup
+/// over that baseline.
+fn speedups_over_first<'a>(
+    points: &'a [CampaignPoint],
+    out: &[Option<SimStats>],
+    per: usize,
+) -> Vec<(&'a str, Vec<Option<f64>>)> {
+    points
+        .chunks(per)
+        .zip(out.chunks(per))
+        .map(|(p, o)| {
+            (p[0].workload.name.as_str(), o[1..].iter().map(|&s| speedup(s, o[0])).collect())
+        })
+        .collect()
+}
+
+/// The table most figures are: one row of speedups per workload, then
+/// an h-mean row. Also returns the column h-means, for the figures
+/// that export them as metrics.
+fn speedup_table(headers: &[&str], rows: &[(&str, Vec<Option<f64>>)]) -> (Table, Vec<Option<f64>>) {
+    let mut t = Table::new(headers);
+    for (name, sps) in rows {
+        let mut cells = vec![name.to_string()];
+        cells.extend(sps.iter().map(|&sp| cell(sp, ratio)));
+        t.row(cells);
+    }
+    let hmeans: Vec<Option<f64>> =
+        (1..headers.len()).map(|i| hmean(rows.iter().map(|(_, sps)| sps[i - 1]))).collect();
+    let mut hm = vec!["h-mean".to_string()];
+    hm.extend(hmeans.iter().map(|&h| cell(h, ratio)));
+    t.row(hm);
+    (t, hmeans)
+}
+
 // ---------------------------------------------------------------- table 2
 
-fn table2(opts: &Opts) -> Vec<Report> {
+fn table2(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("table2", "Table 2: graph inputs (synthetic stand-ins) + measured LLC MPKI");
     let mut t = Table::new(&["input", "nodes(K)", "edges(K)", "footprint(MB)", "LLC MPKI"]);
-    for p in GraphPreset::ALL {
-        let g = p.generate(opts.scale);
-        // Aggregate MPKI over the five GAP kernels on the baseline.
-        let suite = gap_suite(opts.scale, p);
-        let per_kernel = parallel_map(&suite, opts.threads, |w| {
-            let s = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts / 2);
-            (s.mem.loads_served_at(HitLevel::Dram), s.instructions)
+    let kernels = points.len() / GraphPreset::ALL.len();
+    for (p, runs) in GraphPreset::ALL.into_iter().zip(out.chunks(kernels)) {
+        let g = p.generate(o.scale);
+        // Aggregate MPKI over the GAP kernels on the baseline.
+        let mpki = runs.iter().copied().collect::<Option<Vec<SimStats>>>().map(|runs| {
+            let misses: u64 = runs.iter().map(|s| s.mem.loads_served_at(HitLevel::Dram)).sum();
+            let insts: u64 = runs.iter().map(|s| s.instructions).sum();
+            misses as f64 * 1000.0 / insts as f64
         });
-        let misses: u64 = per_kernel.iter().map(|&(m, _)| m).sum();
-        let insts: u64 = per_kernel.iter().map(|&(_, i)| i).sum();
-        let mpki = misses as f64 * 1000.0 / insts as f64;
-        r.metric(&format!("mpki_{}", p.abbrev()), mpki);
+        metric(&mut r, &format!("mpki_{}", p.abbrev()), mpki);
         t.row(vec![
             p.abbrev().into(),
             format!("{:.1}", g.num_nodes() as f64 / 1e3),
             format!("{:.1}", g.num_edges() as f64 / 1e3),
             format!("{:.1}", g.footprint_bytes() as f64 / (1 << 20) as f64),
-            format!("{mpki:.1}"),
+            cell(mpki, |m| format!("{m:.1}")),
         ]);
     }
     r.push_table("inputs", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 7
 
-fn fig_perf(opts: &Opts) -> Vec<Report> {
+fn fig_perf(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-perf",
-        &format!(
-            "Fig. performance: IPC normalized to the baseline OoO (budget {} insts)",
-            opts.insts
-        ),
+        &format!("Fig. performance: IPC normalized to the baseline OoO (budget {} insts)", o.insts),
     );
-    let set = build_set(opts);
-    let mut t = Table::new(&["benchmark", "PRE", "IMP", "VR", "Oracle"]);
-    let mut speedups: HashMap<&str, Vec<f64>> = HashMap::new();
+    let rows = speedups_over_first(points, out, Technique::HEADLINE.len());
+    let (t, hmeans) = speedup_table(&["benchmark", "PRE", "IMP", "VR", "Oracle"], &rows);
+    let techs = &Technique::HEADLINE[1..];
+    for (tech, &hm) in techs.iter().zip(&hmeans) {
+        metric(&mut r, &format!("hmean_{}", tech.label()), hm);
+    }
+    let vr = techs.iter().position(|&t| t == Technique::Vr).expect("VR is a headline technique");
     let mut vr_chart = BarChart::new("VR speedup over the baseline OoO");
-    const TECHS: [Technique; 4] =
-        [Technique::Pre, Technique::Imp, Technique::Vr, Technique::Oracle];
-    let mut tainted: Vec<&str> = Vec::new();
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let techs = TECHS.map(|tech| run_technique(w, CoreConfig::table1(), tech, opts.insts));
-        (base, techs)
-    });
-    for (w, (base, techs)) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (tech, s) in TECHS.iter().zip(techs) {
-            let sp = s.speedup_over(base);
-            // A poisoned point degrades to an explicit HOLE cell and
-            // taints the technique's aggregate instead of aborting.
-            if is_hole(base) || is_hole(s) {
-                if !tainted.contains(&tech.label()) {
-                    tainted.push(tech.label());
-                }
-            } else {
-                speedups.entry(tech.label()).or_default().push(sp);
-            }
-            if *tech == Technique::Vr {
-                vr_chart.bar(&w.name, sp);
-            }
-            cells.push(holey(&[base, s], ratio(sp)));
+    for (name, sps) in &rows {
+        if let Some(sp) = sps[vr] {
+            vr_chart.bar(name, sp);
         }
-        t.row(cells);
     }
-    let mut hmean = vec!["h-mean".to_string()];
-    for tech in ["PRE", "IMP", "VR", "Oracle"] {
-        if tainted.contains(&tech) {
-            hmean.push("HOLE".to_string());
-            continue;
-        }
-        let hm = harmonic_mean(&speedups[tech]);
-        r.metric(&format!("hmean_{tech}"), hm);
-        hmean.push(ratio(hm));
-    }
-    t.row(hmean);
     r.push_table("speedup", t);
     r.push_chart(vr_chart);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 2 / 12
 
-fn fig_rob(opts: &Opts) -> Vec<Report> {
+fn fig_rob(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-rob",
         "Fig. ROB sensitivity: OoO and VR vs ROB size (back-end queues and PRF \
          scaled in proportion), normalized to OoO@350; plus full-window stall fraction",
     );
-    let set = sweep_set(opts);
-    let robs = [128usize, 192, 224, 350, 512];
     let mut t =
         Table::new(&["ROB", "OoO IPC", "VR IPC", "OoO norm", "VR norm", "VR/OoO", "stall%"]);
+    let robs = points::ROBS;
+    let set = points.len() / (robs.len() * 2);
+    // (ROB index, workload index) -> that point's OoO and VR runs.
+    let ooo = |ri: usize, wi: usize| out[(ri * set + wi) * 2];
+    let vr = |ri: usize, wi: usize| out[(ri * set + wi) * 2 + 1];
+    let at350 = robs.iter().position(|&rob| rob == 350).expect("350 is the baseline ROB");
     // Geometric aggregation across the sweep set.
-    let base350 = parallel_map(&set, opts.threads, |w| {
-        run_technique(w, CoreConfig::with_rob_scaled(350), Technique::Baseline, opts.insts).ipc()
-    });
-    // Fan the full (ROB × workload) cross product in one batch so the
-    // pool never drains between sweep steps.
-    let points: Vec<(usize, &Workload)> =
-        robs.iter().flat_map(|&r| set.iter().map(move |w| (r, w))).collect();
-    let measured = parallel_map(&points, opts.threads, |&(rob, w)| {
-        eprintln!("  [run] rob={rob} {} …", w.name);
-        let core = CoreConfig::with_rob_scaled(rob);
-        let b = run_technique(w, core.clone(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, core, Technique::Vr, opts.insts);
-        (b.ipc(), v.ipc(), b.full_rob_stall_fraction())
-    });
+    let column = |f: &dyn Fn(usize) -> Option<f64>| (0..set).map(f).collect::<Option<Vec<f64>>>();
+    let gm = |v: Option<Vec<f64>>| {
+        v.map(|v| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp())
+    };
     for (ri, rob) in robs.into_iter().enumerate() {
-        let mut ooo_norm = Vec::new();
-        let mut vr_norm = Vec::new();
-        let mut ooo_ipc = Vec::new();
-        let mut vr_ipc = Vec::new();
-        let mut stall = Vec::new();
-        for i in 0..set.len() {
-            let (b_ipc, v_ipc, b_stall) = measured[ri * set.len() + i];
-            ooo_ipc.push(b_ipc);
-            vr_ipc.push(v_ipc);
-            ooo_norm.push(b_ipc / base350[i]);
-            vr_norm.push(v_ipc / base350[i]);
-            stall.push(b_stall);
-        }
-        let gm = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        let ooo_ipc = gm(column(&|i| Some(ooo(ri, i)?.ipc())));
+        let vr_ipc = gm(column(&|i| Some(vr(ri, i)?.ipc())));
+        let ooo_norm = gm(column(&|i| Some(ooo(ri, i)?.ipc() / ooo(at350, i)?.ipc())));
+        let vr_norm = gm(column(&|i| Some(vr(ri, i)?.ipc() / ooo(at350, i)?.ipc())));
+        let stall = column(&|i| Some(ooo(ri, i)?.full_rob_stall_fraction()))
+            .map(|v| v.iter().sum::<f64>() / v.len() as f64);
         t.row(vec![
             rob.to_string(),
-            format!("{:.3}", gm(&ooo_ipc)),
-            format!("{:.3}", gm(&vr_ipc)),
-            ratio(gm(&ooo_norm)),
-            ratio(gm(&vr_norm)),
-            ratio(gm(&vr_ipc) / gm(&ooo_ipc)),
-            pct(avg(&stall)),
+            cell(ooo_ipc, |v| format!("{v:.3}")),
+            cell(vr_ipc, |v| format!("{v:.3}")),
+            cell(ooo_norm, ratio),
+            cell(vr_norm, ratio),
+            cell(vr_ipc.zip(ooo_ipc).map(|(v, o)| v / o), ratio),
+            cell(stall, pct),
         ]);
     }
     r.push_table("sweep", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 8
 
-fn fig_breakdown(opts: &Opts) -> Vec<Report> {
+fn fig_breakdown(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-breakdown",
         "Fig. breakdown: VR, +eager (decoupled) trigger, +loop-bound discovery \
          [extensions], normalized to baseline",
     );
-    let set = sweep_set(opts);
-    let mut t = Table::new(&["benchmark", "VR", "+eager", "+eager+discovery"]);
-    let mut agg = [Vec::new(), Vec::new(), Vec::new()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let variants = [
-            RunaheadConfig::vector(),
-            RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() },
-            RunaheadConfig {
-                eager_trigger: true,
-                loop_bound_discovery: true,
-                ..RunaheadConfig::vector()
-            },
-        ];
-        variants.map(|ra| {
-            run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                .speedup_over(&base)
-        })
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
+    let rows = speedups_over_first(points, out, 1 + points::breakdown_variants().len());
+    let (t, hmeans) = speedup_table(&["benchmark", "VR", "+eager", "+eager+discovery"], &rows);
+    for (name, &hm) in ["hmean_VR", "hmean_eager", "hmean_eager_discovery"].iter().zip(&hmeans) {
+        metric(&mut r, name, hm);
     }
-    for (name, a) in ["hmean_VR", "hmean_eager", "hmean_eager_discovery"].iter().zip(&agg) {
-        r.metric(name, harmonic_mean(a));
-    }
-    t.row(vec![
-        "h-mean".into(),
-        ratio(harmonic_mean(&agg[0])),
-        ratio(harmonic_mean(&agg[1])),
-        ratio(harmonic_mean(&agg[2])),
-    ]);
     r.push_table("speedup", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 9
 
-fn fig_mlp(opts: &Opts) -> Vec<Report> {
+fn fig_mlp(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("fig-mlp", "Fig. MLP: average outstanding L1-D misses (MSHRs used per cycle)");
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "OoO", "VR"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b.mlp(), v.mlp())
-    });
-    for (w, (b_mlp, v_mlp)) in set.iter().zip(&results) {
-        t.row(vec![w.name.clone(), format!("{b_mlp:.2}"), format!("{v_mlp:.2}")]);
+    for (p, o) in points.chunks(2).zip(out.chunks(2)) {
+        let mlp = |s: Option<SimStats>| cell(s, |s| format!("{:.2}", s.mlp()));
+        t.row(vec![p[0].workload.name.clone(), mlp(o[0]), mlp(o[1])]);
     }
     r.push_table("mlp", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 10
 
-fn fig_accuracy(opts: &Opts) -> Vec<Report> {
+fn fig_accuracy(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-accuracy",
         "Fig. accuracy/coverage: DRAM line reads normalized to the baseline, \
          split main thread vs runahead",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "OoO total", "VR main", "VR runahead", "VR total(norm)"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b, v)
-    });
-    for (w, (b, v)) in set.iter().zip(&results) {
-        let bt = b.mem.dram_reads_total() as f64;
-        let main = v.mem.dram_reads_by(Requestor::Main) as f64;
-        let ra = v.mem.dram_reads_by(Requestor::Runahead) as f64;
-        let vt = v.mem.dram_reads_total() as f64;
+    for (p, o) in points.chunks(2).zip(out.chunks(2)) {
+        let bt = o[0].map(|b| b.mem.dram_reads_total() as f64);
+        let norm = |reads: &dyn Fn(&SimStats) -> u64| {
+            cell(o[1].zip(bt).map(|(v, bt)| reads(&v) as f64 / bt), |x| format!("{x:.2}"))
+        };
         t.row(vec![
-            w.name.clone(),
-            format!("{bt:.0}"),
-            format!("{:.2}", main / bt),
-            format!("{:.2}", ra / bt),
-            format!("{:.2}", vt / bt),
+            p[0].workload.name.clone(),
+            cell(bt, |bt| format!("{bt:.0}")),
+            norm(&|v| v.mem.dram_reads_by(Requestor::Main)),
+            norm(&|v| v.mem.dram_reads_by(Requestor::Runahead)),
+            norm(&|v| v.mem.dram_reads_total()),
         ]);
     }
     r.push_table("dram-reads", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 11
 
-fn fig_timeliness(opts: &Opts) -> Vec<Report> {
+fn fig_timeliness(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-timeliness",
         "Fig. timeliness: where the main thread finds runahead-prefetched lines",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "L1", "L2", "L3", "off-chip"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts).mem.timeliness_fractions()
-    });
-    for (w, f) in set.iter().zip(&results) {
-        t.row(vec![w.name.clone(), pct(f[0]), pct(f[1]), pct(f[2]), pct(f[3])]);
+    for (p, o) in points.iter().zip(out) {
+        let f = o.map(|s| s.mem.timeliness_fractions());
+        let mut cells = vec![p.workload.name.clone()];
+        cells.extend((0..4).map(|level| cell(f.map(|f| f[level]), pct)));
+        t.row(cells);
     }
     r.push_table("timeliness", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- veclen
 
-fn fig_veclen(opts: &Opts) -> Vec<Report> {
+fn fig_veclen(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-veclen",
         "Fig. vector length: VR speedup over baseline vs vectorization degree K",
     );
-    let set = sweep_set(opts);
-    let lanes = [16usize, 32, 64, 128];
-    let mut t = Table::new(&["benchmark", "K=16", "K=32", "K=64", "K=128"]);
-    let mut agg = vec![Vec::new(); lanes.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        lanes.map(|k| {
-            let ra = RunaheadConfig { vr_lanes: k, ..RunaheadConfig::vector() };
-            run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                .speedup_over(&base)
-        })
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
+    let rows = speedups_over_first(points, out, 1 + points::LANES.len());
+    let (t, hmeans) = speedup_table(&["benchmark", "K=16", "K=32", "K=64", "K=128"], &rows);
+    for (k, &hm) in points::LANES.iter().zip(&hmeans) {
+        metric(&mut r, &format!("hmean_K{k}"), hm);
     }
-    let mut hm = vec!["h-mean".to_string()];
-    for (k, a) in lanes.iter().zip(&agg) {
-        let h = harmonic_mean(a);
-        r.metric(&format!("hmean_K{k}"), h);
-        hm.push(ratio(h));
-    }
-    t.row(hm);
     r.push_table("speedup", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- interval
 
-fn fig_interval(opts: &Opts) -> Vec<Report> {
+fn fig_interval(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-interval",
         "Fig. trigger/interval statistics (VR): entries, runahead-time, \
          full-window stall, delayed-termination commit stall",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&[
         "benchmark",
         "entries",
@@ -1204,124 +1092,57 @@ fn fig_interval(opts: &Opts) -> Vec<Report> {
         "lanes",
         "inv",
     ]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b, v)
-    });
-    for (w, (b, v)) in set.iter().zip(&results) {
+    for (p, o) in points.chunks(2).zip(out.chunks(2)) {
+        let (b, v) = (o[0], o[1]);
+        let of_vr = |f: &dyn Fn(SimStats) -> String| cell(v, f);
         t.row(vec![
-            w.name.clone(),
-            v.runahead_entries.to_string(),
-            pct(v.runahead_cycles as f64 / v.cycles as f64),
-            pct(b.full_rob_stall_fraction()),
-            pct(v.delayed_termination_stall_cycles as f64 / v.cycles as f64),
-            v.vr_batches.to_string(),
-            v.vr_lanes_spawned.to_string(),
-            v.vr_lanes_invalidated.to_string(),
+            p[0].workload.name.clone(),
+            of_vr(&|v| v.runahead_entries.to_string()),
+            of_vr(&|v| pct(v.runahead_cycles as f64 / v.cycles as f64)),
+            cell(b, |b| pct(b.full_rob_stall_fraction())),
+            of_vr(&|v| pct(v.delayed_termination_stall_cycles as f64 / v.cycles as f64)),
+            of_vr(&|v| v.vr_batches.to_string()),
+            of_vr(&|v| v.vr_lanes_spawned.to_string()),
+            of_vr(&|v| v.vr_lanes_invalidated.to_string()),
         ]);
     }
     r.push_table("intervals", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- ablations
 
-/// Design-choice ablations of the VR engine implementation (the
-/// choices DESIGN.md §4 calls out): VIR pipelining, reconvergence,
-/// bounded termination.
-fn fig_ablation(opts: &Opts) -> Vec<Report> {
+/// Design-choice ablations of the VR engine implementation
+/// (`points::ablation_variants`).
+fn fig_ablation(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-ablation",
         "Fig. design ablations: VR variants, speedup over the baseline OoO",
     );
-    let set = sweep_set(opts);
-    let variants: [(&str, RunaheadConfig); 4] = [
-        ("VR", RunaheadConfig::vector()),
-        ("no VIR pipelining", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
-        ("+reconvergence", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
-        (
-            "+bounded term (64)",
-            RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
-        ),
-    ];
-    let mut t = Table::new(&["benchmark", "VR", "no-pipe", "+reconv", "+bounded"]);
-    let mut agg = vec![Vec::new(); variants.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        variants
-            .clone()
-            .map(|(_, ra)| {
-                run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                    .speedup_over(&base)
-            })
-            .to_vec()
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
-    }
-    let mut hm = vec!["h-mean".to_string()];
-    for a in &agg {
-        hm.push(ratio(harmonic_mean(a)));
-    }
-    t.row(hm);
+    let rows = speedups_over_first(points, out, 1 + points::ablation_variants().len());
+    let (t, _) = speedup_table(&["benchmark", "VR", "no-pipe", "+reconv", "+bounded"], &rows);
     r.push_table("speedup", t);
-    vec![r]
+    r
 }
 
 /// Sensitivity to the MSHR count — the resource VR saturates.
-fn fig_mshr(opts: &Opts) -> Vec<Report> {
+fn fig_mshr(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("fig-mshr", "Fig. MSHR sensitivity: VR speedup over same-MSHR baseline");
-    let set = sweep_set(opts);
-    let counts = [8usize, 16, 24, 48];
-    let mut t = Table::new(&["benchmark", "8", "16", "24", "48"]);
-    let mut agg = vec![Vec::new(); counts.len()];
-    let mut holed = vec![false; counts.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        counts.map(|m| {
-            let mem_cfg = MemConfig { mshrs: m, ..MemConfig::table1() };
-            let base = run_custom(
-                w,
-                CoreConfig::table1(),
-                mem_cfg.clone(),
-                RunaheadConfig::none(),
-                opts.insts,
-            );
-            let vr =
-                run_custom(w, CoreConfig::table1(), mem_cfg, RunaheadConfig::vector(), opts.insts);
-            (base, vr)
+    // Per workload, an (OoO, VR) pair per MSHR count: each column has
+    // its own baseline.
+    let per = points::MSHRS.len() * 2;
+    let rows: Vec<(&str, Vec<Option<f64>>)> = points
+        .chunks(per)
+        .zip(out.chunks(per))
+        .map(|(p, o)| {
+            let sps = o.chunks(2).map(|pair| speedup(pair[1], pair[0])).collect();
+            (p[0].workload.name.as_str(), sps)
         })
-    });
-    for (w, row) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, (base, vr)) in row.iter().enumerate() {
-            // A poisoned point degrades to an explicit HOLE cell (and
-            // taints the column aggregate) instead of aborting.
-            if is_hole(base) || is_hole(vr) {
-                holed[i] = true;
-            } else {
-                agg[i].push(vr.speedup_over(base));
-            }
-            cells.push(holey(&[base, vr], ratio(vr.speedup_over(base))));
-        }
-        t.row(cells);
-    }
-    let mut hm = vec!["h-mean".to_string()];
-    for (a, &tainted) in agg.iter().zip(&holed) {
-        hm.push(if tainted { "HOLE".to_string() } else { ratio(harmonic_mean(a)) });
-    }
-    t.row(hm);
+        .collect();
+    let (t, _) = speedup_table(&["benchmark", "8", "16", "24", "48"], &rows);
     r.push_table("speedup", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig chip
@@ -1331,28 +1152,15 @@ fn fig_mshr(opts: &Opts) -> Vec<Report> {
 /// placements, VR on vs off. Deliberately not part of `all`: a chip
 /// point costs N single-core budgets, and the contention columns are
 /// a capability artifact rather than a paper figure.
-fn fig_chip(opts: &Opts) -> Vec<Report> {
-    use vr_bench::{is_chip_hole, run_chip_point, tainted_harmonic_mean};
+fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> Report {
     let mut r = Report::new(
         "fig-chip",
         &format!(
             "Fig. chip: VR under shared-LLC contention, N ∈ {:?} cores (budget {} insts/core)",
-            vr_bench::points::CHIP_CORE_COUNTS,
-            opts.insts
+            points::CHIP_CORE_COUNTS,
+            o.insts
         ),
     );
-    let fig_opts = vr_bench::points::FigureOpts {
-        insts: opts.insts,
-        presets: opts.presets.clone(),
-        scale: opts.scale,
-    };
-    let points = vr_bench::points::chip_points("fig-chip", &fig_opts).expect("fig-chip enumerates");
-    // One pool task per chip point: each point steps its cores in
-    // lockstep internally, so the fan-out axis is the point list.
-    let runs = parallel_map(&points, opts.threads, |p| {
-        eprintln!("  [run] {} …", p.label);
-        run_chip_point(p)
-    });
 
     // Chip-level fast-forward telemetry (a `vr-telemetry-v1`
     // attachment in the JSON export): how the chip *simulated*, never
@@ -1384,11 +1192,10 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
             r.attach("chip_ff", j);
         }
     }
-    let per_core_hmean = |run: &vr_chip::ChipRun| {
+    let per_core_hmean = |run: &ChipRun| {
         let ipcs: Vec<f64> = run.per_core.iter().map(|s| s.ipc()).collect();
-        tainted_harmonic_mean(&ipcs).0
+        harmonic_mean(&ipcs)
     };
-    let cell = |hole: bool, v: String| if hole { "HOLE".to_string() } else { v };
 
     // Per-point contention census: the shared-LLC counters only a
     // chip-level run can produce (all zero at N=1 — no shared LLC).
@@ -1401,29 +1208,33 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
         "mshr-rej",
         "LLC hit%",
     ]);
-    for (p, run) in points.iter().zip(&runs) {
-        let hole = is_chip_hole(run);
-        let hm = per_core_hmean(run);
-        let lookups = run.chip.llc_hits + run.chip.llc_misses;
-        let hitpct = if lookups == 0 { 0.0 } else { run.chip.llc_hits as f64 / lookups as f64 };
-        if !hole {
-            r.metric(&format!("ipc_{}", p.label), hm);
-            r.metric(&format!("bank_conflicts_{}", p.label), run.chip.bank_conflicts as f64);
-        }
+    for (p, run) in points.iter().zip(runs) {
+        let run = run.as_ref();
+        let hm = run.map(per_core_hmean);
+        metric(&mut r, &format!("ipc_{}", p.label), hm);
+        metric(
+            &mut r,
+            &format!("bank_conflicts_{}", p.label),
+            run.map(|run| run.chip.bank_conflicts as f64),
+        );
+        let of_chip = |f: &dyn Fn(&vr_chip::ChipStats) -> String| cell(run, |run| f(&run.chip));
         t.row(vec![
             p.label.clone(),
             p.chip.cores.to_string(),
-            cell(hole, format!("{hm:.3}")),
-            cell(hole, run.chip.bank_conflicts.to_string()),
-            cell(hole, run.chip.arbitration_stall_cycles.to_string()),
-            cell(hole, run.chip.shared_mshr_rejections.to_string()),
-            cell(hole, pct(hitpct)),
+            cell(hm, |hm| format!("{hm:.3}")),
+            of_chip(&|c| c.bank_conflicts.to_string()),
+            of_chip(&|c| c.arbitration_stall_cycles.to_string()),
+            of_chip(&|c| c.shared_mshr_rejections.to_string()),
+            of_chip(&|c| {
+                let lookups = c.llc_hits + c.llc_misses;
+                pct(if lookups == 0 { 0.0 } else { c.llc_hits as f64 / lookups as f64 })
+            }),
         ]);
     }
     r.push_table("contention", t);
 
     // VR/OoO speedup per (placement, N) — how much of single-core
-    // VR's win survives contention. The enumeration emits OoO-then-VR
+    // VR's win survives contention. The point list is OoO-then-VR
     // pairs, so adjacent runs pair up.
     let mut s = Table::new(&["placement", "cores", "OoO IPC", "VR IPC", "VR/OoO"]);
     let mut chart = BarChart::new("VR speedup over OoO under shared-LLC contention");
@@ -1431,27 +1242,28 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
         let ([po, pv], [ro, rv]) = (pp, rr) else { continue };
         assert!(
             po.label.ends_with("/OoO") && pv.label.ends_with("/VR"),
-            "enumeration must pair OoO/VR"
+            "the point list must pair OoO/VR"
         );
-        let hole = is_chip_hole(ro) || is_chip_hole(rv);
-        let (o_ipc, v_ipc) = (per_core_hmean(ro), per_core_hmean(rv));
-        let sp = v_ipc / o_ipc;
+        let (o_ipc, v_ipc) = (ro.as_ref().map(per_core_hmean), rv.as_ref().map(per_core_hmean));
+        let sp = v_ipc.zip(o_ipc).map(|(v, o)| v / o);
         let name = po.label.trim_end_matches("/OoO").trim_start_matches("fig-chip/");
-        if !hole {
-            r.metric(&format!("speedup_{name}"), sp);
+        metric(&mut r, &format!("speedup_{name}"), sp);
+        if let Some(sp) = sp {
             chart.bar(name, sp);
         }
+        // A pair with either side poisoned has no comparison to show:
+        // the healthy side's IPC is in the census above.
         s.row(vec![
             name.to_string(),
             po.chip.cores.to_string(),
-            cell(hole, format!("{o_ipc:.3}")),
-            cell(hole, format!("{v_ipc:.3}")),
-            cell(hole, ratio(sp)),
+            cell(sp.and(o_ipc), |v| format!("{v:.3}")),
+            cell(sp.and(v_ipc), |v| format!("{v:.3}")),
+            cell(sp, ratio),
         ]);
     }
     r.push_table("speedup", s);
     r.push_chart(chart);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- hw table
@@ -1486,7 +1298,8 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     const CONTEXT: usize = 8;
     /// Cap on retained records (~80 B each) for huge `--insts` budgets.
     const MAX_RETAINED: usize = 1 << 18;
-    let set = build_set(opts);
+    let sets = Sets::new(opts.fig.clone());
+    let set = sets.full();
     let names = || set.iter().map(|w| w.name.as_str()).collect::<Vec<_>>().join(" ");
     let Some(name) = &opts.workload else {
         eprintln!("error: trace requires a workload name\navailable: {}", names());
@@ -1505,9 +1318,9 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
         w.memory.clone(),
         &w.init_regs,
     );
-    sim.enable_trace(usize::try_from(opts.insts).unwrap_or(MAX_RETAINED).min(MAX_RETAINED));
+    sim.enable_trace(usize::try_from(opts.fig.insts).unwrap_or(MAX_RETAINED).min(MAX_RETAINED));
     sim.enable_telemetry(4096);
-    let stats = sim.try_run(opts.insts).unwrap_or_else(|e| {
+    let stats = sim.try_run(opts.fig.insts).unwrap_or_else(|e| {
         eprintln!("error: {name}: {e}");
         std::process::exit(1);
     });
@@ -1603,18 +1416,21 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
         &format!(
             "Perf report: simulation throughput (KIPS) + harness wall time \
              ({} insts/run, {} threads)",
-            opts.insts, opts.threads
+            opts.fig.insts, opts.threads
         ),
     );
 
-    // --- per-point KIPS, measured with the micro-benchmark runner.
-    let set = build_set(opts);
+    // --- per-point KIPS, measured with the micro-benchmark runner on
+    // the no-store helper: this is the simulator's speed, never a
+    // record load's.
+    let sets = Sets::new(opts.fig.clone());
+    let set = sets.full();
     let mut runner = Runner::new("sim");
     runner.samples = 5;
     runner.sample_time = Duration::from_millis(20);
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v6\",");
-    let _ = writeln!(json, "  \"insts_per_run\": {},", opts.insts);
+    let _ = writeln!(json, "  \"insts_per_run\": {},", opts.fig.insts);
     let _ = writeln!(json, "  \"threads\": {},", opts.threads);
     json.push_str("  \"kips\": [\n");
     let mut t = Table::new(&["workload", "tech", "KIPS", "VR/OoO"]);
@@ -1628,9 +1444,9 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     for (wi, w) in set.iter().enumerate() {
         let mut baseline_kips = f64::NAN;
         for (ti, tech) in techs.into_iter().enumerate() {
-            let insts = run_technique(w, CoreConfig::table1(), tech, opts.insts).instructions;
+            let insts = run_technique(w, CoreConfig::table1(), tech, opts.fig.insts).instructions;
             let m = runner.bench(&format!("{}/{}", w.name, tech.label()), || {
-                run_technique(w, CoreConfig::table1(), tech, opts.insts)
+                run_technique(w, CoreConfig::table1(), tech, opts.fig.insts)
             });
             let kips = insts as f64 / m.per_iter.as_secs_f64() / 1e3;
             all_kips.push(kips);
@@ -1638,16 +1454,16 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 baseline_kips = kips;
                 String::new()
             } else {
-                // A HOLE point (poisoned under --cache) measures 0.0
-                // KIPS, making the ratio inf/NaN; keep it (the taint
-                // accounting below skips it) but render/export it as
-                // unusable rather than as a number.
+                // A sample too short for the clock makes the ratio
+                // inf/NaN; keep it (the taint accounting below skips
+                // it) but render/export it as unusable rather than as
+                // a number.
                 let ratio = kips / baseline_kips;
                 ratios.push((w.name.clone(), ratio));
                 if ratio.is_finite() {
                     format!("{ratio:.2}")
                 } else {
-                    "HOLE".into()
+                    "n/a".into()
                 }
             };
             t.row(vec![w.name.clone(), tech.label().into(), format!("{kips:.0}"), ratio_cell]);
@@ -1666,9 +1482,9 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     }
     json.push_str("  ],\n");
     // Tainting aggregates (DESIGN.md §15): `harmonic_mean`'s 0.0
-    // sentinel must never leak into the trend CI gates on — a single
-    // poisoned HOLE point measuring 0.0 KIPS is skipped and *counted*
-    // instead of zeroing the whole h-mean.
+    // sentinel must never leak into the trend CI gates on — an
+    // unusable sample is skipped and *counted* instead of zeroing the
+    // whole h-mean.
     let (hmean_kips, kips_skipped) = vr_bench::tainted_harmonic_mean(&all_kips);
     let _ = writeln!(json, "  \"kips_hmean\": {hmean_kips:.1},");
     let _ = writeln!(json, "  \"kips_hmean_tainted\": {kips_skipped},");
@@ -1689,7 +1505,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     if kips_skipped + ratio_skipped > 0 {
         eprintln!(
             "  [warn] perf aggregates tainted: {kips_skipped} KIPS value(s) and \
-             {ratio_skipped} ratio value(s) skipped (HOLE points?)"
+             {ratio_skipped} ratio value(s) skipped"
         );
     }
     // --- multi-core chip throughput (schema v6, DESIGN.md §16–17):
@@ -1702,7 +1518,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     // cheap episode steps, broker installs) is exported alongside so a
     // KIPS regression can be localized without re-running anything.
     {
-        let w = vr_workloads::hpcdb::kangaroo(opts.scale);
+        let w = vr_workloads::hpcdb::kangaroo(opts.fig.scale);
         let mut primary: Option<(Vec<f64>, f64)> = None;
         let mut scaling = Vec::new();
         let mut ff_json = None;
@@ -1723,7 +1539,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 slots,
             );
             let t0 = Instant::now();
-            let run = chip.try_run(opts.insts).unwrap_or_else(|e| {
+            let run = chip.try_run(opts.fig.insts).unwrap_or_else(|e| {
                 eprintln!("error: chip perf point ({cores} cores): {e}");
                 std::process::exit(1);
             });
@@ -1734,7 +1550,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             let cells: Vec<String> = per_core.iter().map(|k| format!("{k:.0}")).collect();
             ct.row(vec![
                 cores.to_string(),
-                opts.insts.to_string(),
+                opts.fig.insts.to_string(),
                 cells.join(" "),
                 format!("{aggregate:.0}"),
             ]);
@@ -1765,7 +1581,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             "  \"chip_kips\": {{\"cores\": 4, \"insts_per_core\": {}, \
              \"per_core\": [{per_core_json}], \"aggregate\": {chip_kips:.1}, \
              \"scaling\": [{}], \"chip_ff\": {}}},",
-            opts.insts,
+            opts.fig.insts,
             scaling.join(", "),
             ff.replace('\n', " ")
         );
@@ -1791,55 +1607,39 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
         "h-mean throughput: {hmean_kips:.0} KIPS; VR/OoO ratio h-mean: {hmean_ratio:.2}"
     ));
 
-    // --- end-to-end figure timing, serial vs the sweep pool. Two
-    // windows per run: total wall time, and the time spent *inside*
-    // `parallel_map` (the parallel region). `pool_speedup` is the
-    // parallel-region ratio — the old harness timed `f(opts)` with the
-    // single-threaded `render_text` printing inside the measured
-    // window, so serialized stdout and figure setup swamped the pool
-    // and the recorded speedup sat at ~1.0 regardless of thread count.
-    // Rendering now happens strictly after both clocks stop.
-    type Figure = (&'static str, fn(&Opts) -> Vec<Report>);
-    let figures: [Figure; 2] = [("table2", table2), ("fig-mlp", fig_mlp)];
-    // Warm the sweep pool outside every timed window so neither side
-    // pays the one-off thread spawn.
-    vr_bench::parallel_map(&[0u8; 64], opts.threads, |_| ());
+    // --- end-to-end figure timing, serial vs the sweep pool. Each
+    // stage is timed on its own — enumerate, the sweep call itself at
+    // one thread and at `--threads`, render — so `pool_speedup` is the
+    // ratio of the two sweep calls and nothing else (an earlier harness
+    // timed whole figures with rendering inside the window, and the
+    // recorded speedup sat at ~1.0 whatever the thread count). The
+    // sweeps run without a store: this times the simulator. (The
+    // first pooled sweep also spawns the pool's threads — microseconds
+    // against a sweep of hundreds of milliseconds.)
+    fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+        let t0 = Instant::now();
+        let v = f();
+        (v, t0.elapsed().as_secs_f64() * 1e3)
+    }
     json.push_str("  \"figures\": [\n");
-    for (fi, (id, f)) in figures.into_iter().enumerate() {
-        let serial = Opts {
-            insts: opts.insts,
-            presets: opts.presets.clone(),
-            scale: opts.scale,
-            threads: 1,
-            workload: None,
-            figure: None,
-            cancel_after_ms: None,
-            fail_point: None,
-            point_deadline_ms: None,
-            tmp_age_ms: None,
-            shards: 1,
-            shard: 0,
-            spool: None,
+    let figures = ["table2", "fig-mlp"];
+    for (fi, id) in figures.into_iter().enumerate() {
+        let cmd = COMMANDS.iter().find(|c| c.id == id).expect("a row of COMMANDS");
+        let Run::Scalar(enumerate, render) = cmd.run else {
+            unreachable!("{id} is a single-core figure")
         };
-        let timed = |o: &Opts| {
-            vr_bench::reset_parallel_region();
-            let t0 = Instant::now();
-            let reports = f(o);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let par_ms = vr_bench::parallel_region_nanos() as f64 / 1e6;
-            // Render outside the timed window: the figure output still
-            // goes to stdout, it just no longer pollutes the clocks.
-            for r in reports {
-                print!("{}", r.render_text());
-            }
-            (wall_ms, par_ms)
-        };
-        let (wall_serial, par_serial) = timed(&serial);
-        let (wall_pool, par_pool) = timed(opts);
+        let (points, enumerate_ms) = timed(|| enumerate(&sets));
+        let (_, par_serial) = timed(|| sweep(&points, None, 1));
+        let (outputs, par_pool) = timed(|| sweep(&points, None, opts.threads));
+        let (report, render_ms) = timed(|| render(&opts.fig, &points, &outputs));
+        print!("{}", report.render_text());
+        let (wall_serial, wall_pool) =
+            (enumerate_ms + par_serial + render_ms, enumerate_ms + par_pool + render_ms);
         let speedup = par_serial / par_pool;
         eprintln!(
-            "  [time] {id}: parallel region {par_serial:.0} ms serial, {par_pool:.0} ms \
-             with {} threads ({speedup:.2}x); wall {wall_serial:.0} -> {wall_pool:.0} ms",
+            "  [time] {id}: sweep {par_serial:.0} ms serial, {par_pool:.0} ms \
+             with {} threads ({speedup:.2}x); enumerate {enumerate_ms:.0} ms, \
+             render {render_ms:.0} ms",
             opts.threads,
         );
         let _ = writeln!(
@@ -1939,4 +1739,54 @@ fn fault_oracle(_opts: &Opts) -> Vec<Report> {
         "all runs bit-identical to the no-runahead baseline"
     });
     vec![rep]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick() -> FigureOpts {
+        FigureOpts { insts: 10_000, presets: vec![GraphPreset::Kron], scale: Scale::Test }
+    }
+
+    #[test]
+    fn every_id_is_one_row_and_only_figures_have_points() {
+        let mut ids: Vec<&str> = COMMANDS.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        let rows = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), rows, "an id appears in two rows");
+        for id in ["table1", "table-hw", "trace", "fault-oracle", "perf-report", "bogus"] {
+            assert!(enumerate(id, &quick()).is_none(), "{id}");
+        }
+        assert!(figure_ids().contains(&"fig-chip") && !figure_ids().contains(&"table1"));
+    }
+
+    #[test]
+    fn every_figure_enumerates_labelled_points_and_all_is_their_union() {
+        let o = quick();
+        let mut sum = 0usize;
+        for id in figure_ids() {
+            let mut labels: Vec<String> = match enumerate(id, &o).expect("a figure enumerates") {
+                PointSet::Scalar(points) => {
+                    sum += points.len();
+                    points.into_iter().map(|p| p.label).collect()
+                }
+                PointSet::Chip(points) => points.into_iter().map(|p| p.label).collect(),
+            };
+            assert!(!labels.is_empty(), "{id} enumerated no points");
+            assert!(
+                labels.iter().all(|l| l.starts_with(&format!("{id}/"))),
+                "{id} labels must be figure-prefixed"
+            );
+            labels.sort_unstable();
+            let before = labels.len();
+            labels.dedup();
+            assert_eq!(labels.len(), before, "{id} has duplicate labels");
+        }
+        let Some(PointSet::Scalar(all)) = enumerate("all", &o) else {
+            panic!("`all` is a single-core point set")
+        };
+        assert_eq!(all.len(), sum, "`all` must be exactly the single-core figures' union");
+    }
 }

@@ -1,19 +1,18 @@
-//! Optional result-store routing for every simulation the harness
-//! runs (`experiments --cache DIR`).
+//! The optional result store behind the figures
+//! (`experiments --cache DIR`).
 //!
-//! When a store is [`enable`]d, [`crate::run_custom`] — the single
-//! choke point every figure's simulations flow through — consults it
-//! before simulating and publishes each fresh result after. Because
-//! the store round-trips [`vr_core::SimStats`] bit-identically (see
-//! `vr_campaign::serial`), a figure rendered from cached stats is
-//! **byte-identical** to an uncached run: same stdout, same `--json`,
-//! same `--csv`.
+//! When a store is [`enable`]d, the CLI hands it to [`crate::sweep`] —
+//! the one way a figure's point list is run — and the campaign engine
+//! underneath serves each point from it when it can and publishes each
+//! fresh result when it cannot. Because the store round-trips
+//! [`vr_core::SimStats`] bit-identically (see `vr_campaign::serial`), a
+//! figure rendered from cached stats is **byte-identical** to an
+//! uncached run: same stdout, same `--json`, same `--csv`.
 //!
 //! The store handle is process-global (`OnceLock`): the harness
-//! resolves `--cache` once in `main`, and threading a handle through
-//! every figure function would buy nothing but plumbing. `enable` is
-//! first-write-wins and cannot be undone within a process — exactly
-//! the CLI's lifecycle.
+//! resolves `--cache` once in `main`, and `enable` is first-write-wins
+//! and cannot be undone within a process — exactly the CLI's
+//! lifecycle.
 
 use std::io;
 use std::path::Path;
@@ -23,20 +22,16 @@ use vr_campaign::{ResultStore, StoreCounters};
 
 static STORE: OnceLock<ResultStore> = OnceLock::new();
 
-/// Labels of points that degraded to HOLE cells this process (see
-/// [`crate::hole_stats`]): poisoned points skipped at lookup time and
+/// Labels of points that degraded to HOLE cells this process (noted
+/// by [`crate::sweep`]): poisoned points skipped at lookup time and
 /// fresh simulation failures recorded while a store was active. The
 /// CLI prints these on stderr after rendering so a degraded figure is
 /// loud without being fatal.
 static HOLES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-/// Records that `label`'s point rendered as a HOLE (deduplicated —
-/// sweeps hit the same workload under many configurations).
+/// Records that `label`'s point rendered as a HOLE.
 pub fn note_hole(label: &str) {
-    let mut holes = HOLES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if !holes.iter().any(|l| l == label) {
-        holes.push(label.to_string());
-    }
+    HOLES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(label.to_string());
 }
 
 /// The labels that degraded to HOLEs so far, in first-seen order.
@@ -44,10 +39,9 @@ pub fn holes() -> Vec<String> {
     HOLES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
 }
 
-/// Opens the store rooted at `dir` and routes every subsequent
-/// [`crate::run_custom`] through it. First call wins; a second call
-/// (harness bug — `main` parses `--cache` once) is reported as an
-/// error rather than silently switching stores mid-run.
+/// Opens the store rooted at `dir` and makes it [`active`]. First call
+/// wins; a second call (harness bug — `main` parses `--cache` once) is
+/// reported as an error rather than silently switching stores mid-run.
 ///
 /// # Errors
 ///
@@ -90,16 +84,14 @@ mod tests {
     }
 
     #[test]
-    fn holes_deduplicate_and_preserve_first_seen_order() {
+    fn holes_keep_first_seen_order() {
         // The registry is process-global like the store, but unlike
         // `enable` it is append-only bookkeeping — other tests in this
         // binary never read it, so exercising it here is safe.
         note_hole("zz-test-hole-b");
         note_hole("zz-test-hole-a");
-        note_hole("zz-test-hole-b");
         let h = holes();
         let pos = |l: &str| h.iter().position(|x| x == l).unwrap();
         assert!(pos("zz-test-hole-b") < pos("zz-test-hole-a"));
-        assert_eq!(h.iter().filter(|l| *l == "zz-test-hole-b").count(), 1);
     }
 }

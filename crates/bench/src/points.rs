@@ -1,18 +1,20 @@
-//! Campaign-point enumeration for the experiment figures.
+//! The point list of every simulating figure.
 //!
-//! [`campaign_points`] lists, for a figure id, every simulation point
-//! that figure will run — the set `experiments campaign run` drives
-//! through the result store so a later `--cache` figure invocation is
-//! pure cache hits.
+//! A figure *is* its point list: one function here enumerates, in a
+//! fixed order, every simulation point the figure needs, and that one
+//! list is what `experiments <figure>` sweeps and renders, what
+//! `campaign run --figure <figure>` (or a `campaign serve` manifest)
+//! drives through the result store, and what `perf-report` times.
+//! There is no second enumeration to drift from, so a store warmed by
+//! a campaign serves the figure with zero misses by construction.
 //!
-//! The enumeration deliberately *mirrors* each figure body in
-//! `experiments.rs` rather than sharing code with it: the figures
-//! interleave simulation with rendering, and extracting a common
-//! driver would contort them. Drift between a figure and its
-//! enumeration is caught where it matters — the CLI integration test
-//! warms the cache via `campaign run` and then asserts the figure run
-//! reports **zero misses**.
+//! The order is the contract between a figure's list and its render in
+//! `experiments.rs`, which reads the outputs positionally — each
+//! function documents its layout, and the shared sweep axes
+//! ([`ROBS`], [`LANES`], [`MSHRS`], the variant tables) live here so
+//! both sides read the same constants.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use vr_campaign::{CampaignPoint, ChipPoint, ChipSlot};
@@ -35,23 +37,44 @@ pub struct FigureOpts {
     pub scale: Scale,
 }
 
-/// Figure ids with cacheable simulation points, in presentation
-/// order. (`table1`, `table-hw`, `trace`, `fault-oracle` and
-/// `perf-report` run no cacheable simulations: the first two simulate
-/// nothing, the rest need side artifacts a stats record cannot carry.)
-pub const CACHED_FIGURES: &[&str] = &[
-    "table2",
-    "fig-perf",
-    "fig-rob",
-    "fig-breakdown",
-    "fig-mlp",
-    "fig-accuracy",
-    "fig-timeliness",
-    "fig-veclen",
-    "fig-interval",
-    "fig-ablation",
-    "fig-mshr",
-];
+/// The workload sets the figures draw their points from, each
+/// generated the first time a figure asks for it — so one `Sets`
+/// shared across `all` (or a `campaign run --figure all`) builds each
+/// set once, and a single figure never builds the set it does not use.
+pub struct Sets {
+    opts: FigureOpts,
+    full: OnceCell<Vec<Arc<Workload>>>,
+    sweep: OnceCell<Vec<Arc<Workload>>>,
+}
+
+impl Sets {
+    /// No set is generated until it is asked for.
+    pub fn new(opts: FigureOpts) -> Sets {
+        Sets { opts, full: OnceCell::new(), sweep: OnceCell::new() }
+    }
+
+    /// The options the sets are generated from.
+    pub fn opts(&self) -> &FigureOpts {
+        &self.opts
+    }
+
+    /// The evaluation set: GAP kernels over the selected presets plus
+    /// the hpc-db benchmarks (the small-input set under `--quick`).
+    pub fn full(&self) -> &[Arc<Workload>] {
+        self.full.get_or_init(|| {
+            arcs(match self.opts.scale {
+                Scale::Paper => workload_set(&self.opts.presets),
+                Scale::Test => quick_workload_set(),
+            })
+        })
+    }
+
+    /// The smaller representative subset the parameter sweeps use
+    /// ([`sweep_workload_set`]).
+    pub fn sweep(&self) -> &[Arc<Workload>] {
+        self.sweep.get_or_init(|| arcs(sweep_workload_set(self.opts.scale)))
+    }
+}
 
 fn arcs(set: Vec<Workload>) -> Vec<Arc<Workload>> {
     set.into_iter().map(Arc::new).collect()
@@ -81,210 +104,180 @@ fn tech_point(fig: &str, w: &Arc<Workload>, tech: Technique, insts: u64) -> Camp
     point(fig, w, tech.label(), CoreConfig::table1(), mem, ra, insts)
 }
 
-/// Enumerates the simulation points of `figure` (a figure id from
-/// [`CACHED_FIGURES`], or `"all"` for their union). Returns `None`
-/// for ids with no cacheable points. Duplicate points across figures
-/// are fine — the engine dedups by fingerprint.
-pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint>> {
-    if figure != "all" && !CACHED_FIGURES.contains(&figure) {
-        return None;
-    }
-    let want = |id: &str| figure == "all" || figure == id;
-    let needs_full = ["fig-perf", "fig-mlp", "fig-accuracy", "fig-timeliness", "fig-interval"]
-        .iter()
-        .any(|id| want(id));
-    let needs_sweep = ["fig-rob", "fig-breakdown", "fig-veclen", "fig-ablation", "fig-mshr"]
-        .iter()
-        .any(|id| want(id));
-    let full: Vec<Arc<Workload>> = if needs_full {
-        match o.scale {
-            Scale::Paper => arcs(workload_set(&o.presets)),
-            Scale::Test => arcs(quick_workload_set()),
-        }
-    } else {
-        Vec::new()
-    };
-    let sweep: Vec<Arc<Workload>> =
-        if needs_sweep { arcs(sweep_workload_set(o.scale)) } else { Vec::new() };
+/// Per workload of `set`: `techs`, in order, on the Table 1 core.
+fn techniques(
+    fig: &str,
+    set: &[Arc<Workload>],
+    techs: &[Technique],
+    insts: u64,
+) -> Vec<CampaignPoint> {
+    set.iter()
+        .flat_map(|w| techs.iter().map(move |&tech| tech_point(fig, w, tech, insts)))
+        .collect()
+}
+
+/// Per workload of the sweep set: the baseline, then each named
+/// runahead variant on the Table 1 core and memory system.
+fn baseline_then_variants(
+    fig: &str,
+    s: &Sets,
+    variants: &[(impl AsRef<str>, RunaheadConfig)],
+) -> Vec<CampaignPoint> {
+    let insts = s.opts.insts;
     let mut pts = Vec::new();
+    for w in s.sweep() {
+        pts.push(tech_point(fig, w, Technique::Baseline, insts));
+        for (name, ra) in variants {
+            let (core, mem) = (CoreConfig::table1(), MemConfig::table1());
+            pts.push(point(fig, w, name.as_ref(), core, mem, ra.clone(), insts));
+        }
+    }
+    pts
+}
 
-    // table2: all five presets' GAP kernels on the baseline at half
-    // budget (MPKI census).
-    if want("table2") {
-        for p in GraphPreset::ALL {
-            for w in arcs(gap_suite(o.scale, p)) {
-                pts.push(tech_point("table2", &w, Technique::Baseline, o.insts / 2));
+/// `table2`: per graph preset ([`GraphPreset::ALL`] order), its GAP
+/// kernels on the baseline at half budget (the MPKI census).
+pub fn table2(s: &Sets) -> Vec<CampaignPoint> {
+    GraphPreset::ALL
+        .into_iter()
+        .flat_map(|p| {
+            techniques(
+                "table2",
+                &arcs(gap_suite(s.opts.scale, p)),
+                &[Technique::Baseline],
+                s.opts.insts / 2,
+            )
+        })
+        .collect()
+}
+
+/// `fig-perf`: per workload of the full set, [`Technique::HEADLINE`]
+/// (baseline first).
+pub fn fig_perf(s: &Sets) -> Vec<CampaignPoint> {
+    techniques("fig-perf", s.full(), &Technique::HEADLINE, s.opts.insts)
+}
+
+/// The ROB sizes `fig-rob` sweeps; 350 is the normalisation baseline.
+pub const ROBS: [usize; 5] = [128, 192, 224, 350, 512];
+
+/// `fig-rob`: per ROB size of [`ROBS`], per workload of the sweep set,
+/// OoO then VR on the core scaled to that ROB.
+pub fn fig_rob(s: &Sets) -> Vec<CampaignPoint> {
+    let mut pts = Vec::new();
+    for rob in ROBS {
+        for w in s.sweep() {
+            let core = CoreConfig::with_rob_scaled(rob);
+            for tech in [Technique::Baseline, Technique::Vr] {
+                let (mem, ra) = tech.configure();
+                let variant = format!("rob{rob}/{}", tech.label());
+                pts.push(point("fig-rob", w, &variant, core.clone(), mem, ra, s.opts.insts));
             }
         }
     }
+    pts
+}
 
-    // fig-perf: the headline five techniques on the full set.
-    if want("fig-perf") {
-        for w in &full {
-            for tech in Technique::HEADLINE {
-                pts.push(tech_point("fig-perf", w, tech, o.insts));
+/// The three VR configurations `fig-breakdown` stacks up.
+pub fn breakdown_variants() -> [(&'static str, RunaheadConfig); 3] {
+    [
+        ("VR", RunaheadConfig::vector()),
+        ("eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
+        (
+            "eager+discovery",
+            RunaheadConfig {
+                eager_trigger: true,
+                loop_bound_discovery: true,
+                ..RunaheadConfig::vector()
+            },
+        ),
+    ]
+}
+
+/// `fig-breakdown`: per workload of the sweep set, the baseline then
+/// [`breakdown_variants`].
+pub fn fig_breakdown(s: &Sets) -> Vec<CampaignPoint> {
+    baseline_then_variants("fig-breakdown", s, &breakdown_variants())
+}
+
+/// `fig-mlp`: per workload of the full set, baseline then VR.
+pub fn fig_mlp(s: &Sets) -> Vec<CampaignPoint> {
+    techniques("fig-mlp", s.full(), &[Technique::Baseline, Technique::Vr], s.opts.insts)
+}
+
+/// `fig-accuracy`: per workload of the full set, baseline then VR.
+pub fn fig_accuracy(s: &Sets) -> Vec<CampaignPoint> {
+    techniques("fig-accuracy", s.full(), &[Technique::Baseline, Technique::Vr], s.opts.insts)
+}
+
+/// `fig-timeliness`: per workload of the full set, VR.
+pub fn fig_timeliness(s: &Sets) -> Vec<CampaignPoint> {
+    techniques("fig-timeliness", s.full(), &[Technique::Vr], s.opts.insts)
+}
+
+/// The vectorisation degrees `fig-veclen` sweeps.
+pub const LANES: [usize; 4] = [16, 32, 64, 128];
+
+/// `fig-veclen`: per workload of the sweep set, the baseline then VR
+/// at each width of [`LANES`].
+pub fn fig_veclen(s: &Sets) -> Vec<CampaignPoint> {
+    let variants = LANES
+        .map(|k| (format!("K{k}"), RunaheadConfig { vr_lanes: k, ..RunaheadConfig::vector() }));
+    baseline_then_variants("fig-veclen", s, &variants)
+}
+
+/// `fig-interval`: per workload of the full set, baseline then VR.
+pub fn fig_interval(s: &Sets) -> Vec<CampaignPoint> {
+    techniques("fig-interval", s.full(), &[Technique::Baseline, Technique::Vr], s.opts.insts)
+}
+
+/// The four design-choice variants `fig-ablation` compares (the
+/// choices DESIGN.md §4 calls out): VIR pipelining, reconvergence,
+/// bounded termination.
+pub fn ablation_variants() -> [(&'static str, RunaheadConfig); 4] {
+    [
+        ("VR", RunaheadConfig::vector()),
+        ("no-pipe", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
+        ("reconv", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
+        ("bounded64", RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() }),
+    ]
+}
+
+/// `fig-ablation`: per workload of the sweep set, the baseline then
+/// [`ablation_variants`].
+pub fn fig_ablation(s: &Sets) -> Vec<CampaignPoint> {
+    baseline_then_variants("fig-ablation", s, &ablation_variants())
+}
+
+/// The MSHR counts `fig-mshr` sweeps.
+pub const MSHRS: [usize; 4] = [8, 16, 24, 48];
+
+/// `fig-mshr`: per workload of the sweep set, per count of [`MSHRS`],
+/// OoO then VR with that many MSHRs.
+pub fn fig_mshr(s: &Sets) -> Vec<CampaignPoint> {
+    let mut pts = Vec::new();
+    for w in s.sweep() {
+        for m in MSHRS {
+            let mem = MemConfig { mshrs: m, ..MemConfig::table1() };
+            for (tech, ra) in [("OoO", RunaheadConfig::none()), ("VR", RunaheadConfig::vector())] {
+                let variant = format!("m{m}/{tech}");
+                let core = CoreConfig::table1();
+                pts.push(point("fig-mshr", w, &variant, core, mem.clone(), ra, s.opts.insts));
             }
         }
     }
-
-    // fig-rob: OoO + VR across the ROB sweep (350 doubles as the
-    // normalization baseline).
-    if want("fig-rob") {
-        for rob in [128usize, 192, 224, 350, 512] {
-            for w in &sweep {
-                let core = CoreConfig::with_rob_scaled(rob);
-                let (mem, ra) = Technique::Baseline.configure();
-                pts.push(point(
-                    "fig-rob",
-                    w,
-                    &format!("rob{rob}/OoO"),
-                    core.clone(),
-                    mem,
-                    ra,
-                    o.insts,
-                ));
-                let (mem, ra) = Technique::Vr.configure();
-                pts.push(point("fig-rob", w, &format!("rob{rob}/VR"), core, mem, ra, o.insts));
-            }
-        }
-    }
-
-    // fig-breakdown: baseline + the three VR extension variants.
-    if want("fig-breakdown") {
-        for w in &sweep {
-            pts.push(tech_point("fig-breakdown", w, Technique::Baseline, o.insts));
-            let variants: [(&str, RunaheadConfig); 3] = [
-                ("VR", RunaheadConfig::vector()),
-                ("eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
-                (
-                    "eager+discovery",
-                    RunaheadConfig {
-                        eager_trigger: true,
-                        loop_bound_discovery: true,
-                        ..RunaheadConfig::vector()
-                    },
-                ),
-            ];
-            for (name, ra) in variants {
-                pts.push(point(
-                    "fig-breakdown",
-                    w,
-                    name,
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
-            }
-        }
-    }
-
-    // fig-mlp / fig-accuracy / fig-interval: baseline vs VR on the
-    // full set; fig-timeliness: VR only.
-    for (fig, techs) in [
-        ("fig-mlp", &[Technique::Baseline, Technique::Vr][..]),
-        ("fig-accuracy", &[Technique::Baseline, Technique::Vr][..]),
-        ("fig-timeliness", &[Technique::Vr][..]),
-        ("fig-interval", &[Technique::Baseline, Technique::Vr][..]),
-    ] {
-        if want(fig) {
-            for w in &full {
-                for &tech in techs {
-                    pts.push(tech_point(fig, w, tech, o.insts));
-                }
-            }
-        }
-    }
-
-    // fig-veclen: baseline + the vector-length sweep.
-    if want("fig-veclen") {
-        for w in &sweep {
-            pts.push(tech_point("fig-veclen", w, Technique::Baseline, o.insts));
-            for k in [16usize, 32, 64, 128] {
-                let ra = RunaheadConfig { vr_lanes: k, ..RunaheadConfig::vector() };
-                pts.push(point(
-                    "fig-veclen",
-                    w,
-                    &format!("K{k}"),
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
-            }
-        }
-    }
-
-    // fig-ablation: baseline + the four design-choice variants.
-    if want("fig-ablation") {
-        for w in &sweep {
-            pts.push(tech_point("fig-ablation", w, Technique::Baseline, o.insts));
-            let variants: [(&str, RunaheadConfig); 4] = [
-                ("VR", RunaheadConfig::vector()),
-                ("no-pipe", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
-                ("reconv", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
-                (
-                    "bounded64",
-                    RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
-                ),
-            ];
-            for (name, ra) in variants {
-                pts.push(point(
-                    "fig-ablation",
-                    w,
-                    name,
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
-            }
-        }
-    }
-
-    // fig-mshr: none vs vector at each MSHR count.
-    if want("fig-mshr") {
-        for w in &sweep {
-            for m in [8usize, 16, 24, 48] {
-                let mem = MemConfig { mshrs: m, ..MemConfig::table1() };
-                pts.push(point(
-                    "fig-mshr",
-                    w,
-                    &format!("m{m}/OoO"),
-                    CoreConfig::table1(),
-                    mem.clone(),
-                    RunaheadConfig::none(),
-                    o.insts,
-                ));
-                pts.push(point(
-                    "fig-mshr",
-                    w,
-                    &format!("m{m}/VR"),
-                    CoreConfig::table1(),
-                    mem,
-                    RunaheadConfig::vector(),
-                    o.insts,
-                ));
-            }
-        }
-    }
-
-    Some(pts)
+    pts
 }
 
 /// Core counts the chip figure sweeps.
 pub const CHIP_CORE_COUNTS: &[usize] = &[1, 2, 4, 8];
 
-/// Enumerates the multi-core simulation points of `fig-chip`: every
-/// core count in [`CHIP_CORE_COUNTS`] × placement (homogeneous BFS, or
-/// a mixed BFS/camel placement for N ≥ 2) × VR-on/VR-off. Returns
-/// `None` for every other figure id — chip points are a separate type
-/// from [`CampaignPoint`]s and are deliberately *not* part of the
-/// `"all"` union (`campaign run --figure fig-chip` drives them).
-pub fn chip_points(figure: &str, o: &FigureOpts) -> Option<Vec<ChipPoint>> {
-    if figure != "fig-chip" {
-        return None;
-    }
+/// `fig-chip`: every core count in [`CHIP_CORE_COUNTS`] × placement
+/// (homogeneous BFS, or a mixed BFS/camel placement for N ≥ 2) × OoO
+/// then VR. Chip points are a separate type from [`CampaignPoint`]s
+/// and are deliberately *not* part of `all` (a chip point costs N
+/// single-core budgets).
+pub fn fig_chip(s: &Sets) -> Vec<ChipPoint> {
+    let o = &s.opts;
     let g = GraphPreset::Kron.generate(o.scale);
     let bfs = Arc::new(vr_workloads::gap::bfs_on(&g, GraphPreset::Kron));
     let camel = Arc::new(vr_workloads::hpcdb::camel(o.scale));
@@ -316,60 +309,48 @@ pub fn chip_points(figure: &str, o: &FigureOpts) -> Option<Vec<ChipPoint>> {
             }
         }
     }
-    Some(pts)
+    pts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick() -> FigureOpts {
-        FigureOpts { insts: 10_000, presets: vec![GraphPreset::Kron], scale: Scale::Test }
+    fn quick(insts: u64) -> Sets {
+        Sets::new(FigureOpts { insts, presets: vec![GraphPreset::Kron], scale: Scale::Test })
     }
 
     #[test]
-    fn unknown_and_uncacheable_figures_have_no_points() {
-        for id in ["table1", "table-hw", "trace", "fault-oracle", "perf-report", "bogus"] {
-            assert!(campaign_points(id, &quick()).is_none(), "{id}");
-        }
+    fn sets_are_generated_once_and_only_on_demand() {
+        let s = quick(10_000);
+        assert!(s.full.get().is_none() && s.sweep.get().is_none());
+        let _ = fig_mshr(&s);
+        assert!(s.full.get().is_none(), "a sweep-set figure must not build the full set");
+        let first = s.sweep().as_ptr();
+        let _ = fig_veclen(&s);
+        assert_eq!(s.sweep().as_ptr(), first, "one generation serves every figure");
     }
 
     #[test]
-    fn every_cached_figure_enumerates_nonempty_and_all_is_their_union() {
-        let o = quick();
-        let mut sum = 0usize;
-        for id in CACHED_FIGURES {
-            let pts = campaign_points(id, &o).unwrap_or_else(|| panic!("{id} must enumerate"));
-            assert!(!pts.is_empty(), "{id} enumerated no points");
-            assert!(
-                pts.iter().all(|p| p.label.starts_with(&format!("{id}/"))),
-                "{id} labels must be figure-prefixed"
-            );
-            sum += pts.len();
-        }
-        let all = campaign_points("all", &o).expect("all");
-        assert_eq!(all.len(), sum, "`all` must be exactly the figures' union");
+    fn layouts_match_their_documentation() {
+        let s = quick(10_000);
+        let (nf, ns) = (s.full().len(), s.sweep().len());
+        assert_eq!(fig_perf(&s).len(), nf * Technique::HEADLINE.len());
+        assert_eq!(fig_timeliness(&s).len(), nf);
+        assert_eq!(fig_rob(&s).len(), ROBS.len() * ns * 2);
+        assert_eq!(fig_veclen(&s).len(), ns * (1 + LANES.len()));
+        assert_eq!(fig_mshr(&s).len(), ns * MSHRS.len() * 2);
+        let rob = fig_rob(&s);
+        assert!(rob[0].label.ends_with("/rob128/OoO") && rob[1].label.ends_with("/rob128/VR"));
+        assert_eq!(rob[0].workload.name, s.sweep()[0].name);
+        let veclen = fig_veclen(&s);
+        assert!(veclen[0].label.ends_with("/OoO") && veclen[2].label.ends_with("/K32"));
+        assert_eq!(table2(&s).len() % GraphPreset::ALL.len(), 0);
     }
 
     #[test]
-    fn labels_are_unique_within_a_figure() {
-        let o = quick();
-        for id in CACHED_FIGURES {
-            let pts = campaign_points(id, &o).unwrap();
-            let mut labels: Vec<&str> = pts.iter().map(|p| p.label.as_str()).collect();
-            labels.sort_unstable();
-            let before = labels.len();
-            labels.dedup();
-            assert_eq!(labels.len(), before, "{id} has duplicate labels");
-        }
-    }
-
-    #[test]
-    fn chip_points_enumerate_only_for_fig_chip() {
-        let o = quick();
-        assert!(chip_points("fig-perf", &o).is_none());
-        assert!(chip_points("all", &o).is_none(), "chip points are not part of the union");
-        let pts = chip_points("fig-chip", &o).expect("fig-chip enumerates");
+    fn chip_points_pair_up_and_address_distinct_records() {
+        let pts = fig_chip(&quick(10_000));
         // N=1: homog × {OoO, VR}; N∈{2,4,8}: {homog, mixed} × {OoO, VR}.
         assert_eq!(pts.len(), 2 + 3 * 4);
         let mut labels: Vec<&str> = pts.iter().map(|p| p.label.as_str()).collect();
@@ -389,17 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn chip_budget_participates_in_enumeration() {
-        let a = chip_points("fig-chip", &quick()).unwrap();
-        let b = chip_points("fig-chip", &FigureOpts { insts: 20_000, ..quick() }).unwrap();
-        assert_ne!(a[0].key(), b[0].key(), "different budgets must address different records");
-    }
-
-    #[test]
     fn budget_participates_in_enumeration() {
-        let a = campaign_points("fig-mshr", &quick()).unwrap();
-        let b = campaign_points("fig-mshr", &FigureOpts { insts: 20_000, ..quick() }).unwrap();
+        let (a, b) = (fig_mshr(&quick(10_000)), fig_mshr(&quick(20_000)));
         assert_eq!(a.len(), b.len());
+        assert_ne!(a[0].key(), b[0].key(), "different budgets must address different records");
+        let (a, b) = (fig_chip(&quick(10_000)), fig_chip(&quick(20_000)));
         assert_ne!(a[0].key(), b[0].key(), "different budgets must address different records");
     }
 }

@@ -62,9 +62,13 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
 fn unknown_flag_after_valid_subcommand_exits_nonzero_with_usage() {
     // Regression: a mistyped flag used to die with a bare one-line
     // error and no usage text.
-    // The second flag is a retired one (DESIGN.md §17): it must be
-    // refused like any other unknown flag, never silently accepted.
-    for args in [&["table1", "--bogus-flag"][..], &["fig-chip", "--chip-threads", "2"]] {
+    // The later flags are retired ones (DESIGN.md §15, §17): they must
+    // be refused like any other unknown flag, never silently accepted.
+    for args in [
+        &["table1", "--bogus-flag"][..],
+        &["fig-chip", "--chip-threads", "2"],
+        &["campaign", "--spool", "dir", "serve"],
+    ] {
         let o = experiments(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");
         let err = stderr(&o);
@@ -167,17 +171,16 @@ fn campaign_requires_a_cache_and_an_action() {
     std::fs::remove_dir_all(&store).ok();
 }
 
-/// The tentpole acceptance path: a `campaign run` warms the store,
-/// the same figure under `--cache` is then pure hits, and its
-/// stdout / `--json` / `--csv` output is byte-identical to an
-/// uncached run. This test is also the drift tripwire between the
-/// figure bodies and `vr_bench::points::campaign_points` — any
-/// enumeration mismatch shows up as a nonzero miss count here.
+/// The one-sweep-path acceptance: a `campaign run` over `all` warms the
+/// store, `all` under `--cache` is then pure hits, and its stdout /
+/// `--json` / `--csv` output is byte-identical to an uncached run.
+/// Every figure renders from the point list the campaign drove, so
+/// this covers every figure's enumeration at once.
 #[test]
-fn warmed_cache_makes_the_figure_pure_hits_and_byte_identical() {
+fn warmed_cache_makes_every_figure_pure_hits_and_byte_identical() {
     let store = tmp("campaign-byteident");
     std::fs::remove_dir_all(&store).ok();
-    let base = ["fig-mshr", "--quick", "--insts", "2000", "--threads", "2"];
+    let base = ["all", "--quick", "--insts", "2000", "--threads", "2"];
 
     // 1. Warm the store through the campaign engine.
     let o = experiments(&[
@@ -187,7 +190,7 @@ fn warmed_cache_makes_the_figure_pure_hits_and_byte_identical() {
         "--insts",
         "2000",
         "--figure",
-        "fig-mshr",
+        "all",
         "--threads",
         "2",
         "--cache",
@@ -211,7 +214,7 @@ fn warmed_cache_makes_the_figure_pure_hits_and_byte_identical() {
     let cached = experiments(&args);
     assert!(cached.status.success(), "stderr: {}", stderr(&cached));
     let err = stderr(&cached);
-    assert!(err.contains(" 0 misses"), "figure ran simulations despite warm cache: {err}");
+    assert!(err.contains(" 0 misses"), "a figure ran simulations despite the warm cache: {err}");
 
     // 4. Byte-identical text and exports.
     assert_eq!(stdout(&uncached), stdout(&cached), "cached stdout differs");
@@ -229,8 +232,6 @@ fn warmed_cache_makes_the_figure_pure_hits_and_byte_identical() {
         "--quick",
         "--insts",
         "2000",
-        "--figure",
-        "fig-mshr",
         "--cache",
         store.to_str().unwrap(),
     ]);
@@ -368,7 +369,50 @@ fn fail_point_poisons_degrade_figures_to_holes_and_status_json_matches() {
     assert!(err.contains("degraded:"), "{err}");
     assert!(err.contains("Kangaroo"), "{err}");
 
-    // 4. `gc` clears the poison and a clean re-run (no injection)
+    // 4. Every figure degrades the same way, not only the ones that
+    //    once carried hand-written hole handling: one poisoned
+    //    fig-veclen point masks its cell and taints its column's
+    //    h-mean — no `0.00x`, no `hmean_K32` metric exported as 0.
+    //    (Its own store: fig-mshr's poisoned 24-MSHR baseline is the
+    //    very record fig-veclen's Kangaroo baseline would load.)
+    let vstore = tmp("campaign-poison-veclen");
+    std::fs::remove_dir_all(&vstore).ok();
+    let veclen = ["--quick", "--insts", "2000", "--cache", vstore.to_str().unwrap()];
+    let mut args = vec!["campaign", "run", "--figure", "fig-veclen"];
+    args.extend(["--fail-point", "Kangaroo/K32"]);
+    args.extend_from_slice(&veclen);
+    let o = experiments(&args);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    assert_eq!(cell(&stdout(&o), "poisoned").as_deref(), Some("1"), "{}", stdout(&o));
+    let jpath = tmp("poison-veclen.json");
+    let mut args = vec!["fig-veclen", "--json", jpath.to_str().unwrap()];
+    args.extend_from_slice(&veclen);
+    let o = experiments(&args);
+    assert!(o.status.success(), "degraded figure must exit 0: {}", stderr(&o));
+    let out = stdout(&o);
+    let columns = |row: &str| -> Vec<String> {
+        let line = out.lines().find(|l| l.starts_with(row)).expect("row present");
+        line.split_whitespace().map(str::to_string).collect()
+    };
+    // benchmark, K=16, K=32, K=64, K=128
+    for row in ["Kangaroo", "h-mean"] {
+        let cols = columns(row);
+        assert_eq!(cols[2], "HOLE", "{row} K=32 must be a HOLE: {out}");
+        assert!(cols[1].ends_with('x') && cols[3].ends_with('x'), "healthy columns keep data");
+    }
+    assert!(!columns("HJ2").contains(&"HOLE".to_string()), "{out}");
+    assert!(!out.contains("0.00x"), "a hole must never render as a number: {out}");
+    let doc = Json::parse(&std::fs::read_to_string(&jpath).expect("json written")).unwrap();
+    std::fs::remove_file(&jpath).ok();
+    let metrics = doc.get("reports").and_then(Json::as_arr).expect("reports")[0]
+        .get("metrics")
+        .expect("metrics");
+    assert!(metrics.get("hmean_K32").is_none(), "tainted aggregate exported: {metrics:?}");
+    assert!(metrics.get("hmean_K16").and_then(Json::as_f64).is_some_and(|v| v > 0.0));
+    assert!(stderr(&o).contains("fig-veclen/Kangaroo/K32"), "{}", stderr(&o));
+    std::fs::remove_dir_all(&vstore).ok();
+
+    // 5. `gc` clears the poison and a clean re-run (no injection)
     //    completes the campaign for real.
     let o = experiments(&["campaign", "gc", "--cache", store.to_str().unwrap()]);
     assert!(o.status.success(), "stderr: {}", stderr(&o));
@@ -543,9 +587,9 @@ fn perf_report_exports_cache_counters() {
         doc.get("vr_ooo_kips_ratio_hmean").and_then(Json::as_f64).is_some_and(|r| r > 0.0),
         "missing/invalid vr_ooo_kips_ratio_hmean"
     );
-    // v3 additions: taint counters on the aggregates (zero-KIPS holes
-    // are skipped, not averaged in as 0.0) and the parallel-region
-    // timings the pool speedup is derived from.
+    // v3 additions: taint counters on the aggregates and the timings
+    // of the sweep call itself at one thread and at `--threads`, whose
+    // ratio is the pool speedup.
     assert_eq!(doc.get("kips_hmean_tainted").and_then(Json::as_u64), Some(0));
     assert_eq!(doc.get("vr_ooo_kips_ratio_tainted").and_then(Json::as_u64), Some(0));
     let figures = doc.get("figures").and_then(Json::as_arr).expect("figures section");

@@ -1,40 +1,47 @@
-//! The resumable sweep-campaign engine.
+//! The resumable sweep-campaign engine: the one thing in the workspace
+//! that runs a list of simulation points.
 //!
-//! A *campaign* is a set of [`CampaignPoint`]s (deduplicated by
-//! fingerprint) driven to completion against a [`ResultStore`]:
+//! A *campaign* is a list of [`SweepPoint`]s (deduplicated by
+//! fingerprint) driven to completion by [`run_points`], optionally
+//! against a [`ResultStore`] ([`run_campaign`] is the store-required
+//! form that drops the outputs):
 //!
 //! * points whose result is already stored are **cache hits** — no
-//!   simulation runs;
-//! * missing points are computed on a shared-injector worker pool
-//!   (every worker pops from one queue, so load balances regardless of
-//!   how wildly per-point runtimes differ);
-//! * a worker that sees a [`SimError`] retries the point in place with
-//!   bounded exponential backoff before declaring it failed — the
-//!   retry never re-enters the queue, so "queue empty" always means
-//!   "no work left", with no completion race;
+//!   simulation runs, and the loaded value is the point's output;
+//! * missing points are computed through [`vr_pool::map`], the
+//!   workspace's one scheduler: inline on the caller at one thread
+//!   (fully deterministic ordering), otherwise on the process-wide
+//!   pool with one point claimed at a time, so load balances
+//!   regardless of how wildly per-point runtimes differ;
+//! * an attempt that returns a [`SimError`] is retried in place with
+//!   bounded exponential backoff before the point is given up on — the
+//!   retry never goes back to the scheduler, so "every point claimed"
+//!   always means "no work left", with no completion race;
 //! * each computed result is published atomically, so killing the
 //!   process at any instant (SIGTERM, SIGKILL) leaves the store
 //!   consistent and a re-run computes only what is missing
 //!   (*resumability*);
 //! * an in-process [`CancelToken`] provides the graceful counterpart:
-//!   workers stop taking new points, finish the one in hand, and the
-//!   outcome reports `cancelled`;
-//! * with [`EngineConfig::point_deadline`] set, a **supervisor** on the
-//!   driving thread watches every in-flight attempt and trips its
-//!   [`StopFlag`] when the wall clock runs out — the simulator stops
-//!   cooperatively and returns [`SimError::Deadline`] with the same
-//!   diagnostic snapshot the deadlock watchdog takes;
+//!   no new points are taken, the ones in hand finish, and the outcome
+//!   reports `cancelled`;
+//! * with [`EngineConfig::point_deadline`] set, a **supervisor** thread
+//!   watches every in-flight attempt and trips its [`StopFlag`] when
+//!   the wall clock runs out — the simulator stops cooperatively and
+//!   returns [`SimError::Deadline`] with the same diagnostic snapshot
+//!   the deadlock watchdog takes;
 //! * a point that exhausts its retries, or trips the deadline
 //!   [`POISON_DEADLINE_TRIPS`] times, is **poisoned**: a structured
 //!   failure record lands in the store (`poison/`), re-runs skip the
 //!   point, and the campaign *continues* — one permanently sick point
 //!   degrades its figure cells, never the whole campaign
-//!   (`store gc` clears poison and makes the points runnable again);
+//!   (`store gc` clears poison and makes the points runnable again).
+//!   Without a store there is nowhere to record the verdict, so the
+//!   point is reported as failed instead;
 //! * retry backoff is jittered ±25% by a [`SplitMix64`] stream seeded
 //!   purely from `(jitter_seed, point key, attempt)`, so sleeps are
 //!   decorrelated across points yet bit-reproducible run to run.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -91,7 +98,7 @@ impl CampaignPoint {
 /// `ChipPoint`s flow through the identical machinery.
 pub trait SweepPoint: Sync {
     /// The computed result type (stored on success, returned on load).
-    type Output: Send;
+    type Output: Send + Clone;
 
     /// The content address of this point in the result store. Poison
     /// records are keyed on this too.
@@ -260,7 +267,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    pub(crate) fn resolved_threads(&self, work: usize) -> usize {
+    fn resolved_threads(&self, work: usize) -> usize {
         let t = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
@@ -489,54 +496,61 @@ pub fn campaign_status<P: SweepPoint>(points: &[P], store: &ResultStore) -> Stat
     rep
 }
 
-/// One worker's in-flight attempt, visible to the supervisor: when it
-/// started and how to stop it.
+/// One in-flight attempt, visible to the supervisor: which unique
+/// point, when it started and how to stop it.
 struct InFlight {
+    point: usize,
     started: Instant,
     stop: StopFlag,
 }
 
-/// Shared mutable state of one campaign run.
+/// What one campaign run shares between the threads driving it.
 struct Shared<'a> {
-    queue: Mutex<VecDeque<usize>>,
-    store: &'a ResultStore,
+    store: Option<&'a ResultStore>,
     cfg: &'a EngineConfig,
     cancel: &'a CancelToken,
     progress: Option<ProgressSink<'a>>,
     total: u64,
     done: AtomicU64,
-    cache_hits: AtomicU64,
-    computed: AtomicU64,
-    retries: AtomicU64,
-    skipped_poisoned: AtomicU64,
-    poisoned: Mutex<Vec<(usize, String)>>,
-    failed: Mutex<Vec<(usize, String)>>,
-    /// One slot per worker; armed around each execute call.
-    inflight: Vec<Mutex<Option<InFlight>>>,
+    /// Armed around each execute call; at most one entry per thread.
+    inflight: Mutex<Vec<InFlight>>,
 }
 
 impl Shared<'_> {
+    /// Counts one more terminal point and reports it.
+    fn finish(&self, label: &str, kind: ProgressKind) {
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        self.emit(done, label, kind);
+    }
+
     fn emit(&self, done: u64, label: &str, kind: ProgressKind) {
         if let Some(sink) = self.progress {
             sink(&ProgressEvent { done, total: self.total, label, kind });
         }
     }
+
+    fn inflight(&self) -> std::sync::MutexGuard<'_, Vec<InFlight>> {
+        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
-/// Drives `points` to completion (see the module docs for the full
-/// contract). Returns the aggregate outcome; never panics on store or
-/// simulation trouble — a worker panic (an executor bug) does
-/// propagate to the caller, matching `parallel_map`.
-///
-/// Each submitted point's [`SweepPoint::key`] is derived exactly once,
-/// serially on the calling thread before any worker starts (a key
-/// digests the point's memory images: one pass the first time a
-/// process sees an image, a memo hit after); dedup, the hit and poison
-/// checks, the save and the backoff jitter all reuse that value.
-///
-/// Spawns fresh worker threads per call; long-running drivers (the
-/// serve loop, repeated figure sweeps) should hold a [`WorkerPool`]
-/// and use [`run_campaign_on`] to amortize the spawn cost.
+/// How one unique point ended.
+enum Fate<O> {
+    /// The campaign was cancelled before the point was taken.
+    Untaken,
+    Hit(O),
+    Computed(O),
+    SkippedPoisoned,
+    /// Given up on, with a poison record published.
+    Poisoned(String),
+    /// Given up on without one (no store, cancelled mid-retry, or the
+    /// poison write itself failed).
+    Failed(String),
+}
+
+/// Drives `points` to completion against `store` (see the module docs
+/// for the full contract) and returns the aggregate outcome. This is
+/// [`run_points`] with a store and the outputs dropped.
 pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
     points: &[P],
     store: &ResultStore,
@@ -545,86 +559,86 @@ pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
     cancel: &CancelToken,
     progress: Option<ProgressSink<'_>>,
 ) -> CampaignOutcome {
-    run_campaign_on(None, points, store, exec, cfg, cancel, progress)
+    run_points(points, Some(store), exec, cfg, cancel, progress).0
 }
 
-/// [`run_campaign`] on a caller-provided [`WorkerPool`]: the campaign
-/// workers run as a broadcast job on `pool`'s persistent threads
-/// instead of freshly spawned ones, so back-to-back campaigns (one per
-/// serve manifest, one per figure) pay the thread-spawn cost once per
-/// process. `pool: None` falls back to scoped spawning; the effective
-/// worker count is additionally capped by the pool size. Results are
-/// identical either way — the scheduler only changes *where* workers
-/// run. Keys are derived once per point, as in [`run_campaign`].
-pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
-    pool: Option<&vr_pool::WorkerPool>,
+/// The one driver every point list goes through: returns the aggregate
+/// outcome **and** one `Option<P::Output>` per submitted point, in
+/// submission order — `Some` for a point served from the store or
+/// computed this run (a duplicate receives its first occurrence's
+/// output), `None` for one that was poisoned, skipped as poisoned,
+/// failed or never taken.
+///
+/// With `store: None` nothing touches disk: every point is executed,
+/// nothing is saved, and a point that exhausts its attempts lands in
+/// [`CampaignOutcome::failed`] (there is nowhere to poison it).
+///
+/// Never panics on store or simulation trouble; a panic in `exec` (an
+/// executor bug) does propagate to the caller.
+///
+/// Each submitted point's [`SweepPoint::key`] is derived exactly once,
+/// serially on the calling thread before any point runs (a key digests
+/// the point's memory images: one pass the first time a process sees
+/// an image, a memo hit after); dedup, the hit and poison checks, the
+/// save and the backoff jitter all reuse that value.
+pub fn run_points<P: SweepPoint, E: Executor<P>>(
     points: &[P],
-    store: &ResultStore,
+    store: Option<&ResultStore>,
     exec: &E,
     cfg: &EngineConfig,
     cancel: &CancelToken,
     progress: Option<ProgressSink<'_>>,
-) -> CampaignOutcome {
+) -> (CampaignOutcome, Vec<Option<P::Output>>) {
     let keyed: Vec<(&P, PointKey)> = points.iter().map(|p| (p, p.key())).collect();
-    run_keyed(pool, &keyed, store, exec, cfg, cancel, progress)
+    run_keyed(&keyed, store, exec, cfg, cancel, progress)
 }
 
-/// [`run_campaign_on`] over points whose keys the caller has already
+/// [`run_points`] over points whose keys the caller has already
 /// derived (the serve loop shard-filters by key first): every later
-/// use of a key — here and in the workers — reads `points[i].1`.
+/// use of a key reads `points[i].1`.
 pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
-    pool: Option<&vr_pool::WorkerPool>,
     points: &[(&P, PointKey)],
-    store: &ResultStore,
+    store: Option<&ResultStore>,
     exec: &E,
     cfg: &EngineConfig,
     cancel: &CancelToken,
     progress: Option<ProgressSink<'_>>,
-) -> CampaignOutcome {
+) -> (CampaignOutcome, Vec<Option<P::Output>>) {
     // Dedup by key: the first occurrence names the point in progress
     // output; later duplicates would compute the identical record.
-    let mut seen = HashSet::new();
+    let mut slot_of_key: HashMap<PointKey, usize> = HashMap::with_capacity(points.len());
     let mut unique: Vec<usize> = Vec::with_capacity(points.len());
-    for (i, &(_, key)) in points.iter().enumerate() {
-        if seen.insert(key) {
-            unique.push(i);
-        }
-    }
-    let duplicates = (points.len() - unique.len()) as u64;
-    let total = unique.len() as u64;
-    let mut threads = cfg.resolved_threads(unique.len());
-    if let Some(pool) = pool {
-        threads = threads.min(pool.size());
-    }
+    let slots: Vec<usize> = points
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, key))| {
+            *slot_of_key.entry(key).or_insert_with(|| {
+                unique.push(i);
+                unique.len() - 1
+            })
+        })
+        .collect();
 
     let shared = Shared {
-        queue: Mutex::new(unique.iter().copied().collect()),
         store,
         cfg,
         cancel,
         progress,
-        total,
+        total: unique.len() as u64,
         done: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
-        computed: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
-        skipped_poisoned: AtomicU64::new(0),
-        poisoned: Mutex::new(Vec::new()),
-        failed: Mutex::new(Vec::new()),
-        inflight: (0..threads).map(|_| Mutex::new(None)).collect(),
+        inflight: Mutex::new(Vec::new()),
     };
-
-    if threads == 1 && cfg.point_deadline.is_none() {
-        // Fully deterministic inline path (chaos tests depend on it).
-        worker(points, &shared, exec, 0);
-    } else if let Some(pool) = pool {
-        let shared = &shared;
-        let job = move |slot: usize| worker(points, shared, exec, slot);
-        if let Some(deadline) = cfg.point_deadline {
-            // The driving thread is busy inside `pool.run`, so the
-            // supervisor gets its own scoped thread, watching a done
-            // flag instead of join handles. The drop guard raises the
-            // flag even when a worker panic unwinds out of `pool.run`,
+    let drive = || {
+        vr_pool::map(cfg.resolved_threads(unique.len()), &unique, |&idx| {
+            drive_point(points[idx].0, points[idx].1, idx, &shared, exec)
+        })
+    };
+    let driven = match cfg.point_deadline {
+        None => drive(),
+        Some(deadline) => {
+            // The supervisor runs beside the sweep on its own scoped
+            // thread, watching a done flag. The drop guard raises the
+            // flag even when an executor panic unwinds out of `drive`,
             // so the supervisor always exits and the scope can join it
             // (then re-raise the panic).
             struct RaiseOnDrop<'a>(&'a AtomicBool);
@@ -635,182 +649,163 @@ pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
             }
             let done = AtomicBool::new(false);
             std::thread::scope(|scope| {
-                let done = &done;
-                scope.spawn(move || {
-                    supervise(shared, deadline, || done.load(Ordering::Acquire));
-                });
-                let _raise = RaiseOnDrop(done);
-                pool.run(threads, &job);
-            });
-        } else {
-            pool.run(threads, &job);
+                scope.spawn(|| supervise(&shared, deadline, &done));
+                let _raise = RaiseOnDrop(&done);
+                drive()
+            })
         }
-    } else {
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..threads)
-                .map(|slot| scope.spawn(move || worker(points, shared, exec, slot)))
-                .collect();
-            // The driving thread doubles as the supervisor; with no
-            // deadline the scope just joins the workers (and
-            // propagates any panic).
-            if let Some(deadline) = cfg.point_deadline {
-                supervise(shared, deadline, || {
-                    handles.iter().all(std::thread::ScopedJoinHandle::is_finished)
-                });
+    };
+
+    // `map` returns in input order, so every list below is in
+    // submission order regardless of how the threads interleaved.
+    let mut outcome = CampaignOutcome {
+        submitted: points.len() as u64,
+        duplicates: (points.len() - unique.len()) as u64,
+        total: shared.total,
+        cancelled: cancel.is_cancelled(),
+        ..CampaignOutcome::default()
+    };
+    let mut outputs: Vec<Option<P::Output>> = Vec::with_capacity(unique.len());
+    for (&idx, (fate, retries)) in unique.iter().zip(driven) {
+        let label = || points[idx].0.label().to_string();
+        outcome.retries += retries;
+        outputs.push(match fate {
+            Fate::Untaken => None,
+            Fate::Hit(out) => {
+                outcome.cache_hits += 1;
+                Some(out)
+            }
+            Fate::Computed(out) => {
+                outcome.computed += 1;
+                Some(out)
+            }
+            Fate::SkippedPoisoned => {
+                outcome.skipped_poisoned += 1;
+                None
+            }
+            Fate::Poisoned(error) => {
+                outcome.poisoned.push((label(), error));
+                None
+            }
+            Fate::Failed(error) => {
+                outcome.failed.push((label(), error));
+                None
             }
         });
     }
-
-    // Deterministic orders regardless of worker interleaving.
-    let drain = |m: Mutex<Vec<(usize, String)>>| {
-        let mut v = m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-        v.sort_by_key(|&(i, _)| i);
-        v.into_iter().map(|(i, e)| (points[i].0.label().to_string(), e)).collect::<Vec<_>>()
-    };
-    CampaignOutcome {
-        submitted: points.len() as u64,
-        duplicates,
-        total,
-        cache_hits: shared.cache_hits.into_inner(),
-        computed: shared.computed.into_inner(),
-        retries: shared.retries.into_inner(),
-        poisoned: drain(shared.poisoned),
-        skipped_poisoned: shared.skipped_poisoned.into_inner(),
-        failed: drain(shared.failed),
-        cancelled: cancel.is_cancelled(),
-    }
+    (outcome, slots.into_iter().map(|s| outputs[s].clone()).collect())
 }
 
-/// The deadline supervisor: polls every worker's in-flight slot and
-/// trips the [`StopFlag`] of any attempt past its wall-clock budget.
-/// Runs until `all_done` reports every worker has exited (join-handle
-/// census on the scoped path, a done flag on the pooled path); pure
-/// observation plus one atomic store, so it can never wedge a worker.
-fn supervise(shared: &Shared<'_>, deadline: Duration, all_done: impl Fn() -> bool) {
+/// The deadline supervisor: polls the in-flight attempts and trips the
+/// [`StopFlag`] of any past its wall-clock budget, until `done` is
+/// raised. Pure observation plus one atomic store, so it can never
+/// wedge the thread running the attempt.
+fn supervise(shared: &Shared<'_>, deadline: Duration, done: &AtomicBool) {
     let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    loop {
-        if all_done() {
-            return;
-        }
-        for slot in &shared.inflight {
-            let guard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(fl) = guard.as_ref() {
-                if fl.started.elapsed() >= deadline {
-                    fl.stop.trip();
-                }
+    while !done.load(Ordering::Acquire) {
+        for fl in shared.inflight().iter() {
+            if fl.started.elapsed() >= deadline {
+                fl.stop.trip();
             }
         }
         std::thread::sleep(poll);
     }
 }
 
-/// One worker: pop from the shared injector until it is empty or the
-/// campaign is cancelled. Retries happen in place — a point never
-/// re-enters the queue, so an empty queue always means no pending work.
-/// `slot` indexes this worker's in-flight slot for the supervisor.
-fn worker<P: SweepPoint, E: Executor<P>>(
-    points: &[(&P, PointKey)],
+/// Takes one unique point (submitted at `idx`) to its [`Fate`] and
+/// counts the retries it burned: hit, skip-if-poisoned, then execute
+/// with retries in place — a point is never handed back to the
+/// scheduler, so "every item claimed" always means "no work left".
+fn drive_point<P: SweepPoint, E: Executor<P>>(
+    p: &P,
+    key: PointKey,
+    idx: usize,
     shared: &Shared<'_>,
     exec: &E,
-    slot: usize,
-) {
-    loop {
-        if shared.cancel.is_cancelled() {
-            return;
+) -> (Fate<P::Output>, u64) {
+    if shared.cancel.is_cancelled() {
+        return (Fate::Untaken, 0);
+    }
+    if let Some(store) = shared.store {
+        if let Some(out) = p.load(store, key) {
+            shared.finish(p.label(), ProgressKind::CacheHit);
+            return (Fate::Hit(out), 0);
         }
-        let idx = {
-            let mut q = shared.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            q.pop_front()
-        };
-        let Some(idx) = idx else { return };
-        let (p, key) = points[idx];
-
-        if let Some(_stats) = p.load(shared.store, key) {
-            let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.emit(done, p.label(), ProgressKind::CacheHit);
-            continue;
-        }
-
-        if shared.store.is_poisoned(key) {
+        if store.is_poisoned(key) {
             // An earlier run already gave up on this point; skip it
             // rather than burning its whole retry budget again
             // (`store gc` un-poisons).
-            let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
-            shared.skipped_poisoned.fetch_add(1, Ordering::Relaxed);
-            shared.emit(done, p.label(), ProgressKind::SkippedPoisoned);
+            shared.finish(p.label(), ProgressKind::SkippedPoisoned);
+            return (Fate::SkippedPoisoned, 0);
+        }
+    }
+
+    let mut attempt = 0u32;
+    let mut deadline_trips = 0u32;
+    loop {
+        let ctx = ExecCtx { attempt, stop: StopFlag::new() };
+        shared.inflight().push(InFlight {
+            point: idx,
+            started: Instant::now(),
+            stop: ctx.stop.clone(),
+        });
+        let result = exec.execute(p, &ctx);
+        shared.inflight().retain(|fl| fl.point != idx);
+        let e = match result {
+            Ok(out) => {
+                // A failed save degrades to "computed but not cached"
+                // — the result is still counted; a re-run will
+                // recompute the point.
+                if let Some(store) = shared.store {
+                    let _ = p.save(store, key, &out);
+                }
+                shared.finish(p.label(), ProgressKind::Computed);
+                return (Fate::Computed(out), u64::from(attempt));
+            }
+            Err(e) => e,
+        };
+        if matches!(e, SimError::Deadline(_)) {
+            deadline_trips += 1;
+        }
+        let cancelled = shared.cancel.is_cancelled();
+        let give_up = cancelled
+            || deadline_trips >= POISON_DEADLINE_TRIPS
+            || attempt >= shared.cfg.max_retries;
+        if !give_up {
+            shared.emit(
+                shared.done.load(Ordering::Relaxed),
+                p.label(),
+                ProgressKind::Retried { attempt },
+            );
+            let pause = shared.cfg.jittered_backoff(key, attempt);
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+            attempt += 1;
             continue;
         }
-
-        let mut attempt = 0u32;
-        let mut deadline_trips = 0u32;
-        loop {
-            let ctx = ExecCtx { attempt, stop: StopFlag::new() };
-            *shared.inflight[slot].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                Some(InFlight { started: Instant::now(), stop: ctx.stop.clone() });
-            let result = exec.execute(p, &ctx);
-            *shared.inflight[slot].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-            match result {
-                Ok(stats) => {
-                    // A failed save degrades to "computed but not
-                    // cached" — the result is still counted; a re-run
-                    // will recompute the point.
-                    let _ = p.save(shared.store, key, &stats);
-                    let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
-                    shared.computed.fetch_add(1, Ordering::Relaxed);
-                    shared.emit(done, p.label(), ProgressKind::Computed);
-                    break;
-                }
-                Err(e) => {
-                    if matches!(e, SimError::Deadline(_)) {
-                        deadline_trips += 1;
-                    }
-                    let cancelled = shared.cancel.is_cancelled();
-                    let give_up = cancelled
-                        || deadline_trips >= POISON_DEADLINE_TRIPS
-                        || attempt >= shared.cfg.max_retries;
-                    if !give_up {
-                        shared.retries.fetch_add(1, Ordering::Relaxed);
-                        shared.emit(
-                            shared.done.load(Ordering::Relaxed),
-                            p.label(),
-                            ProgressKind::Retried { attempt },
-                        );
-                        let pause = shared.cfg.jittered_backoff(key, attempt);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        attempt += 1;
-                        continue;
-                    }
-                    let done = shared.done.fetch_add(1, Ordering::Relaxed) + 1;
-                    // Cancellation is not a verdict on the point — no
-                    // poison record, just a plain failure this run.
-                    let poison = !cancelled
-                        && shared
-                            .store
-                            .poison(&PoisonRecord {
-                                key,
-                                label: p.label().to_string(),
-                                error: e.to_string(),
-                                attempts: attempt + 1,
-                                deadline_trips,
-                            })
-                            .is_ok();
-                    let (list, kind) = if poison {
-                        (&shared.poisoned, ProgressKind::Poisoned)
-                    } else {
-                        (&shared.failed, ProgressKind::Failed)
-                    };
-                    list.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((idx, e.to_string()));
-                    shared.emit(done, p.label(), kind);
-                    break;
-                }
-            }
-        }
+        // Cancellation is not a verdict on the point — no poison
+        // record, just a plain failure this run.
+        let poisoned = !cancelled
+            && shared.store.is_some_and(|store| {
+                store
+                    .poison(&PoisonRecord {
+                        key,
+                        label: p.label().to_string(),
+                        error: e.to_string(),
+                        attempts: attempt + 1,
+                        deadline_trips,
+                    })
+                    .is_ok()
+            });
+        let fate = if poisoned {
+            shared.finish(p.label(), ProgressKind::Poisoned);
+            Fate::Poisoned(e.to_string())
+        } else {
+            shared.finish(p.label(), ProgressKind::Failed);
+            Fate::Failed(e.to_string())
+        };
+        return (fate, u64::from(attempt));
     }
 }
 
@@ -969,6 +964,82 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// p0..p4 healthy, p5 always fails, then p1 and p0 again.
+    fn points_with_duplicates_and_a_sick_one() -> Vec<CampaignPoint> {
+        let mut points = tiny_points(6);
+        points[5].label = "p5-sick".into();
+        let again = [points[1].clone(), points[0].clone()];
+        points.extend(again);
+        points
+    }
+
+    /// Fails `sick` points on every attempt, computes the rest.
+    struct SickExec;
+    impl Executor for SickExec {
+        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
+            if p.label.contains("sick") {
+                return Err(SimError::Memory { cycle: 1, what: "injected fault".into() });
+            }
+            FakeExec.execute(p, ctx)
+        }
+    }
+
+    #[test]
+    fn outputs_follow_submission_order_at_any_thread_count_and_reload_identically() {
+        let points = points_with_duplicates_and_a_sick_one();
+        let expect: Vec<Option<SimStats>> = points
+            .iter()
+            .map(|p| SickExec.execute(p, &ExecCtx { attempt: 0, stop: StopFlag::new() }).ok())
+            .collect();
+        assert_eq!(expect.iter().filter(|o| o.is_none()).count(), 1);
+        assert_eq!(expect[6], expect[1], "a duplicate receives its first occurrence's output");
+
+        let mut runs = Vec::new();
+        for threads in [1, 4] {
+            let (dir, store) = tmp_store(&format!("outputs-{threads}"));
+            let run = || {
+                run_points(
+                    &points,
+                    Some(&store),
+                    &SickExec,
+                    &cfg_fast(threads),
+                    &CancelToken::new(),
+                    None,
+                )
+            };
+            let (computed, outputs) = run();
+            assert_eq!(outputs, expect, "threads={threads}");
+            assert_eq!((computed.computed, computed.duplicates), (5, 2));
+            assert_eq!(computed.poisoned.len(), 1);
+            // What the store hands back next run is what was computed.
+            let (loaded, reloaded) = run();
+            assert_eq!((loaded.cache_hits, loaded.skipped_poisoned, loaded.computed), (5, 1, 0));
+            assert_eq!(reloaded, outputs, "threads={threads}");
+            runs.push((computed, outputs));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert_eq!(runs[0], runs[1], "outcome and outputs do not depend on the thread count");
+    }
+
+    #[test]
+    fn without_a_store_every_point_executes_and_a_sick_one_fails_unpoisoned() {
+        // No store handle, so no disk: nothing to hit, save to or
+        // poison in.
+        let points = points_with_duplicates_and_a_sick_one();
+        for threads in [1, 2] {
+            let (out, outputs) =
+                run_points(&points, None, &SickExec, &cfg_fast(threads), &CancelToken::new(), None);
+            assert_eq!((out.computed, out.cache_hits, out.retries), (5, 0, 2));
+            assert!(out.poisoned.is_empty(), "nowhere to poison: {out:?}");
+            assert_eq!(out.failed.len(), 1);
+            assert_eq!(out.failed[0].0, "p5-sick");
+            assert!(out.failed[0].1.contains("injected fault"), "{:?}", out.failed[0]);
+            assert!(!out.complete() && !out.degraded_complete());
+            assert_eq!(outputs.iter().filter(|o| o.is_none()).count(), 1);
+            assert!(outputs[5].is_none());
+        }
+    }
+
     /// A point that counts how often it is asked for its key.
     struct Counted {
         inner: CampaignPoint,
@@ -1099,28 +1170,35 @@ mod tests {
 
     #[test]
     fn deadline_trips_twice_then_poisons_and_campaign_continues() {
-        let (dir, store) = tmp_store("deadline");
-        let mut points = tiny_points(4);
-        points[2].label = "p2-slow".into();
-        let cfg = EngineConfig { point_deadline: Some(Duration::from_millis(25)), ..cfg_fast(2) };
-        let t0 = std::time::Instant::now();
-        let out = run_campaign(&points, &store, &SlowExec, &cfg, &CancelToken::new(), None);
-        assert!(out.degraded_complete(), "{out:?}");
-        assert_eq!(out.computed, 3, "healthy points unaffected");
-        assert_eq!(out.poisoned.len(), 1);
-        assert_eq!(out.poisoned[0].0, "p2-slow");
-        assert!(out.poisoned[0].1.contains("deadline"), "{:?}", out.poisoned[0]);
+        // One thread runs the points inline on the caller, two on the
+        // pool; the supervisor's wiring is the same for both.
+        for threads in [1, 2] {
+            let (dir, store) = tmp_store("deadline");
+            let mut points = tiny_points(4);
+            points[2].label = "p2-slow".into();
+            let cfg = EngineConfig {
+                point_deadline: Some(Duration::from_millis(25)),
+                ..cfg_fast(threads)
+            };
+            let t0 = std::time::Instant::now();
+            let out = run_campaign(&points, &store, &SlowExec, &cfg, &CancelToken::new(), None);
+            assert!(out.degraded_complete(), "{out:?}");
+            assert_eq!(out.computed, 3, "healthy points unaffected");
+            assert_eq!(out.poisoned.len(), 1);
+            assert_eq!(out.poisoned[0].0, "p2-slow");
+            assert!(out.poisoned[0].1.contains("deadline"), "{:?}", out.poisoned[0]);
 
-        let rec = store.load_poison(points[2].key()).expect("poison record");
-        assert_eq!(
-            rec.deadline_trips, POISON_DEADLINE_TRIPS,
-            "second trip is the verdict (one retry in between)"
-        );
-        assert_eq!(rec.attempts, 2);
-        // Two supervised attempts of ~25ms each, not max_retries+1
-        // unbounded hangs.
-        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
-        std::fs::remove_dir_all(&dir).ok();
+            let rec = store.load_poison(points[2].key()).expect("poison record");
+            assert_eq!(
+                rec.deadline_trips, POISON_DEADLINE_TRIPS,
+                "second trip is the verdict (one retry in between)"
+            );
+            assert_eq!(rec.attempts, 2);
+            // Two supervised attempts of ~25ms each, not max_retries+1
+            // unbounded hangs.
+            assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * [`store`] — the on-disk store: atomic publishes, per-record
 //!   checksums, quarantine-not-crash corruption handling, `verify` /
 //!   `gc` maintenance;
-//! * [`engine`] — the campaign driver: shared-injector worker pool,
-//!   in-place retry with bounded backoff, cooperative cancellation,
-//!   resumability.
+//! * [`engine`] — the campaign driver, the only thing that runs a point
+//!   list: scheduling through `vr_pool::map`, in-place retry with
+//!   bounded backoff, cooperative cancellation, resumability.
 //!
 //! The crate depends only on the simulator crates and `std` — no
 //! registry dependencies, like the rest of the workspace.
@@ -38,7 +38,7 @@ pub mod store;
 
 pub use chip::{chip_core_key, chip_point_key, ChipPoint, ChipSlot};
 pub use engine::{
-    campaign_status, run_campaign, run_campaign_on, CampaignOutcome, CampaignPoint, CancelToken,
+    campaign_status, run_campaign, run_points, CampaignOutcome, CampaignPoint, CancelToken,
     EngineConfig, ExecCtx, Executor, ProgressEvent, ProgressKind, ProgressSink, SimExecutor,
     StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
 };
@@ -46,9 +46,7 @@ pub use fingerprint::{point_key, PointKey, CODE_SALT};
 // The worker pool lives in its own crate (`vr-pool`); re-exported
 // here for the `vr_campaign::WorkerPool` users.
 pub use serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
-pub use serve::{
-    serve_lines, serve_spool, shard_of, Manifest, PointSet, ServeConfig, ServeSummary, ShardSpec,
-};
+pub use serve::{serve_lines, shard_of, Manifest, PointSet, ServeConfig, ServeSummary, ShardSpec};
 pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,

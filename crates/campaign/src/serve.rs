@@ -1,14 +1,14 @@
 //! The long-running `campaign serve` loop: manifests in, outcome
 //! records out, shard-partitioned across processes (DESIGN.md §15).
 //!
-//! A *manifest* is one JSON object (one line on stdin, or one file in
-//! a spool directory) naming a point set by figure id and budget; the
+//! A *manifest* is one JSON object (one line on stdin) naming a point set by figure id and budget; the
 //! serve loop enumerates it through a caller-supplied closure (the
 //! harness wires its figure enumeration in — this crate stays
 //! figure-agnostic), filters the points down to the shard this process
-//! owns, and drives them through the [`crate::run_campaign_on`] engine
-//! on one persistent [`WorkerPool`] with deadlines, retries and
-//! poisoning exactly as a one-shot `campaign run`. Each manifest
+//! owns, and drives them through the same engine as a one-shot
+//! `campaign run` ([`crate::run_points`]: deadlines, retries and
+//! poisoning included; its scheduler's pool is process-wide, so the
+//! threads are spawned once, not per manifest). Each manifest
 //! streams one [`CAMPAIGN_SCHEMA`] outcome line to the output writer,
 //! flushed immediately, so a supervisor can tail progress.
 //!
@@ -22,7 +22,6 @@
 //! (cache hits).
 
 use std::io::{self, BufRead, Write};
-use std::path::Path;
 
 use vr_obs::{Json, CAMPAIGN_SCHEMA, MANIFEST_SCHEMA};
 
@@ -32,7 +31,6 @@ use crate::engine::{run_keyed, CampaignOutcome, CancelToken, EngineConfig, Execu
 use crate::fingerprint::PointKey;
 use crate::store::ResultStore;
 use crate::CampaignPoint;
-use vr_pool::WorkerPool;
 
 /// Deterministic shard of a point fingerprint in `0..shards`. Folds
 /// the high half into the low half before reducing so the partition
@@ -257,8 +255,11 @@ pub type Enumerate<'a> = &'a dyn Fn(&Manifest) -> Result<PointSet, String>;
 
 /// The serve loop over a line-oriented reader (stdin in the CLI):
 /// one manifest JSON per line, blank lines skipped, until EOF or
-/// cancellation. Streams one outcome line per input to `out` (see
-/// [`serve_one`]) and returns the aggregate summary.
+/// cancellation. Each manifest is parsed, enumerated, shard-filtered
+/// and run, and streams exactly one line to `out`: `kind: "serve"`
+/// with the embedded engine outcome, or `kind: "serve-reject"` with
+/// the diagnostic when it does not parse or enumerate. Returns the
+/// aggregate summary (also streamed, last).
 ///
 /// # Errors
 ///
@@ -274,7 +275,6 @@ pub fn serve_lines<E: Executor + Executor<ChipPoint>>(
     cancel: &CancelToken,
     enumerate: Enumerate<'_>,
 ) -> io::Result<ServeSummary> {
-    let pool = serve_pool(&cfg.engine);
     let mut summary = ServeSummary::default();
     for line in input.lines() {
         if cancel.is_cancelled() {
@@ -285,104 +285,25 @@ pub fn serve_lines<E: Executor + Executor<ChipPoint>>(
         if line.trim().is_empty() {
             continue;
         }
-        serve_one(&pool, &line, out, store, exec, cfg, cancel, enumerate, &mut summary)?;
-    }
-    emit(out, &summary.to_json())?;
-    Ok(summary)
-}
-
-/// The serve loop over a spool directory: drains every `*.json` file
-/// in name order (renaming each to `*.done` once processed — rerunning
-/// after a crash re-reads only what is left), looping until a pass
-/// finds the spool empty or the campaign is cancelled. Files dropped
-/// in while a pass runs are picked up by the next pass.
-///
-/// # Errors
-///
-/// Propagates I/O errors from spool enumeration, file reads, renames
-/// or the output writer.
-pub fn serve_spool<E: Executor + Executor<ChipPoint>>(
-    spool: &Path,
-    out: &mut dyn Write,
-    store: &ResultStore,
-    exec: &E,
-    cfg: &ServeConfig,
-    cancel: &CancelToken,
-    enumerate: Enumerate<'_>,
-) -> io::Result<ServeSummary> {
-    let pool = serve_pool(&cfg.engine);
-    let mut summary = ServeSummary::default();
-    'drain: loop {
-        let mut batch: Vec<std::path::PathBuf> = std::fs::read_dir(spool)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        if batch.is_empty() {
-            break;
-        }
-        batch.sort();
-        for path in batch {
-            if cancel.is_cancelled() {
-                summary.cancelled = true;
-                break 'drain;
-            }
-            let text = std::fs::read_to_string(&path)?;
-            serve_one(&pool, &text, out, store, exec, cfg, cancel, enumerate, &mut summary)?;
-            std::fs::rename(&path, path.with_extension("done"))?;
-        }
-    }
-    emit(out, &summary.to_json())?;
-    Ok(summary)
-}
-
-/// One persistent pool sized for the engine config (the whole reason
-/// serve exists: thread spawn cost is paid once, not per manifest).
-fn serve_pool(cfg: &EngineConfig) -> WorkerPool {
-    WorkerPool::new(cfg.resolved_threads(usize::MAX))
-}
-
-/// Parses, enumerates, shard-filters and runs one manifest, streaming
-/// exactly one outcome line: `kind: "serve"` with the embedded engine
-/// outcome on success, `kind: "serve-reject"` with the diagnostic on a
-/// parse/enumeration failure.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the two loops above
-fn serve_one<E: Executor + Executor<ChipPoint>>(
-    pool: &WorkerPool,
-    text: &str,
-    out: &mut dyn Write,
-    store: &ResultStore,
-    exec: &E,
-    cfg: &ServeConfig,
-    cancel: &CancelToken,
-    enumerate: Enumerate<'_>,
-    summary: &mut ServeSummary,
-) -> io::Result<()> {
-    let run = Manifest::parse(text).and_then(|m| Ok((enumerate(&m)?, m)));
-    match run {
-        Err(error) => {
-            summary.rejected += 1;
-            emit(
-                out,
-                &Json::Obj(vec![
+        let doc = match Manifest::parse(&line).and_then(|m| Ok((enumerate(&m)?, m))) {
+            Err(error) => {
+                summary.rejected += 1;
+                Json::Obj(vec![
                     ("schema".into(), Json::from(CAMPAIGN_SCHEMA)),
                     ("kind".into(), Json::from("serve-reject")),
-                    ("input".into(), Json::from(text.trim())),
+                    ("input".into(), Json::from(line.trim())),
                     ("error".into(), Json::from(error)),
-                ]),
-            )
-        }
-        Ok((points, manifest)) => {
-            // Sharding, driving and outcome accounting are identical
-            // for both point kinds — only the static type differs.
-            let (enumerated, outcome) = match points {
-                PointSet::Scalar(points) => drive(pool, &points, store, exec, cfg, cancel),
-                PointSet::Chip(points) => drive(pool, &points, store, exec, cfg, cancel),
-            };
-            summary.absorb(enumerated, &outcome);
-            emit(
-                out,
-                &Json::Obj(vec![
+                ])
+            }
+            Ok((points, manifest)) => {
+                // Sharding, driving and outcome accounting are identical
+                // for both point kinds — only the static type differs.
+                let (enumerated, outcome) = match points {
+                    PointSet::Scalar(points) => drive(&points, store, exec, cfg, cancel),
+                    PointSet::Chip(points) => drive(&points, store, exec, cfg, cancel),
+                };
+                summary.absorb(enumerated, &outcome);
+                Json::Obj(vec![
                     ("schema".into(), Json::from(CAMPAIGN_SCHEMA)),
                     ("kind".into(), Json::from("serve")),
                     ("manifest".into(), Json::from(manifest.id)),
@@ -391,17 +312,18 @@ fn serve_one<E: Executor + Executor<ChipPoint>>(
                     ("enumerated".into(), Json::from(enumerated)),
                     ("owned".into(), Json::from(outcome.total)),
                     ("outcome".into(), outcome.to_json()),
-                ]),
-            )
-        }
+                ])
+            }
+        };
+        emit(out, &doc)?;
     }
+    emit(out, &summary.to_json())?;
+    Ok(summary)
 }
 
-/// Shard-filters one manifest's points and drives them on the
-/// persistent pool, returning the pre-filter count and the engine
-/// outcome.
+/// Shard-filters one manifest's points and drives them through the
+/// engine, returning the pre-filter count and the engine outcome.
 fn drive<P: SweepPoint, E: Executor<P>>(
-    pool: &WorkerPool,
     points: &[P],
     store: &ResultStore,
     exec: &E,
@@ -411,7 +333,7 @@ fn drive<P: SweepPoint, E: Executor<P>>(
     // One key per point: the shard filter and the engine share it.
     let owned: Vec<(&P, PointKey)> =
         points.iter().map(|p| (p, p.key())).filter(|&(_, key)| cfg.shard.owns(key)).collect();
-    let outcome = run_keyed(Some(pool), &owned, store, exec, &cfg.engine, cancel, None);
+    let (outcome, _) = run_keyed(&owned, Some(store), exec, &cfg.engine, cancel, None);
     (points.len(), outcome)
 }
 
@@ -538,7 +460,7 @@ mod tests {
         }
     }
 
-    /// Old spool files keep draining: a manifest written for a serve
+    /// Old manifests keep being served: one written for a serve
     /// process that still had a retired field (here the chip-stepping
     /// thread count, whatever its value) parses to the same `Manifest`
     /// — hence enumerates the same points — as one without it, and is
@@ -675,39 +597,6 @@ mod tests {
         );
         std::fs::remove_dir_all(&solo_dir).ok();
         std::fs::remove_dir_all(&shard_dir).ok();
-    }
-
-    #[test]
-    fn spool_mode_drains_renames_and_resumes() {
-        let (dir, store) = tmp_store("spool");
-        let spool = dir.join("spool");
-        std::fs::create_dir_all(&spool).unwrap();
-        std::fs::write(spool.join("a.json"), manifest_line(400)).unwrap();
-        std::fs::write(spool.join("b.json"), manifest_line(500)).unwrap();
-        std::fs::write(spool.join("ignored.txt"), "not a manifest").unwrap();
-        let enumerate = |m: &Manifest| Ok(PointSet::Scalar(points(3, m.insts)));
-        let cfg = ServeConfig::default();
-        let mut out = Vec::new();
-        let summary =
-            serve_spool(&spool, &mut out, &store, &FakeExec, &cfg, &CancelToken::new(), &enumerate)
-                .unwrap();
-        assert_eq!((summary.manifests, summary.computed), (2, 6));
-        assert!(spool.join("a.done").exists() && spool.join("b.done").exists());
-        assert!(spool.join("ignored.txt").exists(), "non-manifest files untouched");
-
-        // A second drain finds nothing to do.
-        let again = serve_spool(
-            &spool,
-            &mut Vec::new(),
-            &store,
-            &FakeExec,
-            &cfg,
-            &CancelToken::new(),
-            &enumerate,
-        )
-        .unwrap();
-        assert_eq!(again.manifests, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub const CAMPAIGN_SCHEMA: &str = "vr-campaign-v1";
 pub const CHIPSTORE_SCHEMA: &str = "vr-chipstore-v1";
 
 /// Schema-version tag of a `campaign serve` point-set manifest (one
-/// JSON object per line on stdin or per spool file, DESIGN.md §15).
+/// JSON object per line on stdin, DESIGN.md §15).
 /// Bump on breaking manifest-layout changes; the serve loop rejects
 /// manifests with an unknown schema rather than guessing.
 pub const MANIFEST_SCHEMA: &str = "vr-campaign-manifest-v1";

@@ -1,14 +1,16 @@
-//! A persistent broadcast worker pool.
+//! The workspace's one scheduler: [`map`] over a persistent broadcast
+//! worker pool.
 //!
-//! The sweep runner used to spawn `threads` fresh OS threads for every
-//! figure (`std::thread::scope` per call). At post-PR-5/7 per-point
-//! costs the spawn/join overhead is a measurable slice of a quick
-//! sweep, and it recurs on *every* `parallel_map` call — a perf-report
-//! run makes dozens. [`WorkerPool`] spawns the threads once and
-//! broadcasts jobs to them: a *job* is one `&(dyn Fn(usize) + Sync)`
-//! closure that every participating worker calls with its own worker
-//! index; the closure does its own work distribution (the callers use
-//! an atomic cursor over a shared item slice, exactly as before).
+//! [`map`] is how anything in this workspace fans a list out across
+//! threads — the campaign engine's points, hence every figure sweep.
+//! One thread (or one item) runs inline on the caller; anything else
+//! runs on one process-wide [`WorkerPool`].
+//!
+//! [`WorkerPool`] spawns its threads once and broadcasts jobs to them:
+//! a *job* is one `&(dyn Fn(usize) + Sync)` closure that every
+//! participating worker calls with its own worker index; the closure
+//! does its own work distribution ([`map`] uses an atomic cursor over
+//! the shared item slice).
 //!
 //! Lifetime contract: [`WorkerPool::run`] borrows the closure for the
 //! duration of the call and **blocks until every participating worker
@@ -19,12 +21,73 @@
 //!
 //! Panic contract: a panic inside the closure is caught on the worker
 //! (the thread survives for the next job) and re-raised on the caller
-//! as `panic!("sweep worker panicked")` after all workers finish —
-//! matching the message of the scoped-spawn implementation it
-//! replaces. The pool remains usable afterwards.
+//! as `panic!("sweep worker panicked")` after all workers finish. The
+//! pool remains usable afterwards.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Applies `f` to every item on up to `threads` threads and returns
+/// the results **in input order**.
+///
+/// `threads <= 1` (or fewer than two items) runs inline on the calling
+/// thread, front to back. Anything else runs on the process-wide pool,
+/// each worker claiming one item at a time from an atomic cursor.
+///
+/// *Why per item:* every caller's item is a whole simulation
+/// (milliseconds at the smallest scale the harness runs), so one
+/// `fetch_add` per item is noise, while claiming several at once can
+/// only strand a slow item behind its batch-mates at the tail.
+///
+/// *Why process-wide:* a figure run, a campaign and a serve loop all
+/// make many `map` calls; one pool pays the thread spawns once per
+/// process instead of once per call. It grows (is replaced) when a
+/// call asks for more threads than it has. Calls from different
+/// threads take turns, so **`f` must not call `map`**: the inner call
+/// would wait forever for the turn its own caller holds.
+///
+/// # Panics
+///
+/// A panic in `f` on the pool is re-raised here as
+/// `"sweep worker panicked"` once every worker has finished; inline, it
+/// unwinds as itself.
+pub fn map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    static POOL: Mutex<Option<WorkerPool>> = Mutex::new(None);
+    let cursor = AtomicUsize::new(0);
+    let tagged: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    {
+        // A re-raised worker panic poisons this lock; the pool itself
+        // survives panics, so recover rather than cascade.
+        let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.as_ref().is_none_or(|p| p.size() < threads) {
+            *pool = Some(WorkerPool::new(threads));
+        }
+        pool.as_ref().expect("pool installed above").run(threads, &|_worker| {
+            let mut local: Vec<(usize, R)> = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                local.push((i, f(item)));
+            }
+            // One append per worker, after all its work: the lock is
+            // not on the claim path.
+            tagged.lock().unwrap_or_else(PoisonError::into_inner).append(&mut local);
+        });
+    }
+    let mut tagged = tagged.into_inner().unwrap_or_else(PoisonError::into_inner);
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
+}
 
 /// A broadcast job: a lifetime-erased pointer to the caller's closure.
 /// Sound to send across threads because [`WorkerPool::run`] keeps the
@@ -206,7 +269,44 @@ fn worker_loop(inner: &Inner, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn map_preserves_input_order_at_any_thread_count() {
+        let items: Vec<u64> = (0..97).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 8, 128] {
+            assert_eq!(map(threads, &items, |x| x * x), serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_handles_empty_and_single() {
+        let empty: [u64; 0] = [];
+        assert_eq!(map(8, &empty, |x| *x), Vec::<u64>::new());
+        assert_eq!(map(8, &[7u64], |x| x + 1), vec![8]);
+        assert_eq!(map(0, &[7u64, 8], |x| x + 1), vec![8, 9], "0 threads runs inline");
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep worker panicked")]
+    fn map_propagates_a_worker_panic() {
+        // A panicking closure must surface to the caller, not strand
+        // the sweep with a missing result. All workers finish first,
+        // so no thread outlives the borrowed items.
+        let items: Vec<u64> = (0..64).collect();
+        let _ = map(4, &items, |&x| {
+            assert!(x != 33, "injected worker failure");
+            x
+        });
+    }
+
+    #[test]
+    fn map_survives_an_earlier_panicked_call() {
+        let items: Vec<u64> = (0..16).collect();
+        let caught = catch_unwind(|| map(2, &items, |&x| assert!(x != 5, "injected")));
+        assert!(caught.is_err());
+        assert_eq!(map(2, &items, |x| x + 1), (1..17).collect::<Vec<u64>>());
+    }
 
     #[test]
     fn broadcasts_to_exactly_the_active_workers() {
