@@ -13,7 +13,7 @@ use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_frontend::{DirectionPredictor, Tage};
 use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
 use vr_mem::{Access, MemConfig, MemorySystem, Requestor, SharedLlc, SharedLlcConfig};
-use vr_workloads::Scale;
+use vr_workloads::{graph::GraphPreset, Scale};
 
 fn bench_memory() {
     let r = Runner::new("memory");
@@ -396,9 +396,32 @@ fn bench_fingerprint() {
     });
 }
 
+/// The two costs a copy-on-write image trades (DESIGN.md "What a point
+/// costs before it simulates"): cloning the Paper-scale `bfs_KR` image
+/// bumps one count per 2 MiB chunk, and the first store to a page the
+/// clone still shares copies that page (and, once per chunk, the
+/// chunk's page table).
+fn bench_image_copy() {
+    let r = Runner::new("image");
+    let g = GraphPreset::Kron.generate(Scale::Paper);
+    let image = vr_workloads::gap::bfs_on(&g, GraphPreset::Kron).memory;
+    r.bench("memory_clone", || black_box(image.clone()));
+    // `row_ptr` and `col_idx` are dense from the arena base up.
+    let shared_pages = g.footprint_bytes() / 4096;
+    let (mut clone, mut page) = (image.clone(), 0);
+    r.bench("first_store_to_shared_page", || {
+        if page == shared_pages {
+            (clone, page) = (image.clone(), 0);
+        }
+        clone.write_u64(vr_workloads::Arena::BASE + 4096 * page, page);
+        page += 1;
+    });
+}
+
 fn main() {
     bench_memory();
     bench_fingerprint();
+    bench_image_copy();
     bench_emulator();
     bench_tage();
     bench_memory_system();

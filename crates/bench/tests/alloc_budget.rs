@@ -77,11 +77,9 @@ fn indirect_kernel(len: u64) -> (Program, Memory) {
     (a.assemble(), mem)
 }
 
-fn main() {
-    // 2^20 entries × 8 B × 2 tables = 16 MiB — several times the
-    // Table 1 LLC, so the indirect loads keep missing to DRAM across
-    // the whole run and runahead episodes never dry up.
-    let (prog, mem) = indirect_kernel(1 << 20);
+/// The single-core scenario: warm up on `mem`, then assert the region
+/// of interest acquires nothing from the heap.
+fn single_core_roi(scenario: &str, prog: Program, mem: Memory) {
     let mut sim = Simulator::new(
         CoreConfig::table1(),
         MemConfig::table1(),
@@ -128,13 +126,13 @@ fn main() {
     assert_eq!(
         ops,
         0,
-        "steady-state loop performed {ops} heap acquisitions ({bytes} bytes) across \
+        "steady-state loop{scenario} performed {ops} heap acquisitions ({bytes} bytes) across \
          {} committed instructions — the allocation budget is zero",
         ROI_END_INSTS - WARMUP_INSTS
     );
 
     println!(
-        "alloc budget OK: 0 heap ops across {} insts, {} episodes in ROI \
+        "alloc budget OK{scenario}: 0 heap ops across {} insts, {} episodes in ROI \
          (process totals: {} allocs, {} reallocs, {} frees)",
         ROI_END_INSTS - WARMUP_INSTS,
         stats.runahead_entries - warm.runahead_entries,
@@ -142,6 +140,33 @@ fn main() {
         ALLOC.reallocations(),
         ALLOC.frees(),
     );
+}
+
+fn main() {
+    // 2^20 entries × 8 B × 2 tables = 16 MiB — several times the
+    // Table 1 LLC, so the indirect loads keep missing to DRAM across
+    // the whole run and runahead episodes never dry up.
+    let (prog, mem) = indirect_kernel(1 << 20);
+
+    // A clone shares every page with its origin (copy-on-write): it
+    // allocates the chunk vector, not the pages — `chunks + 2` leaves
+    // room for a chunk-level allocation each, which is still ~500x
+    // under one per page.
+    let chunks = mem.mapped_pages().div_ceil(512) as u64;
+    let allocs_before = ALLOC.allocations();
+    let shared = mem.clone();
+    let clone_allocs = ALLOC.allocations() - allocs_before;
+    assert!(
+        clone_allocs <= chunks + 2,
+        "Memory::clone of {} pages in {chunks} chunks made {clone_allocs} allocations",
+        mem.mapped_pages()
+    );
+
+    // The kernel only loads, and loads never un-share a page: the ROI
+    // on a clone whose origin is still alive is as allocation-free as
+    // on an image the simulator owns outright.
+    single_core_roi(" (shared image)", prog.clone(), shared);
+    single_core_roi("", prog, mem);
 
     // ---- 4-core chip scenario (DESIGN.md §16): the lockstep stepping
     // loop and the shared banked-LLC broker (bank queues, shared MSHR

@@ -1,6 +1,7 @@
 //! Sparse byte-addressed memory.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::prng::mix64;
 
@@ -20,15 +21,25 @@ type Page = [u8; PAGE_SIZE];
 /// index): within a chunk, page lookup is a direct array index; across
 /// chunks, a binary search — accelerated by a last-chunk hint, since
 /// the simulator's access stream is overwhelmingly chunk-local.
+///
+/// Both levels sit behind an `Arc`, so the derived `Clone` is one
+/// count bump and the clone shares the table and, through it, every
+/// page. Only `Memory::page_mut` takes either level mutably, through
+/// `Arc::make_mut`: the value in place when this memory is its only
+/// holder, a private copy when it is not — so uniqueness is what the
+/// standard library's counts say, and nothing here needs `unsafe`.
+/// Two levels because an `Arc` around the whole chunk would make a
+/// first store copy 2 MiB, and `Arc`s on the pages alone would make
+/// `Clone` visit every page.
 #[derive(Clone, Debug)]
 struct Chunk {
     idx: u64,
-    pages: Box<[Option<Box<Page>>]>,
+    pages: Arc<[Option<Arc<Page>>]>,
 }
 
 impl Chunk {
     fn new(idx: u64) -> Chunk {
-        Chunk { idx, pages: vec![None; CHUNK_PAGES].into_boxed_slice() }
+        Chunk { idx, pages: vec![None; CHUNK_PAGES].into() }
     }
 }
 
@@ -52,6 +63,19 @@ const HINT_SLOTS: usize = 16;
 /// chunk-position hint cache (atomics, so shared `&Memory` lookups
 /// stay `Sync` for parallel sweep runners) — replacing a per-access
 /// `HashMap` hash+probe with an array index on the hot path.
+///
+/// # Cloning is copy-on-write
+///
+/// [`Clone`] is the only copy operation and copies no page: one count
+/// bump per 2 MiB chunk (about 500 for a 1 GB image), after which the
+/// two memories share every page. Reads never copy. The first write
+/// through either side to a page both still hold copies that page
+/// (4 KiB, plus once per chunk its 512-entry table) and leaves the
+/// other side's bytes, `mapped_pages()` and digest memo alone; later
+/// writes to it copy nothing. A simulation started from
+/// `image.clone()` thus pays for the pages it stores to, and any
+/// number of clones hold the image's bytes once. Clones may be taken
+/// from a shared `&Memory` on several threads and dropped in any order.
 ///
 /// ```
 /// use vr_isa::Memory;
@@ -150,12 +174,14 @@ impl Memory {
                 pos
             }
         };
-        let slot = &mut self.chunks[pos].pages[(pidx & CHUNK_MASK) as usize];
+        // Un-share the table, then the page: a count check each when
+        // this memory is the sole holder, a copy when a clone is too.
+        let pages = Arc::make_mut(&mut self.chunks[pos].pages);
+        let slot = &mut pages[(pidx & CHUNK_MASK) as usize];
         if slot.is_none() {
-            *slot = Some(Box::new([0u8; PAGE_SIZE]));
             self.mapped += 1;
         }
-        slot.as_deref_mut().expect("just mapped")
+        Arc::make_mut(slot.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE])))
     }
 
     /// Number of mapped 4 KiB pages.
@@ -238,7 +264,7 @@ impl Memory {
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let mut offset = 0usize;
         while offset < bytes.len() {
-            let a = addr + offset as u64;
+            let a = addr.wrapping_add(offset as u64);
             let page_off = (a & PAGE_MASK) as usize;
             let chunk = (PAGE_SIZE - page_off).min(bytes.len() - offset);
             let page = self.page_mut(a >> PAGE_SHIFT);
@@ -265,7 +291,7 @@ impl Memory {
             for &v in batch {
                 bytes.extend_from_slice(&le_bytes(v));
             }
-            self.write_bytes(base + (bi * BATCH * N) as u64, &bytes);
+            self.write_bytes(base.wrapping_add((bi * BATCH * N) as u64), &bytes);
         }
     }
 
@@ -437,6 +463,20 @@ mod tests {
         for (i, &b) in data.iter().enumerate() {
             assert_eq!(m.read(0x1f00 + i as u64, 1) as u8, b, "byte {i}");
         }
+    }
+
+    #[test]
+    fn write_bytes_wraps_at_the_top_of_the_address_space_like_write() {
+        let mut m = Memory::new();
+        let data: Vec<u8> = (1..=16).collect();
+        m.write_bytes(u64::MAX - 7, &data);
+        assert_eq!(m.read(u64::MAX - 7, 8), u64::from_le_bytes(data[..8].try_into().unwrap()));
+        assert_eq!(m.read(0, 8), u64::from_le_bytes(data[8..].try_into().unwrap()));
+        // The same bytes through the scalar path, which always wrapped.
+        let mut w = Memory::new();
+        w.write(u64::MAX - 3, 8, 0x0c0b_0a09_0807_0605);
+        assert_eq!(m.read(u64::MAX - 3, 8), w.read(u64::MAX - 3, 8));
+        assert_eq!(m.mapped_pages(), 2);
     }
 
     #[test]

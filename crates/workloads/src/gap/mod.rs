@@ -33,15 +33,20 @@ pub(crate) struct GraphImage {
     pub memory: Memory,
 }
 
-/// Writes `row_ptr` and `col_idx` into fresh memory.
+/// Lays `row_ptr` and `col_idx` out in memory: written once per `Csr`,
+/// every call gets a clone, so the kernels built over one graph share
+/// its pages and each owns only the arrays it adds.
 pub(crate) fn load_graph(g: &Csr) -> GraphImage {
     let mut arena = Arena::new();
-    let mut memory = Memory::new();
-    let row_ptr = arena.alloc_u64s(g.row_ptr.len() as u64);
-    let col_idx = arena.alloc_u64s(g.col_idx.len().max(1) as u64);
-    memory.write_u64_slice(row_ptr, &g.row_ptr);
-    memory.write_u64_slice(col_idx, &g.col_idx);
-    GraphImage { row_ptr, col_idx, n: g.num_nodes() as u64, arena, memory }
+    let row_ptr = arena.alloc_u64s(g.row_ptr().len() as u64);
+    let col_idx = arena.alloc_u64s(g.col_idx().len().max(1) as u64);
+    let memory = g.image.get_or_init(|| {
+        let mut memory = Memory::new();
+        memory.write_u64_slice(row_ptr, g.row_ptr());
+        memory.write_u64_slice(col_idx, g.col_idx());
+        memory
+    });
+    GraphImage { row_ptr, col_idx, n: g.num_nodes() as u64, arena, memory: memory.clone() }
 }
 
 /// The traversal source every kernel uses: the highest-out-degree
@@ -69,6 +74,65 @@ mod tests {
         assert_eq!(img.memory.read_u64(img.row_ptr), 0);
         assert_eq!(img.memory.read_u64(img.row_ptr + 64 * 8), 64 * 4);
         assert!(img.col_idx >= img.row_ptr + 65 * 8);
+    }
+
+    /// Digests of the Test-scale Kron and Urand images in `gap_suite`
+    /// order, taken when every kernel wrote the graph into memory of
+    /// its own and initialised its arrays one element at a time.
+    #[test]
+    fn images_built_over_one_shared_graph_digest_as_separately_built_ones() {
+        const PINS: [(GraphPreset, [u64; 5]); 2] = [
+            (
+                GraphPreset::Kron,
+                [
+                    0xca21_5c68_6955_82b1,
+                    0x2656_f49f_8903_4176,
+                    0x3bbb_f589_e89a_9412,
+                    0x7d6e_3df6_ddb4_e718,
+                    0xe0d9_bc62_409a_a677,
+                ],
+            ),
+            (
+                GraphPreset::Urand,
+                [
+                    0x5da3_81a3_f2ce_1fd1,
+                    0xac16_8448_bd94_b16f,
+                    0x8f22_426e_a91e_67bc,
+                    0xe87f_ea53_d8ff_f05e,
+                    0x4ccb_2514_26e7_dd83,
+                ],
+            ),
+        ];
+        let builders = [bc_on, bfs_on, cc_on, pr_on, sssp_on];
+        for (preset, pins) in PINS {
+            let g = preset.generate(crate::Scale::Test);
+            for (build, pin) in builders.iter().zip(pins) {
+                let shared = build(&g, preset);
+                assert_eq!(shared.memory.digest(), pin, "{}", shared.name);
+                // A graph of its own: nothing to share with.
+                let alone = build(&preset.generate(crate::Scale::Test), preset);
+                assert_eq!(alone.memory.digest(), pin, "{} built alone", alone.name);
+                assert_eq!(alone.memory.mapped_pages(), shared.memory.mapped_pages());
+            }
+        }
+    }
+
+    #[test]
+    fn a_kernel_never_sees_another_kernels_arrays() {
+        let g = uniform(64, 4, 1);
+        let src = source_vertex(&g);
+        assert_ne!(src, 0);
+        let bfs = bfs_on(&g, GraphPreset::Urand);
+        let bc = bc_on(&g, GraphPreset::Urand);
+        // `bc`'s sigma and queue sit where `bfs` put its queue and result.
+        let at = |w: &crate::Workload, r| w.init_regs.iter().find(|(x, _)| *x == r).unwrap().1;
+        let (bfs_queue, bc_sigma, bc_queue) =
+            (at(&bfs, vr_isa::Reg::A3), at(&bc, vr_isa::Reg::A3), at(&bc, vr_isa::Reg::A4));
+        assert_eq!((bfs_queue, bc_queue), (bc_sigma, at(&bfs, vr_isa::Reg::A6)));
+        assert_eq!(bfs.memory.read_u64(bfs_queue), src);
+        assert_eq!(bc.memory.read_u64(bc_sigma), 0, "bfs's Q[0] leaked into bc's sigma[0]");
+        assert_eq!(bc.memory.read_u64(bc_queue), src);
+        assert_eq!(bfs.memory.read_u64(bc_queue), 0, "bc's Q[0] leaked into bfs's result");
     }
 
     #[test]

@@ -30,12 +30,9 @@ pub fn sssp_on(g: &Csr, preset: GraphPreset) -> Workload {
     let dist = img.arena.alloc_u64s(n);
     let weights = img.arena.alloc_u64s(m.max(1));
     let src = source_vertex(g);
-    for v in 0..n {
-        img.memory.write_u64(dist + 8 * v, if v == src { 0 } else { INF });
-    }
-    for e in 0..m {
-        img.memory.write_u64(weights + 8 * e, weight(e));
-    }
+    let dists: Vec<u64> = (0..n).map(|v| if v == src { 0 } else { INF }).collect();
+    img.memory.write_u64_slice(dist, &dists);
+    img.memory.write_u64_slice(weights, &(0..m).map(weight).collect::<Vec<_>>());
 
     let mut a = Asm::new();
     let (row, col, dst_arr, wts) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3);
@@ -122,9 +119,9 @@ pub fn sssp_reference(g: &Csr, src: u64) -> Vec<u64> {
     for _ in 0..SSSP_ROUNDS {
         for v in 0..n {
             let dv = dist[v];
-            let (start, end) = (g.row_ptr[v], g.row_ptr[v + 1]);
+            let (start, end) = (g.row_ptr()[v], g.row_ptr()[v + 1]);
             for e in start..end {
-                let u = g.col_idx[e as usize] as usize;
+                let u = g.col_idx()[e as usize] as usize;
                 let nd = dv + weight(e);
                 if nd < dist[u] {
                     dist[u] = nd;

@@ -8,20 +8,36 @@
 //! random), with footprints well past the 8 MB LLC at
 //! [`Scale::Paper`].
 
-use vr_isa::SplitMix64;
+use std::sync::OnceLock;
+
+use vr_isa::{Memory, SplitMix64};
 
 use crate::Scale;
 
-/// Compressed-sparse-row directed graph.
+/// Compressed-sparse-row directed graph. Immutable once built: the
+/// arrays are read through [`Csr::row_ptr`] and [`Csr::col_idx`].
 #[derive(Clone, Debug)]
 pub struct Csr {
-    /// Row offsets, `n + 1` entries.
-    pub row_ptr: Vec<u64>,
-    /// Destination vertex per edge.
-    pub col_idx: Vec<u64>,
+    row_ptr: Vec<u64>,
+    col_idx: Vec<u64>,
+    /// The two arrays as `gap::load_graph` lays them out in simulated
+    /// memory, built on first use. Every GAP kernel over this graph
+    /// starts from a clone of it, so their images share the graph's
+    /// pages. It cannot go stale because nothing can change the arrays.
+    pub(crate) image: OnceLock<Memory>,
 }
 
 impl Csr {
+    /// Row offsets, `n + 1` entries.
+    pub fn row_ptr(&self) -> &[u64] {
+        &self.row_ptr
+    }
+
+    /// Destination vertex per edge.
+    pub fn col_idx(&self) -> &[u64] {
+        &self.col_idx
+    }
+
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
         self.row_ptr.len() - 1
@@ -58,7 +74,7 @@ impl Csr {
             col_idx[cursor[s as usize] as usize] = d;
             cursor[s as usize] += 1;
         }
-        Csr { row_ptr, col_idx }
+        Csr { row_ptr, col_idx, image: OnceLock::new() }
     }
 
     /// Memory footprint in bytes when laid out as 8-byte arrays.
@@ -93,17 +109,14 @@ pub fn kronecker(scale: u32, edge_factor: usize, seed: u64) -> Csr {
         let (mut src, mut dst) = (0u64, 0u64);
         for _ in 0..scale {
             let r: f64 = rng.f64_unit();
-            let (sbit, dbit) = if r < 0.57 {
-                (0, 0)
-            } else if r < 0.57 + 0.19 {
-                (0, 1)
-            } else if r < 0.57 + 0.19 + 0.19 {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            src = (src << 1) | sbit;
-            dst = (dst << 1) | dbit;
+            // Quadrant 0..=3 = (A, B, C, D), counted rather than
+            // branched on: `r` is uniform, so an `if` chain here is a
+            // host branch mispredict on most of 2^scale * m draws.
+            let q = u64::from(r >= 0.57)
+                + u64::from(r >= 0.57 + 0.19)
+                + u64::from(r >= 0.57 + 0.19 + 0.19);
+            src = (src << 1) | (q >> 1);
+            dst = (dst << 1) | (q & 1);
         }
         edges.push((src, dst));
     }
@@ -244,6 +257,20 @@ mod tests {
         assert_eq!(a.col_idx, b.col_idx);
         let c = kronecker(8, 4, 124);
         assert_ne!(a.col_idx, c.col_idx);
+    }
+
+    /// The generator's output is part of every GAP image and so of
+    /// every `PointKey`: pinned to what the `if r < ..` chain this
+    /// function used to be produced (FNV-1a over the little-endian
+    /// bytes of `row_ptr` then `col_idx`).
+    #[test]
+    fn kronecker_graph_is_bit_identical_to_the_branching_generator() {
+        let g = kronecker(12, 8, 7);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in g.row_ptr.iter().chain(&g.col_idx).flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(h, 0x3b80_8a36_d833_1bd0);
     }
 
     #[test]

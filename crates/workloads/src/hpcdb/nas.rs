@@ -35,8 +35,8 @@ pub fn nas_cg(scale: Scale) -> Workload {
     let a_vals = arena.alloc_u64s(m);
     let p_vec = arena.alloc_u64s(n as u64);
     let w_vec = arena.alloc_u64s(n as u64);
-    memory.write_u64_slice(row_ptr, &g.row_ptr);
-    memory.write_u64_slice(col_idx, &g.col_idx);
+    memory.write_u64_slice(row_ptr, g.row_ptr());
+    memory.write_u64_slice(col_idx, g.col_idx());
     for e in 0..m {
         memory.write_f64(a_vals + 8 * e, cg_value(e));
     }
@@ -109,8 +109,8 @@ pub fn nas_cg_reference(scale: Scale) -> Vec<f64> {
     (0..n)
         .map(|v| {
             let mut sum = 0.0;
-            for e in g.row_ptr[v]..g.row_ptr[v + 1] {
-                sum += cg_value(e) * p[g.col_idx[e as usize] as usize];
+            for e in g.row_ptr()[v]..g.row_ptr()[v + 1] {
+                sum += cg_value(e) * p[g.col_idx()[e as usize] as usize];
             }
             sum
         })

@@ -68,18 +68,7 @@ impl Workload {
     ///
     /// Returns the emulator error if the kernel runs off its program.
     pub fn run_functional(&self, max_steps: u64) -> Result<Cpu, StepError> {
-        let mut cpu = Cpu::new();
-        for &(r, v) in &self.init_regs {
-            cpu.set_x(r, v);
-        }
-        let mut mem = self.memory.clone();
-        for _ in 0..max_steps {
-            if cpu.halted() {
-                break;
-            }
-            cpu.step(&self.program, &mut mem)?;
-        }
-        Ok(cpu)
+        self.run_functional_with_memory(max_steps).map(|(cpu, _)| cpu)
     }
 
     /// Like [`Workload::run_functional`] but also returns the final

@@ -19,12 +19,12 @@ fn csr_is_well_formed() {
         let g = Csr::from_edges(n, &edges);
         assert_eq!(g.num_nodes(), n, "case {case}");
         assert_eq!(g.num_edges(), edges.len(), "case {case}");
-        assert_eq!(g.row_ptr[0], 0, "case {case}");
+        assert_eq!(g.row_ptr()[0], 0, "case {case}");
         for v in 0..n {
-            assert!(g.row_ptr[v] <= g.row_ptr[v + 1], "case {case}: row_ptr must be monotone");
+            assert!(g.row_ptr()[v] <= g.row_ptr()[v + 1], "case {case}: row_ptr must be monotone");
         }
-        assert_eq!(g.row_ptr[n] as usize, edges.len(), "case {case}");
-        for &d in &g.col_idx {
+        assert_eq!(g.row_ptr()[n] as usize, edges.len(), "case {case}");
+        for &d in g.col_idx() {
             assert!((d as usize) < n, "case {case}: destination in range");
         }
         // Per-vertex degrees must match the edge list.
