@@ -220,8 +220,8 @@ fn bench_lane_masks() {
         black_box(acc)
     });
 
-    // Mask algebra: the whole-group operations (poison, park,
-    // reconverge) that replaced per-lane bool loops.
+    // Mask algebra: the whole-group operations (poison, retire) that
+    // replaced per-lane bool loops.
     let mut a = dense_mask;
     let b = sparse_mask;
     r.bench("mask_and_not", || {

@@ -111,12 +111,6 @@ const COMMANDS: &[Cmd] = &[
     figure("table2", "graph inputs + measured LLC MPKI (Table 2)", points::table2, table2),
     figure("fig-perf", "speedup over the baseline OoO (Fig. 7)", points::fig_perf, fig_perf),
     figure("fig-rob", "ROB-size sensitivity sweep (Fig. 2/12)", points::fig_rob, fig_rob),
-    figure(
-        "fig-breakdown",
-        "VR + extension breakdown (Fig. 8)",
-        points::fig_breakdown,
-        fig_breakdown,
-    ),
     figure("fig-mlp", "memory-level parallelism (Fig. 9)", points::fig_mlp, fig_mlp),
     figure(
         "fig-accuracy",
@@ -132,7 +126,7 @@ const COMMANDS: &[Cmd] = &[
     ),
     figure("fig-veclen", "vector-length sweep", points::fig_veclen, fig_veclen),
     figure("fig-interval", "trigger/interval statistics", points::fig_interval, fig_interval),
-    figure("fig-ablation", "design-choice ablations", points::fig_ablation, fig_ablation),
+    figure("fig-ablation", "design ablation + extensions", points::fig_ablation, fig_ablation),
     figure("fig-mshr", "MSHR-count sensitivity sweep", points::fig_mshr, fig_mshr),
     tool("table-hw", "hardware overhead of the VR structures", true, table_hw),
     Cmd {
@@ -983,23 +977,6 @@ fn fig_rob(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) 
     r
 }
 
-// ---------------------------------------------------------------- fig 8
-
-fn fig_breakdown(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
-    let mut r = Report::new(
-        "fig-breakdown",
-        "Fig. breakdown: VR, +eager (decoupled) trigger, +loop-bound discovery \
-         [extensions], normalized to baseline",
-    );
-    let rows = speedups_over_first(points, out, 1 + points::breakdown_variants().len());
-    let (t, hmeans) = speedup_table(&["benchmark", "VR", "+eager", "+eager+discovery"], &rows);
-    for (name, &hm) in ["hmean_VR", "hmean_eager", "hmean_eager_discovery"].iter().zip(&hmeans) {
-        metric(&mut r, name, hm);
-    }
-    r.push_table("speedup", t);
-    r
-}
-
 // ---------------------------------------------------------------- fig 9
 
 fn fig_mlp(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
@@ -1112,15 +1089,21 @@ fn fig_interval(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStat
 
 // ---------------------------------------------------------------- ablations
 
-/// Design-choice ablations of the VR engine implementation
-/// (`points::ablation_variants`).
+/// Design ablation and extensions of the VR engine, one column per
+/// `points::ablation_variants` label.
 fn fig_ablation(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-ablation",
-        "Fig. design ablations: VR variants, speedup over the baseline OoO",
+        "Fig. design ablations: VR, no VIR pipelining, +bounded termination, +eager \
+         (decoupled) trigger [extensions], speedup over the baseline OoO",
     );
-    let rows = speedups_over_first(points, out, 1 + points::ablation_variants().len());
-    let (t, _) = speedup_table(&["benchmark", "VR", "no-pipe", "+reconv", "+bounded"], &rows);
+    let labels = points::ablation_variants().map(|(label, _)| label);
+    let rows = speedups_over_first(points, out, 1 + labels.len());
+    let headers: Vec<&str> = std::iter::once("benchmark").chain(labels).collect();
+    let (t, hmeans) = speedup_table(&headers, &rows);
+    for (label, &hm) in labels.iter().zip(&hmeans) {
+        metric(&mut r, &format!("hmean_{}", label.trim_start_matches('+')), hm);
+    }
     r.push_table("speedup", t);
     r
 }

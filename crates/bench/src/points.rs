@@ -177,28 +177,6 @@ pub fn fig_rob(s: &Sets) -> Vec<CampaignPoint> {
     pts
 }
 
-/// The three VR configurations `fig-breakdown` stacks up.
-pub fn breakdown_variants() -> [(&'static str, RunaheadConfig); 3] {
-    [
-        ("VR", RunaheadConfig::vector()),
-        ("eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
-        (
-            "eager+discovery",
-            RunaheadConfig {
-                eager_trigger: true,
-                loop_bound_discovery: true,
-                ..RunaheadConfig::vector()
-            },
-        ),
-    ]
-}
-
-/// `fig-breakdown`: per workload of the sweep set, the baseline then
-/// [`breakdown_variants`].
-pub fn fig_breakdown(s: &Sets) -> Vec<CampaignPoint> {
-    baseline_then_variants("fig-breakdown", s, &breakdown_variants())
-}
-
 /// `fig-mlp`: per workload of the full set, baseline then VR.
 pub fn fig_mlp(s: &Sets) -> Vec<CampaignPoint> {
     techniques("fig-mlp", s.full(), &[Technique::Baseline, Technique::Vr], s.opts.insts)
@@ -230,15 +208,16 @@ pub fn fig_interval(s: &Sets) -> Vec<CampaignPoint> {
     techniques("fig-interval", s.full(), &[Technique::Baseline, Technique::Vr], s.opts.insts)
 }
 
-/// The four design-choice variants `fig-ablation` compares (the
-/// choices DESIGN.md §4 calls out): VIR pipelining, reconvergence,
-/// bounded termination.
+/// The columns of `fig-ablation`: the paper's VR, VR without VIR
+/// pipelining, and the two extensions (DESIGN.md §6) each on its own.
+/// The labels are the figure's column headers and name its `hmean_*`
+/// metrics, so this list is the only enumeration of the columns.
 pub fn ablation_variants() -> [(&'static str, RunaheadConfig); 4] {
     [
         ("VR", RunaheadConfig::vector()),
         ("no-pipe", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
-        ("reconv", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
-        ("bounded64", RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() }),
+        ("+bounded", RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() }),
+        ("+eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
     ]
 }
 

@@ -51,11 +51,46 @@ fn no_arguments_prints_generated_usage_and_exits_nonzero() {
 
 #[test]
 fn unknown_subcommand_exits_nonzero_with_usage() {
-    let o = experiments(&["fig-bogus"]);
-    assert_eq!(o.status.code(), Some(2));
-    let err = stderr(&o);
-    assert!(err.contains("unknown command"), "{err}");
-    assert!(err.contains("usage: experiments"), "{err}");
+    // `fig-breakdown` is a retired id (folded into `fig-ablation`).
+    for id in ["fig-bogus", "fig-breakdown"] {
+        let o = experiments(&[id]);
+        assert_eq!(o.status.code(), Some(2), "{id}");
+        let err = stderr(&o);
+        assert!(err.contains("unknown command"), "{err}");
+        assert!(err.contains("usage: experiments"), "{err}");
+    }
+}
+
+#[test]
+fn fig_ablation_columns_and_hmean_metrics_come_from_one_list() {
+    let path = tmp("ablation.json");
+    let o = experiments(&[
+        "fig-ablation",
+        "--quick",
+        "--insts",
+        "2000",
+        "--threads",
+        "2",
+        "--json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let header: Vec<String> = stdout(&o)
+        .lines()
+        .find(|l| l.starts_with("benchmark"))
+        .expect("header row")
+        .split_whitespace()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(header, ["benchmark", "VR", "no-pipe", "+bounded", "+eager"]);
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("json written"))
+        .expect("exported JSON parses");
+    std::fs::remove_file(&path).ok();
+    let reports = doc.get("reports").and_then(Json::as_arr).expect("reports");
+    let metrics = reports[0].get("metrics").expect("metrics");
+    for name in ["hmean_VR", "hmean_no-pipe", "hmean_bounded", "hmean_eager"] {
+        assert!(metrics.get(name).and_then(Json::as_f64).is_some(), "{name} missing: {metrics}");
+    }
 }
 
 #[test]

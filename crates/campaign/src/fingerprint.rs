@@ -41,7 +41,10 @@ use vr_workloads::Workload;
 /// * 1 — initial value, pinned to the post-PR-2 golden set.
 /// * 2 — `Memory::digest` moved from byte-serial FNV-1a to the
 ///   four-lane word kernel, so every key changed; the goldens did not.
-pub const CODE_SALT: u64 = 2;
+/// * 3 — `RunaheadConfig` lost three hashed fields and the `SimStats`
+///   record one key, so every key and the record layout changed; the
+///   goldens did not.
+pub const CODE_SALT: u64 = 3;
 
 /// The 64-bit content address of one simulation point.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

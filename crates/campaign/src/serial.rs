@@ -58,7 +58,6 @@ pub fn stats_to_json(s: &SimStats) -> Json {
         vr_batches_aborted,
         vr_lanes_spawned,
         vr_lanes_invalidated,
-        vr_lanes_reconverged,
         vr_no_stride_intervals,
         faults_injected,
         runahead_aborts,
@@ -110,7 +109,6 @@ pub fn stats_to_json(s: &SimStats) -> Json {
         ("vr_batches_aborted".into(), Json::U64(vr_batches_aborted)),
         ("vr_lanes_spawned".into(), Json::U64(vr_lanes_spawned)),
         ("vr_lanes_invalidated".into(), Json::U64(vr_lanes_invalidated)),
-        ("vr_lanes_reconverged".into(), Json::U64(vr_lanes_reconverged)),
         ("vr_no_stride_intervals".into(), Json::U64(vr_no_stride_intervals)),
         ("faults_injected".into(), Json::U64(faults_injected)),
         ("runahead_aborts".into(), Json::U64(runahead_aborts)),
@@ -161,7 +159,6 @@ pub fn stats_from_json(j: &Json) -> Result<SimStats, String> {
         vr_batches_aborted: get_u64(j, "vr_batches_aborted")?,
         vr_lanes_spawned: get_u64(j, "vr_lanes_spawned")?,
         vr_lanes_invalidated: get_u64(j, "vr_lanes_invalidated")?,
-        vr_lanes_reconverged: get_u64(j, "vr_lanes_reconverged")?,
         vr_no_stride_intervals: get_u64(j, "vr_no_stride_intervals")?,
         faults_injected: get_u64(j, "faults_injected")?,
         runahead_aborts: get_u64(j, "runahead_aborts")?,
@@ -236,7 +233,6 @@ mod tests {
             vr_batches_aborted: 12,
             vr_lanes_spawned: 13,
             vr_lanes_invalidated: 14,
-            vr_lanes_reconverged: 15,
             vr_no_stride_intervals: 16,
             faults_injected: 17,
             runahead_aborts: 18,

@@ -285,28 +285,23 @@ pub struct RunaheadConfig {
     /// EXTENSION (off by default; the follow-on paper's "Offload"
     /// step): trigger vector runahead whenever a confident striding
     /// load executes, without waiting for a full-ROB stall, and let
-    /// the main thread keep fetching.
+    /// the main thread keep fetching. Consumed by `fig-ablation`'s
+    /// `+eager` column and by
+    /// `runahead_features.rs::eager_trigger_extension_enters_more_often`.
     pub eager_trigger: bool,
-    /// Minimum cycles between eager triggers.
-    pub eager_cooldown: u64,
-    /// EXTENSION (off by default; the follow-on paper's "Discovery"
-    /// step): cap the vectorization degree at the observed remaining
-    /// loop trip count to avoid over-fetch past the loop bound.
-    pub loop_bound_discovery: bool,
     /// EXTENSION (off by default = the paper's unbounded delayed
     /// termination): abandon a batch whose chain *generation* is
     /// stalled more than this many cycles past the interval end —
     /// bounds the commit stall under memory-bandwidth saturation.
+    /// Consumed by `fig-ablation`'s `+bounded` column and by
+    /// `runahead_features.rs::bounded_termination_extension_caps_the_stall`.
     pub termination_slack: Option<u64>,
-    /// EXTENSION (off by default; the follow-on paper's GPU-style
-    /// reconvergence stack): divergent lanes are parked and executed
-    /// after the leading group reaches the termination point, instead
-    /// of being invalidated.
-    pub reconvergence: bool,
     /// ABLATION (on by default = the paper's design): overlap the 16
     /// vector copies of each chain level in the vector issue register,
     /// so consumers wait only for the first copy's data. Off =
     /// barrier the whole chain on the slowest lane of every gather.
+    /// Consumed by `fig-ablation`'s `no-pipe` column and by
+    /// `vector.rs::swar_path_matches_scalar_reference`.
     pub vir_pipelining: bool,
     /// Fault-injection plan (None in normal runs). See [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
@@ -326,10 +321,7 @@ impl RunaheadConfig {
             chain_budget: 200,
             scan_budget: 512,
             eager_trigger: false,
-            eager_cooldown: 200,
-            loop_bound_discovery: false,
             termination_slack: None,
-            reconvergence: false,
             vir_pipelining: true,
             fault_plan: None,
         }
@@ -350,10 +342,7 @@ impl RunaheadConfig {
             chain_budget,
             scan_budget,
             eager_trigger,
-            eager_cooldown,
-            loop_bound_discovery,
             termination_slack,
-            reconvergence,
             vir_pipelining,
             fault_plan,
         } = self;
@@ -368,8 +357,6 @@ impl RunaheadConfig {
         h.write_u64(*chain_budget as u64);
         h.write_u64(*scan_budget as u64);
         h.write_bool(*eager_trigger);
-        h.write_u64(*eager_cooldown);
-        h.write_bool(*loop_bound_discovery);
         match termination_slack {
             None => h.write_bool(false),
             Some(s) => {
@@ -377,7 +364,6 @@ impl RunaheadConfig {
                 h.write_u64(*s);
             }
         }
-        h.write_bool(*reconvergence);
         h.write_bool(*vir_pipelining);
         match fault_plan {
             None => h.write_bool(false),
@@ -464,10 +450,8 @@ mod tests {
         let variants = [
             RunaheadConfig { vr_lanes: 16, ..RunaheadConfig::vector() },
             RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() },
-            RunaheadConfig { loop_bound_discovery: true, ..RunaheadConfig::vector() },
             RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
             RunaheadConfig { termination_slack: Some(65), ..RunaheadConfig::vector() },
-            RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() },
             RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() },
             RunaheadConfig { fault_plan: Some(FaultPlan::chaos(1)), ..RunaheadConfig::vector() },
             RunaheadConfig { fault_plan: Some(FaultPlan::chaos(2)), ..RunaheadConfig::vector() },
@@ -485,7 +469,6 @@ mod tests {
         assert_eq!(r.kind, RunaheadKind::Vector);
         assert_eq!(r.vr_lanes, 64);
         assert!(!r.eager_trigger);
-        assert!(!r.loop_bound_discovery);
         assert_eq!(RunaheadConfig::none().kind, RunaheadKind::None);
     }
 }

@@ -55,13 +55,11 @@ pub(crate) fn check_free_regs(name: &str, free: usize, pool: usize) -> Result<()
 }
 
 /// Vector-lane mask accounting (DESIGN.md §14): every lane-state mask
-/// is confined to the `k` spawned lanes, a lane is in at most one of
-/// `active`/`parked`/`done`, and a poisoned lane can never be active
-/// again.
+/// is confined to the `k` spawned lanes, no lane is both `active` and
+/// `done`, and a poisoned lane can never be active again.
 pub(crate) fn check_lane_masks(
     k: usize,
     active: &[u64],
-    parked: &[u64],
     done: &[u64],
     poisoned: &[u64],
     at_gather: &[u64],
@@ -79,16 +77,12 @@ pub(crate) fn check_lane_masks(
         Ok(())
     };
     confined("active", active)?;
-    confined("parked", parked)?;
     confined("done", done)?;
     confined("poisoned", poisoned)?;
     confined("at_gather", at_gather)?;
-    for (name_a, a, name_b, b) in [
-        ("active", active, "parked", parked),
-        ("active", active, "done", done),
-        ("parked", parked, "done", done),
-        ("active", active, "poisoned", poisoned),
-    ] {
+    for (name_a, a, name_b, b) in
+        [("active", active, "done", done), ("active", active, "poisoned", poisoned)]
+    {
         if a.iter().zip(b.iter()).any(|(&x, &y)| x & y != 0) {
             return Err(format!("lane in both {name_a} and {name_b} masks"));
         }
@@ -146,20 +140,19 @@ mod tests {
         let empty = [0u64; 4];
         // Disjoint, confined: ok.
         let active = [0b0011u64, 0, 0, 0];
-        let parked = [0b0100u64, 0, 0, 0];
         let done = [0b1000u64, 0, 0, 0];
-        assert!(check_lane_masks(4, &active, &parked, &done, &empty, &active).is_ok());
+        assert!(check_lane_masks(4, &active, &done, &empty, &active).is_ok());
         // Lane beyond k.
         let wide = [0, 0, 0, 1u64 << 63];
-        assert!(check_lane_masks(4, &wide, &empty, &empty, &empty, &empty)
+        assert!(check_lane_masks(4, &wide, &empty, &empty, &empty)
             .unwrap_err()
             .contains("lane 255"));
         // Overlap between active and done.
-        assert!(check_lane_masks(4, &active, &empty, &active, &empty, &empty)
+        assert!(check_lane_masks(4, &active, &active, &empty, &empty)
             .unwrap_err()
             .contains("both active and done"));
         // Poisoned lane resurrected as active.
-        assert!(check_lane_masks(4, &active, &empty, &empty, &active, &empty)
+        assert!(check_lane_masks(4, &active, &empty, &active, &empty)
             .unwrap_err()
             .contains("poisoned"));
     }

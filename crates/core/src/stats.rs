@@ -43,9 +43,6 @@ pub struct SimStats {
     pub vr_lanes_spawned: u64,
     /// Lanes invalidated by control-flow divergence or faults.
     pub vr_lanes_invalidated: u64,
-    /// Divergent lanes parked and resumed via the reconvergence-stack
-    /// extension.
-    pub vr_lanes_reconverged: u64,
     /// Intervals in which no striding load was found (fell back to
     /// scalar runahead behaviour).
     pub vr_no_stride_intervals: u64,
@@ -96,7 +93,6 @@ impl SimStats {
             vr_batches_aborted,
             vr_lanes_spawned,
             vr_lanes_invalidated,
-            vr_lanes_reconverged,
             vr_no_stride_intervals,
             faults_injected,
             runahead_aborts,
@@ -118,7 +114,6 @@ impl SimStats {
             vr_batches_aborted: e_vr_batches_aborted,
             vr_lanes_spawned: e_vr_lanes_spawned,
             vr_lanes_invalidated: e_vr_lanes_invalidated,
-            vr_lanes_reconverged: e_vr_lanes_reconverged,
             vr_no_stride_intervals: e_vr_no_stride_intervals,
             faults_injected: e_faults_injected,
             runahead_aborts: e_runahead_aborts,
@@ -143,7 +138,6 @@ impl SimStats {
             vr_batches_aborted: sub(vr_batches_aborted, e_vr_batches_aborted),
             vr_lanes_spawned: sub(vr_lanes_spawned, e_vr_lanes_spawned),
             vr_lanes_invalidated: sub(vr_lanes_invalidated, e_vr_lanes_invalidated),
-            vr_lanes_reconverged: sub(vr_lanes_reconverged, e_vr_lanes_reconverged),
             vr_no_stride_intervals: sub(vr_no_stride_intervals, e_vr_no_stride_intervals),
             faults_injected: sub(faults_injected, e_faults_injected),
             runahead_aborts: sub(runahead_aborts, e_runahead_aborts),
@@ -284,7 +278,6 @@ mod tests {
             vr_batches_aborted: 1,
             vr_lanes_spawned: 32,
             vr_lanes_invalidated: 2,
-            vr_lanes_reconverged: 1,
             vr_no_stride_intervals: 1,
             faults_injected: 0,
             runahead_aborts: 0,

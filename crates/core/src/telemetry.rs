@@ -70,9 +70,6 @@ pub struct EpisodeRecord {
     pub lanes_spawned: u64,
     /// Lanes invalidated by faults/divergence (0 for scalar engines).
     pub lanes_invalidated: u64,
-    /// Parked divergent lanes resumed at reconvergence (0 for scalar
-    /// engines, and without the reconvergence extension).
-    pub lanes_reconverged: u64,
     /// How the episode ended.
     pub exit: EpisodeExit,
 }
@@ -105,7 +102,6 @@ pub struct Telemetry {
     batches_aborted: u64,
     lanes_spawned: u64,
     lanes_invalidated: u64,
-    lanes_reconverged: u64,
 }
 
 impl Telemetry {
@@ -123,7 +119,6 @@ impl Telemetry {
             batches_aborted: 0,
             lanes_spawned: 0,
             lanes_invalidated: 0,
-            lanes_reconverged: 0,
         }
     }
 
@@ -133,7 +128,6 @@ impl Telemetry {
         self.open = Some(OpenEpisode { trigger_pc, entered_at: c, kind, decoupled });
     }
 
-    #[allow(clippy::too_many_arguments)] // one call site, mirrors the engine counters
     pub(crate) fn on_exit(
         &mut self,
         c: u64,
@@ -141,7 +135,6 @@ impl Telemetry {
         batches_aborted: u64,
         lanes_spawned: u64,
         lanes_invalidated: u64,
-        lanes_reconverged: u64,
         exit: EpisodeExit,
     ) {
         let Some(open) = self.open.take() else { return };
@@ -153,7 +146,6 @@ impl Telemetry {
         self.batches_aborted += batches_aborted;
         self.lanes_spawned += lanes_spawned;
         self.lanes_invalidated += lanes_invalidated;
-        self.lanes_reconverged += lanes_reconverged;
         self.duration_hist.record(c.saturating_sub(open.entered_at));
         self.episodes.push(EpisodeRecord {
             trigger_pc: open.trigger_pc,
@@ -165,7 +157,6 @@ impl Telemetry {
             batches_aborted,
             lanes_spawned,
             lanes_invalidated,
-            lanes_reconverged,
             exit,
         });
     }
@@ -225,12 +216,6 @@ impl Telemetry {
         self.lanes_invalidated
     }
 
-    /// Total parked lanes resumed at reconvergence (reconciles with
-    /// `SimStats::vr_lanes_reconverged`).
-    pub fn lanes_reconverged(&self) -> u64 {
-        self.lanes_reconverged
-    }
-
     /// Whether an episode is currently in flight (entered, not yet
     /// exited).
     pub fn in_episode(&self) -> bool {
@@ -248,7 +233,6 @@ impl Telemetry {
             ("batches_aborted".into(), Json::U64(self.batches_aborted)),
             ("lanes_spawned".into(), Json::U64(self.lanes_spawned)),
             ("lanes_invalidated".into(), Json::U64(self.lanes_invalidated)),
-            ("lanes_reconverged".into(), Json::U64(self.lanes_reconverged)),
             ("in_episode".into(), Json::Bool(self.open.is_some())),
             ("duration_cycles".into(), self.duration_hist.to_json()),
         ])
@@ -265,13 +249,12 @@ mod tests {
         t.on_enter(0x40, EpisodeKind::Vector, false, 100);
         assert!(t.in_episode());
         assert_eq!(t.entries(), 1);
-        t.on_exit(350, 3, 1, 24, 2, 1, EpisodeExit::Completed);
+        t.on_exit(350, 3, 1, 24, 2, EpisodeExit::Completed);
         assert!(!t.in_episode());
         assert_eq!(t.completed(), 1);
         assert_eq!(t.aborted(), 0);
         assert_eq!(t.batches(), 3);
         assert_eq!(t.lanes_spawned(), 24);
-        assert_eq!(t.lanes_reconverged(), 1);
         let ep: Vec<_> = t.episodes().collect();
         assert_eq!(ep.len(), 1);
         assert_eq!(ep[0].trigger_pc, 0x40);
@@ -286,7 +269,7 @@ mod tests {
         let mut t = Telemetry::new(2);
         for i in 0..5u64 {
             t.on_enter(i, EpisodeKind::Scalar, false, i * 100);
-            t.on_exit(i * 100 + 10, 0, 0, 0, 0, 0, EpisodeExit::Completed);
+            t.on_exit(i * 100 + 10, 0, 0, 0, 0, EpisodeExit::Completed);
         }
         assert_eq!(t.episodes().count(), 2, "ring keeps the newest two");
         assert_eq!(t.total_episodes(), 5);
@@ -299,7 +282,7 @@ mod tests {
     fn aborts_are_distinguished() {
         let mut t = Telemetry::new(4);
         t.on_enter(0x10, EpisodeKind::Vector, true, 0);
-        t.on_exit(50, 1, 1, 8, 8, 0, EpisodeExit::Aborted);
+        t.on_exit(50, 1, 1, 8, 8, EpisodeExit::Aborted);
         assert_eq!(t.aborted(), 1);
         assert_eq!(t.completed(), 0);
         let ep: Vec<_> = t.episodes().collect();
@@ -310,7 +293,7 @@ mod tests {
     #[test]
     fn exit_without_enter_is_ignored() {
         let mut t = Telemetry::new(4);
-        t.on_exit(10, 1, 0, 1, 0, 0, EpisodeExit::Completed);
+        t.on_exit(10, 1, 0, 1, 0, EpisodeExit::Completed);
         assert_eq!(t.completed(), 0);
         assert_eq!(t.episodes().count(), 0);
     }
@@ -319,7 +302,7 @@ mod tests {
     fn json_export_has_the_schema_fields() {
         let mut t = Telemetry::new(4);
         t.on_enter(0x40, EpisodeKind::Vector, false, 0);
-        t.on_exit(90, 2, 0, 16, 0, 0, EpisodeExit::Completed);
+        t.on_exit(90, 2, 0, 16, 0, EpisodeExit::Completed);
         let j = t.to_json();
         for key in
             ["entries", "completed", "aborted", "batches", "lanes_spawned", "duration_cycles"]

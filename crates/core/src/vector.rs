@@ -23,9 +23,9 @@
 //!
 //! Lane state is struct-of-arrays: per-lane PCs and both register
 //! files live in flat column vectors inside [`Batch`] (register *r* of
-//! lane *l* at `r·cap + l`), and the per-lane `active`/`parked`/`done`
-//! bools are [`LaneMask`] bit words, so lane scans, reconvergence
-//! grouping and fault poisoning are single-word bit operations. Each
+//! lane *l* at `r·cap + l`), and the per-lane `active`/`done` bools are
+//! [`LaneMask`] bit words, so lane scans, divergence filtering and
+//! fault poisoning are single-word bit operations. Each
 //! chain instruction is decoded once and stepped across all K lanes by
 //! a branchless column loop (the op match is hoisted out of the lane
 //! loop); gather levels run as fused sweeps — all K addresses, then
@@ -73,8 +73,8 @@ pub enum VrStatus {
 }
 
 /// One bit per lane, packed into machine words so scan/filter/
-/// reconvergence/poisoning are word-wide bit operations instead of
-/// per-lane bool walks.
+/// poisoning are word-wide bit operations instead of per-lane bool
+/// walks.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub(crate) struct LaneMask([u64; LaneMask::WORDS]);
 
@@ -232,7 +232,7 @@ struct Batch {
     k: usize,
     /// Per-lane next PC (the lockstep group shares one fetch PC; these
     /// only diverge transiently at control ops, and divergent lanes
-    /// are immediately parked or invalidated).
+    /// are immediately invalidated).
     pcs: Vec<u64>,
     /// Integer register columns: register `r` of lane `l` at
     /// `r·cap + l`. The `x0` column is never written.
@@ -245,8 +245,6 @@ struct Batch {
     overlays: Vec<StoreOverlay>,
     /// Executing in the current SIMT group.
     active: LaneMask,
-    /// Suspended on the reconvergence stack (extension).
-    parked: LaneMask,
     /// Reached the chain termination point.
     done: LaneMask,
     /// Invalidated by fault injection (accounting only; disjoint from
@@ -279,12 +277,6 @@ struct Batch {
     /// Sub-accesses issued so far for the in-flight gather level.
     issued_in_level: usize,
     chain_insts: usize,
-    /// Parked divergent lane groups awaiting execution (reconvergence
-    /// extension): one mask per group, popped LIFO.
-    reconv_groups: Vec<LaneMask>,
-    /// Loop-bound discovery saw the loop end inside this batch: no
-    /// further batches of this stride exist.
-    last_batch: bool,
 }
 
 impl Batch {
@@ -298,7 +290,6 @@ impl Batch {
             fcols: vec![0.0; FReg::COUNT * cap],
             overlays: (0..cap).map(|_| StoreOverlay::new()).collect(),
             active: LaneMask::default(),
-            parked: LaneMask::default(),
             done: LaneMask::default(),
             poisoned: LaneMask::default(),
             at_gather: LaneMask::default(),
@@ -312,8 +303,6 @@ impl Batch {
             first_copy_ready: 0,
             issued_in_level: 0,
             chain_insts: 0,
-            reconv_groups: Vec::with_capacity(cap),
-            last_batch: false,
         }
     }
 
@@ -331,7 +320,6 @@ impl Batch {
             self.overlays.push(StoreOverlay::new());
         }
         self.pending_gather.reserve(lanes.saturating_sub(self.pending_gather.capacity()));
-        self.reconv_groups.reserve(lanes.saturating_sub(self.reconv_groups.capacity()));
     }
 
     /// Gather sub-accesses not yet accepted by the memory system.
@@ -361,9 +349,7 @@ enum PhaseKind {
 pub struct VectorRunahead {
     lanes: usize,
     chain_budget: usize,
-    discovery: bool,
     termination_slack: Option<u64>,
-    reconvergence: bool,
     vir_pipelining: bool,
     vec_alu: usize,
     width: usize,
@@ -375,14 +361,10 @@ pub struct VectorRunahead {
     /// detector, so batch *n* starts K strides past batch *n−1*
     /// regardless of the (scalar, non-vectorized) induction registers.
     next_base: Option<(u64, u64)>,
-    /// Reusable throw-away overlay for loop-bound discovery probes.
-    probe_overlay: StoreOverlay,
     /// Per-tick scratch (DESIGN.md §12/§14): fused-sweep worklists
     /// reused across ticks and episodes.
     scratch_mem: Vec<(usize, u64)>,
     scratch_val: Vec<u64>,
-    scratch_div_pcs: Vec<u64>,
-    scratch_div_masks: Vec<LaneMask>,
     /// Whether any striding load was vectorized this interval.
     pub found_stride: bool,
     /// Batches completed or started.
@@ -393,9 +375,6 @@ pub struct VectorRunahead {
     pub lanes_spawned: u64,
     /// Lanes invalidated by divergence or faults.
     pub lanes_invalidated: u64,
-    /// Divergent lanes parked and later resumed via the reconvergence
-    /// stack (extension; zero when it is disabled).
-    pub lanes_reconverged: u64,
 }
 
 impl VectorRunahead {
@@ -411,9 +390,7 @@ impl VectorRunahead {
         VectorRunahead {
             lanes: cfg.vr_lanes,
             chain_budget: cfg.chain_budget,
-            discovery: cfg.loop_bound_discovery,
             termination_slack: cfg.termination_slack,
-            reconvergence: cfg.reconvergence,
             vir_pipelining: cfg.vir_pipelining,
             vec_alu: vec_alu.max(1),
             width,
@@ -426,17 +403,13 @@ impl VectorRunahead {
             },
             batch: Batch::with_capacity(cfg.vr_lanes),
             next_base: None,
-            probe_overlay: StoreOverlay::new(),
             scratch_mem: Vec::with_capacity(cfg.vr_lanes),
             scratch_val: Vec::with_capacity(cfg.vr_lanes),
-            scratch_div_pcs: Vec::with_capacity(cfg.vr_lanes),
-            scratch_div_masks: Vec::with_capacity(cfg.vr_lanes),
             found_stride: false,
             batches: 0,
             batches_aborted: 0,
             lanes_spawned: 0,
             lanes_invalidated: 0,
-            lanes_reconverged: 0,
         }
     }
 
@@ -448,9 +421,7 @@ impl VectorRunahead {
         assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);
         self.lanes = cfg.vr_lanes;
         self.chain_budget = cfg.chain_budget;
-        self.discovery = cfg.loop_bound_discovery;
         self.termination_slack = cfg.termination_slack;
-        self.reconvergence = cfg.reconvergence;
         self.vir_pipelining = cfg.vir_pipelining;
         self.vec_alu = vec_alu.max(1);
         self.width = width;
@@ -465,7 +436,6 @@ impl VectorRunahead {
         self.batches_aborted = 0;
         self.lanes_spawned = 0;
         self.lanes_invalidated = 0;
-        self.lanes_reconverged = 0;
         self.batch.ensure_lanes(cfg.vr_lanes);
         // The rest of the batch state is fully re-initialized by
         // `start_batch`; nothing reads it while the phase is Scan.
@@ -547,7 +517,6 @@ impl VectorRunahead {
         invariant::check_lane_masks(
             b.k,
             b.active.words(),
-            b.parked.words(),
             b.done.words(),
             b.poisoned.words(),
             b.at_gather.words(),
@@ -606,53 +575,6 @@ impl VectorRunahead {
         VrStatus::Working
     }
 
-    /// Observes the future trip count of the loop around `stride_pc`
-    /// by running a throw-away cursor forward (the loop-bound
-    /// discovery extension). The probe overlay is a reusable scratch
-    /// copy of the scan overlay.
-    /// Returns `Some(trips)` when the probe *observed the loop end*
-    /// within its budget (the cap applies), or `None` when it ran out
-    /// of budget with the loop still going (no evidence of a bound —
-    /// vectorize fully).
-    fn discover_trip_count(
-        ctx: &RaCtx<'_>,
-        cursor: &Cpu,
-        ov: &mut StoreOverlay,
-        stride_pc: u64,
-        lanes: usize,
-    ) -> Option<usize> {
-        let mut probe = *cursor;
-        let mut count = 0usize;
-        // Step past the striding load first so re-encounters count.
-        for step_no in 0..lanes * 64 {
-            match probe.step_spec(ctx.prog, ctx.mem, ov) {
-                Ok(s) => {
-                    if s.halted {
-                        return Some(count.max(1)); // loop (and program) ended
-                    }
-                    if step_no > 0 && probe.pc() == stride_pc {
-                        count += 1;
-                        if count >= lanes {
-                            return None; // enough iterations exist
-                        }
-                    }
-                }
-                Err(_) => return Some(count.max(1)),
-            }
-        }
-        // Budget exhausted without reaching K re-encounters: if the
-        // striding load never recurred at all, the "loop" left this
-        // region — cap hard; otherwise the iterations are just long,
-        // and the observed count is a safe lower bound to cap at only
-        // when the exit was actually seen. Without exit evidence,
-        // vectorize fully.
-        if count == 0 {
-            Some(1)
-        } else {
-            None
-        }
-    }
-
     /// Forks `k` lanes off the scan state (the scan cursor sits at the
     /// striding load): broadcasts the cursor's register files into the
     /// lane columns, executes the striding load for each lane's future
@@ -666,26 +588,7 @@ impl VectorRunahead {
             _ => reg_base,
         };
         let width_bytes = inst.mem_width().map_or(8, |w| w.bytes());
-
-        let mut k = self.lanes;
-        let mut setup_cost = 1;
-        let mut last_batch = false;
-        if self.discovery {
-            self.probe_overlay.copy_from(&self.scan.overlay);
-            if let Some(trips) = Self::discover_trip_count(
-                ctx,
-                &cursor,
-                &mut self.probe_overlay,
-                stride_pc,
-                self.lanes,
-            ) {
-                if trips < k {
-                    k = trips;
-                    last_batch = true;
-                }
-            }
-            setup_cost = 8; // discovery bookkeeping latency
-        }
+        let k = self.lanes;
 
         self.found_stride = true;
         self.batches += 1;
@@ -731,7 +634,6 @@ impl VectorRunahead {
             batch.pending_gather.push((l, addr));
         }
         batch.active = LaneMask::prefix(k);
-        batch.parked = LaneMask::default();
         batch.done = LaneMask::default();
         batch.poisoned = LaneMask::default();
         batch.at_gather = LaneMask::prefix(k);
@@ -743,14 +645,12 @@ impl VectorRunahead {
         if let Some(d) = dst {
             batch.reg_ready[d.flat_index()] = u64::MAX;
         }
-        batch.wait_until = ctx.now + setup_cost;
+        batch.wait_until = ctx.now + 1;
         batch.gather_dst = dst.map(RegRef::flat_index);
         batch.gather_ready_max = 0;
         batch.first_copy_ready = 0;
         batch.issued_in_level = 0;
         batch.chain_insts = 0;
-        batch.reconv_groups.clear();
-        batch.last_batch = last_batch;
         self.phase = PhaseKind::Batch;
     }
 
@@ -823,29 +723,19 @@ impl VectorRunahead {
         }
 
         // 2. Batch boundary?
-        let lane0_pc = match batch.active.first() {
-            Some(l) => batch.pcs[l],
-            None => {
-                // The current group died: resume a parked divergent
-                // group if any, otherwise abandon the batch.
-                if self.pop_reconvergence_group() {
-                    return VrStatus::Working;
-                }
-                return self.finish_batch(interval_over);
-            }
+        let Some(lane0) = batch.active.first() else {
+            // Every lane died: abandon the batch.
+            return self.finish_batch(interval_over);
         };
+        let lane0_pc = batch.pcs[lane0];
         let group_terminated = lane0_pc == batch.stride_pc
             || batch.chain_insts >= self.chain_budget
             || ctx.prog.fetch(lane0_pc).is_none();
         if group_terminated {
-            // The active group reached the reconvergence point (the
-            // vector-runahead termination point): one mask OR retires
-            // the whole group.
+            // The lockstep group reached the vector-runahead
+            // termination point: one mask OR retires it whole.
             batch.done |= batch.active;
             batch.active = LaneMask::default();
-            if self.pop_reconvergence_group() {
-                return VrStatus::Working;
-            }
             return self.finish_batch(interval_over);
         }
         let inst = *ctx.prog.fetch(lane0_pc).expect("checked above");
@@ -888,46 +778,18 @@ impl VectorRunahead {
             )
         };
 
-        // Divergence: follow the first live lane's control flow.
-        // Deviating lanes are invalidated (ISCA'21 baseline) or parked
-        // on the reconvergence stack (extension). Only per-lane
-        // control targets (conditional branches and Jalr) can split
-        // the lockstep group.
+        // Divergence: follow the first live lane's control flow and
+        // invalidate every deviating lane (ISCA'21 VR has no
+        // reconvergence). Only per-lane control targets (conditional
+        // branches and Jalr) can split the lockstep group.
         if matches!(inst.op, Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu | Op::Jalr)
         {
-            let VectorRunahead {
-                batch, scratch_div_pcs, scratch_div_masks, lanes_invalidated, ..
-            } = self;
-            let mut it = exec_mask.iter();
-            if let Some(first) = it.next() {
-                let pc0 = batch.pcs[first];
-                scratch_div_pcs.clear();
-                scratch_div_masks.clear();
-                for l in it {
-                    let pc = batch.pcs[l];
-                    if pc == pc0 {
-                        continue;
-                    }
+            let batch = &mut self.batch;
+            let pc0 = batch.pcs[lane0];
+            for l in exec_mask.iter() {
+                if batch.pcs[l] != pc0 {
                     batch.active.clear(l);
-                    if self.reconvergence {
-                        batch.parked.set(l);
-                        match scratch_div_pcs.iter().position(|&p| p == pc) {
-                            Some(g) => scratch_div_masks[g].set(l),
-                            None => {
-                                scratch_div_pcs.push(pc);
-                                let mut m = LaneMask::default();
-                                m.set(l);
-                                scratch_div_masks.push(m);
-                            }
-                        }
-                    } else {
-                        *lanes_invalidated += 1;
-                    }
-                }
-                // Push the per-PC groups onto the reconvergence stack
-                // in first-seen order.
-                for m in scratch_div_masks.iter() {
-                    batch.reconv_groups.push(*m);
+                    self.lanes_invalidated += 1;
                 }
             }
         }
@@ -971,33 +833,12 @@ impl VectorRunahead {
         VrStatus::Working
     }
 
-    /// Resumes the most recently parked divergent lane group, if any
-    /// (reconvergence-stack extension). Returns whether a group was
-    /// resumed.
-    fn pop_reconvergence_group(&mut self) -> bool {
-        if self.phase != PhaseKind::Batch {
-            return false;
-        }
-        let batch = &mut self.batch;
-        let Some(group) = batch.reconv_groups.pop() else { return false };
-        debug_assert_eq!(group & batch.parked, group, "reconvergence groups hold parked lanes");
-        batch.parked &= !group;
-        batch.active |= group;
-        self.lanes_reconverged += group.count() as u64;
-        true
-    }
-
     fn finish_batch(&mut self, interval_over: bool) -> VrStatus {
         let VectorRunahead { batch, scan, .. } = self;
         // Continue scanning from the most advanced surviving lane (it
         // sits at the striding load of a further future iteration), so
         // the next batch covers the iterations after this one.
-        let survivor = if batch.last_batch {
-            None // discovery saw the loop end: nothing left to vectorize
-        } else {
-            (batch.active | batch.done).last()
-        };
-        match survivor {
+        match (batch.active | batch.done).last() {
             Some(l) => {
                 let cap = batch.cap;
                 let mut cpu = Cpu::new();
@@ -1385,19 +1226,12 @@ pub(crate) mod reference {
         cpu: Cpu,
         overlay: StoreOverlay,
         active: bool,
-        parked: bool,
         done: bool,
     }
 
     impl Lane {
         fn fresh() -> Lane {
-            Lane {
-                cpu: Cpu::new(),
-                overlay: StoreOverlay::new(),
-                active: false,
-                parked: false,
-                done: false,
-            }
+            Lane { cpu: Cpu::new(), overlay: StoreOverlay::new(), active: false, done: false }
         }
     }
 
@@ -1416,9 +1250,6 @@ pub(crate) mod reference {
         first_copy_ready: u64,
         issued_in_level: usize,
         chain_insts: usize,
-        reconv_lanes: Vec<usize>,
-        reconv_group_starts: Vec<usize>,
-        last_batch: bool,
     }
 
     impl Batch {
@@ -1437,9 +1268,6 @@ pub(crate) mod reference {
                 first_copy_ready: 0,
                 issued_in_level: 0,
                 chain_insts: 0,
-                reconv_lanes: Vec::new(),
-                reconv_group_starts: Vec::new(),
-                last_batch: false,
             }
         }
 
@@ -1467,9 +1295,7 @@ pub(crate) mod reference {
     pub(crate) struct ReferenceVectorRunahead {
         lanes: usize,
         chain_budget: usize,
-        discovery: bool,
         termination_slack: Option<u64>,
-        reconvergence: bool,
         vir_pipelining: bool,
         vec_alu: usize,
         width: usize,
@@ -1477,17 +1303,13 @@ pub(crate) mod reference {
         scan: Scan,
         batch: Batch,
         next_base: Option<(u64, u64)>,
-        probe_overlay: StoreOverlay,
         scratch_active: Vec<usize>,
         scratch_stepped: Vec<(usize, u64)>,
-        scratch_div_pcs: Vec<u64>,
-        scratch_div_lanes: Vec<(u64, usize)>,
         pub found_stride: bool,
         pub batches: u64,
         pub batches_aborted: u64,
         pub lanes_spawned: u64,
         pub lanes_invalidated: u64,
-        pub lanes_reconverged: u64,
     }
 
     impl ReferenceVectorRunahead {
@@ -1500,9 +1322,7 @@ pub(crate) mod reference {
             ReferenceVectorRunahead {
                 lanes: cfg.vr_lanes,
                 chain_budget: cfg.chain_budget,
-                discovery: cfg.loop_bound_discovery,
                 termination_slack: cfg.termination_slack,
-                reconvergence: cfg.reconvergence,
                 vir_pipelining: cfg.vir_pipelining,
                 vec_alu: vec_alu.max(1),
                 width,
@@ -1515,26 +1335,20 @@ pub(crate) mod reference {
                 },
                 batch: Batch::idle(),
                 next_base: None,
-                probe_overlay: StoreOverlay::new(),
                 scratch_active: Vec::new(),
                 scratch_stepped: Vec::new(),
-                scratch_div_pcs: Vec::new(),
-                scratch_div_lanes: Vec::new(),
                 found_stride: false,
                 batches: 0,
                 batches_aborted: 0,
                 lanes_spawned: 0,
                 lanes_invalidated: 0,
-                lanes_reconverged: 0,
             }
         }
 
         pub fn reset(&mut self, cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) {
             self.lanes = cfg.vr_lanes;
             self.chain_budget = cfg.chain_budget;
-            self.discovery = cfg.loop_bound_discovery;
             self.termination_slack = cfg.termination_slack;
-            self.reconvergence = cfg.reconvergence;
             self.vir_pipelining = cfg.vir_pipelining;
             self.vec_alu = vec_alu.max(1);
             self.width = width;
@@ -1549,7 +1363,6 @@ pub(crate) mod reference {
             self.batches_aborted = 0;
             self.lanes_spawned = 0;
             self.lanes_invalidated = 0;
-            self.lanes_reconverged = 0;
         }
 
         pub(crate) fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
@@ -1601,38 +1414,6 @@ pub(crate) mod reference {
             VrStatus::Working
         }
 
-        fn discover_trip_count(
-            ctx: &RaCtx<'_>,
-            cursor: &Cpu,
-            ov: &mut StoreOverlay,
-            stride_pc: u64,
-            lanes: usize,
-        ) -> Option<usize> {
-            let mut probe = *cursor;
-            let mut count = 0usize;
-            for step_no in 0..lanes * 64 {
-                match probe.step_spec(ctx.prog, ctx.mem, ov) {
-                    Ok(s) => {
-                        if s.halted {
-                            return Some(count.max(1));
-                        }
-                        if step_no > 0 && probe.pc() == stride_pc {
-                            count += 1;
-                            if count >= lanes {
-                                return None;
-                            }
-                        }
-                    }
-                    Err(_) => return Some(count.max(1)),
-                }
-            }
-            if count == 0 {
-                Some(1)
-            } else {
-                None
-            }
-        }
-
         fn start_batch(&mut self, ctx: &mut RaCtx<'_>, inst: vr_isa::Inst, stride: i64) {
             let cursor = self.scan.cursor;
             let stride_pc = cursor.pc();
@@ -1642,26 +1423,7 @@ pub(crate) mod reference {
                 _ => reg_base,
             };
             let width_bytes = inst.mem_width().map_or(8, |w| w.bytes());
-
-            let mut k = self.lanes;
-            let mut setup_cost = 1;
-            let mut last_batch = false;
-            if self.discovery {
-                self.probe_overlay.copy_from(&self.scan.overlay);
-                if let Some(trips) = Self::discover_trip_count(
-                    ctx,
-                    &cursor,
-                    &mut self.probe_overlay,
-                    stride_pc,
-                    self.lanes,
-                ) {
-                    if trips < k {
-                        k = trips;
-                        last_batch = true;
-                    }
-                }
-                setup_cost = 8;
-            }
+            let k = self.lanes;
 
             self.found_stride = true;
             self.batches += 1;
@@ -1696,7 +1458,6 @@ pub(crate) mod reference {
                 lane.cpu = cpu;
                 lane.overlay.copy_from(&self.scan.overlay);
                 lane.active = true;
-                lane.parked = false;
                 lane.done = false;
                 batch.pending_gather.push((l, addr));
             }
@@ -1705,15 +1466,12 @@ pub(crate) mod reference {
             if let Some(d) = dst {
                 batch.reg_ready[d.flat_index()] = u64::MAX;
             }
-            batch.wait_until = ctx.now + setup_cost;
+            batch.wait_until = ctx.now + 1;
             batch.gather_dst = dst.map(RegRef::flat_index);
             batch.gather_ready_max = 0;
             batch.first_copy_ready = 0;
             batch.issued_in_level = 0;
             batch.chain_insts = 0;
-            batch.reconv_lanes.clear();
-            batch.reconv_group_starts.clear();
-            batch.last_batch = last_batch;
             self.phase = PhaseKind::Batch;
         }
 
@@ -1772,15 +1530,10 @@ pub(crate) mod reference {
                 return VrStatus::Working;
             }
 
-            let lane0_pc = match batch.lanes[..batch.k].iter().find(|l| l.active) {
-                Some(l) => l.cpu.pc(),
-                None => {
-                    if self.pop_reconvergence_group() {
-                        return VrStatus::Working;
-                    }
-                    return self.finish_batch(interval_over);
-                }
+            let Some(lane0) = batch.lanes[..batch.k].iter().find(|l| l.active) else {
+                return self.finish_batch(interval_over);
             };
+            let lane0_pc = lane0.cpu.pc();
             let group_terminated = lane0_pc == batch.stride_pc
                 || batch.chain_insts >= self.chain_budget
                 || ctx.prog.fetch(lane0_pc).is_none();
@@ -1788,9 +1541,6 @@ pub(crate) mod reference {
                 for lane in batch.lanes[..batch.k].iter_mut().filter(|l| l.active) {
                     lane.active = false;
                     lane.done = true;
-                }
-                if self.pop_reconvergence_group() {
-                    return VrStatus::Working;
                 }
                 return self.finish_batch(interval_over);
             }
@@ -1860,39 +1610,10 @@ pub(crate) mod reference {
                 }
             }
             if let Some(&(_, pc0)) = self.scratch_stepped.first() {
-                let ReferenceVectorRunahead {
-                    batch,
-                    scratch_stepped,
-                    scratch_div_pcs,
-                    scratch_div_lanes,
-                    lanes_invalidated,
-                    ..
-                } = self;
-                scratch_div_pcs.clear();
-                scratch_div_lanes.clear();
-                for &(i, pc) in &scratch_stepped[1..] {
-                    if pc == pc0 {
-                        continue;
-                    }
-                    if self.reconvergence {
-                        let lane = &mut batch.lanes[i];
-                        lane.active = false;
-                        lane.parked = true;
-                        if !scratch_div_pcs.contains(&pc) {
-                            scratch_div_pcs.push(pc);
-                        }
-                        scratch_div_lanes.push((pc, i));
-                    } else {
-                        batch.lanes[i].active = false;
-                        *lanes_invalidated += 1;
-                    }
-                }
-                for &pc in scratch_div_pcs.iter() {
-                    batch.reconv_group_starts.push(batch.reconv_lanes.len());
-                    for &(gpc, i) in scratch_div_lanes.iter() {
-                        if gpc == pc {
-                            batch.reconv_lanes.push(i);
-                        }
+                for &(i, pc) in &self.scratch_stepped[1..] {
+                    if pc != pc0 {
+                        self.batch.lanes[i].active = false;
+                        self.lanes_invalidated += 1;
                     }
                 }
             }
@@ -1932,32 +1653,9 @@ pub(crate) mod reference {
             VrStatus::Working
         }
 
-        fn pop_reconvergence_group(&mut self) -> bool {
-            if self.phase != PhaseKind::Batch {
-                return false;
-            }
-            let batch = &mut self.batch;
-            let Some(start) = batch.reconv_group_starts.pop() else { return false };
-            for &i in &batch.reconv_lanes[start..] {
-                let lane = &mut batch.lanes[i];
-                if lane.parked {
-                    lane.parked = false;
-                    lane.active = true;
-                    self.lanes_reconverged += 1;
-                }
-            }
-            batch.reconv_lanes.truncate(start);
-            true
-        }
-
         fn finish_batch(&mut self, interval_over: bool) -> VrStatus {
             let ReferenceVectorRunahead { batch, scan, .. } = self;
-            let survivor = if batch.last_batch {
-                None
-            } else {
-                batch.lanes[..batch.k].iter().rev().find(|l| l.active || l.done)
-            };
-            match survivor {
+            match batch.lanes[..batch.k].iter().rev().find(|l| l.active || l.done) {
                 Some(lane) => {
                     scan.cursor = lane.cpu;
                     scan.overlay.copy_from(&lane.overlay);
@@ -2111,7 +1809,6 @@ mod tests {
         assert_eq!(pooled.batches, fresh.batches);
         assert_eq!(pooled.lanes_spawned, fresh.lanes_spawned);
         assert_eq!(pooled.lanes_invalidated, fresh.lanes_invalidated);
-        assert_eq!(pooled.lanes_reconverged, fresh.lanes_reconverged);
         assert_eq!(pooled.batches_aborted, fresh.batches_aborted);
     }
 
@@ -2165,33 +1862,6 @@ mod tests {
         assert!(vr.batches >= 2, "expected several batches, got {}", vr.batches);
     }
 
-    #[test]
-    fn loop_bound_discovery_caps_lanes() {
-        let (prog, mem, mut ms, mut cpu, _) = indirect_setup();
-        // Only 6 iterations remain.
-        cpu.set_x(Reg::T0, (256 - 6) * 8);
-        let cfg =
-            RunaheadConfig { vr_lanes: 64, loop_bound_discovery: true, ..RunaheadConfig::vector() };
-        let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
-        run_engine(&mut vr, &prog, &mem, &mut ms, 1500);
-        assert!(vr.found_stride);
-        assert!(
-            vr.lanes_spawned <= 8,
-            "discovery should cap lanes near the 6 remaining iterations, got {}",
-            vr.lanes_spawned
-        );
-
-        // Without discovery, the full 64 lanes are spawned (overfetch).
-        let mut ms2 = MemorySystem::new(MemConfig::table1());
-        for i in 0..4u64 {
-            ms2.train_prefetchers(1, 0x10000 + i * 8, 0, i, |_| 0);
-        }
-        let cfg2 = RunaheadConfig { vr_lanes: 64, ..RunaheadConfig::vector() };
-        let mut vr2 = VectorRunahead::new(cpu, &cfg2, 5, 3);
-        run_engine(&mut vr2, &prog, &mem, &mut ms2, 1500);
-        assert!(vr2.lanes_spawned >= 64);
-    }
-
     /// Divergence workload: lanes branch on the loaded value's parity.
     fn parity_setup() -> (Program, Memory, Cpu) {
         let mut a = Asm::new();
@@ -2240,56 +1910,6 @@ mod tests {
             vr.lanes_invalidated >= 7,
             "alternating parity must kill ≈half the lanes per batch, got {}",
             vr.lanes_invalidated
-        );
-    }
-
-    #[test]
-    fn reconvergence_extension_executes_divergent_paths() {
-        // Same alternating-parity divergence as above, but with the
-        // reconvergence stack: the odd lanes' if-body loads must also
-        // be prefetched instead of the lanes dying.
-        let (prog, mem, mut cpu) = parity_setup();
-        // Base A[3]: lane 0 loads A[4] = 4 (even) and takes the skip
-        // path, so the if-body load sits entirely on the *divergent*
-        // (odd) lanes — only reconvergence can prefetch it.
-        cpu.set_x(Reg::T0, 24);
-
-        let run = |reconverge: bool| {
-            let mut ms = MemorySystem::new(MemConfig::table1());
-            for i in 0..4u64 {
-                ms.train_prefetchers(1, 0x10000 + i * 8, 0, i, |_| 0);
-            }
-            let cfg = RunaheadConfig {
-                vr_lanes: 16,
-                reconvergence: reconverge,
-                ..RunaheadConfig::vector()
-            };
-            let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
-            let mut now = 0;
-            while now < 3000 {
-                let mut ctx = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now };
-                vr.step_cycle(&mut ctx, false);
-                now += 1;
-            }
-            // Count prefetched if-body targets B[v] for odd v in the
-            // first batch's lane range (A indices 4..20 ⇒ values 4..20).
-            let covered = (4..20u64).filter(|v| v % 2 == 1 && ms.in_l1(0x20000 + v * 8)).count();
-            (vr, covered)
-        };
-
-        let (vr_off, covered_off) = run(false);
-        assert!(vr_off.lanes_invalidated > 0);
-        assert_eq!(vr_off.lanes_reconverged, 0);
-
-        let (vr_on, covered_on) = run(true);
-        assert!(vr_on.lanes_reconverged > 0, "divergent lanes must be parked and resumed");
-        assert!(
-            covered_on > covered_off,
-            "reconvergence must prefetch divergent-path loads: {covered_on} vs {covered_off}"
-        );
-        assert!(
-            vr_on.lanes_invalidated < vr_off.lanes_invalidated,
-            "parking replaces invalidation"
         );
     }
 
@@ -2378,7 +1998,6 @@ mod tests {
         assert_eq!(vr.batches_aborted, rf.batches_aborted);
         assert_eq!(vr.lanes_spawned, rf.lanes_spawned);
         assert_eq!(vr.lanes_invalidated, rf.lanes_invalidated);
-        assert_eq!(vr.lanes_reconverged, rf.lanes_reconverged);
         for &a in probe {
             assert_eq!(ms_new.in_l1(a), ms_ref.in_l1(a), "L1 state diverged at {a:#x}");
         }
@@ -2396,22 +2015,20 @@ mod tests {
             let cfg = RunaheadConfig { vr_lanes: lanes, ..RunaheadConfig::vector() };
             assert_matches_reference(&prog, &mem, cpu, &cfg, 6000, &probe);
         }
-        // Loop-bound discovery.
+        // No VIR pipelining (gathers barrier on the slowest lane).
         let cfg =
-            RunaheadConfig { vr_lanes: 64, loop_bound_discovery: true, ..RunaheadConfig::vector() };
+            RunaheadConfig { vr_lanes: 64, vir_pipelining: false, ..RunaheadConfig::vector() };
         assert_matches_reference(&prog, &mem, cpu, &cfg, 6000, &probe);
         // Bounded delayed termination.
         let cfg =
             RunaheadConfig { vr_lanes: 16, termination_slack: Some(4), ..RunaheadConfig::vector() };
         assert_matches_reference(&prog, &mem, cpu, &cfg, 6000, &probe);
 
-        // Divergence (invalidation) and reconvergence (parking).
+        // Divergence (invalidation).
         let (prog, mem, cpu) = parity_setup();
         let probe: Vec<u64> = (0..128u64).map(|v| 0x20000 + v * 8).collect();
-        for reconvergence in [false, true] {
-            let cfg = RunaheadConfig { vr_lanes: 16, reconvergence, ..RunaheadConfig::vector() };
-            assert_matches_reference(&prog, &mem, cpu, &cfg, 4000, &probe);
-        }
+        let cfg = RunaheadConfig { vr_lanes: 16, ..RunaheadConfig::vector() };
+        assert_matches_reference(&prog, &mem, cpu, &cfg, 4000, &probe);
     }
 
     #[test]
@@ -2474,7 +2091,7 @@ mod tests {
     #[test]
     fn lane_mask_invariants_hold_mid_batch() {
         let (prog, mem, mut ms, cpu, _) = indirect_setup();
-        let cfg = RunaheadConfig { vr_lanes: 16, reconvergence: true, ..RunaheadConfig::vector() };
+        let cfg = RunaheadConfig { vr_lanes: 16, ..RunaheadConfig::vector() };
         let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
         let mut rng = vr_isa::SplitMix64::new(7);
         for now in 0..3000u64 {

@@ -108,9 +108,8 @@ fn hostile_plan_with_all_extensions_is_invisible() {
     let (_, baseline) = run_to_halt(&w, RunaheadConfig::none());
     let ra = RunaheadConfig {
         eager_trigger: true,
-        loop_bound_discovery: true,
         termination_slack: Some(64),
-        reconvergence: true,
+        vir_pipelining: false,
         fault_plan: Some(FaultPlan {
             seed: 99,
             abort_episode: 0.05,

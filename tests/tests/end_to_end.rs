@@ -192,23 +192,3 @@ fn ipc_converges_within_small_budgets() {
         rel * 100.0
     );
 }
-
-/// The reconvergence extension must never lose prefetch coverage
-/// relative to lane invalidation on a divergent workload (bfs).
-#[test]
-fn reconvergence_extension_helps_divergent_graph_code() {
-    let g = graph::kronecker(14, 12, 5);
-    let w = gap::bfs_on(&g, graph::GraphPreset::Kron);
-    let plain = simulate(&w, RunaheadConfig::vector(), 250_000);
-    let reconv =
-        simulate(&w, RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }, 250_000);
-    if reconv.vr_lanes_reconverged > 0 {
-        assert!(
-            reconv.vr_lanes_invalidated <= plain.vr_lanes_invalidated,
-            "parking replaces invalidation: {} vs {}",
-            reconv.vr_lanes_invalidated,
-            plain.vr_lanes_invalidated
-        );
-    }
-    assert!(plain.vr_lanes_reconverged == 0, "baseline VR never reconverges");
-}
