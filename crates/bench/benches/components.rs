@@ -8,7 +8,7 @@
 
 use vr_bench::micro::{black_box, Runner};
 use vr_chip::{Chip, ChipConfig, CoreSlot};
-use vr_core::wakeup::{WakeupLists, NO_LINK};
+use vr_core::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_frontend::{DirectionPredictor, Tage};
 use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
@@ -278,6 +278,48 @@ fn bench_wakeup_lists() {
     });
 }
 
+/// The issue stage's other two lookups (DESIGN.md §9, §12): which
+/// older in-flight store a load forwards from, and which producers
+/// complete this cycle.
+fn bench_sched() {
+    let r = Runner::new("sched");
+
+    // A load at the young end of a full 350-entry window with 8 stores
+    // in flight beneath it, none to its address (the common verdict):
+    // the ring scans 8 entries where the ROB walk visited 350 slots.
+    let mut ring = StoreRing::new(CoreConfig::table1().sq);
+    for i in 0..8u64 {
+        ring.push(InFlightStore { seq: i * 40, addr: 0x1000 + i * 64, bytes: 8 });
+    }
+    let mut a = 0u64;
+    r.bench("forward_lookup", || {
+        a = (a + 8) & 0x3f;
+        black_box(ring.forwarder(350, 0x8000 + a, 8))
+    });
+
+    // One event scheduled and one drained per iteration, four cycles
+    // apart (an L1 hit): both ends on the wheel.
+    const SLOTS: usize = 512;
+    let mut q = CompletionQueue::new(SLOTS);
+    let (mut now, mut seq) = (0u64, 0u64);
+    r.bench("completion_push_pop_near", || {
+        now += 1;
+        seq += 1;
+        q.push(now, now + 4, seq);
+        black_box(q.pop_due(now))
+    });
+
+    // The same, 200 cycles apart at one event per 8 cycles (DRAM-bound
+    // loads): both ends on the far heap, ~25 events deep.
+    let mut q = CompletionQueue::new(SLOTS);
+    r.bench("completion_push_pop_far", || {
+        now += 8;
+        seq += 1;
+        q.push(now, now + 200, seq);
+        black_box(q.pop_due(now))
+    });
+}
+
 /// The shared-LLC broker hot path (DESIGN.md §17): one `access_line`
 /// through an owned `&mut` (the install/take protocol the chip uses),
 /// which the chip pays once per *core memory access*.
@@ -428,6 +470,7 @@ fn main() {
     bench_store_overlay();
     bench_lane_masks();
     bench_wakeup_lists();
+    bench_sched();
     bench_shared_llc();
     bench_chip_step();
 }

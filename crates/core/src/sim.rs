@@ -1,7 +1,6 @@
 //! The out-of-order core timing model and runahead orchestration.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use vr_frontend::{Btb, DirectionPredictor, Ras, TageScL};
 use vr_isa::{Cpu, Inst, Memory, OpClass, Program, Reg, RegRef, SplitMix64, Step};
@@ -14,7 +13,7 @@ use crate::stats::SimStats;
 use crate::telemetry::{EpisodeExit, EpisodeKind, Telemetry};
 use crate::trace::{PipelineTrace, TraceRecord};
 use crate::vector::{VectorRunahead, VrStatus};
-use crate::wakeup::{WakeupLists, NO_LINK};
+use crate::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
 
 /// Cycles a decoupled (eager-trigger extension) vector-runahead
 /// episode runs before yielding.
@@ -230,12 +229,16 @@ pub struct Simulator {
     last_writer: [Option<u64>; RegRef::FLAT_COUNT],
     /// Completion events `(done_at, producer seq)` — the event-driven
     /// wakeup queue. The flush path purges events for squashed seqs
-    /// (see [`Self::purge_stale_wake_events`]), so every event in the
-    /// heap is valid when it pops.
-    wake_events: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Intrusive per-producer waiter chains over the slab, replacing
-    /// the PR 2 `HashMap<u64, Vec<u64>>` (see [`crate::wakeup`]).
+    /// (see [`Self::flush_after_head`]), so every queued event is valid
+    /// when it pops.
+    wake_events: CompletionQueue,
+    /// Intrusive per-producer waiter chains over the slab (see
+    /// [`crate::wakeup`]).
     wakeup: WakeupLists,
+    /// The ROB's stores — dispatched, not yet committed — in program
+    /// order: what a load checks for store-to-load forwarding. Its
+    /// length is the store-queue occupancy.
+    stores: StoreRing,
     /// Dispatched, unissued slots with no outstanding producers,
     /// sorted by seq (program order — the issue priority).
     ready: Vec<u64>,
@@ -246,7 +249,6 @@ pub struct Simulator {
     free_fp: isize,
     iq_used: usize,
     lq_used: usize,
-    sq_used: usize,
     store_buffer: VecDeque<(u64, u64)>,
     pending_branch: Option<u64>,
     div_busy_until: u64,
@@ -325,17 +327,15 @@ impl Simulator {
             rob_end_seq: 0,
             next_seq: 0,
             last_writer: [None; RegRef::FLAT_COUNT],
-            // One live completion event per issued in-flight slot, so
-            // the heap never outgrows the slab (checked invariant).
-            wake_events: BinaryHeap::with_capacity(n_slots),
+            wake_events: CompletionQueue::new(n_slots),
             wakeup: WakeupLists::new(n_slots),
+            stores: StoreRing::new(cfg.sq),
             ready: Vec::with_capacity(n_slots),
             ready_scratch: Vec::with_capacity(n_slots),
             free_int,
             free_fp,
             iq_used: 0,
             lq_used: 0,
-            sq_used: 0,
             store_buffer: VecDeque::with_capacity(cfg.store_buffer),
             pending_branch: None,
             div_busy_until: 0,
@@ -658,7 +658,7 @@ impl Simulator {
             iq_cap: self.cfg.iq,
             lq_used: self.lq_used,
             lq_cap: self.cfg.lq,
-            sq_used: self.sq_used,
+            sq_used: self.stores.len(),
             sq_cap: self.cfg.sq,
             fetch_q_len: self.fetch_q_len(),
             store_buffer_len: self.store_buffer.len(),
@@ -759,7 +759,7 @@ impl Simulator {
 
     /// Number of pending completion events in the event-driven wakeup
     /// queue. Diagnostic: thanks to the flush-time purge of squashed
-    /// producers' events ([`Self::purge_stale_wake_events`]) this is
+    /// producers' events ([`Self::flush_after_head`]) this is
     /// bounded by the slot-slab size on any workload, however
     /// flush-heavy — a property the `checked` feature asserts every
     /// cycle and a regression test pins.
@@ -962,7 +962,7 @@ impl Simulator {
                 let blocked = self.rob_len() >= self.cfg.rob
                     || self.iq_used >= self.cfg.iq
                     || (inst.is_load() && self.lq_used >= self.cfg.lq)
-                    || (inst.is_store() && self.sq_used >= self.cfg.sq)
+                    || (inst.is_store() && self.stores.len() >= self.cfg.sq)
                     || match inst.dst() {
                         Some(RegRef::Int(_)) => self.free_int == 0,
                         Some(RegRef::Fp(_)) => self.free_fp == 0,
@@ -983,7 +983,7 @@ impl Simulator {
         if let Some(t) = engine_idle {
             target = target.min(t);
         }
-        if let Some(&Reverse((t, _))) = self.wake_events.peek() {
+        if let Some(t) = self.wake_events.next_time(c) {
             target = target.min(t);
         }
         if let Some(gate) = dispatch_gate {
@@ -1040,13 +1040,14 @@ impl Simulator {
             inv::check_occupancy("rob", self.rob_len(), self.cfg.rob).map_err(&err)?;
             inv::check_occupancy("iq", self.iq_used, self.cfg.iq).map_err(&err)?;
             inv::check_occupancy("lq", self.lq_used, self.cfg.lq).map_err(&err)?;
-            inv::check_occupancy("sq", self.sq_used, self.cfg.sq).map_err(&err)?;
+            inv::check_occupancy("sq", self.stores.len(), self.cfg.sq).map_err(&err)?;
             inv::check_occupancy("store_buffer", self.store_buffer.len(), self.cfg.store_buffer)
                 .map_err(&err)?;
-            // The flush-time purge keeps the completion-event heap
-            // bounded by the slab even on flush-heavy workloads.
+            // The flush-time purge keeps the completion queue bounded
+            // by the slab even on flush-heavy workloads.
             inv::check_occupancy("wake_events", self.wake_events.len(), self.slab.len())
                 .map_err(&err)?;
+            self.wake_events.check(cycle, |slot| self.slab[slot].done_at).map_err(&err)?;
 
             if self.free_int < 0 || self.free_fp < 0 {
                 return Err(err(format!(
@@ -1070,8 +1071,27 @@ impl Simulator {
                 .map_err(&err)?;
             inv::check_recount("lq", self.lq_used, rob().filter(|s| s.is_load()).count())
                 .map_err(&err)?;
-            inv::check_recount("sq", self.sq_used, rob().filter(|s| s.is_store()).count())
-                .map_err(&err)?;
+            // The store ring is exactly the ROB's stores: same seqs,
+            // order, address and width.
+            let rob_stores = rob().filter(|s| s.is_store()).map(Self::in_flight_store);
+            if !rob_stores.eq(self.stores.iter().copied()) {
+                return Err(err(format!(
+                    "store ring disagrees with the ROB's stores: {:?}",
+                    self.stores
+                )));
+            }
+            // One queued completion event per issued slot that has not
+            // completed: due this cycle or later — or, from a
+            // zero-latency unit, scheduled last cycle after that
+            // cycle's drain and popping in this one.
+            let completing = rob()
+                .filter(|s| {
+                    s.issued
+                        && s.done_at
+                            .is_some_and(|d| d >= cycle || (d == s.issue_at && d + 1 == cycle))
+                })
+                .count();
+            inv::check_recount("wake_events", self.wake_events.len(), completing).map_err(&err)?;
 
             // Dependence sanity: a producer recorded at dispatch is
             // always older than its consumer.
@@ -1447,29 +1467,19 @@ impl Simulator {
                 s.pending = 0;
             }
             self.rob_end_seq = resume;
-            self.purge_stale_wake_events();
+            // Drop the completion events of the producers just
+            // squashed, so a stale event can never pop against a slot
+            // that has since re-issued and the queue stays bounded by
+            // the slab on flush-heavy workloads. Run at flush time
+            // (pipeline phases 0–1), every queued event names a seq
+            // `>= rob_head_seq`: an event for a committed producer pops
+            // no later than the cycle the producer commits (commit is
+            // phase 2, the pop phase 5). Keeping `seq < rob_end_seq`
+            // therefore keeps exactly the head's own completion event
+            // — the blocked load whose return ends the episode.
+            self.wake_events.purge(self.rob_end_seq);
         }
         self.recompute_resources();
-    }
-
-    /// Drops completion events whose producer was just squashed, so a
-    /// stale event can never alias a recycled slab slot and the heap
-    /// stays bounded by the slab on flush-heavy workloads.
-    ///
-    /// Run at flush time (pipeline phases 0–1), every surviving heap
-    /// event names a seq `>= rob_head_seq`: an event for a committed
-    /// producer pops in the *same* cycle the producer commits (commit
-    /// is phase 2, the pop phase 5), so none can still be queued by
-    /// the next cycle's flush. Retaining `seq < rob_end_seq` therefore
-    /// keeps exactly the head's own completion event — the blocked
-    /// load whose return ends the episode — and drops exactly the
-    /// events the old pop-time revalidation would have filtered.
-    fn purge_stale_wake_events(&mut self) {
-        // Allocation-free: round-trip the heap through its own buffer.
-        let mut events = std::mem::take(&mut self.wake_events).into_vec();
-        let live_end = self.rob_end_seq;
-        events.retain(|&Reverse((_, seq))| seq < live_end);
-        self.wake_events = BinaryHeap::from(events);
     }
 
     fn recompute_resources(&mut self) {
@@ -1480,7 +1490,7 @@ impl Simulator {
         self.ready.clear();
         self.iq_used = 0;
         self.lq_used = 0;
-        self.sq_used = 0;
+        self.stores.clear();
         let mut int_alloc = 0isize;
         let mut fp_alloc = 0isize;
         // Both call paths leave at most the ROB head behind, so a
@@ -1493,8 +1503,12 @@ impl Simulator {
             if unissued {
                 s.pending = 0;
             }
-            let (is_load, is_store, dst, seq) =
-                (s.is_load(), s.is_store(), s.step.inst.dst(), s.seq);
+            let (is_load, store, dst, seq) = (
+                s.is_load(),
+                s.is_store().then(|| Self::in_flight_store(s)),
+                s.step.inst.dst(),
+                s.seq,
+            );
             if unissued {
                 self.iq_used += 1;
                 self.ready.push(seq);
@@ -1502,8 +1516,8 @@ impl Simulator {
             if is_load {
                 self.lq_used += 1;
             }
-            if is_store {
-                self.sq_used += 1;
+            if let Some(store) = store {
+                self.stores.push(store);
             }
             if let Some(d) = dst {
                 self.last_writer[d.flat_index()] = Some(seq);
@@ -1556,7 +1570,8 @@ impl Simulator {
                 self.lq_used -= 1;
             }
             if slot.is_store() {
-                self.sq_used -= 1;
+                let oldest = self.stores.pop_oldest();
+                debug_assert_eq!(oldest.map(|s| s.seq), Some(slot.seq), "stores commit in order");
                 self.store_buffer
                     .push_back((slot.step.mem.expect("store has addr").addr, slot.step.pc));
             }
@@ -1633,8 +1648,8 @@ impl Simulator {
     /// exact cycle they are scheduled for (issue runs every tick and
     /// the fast-forward horizon is bounded by the earliest event), and
     /// the only way an event could go stale — its producer being
-    /// squashed by a flush — purges it from the heap at flush time
-    /// ([`Self::purge_stale_wake_events`]). An event for a producer
+    /// squashed by a flush — purges it from the queue at flush time
+    /// ([`Self::flush_after_head`]). An event for a producer
     /// that committed *this* cycle (commit is phase 2, this is phase
     /// 5) still finds the producer's slab slot intact, because fetch
     /// (phase 7) has not yet recycled it.
@@ -1644,16 +1659,10 @@ impl Simulator {
     /// `producer.done_at <= c` — exactly the cycle this event pops.
     fn process_wake_events(&mut self, c: u64) {
         let mut woke = false;
-        while let Some(&Reverse((t, seq))) = self.wake_events.peek() {
-            if t > c {
-                break;
-            }
-            self.wake_events.pop();
-            let pidx = (seq & self.slab_mask) as usize;
-            debug_assert_eq!(self.slab[pidx].seq, seq, "wake event names a recycled slab slot");
+        while let Some(pidx) = self.wake_events.pop_due(c) {
             debug_assert!(
-                seq < self.rob_head_seq
-                    || (self.slab[pidx].issued && self.slab[pidx].done_at == Some(t)),
+                self.slab[pidx].seq < self.rob_head_seq
+                    || (self.slab[pidx].issued && self.slab[pidx].done_by(c)),
                 "stale wake event survived the flush purge"
             );
             let mut link = self.wakeup.drain_head(pidx);
@@ -1710,7 +1719,7 @@ impl Simulator {
                     s.issued = true;
                     s.issue_at = c;
                     s.done_at = Some(c + 1);
-                    self.wake_events.push(Reverse((c + 1, seq)));
+                    self.wake_events.push(c, c + 1, seq);
                     self.iq_used -= 1;
                     continue;
                 }
@@ -1796,7 +1805,7 @@ impl Simulator {
                 s.issued = true;
                 s.issue_at = c;
                 s.done_at = Some(c + lat);
-                self.wake_events.push(Reverse((c + lat, seq)));
+                self.wake_events.push(c, c + lat, seq);
             }
             self.iq_used -= 1;
             budget.total -= 1;
@@ -1807,51 +1816,61 @@ impl Simulator {
     }
 
     fn issue_load(&mut self, seq: u64, c: u64) -> Result<(), ()> {
-        let (addr, width, pc, value) = {
+        let (addr, bytes, pc) = {
             let s = self.slot(seq);
             let me = s.step.mem.expect("load has a memory effect");
-            (me.addr, me.width.bytes(), s.step.pc, me.value)
+            (me.addr, me.width.bytes() as u8, s.step.pc)
         };
-        // Store-to-load forwarding from an older in-flight store that
-        // fully covers this load.
-        let mut forwarded = false;
+        // Store-to-load forwarding from the nearest older in-flight
+        // store that fully covers this load, if it has executed; that
+        // store decides either way.
+        let forwarded =
+            self.stores.forwarder(seq, addr, bytes).is_some_and(|q| self.slot(q).done_by(c));
+        #[cfg(feature = "checked")]
+        assert_eq!(
+            forwarded,
+            self.forwarded_by_rob_walk(seq, addr, bytes, c),
+            "store ring and ROB walk disagree on forwarding for load seq {seq} at cycle {c}"
+        );
+        let (done, hit) = if forwarded {
+            (c + self.ms.config().l1d.latency, HitLevel::L1)
+        } else {
+            match self.ms.access(addr, Access::Load, vr_mem::Requestor::Main, pc, c) {
+                Ok(out) => (out.ready_at, out.hit),
+                Err(_) => return Err(()),
+            }
+        };
+        let s = self.slot_mut(seq);
+        s.issued = true;
+        s.issue_at = c;
+        s.done_at = Some(done);
+        s.hit = Some(hit);
+        self.wake_events.push(c, done, seq);
+        Ok(())
+    }
+
+    /// The forwarding verdict by the reference method the store ring
+    /// replaced: walk the ROB from the load back to the head, one slot
+    /// per step. Kept only to assert the ring against.
+    #[cfg(feature = "checked")]
+    fn forwarded_by_rob_walk(&self, seq: u64, addr: u64, bytes: u8, c: u64) -> bool {
         for q in (self.rob_head_seq..seq).rev() {
             let s = self.slot(q);
             if !s.is_store() {
                 continue;
             }
             let sm = s.step.mem.expect("store has addr");
-            if sm.addr == addr && sm.width.bytes() >= width {
-                if s.done_by(c) {
-                    forwarded = true;
-                }
-                break; // nearest older store decides either way
+            if sm.addr == addr && sm.width.bytes() >= u64::from(bytes) {
+                return s.done_by(c); // nearest older store decides either way
             }
         }
-        if forwarded {
-            let done = c + self.ms.config().l1d.latency;
-            let s = self.slot_mut(seq);
-            s.issued = true;
-            s.issue_at = c;
-            s.done_at = Some(done);
-            s.hit = Some(HitLevel::L1);
-            self.wake_events.push(Reverse((done, seq)));
-            return Ok(());
-        }
+        false
+    }
 
-        match self.ms.access(addr, Access::Load, vr_mem::Requestor::Main, pc, c) {
-            Ok(out) => {
-                let s = self.slot_mut(seq);
-                s.issued = true;
-                s.issue_at = c;
-                s.done_at = Some(out.ready_at);
-                s.hit = Some(out.hit);
-                self.wake_events.push(Reverse((out.ready_at, seq)));
-                let _ = value;
-                Ok(())
-            }
-            Err(_) => Err(()),
-        }
+    /// A store slot as the store ring records it.
+    fn in_flight_store(s: &Slot) -> InFlightStore {
+        let me = s.step.mem.expect("store has addr");
+        InFlightStore { seq: s.seq, addr: me.addr, bytes: me.width.bytes() as u8 }
     }
 
     // ---- dispatch ---------------------------------------------------
@@ -1871,7 +1890,7 @@ impl Simulator {
             let blocked = self.rob_len() >= self.cfg.rob
                 || self.iq_used >= self.cfg.iq
                 || (inst.is_load() && self.lq_used >= self.cfg.lq)
-                || (inst.is_store() && self.sq_used >= self.cfg.sq)
+                || (inst.is_store() && self.stores.len() >= self.cfg.sq)
                 || match inst.dst() {
                     Some(RegRef::Int(_)) => self.free_int == 0,
                     Some(RegRef::Fp(_)) => self.free_fp == 0,
@@ -1921,7 +1940,7 @@ impl Simulator {
                 self.lq_used += 1;
             }
             if inst.is_store() {
-                self.sq_used += 1;
+                self.stores.push(Self::in_flight_store(&self.slab[cidx]));
             }
             // The slot joins the ROB in place: dispatch is just the
             // window boundary moving past it.

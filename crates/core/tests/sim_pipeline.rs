@@ -1,6 +1,6 @@
 //! End-to-end tests of the out-of-order pipeline model.
 
-use vr_core::{CoreConfig, RunaheadConfig, RunaheadKind, Simulator};
+use vr_core::{CoreConfig, RunaheadConfig, RunaheadKind, SimStats, Simulator};
 use vr_isa::{Asm, Memory, Program, Reg};
 use vr_mem::MemConfig;
 
@@ -537,4 +537,205 @@ fn indirect_jumps_without_history_pay_a_redirect() {
         s.ipc()
     );
     assert!(s.instructions > 10_000);
+}
+
+/// A counted loop over `body`, which sees: the store/load address in
+/// `A0` (advanced one cache line per iteration, so a load that does not
+/// forward pays a cold miss); early data in `T1`; late data in `T4`,
+/// the result of an unpipelined divide of the previous iteration's
+/// loaded value (`T6`, which every body loads) — the oldest instruction
+/// of its iteration, so the iteration's stores stay in flight
+/// (un-committed) while its loads issue, and a load's latency is on the
+/// critical path; and in `T3` a copy of `A0` ready two cycles after
+/// `T1` — when a store of `T1` has executed.
+fn forwarding_kernel(body: impl Fn(&mut Asm)) -> Program {
+    let mut a = Asm::new();
+    a.li(Reg::T0, 0);
+    a.li(Reg::T1, 1);
+    a.li(Reg::T2, 300);
+    a.li(Reg::T5, 3);
+    let top = a.here();
+    a.divu(Reg::T4, Reg::T6, Reg::T5);
+    a.and(Reg::T3, Reg::T1, Reg::ZERO);
+    a.add(Reg::T3, Reg::T3, Reg::A0);
+    body(&mut a);
+    a.addi(Reg::T1, Reg::T1, 1);
+    a.addi(Reg::A0, Reg::A0, 64);
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.blt(Reg::T0, Reg::T2, top);
+    a.halt();
+    a.assemble()
+}
+
+/// [`indirect_stream`] with a store and a same-address reload in every
+/// iteration: under Vector Runahead each episode exit flushes a ROB
+/// full of in-flight stores, so the forwarding state is rebuilt from
+/// the surviving head over and over.
+fn indirect_stream_with_stores(len: u64, iters: i64) -> (Program, Memory) {
+    let (a_base, b_base, c_base) = (0x100_0000u64, 0x800_0000u64, 0x4000u64);
+    let (_, mem) = indirect_stream(len, iters); // the same A[] image
+    let mut asm = Asm::new();
+    asm.li(Reg::A0, a_base as i64);
+    asm.li(Reg::A1, b_base as i64);
+    asm.li(Reg::A2, c_base as i64);
+    asm.li(Reg::T0, 0);
+    asm.li(Reg::T1, iters);
+    let top = asm.here();
+    asm.slli(Reg::T2, Reg::T0, 3);
+    asm.add(Reg::T2, Reg::T2, Reg::A0);
+    asm.ld(Reg::T3, Reg::T2, 0); // A[i] (striding)
+    asm.andi(Reg::T5, Reg::T0, 0x1f8);
+    asm.add(Reg::T5, Reg::T5, Reg::A2);
+    asm.st(Reg::T3, Reg::T5, 0); // C[(i / 8) % 64] = A[i]
+    asm.slli(Reg::T3, Reg::T3, 3);
+    asm.add(Reg::T3, Reg::T3, Reg::A1);
+    asm.ld(Reg::T4, Reg::T3, 0); // B[A[i]] (random)
+    asm.ldw(Reg::T6, Reg::T5, 0); // reload the low half of that slot
+    asm.addi(Reg::T0, Reg::T0, 1);
+    asm.blt(Reg::T0, Reg::T1, top);
+    asm.halt();
+    (asm.assemble(), mem)
+}
+
+/// Store-to-load forwarding, decision by decision. Values are computed
+/// at fetch, so a wrong forward is architecturally invisible: only the
+/// cycle count and the number of loads that reached the hierarchy
+/// (`demand_loads` — a forwarded load makes no access) can tell. Both
+/// were pinned on the per-load ROB walk the in-flight store ring
+/// replaced.
+#[test]
+fn forwarding_decisions_are_pinned_cycle_exact() {
+    struct Case {
+        name: &'static str,
+        program: Program,
+        memory: Memory,
+        kind: RunaheadKind,
+        cycles: u64,
+        demand_loads: u64,
+    }
+    let kernel = |name, body: &dyn Fn(&mut Asm), cycles, demand_loads| Case {
+        name,
+        program: forwarding_kernel(body),
+        memory: Memory::new(),
+        kind: RunaheadKind::None,
+        cycles,
+        demand_loads,
+    };
+    let (vr_program, vr_memory) = indirect_stream_with_stores(1 << 18, 3000);
+    let cases = [
+        kernel(
+            "a wider store covers a narrower load",
+            &|a| {
+                a.st(Reg::T1, Reg::A0, 0);
+                a.ldw(Reg::T6, Reg::T3, 0);
+            },
+            5419,
+            0,
+        ),
+        kernel(
+            "a narrower store does not cover a wider load",
+            &|a| {
+                a.stw(Reg::T1, Reg::A0, 0);
+                a.ld(Reg::T6, Reg::T3, 0);
+            },
+            5645,
+            544,
+        ),
+        kernel(
+            "the nearest covering store decides, done or not",
+            &|a| {
+                a.st(Reg::T1, Reg::A0, 0);
+                a.st(Reg::T4, Reg::A0, 0); // nearest, waits on the divide
+                a.ld(Reg::T6, Reg::T3, 0);
+            },
+            5646,
+            544,
+        ),
+        kernel(
+            "a nearer store that does not cover is passed over",
+            &|a| {
+                a.st(Reg::T1, Reg::A0, 0);
+                a.stb(Reg::T4, Reg::A0, 0); // nearest, but one byte
+                a.ld(Reg::T6, Reg::T3, 0);
+            },
+            5420,
+            0,
+        ),
+        kernel(
+            "a store that has not executed does not forward",
+            &|a| {
+                a.st(Reg::T4, Reg::A0, 0);
+                a.ld(Reg::T6, Reg::T3, 0);
+            },
+            5646,
+            544,
+        ),
+        Case {
+            name: "vector-runahead flushes rebuild the in-flight stores",
+            program: vr_program,
+            memory: vr_memory,
+            kind: RunaheadKind::Vector,
+            cycles: 43_803,
+            demand_loads: 12_959,
+        },
+    ];
+    for case in cases {
+        let mut sim = Simulator::new(
+            CoreConfig::table1(),
+            MemConfig::table1(),
+            RunaheadConfig::of(case.kind),
+            case.program,
+            case.memory,
+            &[(Reg::A0, 0x10_0000)],
+        );
+        let stats = sim.run(1_000_000);
+        println!(
+            "{}: cycles {}, demand_loads {}, episodes {}",
+            case.name, stats.cycles, stats.mem.demand_loads, stats.runahead_entries
+        );
+        if case.kind == RunaheadKind::Vector {
+            assert!(stats.runahead_entries > 20, "{}: expected a flush-heavy run", case.name);
+        }
+        assert_eq!(
+            (stats.cycles, stats.mem.demand_loads),
+            (case.cycles, case.demand_loads),
+            "{}",
+            case.name
+        );
+    }
+}
+
+/// FNV-1a over the `Debug` rendering of the statistics: every field,
+/// the nested memory statistics included.
+fn stats_fnv(stats: &SimStats) -> u64 {
+    format!("{stats:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// `validate()` accepts a 0-cycle functional-unit latency, which
+/// schedules a completion event for the current cycle *after* that
+/// cycle's events were drained; it pops one tick later. Pinned on the
+/// plain binary heap the completion queue replaced.
+#[test]
+fn zero_latency_alu_keeps_its_statistics() {
+    let mut cfg = CoreConfig::table1();
+    cfg.lat.int_alu = 0;
+    let (prog, mem) = indirect_stream_with_stores(1 << 16, 2000);
+    for (kind, cycles, fnv) in [
+        (RunaheadKind::None, 41_067u64, 0x2bba_f2ac_e62e_1602u64),
+        (RunaheadKind::Vector, 28_444, 0xb0ae_6e33_045a_c85f),
+    ] {
+        let mut sim = Simulator::new(
+            cfg.clone(),
+            MemConfig::table1(),
+            RunaheadConfig::of(kind),
+            prog.clone(),
+            mem.clone(),
+            &[],
+        );
+        let stats = sim.run(1_000_000);
+        println!("{kind:?}: cycles {}, fnv {:#x}", stats.cycles, stats_fnv(&stats));
+        assert_eq!((stats.cycles, stats_fnv(&stats)), (cycles, fnv), "{kind:?}");
+    }
 }

@@ -13,6 +13,8 @@ use vr_mem::MemConfig;
 fn arb_program(rng: &mut SplitMix64) -> Program {
     // avoid x0 as destination for more dataflow
     let reg = |rng: &mut SplitMix64| rng.range(1, 32) as u8;
+    let width =
+        |rng: &mut SplitMix64| [Width::B, Width::H, Width::W, Width::D][rng.below(4) as usize];
     let len = rng.range(4, 120) as usize;
     let mut insts: Vec<Inst> = (0..len)
         .map(|_| match rng.below(7) {
@@ -27,15 +29,18 @@ fn arb_program(rng: &mut SplitMix64) -> Program {
                 imm: rng.range_i64(-64, 64),
             },
             4 => Inst { op: Op::Li, rd: reg(rng), rs1: 0, rs2: 0, imm: rng.range_i64(0, 4096) },
+            // Mixed widths over the same 512 slots, so an in-flight
+            // store may cover a later load of its slot, fall short of
+            // it, or be the nearer of two that do.
             5 => Inst {
-                op: Op::Ld(Width::D),
+                op: Op::Ld(width(rng)),
                 rd: reg(rng),
                 rs1: 0,
                 rs2: 0,
                 imm: rng.range_i64(0, 512) * 8,
             },
             _ => Inst {
-                op: Op::St(Width::D),
+                op: Op::St(width(rng)),
                 rd: 0,
                 rs1: 0,
                 rs2: reg(rng),
