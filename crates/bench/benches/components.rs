@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the simulator's building blocks: sparse
 //! memory, functional emulator, branch predictor, cache hierarchy and
-//! MSHR file. These quantify simulation throughput, not the paper's
-//! results (those come from the `experiments` binary).
+//! MSHR file. The rows only print — no baseline, no gate: they say
+//! what one layer's operation costs, while whole-simulator speed is
+//! measured by `benchmark/` and the paper's results come from the
+//! `experiments` binary.
 //!
 //! Uses the offline `vr_bench::micro` harness (`harness = false`) so
 //! the workspace carries no registry dependencies.

@@ -10,9 +10,13 @@
 //! `(points, outputs)` into a [`Report`]. [`run_cmd`] is the only thing
 //! that connects them — enumerate, [`vr_bench::sweep`] (the campaign
 //! engine, against the `--cache` store when there is one), render — so
-//! `all`, `--cache`, `campaign run/status/serve` and `perf-report` all
-//! read the same table, and every figure is bit-identical at any
-//! `--threads` and against any store.
+//! `all`, `--cache` and `campaign run/status/serve` all read the same
+//! table, and every figure is bit-identical at any `--threads` and
+//! against any store.
+//!
+//! Simulator speed is not measured here: `benchmark/` (the command in
+//! `BENCHMARK.json`) is the one timer, and `BENCH_history.jsonl` its
+//! record.
 //!
 //! The text printed to stdout and the `--json` / `--csv` exports are
 //! rendered from the *same* reports, so exported values always equal
@@ -22,7 +26,7 @@ use std::path::PathBuf;
 
 use vr_bench::points::{self, FigureOpts, Sets};
 use vr_bench::report::{write_exports, Report, RunMeta};
-use vr_bench::{cell, hmean, pct, ratio, run_technique, sweep, BarChart, Table, Technique};
+use vr_bench::{cell, hmean, pct, ratio, sweep, BarChart, Table, Technique};
 use vr_campaign::{CampaignPoint, ChipPoint, PointSet};
 use vr_chip::ChipRun;
 use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, SimStats, Simulator};
@@ -102,10 +106,9 @@ const fn figure(
     Cmd { id, help, in_all: true, run: Run::Scalar(points, render) }
 }
 
-/// The one table: usage text, dispatch, `all`, the campaign point
-/// sets and `perf-report`'s figure timing are all read off it, in this
-/// order, so adding a row here is the *only* step needed to expose a
-/// command or a figure everywhere.
+/// The one table: usage text, dispatch, `all` and the campaign point
+/// sets are all read off it, in this order, so adding a row here is
+/// the *only* step needed to expose a command or a figure everywhere.
 const COMMANDS: &[Cmd] = &[
     tool("table1", "baseline core/memory configuration (Table 1)", true, table1),
     figure("table2", "graph inputs + measured LLC MPKI (Table 2)", points::table2, table2),
@@ -137,7 +140,6 @@ const COMMANDS: &[Cmd] = &[
     },
     tool("trace", "pipeline-diagram trace of one workload under VR", false, trace_cmd),
     tool("fault-oracle", "fault-injection architectural-invisibility check", false, fault_oracle),
-    tool("perf-report", "simulator-throughput report (writes BENCH_sim.json)", false, perf_report),
     tool(
         "campaign",
         "result-store campaign over the figure sim points (run/serve/status/verify/gc)",
@@ -207,9 +209,9 @@ fn usage() -> String {
     }
     u.push_str(
         "\nflags:\n\
-         \x20 --insts N     instruction budget per run (default 200000)\n\
+         \x20 --insts N     instruction budget per run (default 200000, 60000 with --quick)\n\
          \x20 --all-inputs  run GAP on all five graph presets (default KR + UR)\n\
-         \x20 --quick       small inputs and budgets (smoke test)\n\
+         \x20 --quick       small inputs and a smaller default budget (smoke test)\n\
          \x20 --threads N   worker threads for the sweep runner (0 or default: all cores)\n\
          \x20 --cache DIR   route every figure point through the result store at DIR\n\
          \x20               (cached figure output is byte-identical to uncached)\n\
@@ -242,9 +244,9 @@ fn main() {
         eprint!("{}", usage());
         std::process::exit(2);
     };
-    let mut insts: u64 = 200_000;
+    let mut insts: Option<u64> = None;
     let mut presets = vec![GraphPreset::Kron, GraphPreset::Urand];
-    let mut scale = Scale::Paper;
+    let mut quick = false;
     let mut threads = vr_bench::default_threads();
     let mut json: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
@@ -262,7 +264,7 @@ fn main() {
         match a.as_str() {
             "--insts" => {
                 insts = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
+                    Some(n) => Some(n),
                     None => {
                         eprintln!("error: --insts requires a positive integer");
                         std::process::exit(2);
@@ -353,10 +355,7 @@ fn main() {
                 };
             }
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
-            "--quick" => {
-                scale = Scale::Test;
-                insts = 60_000;
-            }
+            "--quick" => quick = true,
             "--json" => {
                 json = match it.next() {
                     Some(p) => Some(PathBuf::from(p)),
@@ -388,6 +387,10 @@ fn main() {
             }
         }
     }
+    // `--quick` picks the scale and only the *default* budget, so an
+    // explicit `--insts` wins wherever it appears.
+    let insts = insts.unwrap_or(if quick { 60_000 } else { 200_000 });
+    let scale = if quick { Scale::Test } else { Scale::Paper };
     let opts = Opts {
         fig: FigureOpts { insts, presets, scale },
         threads,
@@ -1377,273 +1380,6 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     vec![r]
 }
 
-// ------------------------------------------------------------- perf report
-
-/// Simulator-throughput regression harness (not a paper artifact).
-///
-/// Measures, per workload and technique, how many committed
-/// kilo-instructions the simulator retires per wall-clock second
-/// (KIPS — the metric the performance-engineering work is judged on),
-/// times representative figures end-to-end at one worker and at
-/// `--threads` workers (sweep-runner scaling), and writes everything
-/// to `BENCH_sim.json` in the current directory for CI trending.
-/// Timings are machine-dependent: the JSON is an artifact to plot,
-/// not an assertion that fails the build.
-fn perf_report(opts: &Opts) -> Vec<Report> {
-    use std::fmt::Write as _;
-    use std::time::{Duration, Instant};
-    use vr_bench::micro::Runner;
-
-    let mut rep = Report::new(
-        "perf-report",
-        &format!(
-            "Perf report: simulation throughput (KIPS) + harness wall time \
-             ({} insts/run, {} threads)",
-            opts.fig.insts, opts.threads
-        ),
-    );
-
-    // --- per-point KIPS, measured with the micro-benchmark runner on
-    // the no-store helper: this is the simulator's speed, never a
-    // record load's.
-    let sets = Sets::new(opts.fig.clone());
-    let set = sets.full();
-    let mut runner = Runner::new("sim");
-    runner.samples = 5;
-    runner.sample_time = Duration::from_millis(20);
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v6\",");
-    let _ = writeln!(json, "  \"insts_per_run\": {},", opts.fig.insts);
-    let _ = writeln!(json, "  \"threads\": {},", opts.threads);
-    json.push_str("  \"kips\": [\n");
-    let mut t = Table::new(&["workload", "tech", "KIPS", "VR/OoO"]);
-    let mut all_kips = Vec::new();
-    // Per-workload VR-mode / OoO-mode simulation-throughput ratio —
-    // the data-parallel lane engine's target metric (ISSUE 7: the
-    // h-mean must stay ≥ 0.90, i.e. simulating runahead episodes is
-    // no longer much slower than simulating the baseline core).
-    let mut ratios: Vec<(String, f64)> = Vec::new();
-    let techs = [Technique::Baseline, Technique::Vr];
-    for (wi, w) in set.iter().enumerate() {
-        let mut baseline_kips = f64::NAN;
-        for (ti, tech) in techs.into_iter().enumerate() {
-            let insts = run_technique(w, CoreConfig::table1(), tech, opts.fig.insts).instructions;
-            let m = runner.bench(&format!("{}/{}", w.name, tech.label()), || {
-                run_technique(w, CoreConfig::table1(), tech, opts.fig.insts)
-            });
-            let kips = insts as f64 / m.per_iter.as_secs_f64() / 1e3;
-            all_kips.push(kips);
-            let ratio_cell = if ti == 0 {
-                baseline_kips = kips;
-                String::new()
-            } else {
-                // A sample too short for the clock makes the ratio
-                // inf/NaN; keep it (the taint accounting below skips
-                // it) but render/export it as unusable rather than as
-                // a number.
-                let ratio = kips / baseline_kips;
-                ratios.push((w.name.clone(), ratio));
-                if ratio.is_finite() {
-                    format!("{ratio:.2}")
-                } else {
-                    "n/a".into()
-                }
-            };
-            t.row(vec![w.name.clone(), tech.label().into(), format!("{kips:.0}"), ratio_cell]);
-            let last = wi + 1 == set.len() && ti + 1 == techs.len();
-            let _ = writeln!(
-                json,
-                "    {{\"workload\": \"{}\", \"technique\": \"{}\", \"insts\": {}, \
-                 \"kips\": {:.1}}}{}",
-                w.name,
-                tech.label(),
-                insts,
-                kips,
-                if last { "" } else { "," }
-            );
-        }
-    }
-    json.push_str("  ],\n");
-    // Tainting aggregates (DESIGN.md §15): `harmonic_mean`'s 0.0
-    // sentinel must never leak into the trend CI gates on — an
-    // unusable sample is skipped and *counted* instead of zeroing the
-    // whole h-mean.
-    let (hmean_kips, kips_skipped) = vr_bench::tainted_harmonic_mean(&all_kips);
-    let _ = writeln!(json, "  \"kips_hmean\": {hmean_kips:.1},");
-    let _ = writeln!(json, "  \"kips_hmean_tainted\": {kips_skipped},");
-    json.push_str("  \"vr_ooo_kips_ratio\": [\n");
-    for (i, (name, ratio)) in ratios.iter().enumerate() {
-        let cell = if ratio.is_finite() { format!("{ratio:.3}") } else { "null".to_string() };
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{name}\", \"ratio\": {cell}}}{}",
-            if i + 1 == ratios.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n");
-    let ratio_vals: Vec<f64> = ratios.iter().map(|(_, r)| *r).collect();
-    let (hmean_ratio, ratio_skipped) = vr_bench::tainted_harmonic_mean(&ratio_vals);
-    let _ = writeln!(json, "  \"vr_ooo_kips_ratio_hmean\": {hmean_ratio:.3},");
-    let _ = writeln!(json, "  \"vr_ooo_kips_ratio_tainted\": {ratio_skipped},");
-    if kips_skipped + ratio_skipped > 0 {
-        eprintln!(
-            "  [warn] perf aggregates tainted: {kips_skipped} KIPS value(s) and \
-             {ratio_skipped} ratio value(s) skipped"
-        );
-    }
-    // --- multi-core chip throughput (schema v6, DESIGN.md §16–17):
-    // homogeneous VR chip points timed end to end, N ∈ {2, 4, 8}. The
-    // cores run in lockstep inside one wall-clock window, so every
-    // per-core KIPS shares the denominator and the 4-core aggregate is
-    // the chip-level simulation throughput CI trends; the N=2/8 points
-    // record how that throughput scales with core count, and the
-    // 4-core point's execution telemetry (chip fast-forward windows,
-    // cheap episode steps, broker installs) is exported alongside so a
-    // KIPS regression can be localized without re-running anything.
-    {
-        let w = vr_workloads::hpcdb::kangaroo(opts.fig.scale);
-        let mut primary: Option<(Vec<f64>, f64)> = None;
-        let mut scaling = Vec::new();
-        let mut ff_json = None;
-        let mut ct = Table::new(&["cores", "insts/core", "KIPS/core", "chip KIPS"]);
-        for cores in [2usize, 4, 8] {
-            let slots = (0..cores)
-                .map(|_| vr_chip::CoreSlot {
-                    ra: RunaheadConfig::vector(),
-                    program: w.program.clone(),
-                    memory: w.memory.clone(),
-                    init_regs: w.init_regs.clone(),
-                })
-                .collect();
-            let mut chip = vr_chip::Chip::new(
-                vr_chip::ChipConfig::with_cores(cores),
-                CoreConfig::table1(),
-                MemConfig::table1(),
-                slots,
-            );
-            let t0 = Instant::now();
-            let run = chip.try_run(opts.fig.insts).unwrap_or_else(|e| {
-                eprintln!("error: chip perf point ({cores} cores): {e}");
-                std::process::exit(1);
-            });
-            let secs = t0.elapsed().as_secs_f64();
-            let per_core: Vec<f64> =
-                run.per_core.iter().map(|s| s.instructions as f64 / secs / 1e3).collect();
-            let aggregate: f64 = per_core.iter().sum();
-            let cells: Vec<String> = per_core.iter().map(|k| format!("{k:.0}")).collect();
-            ct.row(vec![
-                cores.to_string(),
-                opts.fig.insts.to_string(),
-                cells.join(" "),
-                format!("{aggregate:.0}"),
-            ]);
-            eprintln!("  [chip] {cores}-core VR chip: {aggregate:.0} aggregate KIPS");
-            let per_core_json =
-                per_core.iter().map(|k| format!("{k:.1}")).collect::<Vec<_>>().join(", ");
-            if cores == 4 {
-                rep.metric("chip_kips", aggregate);
-                ff_json = Some(chip.telemetry().to_json().to_pretty());
-                primary = Some((per_core, aggregate));
-            } else {
-                rep.metric(&format!("chip_kips_n{cores}"), aggregate);
-                scaling.push(format!(
-                    "{{\"cores\": {cores}, \"per_core\": [{per_core_json}], \
-                     \"aggregate\": {aggregate:.1}}}"
-                ));
-            }
-        }
-        rep.push_table("chip", ct);
-        let (per_core, chip_kips) = primary.expect("the 4-core chip point always runs");
-        let per_core_json =
-            per_core.iter().map(|k| format!("{k:.1}")).collect::<Vec<_>>().join(", ");
-        // The telemetry sub-object is compacted onto one line (it is
-        // machine-read; `to_pretty` of a small object stays short).
-        let ff = ff_json.expect("telemetry captured with the 4-core point");
-        let _ = writeln!(
-            json,
-            "  \"chip_kips\": {{\"cores\": 4, \"insts_per_core\": {}, \
-             \"per_core\": [{per_core_json}], \"aggregate\": {chip_kips:.1}, \
-             \"scaling\": [{}], \"chip_ff\": {}}},",
-            opts.fig.insts,
-            scaling.join(", "),
-            ff.replace('\n', " ")
-        );
-    }
-    // Result-store effectiveness for this process (zeros when no
-    // --cache was given): CI trends hit rates alongside throughput.
-    let cc = vr_bench::cache::counters().unwrap_or_default();
-    let _ = writeln!(
-        json,
-        "  \"cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"writes\": {}, \
-         \"stale\": {}, \"quarantined\": {}}},",
-        vr_bench::cache::active().is_some(),
-        cc.hits,
-        cc.misses,
-        cc.writes,
-        cc.stale,
-        cc.quarantined
-    );
-    rep.push_table("kips", t);
-    rep.metric("kips_hmean", hmean_kips);
-    rep.metric("vr_ooo_kips_ratio_hmean", hmean_ratio);
-    rep.push_note(format!(
-        "h-mean throughput: {hmean_kips:.0} KIPS; VR/OoO ratio h-mean: {hmean_ratio:.2}"
-    ));
-
-    // --- end-to-end figure timing, serial vs the sweep pool. Each
-    // stage is timed on its own — enumerate, the sweep call itself at
-    // one thread and at `--threads`, render — so `pool_speedup` is the
-    // ratio of the two sweep calls and nothing else (an earlier harness
-    // timed whole figures with rendering inside the window, and the
-    // recorded speedup sat at ~1.0 whatever the thread count). The
-    // sweeps run without a store: this times the simulator. (The
-    // first pooled sweep also spawns the pool's threads — microseconds
-    // against a sweep of hundreds of milliseconds.)
-    fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-        let t0 = Instant::now();
-        let v = f();
-        (v, t0.elapsed().as_secs_f64() * 1e3)
-    }
-    json.push_str("  \"figures\": [\n");
-    let figures = ["table2", "fig-mlp"];
-    for (fi, id) in figures.into_iter().enumerate() {
-        let cmd = COMMANDS.iter().find(|c| c.id == id).expect("a row of COMMANDS");
-        let Run::Scalar(enumerate, render) = cmd.run else {
-            unreachable!("{id} is a single-core figure")
-        };
-        let (points, enumerate_ms) = timed(|| enumerate(&sets));
-        let (_, par_serial) = timed(|| sweep(&points, None, 1));
-        let (outputs, par_pool) = timed(|| sweep(&points, None, opts.threads));
-        let (report, render_ms) = timed(|| render(&opts.fig, &points, &outputs));
-        print!("{}", report.render_text());
-        let (wall_serial, wall_pool) =
-            (enumerate_ms + par_serial + render_ms, enumerate_ms + par_pool + render_ms);
-        let speedup = par_serial / par_pool;
-        eprintln!(
-            "  [time] {id}: sweep {par_serial:.0} ms serial, {par_pool:.0} ms \
-             with {} threads ({speedup:.2}x); enumerate {enumerate_ms:.0} ms, \
-             render {render_ms:.0} ms",
-            opts.threads,
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"id\": \"{id}\", \"wall_ms_threads_1\": {wall_serial:.1}, \
-             \"wall_ms_threads_n\": {wall_pool:.1}, \
-             \"parallel_ms_threads_1\": {par_serial:.1}, \
-             \"parallel_ms_threads_n\": {par_pool:.1}, \"pool_speedup\": {speedup:.2}}}{}",
-            if fi + 1 == figures.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write("BENCH_sim.json", &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write BENCH_sim.json: {e}");
-        std::process::exit(1);
-    });
-    rep.push_note("wrote BENCH_sim.json");
-    vec![rep]
-}
-
 // ------------------------------------------------------------ fault oracle
 
 /// Robustness artifact (not a paper figure): runs three Test-scale
@@ -1739,7 +1475,7 @@ mod tests {
         let rows = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), rows, "an id appears in two rows");
-        for id in ["table1", "table-hw", "trace", "fault-oracle", "perf-report", "bogus"] {
+        for id in ["table1", "table-hw", "trace", "fault-oracle", "bogus"] {
             assert!(enumerate(id, &quick()).is_none(), "{id}");
         }
         assert!(figure_ids().contains(&"fig-chip") && !figure_ids().contains(&"table1"));

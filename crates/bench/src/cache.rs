@@ -61,8 +61,8 @@ pub fn active() -> Option<&'static ResultStore> {
 }
 
 /// Session counters of the enabled store (hits/misses/writes since
-/// `enable`); `None` when no store is active. The perf report exports
-/// these so cache effectiveness is visible in `BENCH_sim.json`.
+/// `enable`); `None` when no store is active. The CLI prints them on
+/// stderr after every run with `--cache`.
 pub fn counters() -> Option<StoreCounters> {
     active().map(ResultStore::counters)
 }

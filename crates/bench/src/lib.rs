@@ -128,9 +128,8 @@ pub fn run_technique(w: &Workload, core: CoreConfig, tech: Technique, max_insts:
 }
 
 /// Runs `workload` with explicit configurations: simulate or panic,
-/// never a store. The library helper the examples, the benches and
-/// `perf-report`'s throughput loop use; figures run their points
-/// through [`sweep`].
+/// never a store. The library helper the examples use; figures run
+/// their points through [`sweep`].
 ///
 /// # Panics
 ///
@@ -179,7 +178,8 @@ pub fn workload_set(presets: &[GraphPreset]) -> Vec<Workload> {
     all
 }
 
-/// A quick (small-input) workload set for smoke tests and Criterion.
+/// A quick (small-input) workload set for `--quick` figures and smoke
+/// tests.
 pub fn quick_workload_set() -> Vec<Workload> {
     let mut all = gap_suite(Scale::Test, GraphPreset::Kron);
     all.extend(hpcdb_suite(Scale::Test));
@@ -332,22 +332,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Harmonic mean over the usable subset of `values` — finite and
-/// strictly positive — plus the count of values skipped as unusable.
-///
-/// [`vr_core::harmonic_mean`] treats any non-positive input as an
-/// upstream harness bug and collapses the whole aggregate to its
-/// `0.0` sentinel. `perf-report`'s throughput aggregates are wall-clock
-/// measurements, where one degenerate sample is not a bug: the bad
-/// value is skipped, the mean summarizes the rest, and the nonzero
-/// skip count taints the report explicitly (`*_tainted` in the JSON)
-/// rather than silently zeroing the trend a CI gate compares against.
-pub fn tainted_harmonic_mean(values: &[f64]) -> (f64, usize) {
-    let valid: Vec<f64> = values.iter().copied().filter(|v| v.is_finite() && *v > 0.0).collect();
-    let skipped = values.len() - valid.len();
-    (vr_core::harmonic_mean(&valid), skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,31 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn tainted_harmonic_mean_skips_holes_instead_of_zeroing() {
-        // A degenerate sample contributes 0.0 KIPS; the aggregate must
-        // skip-and-taint, not collapse to the 0.0 sentinel.
-        let (hm, skipped) = tainted_harmonic_mean(&[1.0, 2.0]);
-        assert!((hm - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(skipped, 0);
-        let (hm, skipped) = tainted_harmonic_mean(&[1.0, 0.0, 2.0, f64::NAN, -3.0]);
-        assert!((hm - 4.0 / 3.0).abs() < 1e-12, "mean over the healthy subset");
-        assert_eq!(skipped, 3);
-        assert_eq!(tainted_harmonic_mean(&[]), (0.0, 0));
-        assert_eq!(
-            tainted_harmonic_mean(&[0.0]),
-            (0.0, 1),
-            "nothing usable: sentinel + full taint"
-        );
-        let inf = tainted_harmonic_mean(&[f64::INFINITY, 4.0]);
-        assert_eq!(inf, (4.0, 1), "non-finite values taint too");
-    }
-
-    #[test]
     fn a_hole_masks_the_cells_and_aggregates_derived_from_it() {
         assert_eq!(cell(Some(1.5), ratio), "1.50x");
         assert_eq!(cell(None, ratio), HOLE);
-        let (hm, _) = tainted_harmonic_mean(&[1.0, 2.0]);
-        assert_eq!(hmean([Some(1.0), Some(2.0)]), Some(hm));
+        assert_eq!(hmean([Some(1.0), Some(2.0)]), Some(harmonic_mean(&[1.0, 2.0])));
         assert_eq!(hmean([Some(1.0), None, Some(2.0)]), None, "one HOLE taints the column");
     }
 

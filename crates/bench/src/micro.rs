@@ -6,8 +6,10 @@
 //! timed batches over `std::time::Instant`, median-of-samples
 //! reporting, and a `black_box` to keep the optimizer honest.
 //!
-//! Run with `cargo bench -p vr-bench` (the bench targets set
-//! `harness = false` and drive [`Runner`] from `main`).
+//! Run with `cargo bench -p vr-bench --bench components` (the bench
+//! target sets `harness = false` and drives [`Runner`] from `main`).
+//! The rows only print: simulator speed is measured end to end by
+//! `benchmark/`, not here.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -17,29 +19,6 @@ use std::time::{Duration, Instant};
 /// benchmarked expression.
 pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
-}
-
-/// One benchmark's measured result.
-#[derive(Clone, Copy, Debug)]
-pub struct Measurement {
-    /// Median wall-clock time per iteration.
-    pub per_iter: Duration,
-    /// Iterations executed per timed sample.
-    pub iters_per_sample: u64,
-    /// Number of timed samples taken.
-    pub samples: u32,
-}
-
-impl Measurement {
-    /// Iterations per second implied by the median sample.
-    pub fn throughput(&self) -> f64 {
-        let s = self.per_iter.as_secs_f64();
-        if s > 0.0 {
-            1.0 / s
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Formats a duration at nanosecond/microsecond/millisecond
@@ -62,10 +41,10 @@ fn fmt_duration(d: Duration) -> String {
 pub struct Runner {
     group: String,
     /// Timed samples per benchmark (median is reported).
-    pub samples: u32,
+    samples: u32,
     /// Target wall-clock time per sample; iteration count is
     /// calibrated so one sample takes roughly this long.
-    pub sample_time: Duration,
+    sample_time: Duration,
 }
 
 impl Runner {
@@ -74,9 +53,10 @@ impl Runner {
         Runner { group: group.to_string(), samples: 11, sample_time: Duration::from_millis(40) }
     }
 
-    /// Benchmarks `f`, calling it once per iteration, and prints
-    /// `group/name  median-time  (throughput)`.
-    pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) -> Measurement {
+    /// Benchmarks `f`, calling it once per iteration, prints
+    /// `group/name  median-time  (throughput)` and returns the median
+    /// wall-clock time per iteration.
+    pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) -> Duration {
         // Calibration: find an iteration count whose sample takes
         // roughly `sample_time`. Start at 1 and double.
         let mut iters: u64 = 1;
@@ -110,14 +90,13 @@ impl Runner {
             .collect();
         per_iter.sort_unstable();
         let median = per_iter[per_iter.len() / 2];
-        let m = Measurement { per_iter: median, iters_per_sample: iters, samples: self.samples };
         println!(
             "{:<44} {:>12}/iter   {:>14.0} iters/s",
             format!("{}/{}", self.group, name),
             fmt_duration(median),
-            m.throughput()
+            1.0 / median.as_secs_f64()
         );
-        m
+        median
     }
 }
 
@@ -131,15 +110,13 @@ mod tests {
         r.samples = 3;
         r.sample_time = Duration::from_micros(200);
         let mut acc = 0u64;
-        let m = r.bench("spin", || {
+        let per_iter = r.bench("spin", || {
             for i in 0..100u64 {
                 acc = acc.wrapping_add(black_box(i));
             }
             acc
         });
-        assert!(m.per_iter > Duration::ZERO);
-        assert!(m.iters_per_sample >= 1);
-        assert!(m.throughput() > 0.0);
+        assert!(per_iter > Duration::ZERO);
     }
 
     #[test]

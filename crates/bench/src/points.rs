@@ -4,8 +4,8 @@
 //! fixed order, every simulation point the figure needs, and that one
 //! list is what `experiments <figure>` sweeps and renders, what
 //! `campaign run --figure <figure>` (or a `campaign serve` manifest)
-//! drives through the result store, and what `perf-report` times.
-//! There is no second enumeration to drift from, so a store warmed by
+//! drives through the result store. There is no second enumeration to
+//! drift from, so a store warmed by
 //! a campaign serves the figure with zero misses by construction.
 //!
 //! The order is the contract between a figure's list and its render in

@@ -43,7 +43,7 @@ fn no_arguments_prints_generated_usage_and_exits_nonzero() {
     assert!(err.contains("usage: experiments"), "missing usage header: {err}");
     // The id list is generated from the dispatch table: every command
     // must appear, including the ones added by this layer.
-    for id in ["table1", "fig-accuracy", "trace", "fault-oracle", "perf-report", "all"] {
+    for id in ["table1", "fig-accuracy", "trace", "fault-oracle", "all"] {
         assert!(err.contains(id), "usage must list {id}: {err}");
     }
     assert!(err.contains("--json"), "usage must document --json: {err}");
@@ -51,8 +51,10 @@ fn no_arguments_prints_generated_usage_and_exits_nonzero() {
 
 #[test]
 fn unknown_subcommand_exits_nonzero_with_usage() {
-    // `fig-breakdown` is a retired id (folded into `fig-ablation`).
-    for id in ["fig-bogus", "fig-breakdown"] {
+    // Retired ids: `fig-breakdown` was folded into `fig-ablation`; the
+    // throughput report was a second simulator timer (`benchmark/` is
+    // the one).
+    for id in ["fig-bogus", "fig-breakdown", "perf-report"] {
         let o = experiments(&[id]);
         assert_eq!(o.status.code(), Some(2), "{id}");
         let err = stderr(&o);
@@ -118,6 +120,34 @@ fn missing_flag_values_exit_nonzero() {
         let o = experiments(&args);
         assert_eq!(o.status.code(), Some(2), "{args:?} must exit 2");
     }
+}
+
+#[test]
+fn quick_sets_the_default_budget_and_never_overrides_an_explicit_insts() {
+    // Regression: `--quick` used to overwrite an `--insts` given before
+    // it, so the budget depended on flag order.
+    let orders = [["--insts", "1000", "--quick"], ["--quick", "--insts", "1000"]];
+    let runs: Vec<(String, Json)> = orders
+        .iter()
+        .enumerate()
+        .map(|(i, flags)| {
+            let path = tmp(&format!("quick-order-{i}.json"));
+            let mut args = vec!["table2"];
+            args.extend(flags);
+            args.extend(["--threads", "1", "--json", path.to_str().unwrap()]);
+            let o = experiments(&args);
+            assert!(o.status.success(), "{args:?}: {}", stderr(&o));
+            let doc = Json::parse(&std::fs::read_to_string(&path).expect("json written"))
+                .expect("exported JSON parses");
+            std::fs::remove_file(&path).ok();
+            (stdout(&o), doc)
+        })
+        .collect();
+    for (flags, (_, doc)) in orders.iter().zip(&runs) {
+        assert_eq!(doc.get("insts").and_then(Json::as_u64), Some(1000), "{flags:?}");
+        assert_eq!(doc.get("scale").and_then(Json::as_str), Some("test"), "{flags:?}");
+    }
+    assert_eq!(runs[0].0, runs[1].0, "stdout must not depend on flag order");
 }
 
 #[test]
@@ -551,105 +581,6 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
     let reports = doc.get("reports").and_then(Json::as_arr).expect("reports");
     assert_eq!(reports[0].get("id").and_then(Json::as_str), Some("fig-chip"));
     std::fs::remove_dir_all(&store).ok();
-}
-
-#[test]
-fn perf_report_exports_cache_counters() {
-    // Run in a scratch cwd so BENCH_sim.json does not land in the
-    // repo root; perf-report is heavy, so use the tiniest budget.
-    let dir = tmp("perfdir");
-    std::fs::create_dir_all(&dir).unwrap();
-    let o = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["perf-report", "--quick", "--insts", "1000", "--threads", "2"])
-        .current_dir(&dir)
-        .output()
-        .expect("spawn experiments");
-    assert!(o.status.success(), "stderr: {}", stderr(&o));
-    let doc = Json::parse(&std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap())
-        .expect("BENCH_sim.json parses");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("vr-bench-perf-report-v6"));
-    // v4 additions (DESIGN.md §16): multi-core chip throughput — one
-    // aggregate `chip_kips` plus a per-core breakdown whose entries
-    // share the lockstep wall-clock window.
-    let chip = doc.get("chip_kips").expect("chip_kips section");
-    let cores = chip.get("cores").and_then(Json::as_u64).expect("chip cores");
-    assert!(cores >= 2, "chip perf point must be multi-core: {chip:?}");
-    let per_core = chip.get("per_core").and_then(Json::as_arr).expect("per-core KIPS");
-    assert_eq!(per_core.len() as u64, cores, "one KIPS entry per core");
-    for k in per_core {
-        assert!(k.as_f64().is_some_and(|v| v > 0.0), "per-core KIPS invalid: {k:?}");
-    }
-    assert!(
-        chip.get("aggregate").and_then(Json::as_f64).is_some_and(|v| v > 0.0),
-        "missing/invalid aggregate chip_kips"
-    );
-    // v5 additions (DESIGN.md §17): core-count scaling points flanking
-    // the primary 4-core measurement, plus the chip's fast-forward
-    // telemetry so a KIPS regression can be localized from the report.
-    let scaling = chip.get("scaling").and_then(Json::as_arr).expect("chip scaling points");
-    let scaled: Vec<u64> =
-        scaling.iter().filter_map(|s| s.get("cores").and_then(Json::as_u64)).collect();
-    assert_eq!(scaled, [2, 8], "scaling sweeps N=2 and N=8: {scaling:?}");
-    for s in scaling {
-        assert!(
-            s.get("aggregate").and_then(Json::as_f64).is_some_and(|v| v > 0.0),
-            "scaling point missing aggregate: {s:?}"
-        );
-    }
-    let ff = chip.get("chip_ff").expect("chip fast-forward telemetry");
-    for field in ["ff_windows", "ff_cycles_skipped", "episode_steps", "broker_installs"] {
-        assert!(ff.get(field).and_then(Json::as_u64).is_some(), "chip_ff missing {field}: {ff:?}");
-    }
-    // v6 (DESIGN.md §17): parallel chip stepping is gone, and so are
-    // the keys that described it.
-    for gone in ["par_cycles", "par_core_steps"] {
-        assert!(ff.get(gone).is_none(), "chip_ff still exports {gone}: {ff:?}");
-    }
-    // v2 additions (DESIGN.md §14): per-workload VR/OoO throughput
-    // ratio and its harmonic mean.
-    let ratios = doc.get("vr_ooo_kips_ratio").expect("vr_ooo_kips_ratio section");
-    match ratios {
-        Json::Arr(entries) => {
-            assert!(!entries.is_empty(), "ratio array must have one entry per workload");
-            for e in entries {
-                assert!(e.get("workload").is_some() && e.get("ratio").is_some(), "{e:?}");
-            }
-        }
-        other => panic!("vr_ooo_kips_ratio is not an array: {other:?}"),
-    }
-    assert!(
-        doc.get("vr_ooo_kips_ratio_hmean").and_then(Json::as_f64).is_some_and(|r| r > 0.0),
-        "missing/invalid vr_ooo_kips_ratio_hmean"
-    );
-    // v3 additions: taint counters on the aggregates and the timings
-    // of the sweep call itself at one thread and at `--threads`, whose
-    // ratio is the pool speedup.
-    assert_eq!(doc.get("kips_hmean_tainted").and_then(Json::as_u64), Some(0));
-    assert_eq!(doc.get("vr_ooo_kips_ratio_tainted").and_then(Json::as_u64), Some(0));
-    let figures = doc.get("figures").and_then(Json::as_arr).expect("figures section");
-    assert!(!figures.is_empty());
-    for fig in figures {
-        for field in [
-            "wall_ms_threads_1",
-            "wall_ms_threads_n",
-            "parallel_ms_threads_1",
-            "parallel_ms_threads_n",
-        ] {
-            assert!(
-                fig.get(field).and_then(Json::as_f64).is_some_and(|v| v >= 0.0),
-                "missing/invalid {field}: {fig:?}"
-            );
-        }
-        assert!(
-            fig.get("pool_speedup").and_then(Json::as_f64).is_some_and(|v| v > 0.0),
-            "missing/invalid pool_speedup: {fig:?}"
-        );
-    }
-    let cache = doc.get("cache").expect("cache section");
-    assert_eq!(cache.get("enabled"), Some(&Json::Bool(false)), "no --cache given");
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(0));
-    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(0));
 }
 
 /// Sorted `(name, bytes)` snapshot of a store's published records —

@@ -211,8 +211,8 @@ impl ChipTelemetry {
         }
     }
 
-    /// The telemetry as a JSON object (for `fig-chip --json` and the
-    /// perf report).
+    /// The telemetry as a JSON object (the `chip_ff` attachment of
+    /// `fig-chip --json`).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("ff_windows".into(), Json::U64(self.ff_windows)),
