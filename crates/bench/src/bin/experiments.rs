@@ -893,7 +893,10 @@ fn table2(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) ->
     let mut t = Table::new(&["input", "nodes(K)", "edges(K)", "footprint(MB)", "LLC MPKI"]);
     let kernels = points.len() / GraphPreset::ALL.len();
     for (p, runs) in GraphPreset::ALL.into_iter().zip(out.chunks(kernels)) {
-        let g = p.generate(o.scale);
+        // The graph's size, from its shape: a CSR of `n + 1` row offsets
+        // and `n × edge_factor` edges, 8 bytes each.
+        let (log_n, edge_factor) = p.shape(o.scale);
+        let (nodes, edges) = (1u64 << log_n, (1u64 << log_n) * edge_factor as u64);
         // Aggregate MPKI over the GAP kernels on the baseline.
         let mpki = runs.iter().copied().collect::<Option<Vec<SimStats>>>().map(|runs| {
             let misses: u64 = runs.iter().map(|s| s.mem.loads_served_at(HitLevel::Dram)).sum();
@@ -903,9 +906,9 @@ fn table2(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) ->
         metric(&mut r, &format!("mpki_{}", p.abbrev()), mpki);
         t.row(vec![
             p.abbrev().into(),
-            format!("{:.1}", g.num_nodes() as f64 / 1e3),
-            format!("{:.1}", g.num_edges() as f64 / 1e3),
-            format!("{:.1}", g.footprint_bytes() as f64 / (1 << 20) as f64),
+            format!("{:.1}", nodes as f64 / 1e3),
+            format!("{:.1}", edges as f64 / 1e3),
+            format!("{:.1}", ((nodes + 1 + edges) * 8) as f64 / (1 << 20) as f64),
             cell(mpki, |m| format!("{m:.1}")),
         ]);
     }

@@ -25,6 +25,9 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The Weyl increment γ added to the state before every output.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl SplitMix64 {
     /// Creates a generator from a seed. Equal seeds yield equal
     /// sequences forever.
@@ -34,8 +37,18 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         mix64(self.state)
+    }
+
+    /// Jumps ahead `draws` outputs in O(1): the generator continues
+    /// exactly as if [`SplitMix64::next_u64`] had been called `draws`
+    /// times. The state after `k` draws from seed `s` is `s + k·γ`
+    /// (mod 2⁶⁴), so any draw of a stream is reachable directly, and a
+    /// stream cut into ranges that separate threads draw reproduces the
+    /// sequential one bit for bit.
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
     }
 
     /// Uniform value in `[0, bound)`. Returns 0 for `bound == 0`.
@@ -112,6 +125,23 @@ mod tests {
         assert_eq!(a, r2.next_u64());
         assert_eq!(b, r2.next_u64());
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn jump_equals_that_many_draws() {
+        // `u64::MAX - 2` wraps on its first draw.
+        for seed in [0, 24301, u64::MAX - 2] {
+            for k in [0u64, 1, 19, (1 << 20) + 3] {
+                let mut walked = SplitMix64::new(seed);
+                for _ in 0..k {
+                    walked.next_u64();
+                }
+                let mut jumped = SplitMix64::new(seed);
+                jumped.jump(k);
+                assert_eq!(jumped, walked, "seed {seed:#x}, k {k}");
+                assert_eq!(jumped.next_u64(), walked.next_u64(), "seed {seed:#x}, k {k}");
+            }
+        }
     }
 
     #[test]
