@@ -10,7 +10,7 @@
 //! `(points, outputs)` into a [`Report`]. [`run_cmd`] is the only thing
 //! that connects them — enumerate, [`vr_bench::sweep`] (the campaign
 //! engine, against the `--cache` store when there is one), render — so
-//! `all`, `--cache` and `campaign run/status/serve` all read the same
+//! `all`, `--cache` and `campaign run/status` all read the same
 //! table, and every figure is bit-identical at any `--threads` and
 //! against any store.
 //!
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use vr_bench::points::{self, FigureOpts, Sets};
 use vr_bench::report::{write_exports, Report, RunMeta};
 use vr_bench::{cell, hmean, pct, ratio, sweep, BarChart, Table, Technique};
-use vr_campaign::{CampaignPoint, ChipPoint, PointSet};
+use vr_campaign::{CampaignPoint, ChipPoint};
 use vr_chip::ChipRun;
 use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, SimStats, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
@@ -56,11 +56,6 @@ struct Opts {
     /// `--tmp-age-ms N`: minimum tmp-file age for `campaign gc`
     /// reclamation (default: the store's 60 s grace period).
     tmp_age_ms: Option<u64>,
-    /// `--shards N`: total shard count for `campaign serve` (each
-    /// point fingerprint is owned by exactly one shard).
-    shards: u32,
-    /// `--shard I`: this process's shard index for `campaign serve`.
-    shard: u32,
 }
 
 /// One dispatchable subcommand: the id `main` matches on, the help
@@ -142,7 +137,7 @@ const COMMANDS: &[Cmd] = &[
     tool("fault-oracle", "fault-injection architectural-invisibility check", false, fault_oracle),
     tool(
         "campaign",
-        "result-store campaign over the figure sim points (run/serve/status/verify/gc)",
+        "result-store campaign over the figure sim points (run/status/verify/gc)",
         false,
         campaign_cmd,
     ),
@@ -172,10 +167,19 @@ fn all_figures(opts: &Opts) -> Vec<Report> {
     COMMANDS.iter().filter(|c| c.in_all).flat_map(|c| run_cmd(c, opts, &sets)).collect()
 }
 
-/// The ids `campaign --figure` (and a serve manifest) accepts besides
-/// `all`: every figure with a point list.
+/// The ids `campaign --figure` accepts besides `all`: every figure with
+/// a point list.
 fn figure_ids() -> Vec<&'static str> {
     COMMANDS.iter().filter(|c| !matches!(c.run, Run::Tool(_))).map(|c| c.id).collect()
+}
+
+/// The point list of one figure (or of `all`), in whichever point type
+/// the figure sweeps.
+enum PointSet {
+    /// Single-core sweep points.
+    Scalar(Vec<CampaignPoint>),
+    /// Multi-core chip points.
+    Chip(Vec<ChipPoint>),
 }
 
 /// The campaign point set of a figure id, or of `all` (the union of
@@ -222,13 +226,9 @@ fn usage() -> String {
          \x20 --fail-point S       fail points whose label contains S (testing aid)\n\
          \x20 --point-deadline-ms N  per-point wall-clock deadline for `campaign run`\n\
          \x20 --tmp-age-ms N       min tmp-file age for `campaign gc` (default 60000)\n\
-         \x20 --shards N    total shard count for `campaign serve` (default 1)\n\
-         \x20 --shard I     this process's shard index for `campaign serve` (default 0)\n\
          \nthe `trace` id takes a positional workload name (see its error text \
          for the available names); `campaign` takes a positional action \
-         (run, serve, status, verify, gc) and requires --cache DIR. `campaign \
-         serve` reads one manifest JSON per stdin line and streams one outcome \
-         JSON line per manifest to stdout.\n",
+         (run, status, verify, gc) and requires --cache DIR.\n",
     );
     u
 }
@@ -257,8 +257,6 @@ fn main() {
     let mut fail_point: Option<String> = None;
     let mut point_deadline_ms: Option<u64> = None;
     let mut tmp_age_ms: Option<u64> = None;
-    let mut shards: u32 = 1;
-    let mut shard: u32 = 0;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -336,24 +334,6 @@ fn main() {
                     }
                 };
             }
-            "--shards" => {
-                shards = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("error: --shards requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--shard" => {
-                shard = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("error: --shard requires a non-negative integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
             "--quick" => quick = true,
             "--json" => {
@@ -400,8 +380,6 @@ fn main() {
         fail_point,
         point_deadline_ms,
         tmp_age_ms,
-        shards,
-        shard,
     };
 
     if let Some(dir) = &cache_dir {
@@ -476,8 +454,8 @@ fn first_line(err: &str) -> String {
 /// files.
 fn campaign_cmd(opts: &Opts) -> Vec<Report> {
     use vr_campaign::{
-        campaign_status, run_campaign, serve_lines, CancelToken, EngineConfig, ExecCtx, Executor,
-        Manifest, ProgressEvent, ProgressKind, ServeConfig, ShardSpec, SimExecutor,
+        campaign_status, run_campaign, CancelToken, EngineConfig, ExecCtx, Executor, ProgressEvent,
+        ProgressKind, SimExecutor,
     };
 
     /// `--fail-point SUBSTR`: points whose label contains the
@@ -519,7 +497,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
         std::process::exit(2);
     };
     let action = opts.workload.as_deref().unwrap_or_else(|| {
-        eprintln!("error: campaign requires an action\navailable: run serve status verify gc");
+        eprintln!("error: campaign requires an action\navailable: run status verify gc");
         std::process::exit(2);
     });
     let figure = opts.figure.as_deref().unwrap_or("all");
@@ -535,25 +513,22 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             std::process::exit(2);
         })
     };
-    // What `run` and `serve` share: the executor, the engine knobs and
-    // the `--cancel-after-ms` timer.
-    let exec = FailPointExec(opts.fail_point.clone());
-    let engine = EngineConfig {
-        threads: opts.threads,
-        point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-        ..EngineConfig::default()
-    };
-    let cancel = CancelToken::new();
-    if let (Some(ms), "run" | "serve") = (opts.cancel_after_ms, action) {
-        let timer_token = cancel.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-            timer_token.cancel();
-        });
-    }
     let mut r = Report::new("campaign", &format!("Campaign {action}: figure={figure}"));
     match action {
         "run" => {
+            let exec = FailPointExec(opts.fail_point.clone());
+            let engine = EngineConfig {
+                threads: opts.threads,
+                point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
+            };
+            let cancel = CancelToken::new();
+            if let Some(ms) = opts.cancel_after_ms {
+                let timer_token = cancel.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
+                    timer_token.cancel();
+                });
+            }
             let sink = |ev: &ProgressEvent<'_>| {
                 let what = match ev.kind {
                     ProgressKind::CacheHit => "hit".to_string(),
@@ -615,71 +590,6 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 "campaign incomplete (see failures above)"
             });
             r.attach("campaign", out.to_json());
-        }
-        "serve" => {
-            let shard = ShardSpec::new(opts.shards, opts.shard).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let cfg = ServeConfig { engine, shard };
-            // Manifests carry their own budget/scale/presets; the
-            // CLI-level figure options apply only to the other
-            // actions. Presets default to the CLI default pair.
-            let enumerate_manifest = |m: &Manifest| -> Result<PointSet, String> {
-                let scale = if m.scale == "paper" { Scale::Paper } else { Scale::Test };
-                let presets = if m.presets.is_empty() {
-                    vec![GraphPreset::Kron, GraphPreset::Urand]
-                } else {
-                    m.presets
-                        .iter()
-                        .map(|s| {
-                            GraphPreset::ALL
-                                .into_iter()
-                                .find(|p| p.abbrev() == s)
-                                .ok_or_else(|| format!("unknown graph preset {s:?}"))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?
-                };
-                enumerate(&m.figure, &FigureOpts { insts: m.insts, presets, scale })
-                    .ok_or_else(|| format!("unknown or uncacheable figure {:?}", m.figure))
-            };
-            let summary = serve_lines(
-                &mut std::io::stdin().lock(),
-                &mut std::io::stdout().lock(),
-                store,
-                &exec,
-                &cfg,
-                &cancel,
-                &enumerate_manifest,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: serve: {e}");
-                std::process::exit(1);
-            });
-            let mut t = Table::new(&["metric", "value"]);
-            t.row(vec!["shard".into(), format!("{}/{}", shard.index, shard.shards)]);
-            t.row(vec!["manifests".into(), summary.manifests.to_string()]);
-            t.row(vec!["rejected".into(), summary.rejected.to_string()]);
-            t.row(vec!["enumerated points".into(), summary.enumerated.to_string()]);
-            t.row(vec!["owned points".into(), summary.owned.to_string()]);
-            t.row(vec!["cache hits".into(), summary.cache_hits.to_string()]);
-            t.row(vec!["computed".into(), summary.computed.to_string()]);
-            t.row(vec!["skipped (poisoned)".into(), summary.skipped_poisoned.to_string()]);
-            t.row(vec!["poisoned".into(), summary.poisoned.to_string()]);
-            t.row(vec!["failed".into(), summary.failed.to_string()]);
-            t.row(vec!["cancelled".into(), summary.cancelled.to_string()]);
-            r.push_table("serve", t);
-            // Rejected manifests and plain failures flip the exit
-            // code; poisoned points are degradation, matching `run`.
-            r.failed = summary.failed > 0 || summary.rejected > 0;
-            r.push_note(if summary.cancelled {
-                "serve cancelled: unprocessed manifests remain"
-            } else if r.failed {
-                "serve finished with rejected manifests or failed points (see stream above)"
-            } else {
-                "serve drained: every owned point is terminal"
-            });
-            r.attach("serve", summary.to_json());
         }
         "status" => {
             let st = match points() {
@@ -763,9 +673,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             }
         }
         other => {
-            eprintln!(
-                "error: unknown campaign action {other:?}\navailable: run serve status verify gc"
-            );
+            eprintln!("error: unknown campaign action {other:?}\navailable: run status verify gc");
             std::process::exit(2);
         }
     }

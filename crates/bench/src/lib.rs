@@ -33,7 +33,7 @@ pub fn default_threads() -> usize {
 /// Runs a figure's point list — the one way the harness runs one:
 /// through the campaign engine on `threads` threads, against `store`
 /// when there is one (the CLI passes [`cache::active`]), one attempt
-/// per point. Returns one output per point, in order; `None` is a
+/// per point (no deadline is set, so nothing is retried). Returns one output per point, in order; `None` is a
 /// HOLE — a point an earlier campaign poisoned, or one that failed now
 /// and was poisoned for it — whose label is noted in [`cache::holes`].
 ///
@@ -51,7 +51,7 @@ where
     P: SweepPoint,
     SimExecutor: Executor<P>,
 {
-    let cfg = EngineConfig { threads, max_retries: 0, ..EngineConfig::default() };
+    let cfg = EngineConfig { threads, ..EngineConfig::default() };
     let progress = |ev: &ProgressEvent<'_>| {
         if ev.kind == ProgressKind::Computed {
             eprintln!("  [{}/{}] {}", ev.done, ev.total, ev.label);

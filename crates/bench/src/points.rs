@@ -2,10 +2,9 @@
 //!
 //! A figure *is* its point list: one function here enumerates, in a
 //! fixed order, every simulation point the figure needs, and that one
-//! list is what `experiments <figure>` sweeps and renders, what
-//! `campaign run --figure <figure>` (or a `campaign serve` manifest)
-//! drives through the result store. There is no second enumeration to
-//! drift from, so a store warmed by
+//! list is what `experiments <figure>` sweeps and renders, and what
+//! `campaign run --figure <figure>` drives through the result store.
+//! There is no second enumeration to drift from, so a store warmed by
 //! a campaign serves the figure with zero misses by construction.
 //!
 //! The order is the contract between a figure's list and its render in

@@ -105,6 +105,8 @@ fn unknown_flag_after_valid_subcommand_exits_nonzero_with_usage() {
         &["table1", "--bogus-flag"][..],
         &["fig-chip", "--chip-threads", "2"],
         &["campaign", "--spool", "dir", "serve"],
+        &["campaign", "--shards", "2", "run"],
+        &["campaign", "--shard", "0", "run"],
     ] {
         let o = experiments(args);
         assert_eq!(o.status.code(), Some(2), "{args:?}");
@@ -219,9 +221,14 @@ fn campaign_requires_a_cache_and_an_action() {
     assert_eq!(o.status.code(), Some(2));
     assert!(stderr(&o).contains("requires an action"), "{}", stderr(&o));
 
-    let o = experiments(&["campaign", "teleport", "--cache", store.to_str().unwrap()]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(stderr(&o).contains("unknown campaign action"), "{}", stderr(&o));
+    // `serve` is retired (DESIGN.md §15): refused like any unknown action.
+    for action in ["teleport", "serve"] {
+        let o = experiments(&["campaign", action, "--cache", store.to_str().unwrap()]);
+        assert_eq!(o.status.code(), Some(2), "{action}");
+        let err = stderr(&o);
+        assert!(err.contains("unknown campaign action"), "{err}");
+        assert!(err.contains("available: run status verify gc"), "{err}");
+    }
 
     let o = experiments(&[
         "campaign",
@@ -584,132 +591,63 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
 }
 
 /// Sorted `(name, bytes)` snapshot of a store's published records —
-/// the byte-level identity witness for the serve determinism test.
+/// the byte-level identity witness for the concurrent-writer test.
 fn records(store: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     vr_campaign::snapshot_records(store).expect("snapshot store records")
 }
 
+/// The concurrent-writer acceptance path (DESIGN.md §15): two
+/// `campaign run` processes started together on one store contend for
+/// every key, and the store they fill is *byte-identical* to a solo
+/// run's — the atomic temp+rename publish makes racing writers safe.
 #[test]
-fn campaign_serve_rejects_bad_shard_specs_and_manifests() {
-    use std::io::Write;
-    use std::process::Stdio;
-
-    let store = tmp("serve-reject");
-    std::fs::remove_dir_all(&store).ok();
-
-    // Out-of-range shard index: flag validation, exit 2.
-    let o = experiments(&[
-        "campaign",
-        "serve",
-        "--cache",
-        store.to_str().unwrap(),
-        "--shards",
-        "2",
-        "--shard",
-        "2",
-    ]);
-    assert_eq!(o.status.code(), Some(2));
-    assert!(stderr(&o).contains("shard"), "{}", stderr(&o));
-
-    // Garbage and unknown-figure manifests: streamed `serve-reject`
-    // records, a summary counting them, and a nonzero exit.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["campaign", "serve", "--cache", store.to_str().unwrap()])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            b"not json at all\n\
-              {\"schema\": \"vr-campaign-manifest-v1\", \"figure\": \"fig-bogus\", \"insts\": 1000}\n",
-        )
-        .unwrap();
-    let o = child.wait_with_output().expect("serve exits");
-    assert_eq!(o.status.code(), Some(1), "rejects must flip the exit code: {}", stderr(&o));
-    let out = stdout(&o);
-    assert_eq!(out.matches("\"kind\":\"serve-reject\"").count(), 2, "{out}");
-    assert!(out.contains("\"kind\":\"serve-summary\""), "{out}");
-    assert_eq!(cell(&out, "rejected").as_deref(), Some("2"), "{out}");
-    assert_eq!(cell(&out, "manifests").as_deref(), Some("0"), "{out}");
-    std::fs::remove_dir_all(&store).ok();
-}
-
-/// The serve acceptance path (DESIGN.md §15): two concurrent sharded
-/// `campaign serve` processes splitting one manifest stream fill a
-/// store that is *byte-identical* to a single-process serve of the
-/// same stream — the shard partition is exact (no point computed
-/// twice, none dropped) and concurrent writers are publish-safe.
-#[test]
-fn sharded_serves_fill_one_store_byte_identical_to_solo() {
-    use std::io::Write;
-    use std::process::Stdio;
-
-    // Five fig-mshr manifests at distinct budgets: 5 x 48 = 240
-    // points, comfortably past the 200-point acceptance floor while
-    // staying quick-scale cheap.
-    let manifests: String = [1000u64, 1200, 1400, 1600, 1800]
-        .iter()
-        .map(|insts| {
-            format!(
-                "{{\"schema\": \"vr-campaign-manifest-v1\", \"figure\": \"fig-mshr\", \
-                 \"insts\": {insts}}}\n"
-            )
-        })
-        .collect();
-    let serve = |store: &PathBuf, shard_args: &[&str]| {
-        let mut args = vec!["campaign", "serve", "--threads", "2", "--cache"];
-        args.push(store.to_str().unwrap());
-        args.extend_from_slice(shard_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(&args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn serve");
-        child.stdin.take().unwrap().write_all(manifests.as_bytes()).unwrap();
-        child
+fn concurrent_campaign_runs_fill_one_store_byte_identical_to_solo() {
+    let run = |store: &PathBuf| {
+        Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["campaign", "run", "--figure", "fig-mshr", "--quick", "--insts", "1000"])
+            .args(["--threads", "2", "--cache", store.to_str().unwrap()])
+            .output()
+            .expect("run campaign")
     };
-
-    let solo_store = tmp("serve-solo");
-    let shard_store = tmp("serve-sharded");
+    let solo_store = tmp("concurrent-solo");
+    let raced_store = tmp("concurrent-raced");
     std::fs::remove_dir_all(&solo_store).ok();
-    std::fs::remove_dir_all(&shard_store).ok();
+    std::fs::remove_dir_all(&raced_store).ok();
 
-    let solo = serve(&solo_store, &[]).wait_with_output().expect("solo serve exits");
+    let solo = run(&solo_store);
     assert!(solo.status.success(), "stderr: {}", stderr(&solo));
-    let solo_owned: u64 = cell(&stdout(&solo), "owned points").unwrap().parse().unwrap();
-    assert!(solo_owned >= 200, "acceptance needs >= 200 points, got {solo_owned}");
+    let unique: usize = cell(&stdout(&solo), "unique points").unwrap().parse().unwrap();
 
-    // Both shards run concurrently against the SAME store.
-    let a = serve(&shard_store, &["--shards", "2", "--shard", "0"]);
-    let b = serve(&shard_store, &["--shards", "2", "--shard", "1"]);
-    let (a, b) = (a.wait_with_output().unwrap(), b.wait_with_output().unwrap());
-    assert!(a.status.success(), "shard 0 stderr: {}", stderr(&a));
-    assert!(b.status.success(), "shard 1 stderr: {}", stderr(&b));
-
-    // The shards partition the point set exactly.
-    let owned = |o: &Output| cell(&stdout(o), "owned points").unwrap().parse::<u64>().unwrap();
-    assert_eq!(owned(&a) + owned(&b), solo_owned, "shard ownership must partition the set");
-    assert!(owned(&a) > 0 && owned(&b) > 0, "degenerate split: {} + {}", owned(&a), owned(&b));
+    // Both runs start together against the SAME store.
+    let start = std::sync::Barrier::new(2);
+    let racer = || {
+        start.wait();
+        run(&raced_store)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(racer), s.spawn(racer));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for o in [&a, &b] {
+        assert!(o.status.success(), "stderr: {}", stderr(o));
+        assert!(stdout(o).contains("campaign complete"), "{}", stdout(o));
+    }
 
     // Byte-identical stores: same record names, same record bytes.
-    let (solo_recs, shard_recs) = (records(&solo_store), records(&shard_store));
-    assert_eq!(solo_recs.len() as u64, solo_owned, "one record per unique point");
-    assert_eq!(solo_recs, shard_recs, "sharded store differs from single-process store");
+    let (solo_recs, raced_recs) = (records(&solo_store), records(&raced_store));
+    assert_eq!(solo_recs.len(), unique, "one record per unique point");
+    assert_eq!(solo_recs, raced_recs, "raced store differs from single-process store");
 
-    // The store the two writers raced on verifies clean.
-    let o = experiments(&["campaign", "verify", "--cache", shard_store.to_str().unwrap()]);
+    // The store the two writers raced on verifies clean, and a third
+    // run finds nothing left to compute.
+    let o = experiments(&["campaign", "verify", "--cache", raced_store.to_str().unwrap()]);
     assert!(o.status.success(), "verify not clean: {}", stdout(&o));
     assert!(stdout(&o).contains("store clean"), "{}", stdout(&o));
+    let third = run(&raced_store);
+    assert_eq!(cell(&stdout(&third), "computed").as_deref(), Some("0"), "{}", stdout(&third));
 
     std::fs::remove_dir_all(&solo_store).ok();
-    std::fs::remove_dir_all(&shard_store).ok();
+    std::fs::remove_dir_all(&raced_store).ok();
 }
 
 #[test]

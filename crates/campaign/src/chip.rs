@@ -4,8 +4,8 @@
 //! (core count, LLC banking), one core/memory configuration shared by
 //! every core, and one workload + runahead config per core slot. It
 //! flows through the *same* engine machinery as a single-core
-//! [`crate::CampaignPoint`] — dedup, retries, deadlines, poison,
-//! sharding — via the [`SweepPoint`] impl below.
+//! [`crate::CampaignPoint`] — dedup, deadlines and their retries,
+//! poison, resumability — via the [`SweepPoint`] impl below.
 //!
 //! Storage: a chip point's result ([`ChipRun`]) is decomposed into
 //! ordinary per-core `SimStats` records (under derived keys,

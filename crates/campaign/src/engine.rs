@@ -9,14 +9,16 @@
 //! * points whose result is already stored are **cache hits** — no
 //!   simulation runs, and the loaded value is the point's output;
 //! * missing points are computed through [`vr_pool::map`], the
-//!   workspace's one scheduler: inline on the caller at one thread
+//!   workspace's sweep scheduler: inline on the caller at one thread
 //!   (fully deterministic ordering), otherwise on the process-wide
 //!   pool with one point claimed at a time, so load balances
 //!   regardless of how wildly per-point runtimes differ;
-//! * an attempt that returns a [`SimError`] is retried in place with
-//!   bounded exponential backoff before the point is given up on — the
-//!   retry never goes back to the scheduler, so "every point claimed"
-//!   always means "no work left", with no completion race;
+//! * the simulator is deterministic, so the only error worth a second
+//!   attempt is [`SimError::Deadline`], the one that depends on the wall
+//!   clock: it is retried at once and in place (the retry never goes
+//!   back to the scheduler, so "every point claimed" always means "no
+//!   work left", with no completion race), and any other [`SimError`]
+//!   is final on its first occurrence;
 //! * each computed result is published atomically, so killing the
 //!   process at any instant (SIGTERM, SIGKILL) leaves the store
 //!   consistent and a re-run computes only what is missing
@@ -29,17 +31,14 @@
 //!   the wall clock runs out — the simulator stops cooperatively and
 //!   returns [`SimError::Deadline`] with the same diagnostic snapshot
 //!   the deadlock watchdog takes;
-//! * a point that exhausts its retries, or trips the deadline
+//! * a point that returns any other error, or trips the deadline
 //!   [`POISON_DEADLINE_TRIPS`] times, is **poisoned**: a structured
 //!   failure record lands in the store (`poison/`), re-runs skip the
 //!   point, and the campaign *continues* — one permanently sick point
 //!   degrades its figure cells, never the whole campaign
 //!   (`store gc` clears poison and makes the points runnable again).
 //!   Without a store there is nowhere to record the verdict, so the
-//!   point is reported as failed instead;
-//! * retry backoff is jittered ±25% by a [`SplitMix64`] stream seeded
-//!   purely from `(jitter_seed, point key, attempt)`, so sleeps are
-//!   decorrelated across points yet bit-reproducible run to run.
+//!   point is reported as failed instead.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +46,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vr_core::{CoreConfig, RunaheadConfig, SimError, SimStats, Simulator, StopFlag};
-use vr_isa::SplitMix64;
 use vr_mem::MemConfig;
 use vr_obs::{Json, CAMPAIGN_SCHEMA};
 use vr_workloads::Workload;
@@ -92,10 +90,10 @@ impl CampaignPoint {
 
 /// Anything the campaign engine can drive: a content-addressed unit
 /// of work with a label and a way to load/save its result against the
-/// [`ResultStore`]. The engine itself (dedup, retries, backoff,
-/// poison, deadline supervision, cancellation, resumability) is
-/// generic over this — single-core [`CampaignPoint`]s and multi-core
-/// `ChipPoint`s flow through the identical machinery.
+/// [`ResultStore`]. The engine itself (dedup, deadline supervision and
+/// retries, poison, cancellation, resumability) is generic over this —
+/// single-core [`CampaignPoint`]s and multi-core `ChipPoint`s flow
+/// through the identical machinery.
 pub trait SweepPoint: Sync {
     /// The computed result type (stored on success, returned on load).
     type Output: Send + Clone;
@@ -165,9 +163,9 @@ pub struct ExecCtx {
 }
 
 /// How a campaign point is computed. The indirection exists so tests
-/// can inject flaky or instant executors: the real simulator is
-/// deterministic, so a genuine [`SimError`] would recur on every
-/// retry, making retry/backoff untestable against [`SimExecutor`].
+/// can inject failing, slow or instant executors: the real simulator
+/// is deterministic, so against [`SimExecutor`] a point either always
+/// fails or never does, and only a deadline varies between attempts.
 ///
 /// Generic over the point type (defaulting to [`CampaignPoint`], so
 /// plain `impl Executor for X` / `E: Executor` keep meaning the
@@ -179,8 +177,9 @@ pub trait Executor<P: SweepPoint = CampaignPoint>: Sync {
     ///
     /// # Errors
     ///
-    /// Returns the simulation error; the engine retries up to
-    /// [`EngineConfig::max_retries`] times before recording a failure.
+    /// Returns the simulation error. The engine retries a
+    /// [`SimError::Deadline`] until it has tripped
+    /// [`POISON_DEADLINE_TRIPS`] times; any other error is final.
     fn execute(&self, p: &P, ctx: &ExecCtx) -> Result<P::Output, SimError>;
 }
 
@@ -229,41 +228,15 @@ impl CancelToken {
 }
 
 /// Engine tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Default, Debug)]
 pub struct EngineConfig {
     /// Worker threads. `0` means one per available CPU; `1` runs
     /// inline on the calling thread (fully deterministic ordering).
     pub threads: usize,
-    /// Retries per point after the first attempt (so a point is tried
-    /// at most `max_retries + 1` times).
-    pub max_retries: u32,
-    /// Backoff before retry `n` is `min(backoff_base << n,
-    /// backoff_cap)`, then jittered ±25% (still capped).
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff sleep, jitter included.
-    pub backoff_cap: Duration,
-    /// Seed for the backoff jitter stream. The sleep before a given
-    /// `(point, attempt)` is a pure function of this seed, so two runs
-    /// with equal configs back off identically no matter how the
-    /// workers interleave.
-    pub jitter_seed: u64,
     /// Wall-clock budget per execution attempt. When set, a supervisor
     /// watches every in-flight attempt and trips its [`StopFlag`] at
     /// the deadline; `None` lets attempts run unbounded.
     pub point_deadline: Option<Duration>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            threads: 0,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-            jitter_seed: 0,
-            point_deadline: None,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -275,29 +248,6 @@ impl EngineConfig {
         };
         t.clamp(1, work.max(1))
     }
-
-    fn backoff(&self, attempt: u32) -> Duration {
-        // `attempt` is the attempt that just failed (0-based); shift
-        // saturates well before overflow matters.
-        let shifted =
-            self.backoff_base.saturating_mul(1u32.checked_shl(attempt).unwrap_or(u32::MAX));
-        shifted.min(self.backoff_cap)
-    }
-
-    /// [`EngineConfig::backoff`] with deterministic ±25% jitter. The
-    /// stream is seeded from `(jitter_seed, key, attempt)` alone —
-    /// never from shared mutable state — so thread interleaving cannot
-    /// change any draw. The result stays within `backoff_cap`.
-    fn jittered_backoff(&self, key: PointKey, attempt: u32) -> Duration {
-        let base = self.backoff(attempt);
-        if base.is_zero() {
-            return base;
-        }
-        let mut rng =
-            SplitMix64::new(self.jitter_seed ^ key.0.rotate_left(17) ^ u64::from(attempt));
-        let factor = 0.75 + 0.5 * rng.f64_unit(); // [0.75, 1.25)
-        Duration::from_secs_f64(base.as_secs_f64() * factor).min(self.backoff_cap)
-    }
 }
 
 /// What happened to one point, reported through the progress callback.
@@ -305,9 +255,9 @@ impl EngineConfig {
 pub enum ProgressKind {
     /// Result served from the store; no simulation ran.
     CacheHit,
-    /// Simulated (possibly after retries) and stored.
+    /// Simulated (possibly after deadline retries) and stored.
     Computed,
-    /// An attempt failed; the point will be retried.
+    /// An attempt tripped the deadline; the point will be retried.
     Retried {
         /// The 0-based attempt that failed.
         attempt: u32,
@@ -318,9 +268,9 @@ pub enum ProgressKind {
     /// The point already had a poison record from an earlier run and
     /// was skipped without executing.
     SkippedPoisoned,
-    /// All attempts exhausted (and no poison record could be written,
-    /// or the run was cancelled mid-retry); the point is recorded as
-    /// failed.
+    /// Given up on without a poison record (no store, the poison write
+    /// failed, or the run was cancelled mid-retry); the point is
+    /// recorded as failed.
     Failed,
 }
 
@@ -357,16 +307,17 @@ pub struct CampaignOutcome {
     pub cache_hits: u64,
     /// Points simulated this run.
     pub computed: u64,
-    /// Failed attempts that were retried.
+    /// Deadline trips that were retried.
     pub retries: u64,
-    /// `(label, error)` for points poisoned *this run* (retries
-    /// exhausted or repeated deadline trips; a poison record was
-    /// published for each).
+    /// `(label, error)` for points poisoned *this run* (a non-deadline
+    /// error or repeated deadline trips; a poison record was published
+    /// for each).
     pub poisoned: Vec<(String, String)>,
     /// Points skipped because an earlier run already poisoned them.
     pub skipped_poisoned: u64,
     /// `(label, error)` for points that failed without a poison record
-    /// (cancelled mid-retry, or the poison write itself failed).
+    /// (no store, cancelled mid-retry, or the poison write itself
+    /// failed).
     pub failed: Vec<(String, String)>,
     /// Whether the run stopped early on a [`CancelToken`].
     pub cancelled: bool,
@@ -507,7 +458,6 @@ struct InFlight {
 /// What one campaign run shares between the threads driving it.
 struct Shared<'a> {
     store: Option<&'a ResultStore>,
-    cfg: &'a EngineConfig,
     cancel: &'a CancelToken,
     progress: Option<ProgressSink<'a>>,
     total: u64,
@@ -570,7 +520,7 @@ pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
 /// failed or never taken.
 ///
 /// With `store: None` nothing touches disk: every point is executed,
-/// nothing is saved, and a point that exhausts its attempts lands in
+/// nothing is saved, and a point that is given up on lands in
 /// [`CampaignOutcome::failed`] (there is nowhere to poison it).
 ///
 /// Never panics on store or simulation trouble; a panic in `exec` (an
@@ -579,8 +529,8 @@ pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
 /// Each submitted point's [`SweepPoint::key`] is derived exactly once,
 /// serially on the calling thread before any point runs (a key digests
 /// the point's memory images: one pass the first time a process sees
-/// an image, a memo hit after); dedup, the hit and poison checks, the
-/// save and the backoff jitter all reuse that value.
+/// an image, a memo hit after); dedup, the hit and poison checks and
+/// the save all reuse that value.
 pub fn run_points<P: SweepPoint, E: Executor<P>>(
     points: &[P],
     store: Option<&ResultStore>,
@@ -589,29 +539,15 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
     cancel: &CancelToken,
     progress: Option<ProgressSink<'_>>,
 ) -> (CampaignOutcome, Vec<Option<P::Output>>) {
-    let keyed: Vec<(&P, PointKey)> = points.iter().map(|p| (p, p.key())).collect();
-    run_keyed(&keyed, store, exec, cfg, cancel, progress)
-}
-
-/// [`run_points`] over points whose keys the caller has already
-/// derived (the serve loop shard-filters by key first): every later
-/// use of a key reads `points[i].1`.
-pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
-    points: &[(&P, PointKey)],
-    store: Option<&ResultStore>,
-    exec: &E,
-    cfg: &EngineConfig,
-    cancel: &CancelToken,
-    progress: Option<ProgressSink<'_>>,
-) -> (CampaignOutcome, Vec<Option<P::Output>>) {
+    let keys: Vec<PointKey> = points.iter().map(SweepPoint::key).collect();
     // Dedup by key: the first occurrence names the point in progress
     // output; later duplicates would compute the identical record.
     let mut slot_of_key: HashMap<PointKey, usize> = HashMap::with_capacity(points.len());
     let mut unique: Vec<usize> = Vec::with_capacity(points.len());
-    let slots: Vec<usize> = points
+    let slots: Vec<usize> = keys
         .iter()
         .enumerate()
-        .map(|(i, &(_, key))| {
+        .map(|(i, &key)| {
             *slot_of_key.entry(key).or_insert_with(|| {
                 unique.push(i);
                 unique.len() - 1
@@ -621,7 +557,6 @@ pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
 
     let shared = Shared {
         store,
-        cfg,
         cancel,
         progress,
         total: unique.len() as u64,
@@ -630,7 +565,7 @@ pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
     };
     let drive = || {
         vr_pool::map(cfg.resolved_threads(unique.len()), &unique, |&idx| {
-            drive_point(points[idx].0, points[idx].1, idx, &shared, exec)
+            drive_point(&points[idx], keys[idx], idx, &shared, exec)
         })
     };
     let driven = match cfg.point_deadline {
@@ -667,7 +602,7 @@ pub(crate) fn run_keyed<P: SweepPoint, E: Executor<P>>(
     };
     let mut outputs: Vec<Option<P::Output>> = Vec::with_capacity(unique.len());
     for (&idx, (fate, retries)) in unique.iter().zip(driven) {
-        let label = || points[idx].0.label().to_string();
+        let label = || points[idx].label().to_string();
         outcome.retries += retries;
         outputs.push(match fate {
             Fate::Untaken => None,
@@ -713,9 +648,10 @@ fn supervise(shared: &Shared<'_>, deadline: Duration, done: &AtomicBool) {
 }
 
 /// Takes one unique point (submitted at `idx`) to its [`Fate`] and
-/// counts the retries it burned: hit, skip-if-poisoned, then execute
-/// with retries in place — a point is never handed back to the
-/// scheduler, so "every item claimed" always means "no work left".
+/// counts the deadline retries it took: hit, skip-if-poisoned, then
+/// execute, retrying a deadline trip in place — a point is never handed
+/// back to the scheduler, so "every item claimed" always means "no work
+/// left".
 fn drive_point<P: SweepPoint, E: Executor<P>>(
     p: &P,
     key: PointKey,
@@ -733,8 +669,8 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
         }
         if store.is_poisoned(key) {
             // An earlier run already gave up on this point; skip it
-            // rather than burning its whole retry budget again
-            // (`store gc` un-poisons).
+            // rather than reproducing the same verdict (`store gc`
+            // un-poisons).
             shared.finish(p.label(), ProgressKind::SkippedPoisoned);
             return (Fate::SkippedPoisoned, 0);
         }
@@ -764,23 +700,17 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
             }
             Err(e) => e,
         };
-        if matches!(e, SimError::Deadline(_)) {
-            deadline_trips += 1;
-        }
+        // Only the wall clock can change between attempts, so only a
+        // deadline trip earns another one, and never a pause before it.
+        let deadline = matches!(e, SimError::Deadline(_));
+        deadline_trips += u32::from(deadline);
         let cancelled = shared.cancel.is_cancelled();
-        let give_up = cancelled
-            || deadline_trips >= POISON_DEADLINE_TRIPS
-            || attempt >= shared.cfg.max_retries;
-        if !give_up {
+        if deadline && !cancelled && deadline_trips < POISON_DEADLINE_TRIPS {
             shared.emit(
                 shared.done.load(Ordering::Relaxed),
                 p.label(),
                 ProgressKind::Retried { attempt },
             );
-            let pause = shared.cfg.jittered_backoff(key, attempt);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
             attempt += 1;
             continue;
         }
@@ -843,19 +773,28 @@ mod tests {
         }
     }
 
-    /// Fails the first `fail_first` attempts of every point.
-    struct FlakyExec {
-        fail_first: u32,
+    /// Fails every attempt of every point with a non-deadline error,
+    /// counting the attempts.
+    #[derive(Default)]
+    struct FailingExec {
         calls: AtomicU32,
     }
-    impl Executor for FlakyExec {
-        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
+    impl Executor for FailingExec {
+        fn execute(&self, p: &CampaignPoint, _ctx: &ExecCtx) -> Result<SimStats, SimError> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            if ctx.attempt < self.fail_first {
-                Err(SimError::Memory { cycle: 1, what: format!("injected fault on {}", p.label) })
-            } else {
-                FakeExec.execute(p, ctx)
+            Err(SimError::Memory { cycle: 1, what: format!("injected fault on {}", p.label) })
+        }
+    }
+
+    /// Trips the deadline on every point's first attempt and computes
+    /// the point on its second.
+    struct DeadlineOnceExec;
+    impl Executor for DeadlineOnceExec {
+        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
+            if ctx.attempt == 0 {
+                return Err(SimError::Deadline(Box::new(test_dump())));
             }
+            FakeExec.execute(p, ctx)
         }
     }
 
@@ -902,15 +841,8 @@ mod tests {
         }
     }
 
-    fn cfg_fast(threads: usize) -> EngineConfig {
-        EngineConfig {
-            threads,
-            max_retries: 2,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            jitter_seed: 0,
-            point_deadline: None,
-        }
+    fn cfg_threads(threads: usize) -> EngineConfig {
+        EngineConfig { threads, point_deadline: None }
     }
 
     fn tmp_store(tag: &str) -> (std::path::PathBuf, ResultStore) {
@@ -928,14 +860,14 @@ mod tests {
         let (dir, store) = tmp_store("resume");
         let points = tiny_points(6);
         let first =
-            run_campaign(&points, &store, &FakeExec, &cfg_fast(3), &CancelToken::new(), None);
+            run_campaign(&points, &store, &FakeExec, &cfg_threads(3), &CancelToken::new(), None);
         assert!(first.complete(), "{first:?}");
         assert_eq!((first.computed, first.cache_hits), (6, 0));
 
         // Resume with a fresh store handle: everything is a hit.
         let store2 = ResultStore::open(&dir).unwrap();
         let second =
-            run_campaign(&points, &store2, &FakeExec, &cfg_fast(3), &CancelToken::new(), None);
+            run_campaign(&points, &store2, &FakeExec, &cfg_threads(3), &CancelToken::new(), None);
         assert!(second.complete());
         assert_eq!((second.computed, second.cache_hits), (0, 6), "resume recomputed");
 
@@ -945,7 +877,7 @@ mod tests {
                 .unwrap();
         }
         let third =
-            run_campaign(&points, &store2, &FakeExec, &cfg_fast(1), &CancelToken::new(), None);
+            run_campaign(&points, &store2, &FakeExec, &cfg_threads(1), &CancelToken::new(), None);
         assert_eq!((third.computed, third.cache_hits), (2, 4));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -955,7 +887,8 @@ mod tests {
         let (dir, store) = tmp_store("dedup");
         let mut points = tiny_points(3);
         points.extend(tiny_points(3)); // same 3 keys again
-        let out = run_campaign(&points, &store, &FakeExec, &cfg_fast(1), &CancelToken::new(), None);
+        let out =
+            run_campaign(&points, &store, &FakeExec, &cfg_threads(1), &CancelToken::new(), None);
         assert_eq!(out.submitted, 6);
         assert_eq!(out.duplicates, 3);
         assert_eq!(out.total, 3);
@@ -1002,7 +935,7 @@ mod tests {
                     &points,
                     Some(&store),
                     &SickExec,
-                    &cfg_fast(threads),
+                    &cfg_threads(threads),
                     &CancelToken::new(),
                     None,
                 )
@@ -1027,9 +960,15 @@ mod tests {
         // poison in.
         let points = points_with_duplicates_and_a_sick_one();
         for threads in [1, 2] {
-            let (out, outputs) =
-                run_points(&points, None, &SickExec, &cfg_fast(threads), &CancelToken::new(), None);
-            assert_eq!((out.computed, out.cache_hits, out.retries), (5, 0, 2));
+            let (out, outputs) = run_points(
+                &points,
+                None,
+                &SickExec,
+                &cfg_threads(threads),
+                &CancelToken::new(),
+                None,
+            );
+            assert_eq!((out.computed, out.cache_hits, out.retries), (5, 0, 0));
             assert!(out.poisoned.is_empty(), "nowhere to poison: {out:?}");
             assert_eq!(out.failed.len(), 1);
             assert_eq!(out.failed[0].0, "p5-sick");
@@ -1090,7 +1029,7 @@ mod tests {
                     &points,
                     &store,
                     &CountedExec,
-                    &cfg_fast(threads),
+                    &cfg_threads(threads),
                     &CancelToken::new(),
                     None,
                 );
@@ -1099,9 +1038,9 @@ mod tests {
                 assert_eq!(keyed, [1; 9], "threads={threads}: {out:?}");
                 out
             };
-            // Computed, retried-then-poisoned and duplicate paths.
+            // Computed, poisoned and duplicate paths.
             let first = run();
-            assert_eq!((first.computed, first.retries, first.duplicates), (4, 4, 3));
+            assert_eq!((first.computed, first.retries, first.duplicates), (4, 0, 3));
             assert_eq!(first.poisoned.len(), 2);
             // Hit, skipped-poisoned and duplicate paths.
             let second = run();
@@ -1115,15 +1054,49 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_retried_with_counts() {
-        let (dir, store) = tmp_store("retry");
-        let points = tiny_points(4);
-        let exec = FlakyExec { fail_first: 2, calls: AtomicU32::new(0) };
-        let out = run_campaign(&points, &store, &exec, &cfg_fast(2), &CancelToken::new(), None);
+    fn a_non_deadline_error_is_executed_once_and_poisoned() {
+        for threads in [1, 2] {
+            let (dir, store) = tmp_store(&format!("once-{threads}"));
+            let points = tiny_points(1);
+            let exec = FailingExec::default();
+            let out = run_campaign(
+                &points,
+                &store,
+                &exec,
+                &cfg_threads(threads),
+                &CancelToken::new(),
+                None,
+            );
+            assert_eq!(exec.calls.load(Ordering::Relaxed), 1, "a deterministic error is final");
+            assert_eq!((out.poisoned.len(), out.retries), (1, 0), "{out:?}");
+            let rec = store.load_poison(points[0].key()).expect("poison record");
+            assert_eq!((rec.attempts, rec.deadline_trips), (1, 0));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_deadline_trip_is_retried_and_the_retry_can_succeed() {
+        let (dir, store) = tmp_store("deadline-once");
+        let points = tiny_points(1);
+        let retried = AtomicU32::new(0);
+        let sink = |ev: &ProgressEvent<'_>| {
+            if let ProgressKind::Retried { attempt } = ev.kind {
+                assert_eq!(attempt, 0);
+                retried.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let out = run_campaign(
+            &points,
+            &store,
+            &DeadlineOnceExec,
+            &cfg_threads(1),
+            &CancelToken::new(),
+            Some(&sink),
+        );
         assert!(out.complete(), "{out:?}");
-        assert_eq!(out.computed, 4);
-        assert_eq!(out.retries, 8, "2 failed attempts per point");
-        assert_eq!(exec.calls.load(Ordering::Relaxed), 12, "3 attempts per point");
+        assert_eq!((out.computed, out.retries), (1, 1));
+        assert_eq!(retried.load(Ordering::Relaxed), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1131,23 +1104,23 @@ mod tests {
     fn persistent_faults_poison_in_order_and_reruns_skip_them() {
         let (dir, store) = tmp_store("fail");
         let points = tiny_points(3);
-        let exec = FlakyExec { fail_first: u32::MAX, calls: AtomicU32::new(0) };
-        let out = run_campaign(&points, &store, &exec, &cfg_fast(2), &CancelToken::new(), None);
+        let exec = FailingExec::default();
+        let out = run_campaign(&points, &store, &exec, &cfg_threads(2), &CancelToken::new(), None);
         assert!(!out.complete());
         assert!(out.degraded_complete(), "poison degrades, it does not wedge: {out:?}");
         assert_eq!(out.computed, 0);
-        assert!(out.failed.is_empty(), "exhausted retries poison, not fail: {out:?}");
+        assert!(out.failed.is_empty(), "a sick point poisons, it does not fail: {out:?}");
         assert_eq!(out.poisoned.len(), 3);
         let labels: Vec<&str> = out.poisoned.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, ["p0", "p1", "p2"], "poisonings sorted by submission order");
         assert!(out.poisoned[0].1.contains("injected fault"), "{:?}", out.poisoned[0]);
         let calls_first = exec.calls.load(Ordering::Relaxed);
-        assert_eq!(calls_first, 9, "3 attempts per point");
+        assert_eq!(calls_first, 3, "one attempt per point");
 
         // Each point now carries a structured poison record...
         for p in &points {
             let rec = store.load_poison(p.key()).expect("poison record");
-            assert_eq!(rec.attempts, 3);
+            assert_eq!(rec.attempts, 1);
             assert_eq!(rec.deadline_trips, 0);
             assert!(rec.error.contains("injected fault"));
         }
@@ -1155,14 +1128,14 @@ mod tests {
         assert_eq!((status.present, status.missing, status.poisoned), (0, 0, 3));
 
         // ...so a re-run skips them without executing anything.
-        let out2 = run_campaign(&points, &store, &exec, &cfg_fast(2), &CancelToken::new(), None);
+        let out2 = run_campaign(&points, &store, &exec, &cfg_threads(2), &CancelToken::new(), None);
         assert_eq!(out2.skipped_poisoned, 3);
         assert!(out2.degraded_complete());
         assert_eq!(exec.calls.load(Ordering::Relaxed), calls_first, "no attempts burned");
 
         // gc clears the poison; the points execute again.
         assert_eq!(store.gc().unwrap().poison_removed, 3);
-        let out3 = run_campaign(&points, &store, &exec, &cfg_fast(2), &CancelToken::new(), None);
+        let out3 = run_campaign(&points, &store, &exec, &cfg_threads(2), &CancelToken::new(), None);
         assert_eq!(out3.poisoned.len(), 3, "still failing, poisoned afresh");
         assert!(exec.calls.load(Ordering::Relaxed) > calls_first);
         std::fs::remove_dir_all(&dir).ok();
@@ -1178,7 +1151,7 @@ mod tests {
             points[2].label = "p2-slow".into();
             let cfg = EngineConfig {
                 point_deadline: Some(Duration::from_millis(25)),
-                ..cfg_fast(threads)
+                ..cfg_threads(threads)
             };
             let t0 = std::time::Instant::now();
             let out = run_campaign(&points, &store, &SlowExec, &cfg, &CancelToken::new(), None);
@@ -1194,8 +1167,8 @@ mod tests {
                 "second trip is the verdict (one retry in between)"
             );
             assert_eq!(rec.attempts, 2);
-            // Two supervised attempts of ~25ms each, not max_retries+1
-            // unbounded hangs.
+            // Two supervised attempts of ~25ms each, not unbounded
+            // hangs.
             assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -1207,7 +1180,7 @@ mod tests {
         let points = tiny_points(8);
         let token = CancelToken::new();
         token.cancel();
-        let out = run_campaign(&points, &store, &FakeExec, &cfg_fast(2), &token, None);
+        let out = run_campaign(&points, &store, &FakeExec, &cfg_threads(2), &token, None);
         assert!(out.cancelled);
         assert!(!out.complete());
         assert_eq!(out.computed + out.cache_hits, 0, "pre-cancelled run took work");
@@ -1220,7 +1193,7 @@ mod tests {
                 token.cancel();
             }
         };
-        let out = run_campaign(&points, &store, &FakeExec, &cfg_fast(1), &token, Some(&sink));
+        let out = run_campaign(&points, &store, &FakeExec, &cfg_threads(1), &token, Some(&sink));
         assert!(out.cancelled);
         assert!(out.computed >= 3 && out.computed < 8, "computed={}", out.computed);
         let status = campaign_status(&points, &store);
@@ -1229,7 +1202,7 @@ mod tests {
 
         // A resumed run finishes the remainder only.
         let out2 =
-            run_campaign(&points, &store, &FakeExec, &cfg_fast(2), &CancelToken::new(), None);
+            run_campaign(&points, &store, &FakeExec, &cfg_threads(2), &CancelToken::new(), None);
         assert!(out2.complete());
         assert_eq!(out2.computed, 8 - out.computed);
         std::fs::remove_dir_all(&dir).ok();
@@ -1254,7 +1227,7 @@ mod tests {
             std::slice::from_ref(&p),
             &store,
             &SimExecutor,
-            &cfg_fast(1),
+            &cfg_threads(1),
             &CancelToken::new(),
             None,
         );
@@ -1305,77 +1278,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_backoff_is_bounded() {
-        let cfg = EngineConfig {
-            threads: 1,
-            max_retries: 40,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(80),
-            ..EngineConfig::default()
-        };
-        assert_eq!(cfg.backoff(0), Duration::from_millis(10));
-        assert_eq!(cfg.backoff(1), Duration::from_millis(20));
-        assert_eq!(cfg.backoff(3), Duration::from_millis(80));
-        assert_eq!(cfg.backoff(63), Duration::from_millis(80), "no overflow at large attempts");
-        assert_eq!(cfg.resolved_threads(100), 1);
+    fn resolved_threads_is_clamped_to_the_work() {
+        assert_eq!(cfg_threads(1).resolved_threads(100), 1);
+        assert_eq!(cfg_threads(8).resolved_threads(3), 3);
         assert_eq!(EngineConfig::default().resolved_threads(0), 1, "empty campaign still valid");
-    }
-
-    #[test]
-    fn backoff_jitter_is_seeded_bounded_and_reproducible() {
-        let cfg = EngineConfig {
-            backoff_base: Duration::from_millis(40),
-            backoff_cap: Duration::from_secs(1),
-            jitter_seed: 7,
-            ..EngineConfig::default()
-        };
-        let keys = [PointKey(0x1111), PointKey(0x2222), PointKey(0x3333)];
-        let draw = |cfg: &EngineConfig| {
-            let mut v = Vec::new();
-            for key in keys {
-                for attempt in 0..5 {
-                    v.push(cfg.jittered_backoff(key, attempt));
-                }
-            }
-            v
-        };
-        let a = draw(&cfg);
-        // Pure function of (seed, key, attempt): replays identically.
-        assert_eq!(a, draw(&cfg));
-        // Every sleep within ±25% of the un-jittered value and capped.
-        let mut distinct = std::collections::HashSet::new();
-        for (i, key) in keys.iter().enumerate() {
-            for attempt in 0..5u32 {
-                let jittered = a[i * 5 + attempt as usize];
-                let plain = cfg.backoff(attempt).as_secs_f64();
-                assert!(jittered <= cfg.backoff_cap);
-                assert!(
-                    (0.75 * plain..1.25 * plain).contains(&jittered.as_secs_f64()),
-                    "key {key:?} attempt {attempt}: {jittered:?} vs plain {plain}s"
-                );
-                distinct.insert(jittered);
-            }
-        }
-        assert!(distinct.len() > 5, "jitter must decorrelate points: {distinct:?}");
-        // A different seed draws a different schedule.
-        let other = draw(&EngineConfig { jitter_seed: 8, ..cfg });
-        assert_ne!(a, other);
-        // The cap binds even after jitter pushes past it.
-        let tight = EngineConfig {
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_millis(100),
-            jitter_seed: 3,
-            ..EngineConfig::default()
-        };
-        for attempt in 0..6 {
-            assert!(tight.jittered_backoff(keys[0], attempt) <= tight.backoff_cap);
-        }
-        // Zero backoff stays zero (test configs sleep nothing).
-        let zero = EngineConfig {
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            ..EngineConfig::default()
-        };
-        assert_eq!(zero.jittered_backoff(keys[0], 3), Duration::ZERO);
     }
 }

@@ -7,7 +7,7 @@
 //! statistics ([`point_key`]), its [`SimStats`](vr_core::SimStats) are
 //! stored on disk exactly ([`ResultStore`]), and a campaign driver
 //! ([`run_campaign`]) computes only the points that are missing —
-//! surviving kills, corruption and transient faults along the way.
+//! surviving kills, corruption and deadline trips along the way.
 //!
 //! Layering (DESIGN.md §11):
 //!
@@ -19,8 +19,9 @@
 //!   checksums, quarantine-not-crash corruption handling, `verify` /
 //!   `gc` maintenance;
 //! * [`engine`] — the campaign driver, the only thing that runs a point
-//!   list: scheduling through `vr_pool::map`, in-place retry with
-//!   bounded backoff, cooperative cancellation, resumability.
+//!   list, one list per call in one process: scheduling through
+//!   `vr_pool::map`, deadline supervision with an in-place retry,
+//!   poisoning, cooperative cancellation, resumability.
 //!
 //! The crate depends only on the simulator crates and `std` — no
 //! registry dependencies, like the rest of the workspace.
@@ -33,7 +34,6 @@ pub mod chip;
 pub mod engine;
 pub mod fingerprint;
 pub mod serial;
-pub mod serve;
 pub mod store;
 
 pub use chip::{chip_core_key, chip_point_key, ChipPoint, ChipSlot};
@@ -46,7 +46,6 @@ pub use fingerprint::{point_key, PointKey, CODE_SALT};
 // The worker pool lives in its own crate (`vr-pool`); re-exported
 // here for the `vr_campaign::WorkerPool` users.
 pub use serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
-pub use serve::{serve_lines, shard_of, Manifest, PointSet, ServeConfig, ServeSummary, ShardSpec};
 pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,

@@ -36,7 +36,7 @@
 //! miss.
 //!
 //! **Poison records.** When the campaign supervisor declares a point
-//! unrunnable (retries exhausted, repeated deadline trips) it writes a
+//! unrunnable (a deterministic error, repeated deadline trips) it writes a
 //! [`PoisonRecord`] under `poison/` through the same atomic publish
 //! protocol and the same validation policy (corrupt poison records are
 //! quarantined, stale-salt ones ignored). A poisoned point is skipped
@@ -149,7 +149,7 @@ pub struct GcReport {
 
 /// A structured failure record for a point the campaign supervisor
 /// declared unrunnable. Persisted under `poison/` so re-runs skip the
-/// point instead of burning its retry budget again; cleared by
+/// point instead of reproducing the same verdict; cleared by
 /// [`ResultStore::gc`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PoisonRecord {
@@ -159,7 +159,8 @@ pub struct PoisonRecord {
     pub label: String,
     /// Rendering of the last error the point produced.
     pub error: String,
-    /// Execution attempts consumed before giving up.
+    /// Execution attempts consumed before giving up (one more than the
+    /// deadline trips that were retried).
     pub attempts: u32,
     /// How many of those attempts were killed by the wall-clock
     /// deadline.
@@ -928,8 +929,8 @@ fn sorted_entries(dir: &Path) -> io::Result<Vec<fs::DirEntry>> {
 
 /// Every published record of the store rooted at `root` as
 /// `(file name, bytes)`, sorted by name — the byte-identity currency
-/// of the convergence assertions (chaos recovery, sharded-serve
-/// determinism): two stores are equivalent iff their snapshots are
+/// of the convergence assertions (chaos recovery, concurrent
+/// campaign runs): two stores are equivalent iff their snapshots are
 /// equal. In-flight `.tmp-*` files are excluded (they are invisible to
 /// readers by the atomic-publish contract).
 ///

@@ -64,12 +64,7 @@ fn points() -> Vec<CampaignPoint> {
 }
 
 fn run(points: &[CampaignPoint], store: &ResultStore) -> CampaignOutcome {
-    let cfg = EngineConfig {
-        threads: 1,
-        backoff_base: Duration::ZERO,
-        backoff_cap: Duration::ZERO,
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     run_campaign(points, store, &SimExecutor, &cfg, &CancelToken::new(), None)
 }
 

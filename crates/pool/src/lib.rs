@@ -1,10 +1,11 @@
-//! The workspace's one scheduler: [`map`] over a persistent broadcast
+//! The workspace's sweep scheduler: [`map`] over a persistent broadcast
 //! worker pool.
 //!
-//! [`map`] is how anything in this workspace fans a list out across
-//! threads — the campaign engine's points, hence every figure sweep.
-//! One thread (or one item) runs inline on the caller; anything else
-//! runs on one process-wide [`WorkerPool`].
+//! [`map`] is how the workspace fans a point list out across threads —
+//! the campaign engine's points, hence every figure sweep. (Inputs are
+//! built before any sweep, on scoped threads of their own in
+//! `vr-workloads`.) One thread (or one item) runs inline on the caller;
+//! anything else runs on one process-wide [`WorkerPool`].
 //!
 //! [`WorkerPool`] spawns its threads once and broadcasts jobs to them:
 //! a *job* is one `&(dyn Fn(usize) + Sync)` closure that every
@@ -40,8 +41,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// `fetch_add` per item is noise, while claiming several at once can
 /// only strand a slow item behind its batch-mates at the tail.
 ///
-/// *Why process-wide:* a figure run, a campaign and a serve loop all
-/// make many `map` calls; one pool pays the thread spawns once per
+/// *Why process-wide:* a figure run makes many `map` calls (`all`
+/// makes one per figure); one pool pays the thread spawns once per
 /// process instead of once per call. It grows (is replaced) when a
 /// call asks for more threads than it has. Calls from different
 /// threads take turns, so **`f` must not call `map`**: the inner call
