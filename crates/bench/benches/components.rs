@@ -14,7 +14,9 @@ use vr_core::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_frontend::{DirectionPredictor, Tage};
 use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
-use vr_mem::{Access, MemConfig, MemorySystem, Requestor, SharedLlc, SharedLlcConfig};
+use vr_mem::{
+    Access, Cache, MemConfig, MemorySystem, MshrFile, Requestor, SharedLlc, SharedLlcConfig,
+};
 use vr_workloads::{graph::GraphPreset, Scale};
 
 fn bench_memory() {
@@ -76,6 +78,37 @@ fn bench_memory_system() {
         now += 300;
         addr += 64;
         black_box(ms.access(0x100_0000 + addr, Access::Load, Requestor::Main, 2, now))
+    });
+}
+
+/// The two per-access scans of the hierarchy (DESIGN.md §12): a probe
+/// that misses a full 16-way set reads every way of the flat array, and
+/// an `expire` before the earliest fill is due reads one cached time.
+fn bench_cache_mshr() {
+    let r = Runner::new("cache");
+    let cfg = MemConfig::table1().l3;
+    let mut l3 = Cache::new(cfg);
+    let lines = cfg.size_bytes / cfg.line_bytes;
+    for i in 0..lines {
+        l3.fill(i * cfg.line_bytes, None);
+    }
+    let mut a = 0u64;
+    r.bench("probe_l3_miss", || {
+        // One line past the filled range, rotating over the sets.
+        a = (a + cfg.line_bytes) % cfg.size_bytes;
+        black_box(l3.probe(cfg.size_bytes + a))
+    });
+
+    let r = Runner::new("mshr");
+    let mut m = MshrFile::new(24);
+    for i in 0..24u64 {
+        m.allocate(i * 64, 0, u64::MAX / 2 + i, Requestor::Main);
+    }
+    let mut now = 0u64;
+    r.bench("expire_nothing_due", || {
+        now += 1;
+        m.expire(black_box(now));
+        black_box(m.outstanding())
     });
 }
 
@@ -376,10 +409,12 @@ fn bench_shared_llc() {
 /// chip is rebuilt when a run completes; at thousands of rounds per
 /// run the rebuild amortizes to noise.
 ///
-/// The two whole-run rows put the round loop's cost at N = 1 on
-/// record: a 1-core chip and a bare `Simulator` execute the same
-/// `advance` calls (`n1_equivalence` pins the stats bit-identical), so
-/// the gap between them is the min-clock scan and telemetry per round.
+/// `run_8core_vr` is a whole run of an 8-core chip, the largest size
+/// the benchmark's `chip_scale` sweeps. The two 1-core rows put the
+/// round loop's cost at N = 1 on record: a 1-core chip and a bare
+/// `Simulator` execute the same `advance` calls (`n1_equivalence` pins
+/// the stats bit-identical), so the gap between them is the min-clock
+/// scan and telemetry per round.
 fn bench_chip_step() {
     let r = Runner::new("chip");
     const INSTS: u64 = 20_000;
@@ -401,6 +436,7 @@ fn bench_chip_step() {
             chip = mk(4);
         }
     });
+    r.bench("run_8core_vr", || black_box(mk(8).try_run(INSTS).expect("8-core chip run")));
     r.bench("run_1core_vr_chip", || black_box(mk(1).try_run(INSTS).expect("1-core chip run")));
     r.bench("run_1core_vr_bare_sim", || {
         let mut sim = Simulator::new(
@@ -469,6 +505,7 @@ fn main() {
     bench_emulator();
     bench_tage();
     bench_memory_system();
+    bench_cache_mshr();
     bench_store_overlay();
     bench_lane_masks();
     bench_wakeup_lists();

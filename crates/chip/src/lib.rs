@@ -242,6 +242,12 @@ pub struct Chip {
     /// core (uncontended `&mut`, no lock); it is only ever absent from
     /// this slot *during* a core-step.
     shared: Option<Box<SharedLlc>>,
+    /// Each core's clock as the round reads it: `u64::MAX` once the
+    /// core is finished. Refreshed after that core's `advance` (nothing
+    /// else moves a core), and wholesale when `max_insts` changes.
+    clocks: Vec<u64>,
+    /// The budget `clocks` was computed against.
+    clocks_budget: Option<u64>,
     telemetry: ChipTelemetry,
 }
 
@@ -291,7 +297,8 @@ impl Chip {
             })
             .collect();
         let telemetry = ChipTelemetry::new(cores.len());
-        Chip { cfg: chip, cores, shared, telemetry }
+        let clocks = vec![0; cores.len()];
+        Chip { cfg: chip, cores, shared, clocks, clocks_budget: None, telemetry }
     }
 
     /// The chip configuration in use.
@@ -345,15 +352,21 @@ impl Chip {
     /// Any core's `SimError` (deadlock, deadline, invariant) aborts
     /// the whole chip run.
     pub fn step(&mut self, max_insts: u64) -> Result<bool, SimError> {
-        let unfinished = self.cores.iter().filter(|c| !c.finished(max_insts));
-        let Some(t) = unfinished.map(Simulator::cycle).min() else {
+        if self.clocks_budget != Some(max_insts) {
+            for (clock, core) in self.clocks.iter_mut().zip(&self.cores) {
+                *clock = Self::clock(core, max_insts);
+            }
+            self.clocks_budget = Some(max_insts);
+        }
+        let t = self.clocks.iter().copied().min().unwrap_or(u64::MAX);
+        if t == u64::MAX {
             return Ok(false); // every core finished
-        };
+        }
         for i in 0..self.cores.len() {
-            let core = &mut self.cores[i];
-            if core.finished(max_insts) || core.cycle() != t {
+            if self.clocks[i] != t {
                 continue;
             }
+            let core = &mut self.cores[i];
             let advanced = match self.shared.take() {
                 Some(llc) => {
                     core.install_shared_llc(llc);
@@ -375,6 +388,7 @@ impl Chip {
                 // N = 1: private L3/DRAM, no broker to install.
                 None => core.advance(),
             };
+            self.clocks[i] = Self::clock(core, max_insts);
             match advanced? {
                 Advance::Skipped(h) => {
                     self.telemetry.ff_windows += 1;
@@ -388,7 +402,16 @@ impl Chip {
                 Advance::Ticked => self.telemetry.horizon_blocks[i] += 1,
             }
         }
-        Ok(self.cores.iter().any(|c| !c.finished(max_insts)))
+        Ok(self.clocks.iter().any(|&c| c != u64::MAX))
+    }
+
+    /// `core`'s entry in the clock array under budget `max_insts`.
+    fn clock(core: &Simulator, max_insts: u64) -> u64 {
+        if core.finished(max_insts) {
+            u64::MAX
+        } else {
+            core.cycle()
+        }
     }
 
     /// Chip-level execution telemetry (fast-forward windows, broker

@@ -850,9 +850,10 @@ impl Simulator {
     /// state that the phases are proven not to modify):
     ///
     /// * fault injection / runahead step / trigger: no episode is
-    ///   running, and (when a trigger is configured) the head is not a
-    ///   DRAM-blocked load, so the trigger predicate — whose inputs
-    ///   are all frozen — stays false;
+    ///   running, and (when a trigger is configured) either the head is
+    ///   not a DRAM-blocked load or the back end is not full — neither
+    ///   now nor under the `stalled` verdict every skipped dispatch
+    ///   recomputes — so the trigger predicate stays false;
     /// * commit: the ROB head has not completed, and its completion
     ///   event bounds the skip horizon;
     /// * store drain: the post-commit store buffer is empty and only
@@ -891,6 +892,7 @@ impl Simulator {
 
         let mut engine_idle = None;
         let mut vector = false;
+        let mut head_blocked_dram = false;
         if let Some(ep) = &self.runahead {
             // Decoupled episodes leave the whole pipeline live; a
             // fault plan consumes RNG per episode cycle.
@@ -915,20 +917,14 @@ impl Simulator {
             // Commit, trigger and fetch are frozen by the episode
             // itself; only dispatch below needs checking.
         } else {
-            // Commit and trigger must be frozen.
-            let mut head_blocked_dram = false;
+            // Commit must be frozen; the trigger is checked below, once
+            // the dispatch verdict it reads is known.
             if let Some(head) = self.rob_front() {
                 if head.done_by(c) {
                     return None; // commit acts this cycle
                 }
                 head_blocked_dram =
                     head.is_load() && head.issued && head.hit == Some(HitLevel::Dram);
-            }
-            if self.ra_cfg.kind != RunaheadKind::None && head_blocked_dram {
-                // The runahead trigger could fire as soon as the back
-                // end reports full; don't reason about it, just don't
-                // skip.
-                return None;
             }
 
             // Fetch must be frozen.
@@ -973,6 +969,19 @@ impl Simulator {
                 }
                 stalled = true;
             }
+        }
+
+        // The trigger must stay false. Its `blocked` half holds for the
+        // whole window once `head_blocked_dram` does (the head's
+        // completion event bounds the horizon); its `full` half reads
+        // the frozen ROB length and `backend_stalled` — the current
+        // value on this cycle, the recomputed `stalled` on every later
+        // one.
+        if head_blocked_dram
+            && self.ra_cfg.kind != RunaheadKind::None
+            && (self.rob_len() >= self.cfg.rob || self.backend_stalled || stalled)
+        {
+            return None; // the trigger may fire in the window
         }
 
         // Horizon: the earliest cycle anything can happen — the next

@@ -3,10 +3,15 @@
 //! hierarchy is attached to a chip-shared LLC. The same program is
 //! driven through `advance` on an unattached core and on an attached
 //! one (a one-core "chip" with a real broker), call by call.
+//!
+//! The fast-forward's trigger clause: a configured runahead trigger
+//! refuses a skip only when it could fire inside the window.
 
 use vr_core::{Advance, CoreConfig, RunaheadConfig, Simulator};
 use vr_isa::{Asm, Memory, Reg};
 use vr_mem::{MemConfig, SharedLlc, SharedLlcConfig};
+use vr_workloads::graph::GraphPreset;
+use vr_workloads::{gap, Scale};
 
 /// A B[A[i]] dependent-load loop over a DRAM-resident table that runs
 /// to `halt`, so both cores commit exactly the same instructions
@@ -129,4 +134,103 @@ fn attachment_alone_decides_how_far_a_vector_engine_runs() {
         assert_eq!(free.committed_cpu().x(r), held.committed_cpu().x(r), "{r:?}");
     }
     assert_eq!(free.memory().digest(), held.memory().digest());
+}
+
+/// A loop whose ROB head waits on DRAM while a mispredicted branch that
+/// depends on the load keeps fetch shut: each iteration loads from a
+/// pseudo-random line of a 1 GiB span and branches on the loaded value
+/// mixed with the generator state, so the back end never fills and the
+/// runahead trigger never fires.
+fn dram_wait_behind_mispredict(ra: RunaheadConfig) -> Simulator {
+    let mut a = Asm::new();
+    a.li(Reg::T0, 0);
+    a.li(Reg::T1, 600);
+    a.li(Reg::S1, 0x1234_5678_9ABC_DEF1);
+    a.li(Reg::S3, 0x5851_F42D_4C95_7F2D);
+    let top = a.here();
+    let skip = a.label();
+    a.mul(Reg::S1, Reg::S1, Reg::S3);
+    a.addi(Reg::S1, Reg::S1, 1);
+    a.srli(Reg::T2, Reg::S1, 40);
+    a.slli(Reg::T2, Reg::T2, 6);
+    a.add(Reg::T2, Reg::T2, Reg::A0);
+    a.ld(Reg::T4, Reg::T2, 0);
+    a.add(Reg::T4, Reg::T4, Reg::S1);
+    a.srli(Reg::T4, Reg::T4, 37);
+    a.andi(Reg::T4, Reg::T4, 1);
+    a.beq(Reg::T4, Reg::ZERO, skip);
+    a.addi(Reg::S2, Reg::S2, 1);
+    a.bind(skip);
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.blt(Reg::T0, Reg::T1, top);
+    a.halt();
+    Simulator::new(
+        CoreConfig::table1(),
+        MemConfig::table1(),
+        ra,
+        a.assemble(),
+        Memory::new(),
+        &[(Reg::A0, 0x4000_0000)],
+    )
+}
+
+/// `[Skipped, EngineStepped, Ticked]` calls of a run to `halt`.
+fn advance_counts(sim: &mut Simulator) -> [u64; 3] {
+    sim.validate().expect("table-1 config is valid");
+    let mut counts = [0; 3];
+    while !sim.finished(u64::MAX) {
+        let kind = match sim.advance().expect("clean run") {
+            Advance::Skipped(_) => 0,
+            Advance::EngineStepped => 1,
+            Advance::Ticked => 2,
+        };
+        counts[kind] += 1;
+    }
+    counts
+}
+
+#[test]
+fn a_trigger_that_cannot_fire_does_not_stop_the_fast_forward() {
+    let mut vr = dram_wait_behind_mispredict(RunaheadConfig::vector());
+    let vr_counts = advance_counts(&mut vr);
+    let vr_stats = vr.seal_stats();
+    assert_eq!(vr_stats.runahead_entries, 0, "the back end never fills: no episode");
+    assert!(vr_stats.mem.dram_reads_total() > 500, "the head must wait on DRAM");
+
+    let mut ooo = dram_wait_behind_mispredict(RunaheadConfig::none());
+    let ooo_counts = advance_counts(&mut ooo);
+    assert_eq!(vr_stats, ooo.seal_stats(), "no episode, so the same run");
+    assert_eq!(
+        vr_counts, ooo_counts,
+        "a configured trigger whose inputs stay false must skip the same DRAM waits"
+    );
+    assert!(vr_counts[0] >= 50, "the DRAM waits are skipped: {vr_counts:?}");
+}
+
+/// The opposite case: a 2-wide core with an 8-entry issue queue keeps
+/// filling its back end behind DRAM misses, so the trigger's `full`
+/// input flips on the very cycle a window would start. The clause must
+/// read the dispatch verdict the skipped ticks would recompute, not
+/// only the current `backend_stalled`: these are the statistics of the
+/// fast-forward that refused every window behind a DRAM-blocked head
+/// under a trigger.
+#[test]
+fn the_trigger_clause_reads_the_dispatch_verdict() {
+    let mut cfg = CoreConfig::table1();
+    (cfg.width, cfg.rob, cfg.iq, cfg.frontend_depth) = (2, 48, 8, 3);
+    let graph = GraphPreset::Kron.generate(Scale::Test);
+    let w = gap::bfs_on(&graph, GraphPreset::Kron);
+    let mut sim = Simulator::new(
+        cfg,
+        MemConfig::table1(),
+        RunaheadConfig::vector(),
+        w.program,
+        w.memory,
+        &w.init_regs,
+    );
+    let s = sim.run(30_000);
+    assert_eq!(
+        (s.cycles, s.full_rob_stall_cycles, s.runahead_entries, s.runahead_cycles, s.vr_batches),
+        (43_655, 8_863, 49, 15_288, 56)
+    );
 }

@@ -32,7 +32,7 @@ impl CacheConfig {
 /// Per-line bookkeeping. `prefetch_src` remembers who brought the line
 /// in; it is consumed by the first demand touch (for prefetch-accuracy
 /// and timeliness accounting).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LineState {
     /// Line address (byte address of the first byte in the line).
     pub line_addr: u64,
@@ -48,28 +48,40 @@ pub struct LineState {
 /// The cache tracks *presence* and flags only — data lives in the
 /// functional [`vr_isa::Memory`]. Fills happen at lookup time; the
 /// in-flight window is modelled by the MSHR file above this level.
+///
+/// All ways live in one flat `sets × assoc` array (DESIGN.md §12): set
+/// `s` is `ways[s·assoc .. (s+1)·assoc]`, MRU first, resident lines
+/// before empty ways. An empty way holds `EMPTY`, whose tag no
+/// line-aligned address can equal, so a probe scans all `assoc` ways
+/// without a length check.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// sets[i] is an MRU-first vector of lines.
-    sets: Vec<Vec<LineState>>,
+    ways: Box<[LineState]>,
     set_mask: u64,
     line_shift: u32,
 }
 
+/// The content of an empty way: its tag has the low bit set, and every
+/// probed address is line-aligned (`Cache::new` rejects 1-byte lines).
+const EMPTY: LineState = LineState { line_addr: u64::MAX, dirty: false, prefetch_src: None };
+
 impl Cache {
-    /// Creates an empty cache. Every set's way storage is allocated
-    /// here, up front: `vec![Vec::with_capacity(..); n]` would clone
-    /// an *empty* vector (capacity is not preserved by `Clone`), so a
-    /// set first touched late in a run would still grow on the hot
-    /// path — violating the allocation-free steady state (DESIGN.md
-    /// §12).
+    /// Creates an empty cache; the one way array is its only
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`])
+    /// or the line size is not a power of two of at least 2 bytes.
     pub fn new(cfg: CacheConfig) -> Cache {
+        assert!(
+            cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 2,
+            "line size must be a power of two of at least 2 bytes"
+        );
         let sets = cfg.sets();
-        let mut storage = Vec::with_capacity(sets);
-        storage.resize_with(sets, || Vec::with_capacity(cfg.assoc));
         Cache {
-            sets: storage,
+            ways: vec![EMPTY; sets * cfg.assoc].into_boxed_slice(),
             set_mask: sets as u64 - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             cfg,
@@ -86,8 +98,20 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
-    fn set_of(&self, line_addr: u64) -> usize {
-        ((line_addr >> self.line_shift) & self.set_mask) as usize
+    /// Where `line_addr`'s set lies in `ways`.
+    fn set_range(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let start = ((line_addr >> self.line_shift) & self.set_mask) as usize * self.cfg.assoc;
+        start..start + self.cfg.assoc
+    }
+
+    /// The ways of `line_addr`'s set, MRU first.
+    fn set(&self, line_addr: u64) -> &[LineState] {
+        &self.ways[self.set_range(line_addr)]
+    }
+
+    fn set_mut(&mut self, line_addr: u64) -> &mut [LineState] {
+        let range = self.set_range(line_addr);
+        &mut self.ways[range]
     }
 
     /// Single probe for `addr`: its way position within the set (0 =
@@ -96,7 +120,7 @@ impl Cache {
     /// to walk the set twice per hit.
     pub fn probe(&self, addr: u64) -> Option<usize> {
         let la = self.line_addr(addr);
-        self.sets[self.set_of(la)].iter().position(|l| l.line_addr == la)
+        self.set(la).iter().position(|l| l.line_addr == la)
     }
 
     /// Probes for `addr` without changing replacement state.
@@ -106,17 +130,19 @@ impl Cache {
 
     /// Promotes the line at `pos` (as returned by [`Cache::probe`]) in
     /// `addr`'s set to MRU and returns a mutable reference to it.
-    /// Single rotate — no remove/insert pair shifting the tail twice.
+    /// One shift of the ways above it — no remove/insert pair moving
+    /// the tail twice.
     ///
     /// # Panics
     ///
     /// Panics if `pos` is out of range for the set (a stale probe).
     pub fn promote(&mut self, addr: u64, pos: usize) -> &mut LineState {
         let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
-        let set = &mut self.sets[set_idx];
-        debug_assert_eq!(set[pos].line_addr, la, "stale probe position");
-        set[..=pos].rotate_right(1);
+        let set = self.set_mut(la);
+        let line = set[pos];
+        debug_assert_eq!(line.line_addr, la, "stale probe position");
+        set.copy_within(..pos, 1);
+        set[0] = line;
         &mut set[0]
     }
 
@@ -133,38 +159,55 @@ impl Cache {
     /// If the line is already present it is refreshed instead (its
     /// flags are left untouched) and `None` is returned.
     pub fn fill(&mut self, addr: u64, prefetch_src: Option<Requestor>) -> Option<LineState> {
-        let la = self.line_addr(addr);
-        if let Some(pos) = self.probe(la) {
-            self.promote(la, pos);
+        if let Some(pos) = self.probe(addr) {
+            self.promote(addr, pos);
             return None;
         }
-        let assoc = self.cfg.assoc;
-        let set_idx = self.set_of(la);
-        let set = &mut self.sets[set_idx];
-        let victim = if set.len() == assoc { set.pop() } else { None };
-        set.insert(0, LineState { line_addr: la, dirty: false, prefetch_src });
-        victim
+        self.insert(addr, false, prefetch_src)
+    }
+
+    /// [`Cache::fill`] for a line the caller has just missed: the
+    /// hierarchy fills only lines its own lookup did not find, so it
+    /// skips the second probe (and sets `dirty` in place of a third).
+    pub(crate) fn insert(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        prefetch_src: Option<Requestor>,
+    ) -> Option<LineState> {
+        debug_assert!(!self.contains(addr), "insert of a resident line");
+        let la = self.line_addr(addr);
+        // The last way is the LRU line of a full set, or an empty way:
+        // either way it is the one the new line displaces.
+        let set = self.set_mut(la);
+        let last = set[set.len() - 1];
+        set.copy_within(..set.len() - 1, 1);
+        set[0] = LineState { line_addr: la, dirty, prefetch_src };
+        (last.line_addr != EMPTY.line_addr).then_some(last)
     }
 
     /// Removes the line containing `addr` (back-invalidation), if
     /// present; returns its state.
     pub fn invalidate(&mut self, addr: u64) -> Option<LineState> {
         let la = self.line_addr(addr);
-        let set_idx = self.set_of(la);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|l| l.line_addr == la)?;
-        Some(set.remove(pos))
+        let pos = self.probe(la)?;
+        let set = self.set_mut(la);
+        let line = set[pos];
+        set.copy_within(pos + 1.., pos);
+        set[set.len() - 1] = EMPTY;
+        Some(line)
     }
 
     /// Number of resident lines (for tests).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.ways.iter().filter(|l| l.line_addr != EMPTY.line_addr).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_isa::SplitMix64;
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.
@@ -259,5 +302,145 @@ mod tests {
             c.fill(i * 64, None);
         }
         assert_eq!(c.resident_lines(), 8); // 4 sets × 2 ways
+    }
+
+    /// Reference cache: each set is an MRU-first `Vec` of its resident
+    /// lines.
+    struct VecCache {
+        sets: Vec<Vec<LineState>>,
+        assoc: usize,
+    }
+
+    impl VecCache {
+        fn new(cfg: CacheConfig) -> VecCache {
+            VecCache { sets: vec![Vec::new(); cfg.sets()], assoc: cfg.assoc }
+        }
+
+        fn set(&mut self, la: u64) -> &mut Vec<LineState> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[((la >> 6) % n) as usize]
+        }
+
+        fn probe(&self, la: u64) -> Option<usize> {
+            let n = self.sets.len() as u64;
+            self.sets[((la >> 6) % n) as usize].iter().position(|l| l.line_addr == la)
+        }
+
+        fn promote(&mut self, la: u64, pos: usize) -> &mut LineState {
+            let set = self.set(la);
+            set[..=pos].rotate_right(1);
+            &mut set[0]
+        }
+
+        fn fill(&mut self, la: u64, prefetch_src: Option<Requestor>) -> Option<LineState> {
+            if let Some(pos) = self.probe(la) {
+                self.promote(la, pos);
+                return None;
+            }
+            let assoc = self.assoc;
+            let set = self.set(la);
+            let victim = if set.len() == assoc { set.pop() } else { None };
+            set.insert(0, LineState { line_addr: la, dirty: false, prefetch_src });
+            victim
+        }
+
+        fn invalidate(&mut self, la: u64) -> Option<LineState> {
+            let pos = self.probe(la)?;
+            Some(self.set(la).remove(pos))
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// Seeded `fill`/`insert`/`lookup`/`probe`/`promote`/`invalidate` on
+    /// the flat cache and the `Vec`-per-set reference: every return
+    /// value, and afterwards every line's probe position and flags, must
+    /// agree.
+    fn differential(cfg: CacheConfig, seed: u64) {
+        let mut flat = Cache::new(cfg);
+        let mut reference = VecCache::new(cfg);
+        let mut rng = SplitMix64::new(seed);
+        // Three lines per way of capacity: sets fill, evict and drain.
+        let universe = (cfg.sets() * cfg.assoc * 3) as u64;
+        let srcs = [None, Some(Requestor::Runahead), Some(Requestor::Stride)];
+        for op in 0..10_000 {
+            let la = rng.below(universe) * 64;
+            let addr = la + rng.below(64);
+            match rng.below(6) {
+                0 | 1 => {
+                    let src = srcs[rng.below(3) as usize];
+                    assert_eq!(
+                        flat.fill(addr, src),
+                        reference.fill(la, src),
+                        "op {op}: fill victim"
+                    );
+                }
+                5 if reference.probe(la).is_none() => {
+                    // `insert` is `fill` plus a dirty flag, for a line
+                    // known to be absent.
+                    let src = srcs[rng.below(3) as usize];
+                    let dirty = rng.flip();
+                    let want = reference.fill(la, src);
+                    reference.promote(la, 0).dirty = dirty;
+                    assert_eq!(flat.insert(addr, dirty, src), want, "op {op}: insert victim");
+                }
+                2 => {
+                    let (got, want) = (flat.lookup(addr), reference.probe(la));
+                    let want = want.map(|pos| reference.promote(la, pos));
+                    assert_eq!(got.as_deref(), want.as_deref(), "op {op}: lookup");
+                    // Flip the flags through both handles.
+                    if let (Some(g), Some(w)) = (got, want) {
+                        g.dirty = !g.dirty;
+                        w.dirty = !w.dirty;
+                        g.prefetch_src = g.prefetch_src.take().or(Some(Requestor::Imp));
+                        w.prefetch_src = w.prefetch_src.take().or(Some(Requestor::Imp));
+                    }
+                }
+                3 => {
+                    let pos = flat.probe(addr);
+                    assert_eq!(pos, reference.probe(la), "op {op}: probe");
+                    if let Some(pos) = pos {
+                        assert_eq!(*flat.promote(addr, pos), *reference.promote(la, pos));
+                    }
+                }
+                _ => {
+                    assert_eq!(
+                        flat.invalidate(addr),
+                        reference.invalidate(la),
+                        "op {op}: invalidate"
+                    );
+                }
+            }
+            assert_eq!(flat.resident_lines(), reference.resident_lines(), "op {op}");
+            for line in 0..universe {
+                let la = line * 64;
+                let pos = flat.probe(la);
+                assert_eq!(pos, reference.probe(la), "op {op}: position of {la:#x}");
+                if let Some(pos) = pos {
+                    let set = &reference.sets[(line % cfg.sets() as u64) as usize];
+                    assert_eq!(flat.set(la)[pos], set[pos], "op {op}: flags of {la:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_ways_match_vec_per_set_two_way() {
+        // 2-way × 4-set.
+        differential(
+            CacheConfig { size_bytes: 512, assoc: 2, line_bytes: 64, latency: 1 },
+            0xCA5E_0002,
+        );
+    }
+
+    #[test]
+    fn flat_ways_match_vec_per_set_sixteen_way() {
+        // 16-way × 4-set, the shared L3's associativity.
+        differential(
+            CacheConfig { size_bytes: 4096, assoc: 16, line_bytes: 64, latency: 1 },
+            0xCA5E_0016,
+        );
     }
 }

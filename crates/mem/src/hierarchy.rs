@@ -537,7 +537,7 @@ impl MemorySystem {
         let pf_src = req.is_prefetch().then_some(req);
         // Flag only the L1 copy (the level runahead prefetches into);
         // lower-level copies inherit the flag on eviction.
-        self.fill_l3(la, None, now);
+        self.fill_l3(la, None, false, now);
         self.fill_l2_flagged(la, None, kind == Access::Store, now);
         self.fill_l1_flagged(la, pf_src, kind == Access::Store, now);
         Ok(AccessOutcome { ready_at: ready, hit: HitLevel::Dram, prefetched_by: None })
@@ -549,7 +549,7 @@ impl MemorySystem {
     }
 
     fn fill_l1_flagged(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        if let Some(victim) = self.l1d.fill(la, pf_src) {
+        if let Some(victim) = self.l1d.insert(la, dirty, pf_src) {
             // The victim lives on in L2: carry its dirtiness and its
             // not-yet-consumed prefetch ownership down with it (this
             // is what makes the timeliness L2/L3 buckets mean
@@ -569,11 +569,6 @@ impl MemorySystem {
                 ),
             }
         }
-        if dirty {
-            if let Some(line) = self.l1d.lookup(la) {
-                line.dirty = true;
-            }
-        }
     }
 
     fn fill_l2_flagged(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
@@ -581,7 +576,7 @@ impl MemorySystem {
     }
 
     fn fill_l2_flagged_src(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        if let Some(victim) = self.l2.fill(la, pf_src) {
+        if let Some(victim) = self.l2.insert(la, dirty, pf_src) {
             match self.l3.lookup(victim.line_addr) {
                 Some(line) => {
                     line.dirty |= victim.dirty;
@@ -611,7 +606,7 @@ impl MemorySystem {
                             }
                         }
                     } else if victim.dirty {
-                        self.fill_l3_dirty(victim.line_addr, victim.prefetch_src, now);
+                        self.fill_l3(victim.line_addr, victim.prefetch_src, true, now);
                     } else if victim.prefetch_src.is_some() {
                         // A clean, still-flagged victim with no L3 copy
                         // is silently dropped: the prefetched line has
@@ -623,15 +618,10 @@ impl MemorySystem {
                 }
             }
         }
-        if dirty {
-            if let Some(line) = self.l2.lookup(la) {
-                line.dirty = true;
-            }
-        }
     }
 
-    fn fill_l3(&mut self, la: u64, pf_src: Option<Requestor>, now: u64) {
-        if let Some(victim) = self.l3.fill(la, pf_src) {
+    fn fill_l3(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
+        if let Some(victim) = self.l3.insert(la, dirty, pf_src) {
             if victim.dirty {
                 self.dram.write_line(0);
                 self.stats.dram_writebacks += 1;
@@ -644,13 +634,6 @@ impl MemorySystem {
                     t.on_evict(victim.line_addr, now);
                 }
             }
-        }
-    }
-
-    fn fill_l3_dirty(&mut self, la: u64, pf_src: Option<Requestor>, now: u64) {
-        self.fill_l3(la, pf_src, now);
-        if let Some(line) = self.l3.lookup(la) {
-            line.dirty = true;
         }
     }
 
@@ -775,6 +758,22 @@ mod tests {
         assert!(matches!(ms.access(0x9000, Access::Load, Requestor::Main, 99, 0), Err(MshrFull)));
         // After the fills return, capacity frees up.
         assert!(ms.access(0x9000, Access::Load, Requestor::Main, 99, 500).is_ok());
+    }
+
+    #[test]
+    fn demand_loads_counts_attempts_load_hits_counts_loads() {
+        let mut ms = sys(); // 4 MSHRs
+        for i in 0..4u64 {
+            ms.access(0x1000 + i * 64, Access::Load, Requestor::Main, i, 0).unwrap();
+        }
+        let before = *ms.stats();
+        // One load, rejected twice while the file is full, then served.
+        assert!(matches!(ms.access(0x9000, Access::Load, Requestor::Main, 9, 1), Err(MshrFull)));
+        assert!(matches!(ms.access(0x9000, Access::Load, Requestor::Main, 9, 2), Err(MshrFull)));
+        assert!(ms.access(0x9000, Access::Load, Requestor::Main, 9, 500).is_ok());
+        let d = ms.stats().delta(&before);
+        assert_eq!(d.demand_loads, 3, "every attempt counts");
+        assert_eq!(d.load_hits.iter().sum::<u64>(), 1, "the load is served once");
     }
 
     #[test]

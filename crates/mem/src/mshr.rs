@@ -18,11 +18,16 @@ struct Entry {
 /// Stored as a flat vector searched linearly: at ≤ a few dozen entries
 /// a scan over contiguous `Copy` records beats hashing the address on
 /// every probe (this is the hottest lookup in the hierarchy — every
-/// access expires and probes the file).
+/// access expires and probes the file). Expiry is next-ready: the
+/// earliest `ready_at` is cached, so an `expire` before it is one
+/// compare instead of a pass over the file (DESIGN.md §12).
 #[derive(Clone, Debug)]
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<Entry>,
+    /// Earliest `ready_at` over `entries` (`u64::MAX` when empty):
+    /// lowered on allocate, recomputed after each retain.
+    next_ready: u64,
     /// Σ (ready − alloc) over all allocations; occupancy integral for
     /// the MLP figure.
     occupancy_integral: u64,
@@ -41,6 +46,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            next_ready: u64::MAX,
             occupancy_integral: 0,
             allocations: 0,
             merges: 0,
@@ -51,9 +57,15 @@ impl MshrFile {
         self.entries.iter().find(|e| e.line_addr == line_addr)
     }
 
-    /// Releases entries whose fills have completed by `now`.
+    /// Releases entries whose fills have completed by `now`. Before
+    /// the earliest `ready_at` no entry can go, so the file is not
+    /// scanned.
     pub fn expire(&mut self, now: u64) {
+        if now < self.next_ready {
+            return;
+        }
         self.entries.retain(|e| e.ready_at > now);
+        self.next_ready = self.entries.iter().map(|e| e.ready_at).min().unwrap_or(u64::MAX);
     }
 
     /// Whether `line_addr` is outstanding, without counting a merge
@@ -81,6 +93,7 @@ impl MshrFile {
         }
         debug_assert!(!self.is_pending(line_addr), "duplicate MSHR allocation");
         self.entries.push(Entry { line_addr, ready_at, requestor: req });
+        self.next_ready = self.next_ready.min(ready_at);
         self.occupancy_integral += ready_at.saturating_sub(now);
         self.allocations += 1;
         true
@@ -101,7 +114,7 @@ impl MshrFile {
     /// cycle at which the memory system can change state on its own
     /// (used by the core's idle-cycle fast-forward).
     pub fn next_ready_at(&self) -> Option<u64> {
-        self.entries.iter().map(|e| e.ready_at).min()
+        (!self.entries.is_empty()).then_some(self.next_ready)
     }
 
     /// Whether the file has a free entry.
@@ -130,6 +143,7 @@ impl MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_isa::SplitMix64;
 
     #[test]
     fn allocate_until_full_then_reject() {
@@ -169,5 +183,69 @@ mod tests {
         m.allocate(0x40, 20, 120, Requestor::Main); // 100 cycles
         assert_eq!(m.occupancy_integral(), 300);
         assert_eq!(m.allocations(), 2);
+    }
+
+    /// Reference file: every `expire` is a `retain` and
+    /// `next_ready_at` a scan.
+    struct AlwaysRetain {
+        capacity: usize,
+        entries: Vec<(u64, u64)>,
+    }
+
+    impl AlwaysRetain {
+        fn expire(&mut self, now: u64) {
+            self.entries.retain(|&(_, ready)| ready > now);
+        }
+
+        fn pending(&self, la: u64) -> Option<u64> {
+            self.entries.iter().find(|e| e.0 == la).map(|e| e.1)
+        }
+
+        fn allocate(&mut self, la: u64, ready_at: u64) -> bool {
+            if self.entries.len() >= self.capacity {
+                return false;
+            }
+            self.entries.push((la, ready_at));
+            true
+        }
+    }
+
+    #[test]
+    fn next_ready_expiry_matches_always_retain() {
+        let mut rng = SplitMix64::new(0x5A5E_0028);
+        let mut m = MshrFile::new(8);
+        let mut r = AlwaysRetain { capacity: 8, entries: Vec::new() };
+        let mut now = 0u64;
+        for op in 0..10_000 {
+            now += rng.below(40);
+            let la = rng.below(32) * 64;
+            match rng.below(5) {
+                0 | 1 => {
+                    // Callers expire before they allocate, and never
+                    // allocate a line already outstanding.
+                    m.expire(now);
+                    r.expire(now);
+                    if r.pending(la).is_none() {
+                        let ready = now + rng.range(1, 300);
+                        assert_eq!(
+                            m.allocate(la, now, ready, Requestor::Main),
+                            r.allocate(la, ready),
+                            "op {op}: allocate"
+                        );
+                    }
+                }
+                2 => {
+                    m.expire(now);
+                    r.expire(now);
+                }
+                3 => assert_eq!(m.pending(la), r.pending(la), "op {op}: pending"),
+                _ => assert_eq!(
+                    m.next_ready_at(),
+                    r.entries.iter().map(|e| e.1).min(),
+                    "op {op}: next_ready_at"
+                ),
+            }
+            assert_eq!(m.outstanding(), r.entries.len(), "op {op}: outstanding");
+        }
     }
 }

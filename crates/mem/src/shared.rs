@@ -117,10 +117,45 @@ pub struct SharedLlc {
     /// Last core a bank served (distinguishes bank *conflicts* — two
     /// cores contending — from self-queueing).
     bank_last_core: Box<[u32]>,
-    /// Ready times of LLC misses in flight to DRAM (the shared MSHR
-    /// pool). Bounded by `cfg.shared_mshrs`; entries expire lazily.
-    inflight: Vec<u64>,
+    /// LLC misses in flight to DRAM (the shared MSHR pool).
+    inflight: InflightPool,
     stats: SharedLlcStats,
+}
+
+/// The shared MSHR pool: ready times of LLC misses in flight to DRAM,
+/// pre-sized to the pool's capacity and expired lazily. Like
+/// [`crate::MshrFile`] it caches the earliest ready time, so an arrival
+/// before it skips the `retain` entirely.
+#[derive(Clone, Debug)]
+struct InflightPool {
+    ready: Vec<u64>,
+    /// `min(ready)`, `u64::MAX` when empty.
+    next_ready: u64,
+}
+
+impl InflightPool {
+    fn new(capacity: usize) -> InflightPool {
+        InflightPool { ready: Vec::with_capacity(capacity), next_ready: u64::MAX }
+    }
+
+    /// Drops the fetches complete by `now`. `retain` on the pre-sized
+    /// vec never allocates.
+    fn expire(&mut self, now: u64) {
+        if now < self.next_ready {
+            return;
+        }
+        self.ready.retain(|&r| r > now);
+        self.next_ready = self.ready.iter().copied().min().unwrap_or(u64::MAX);
+    }
+
+    fn push(&mut self, ready_at: u64) {
+        self.ready.push(ready_at);
+        self.next_ready = self.next_ready.min(ready_at);
+    }
+
+    fn len(&self) -> usize {
+        self.ready.len()
+    }
 }
 
 impl SharedLlc {
@@ -138,7 +173,7 @@ impl SharedLlc {
             dram: Dram::new(cfg.dram_min_latency, cfg.dram_cycles_per_line),
             bank_next_free: vec![0; cfg.banks].into_boxed_slice(),
             bank_last_core: vec![u32::MAX; cfg.banks].into_boxed_slice(),
-            inflight: Vec::with_capacity(cfg.shared_mshrs),
+            inflight: InflightPool::new(cfg.shared_mshrs),
             stats: SharedLlcStats::default(),
             cfg,
         }
@@ -203,14 +238,13 @@ impl SharedLlc {
             return SharedOutcome::Hit { ready_at: start + self.cfg.l3.latency };
         }
         // Shared MSHR pool: expire completed fetches lazily, then
-        // claim a slot or reject. `retain` on the pre-sized vec never
-        // allocates. A rejected request is turned away at the LLC
-        // controller *before* bank scheduling — it must not claim a
-        // bank slot, or a retry storm from N cores would advance the
-        // bank's busy-until faster than the clock and livelock the
-        // chip (every later arrival priced into the far future, the
-        // pool never draining).
-        self.inflight.retain(|&ready| ready > arrive);
+        // claim a slot or reject. A rejected request is turned away at
+        // the LLC controller *before* bank scheduling — it must not
+        // claim a bank slot, or a retry storm from N cores would
+        // advance the bank's busy-until faster than the clock and
+        // livelock the chip (every later arrival priced into the far
+        // future, the pool never draining).
+        self.inflight.expire(arrive);
         if self.inflight.len() >= self.cfg.shared_mshrs {
             self.stats.shared_mshr_rejections += 1;
             return SharedOutcome::Reject;
@@ -241,15 +275,10 @@ impl SharedLlc {
     /// Installs `tagged` into the shared L3, writing back a dirty
     /// victim through the shared DRAM channel.
     fn fill(&mut self, tagged: u64, dirty: bool) {
-        if let Some(victim) = self.l3.fill(tagged, None) {
+        if let Some(victim) = self.l3.insert(tagged, dirty, None) {
             if victim.dirty {
                 self.dram.write_line(0);
                 self.stats.dram_writebacks += 1;
-            }
-        }
-        if dirty {
-            if let Some(line) = self.l3.lookup(tagged) {
-                line.dirty = true;
             }
         }
     }
@@ -258,6 +287,7 @@ impl SharedLlc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_isa::SplitMix64;
 
     fn tiny() -> SharedLlcConfig {
         SharedLlcConfig {
@@ -349,5 +379,33 @@ mod tests {
         let before = llc.stats().dram_writebacks;
         llc.fill_victim(3, 0x9000, false);
         assert_eq!(llc.stats().dram_writebacks, before);
+    }
+
+    /// The pool against an always-`retain` reference: seeded arrivals
+    /// at nondecreasing times, each expiring, then claiming a slot if
+    /// one is free (the `access_line` miss path).
+    #[test]
+    fn next_ready_pool_matches_always_retain() {
+        let mut rng = SplitMix64::new(0x5A5E_D028);
+        let cap = 16;
+        let mut pool = InflightPool::new(cap);
+        let mut reference: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        for op in 0..10_000 {
+            now += rng.below(30);
+            pool.expire(now);
+            reference.retain(|&r| r > now);
+            assert_eq!(pool.len(), reference.len(), "op {op}: outstanding");
+            assert_eq!(
+                (pool.len() > 0).then_some(pool.next_ready),
+                reference.iter().copied().min(),
+                "op {op}: next ready"
+            );
+            if rng.below(3) > 0 && reference.len() < cap {
+                let ready = now + rng.range(1, 400);
+                pool.push(ready);
+                reference.push(ready);
+            }
+        }
     }
 }

@@ -21,9 +21,12 @@ pub enum TimelinessLevel {
 /// Counters maintained by [`crate::MemorySystem`].
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct MemStats {
-    /// Main-thread demand loads.
+    /// Main-thread demand load *attempts*: counted before the MSHR-full
+    /// check, so a load rejected `k` times and then served counts
+    /// `k + 1` (Σ [`MemStats::load_hits`] counts it once).
     pub demand_loads: u64,
-    /// Main-thread demand stores.
+    /// Main-thread demand store attempts, counted like
+    /// [`MemStats::demand_loads`].
     pub demand_stores: u64,
     /// Main-thread demand loads by the level that served them
     /// (indexed by [`HitLevel`] discriminant: L1, L2, L3, DRAM).
