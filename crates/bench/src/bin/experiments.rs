@@ -1059,8 +1059,9 @@ fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> R
         ),
     );
 
-    // Chip-level fast-forward telemetry (a `vr-telemetry-v1`
-    // attachment in the JSON export): how the chip *simulated*, never
+    // Chip-level fast-forward telemetry (an attachment in the JSON
+    // export, with no schema tag until ROADMAP item 1's export
+    // defines one): how the chip *simulated*, never
     // what it simulated — the figure's tables and stored records are
     // byte-identical with or without it. A direct probe run of one
     // representative 4-core point, because store-hit points skip
@@ -1186,8 +1187,9 @@ fn table_hw(_opts: &Opts) -> Vec<Report> {
 /// runs the workload with both the pipeline trace and the episode
 /// telemetry enabled, asserts the trace is well-ordered, and renders
 /// the commit window with runahead episodes annotated (`<RA>` rows,
-/// `== runahead episode ==` separators). The full `vr-telemetry-v1`
-/// document is attached to the JSON export.
+/// `== runahead episode ==` separators). The full telemetry is
+/// attached to the JSON export, with no schema tag until ROADMAP item
+/// 1's export defines one.
 fn trace_cmd(opts: &Opts) -> Vec<Report> {
     use vr_core::PipelineTrace;
     const TRACE_WINDOW: usize = 64;

@@ -5,8 +5,9 @@
 //! [`Table`]s it prints as text, so the exported values are equal to
 //! the text output by construction — there is no second formatting
 //! path to drift. The JSON document is versioned
-//! ([`EXPERIMENTS_SCHEMA`], see DESIGN.md §10); telemetry sections
-//! attach under their own `vr-telemetry-v1` sub-schema.
+//! ([`EXPERIMENTS_SCHEMA`], see DESIGN.md §10); attached telemetry
+//! sections carry no schema tag of their own yet — ROADMAP item 1's
+//! export defines one.
 
 use std::path::Path;
 
@@ -81,8 +82,8 @@ impl Report {
         self.metrics.push((name.to_string(), v));
     }
 
-    /// Attaches an arbitrary JSON sub-document (e.g. a
-    /// `vr-telemetry-v1` section).
+    /// Attaches an arbitrary JSON sub-document (e.g. a telemetry
+    /// section, which carries no schema tag yet).
     pub fn attach(&mut self, name: &str, j: Json) {
         self.extra.push((name.to_string(), j));
     }

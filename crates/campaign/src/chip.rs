@@ -7,13 +7,13 @@
 //! [`crate::CampaignPoint`] — dedup, deadlines and their retries,
 //! poison, resumability — via the [`SweepPoint`] impl below.
 //!
-//! Storage: a chip point's result ([`ChipRun`]) is decomposed into
-//! ordinary per-core `SimStats` records (under derived keys,
-//! [`chip_core_key`]) plus one chip-level contention record under the
-//! store's `chip/` directory ([`ResultStore::save_chip`]). A load is a
-//! cache hit only when *every* piece is present and valid, so a
-//! campaign killed between the per-core saves and the chip save simply
-//! recomputes the point.
+//! Storage: a chip point's whole result ([`ChipRun`]: every core's
+//! stats and the chip-level contention counters) is one record under
+//! [`ChipPoint::key`] in the store's `records/`, written by
+//! [`ResultStore::save_chip`] in one atomic publish — a campaign killed
+//! mid-save leaves the point stored whole or not at all. A record whose
+//! per-core count differs from the point's slot count is corrupt
+//! ([`ResultStore::load_chip`] quarantines it and misses).
 
 use std::sync::Arc;
 
@@ -98,17 +98,6 @@ pub fn chip_point_key(
     PointKey(h.finish())
 }
 
-/// The derived key under which core `i`'s `SimStats` of chip point
-/// `base` is stored (an ordinary `records/` record — the chip-level
-/// counters live separately under `chip/`).
-pub fn chip_core_key(base: PointKey, core: usize) -> PointKey {
-    let mut h = Fnv64::new();
-    h.write_str("vr-chip-core");
-    h.write_u64(base.0);
-    h.write_u64(core as u64);
-    PointKey(h.finish())
-}
-
 impl SweepPoint for ChipPoint {
     type Output = ChipRun;
 
@@ -120,27 +109,12 @@ impl SweepPoint for ChipPoint {
         &self.label
     }
 
-    fn load(&self, store: &ResultStore, base: PointKey) -> Option<ChipRun> {
-        let chip = store.load_chip(base)?;
-        let per_core = (0..self.slots.len())
-            .map(|i| store.load(chip_core_key(base, i)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(ChipRun { per_core, chip })
+    fn load(&self, store: &ResultStore, key: PointKey) -> Option<ChipRun> {
+        store.load_chip(key, self.slots.len())
     }
 
-    fn save(&self, store: &ResultStore, base: PointKey, out: &ChipRun) -> std::io::Result<()> {
-        for (i, stats) in out.per_core.iter().enumerate() {
-            store.save(chip_core_key(base, i), &format!("{}#core{i}", self.label), stats)?;
-        }
-        // Chip record last: its presence marks the point complete
-        // (`load` checks it first), so a crash mid-save reads as a
-        // plain miss, never a torn result.
-        store.save_chip(base, &self.label, &out.chip)
-    }
-
-    fn present(&self, store: &ResultStore, base: PointKey) -> bool {
-        store.contains_chip(base)
-            && (0..self.slots.len()).all(|i| store.contains(chip_core_key(base, i)))
+    fn save(&self, store: &ResultStore, key: PointKey, out: &ChipRun) -> std::io::Result<()> {
+        store.save_chip(key, &self.label, out)
     }
 }
 
@@ -206,12 +180,6 @@ mod tests {
         let mut swapped = point(2, 1000);
         swapped.slots.swap(0, 1);
         assert_ne!(base.key(), swapped.key(), "placement order participates");
-        assert_ne!(
-            chip_core_key(base.key(), 0),
-            chip_core_key(base.key(), 1),
-            "per-core records never collide"
-        );
-        assert_ne!(chip_core_key(base.key(), 0), base.key());
     }
 
     #[test]
@@ -219,7 +187,7 @@ mod tests {
         let (dir, store) = tmp_store("roundtrip");
         let p = point(2, 400);
         let key = p.key();
-        assert!(!p.present(&store, key));
+        assert!(!store.contains(key));
         assert!(p.load(&store, key).is_none());
 
         let run = SimExecutor
@@ -227,15 +195,17 @@ mod tests {
             .expect("chip runs");
         assert_eq!(run.per_core.len(), 2);
         p.save(&store, key, &run).expect("saves");
-        assert!(p.present(&store, key));
+        assert!(store.contains(key));
+        assert_eq!(store.len().unwrap(), 1, "one record per chip point");
         assert_eq!(p.load(&store, key), Some(run.clone()));
 
-        // Losing one per-core record degrades to a miss, not a torn
-        // partial result.
-        let core0 = store.records_dir().join(format!("{}.json", chip_core_key(key, 0).hex()));
-        std::fs::remove_file(&core0).unwrap();
+        // A record holding fewer cores than the point has slots is
+        // corrupt: a quarantined miss, never a partial result.
+        let short = ChipRun { per_core: run.per_core[..1].to_vec(), chip: run.chip };
+        p.save(&store, key, &short).expect("saves");
         assert!(p.load(&store, key).is_none());
-        assert!(!p.present(&store, key));
+        assert!(!store.contains(key));
+        assert_eq!(store.counters().quarantined, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -254,7 +224,7 @@ mod tests {
         // The store stays maintainable with chip records present.
         let rep = store.verify().unwrap();
         assert!(rep.clean(), "{rep:?}");
-        assert_eq!(rep.ok, 3 + 2, "3 per-core records + 2 chip records");
+        assert_eq!(rep.ok, 2, "one record per chip point");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -103,8 +103,8 @@ pub trait SweepPoint: Sync {
     ///
     /// Deriving it reads the whole point (for simulation points, a
     /// digest of every memory image), so callers derive it **once**
-    /// and hand it to [`SweepPoint::load`], [`SweepPoint::save`] and
-    /// [`SweepPoint::present`], whose impls never call `key()`.
+    /// and hand it to [`SweepPoint::load`] and [`SweepPoint::save`],
+    /// whose impls never call `key()`.
     fn key(&self) -> PointKey;
 
     /// Human-readable name for progress lines and failure reports.
@@ -122,12 +122,6 @@ pub trait SweepPoint: Sync {
     /// Propagates the store's I/O error; the engine degrades a failed
     /// save to "computed but not cached".
     fn save(&self, store: &ResultStore, key: PointKey, out: &Self::Output) -> std::io::Result<()>;
-
-    /// Cheap existence check (no payload validation) for status
-    /// censuses. The default is the single-record case.
-    fn present(&self, store: &ResultStore, key: PointKey) -> bool {
-        store.contains(key)
-    }
 }
 
 impl SweepPoint for CampaignPoint {
@@ -436,9 +430,9 @@ pub fn campaign_status<P: SweepPoint>(points: &[P], store: &ResultStore) -> Stat
             continue;
         }
         rep.total += 1;
-        if p.present(store, key) {
+        if store.contains(key) {
             rep.present += 1;
-        } else if store.is_poisoned(key) {
+        } else if store.load_poison(key).is_some() {
             rep.poisoned += 1;
         } else {
             rep.missing += 1;
@@ -667,7 +661,7 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
             shared.finish(p.label(), ProgressKind::CacheHit);
             return (Fate::Hit(out), 0);
         }
-        if store.is_poisoned(key) {
+        if store.load_poison(key).is_some() {
             // An earlier run already gave up on this point; skip it
             // rather than reproducing the same verdict (`store gc`
             // un-poisons).

@@ -36,7 +36,7 @@ pub mod fingerprint;
 pub mod serial;
 pub mod store;
 
-pub use chip::{chip_core_key, chip_point_key, ChipPoint, ChipSlot};
+pub use chip::{chip_point_key, ChipPoint, ChipSlot};
 pub use engine::{
     campaign_status, run_campaign, run_points, CampaignOutcome, CampaignPoint, CancelToken,
     EngineConfig, ExecCtx, Executor, ProgressEvent, ProgressKind, ProgressSink, SimExecutor,
@@ -45,7 +45,7 @@ pub use engine::{
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
 // The worker pool lives in its own crate (`vr-pool`); re-exported
 // here for the `vr_campaign::WorkerPool` users.
-pub use serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
+pub use serial::{chip_run_from_json, chip_run_to_json, stats_from_json, stats_to_json};
 pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,

@@ -1,5 +1,5 @@
-//! Exact JSON serialization of [`SimStats`] / [`MemStats`] for the
-//! on-disk result store.
+//! Exact JSON serialization of [`SimStats`] / [`MemStats`] and of a
+//! whole [`ChipRun`] for the on-disk result store.
 //!
 //! Every counter is a `u64`, and the `vr-obs` JSON type keeps `u64`s
 //! exact through a serialize → parse round trip, so a stored record
@@ -14,7 +14,7 @@
 //! and recomputed — correct, if pessimistic; bumping
 //! [`crate::CODE_SALT`] achieves the same end more explicitly.)
 
-use vr_chip::ChipStats;
+use vr_chip::{ChipRun, ChipStats};
 use vr_core::SimStats;
 use vr_mem::MemStats;
 use vr_obs::Json;
@@ -167,10 +167,36 @@ pub fn stats_from_json(j: &Json) -> Result<SimStats, String> {
     })
 }
 
+/// Serializes a whole chip point's result — every core's stats in core
+/// order, then the chip-level counters — as the payload of its one
+/// store record.
+pub fn chip_run_to_json(run: &ChipRun) -> Json {
+    // Exhaustive: a new ChipRun field fails to compile here.
+    let ChipRun { per_core, chip } = run;
+    Json::Obj(vec![
+        ("per_core".into(), Json::Arr(per_core.iter().map(stats_to_json).collect())),
+        ("chip".into(), chip_stats_to_json(chip)),
+    ])
+}
+
+/// Strict inverse of [`chip_run_to_json`].
+///
+/// # Errors
+///
+/// Returns a message naming the first missing or mistyped field (the
+/// store quarantines such records and recomputes the point).
+pub fn chip_run_from_json(j: &Json) -> Result<ChipRun, String> {
+    let per_core = j.get("per_core").and_then(Json::as_arr).ok_or("missing array `per_core`")?;
+    Ok(ChipRun {
+        per_core: per_core.iter().map(stats_from_json).collect::<Result<_, _>>()?,
+        chip: chip_stats_from_json(j.get("chip").ok_or("missing object `chip`")?)?,
+    })
+}
+
 /// Serializes the chip-level contention counters of one multi-core
-/// point (the `chip/` record payload) with the same exhaustive
-/// destructuring discipline as [`stats_to_json`].
-pub fn chip_stats_to_json(s: &ChipStats) -> Json {
+/// point with the same exhaustive destructuring discipline as
+/// [`stats_to_json`].
+fn chip_stats_to_json(s: &ChipStats) -> Json {
     // Exhaustive: a new ChipStats field fails to compile here.
     let ChipStats {
         cycles,
@@ -193,12 +219,7 @@ pub fn chip_stats_to_json(s: &ChipStats) -> Json {
 }
 
 /// Strict inverse of [`chip_stats_to_json`].
-///
-/// # Errors
-///
-/// Returns a message naming the first missing or mistyped field (the
-/// store quarantines such records and recomputes the point).
-pub fn chip_stats_from_json(j: &Json) -> Result<ChipStats, String> {
+fn chip_stats_from_json(j: &Json) -> Result<ChipStats, String> {
     // Exhaustive struct literal, like `stats_from_json`.
     Ok(ChipStats {
         cycles: get_u64(j, "cycles")?,
@@ -309,5 +330,26 @@ mod tests {
         let err = chip_stats_from_json(&pruned).unwrap_err();
         assert!(err.contains("bank_conflicts"), "{err}");
         assert!(chip_stats_from_json(&Json::U64(1)).is_err());
+    }
+
+    #[test]
+    fn chip_run_round_trip_is_bit_exact_and_strict() {
+        let run = ChipRun {
+            per_core: vec![dense_stats(), SimStats::default()],
+            chip: ChipStats { cycles: u64::MAX, llc_hits: 7, ..ChipStats::default() },
+        };
+        for text in [chip_run_to_json(&run).to_string(), chip_run_to_json(&run).to_pretty()] {
+            let parsed = Json::parse(&text).expect("self-emitted JSON parses");
+            assert_eq!(chip_run_from_json(&parsed).expect("reads back"), run);
+        }
+        // A strict reader all the way down: one core's missing counter
+        // rejects the whole run.
+        let text = chip_run_to_json(&run).to_string().replacen("\"spec_stores\"", "\"x\"", 1);
+        let err = chip_run_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.contains("spec_stores"), "{err}");
+        let j = chip_run_to_json(&run);
+        let Json::Obj(members) = &j else { panic!() };
+        let pruned = Json::Obj(members.iter().filter(|(k, _)| k != "chip").cloned().collect());
+        assert!(chip_run_from_json(&pruned).unwrap_err().contains("chip"));
     }
 }

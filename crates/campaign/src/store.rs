@@ -4,45 +4,60 @@
 //!
 //! ```text
 //! DIR/
-//!   records/<key-hex16>.json   one simulation result per point key
-//!   chip/<key-hex16>.json      chip-level contention counters of one
-//!                              multi-core point (its per-core stats
-//!                              are ordinary records under derived
-//!                              keys — see `crate::chip`)
-//!   poison/<key-hex16>.json    structured failure records for points
-//!                              the campaign supervisor gave up on
+//!   records/<key-hex16>.json   one result per point key: a single-core
+//!                              point's stats or a whole chip point's
+//!                              run (see `crate::chip`)
+//!   poison/<key-hex16>.json    the verdict on a point the campaign
+//!                              supervisor gave up on
 //!   quarantine/<name>.<nanos>  records that failed validation
 //! ```
 //!
-//! **Crash consistency.** A record is written to a unique temp file in
-//! `records/` and published with [`std::fs::rename`] — atomic on every
-//! POSIX filesystem — so a reader (including a concurrent process)
-//! sees either no record or a complete one, never a torn write. A
-//! process killed mid-campaign (SIGTERM, SIGKILL, OOM) therefore
-//! leaves the store consistent: finished points are durable, the
-//! in-flight point at most leaves a `.tmp-*` file that [`ResultStore::gc`]
-//! reclaims. Temp-file reclamation is **age-gated** (default
-//! [`TMP_GC_GRACE`]): a `gc` running beside a live writer must not
-//! delete the temp file that writer is about to rename.
+//! **One envelope.** Every record is one JSON object with the fields
+//! `schema`, `key`, `salt`, `label`, `checksum` and the payload, and the
+//! `schema` tag names the payload's kind:
 //!
-//! **Corruption policy.** Every load fully validates the record:
-//! schema tag, embedded key vs filename, code-version salt, payload
-//! checksum, and a strict field-exhaustive stats parse. Salt mismatch
-//! means *stale* (a legitimate record from an older simulator) — it is
-//! treated as a miss and left for `gc`. Everything else means
-//! *corrupt* — the record is moved into `quarantine/` (never deleted:
-//! the bytes may matter for diagnosis) and the point is recomputed.
-//! No store problem ever panics the caller; the worst case is a cache
-//! miss.
+//! * `vr-resultstore-v1` — a single-core point's `SimStats`;
+//! * `vr-chipstore-v2` — a chip point's whole `ChipRun` (`per_core`
+//!   stats plus the `chip` counters);
+//! * `vr-campaign-v1` — a poison verdict (`error`, `attempts`,
+//!   `deadline_trips`).
+//!
+//! The payload field is spelled `stats` for every kind, the name the
+//! first scalar records used, so a scalar record is byte for byte what
+//! earlier versions wrote. One private writer publishes every kind, one
+//! private reader validates every kind, and one directory walk serves
+//! `verify`, `gc` and [`snapshot_records`].
+//!
+//! **Crash consistency.** A record is written to a unique temp file in
+//! its directory and published with [`std::fs::rename`] — atomic on
+//! every POSIX filesystem — so a reader (including a concurrent
+//! process) sees either no record or a complete one, never a torn
+//! write. A process killed mid-campaign (SIGTERM, SIGKILL, OOM)
+//! therefore leaves the store consistent: finished points are durable,
+//! the in-flight point at most leaves a `.tmp-*` file that
+//! [`ResultStore::gc`] reclaims. Temp-file reclamation is **age-gated**
+//! (default [`TMP_GC_GRACE`]): a `gc` running beside a live writer must
+//! not delete the temp file that writer is about to rename.
+//!
+//! **Corruption policy.** Every read fully validates the record: the
+//! embedded key against the filename, the payload checksum, a strict
+//! field-exhaustive parse of the payload by its tag (an unknown tag, or
+//! a kind the caller did not ask for, is corrupt), and the code-version
+//! salt last. Salt mismatch means *stale* (a legitimate record from an
+//! older simulator) — it is treated as a miss and left for `gc`.
+//! Everything else means *corrupt* — the record is moved into
+//! `quarantine/` (never deleted: the bytes may matter for diagnosis)
+//! and the point is recomputed. No store problem ever panics the
+//! caller; the worst case is a cache miss.
 //!
 //! **Poison records.** When the campaign supervisor declares a point
-//! unrunnable (a deterministic error, repeated deadline trips) it writes a
-//! [`PoisonRecord`] under `poison/` through the same atomic publish
-//! protocol and the same validation policy (corrupt poison records are
-//! quarantined, stale-salt ones ignored). A poisoned point is skipped
-//! on re-runs — the campaign *degrades* instead of wedging on a
-//! permanently failing point — and `gc` clears poison records, which
-//! is the deliberate "retry everything" lever.
+//! unrunnable (a deterministic error, repeated deadline trips) it writes
+//! a [`PoisonRecord`] under `poison/` through the same writer and reads
+//! it back through the same reader (corrupt poison records are
+//! quarantined, stale-salt ones ignored). A poisoned point is skipped on
+//! re-runs — the campaign *degrades* instead of wedging on a permanently
+//! failing point — and `gc` clears poison records, which is the
+//! deliberate "retry everything" lever.
 //!
 //! **Fault injection.** With the `chaos` cargo feature, every
 //! filesystem operation above can be routed through a seeded
@@ -55,12 +70,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use vr_chip::ChipStats;
+use vr_chip::ChipRun;
 use vr_core::SimStats;
 use vr_obs::{Fnv64, Json, CAMPAIGN_SCHEMA, CHIPSTORE_SCHEMA, RESULTSTORE_SCHEMA};
 
 use crate::fingerprint::{PointKey, CODE_SALT};
-use crate::serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
+use crate::serial::{chip_run_from_json, chip_run_to_json, stats_from_json, stats_to_json};
 
 /// Minimum age a `.tmp-*` file must reach before a default
 /// [`ResultStore::gc`] reclaims it. A temp file younger than this may
@@ -77,13 +92,39 @@ pub const TMP_GC_GRACE: Duration = Duration::from_secs(60);
 /// uniqueness).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Why a load did not produce a result (beyond a simple absence).
+/// Why a read did not produce a payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RecordFault {
+enum Fault {
+    /// No file at the path.
+    Absent,
     /// Valid record from an older code version (salt mismatch).
     Stale,
-    /// Unparseable / checksum-mismatched / wrong-key record.
+    /// Unreadable / unparseable / checksum-mismatched / wrong-key /
+    /// wrong-kind record.
     Corrupt,
+}
+
+/// A validated record's payload, of the kind its schema tag names.
+// Short-lived: every read unpacks it at once, and boxing the stats
+// would put an allocation on every scalar load.
+#[allow(clippy::large_enum_variant)]
+enum Payload {
+    Stats(SimStats),
+    Chip(ChipRun),
+    Poison(PoisonRecord),
+}
+
+/// What a read asks for; a record of any other kind is corrupt.
+#[derive(Clone, Copy)]
+enum Want {
+    /// A single-core point's result (a cache lookup).
+    Stats,
+    /// A chip point's result with this many cores (a cache lookup).
+    Chip(usize),
+    /// Either result kind (a maintenance walk of `records/`).
+    Result,
+    /// A poison verdict.
+    Poison,
 }
 
 /// Point-in-time snapshot of the store's session counters.
@@ -93,9 +134,10 @@ pub struct StoreCounters {
     pub hits: u64,
     /// Loads that found no record (and will trigger a computation).
     pub misses: u64,
-    /// Loads/verifies that found a stale-salt record.
+    /// Reads (loads, poison checks, maintenance) that found a
+    /// stale-salt record.
     pub stale: u64,
-    /// Loads/verifies that quarantined a corrupt record.
+    /// Reads that quarantined a corrupt record.
     pub quarantined: u64,
     /// Records written (published via atomic rename).
     pub writes: u64,
@@ -132,14 +174,16 @@ impl VerifyReport {
 pub struct GcReport {
     /// Stale-salt records removed.
     pub stale_removed: u64,
-    /// Corrupt records removed (quarantined first, then reclaimed).
+    /// Corrupt records found by this pass (quarantined, then reclaimed
+    /// with the quarantine backlog).
     pub corrupt_removed: u64,
     /// Orphaned temp files removed.
     pub tmp_removed: u64,
     /// Temp files kept because they are younger than the age gate
     /// (possibly a live writer's).
     pub tmp_kept: u64,
-    /// Quarantined files removed.
+    /// Files removed from `quarantine/`, this pass's corrupt records
+    /// included.
     pub quarantine_removed: u64,
     /// Poison records removed (those points become runnable again).
     pub poison_removed: u64,
@@ -174,7 +218,6 @@ pub struct PoisonRecord {
 #[derive(Debug)]
 pub struct ResultStore {
     records: PathBuf,
-    chip: PathBuf,
     poison: PathBuf,
     quarantine: PathBuf,
     hits: AtomicU64,
@@ -195,16 +238,13 @@ impl ResultStore {
     /// created.
     pub fn open(root: &Path) -> io::Result<ResultStore> {
         let records = root.join("records");
-        let chip = root.join("chip");
         let poison = root.join("poison");
         let quarantine = root.join("quarantine");
-        fs::create_dir_all(&records)?;
-        fs::create_dir_all(&chip)?;
-        fs::create_dir_all(&poison)?;
-        fs::create_dir_all(&quarantine)?;
+        for dir in [&records, &poison, &quarantine] {
+            fs::create_dir_all(dir)?;
+        }
         Ok(ResultStore {
             records,
-            chip,
             poison,
             quarantine,
             hits: AtomicU64::new(0),
@@ -276,81 +316,100 @@ impl ResultStore {
         fs::remove_file(path)
     }
 
-    /// The directory holding record files.
+    /// The directory holding result records.
     pub fn records_dir(&self) -> &Path {
         &self.records
     }
 
-    fn record_path(&self, key: PointKey) -> PathBuf {
-        self.records.join(format!("{}.json", key.hex()))
-    }
-
-    fn chip_path(&self, key: PointKey) -> PathBuf {
-        self.chip.join(format!("{}.json", key.hex()))
-    }
-
-    fn poison_path(&self, key: PointKey) -> PathBuf {
-        self.poison.join(format!("{}.json", key.hex()))
-    }
-
-    fn tmp_path(&self, dir: &Path) -> PathBuf {
-        dir.join(format!(".tmp-{}-{}", std::process::id(), TMP_SEQ.fetch_add(1, Ordering::Relaxed)))
-    }
-
-    /// Writes `bytes` into `dir/name` via the atomic temp-file +
-    /// rename protocol, never leaving the temp file behind on a failed
-    /// publish.
-    fn publish(&self, dir: &Path, name: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.tmp_path(dir);
-        self.io_write(&tmp, bytes)?;
-        let published = self.io_rename(&tmp, name);
+    /// The one writer: wraps `body` in the envelope under `schema` and
+    /// publishes it as `key`'s record in `dir` — a unique temp file in
+    /// `dir` renamed over the record, never left behind on a failed
+    /// rename.
+    fn write(
+        &self,
+        dir: &Path,
+        key: PointKey,
+        label: &str,
+        schema: &str,
+        body: Json,
+    ) -> io::Result<()> {
+        let record = Json::Obj(vec![
+            ("schema".into(), Json::from(schema)),
+            ("key".into(), Json::from(key.hex())),
+            ("salt".into(), Json::U64(CODE_SALT)),
+            ("label".into(), Json::from(label)),
+            ("checksum".into(), Json::from(payload_checksum(&body))),
+            ("stats".into(), body),
+        ]);
+        let tmp = dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        self.io_write(&tmp, record.to_pretty().as_bytes())?;
+        let published = self.io_rename(&tmp, &record_path(dir, key));
         if published.is_err() {
             let _ = self.io_remove(&tmp);
         }
-        published
+        published?;
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
-    /// Loads and fully validates the record for `key`. `None` is a
-    /// miss — absent, stale, or quarantined-just-now (see the module
-    /// docs for the policy). Never panics on store contents.
-    pub fn load(&self, key: PointKey) -> Option<SimStats> {
-        let path = self.record_path(key);
-        let text = match self.io_read(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            Err(_) => {
-                // Unreadable is indistinguishable from corrupt.
-                self.quarantine_record(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+    /// The one reader: reads the record at `path`, validates it (see
+    /// [`validate`]; `key` is the key its filename names, `None` for a
+    /// misnamed file, which is corrupt) and settles the outcome — a
+    /// lookup counts a hit or a miss, a stale record is counted and
+    /// left for `gc`, a corrupt or unreadable one is quarantined.
+    fn read(&self, path: &Path, key: Option<PointKey>, want: Want) -> Result<Payload, Fault> {
+        let read = match self.io_read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Err(Fault::Absent),
+            // Unreadable is indistinguishable from corrupt.
+            Err(_) => Err(Fault::Corrupt),
+            Ok(text) => key.ok_or(Fault::Corrupt).and_then(|key| validate(&text, key, want)),
         };
-        match validate_record(&text, Some(key)) {
-            Ok(stats) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(stats)
-            }
-            Err(RecordFault::Stale) => {
+        match read {
+            Err(Fault::Stale) => {
                 self.stale.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
-            Err(RecordFault::Corrupt) => {
-                self.quarantine_record(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Err(Fault::Corrupt) => self.quarantine_record(path),
+            Ok(_) | Err(Fault::Absent) => {}
+        }
+        // Cache lookups count a hit or a miss; poison checks and
+        // maintenance walks count neither.
+        if matches!(want, Want::Stats | Want::Chip(_)) {
+            let counter = if read.is_ok() { &self.hits } else { &self.misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        read
+    }
+
+    /// Loads and fully validates the single-core result for `key`.
+    /// `None` is a miss — absent, stale, or quarantined-just-now (see
+    /// the module docs for the policy). Never panics on store contents.
+    pub fn load(&self, key: PointKey) -> Option<SimStats> {
+        match self.read(&record_path(&self.records, key), Some(key), Want::Stats) {
+            Ok(Payload::Stats(stats)) => Some(stats),
+            _ => None,
         }
     }
 
-    /// Whether a record file exists for `key` (existence only — no
-    /// validation; `campaign status` uses this as a cheap census and
-    /// leaves full validation to `verify`).
+    /// Loads and fully validates the chip result for `key`, which must
+    /// hold exactly `cores` per-core stats (a record with any other
+    /// count is corrupt). Same policy and counters as
+    /// [`ResultStore::load`].
+    pub fn load_chip(&self, key: PointKey, cores: usize) -> Option<ChipRun> {
+        match self.read(&record_path(&self.records, key), Some(key), Want::Chip(cores)) {
+            Ok(Payload::Chip(run)) => Some(run),
+            _ => None,
+        }
+    }
+
+    /// Whether a record file exists for `key`, of either result kind
+    /// (existence only — no validation; `campaign status` uses this as
+    /// a cheap census and leaves full validation to `verify`).
     pub fn contains(&self, key: PointKey) -> bool {
-        self.record_path(key).exists()
+        record_path(&self.records, key).exists()
     }
 
     /// Persists `stats` for `key` via the atomic temp-file + rename
@@ -361,84 +420,18 @@ impl ResultStore {
     /// Returns the underlying I/O error (callers treat a failed save
     /// as "result not cached", never as a failed computation).
     pub fn save(&self, key: PointKey, label: &str, stats: &SimStats) -> io::Result<()> {
-        let payload = stats_to_json(stats);
-        let checksum = payload_checksum(&payload);
-        let record = Json::Obj(vec![
-            ("schema".into(), Json::from(RESULTSTORE_SCHEMA)),
-            ("key".into(), Json::from(key.hex())),
-            ("salt".into(), Json::U64(CODE_SALT)),
-            ("label".into(), Json::from(label)),
-            ("checksum".into(), Json::from(checksum)),
-            ("stats".into(), payload),
-        ]);
-        self.publish(&self.records, &self.record_path(key), record.to_pretty().as_bytes())?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.write(&self.records, key, label, RESULTSTORE_SCHEMA, stats_to_json(stats))
     }
 
-    /// Loads and fully validates the chip-level record for `key` —
-    /// same policy as [`ResultStore::load`] (absent/stale = miss,
-    /// corrupt = quarantine + miss), same session counters.
-    pub fn load_chip(&self, key: PointKey) -> Option<ChipStats> {
-        let path = self.chip_path(key);
-        let text = match self.io_read(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            Err(_) => {
-                self.quarantine_record(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match validate_chip(&text, Some(key)) {
-            Ok(stats) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(stats)
-            }
-            Err(RecordFault::Stale) => {
-                self.stale.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(RecordFault::Corrupt) => {
-                self.quarantine_record(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Whether a chip-level record file exists for `key` (existence
-    /// only, like [`ResultStore::contains`]).
-    pub fn contains_chip(&self, key: PointKey) -> bool {
-        self.chip_path(key).exists()
-    }
-
-    /// Persists the chip-level counters for `key` under `chip/` via
-    /// the same atomic temp-file + rename protocol as
-    /// [`ResultStore::save`].
+    /// Persists a whole chip run for `key` as one record, the same way
+    /// as [`ResultStore::save`].
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error (callers treat a failed save
     /// as "result not cached").
-    pub fn save_chip(&self, key: PointKey, label: &str, stats: &ChipStats) -> io::Result<()> {
-        let payload = chip_stats_to_json(stats);
-        let checksum = payload_checksum(&payload);
-        let record = Json::Obj(vec![
-            ("schema".into(), Json::from(CHIPSTORE_SCHEMA)),
-            ("key".into(), Json::from(key.hex())),
-            ("salt".into(), Json::U64(CODE_SALT)),
-            ("label".into(), Json::from(label)),
-            ("checksum".into(), Json::from(checksum)),
-            ("stats".into(), payload),
-        ]);
-        self.publish(&self.chip, &self.chip_path(key), record.to_pretty().as_bytes())?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+    pub fn save_chip(&self, key: PointKey, label: &str, run: &ChipRun) -> io::Result<()> {
+        self.write(&self.records, key, label, CHIPSTORE_SCHEMA, chip_run_to_json(run))
     }
 
     /// Persists a poison record for `rec.key`: the point is declared
@@ -450,48 +443,24 @@ impl ResultStore {
     /// Returns the underlying I/O error (callers degrade to an
     /// unpersisted in-memory failure — the campaign still finishes).
     pub fn poison(&self, rec: &PoisonRecord) -> io::Result<()> {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::from(CAMPAIGN_SCHEMA)),
-            ("kind".into(), Json::from("poison")),
-            ("key".into(), Json::from(rec.key.hex())),
-            ("salt".into(), Json::U64(CODE_SALT)),
-            ("label".into(), Json::from(rec.label.as_str())),
+        let body = Json::Obj(vec![
             ("error".into(), Json::from(rec.error.as_str())),
             ("attempts".into(), Json::U64(u64::from(rec.attempts))),
             ("deadline_trips".into(), Json::U64(u64::from(rec.deadline_trips))),
         ]);
-        self.publish(&self.poison, &self.poison_path(rec.key), doc.to_pretty().as_bytes())
+        self.write(&self.poison, rec.key, &rec.label, CAMPAIGN_SCHEMA, body)
     }
 
-    /// Loads and validates the poison record for `key`, if any.
-    /// Corrupt poison records are quarantined (and the point becomes
+    /// Loads and validates the poison record for `key`, if any (the
+    /// campaign skips points that have one). Corrupt poison records are quarantined (and the point becomes
     /// runnable again); stale-salt ones are ignored and left for `gc`
     /// — poison from an old code version must not mask a point the
     /// current code might compute fine.
     pub fn load_poison(&self, key: PointKey) -> Option<PoisonRecord> {
-        let path = self.poison_path(key);
-        let text = match self.io_read(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                self.quarantine_record(&path);
-                return None;
-            }
-        };
-        match validate_poison(&text, Some(key)) {
-            Ok(rec) => Some(rec),
-            Err(RecordFault::Stale) => None,
-            Err(RecordFault::Corrupt) => {
-                self.quarantine_record(&path);
-                None
-            }
+        match self.read(&record_path(&self.poison, key), Some(key), Want::Poison) {
+            Ok(Payload::Poison(rec)) => Some(rec),
+            _ => None,
         }
-    }
-
-    /// Whether `key` has a valid poison record (the campaign skips
-    /// such points).
-    pub fn is_poisoned(&self, key: PointKey) -> bool {
-        self.load_poison(key).is_some()
     }
 
     /// Every valid poison record, in deterministic (key-name) order.
@@ -503,16 +472,11 @@ impl ResultStore {
     /// (and quarantined where the policy says so).
     pub fn poison_list(&self) -> io::Result<Vec<PoisonRecord>> {
         let mut out = Vec::new();
-        for entry in sorted_entries(&self.poison)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                continue;
-            }
-            let Some(key) = name.strip_suffix(".json").and_then(PointKey::from_hex) else {
-                continue;
-            };
-            if let Some(rec) = self.load_poison(key) {
-                out.push(rec);
+        for entry in walk(&self.poison, Duration::ZERO)? {
+            if let Entry::Record { path, key, .. } = entry {
+                if let Ok(Payload::Poison(rec)) = self.read(&path, key, Want::Poison) {
+                    out.push(rec);
+                }
             }
         }
         Ok(out)
@@ -528,13 +492,13 @@ impl ResultStore {
     /// Returns the underlying error if the quarantine directory cannot
     /// be listed.
     pub fn quarantine_backlog(&self) -> io::Result<u64> {
-        Ok(sorted_entries(&self.quarantine)?.len() as u64)
+        Ok(walk(&self.quarantine, Duration::ZERO)?.len() as u64)
     }
 
-    /// Full-store validation sweep: every record is parsed and
-    /// checked; corrupt ones are quarantined as a side effect (the
-    /// maintenance counterpart of the per-load checks). Poison records
-    /// get the same treatment and are counted separately.
+    /// Full-store validation sweep: every record, result or poison, is
+    /// read through the validating reader, so corrupt ones are
+    /// quarantined as a side effect (the maintenance counterpart of the
+    /// per-load checks). Poison records are counted separately.
     ///
     /// # Errors
     ///
@@ -542,83 +506,20 @@ impl ResultStore {
     /// cannot be listed; per-record problems are counted, not raised.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut rep = VerifyReport::default();
-        for entry in sorted_entries(&self.records)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                rep.tmp_files += 1;
-                continue;
-            }
-            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
-            let outcome =
-                self.io_read(&entry.path()).map_err(|_| RecordFault::Corrupt).and_then(|text| {
-                    match key {
-                        Some(k) => validate_record(&text, Some(k)).map(|_| ()),
-                        // A record file not even named by a key is corrupt
-                        // by construction.
-                        None => Err(RecordFault::Corrupt),
-                    }
-                });
-            match outcome {
-                Ok(()) => rep.ok += 1,
-                Err(RecordFault::Stale) => {
-                    self.stale.fetch_add(1, Ordering::Relaxed);
-                    rep.stale += 1;
-                }
-                Err(RecordFault::Corrupt) => {
-                    self.quarantine_record(&entry.path());
-                    rep.quarantined += 1;
-                }
-            }
-        }
-        for entry in sorted_entries(&self.chip)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                rep.tmp_files += 1;
-                continue;
-            }
-            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
-            let outcome =
-                self.io_read(&entry.path()).map_err(|_| RecordFault::Corrupt).and_then(|text| {
-                    match key {
-                        Some(k) => validate_chip(&text, Some(k)).map(|_| ()),
-                        None => Err(RecordFault::Corrupt),
-                    }
-                });
-            match outcome {
-                Ok(()) => rep.ok += 1,
-                Err(RecordFault::Stale) => {
-                    self.stale.fetch_add(1, Ordering::Relaxed);
-                    rep.stale += 1;
-                }
-                Err(RecordFault::Corrupt) => {
-                    self.quarantine_record(&entry.path());
-                    rep.quarantined += 1;
-                }
-            }
-        }
-        for entry in sorted_entries(&self.poison)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                rep.tmp_files += 1;
-                continue;
-            }
-            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
-            let outcome =
-                self.io_read(&entry.path()).map_err(|_| RecordFault::Corrupt).and_then(|text| {
-                    match key {
-                        Some(k) => validate_poison(&text, Some(k)).map(|_| ()),
-                        None => Err(RecordFault::Corrupt),
-                    }
-                });
-            match outcome {
-                Ok(()) => rep.poisoned += 1,
-                Err(RecordFault::Stale) => {
-                    self.stale.fetch_add(1, Ordering::Relaxed);
-                    rep.stale += 1;
-                }
-                Err(RecordFault::Corrupt) => {
-                    self.quarantine_record(&entry.path());
-                    rep.quarantined += 1;
+        for (dir, want) in [(&self.records, Want::Result), (&self.poison, Want::Poison)] {
+            for entry in walk(dir, Duration::ZERO)? {
+                let Entry::Record { path, key, .. } = entry else {
+                    rep.tmp_files += 1;
+                    continue;
+                };
+                match self.read(&path, key, want) {
+                    Ok(Payload::Poison(_)) => rep.poisoned += 1,
+                    Ok(_) => rep.ok += 1,
+                    Err(Fault::Stale) => rep.stale += 1,
+                    Err(Fault::Corrupt) => rep.quarantined += 1,
+                    // Gone between the listing and the read (a
+                    // concurrent gc): nothing left to judge.
+                    Err(Fault::Absent) => {}
                 }
             }
         }
@@ -652,104 +553,54 @@ impl ResultStore {
     /// cannot be listed.
     pub fn gc_with_tmp_age(&self, min_tmp_age: Duration) -> io::Result<GcReport> {
         let mut rep = GcReport::default();
-        for entry in sorted_entries(&self.records)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                if tmp_older_than(&entry, min_tmp_age) {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.tmp_removed += 1;
+        for (dir, poison) in [(&self.records, false), (&self.poison, true)] {
+            for entry in walk(dir, min_tmp_age)? {
+                let (path, removed) = match entry {
+                    Entry::Tmp { aged: false, .. } => {
+                        rep.tmp_kept += 1;
+                        continue;
                     }
-                } else {
-                    rep.tmp_kept += 1;
-                }
-                continue;
-            }
-            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
-            let outcome =
-                self.io_read(&entry.path()).map_err(|_| RecordFault::Corrupt).and_then(|text| {
-                    match key {
-                        Some(k) => validate_record(&text, Some(k)).map(|_| ()),
-                        None => Err(RecordFault::Corrupt),
-                    }
-                });
-            match outcome {
-                Ok(()) => rep.kept += 1,
-                Err(RecordFault::Stale) => {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.stale_removed += 1;
-                    }
-                }
-                Err(RecordFault::Corrupt) => {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.corrupt_removed += 1;
-                    }
+                    Entry::Tmp { path, aged: true } => (path, &mut rep.tmp_removed),
+                    Entry::Record { path, .. } if poison => (path, &mut rep.poison_removed),
+                    Entry::Record { path, key, .. } => match self.read(&path, key, Want::Result) {
+                        Ok(_) => {
+                            rep.kept += 1;
+                            continue;
+                        }
+                        Err(Fault::Stale) => (path, &mut rep.stale_removed),
+                        // The reader moved it into quarantine, which
+                        // the sweep below empties.
+                        Err(Fault::Corrupt) => {
+                            rep.corrupt_removed += 1;
+                            continue;
+                        }
+                        Err(Fault::Absent) => continue,
+                    },
+                };
+                if self.io_remove(&path).is_ok() {
+                    *removed += 1;
                 }
             }
         }
-        for entry in sorted_entries(&self.chip)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") {
-                if tmp_older_than(&entry, min_tmp_age) {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.tmp_removed += 1;
-                    }
-                } else {
-                    rep.tmp_kept += 1;
-                }
-                continue;
-            }
-            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
-            let outcome =
-                self.io_read(&entry.path()).map_err(|_| RecordFault::Corrupt).and_then(|text| {
-                    match key {
-                        Some(k) => validate_chip(&text, Some(k)).map(|_| ()),
-                        None => Err(RecordFault::Corrupt),
-                    }
-                });
-            match outcome {
-                Ok(()) => rep.kept += 1,
-                Err(RecordFault::Stale) => {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.stale_removed += 1;
-                    }
-                }
-                Err(RecordFault::Corrupt) => {
-                    if self.io_remove(&entry.path()).is_ok() {
-                        rep.corrupt_removed += 1;
-                    }
-                }
-            }
-        }
-        for entry in sorted_entries(&self.poison)? {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(".tmp-") && !tmp_older_than(&entry, min_tmp_age) {
-                rep.tmp_kept += 1;
-                continue;
-            }
-            if self.io_remove(&entry.path()).is_ok() {
-                rep.poison_removed += 1;
-            }
-        }
-        for entry in sorted_entries(&self.quarantine)? {
-            if self.io_remove(&entry.path()).is_ok() {
+        for entry in walk(&self.quarantine, Duration::ZERO)? {
+            let (Entry::Tmp { path, .. } | Entry::Record { path, .. }) = entry;
+            if self.io_remove(&path).is_ok() {
                 rep.quarantine_removed += 1;
             }
         }
         Ok(rep)
     }
 
-    /// Number of record files currently published (cheap census; does
-    /// not validate).
+    /// Number of result records currently published, one per point of
+    /// either kind (cheap census; does not validate).
     ///
     /// # Errors
     ///
     /// Returns the underlying error if the records directory cannot be
     /// listed.
     pub fn len(&self) -> io::Result<usize> {
-        Ok(sorted_entries(&self.records)?
-            .iter()
-            .filter(|e| !e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .count())
+        let entries = walk(&self.records, Duration::ZERO)?;
+        Ok(entries.iter().filter(|e| matches!(e, Entry::Record { .. })).count())
     }
 
     /// Whether the store holds no records.
@@ -791,6 +642,99 @@ impl ResultStore {
     }
 }
 
+fn record_path(dir: &Path, key: PointKey) -> PathBuf {
+    dir.join(format!("{}.json", key.hex()))
+}
+
+/// Checksum of the serialized payload: FNV-1a over the *compact*
+/// rendering (whitespace-independent, so the pretty record layout may
+/// change without invalidating checksums).
+fn payload_checksum(payload: &Json) -> String {
+    let mut h = Fnv64::new();
+    h.write_bytes(payload.to_string().as_bytes());
+    format!("{:016x}", h.finish())
+}
+
+/// Full record validation: the embedded key against `key` (the one the
+/// filename names), the payload checksum, a strict parse of the payload
+/// by its schema tag (an unknown tag is corrupt), the kind `want` asks
+/// for, and the salt last — a record must be *well-formed* to be merely
+/// stale, so a garbled record with a garbled salt is corrupt.
+fn validate(text: &str, key: PointKey, want: Want) -> Result<Payload, Fault> {
+    let doc = Json::parse(text).map_err(|_| Fault::Corrupt)?;
+    let text_field = |name| doc.get(name).and_then(Json::as_str).ok_or(Fault::Corrupt);
+    if PointKey::from_hex(text_field("key")?) != Some(key) {
+        return Err(Fault::Corrupt);
+    }
+    let body = doc.get("stats").ok_or(Fault::Corrupt)?;
+    if text_field("checksum")? != payload_checksum(body) {
+        return Err(Fault::Corrupt);
+    }
+    let label = text_field("label")?;
+    let payload = match (text_field("schema")?, want) {
+        (RESULTSTORE_SCHEMA, Want::Stats | Want::Result) => {
+            stats_from_json(body).ok().map(Payload::Stats)
+        }
+        (CHIPSTORE_SCHEMA, Want::Chip(_) | Want::Result) => chip_run_from_json(body)
+            .ok()
+            .filter(|run| !matches!(want, Want::Chip(cores) if cores != run.per_core.len()))
+            .map(Payload::Chip),
+        (CAMPAIGN_SCHEMA, Want::Poison) => poison_from_json(body, key, label).map(Payload::Poison),
+        // An unknown tag, or a kind the caller did not ask for.
+        _ => None,
+    };
+    let payload = payload.ok_or(Fault::Corrupt)?;
+    match doc.get("salt").and_then(Json::as_u64) {
+        Some(CODE_SALT) => Ok(payload),
+        Some(_) => Err(Fault::Stale),
+        None => Err(Fault::Corrupt),
+    }
+}
+
+/// Strict parse of a poison verdict's payload (the inverse of the body
+/// [`ResultStore::poison`] writes); the key and label come from the
+/// envelope.
+fn poison_from_json(body: &Json, key: PointKey, label: &str) -> Option<PoisonRecord> {
+    let count = |name| body.get(name).and_then(Json::as_u64).and_then(|v| u32::try_from(v).ok());
+    Some(PoisonRecord {
+        key,
+        label: label.into(),
+        error: body.get("error").and_then(Json::as_str)?.into(),
+        attempts: count("attempts")?,
+        deadline_trips: count("deadline_trips")?,
+    })
+}
+
+/// One entry of a store directory, as [`walk`] sorts it out.
+enum Entry {
+    /// A `.tmp-*` file; `aged` says whether it passed the age gate.
+    Tmp { path: PathBuf, aged: bool },
+    /// Anything else: a record, with the key its `<key>.json` name
+    /// spells (`None` for a misnamed file, which the reader calls
+    /// corrupt).
+    Record { name: String, path: PathBuf, key: Option<PointKey> },
+}
+
+/// The one directory walk: `dir`'s entries in sorted name order
+/// (deterministic maintenance reports regardless of filesystem
+/// enumeration order), temp files told apart from records and judged
+/// against the `min_tmp_age` gate.
+fn walk(dir: &Path, min_tmp_age: Duration) -> io::Result<Vec<Entry>> {
+    let mut entries: Vec<fs::DirEntry> = fs::read_dir(dir)?.filter_map(Result::ok).collect();
+    entries.sort_by_key(fs::DirEntry::file_name);
+    Ok(entries
+        .into_iter()
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            if name.starts_with(".tmp-") {
+                return Entry::Tmp { aged: tmp_older_than(&e, min_tmp_age), path: e.path() };
+            }
+            let key = name.strip_suffix(".json").and_then(PointKey::from_hex);
+            Entry::Record { path: e.path(), name, key }
+        })
+        .collect())
+}
+
 /// Whether a temp file is old enough to reclaim. Unknown age (no
 /// metadata, mtime in the future) counts as *young* — when in doubt,
 /// keep the file; the next pass gets it.
@@ -806,161 +750,22 @@ fn tmp_older_than(entry: &fs::DirEntry, min_age: Duration) -> bool {
         .is_some_and(|age| age >= min_age)
 }
 
-/// Checksum of the serialized stats payload: FNV-1a over the
-/// *compact* rendering (whitespace-independent, so the pretty record
-/// layout may change without invalidating checksums).
-fn payload_checksum(payload: &Json) -> String {
-    let mut h = Fnv64::new();
-    h.write_bytes(payload.to_string().as_bytes());
-    format!("{:016x}", h.finish())
-}
-
-/// Full record validation. `expect_key` is the key implied by the
-/// filename; `None` skips the filename cross-check (not used today,
-/// but keeps the signature honest about what is being checked).
-fn validate_record(text: &str, expect_key: Option<PointKey>) -> Result<SimStats, RecordFault> {
-    let doc = Json::parse(text).map_err(|_| RecordFault::Corrupt)?;
-    if doc.get("schema").and_then(Json::as_str) != Some(RESULTSTORE_SCHEMA) {
-        return Err(RecordFault::Corrupt);
-    }
-    let embedded = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(PointKey::from_hex)
-        .ok_or(RecordFault::Corrupt)?;
-    if let Some(k) = expect_key {
-        if embedded != k {
-            return Err(RecordFault::Corrupt);
-        }
-    }
-    let payload = doc.get("stats").ok_or(RecordFault::Corrupt)?;
-    let checksum = doc.get("checksum").and_then(Json::as_str).ok_or(RecordFault::Corrupt)?;
-    if checksum != payload_checksum(payload) {
-        return Err(RecordFault::Corrupt);
-    }
-    let stats = stats_from_json(payload).map_err(|_| RecordFault::Corrupt)?;
-    // Salt last: a record must be *well-formed* to be merely stale —
-    // a garbled record with a garbled salt is corrupt, not stale.
-    match doc.get("salt").and_then(Json::as_u64) {
-        Some(CODE_SALT) => Ok(stats),
-        Some(_) => Err(RecordFault::Stale),
-        None => Err(RecordFault::Corrupt),
-    }
-}
-
-/// Chip-record validation, mirroring [`validate_record`]'s policy
-/// (including salt-last) under the [`CHIPSTORE_SCHEMA`] tag.
-fn validate_chip(text: &str, expect_key: Option<PointKey>) -> Result<ChipStats, RecordFault> {
-    let doc = Json::parse(text).map_err(|_| RecordFault::Corrupt)?;
-    if doc.get("schema").and_then(Json::as_str) != Some(CHIPSTORE_SCHEMA) {
-        return Err(RecordFault::Corrupt);
-    }
-    let embedded = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(PointKey::from_hex)
-        .ok_or(RecordFault::Corrupt)?;
-    if let Some(k) = expect_key {
-        if embedded != k {
-            return Err(RecordFault::Corrupt);
-        }
-    }
-    let payload = doc.get("stats").ok_or(RecordFault::Corrupt)?;
-    let checksum = doc.get("checksum").and_then(Json::as_str).ok_or(RecordFault::Corrupt)?;
-    if checksum != payload_checksum(payload) {
-        return Err(RecordFault::Corrupt);
-    }
-    let stats = chip_stats_from_json(payload).map_err(|_| RecordFault::Corrupt)?;
-    // Salt last, as in `validate_record`.
-    match doc.get("salt").and_then(Json::as_u64) {
-        Some(CODE_SALT) => Ok(stats),
-        Some(_) => Err(RecordFault::Stale),
-        None => Err(RecordFault::Corrupt),
-    }
-}
-
-/// Poison-record validation, mirroring [`validate_record`]'s policy
-/// (including salt-last).
-fn validate_poison(text: &str, expect_key: Option<PointKey>) -> Result<PoisonRecord, RecordFault> {
-    let doc = Json::parse(text).map_err(|_| RecordFault::Corrupt)?;
-    if doc.get("schema").and_then(Json::as_str) != Some(CAMPAIGN_SCHEMA)
-        || doc.get("kind").and_then(Json::as_str) != Some("poison")
-    {
-        return Err(RecordFault::Corrupt);
-    }
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(PointKey::from_hex)
-        .ok_or(RecordFault::Corrupt)?;
-    if let Some(k) = expect_key {
-        if key != k {
-            return Err(RecordFault::Corrupt);
-        }
-    }
-    let label = doc.get("label").and_then(Json::as_str).ok_or(RecordFault::Corrupt)?;
-    let error = doc.get("error").and_then(Json::as_str).ok_or(RecordFault::Corrupt)?;
-    let attempts = doc
-        .get("attempts")
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(RecordFault::Corrupt)?;
-    let deadline_trips = doc
-        .get("deadline_trips")
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or(RecordFault::Corrupt)?;
-    let rec =
-        PoisonRecord { key, label: label.into(), error: error.into(), attempts, deadline_trips };
-    match doc.get("salt").and_then(Json::as_u64) {
-        Some(CODE_SALT) => Ok(rec),
-        Some(_) => Err(RecordFault::Stale),
-        None => Err(RecordFault::Corrupt),
-    }
-}
-
-/// Directory entries in sorted name order (deterministic maintenance
-/// reports regardless of filesystem enumeration order).
-fn sorted_entries(dir: &Path) -> io::Result<Vec<fs::DirEntry>> {
-    let mut v: Vec<fs::DirEntry> = fs::read_dir(dir)?.filter_map(Result::ok).collect();
-    v.sort_by_key(fs::DirEntry::file_name);
-    Ok(v)
-}
-
-/// Every published record of the store rooted at `root` as
-/// `(file name, bytes)`, sorted by name — the byte-identity currency
-/// of the convergence assertions (chaos recovery, concurrent
-/// campaign runs): two stores are equivalent iff their snapshots are
-/// equal. In-flight `.tmp-*` files are excluded (they are invisible to
-/// readers by the atomic-publish contract).
+/// Every published result record of the store rooted at `root` as
+/// `(file name, bytes)`, sorted by name — the byte-identity currency of
+/// the convergence assertions (chaos recovery, concurrent campaign
+/// runs): two stores are equivalent iff their snapshots are equal.
+/// In-flight `.tmp-*` files are excluded (they are invisible to readers
+/// by the atomic-publish contract).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from enumerating or reading `records/`.
 pub fn snapshot_records(root: &Path) -> io::Result<Vec<(String, Vec<u8>)>> {
     let mut v = Vec::new();
-    for e in sorted_entries(&root.join("records"))? {
-        let name = e.file_name().to_string_lossy().into_owned();
-        if name.starts_with(".tmp-") {
-            continue;
+    for entry in walk(&root.join("records"), Duration::ZERO)? {
+        if let Entry::Record { name, path, .. } = entry {
+            v.push((name, fs::read(path)?));
         }
-        v.push((name, fs::read(e.path())?));
-    }
-    // Chip-level records participate in the identity with a "chip/"
-    // prefix (never colliding with `records/` names). A store written
-    // by a pre-chip code version simply has no such directory.
-    match sorted_entries(&root.join("chip")) {
-        Ok(entries) => {
-            for e in entries {
-                let name = e.file_name().to_string_lossy().into_owned();
-                if name.starts_with(".tmp-") {
-                    continue;
-                }
-                v.push((format!("chip/{name}"), fs::read(e.path())?));
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
     }
     Ok(v)
 }

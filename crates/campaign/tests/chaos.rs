@@ -20,9 +20,10 @@ use std::time::Duration;
 
 use vr_campaign::chaos::ChaosConfig;
 use vr_campaign::{
-    run_campaign, CampaignOutcome, CampaignPoint, CancelToken, EngineConfig, ResultStore,
-    SimExecutor,
+    run_campaign, CampaignOutcome, CampaignPoint, CancelToken, ChipPoint, ChipSlot, EngineConfig,
+    Executor, ResultStore, SimExecutor, SweepPoint,
 };
+use vr_chip::ChipConfig;
 use vr_core::{CoreConfig, RunaheadConfig};
 use vr_mem::MemConfig;
 use vr_workloads::{hpcdb, Scale};
@@ -63,7 +64,27 @@ fn points() -> Vec<CampaignPoint> {
         .collect()
 }
 
-fn run(points: &[CampaignPoint], store: &ResultStore) -> CampaignOutcome {
+/// Two 2-core chip points (VR beside OoO), each stored as one record.
+fn chip_points() -> Vec<ChipPoint> {
+    let w = Arc::new(hpcdb::kangaroo(Scale::Test));
+    (0..2)
+        .map(|i| ChipPoint {
+            label: format!("chip/2x/{i}"),
+            chip: ChipConfig::with_cores(2),
+            core: CoreConfig::table1(),
+            mem: MemConfig::tiny_for_tests(),
+            slots: [RunaheadConfig::vector(), RunaheadConfig::none()]
+                .map(|ra| ChipSlot { workload: Arc::clone(&w), ra })
+                .to_vec(),
+            max_insts: 300 + i,
+        })
+        .collect()
+}
+
+fn run<P: SweepPoint>(points: &[P], store: &ResultStore) -> CampaignOutcome
+where
+    SimExecutor: Executor<P>,
+{
     let cfg = EngineConfig { threads: 1, ..EngineConfig::default() };
     run_campaign(points, store, &SimExecutor, &cfg, &CancelToken::new(), None)
 }
@@ -75,70 +96,98 @@ fn snapshot_records(root: &Path) -> Vec<(String, Vec<u8>)> {
     vr_campaign::snapshot_records(root).unwrap()
 }
 
-/// The ground truth: the records a fault-free campaign produces.
-fn baseline() -> Vec<(String, Vec<u8>)> {
+/// The ground truth: the records a fault-free campaign produces, one
+/// per point.
+fn baseline<P: SweepPoint>(points: &[P]) -> Vec<(String, Vec<u8>)>
+where
+    SimExecutor: Executor<P>,
+{
     let dir = scratch("baseline");
     let store = ResultStore::open(&dir).unwrap();
-    assert!(run(&points(), &store).complete());
+    assert!(run(points, &store).complete());
     let snap = snapshot_records(&dir);
-    assert_eq!(snap.len(), 4);
+    assert_eq!(snap.len(), points.len());
     fs::remove_dir_all(&dir).ok();
     snap
 }
 
 /// After any chaos run: reopen WITHOUT chaos (the dead process is
 /// gone), reclaim, and re-run until the store equals the baseline.
-fn recover_and_check(dir: &Path, truth: &[(String, Vec<u8>)], ctx: &str) {
+fn recover_and_check<P: SweepPoint>(
+    dir: &Path,
+    points: &[P],
+    truth: &[(String, Vec<u8>)],
+    ctx: &str,
+) where
+    SimExecutor: Executor<P>,
+{
     let store = ResultStore::open(dir).unwrap();
     // The killed process cannot still be writing: zero age gate.
     store.gc_with_tmp_age(Duration::ZERO).unwrap();
     let rep = store.verify().unwrap();
     assert!(rep.clean(), "{ctx}: store not clean after gc: {rep:?}");
-    let out = run(&points(), &store);
+    let out = run(points, &store);
     assert!(out.complete(), "{ctx}: recovery run incomplete: {out:?}");
     assert_eq!(snapshot_records(dir), truth, "{ctx}: records not byte-identical");
     let rep = store.verify().unwrap();
-    assert_eq!(rep.ok, 4, "{ctx}");
+    assert_eq!(rep.ok, points.len() as u64, "{ctx}");
     assert!(rep.clean(), "{ctx}");
 }
 
 /// How many mutating fs ops (writes, renames, removes) one fault-free
 /// campaign performs — the schedule length the crash matrix walks.
-fn count_mutating_ops() -> u64 {
+fn count_mutating_ops<P: SweepPoint>(points: &[P]) -> u64
+where
+    SimExecutor: Executor<P>,
+{
     let dir = scratch("opcount");
     let store = ResultStore::open_with_chaos(&dir, ChaosConfig::quiet()).unwrap();
-    assert!(run(&points(), &store).complete());
+    assert!(run(points, &store).complete());
     let ops = store.chaos_counters().unwrap().mutating_ops;
     fs::remove_dir_all(&dir).ok();
     ops
 }
 
-#[test]
-fn every_crash_interleaving_is_recoverable() {
-    let truth = baseline();
-    let ops = count_mutating_ops();
-    assert!(ops >= 8, "4 points should take >= 8 mutating ops, got {ops}");
-    // Crash before and after every single mutating op the campaign
-    // performs (op == ops is the crash-never-fires sanity arm).
+/// Crashes before and after every single mutating op a campaign over
+/// `points` performs (op == ops is the crash-never-fires sanity arm)
+/// and recovers from each.
+fn crash_matrix<P: SweepPoint>(points: &[P], tag: &str)
+where
+    SimExecutor: Executor<P>,
+{
+    let truth = baseline(points);
+    let ops = count_mutating_ops(points);
+    let publishes = 2 * points.len() as u64;
+    assert!(ops >= publishes, "{tag}: a write + a rename per point, got {ops}");
     for op in 0..=ops {
         for before in [true, false] {
-            let ctx = format!("crash op {op}/{ops} before={before}");
-            let dir = scratch(&format!("crash-{op}-{before}"));
+            let ctx = format!("{tag}: crash op {op}/{ops} before={before}");
+            let dir = scratch(&format!("{tag}-crash-{op}-{before}"));
             let store =
                 ResultStore::open_with_chaos(&dir, ChaosConfig::crash_only(op, before)).unwrap();
             // The campaign itself must survive the dead store: saves
             // fail silently, nothing panics.
-            let out = run(&points(), &store);
+            let out = run(points, &store);
             assert!(out.complete(), "{ctx}: campaign wedged: {out:?}");
-            recover_and_check(&dir, &truth, &ctx);
+            recover_and_check(&dir, points, &truth, &ctx);
             cleanup(&dir);
         }
     }
 }
 
 #[test]
+fn every_crash_interleaving_is_recoverable() {
+    crash_matrix(&points(), "scalar");
+}
+
+#[test]
+fn every_chip_crash_interleaving_is_recoverable() {
+    crash_matrix(&chip_points(), "chip");
+}
+
+#[test]
 fn seeded_fault_storms_recover_to_byte_identical_records() {
-    let truth = baseline();
+    let truth = baseline(&points());
     // The CI chaos matrix: >= 8 distinct seeds, each a different mix
     // of torn writes, rename failures, bit flips, ENOSPC and one
     // crash point drawn from the stream.
@@ -148,14 +197,14 @@ fn seeded_fault_storms_recover_to_byte_identical_records() {
         let store = ResultStore::open_with_chaos(&dir, ChaosConfig::storm(seed, 16)).unwrap();
         let out = run(&points(), &store);
         assert!(out.complete(), "{ctx}: campaign wedged: {out:?}");
-        recover_and_check(&dir, &truth, &ctx);
+        recover_and_check(&dir, &points(), &truth, &ctx);
         cleanup(&dir);
     }
 }
 
 #[test]
 fn bitflip_reads_quarantine_and_recompute_never_panic() {
-    let truth = baseline();
+    let truth = baseline(&points());
     let dir = scratch("bitflip");
     // Populate cleanly first, then read everything back through a
     // store that flips one bit of every read.
@@ -178,13 +227,13 @@ fn bitflip_reads_quarantine_and_recompute_never_panic() {
     let store = ResultStore::open(&dir).unwrap();
     assert!(store.quarantine_backlog().unwrap() >= 4);
     store.gc_with_tmp_age(Duration::ZERO).unwrap();
-    recover_and_check(&dir, &truth, "bitflip");
+    recover_and_check(&dir, &points(), &truth, "bitflip");
     cleanup(&dir);
 }
 
 #[test]
 fn full_disk_degrades_to_uncached_and_recovers() {
-    let truth = baseline();
+    let truth = baseline(&points());
     let dir = scratch("enospc");
     let store = ResultStore::open_with_chaos(
         &dir,
@@ -200,7 +249,7 @@ fn full_disk_degrades_to_uncached_and_recovers() {
         ResultStore::open(&dir).unwrap().verify().unwrap().clean(),
         "ENOSPC leaves no partial files behind"
     );
-    recover_and_check(&dir, &truth, "enospc");
+    recover_and_check(&dir, &points(), &truth, "enospc");
     cleanup(&dir);
 }
 

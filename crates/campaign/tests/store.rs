@@ -11,6 +11,7 @@ use vr_campaign::{
     point_key, run_campaign, CampaignPoint, CancelToken, EngineConfig, PointKey, ResultStore,
     SimExecutor, CODE_SALT,
 };
+use vr_chip::{ChipRun, ChipStats};
 use vr_core::{CoreConfig, RunaheadConfig, SimStats};
 use vr_mem::MemConfig;
 use vr_workloads::{hpcdb, Scale};
@@ -33,8 +34,26 @@ fn some_stats(n: u64) -> SimStats {
     SimStats { cycles: 17 * n + 1, instructions: n, branches: 3, ..SimStats::default() }
 }
 
+/// A two-core chip run whose per-core stats are [`some_stats`].
+fn some_chip_run(n: u64) -> ChipRun {
+    ChipRun {
+        per_core: vec![some_stats(n), some_stats(n + 1)],
+        chip: ChipStats { cycles: 19 * n + 2, bank_conflicts: n, ..ChipStats::default() },
+    }
+}
+
 fn record_path(store: &ResultStore, key: PointKey) -> PathBuf {
     store.records_dir().join(format!("{}.json", key.hex()))
+}
+
+/// Rewrites `key`'s record through `mutate`, which must change it.
+fn rewrite(store: &ResultStore, key: PointKey, mutate: fn(&str) -> String, ctx: &str) -> PathBuf {
+    let path = record_path(store, key);
+    let text = fs::read_to_string(&path).unwrap();
+    let mutated = mutate(&text);
+    assert_ne!(mutated, text, "{ctx} must actually change the record");
+    fs::write(&path, mutated).unwrap();
+    path
 }
 
 #[test]
@@ -97,24 +116,47 @@ fn every_corruption_shape_quarantines() {
     let dir = scratch("shapes");
     let store = ResultStore::open(&dir).unwrap();
     let (k, s) = (some_key(3), some_stats(3));
+    let (chip_key, run) = (some_key(33), some_chip_run(3));
     let cases: &[fn(&str) -> String] = &[
-        |_| String::new(),                                   // empty file
-        |_| "not json at all {{{".into(),                    // unparseable
-        |t| t.replace("vr-resultstore-v1", "vr-other-v9"),   // wrong schema
-        |t| t.replace("\"branches\": 3", "\"branches\": 4"), // checksum mismatch
-        |t| t.replace("\"cycles\"", "\"cyclez\""),           // field missing -> strict parse fails
+        |_| String::new(),                                             // empty file
+        |_| "not json at all {{{".into(),                              // unparseable
+        |t| t.replace("\"schema\": \"vr-", "\"schema\": \"vr-other-"), // unknown schema tag
+        |t| t.replace("\"branches\": 3", "\"branches\": 4"),           // checksum mismatch
+        |t| t.replace("\"cycles\"", "\"cyclez\""), // field missing -> strict parse fails
     ];
+    // Every shape is applied to a scalar record and to a chip record.
     for (i, mutate) in cases.iter().enumerate() {
         store.save(k, "p", &s).unwrap();
-        let path = record_path(&store, k);
-        let text = fs::read_to_string(&path).unwrap();
-        let mutated = mutate(&text);
-        assert_ne!(mutated, text, "case {i} must actually change the record");
-        fs::write(&path, mutated).unwrap();
+        let path = rewrite(&store, k, *mutate, &format!("case {i}"));
         assert_eq!(store.load(k), None, "case {i} must miss");
         assert!(!path.exists(), "case {i} must quarantine");
+
+        store.save_chip(chip_key, "chip", &run).unwrap();
+        let path = rewrite(&store, chip_key, *mutate, &format!("chip case {i}"));
+        assert_eq!(store.load_chip(chip_key, 2), None, "chip case {i} must miss");
+        assert!(!path.exists(), "chip case {i} must quarantine");
     }
-    assert_eq!(store.counters().quarantined, cases.len() as u64);
+    assert_eq!(store.counters().quarantined, 2 * cases.len() as u64);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chip_record_read_as_another_shape_is_a_quarantined_miss() {
+    let dir = scratch("chip-shape");
+    let store = ResultStore::open(&dir).unwrap();
+    let (k, run) = (some_key(35), some_chip_run(5));
+    store.save_chip(k, "chip/2x", &run).unwrap();
+    assert_eq!(store.len().unwrap(), 1, "one record per chip point");
+    assert_eq!(store.load_chip(k, 2), Some(run.clone()));
+    // The point asking for it has three slots; the record holds two.
+    assert_eq!(store.load_chip(k, 3), None);
+    assert!(!record_path(&store, k).exists(), "moved out of records/");
+    // Read as a single-core result, it is not what the key names either.
+    store.save_chip(k, "chip/2x", &run).unwrap();
+    assert_eq!(store.load(k), None);
+    let c = store.counters();
+    assert_eq!((c.hits, c.misses, c.quarantined), (1, 2, 2));
+    assert_eq!(store.quarantine_backlog().unwrap(), 2);
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -193,6 +235,17 @@ fn interrupted_writer_leaves_only_a_tmp_file_that_gc_reclaims() {
     assert_eq!((gc.tmp_removed, gc.kept), (1, 1));
     assert!(!orphan.exists());
     assert!(store.verify().unwrap().clean(), "store is pristine after gc");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gc_counts_an_aged_temp_file_in_poison_as_a_temp_file() {
+    let dir = scratch("poison-tmp");
+    let store = ResultStore::open(&dir).unwrap();
+    fs::write(dir.join("poison").join(".tmp-a"), "x").unwrap();
+    let gc = store.gc_with_tmp_age(std::time::Duration::ZERO).unwrap();
+    assert_eq!((gc.tmp_removed, gc.poison_removed), (1, 0), "{gc:?}");
+    assert!(!dir.join("poison").join(".tmp-a").exists());
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -358,9 +411,9 @@ fn poison_round_trips_and_gc_clears_it() {
         attempts: 3,
         deadline_trips: 2,
     };
-    assert!(!store.is_poisoned(rec.key));
+    assert!(store.load_poison(rec.key).is_none());
     store.poison(&rec).unwrap();
-    assert!(store.is_poisoned(rec.key));
+    assert!(store.load_poison(rec.key).is_some());
     assert_eq!(store.load_poison(rec.key), Some(rec.clone()), "poison round-trips exactly");
     assert_eq!(store.poison_list().unwrap(), vec![rec.clone()]);
 
@@ -372,7 +425,7 @@ fn poison_round_trips_and_gc_clears_it() {
     // gc is the retry lever: it clears poison, the point runs again.
     let gc = store.gc().unwrap();
     assert_eq!(gc.poison_removed, 1);
-    assert!(!store.is_poisoned(rec.key));
+    assert!(store.load_poison(rec.key).is_none());
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -390,7 +443,7 @@ fn corrupt_poison_is_quarantined_and_the_point_runs_again() {
     store.poison(&rec).unwrap();
     let path = dir.join("poison").join(format!("{}.json", rec.key.hex()));
     fs::write(&path, "{ definitely not a poison record").unwrap();
-    assert!(!store.is_poisoned(rec.key), "corrupt poison must not mask the point");
+    assert!(store.load_poison(rec.key).is_none(), "corrupt poison must not mask the point");
     assert!(!path.exists(), "corrupt poison record moved aside");
     assert_eq!(store.quarantine_backlog().unwrap(), 1);
 
@@ -402,8 +455,29 @@ fn corrupt_poison_is_quarantined_and_the_point_runs_again() {
         text.replace(&format!("\"salt\": {CODE_SALT}"), &format!("\"salt\": {}", CODE_SALT + 7));
     assert_ne!(old, text);
     fs::write(&path, old).unwrap();
-    assert!(!store.is_poisoned(rec.key));
+    assert!(store.load_poison(rec.key).is_none());
     assert!(path.exists(), "stale poison is left for gc");
     assert_eq!(store.gc().unwrap().poison_removed, 1);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_poison_record_outside_the_envelope_is_quarantined_once() {
+    // The flat shape earlier versions wrote: no checksum, no payload.
+    let dir = scratch("poison-flat");
+    let store = ResultStore::open(&dir).unwrap();
+    let key = some_key(32);
+    let path = dir.join("poison").join(format!("{}.json", key.hex()));
+    let flat = format!(
+        "{{\"schema\": \"vr-campaign-v1\", \"kind\": \"poison\", \"key\": \"{}\", \
+         \"salt\": {CODE_SALT}, \"label\": \"p\", \"error\": \"e\", \"attempts\": 1, \
+         \"deadline_trips\": 0}}",
+        key.hex()
+    );
+    fs::write(&path, flat).unwrap();
+    assert!(store.load_poison(key).is_none(), "the point is runnable again");
+    assert!(!path.exists());
+    assert!(store.load_poison(key).is_none());
+    assert_eq!(store.counters().quarantined, 1, "quarantined once, then simply absent");
     fs::remove_dir_all(&dir).ok();
 }

@@ -222,8 +222,9 @@ impl Telemetry {
         self.open.is_some()
     }
 
-    /// JSON rendering of the aggregate state (schema: part of the
-    /// `vr-telemetry-v1` document — see DESIGN.md §10).
+    /// JSON rendering of the aggregate state. Attached to reports
+    /// without a schema tag for now: ROADMAP item 1's export defines
+    /// one (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("entries".into(), Json::U64(self.entries)),

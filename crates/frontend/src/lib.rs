@@ -4,8 +4,9 @@
 //! Front-end prediction structures for the Vector Runahead
 //! reproduction: conditional-branch direction predictors (a TAGE
 //! predictor modelled after the 8 KB TAGE-SC-L family the paper
-//! configures, plus bimodal and gshare baselines), a branch target
-//! buffer, and a return address stack.
+//! configures, and the bimodal predictor whose 2-bit counters form
+//! TAGE's base table), a branch target buffer, and a return address
+//! stack.
 //!
 //! The timing model in `vr-core` is functional-first: the true branch
 //! outcome is known at fetch, so predictors expose a single
@@ -35,14 +36,12 @@
 
 mod bimodal;
 mod btb;
-mod gshare;
 mod ras;
 mod scl;
 mod tage;
 
 pub use bimodal::Bimodal;
 pub use btb::{Btb, BtbEntry};
-pub use gshare::Gshare;
 pub use ras::Ras;
 pub use scl::{LoopPredictor, StatisticalCorrector, TageScL};
 pub use tage::{Tage, TageConfig};
@@ -58,46 +57,4 @@ pub trait DirectionPredictor {
     /// Predicts the direction of the branch at `pc` and trains with
     /// the actual outcome.
     fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool;
-}
-
-/// Statically-taken predictor used as a degenerate baseline in tests.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct AlwaysTaken;
-
-impl DirectionPredictor for AlwaysTaken {
-    fn predict_and_train(&mut self, _pc: u64, _taken: bool) -> bool {
-        true
-    }
-}
-
-/// Oracle predictor (never mispredicts); used by perfect-front-end
-/// sensitivity experiments.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct OraclePredictor;
-
-impl DirectionPredictor for OraclePredictor {
-    fn predict_and_train(&mut self, _pc: u64, taken: bool) -> bool {
-        taken
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn always_taken_predicts_taken() {
-        let mut p = AlwaysTaken;
-        assert!(p.predict_and_train(0, false));
-        assert!(p.predict_and_train(0, true));
-    }
-
-    #[test]
-    fn oracle_never_mispredicts() {
-        let mut p = OraclePredictor;
-        for i in 0..64u64 {
-            let taken = i % 3 == 0;
-            assert_eq!(p.predict_and_train(i, taken), taken);
-        }
-    }
 }

@@ -2,7 +2,7 @@
 //! loops over `vr_isa::SplitMix64` (the workspace builds offline, so
 //! no `proptest`).
 
-use vr_frontend::{Bimodal, DirectionPredictor, Gshare, Tage};
+use vr_frontend::{Bimodal, DirectionPredictor, Tage};
 use vr_isa::SplitMix64;
 
 fn arb_trace(rng: &mut SplitMix64) -> Vec<(u64, bool)> {
@@ -62,10 +62,8 @@ fn all_predictors_learn_constant_branches() {
         let pc = rng.below(4096);
         let taken = rng.flip();
         let mut bim = Bimodal::default();
-        let mut gsh = Gshare::default();
         let mut tage = Tage::default_8kb();
         assert!(late_accuracy(&mut bim, pc, taken) == 1.0, "case {case}");
-        assert!(late_accuracy(&mut gsh, pc, taken) == 1.0, "case {case}");
         assert!(late_accuracy(&mut tage, pc, taken) >= 0.99, "case {case}");
     }
 }

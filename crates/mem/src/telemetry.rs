@@ -220,8 +220,9 @@ impl PfTelemetry {
         self.untracked
     }
 
-    /// JSON rendering of the aggregate state (schema: part of the
-    /// `vr-telemetry-v1` document — see DESIGN.md §10).
+    /// JSON rendering of the aggregate state. Attached to reports
+    /// without a schema tag for now: ROADMAP item 1's export defines
+    /// one (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("tracked".into(), Json::U64(self.tracked)),

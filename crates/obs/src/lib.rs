@@ -10,8 +10,6 @@
 //! * [`Histogram`] — power-of-two-bucketed `u64` histogram with exact
 //!   count/sum/min/max (used for prefetch lead-distance and
 //!   runahead-episode-shape distributions);
-//! * [`Registry`] — a small, insertion-ordered name → counter /
-//!   histogram registry that renders itself to JSON;
 //! * [`Json`] — a zero-dependency JSON value type with a serializer
 //!   and a strict parser, used for every machine-readable artifact the
 //!   `experiments` harness emits (`--json`) and for validating those
@@ -24,32 +22,27 @@
 mod fnv;
 mod hist;
 mod json;
-mod registry;
 mod ring;
 
 pub use fnv::Fnv64;
 pub use hist::Histogram;
 pub use json::Json;
-pub use registry::Registry;
 pub use ring::RingLog;
 
-/// Schema-version tag stamped into every telemetry JSON document
-/// produced from a [`Registry`] (see DESIGN.md §10 for the policy:
-/// additive changes keep the version; renames/removals bump it).
-pub const TELEMETRY_SCHEMA: &str = "vr-telemetry-v1";
-
-/// Schema-version tag of every record in the on-disk result store
-/// (`crates/campaign`, DESIGN.md §11). Bump on breaking record-layout
-/// changes; readers must treat records with an unknown schema as
-/// corrupt, never guess.
+/// Schema-version tag of a single-core point's record in the on-disk
+/// result store (`crates/campaign`, DESIGN.md §11). Bump on breaking
+/// record-layout changes; readers must treat records with an unknown
+/// schema as corrupt, never guess.
 pub const RESULTSTORE_SCHEMA: &str = "vr-resultstore-v1";
 
-/// Schema-version tag of the campaign-engine telemetry sub-document
-/// (`experiments campaign run --json`, DESIGN.md §11).
+/// Schema-version tag of the campaign engine's documents: the
+/// `experiments campaign run|status --json` sub-documents and the
+/// result store's poison records (DESIGN.md §11).
 pub const CAMPAIGN_SCHEMA: &str = "vr-campaign-v1";
 
-/// Schema-version tag of a chip-level record in the on-disk result
-/// store (`chip/` — the shared-LLC contention counters of one
-/// multi-core point, DESIGN.md §16). Same bump policy as
-/// [`RESULTSTORE_SCHEMA`].
-pub const CHIPSTORE_SCHEMA: &str = "vr-chipstore-v1";
+/// Schema-version tag of a chip point's record in the on-disk result
+/// store: the whole run of one multi-core point, per-core stats and
+/// shared-LLC contention counters together (DESIGN.md §16). Same bump
+/// policy as [`RESULTSTORE_SCHEMA`]; v1 was the chip-counters-only
+/// record of the old `chip/` directory.
+pub const CHIPSTORE_SCHEMA: &str = "vr-chipstore-v2";
