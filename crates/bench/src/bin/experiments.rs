@@ -247,7 +247,7 @@ fn main() {
     let mut insts: Option<u64> = None;
     let mut presets = vec![GraphPreset::Kron, GraphPreset::Urand];
     let mut quick = false;
-    let mut threads = vr_bench::default_threads();
+    let mut threads = vr_pool::cpus();
     let mut json: Option<PathBuf> = None;
     let mut csv: Option<PathBuf> = None;
     let mut workload: Option<String> = None;
@@ -272,7 +272,7 @@ fn main() {
             "--threads" => {
                 // 0 is an explicit "auto": every available core.
                 threads = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(0) => vr_bench::default_threads(),
+                    Some(0) => vr_pool::cpus(),
                     Some(n) => n,
                     None => {
                         eprintln!("error: --threads requires a non-negative integer");
@@ -522,14 +522,18 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
             };
             let cancel = CancelToken::new();
-            if let Some(ms) = opts.cancel_after_ms {
-                let timer_token = cancel.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                    timer_token.cancel();
-                });
-            }
+            // The engine reads the token when a thread is about to take
+            // a point, and a thread reports each point it ends just
+            // before taking the next, so checking the clock at every
+            // report stops the run at the first point taken after N ms.
+            // Each thread's first point is always taken.
+            let cancel_at = opts
+                .cancel_after_ms
+                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
             let sink = |ev: &ProgressEvent<'_>| {
+                if cancel_at.is_some_and(|at| std::time::Instant::now() >= at) {
+                    cancel.cancel();
+                }
                 let what = match ev.kind {
                     ProgressKind::CacheHit => "hit".to_string(),
                     ProgressKind::Computed => "computed".to_string(),

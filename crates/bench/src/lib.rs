@@ -24,12 +24,6 @@ use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, RunaheadKind, SimStats,
 use vr_mem::MemConfig;
 use vr_workloads::{gap_suite, graph::GraphPreset, hpcdb_suite, Scale, Workload};
 
-/// Default worker-thread count for [`sweep`]: every available core
-/// (the sweep points are CPU-bound and share nothing).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
 /// Runs a figure's point list — the one way the harness runs one:
 /// through the campaign engine on `threads` threads, against `store`
 /// when there is one (the CLI passes [`cache::active`]), one attempt
@@ -383,11 +377,6 @@ mod tests {
             let stats = run_technique(w, CoreConfig::table1(), tech, 20_000);
             assert!(stats.instructions >= 20_000, "{:?} must commit", tech);
         }
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 
     #[test]

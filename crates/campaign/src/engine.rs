@@ -9,9 +9,9 @@
 //! * points whose result is already stored are **cache hits** — no
 //!   simulation runs, and the loaded value is the point's output;
 //! * missing points are computed through [`vr_pool::map`], the
-//!   workspace's sweep scheduler: inline on the caller at one thread
-//!   (fully deterministic ordering), otherwise on the process-wide
-//!   pool with one point claimed at a time, so load balances
+//!   workspace's one fan-out: inline on the caller at one thread
+//!   (fully deterministic ordering), otherwise on the caller plus
+//!   scoped threads with one point claimed at a time, so load balances
 //!   regardless of how wildly per-point runtimes differ;
 //! * the simulator is deterministic, so the only error worth a second
 //!   attempt is [`SimError::Deadline`], the one that depends on the wall
@@ -235,11 +235,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     fn resolved_threads(&self, work: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.threads
-        };
+        let t = if self.threads == 0 { vr_pool::cpus() } else { self.threads };
         t.clamp(1, work.max(1))
     }
 }
@@ -1138,7 +1134,8 @@ mod tests {
     #[test]
     fn deadline_trips_twice_then_poisons_and_campaign_continues() {
         // One thread runs the points inline on the caller, two on the
-        // pool; the supervisor's wiring is the same for both.
+        // caller and a scoped thread; the supervisor's wiring is the
+        // same for both.
         for threads in [1, 2] {
             let (dir, store) = tmp_store("deadline");
             let mut points = tiny_points(4);

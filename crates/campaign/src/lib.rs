@@ -27,6 +27,7 @@
 //! registry dependencies, like the rest of the workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 #[cfg(feature = "chaos")]
 pub mod chaos;
@@ -43,13 +44,14 @@ pub use engine::{
     StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
 };
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
-// The worker pool lives in its own crate (`vr-pool`); re-exported
-// here for the `vr_campaign::WorkerPool` users.
 pub use serial::{chip_run_from_json, chip_run_to_json, stats_from_json, stats_to_json};
 pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,
 };
+// The scoped fan-out `vr_pool::map` is built on, re-exported for the
+// repository benchmark (`benchmark/`), whose `pool.dispatch_us_p50`
+// probe times `vr_campaign::WorkerPool::run`.
 pub use vr_pool::WorkerPool;
 
 /// Unique-per-call nonce for test scratch directories (process id is

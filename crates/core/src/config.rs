@@ -275,13 +275,6 @@ pub struct RunaheadConfig {
     /// Vectorization degree K: scalar-equivalent lanes per batch
     /// (64 default; the sensitivity experiment sweeps 16–128).
     pub vr_lanes: usize,
-    /// Maximum instructions followed along one dependence chain
-    /// before the batch is abandoned (the literature's 200-instruction
-    /// runahead timeout).
-    pub chain_budget: usize,
-    /// Instructions the scalar scan may process while looking for a
-    /// striding load before giving up on vectorizing this interval.
-    pub scan_budget: usize,
     /// EXTENSION (off by default; the follow-on paper's "Offload"
     /// step): trigger vector runahead whenever a confident striding
     /// load executes, without waiting for a full-ROB stall, and let
@@ -318,8 +311,6 @@ impl RunaheadConfig {
         RunaheadConfig {
             kind,
             vr_lanes: 64,
-            chain_budget: 200,
-            scan_budget: 512,
             eager_trigger: false,
             termination_slack: None,
             vir_pipelining: true,
@@ -339,8 +330,6 @@ impl RunaheadConfig {
         let RunaheadConfig {
             kind,
             vr_lanes,
-            chain_budget,
-            scan_budget,
             eager_trigger,
             termination_slack,
             vir_pipelining,
@@ -354,8 +343,11 @@ impl RunaheadConfig {
             RunaheadKind::Vector => 3,
         });
         h.write_u64(*vr_lanes as u64);
-        h.write_u64(*chain_budget as u64);
-        h.write_u64(*scan_budget as u64);
+        // The chain and scan budgets are constants, hashed where they
+        // have always been, so every point key, store record and
+        // `CODE_SALT` (3) stays what it is.
+        h.write_u64(crate::vector::CHAIN_BUDGET as u64);
+        h.write_u64(crate::vector::SCAN_BUDGET as u64);
         h.write_bool(*eager_trigger);
         match termination_slack {
             None => h.write_bool(false),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-core
 //!
 //! The primary contribution of this repository: a cycle-level

@@ -595,11 +595,8 @@ impl Simulator {
             return bad("watchdog must be > 0 cycles");
         }
         let r = &self.ra_cfg;
-        if r.kind == RunaheadKind::Vector && (r.vr_lanes == 0 || r.chain_budget == 0) {
-            return bad(format!(
-                "vector runahead needs vr_lanes > 0 and chain_budget > 0 (got {}/{})",
-                r.vr_lanes, r.chain_budget
-            ));
+        if r.kind == RunaheadKind::Vector && r.vr_lanes == 0 {
+            return bad("vector runahead needs vr_lanes > 0");
         }
         if r.kind == RunaheadKind::Vector && r.vr_lanes > crate::vector::MAX_LANES {
             // The SoA lane masks are fixed-width bit vectors (DESIGN.md

@@ -62,6 +62,15 @@ const GATHER_ISSUE_PER_CYCLE: usize = 8;
 /// bit words ([`LaneMask::WORDS`] × 64 lanes).
 pub(crate) const MAX_LANES: usize = LaneMask::WORDS * 64;
 
+/// Maximum instructions followed along one dependence chain before the
+/// batch is abandoned (the literature's 200-instruction runahead
+/// timeout).
+pub(crate) const CHAIN_BUDGET: usize = 200;
+
+/// Instructions the scalar scan may process while looking for a
+/// striding load before giving up on vectorizing this interval.
+pub(crate) const SCAN_BUDGET: usize = 512;
+
 /// Result of one engine cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VrStatus {
@@ -348,7 +357,6 @@ enum PhaseKind {
 #[derive(Debug)]
 pub struct VectorRunahead {
     lanes: usize,
-    chain_budget: usize,
     termination_slack: Option<u64>,
     vir_pipelining: bool,
     vec_alu: usize,
@@ -389,7 +397,6 @@ impl VectorRunahead {
         assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);
         VectorRunahead {
             lanes: cfg.vr_lanes,
-            chain_budget: cfg.chain_budget,
             termination_slack: cfg.termination_slack,
             vir_pipelining: cfg.vir_pipelining,
             vec_alu: vec_alu.max(1),
@@ -398,7 +405,7 @@ impl VectorRunahead {
             scan: Scan {
                 cursor: cpu,
                 overlay: StoreOverlay::new(),
-                remaining: cfg.scan_budget,
+                remaining: SCAN_BUDGET,
                 dead: false,
             },
             batch: Batch::with_capacity(cfg.vr_lanes),
@@ -420,7 +427,6 @@ impl VectorRunahead {
     pub fn reset(&mut self, cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) {
         assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);
         self.lanes = cfg.vr_lanes;
-        self.chain_budget = cfg.chain_budget;
         self.termination_slack = cfg.termination_slack;
         self.vir_pipelining = cfg.vir_pipelining;
         self.vec_alu = vec_alu.max(1);
@@ -428,7 +434,7 @@ impl VectorRunahead {
         self.phase = PhaseKind::Scan;
         self.scan.cursor = cpu;
         self.scan.overlay.clear();
-        self.scan.remaining = cfg.scan_budget;
+        self.scan.remaining = SCAN_BUDGET;
         self.scan.dead = false;
         self.next_base = None;
         self.found_stride = false;
@@ -729,7 +735,7 @@ impl VectorRunahead {
         };
         let lane0_pc = batch.pcs[lane0];
         let group_terminated = lane0_pc == batch.stride_pc
-            || batch.chain_insts >= self.chain_budget
+            || batch.chain_insts >= CHAIN_BUDGET
             || ctx.prog.fetch(lane0_pc).is_none();
         if group_terminated {
             // The lockstep group reached the vector-runahead
@@ -1215,7 +1221,7 @@ pub fn hardware_overhead_bytes(lanes: usize) -> u64 {
 #[cfg(test)]
 #[allow(dead_code)]
 pub(crate) mod reference {
-    use super::{VrStatus, GATHER_ISSUE_PER_CYCLE};
+    use super::{VrStatus, CHAIN_BUDGET, GATHER_ISSUE_PER_CYCLE, SCAN_BUDGET};
     use crate::config::RunaheadConfig;
     use crate::runahead::RaCtx;
     use vr_isa::{Cpu, Op, Reg, RegRef, StoreOverlay};
@@ -1294,7 +1300,6 @@ pub(crate) mod reference {
     #[derive(Debug)]
     pub(crate) struct ReferenceVectorRunahead {
         lanes: usize,
-        chain_budget: usize,
         termination_slack: Option<u64>,
         vir_pipelining: bool,
         vec_alu: usize,
@@ -1321,7 +1326,6 @@ pub(crate) mod reference {
         ) -> ReferenceVectorRunahead {
             ReferenceVectorRunahead {
                 lanes: cfg.vr_lanes,
-                chain_budget: cfg.chain_budget,
                 termination_slack: cfg.termination_slack,
                 vir_pipelining: cfg.vir_pipelining,
                 vec_alu: vec_alu.max(1),
@@ -1330,7 +1334,7 @@ pub(crate) mod reference {
                 scan: Scan {
                     cursor: cpu,
                     overlay: StoreOverlay::new(),
-                    remaining: cfg.scan_budget,
+                    remaining: SCAN_BUDGET,
                     dead: false,
                 },
                 batch: Batch::idle(),
@@ -1347,7 +1351,6 @@ pub(crate) mod reference {
 
         pub fn reset(&mut self, cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) {
             self.lanes = cfg.vr_lanes;
-            self.chain_budget = cfg.chain_budget;
             self.termination_slack = cfg.termination_slack;
             self.vir_pipelining = cfg.vir_pipelining;
             self.vec_alu = vec_alu.max(1);
@@ -1355,7 +1358,7 @@ pub(crate) mod reference {
             self.phase = PhaseKind::Scan;
             self.scan.cursor = cpu;
             self.scan.overlay.clear();
-            self.scan.remaining = cfg.scan_budget;
+            self.scan.remaining = SCAN_BUDGET;
             self.scan.dead = false;
             self.next_base = None;
             self.found_stride = false;
@@ -1535,7 +1538,7 @@ pub(crate) mod reference {
             };
             let lane0_pc = lane0.cpu.pc();
             let group_terminated = lane0_pc == batch.stride_pc
-                || batch.chain_insts >= self.chain_budget
+                || batch.chain_insts >= CHAIN_BUDGET
                 || ctx.prog.fetch(lane0_pc).is_none();
             if group_terminated {
                 for lane in batch.lanes[..batch.k].iter_mut().filter(|l| l.active) {

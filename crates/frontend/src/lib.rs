@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-frontend
 //!
 //! Front-end prediction structures for the Vector Runahead

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-isa
 //!
 //! The instruction-set-architecture layer of the Vector Runahead

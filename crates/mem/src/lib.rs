@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-mem
 //!
 //! The memory system of the Vector Runahead reproduction: a three-level

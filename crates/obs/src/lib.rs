@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-obs
 //!
 //! Observability primitives shared by the simulator crates and the

@@ -22,8 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use vr_isa::{Memory, SplitMix64};
+use vr_pool::cpus;
 
-use crate::{concurrently, cpus, Scale};
+use crate::Scale;
 
 /// Compressed-sparse-row directed graph. Immutable once built: the
 /// arrays are read through [`Csr::row_ptr`] and [`Csr::col_idx`].
@@ -95,7 +96,7 @@ impl Csr {
     /// row holds its edges in list order whatever the split.
     fn build(n: usize, edges: &[u64], workers: usize) -> Csr {
         let chunks: Vec<&[u64]> = edges.chunks(edges.len().div_ceil(workers).max(1)).collect();
-        let mut slots = concurrently(chunks.clone(), |chunk| {
+        let mut slots = vr_pool::map(cpus(), chunks.clone(), |chunk| {
             let mut count = vec![0u64; n];
             for &e in chunk {
                 count[src(e)] += 1;
@@ -117,7 +118,7 @@ impl Csr {
         // the zeroed pages are first touched by the workers.
         let col_idx: Vec<AtomicU64> =
             vec![0; edges.len()].into_iter().map(AtomicU64::new).collect();
-        concurrently(chunks.into_iter().zip(slots).collect(), |(chunk, mut slot)| {
+        vr_pool::map(cpus(), chunks.into_iter().zip(slots), |(chunk, mut slot)| {
             for &e in chunk {
                 let at = &mut slot[src(e)];
                 col_idx[*at as usize].store(e & 0xFFFF_FFFF, Ordering::Relaxed);
@@ -169,9 +170,7 @@ fn draw_edges(
 ) -> Vec<u64> {
     let mut edges = vec![0u64; m];
     let per = m.div_ceil(workers).next_multiple_of(align.max(1)).max(1);
-    let chunks: Vec<(usize, &mut [u64])> =
-        edges.chunks_mut(per).enumerate().map(|(i, c)| (i * per, c)).collect();
-    concurrently(chunks, |(first, chunk)| fill(first, chunk));
+    vr_pool::map(cpus(), edges.chunks_mut(per).enumerate(), |(i, chunk)| fill(i * per, chunk));
     edges
 }
 

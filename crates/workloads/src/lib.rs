@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-workloads
 //!
 //! The 13 benchmarks of the Vector Runahead evaluation, hand-written
@@ -30,9 +31,6 @@ pub mod hpcdb;
 mod layout;
 
 pub use layout::Arena;
-
-use std::num::NonZeroUsize;
-use std::sync::Mutex;
 
 use vr_isa::{Cpu, Memory, Program, Reg, StepError};
 
@@ -116,7 +114,9 @@ pub fn gap_suite(scale: Scale, preset: graph::GraphPreset) -> Vec<Workload> {
 }
 
 /// The eight hpc-db benchmarks at a scale, built concurrently (each is
-/// a pure function of the scale).
+/// a pure function of the scale) on one thread per CPU: more threads
+/// would not build faster, only contend for the allocator and the page
+/// tables.
 pub fn hpcdb_suite(scale: Scale) -> Vec<Workload> {
     let builders: Vec<fn(Scale) -> Workload> = vec![
         hpcdb::camel,
@@ -128,42 +128,7 @@ pub fn hpcdb_suite(scale: Scale) -> Vec<Workload> {
         hpcdb::nas_is,
         hpcdb::randomaccess,
     ];
-    concurrently(builders, |build| build(scale))
-}
-
-/// CPUs this process may run on.
-pub(crate) fn cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-/// `f` over `items` on one thread per CPU at most — the calling thread
-/// and scoped threads, each taking the next unclaimed item until none
-/// is left — with the results in item order. A panic in `f` resumes on
-/// the caller. More threads than CPUs would not build faster: they
-/// would contend for the allocator and the page tables.
-pub(crate) fn concurrently<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let threads = cpus().min(items.len());
-    let queue = Mutex::new(items.into_iter().enumerate());
-    // The lock is held only to take an item, which cannot panic; a
-    // `while let` on the lock itself would hold it through `f`.
-    let next = || queue.lock().expect("queue lock is never poisoned").next();
-    let work = || {
-        let mut done = Vec::new();
-        while let Some((i, item)) = next() {
-            done.push((i, f(item)));
-        }
-        done
-    };
-    let mut done = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-        let mut done = work();
-        for h in spawned {
-            done.extend(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
+    vr_pool::map(vr_pool::cpus(), builders, |build| build(scale))
 }
 
 #[cfg(test)]

@@ -1,1 +1,3 @@
 //! Integration-test-only crate; see the `tests/` directory.
+
+#![forbid(unsafe_code)]
