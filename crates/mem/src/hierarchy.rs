@@ -921,4 +921,122 @@ mod tests {
         assert_eq!(ms.outstanding_misses(10), 2);
         assert_eq!(ms.outstanding_misses(10_000), 0);
     }
+
+    /// Demand-loads `n` lines that share line 0's L1 set (4 sets) and
+    /// L2 set (8 sets) on the tiny hierarchy, one every 1000 cycles
+    /// from `start`: two push line 0 out of the L1, four out of the L2
+    /// too, while it stays in its 16-set L3. Returns the next free
+    /// cycle.
+    fn evict_line0(ms: &mut MemorySystem, n: u64, start: u64) -> u64 {
+        for k in 1..=n {
+            ms.access(k * 0x200, Access::Load, Requestor::Main, 1, start + k * 1000).unwrap();
+        }
+        start + (n + 1) * 1000
+    }
+
+    #[test]
+    fn runahead_prefetch_evicted_from_l1_counts_l2_timeliness() {
+        let mut ms = sys();
+        assert!(ms.prefetch(0, Requestor::Runahead, 0));
+        let now = evict_line0(&mut ms, 2, 1000);
+        assert!(!ms.in_l1(0));
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
+        assert_eq!(r.hit, HitLevel::L2);
+        assert_eq!(r.ready_at, now + 4 + 8);
+        assert_eq!(r.prefetched_by, Some(Requestor::Runahead));
+        let s = ms.stats();
+        assert_eq!(s.timeliness, [0, 1, 0, 0]);
+        assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
+        // The demand touch consumed the ownership: a re-touch after
+        // another eviction is a plain hit.
+        let now = evict_line0(&mut ms, 2, now);
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
+        assert_eq!(r.prefetched_by, None);
+        assert_eq!(ms.stats().pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
+    }
+
+    #[test]
+    fn runahead_prefetch_evicted_from_l1_and_l2_counts_l3_timeliness() {
+        let mut ms = sys();
+        assert!(ms.prefetch(0, Requestor::Runahead, 0));
+        let now = evict_line0(&mut ms, 6, 1000);
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
+        assert_eq!(r.hit, HitLevel::L3);
+        assert_eq!(r.prefetched_by, Some(Requestor::Runahead));
+        let s = ms.stats();
+        assert_eq!(s.timeliness, [0, 0, 1, 0]);
+        assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
+        assert_eq!(s.load_hits[MemStats::level_idx(HitLevel::L3)], 1);
+    }
+
+    #[test]
+    fn private_l3_hit_latency() {
+        let mut ms = sys();
+        ms.access(0, Access::Load, Requestor::Main, 1, 0).unwrap();
+        let now = evict_line0(&mut ms, 6, 1000);
+        let reads = ms.stats().dram_reads_total();
+        let r = ms.access(0, Access::Load, Requestor::Main, 1, now).unwrap();
+        assert_eq!(r.hit, HitLevel::L3);
+        // 4 + 8 + 30 lookup, no DRAM.
+        assert_eq!(r.ready_at, now + 42);
+        assert_eq!(ms.stats().dram_reads_total(), reads);
+    }
+
+    fn shared_sys(shared_mshrs: usize) -> MemorySystem {
+        let cfg = MemConfig::tiny_for_tests();
+        let llc = SharedLlc::new(crate::SharedLlcConfig {
+            l3: cfg.l3,
+            dram_min_latency: cfg.dram_min_latency,
+            dram_cycles_per_line: cfg.dram_cycles_per_line,
+            banks: 4,
+            bank_service_cycles: 4,
+            shared_mshrs,
+        });
+        let mut ms = MemorySystem::new(cfg);
+        ms.attach_shared_llc(0);
+        ms.install_shared_llc(Box::new(llc));
+        ms
+    }
+
+    #[test]
+    fn shared_llc_miss_and_reject_through_access() {
+        let mut ms = shared_sys(1);
+        let r = ms.access(0x1000, Access::Load, Requestor::Main, 1, 0).unwrap();
+        assert_eq!(r.hit, HitLevel::Dram);
+        // 4 + 8 to the interconnect, 30 shared L3, 200 DRAM.
+        assert_eq!(r.ready_at, 242);
+        assert_eq!(ms.stats().dram_reads_total(), 1);
+        // The one shared MSHR is busy: a prefetch is turned away as an
+        // MSHR-full drop and holds no private MSHR.
+        assert_eq!(
+            ms.access(0x2000, Access::Load, Requestor::Runahead, 2, 1).unwrap_err(),
+            MshrFull
+        );
+        assert_eq!(ms.stats().pf_dropped_mshr, 1);
+        assert_eq!(ms.stats().pf_issued[MemStats::req_idx(Requestor::Runahead)], 0);
+        assert_eq!(ms.outstanding_misses(1), 1);
+        // So is a demand load, which counts no drop.
+        assert!(ms.access(0x3000, Access::Load, Requestor::Main, 3, 2).is_err());
+        assert_eq!(ms.stats().pf_dropped_mshr, 1);
+        assert_eq!(ms.outstanding_misses(2), 1);
+        let llc = ms.take_shared_llc();
+        assert_eq!((llc.stats().llc_misses, llc.stats().shared_mshr_rejections), (1, 2));
+    }
+
+    #[test]
+    fn shared_llc_hit_reports_no_prefetch_owner() {
+        let mut ms = shared_sys(4);
+        assert!(ms.prefetch(0, Requestor::Runahead, 0));
+        let now = evict_line0(&mut ms, 6, 1000);
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
+        assert_eq!(r.hit, HitLevel::L3);
+        assert_eq!(r.ready_at, now + 42);
+        // Prefetch ownership does not cross into the shared LLC.
+        assert_eq!(r.prefetched_by, None);
+        let s = ms.stats();
+        assert_eq!(s.timeliness, [0; 4]);
+        assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 0);
+        assert_eq!(s.load_hits[MemStats::level_idx(HitLevel::L3)], 1);
+        assert_eq!(ms.take_shared_llc().stats().llc_hits, 1);
+    }
 }
