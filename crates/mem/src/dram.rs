@@ -16,19 +16,12 @@ pub struct Dram {
     /// Cycles between line transfers (bandwidth).
     pub cycles_per_line: u64,
     next_slot: u64,
-    lines_transferred: u64,
 }
 
 impl Dram {
     /// Creates a DRAM model.
     pub fn new(min_latency: u64, cycles_per_line: u64) -> Dram {
-        Dram { min_latency, cycles_per_line, next_slot: 0, lines_transferred: 0 }
-    }
-
-    /// The paper's configuration at 4 GHz: 200-cycle latency, one 64 B
-    /// line per 5 cycles.
-    pub fn table1() -> Dram {
-        Dram::new(200, 5)
+        Dram { min_latency, cycles_per_line, next_slot: 0 }
     }
 
     /// Schedules a line read issued at `now`; returns the cycle the
@@ -36,7 +29,6 @@ impl Dram {
     pub fn read_line(&mut self, now: u64) -> u64 {
         let slot = self.next_slot.max(now);
         self.next_slot = slot + self.cycles_per_line;
-        self.lines_transferred += 1;
         slot + self.min_latency
     }
 
@@ -45,17 +37,6 @@ impl Dram {
     pub fn write_line(&mut self, now: u64) {
         let slot = self.next_slot.max(now);
         self.next_slot = slot + self.cycles_per_line;
-        self.lines_transferred += 1;
-    }
-
-    /// Total lines moved (reads + write-backs).
-    pub fn lines_transferred(&self) -> u64 {
-        self.lines_transferred
-    }
-
-    /// Current queueing delay seen by a request issued at `now`.
-    pub fn queue_delay(&self, now: u64) -> u64 {
-        self.next_slot.saturating_sub(now)
     }
 }
 
@@ -86,7 +67,7 @@ mod tests {
         d.read_line(0);
         // Long idle gap: the next request should see no queueing.
         assert_eq!(d.read_line(10_000), 10_200);
-        assert_eq!(d.queue_delay(10_300), 0);
+        assert_eq!(d.read_line(10_300), 10_500);
     }
 
     #[test]
@@ -94,6 +75,5 @@ mod tests {
         let mut d = Dram::new(200, 5);
         d.write_line(0);
         assert_eq!(d.read_line(0), 205);
-        assert_eq!(d.lines_transferred(), 2);
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled memory system.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, LineState};
 use crate::config::MemConfig;
 use crate::dram::Dram;
 use crate::imp::Imp;
@@ -85,9 +85,8 @@ pub struct MemorySystem {
     cfg: MemConfig,
     l1d: Cache,
     l2: Cache,
-    l3: Cache,
+    llc: Llc,
     mshr: MshrFile,
-    dram: Dram,
     stride: StridePrefetcher,
     imp: Imp,
     stats: MemStats,
@@ -96,24 +95,43 @@ pub struct MemorySystem {
     /// (default) case costs one pointer; every hook is an `if let` on
     /// a prefetch *bookkeeping* path, never the per-access fast path.
     telemetry: Option<Box<PfTelemetry>>,
-    /// Chip-shared LLC attachment. `None` (the default) keeps the
-    /// private L3 + DRAM path untouched — single-core timing is
-    /// bit-identical to a build without this field.
-    shared: Option<SharedAttachment>,
 }
 
-/// Attachment of this per-core hierarchy to a chip-shared LLC broker:
-/// when present, every L2 miss bypasses the private L3/DRAM and goes
-/// through the shared banked LLC instead (see [`crate::SharedLlc`]).
-///
-/// The broker itself is owned by the chip and only *installed* here
-/// (`llc: Some`) for the duration of this core's tick — the chip moves
-/// the `Box` in before stepping the core and takes it back after, so
-/// the hot path is an uncontended `&mut` with no lock.
+/// What serves this core's L2 misses.
 #[derive(Clone, Debug)]
-struct SharedAttachment {
-    llc: Option<Box<SharedLlc>>,
-    core: u32,
+enum Llc {
+    /// A single-core run: a private L3 in front of a private DRAM
+    /// channel.
+    Private { l3: Cache, dram: Dram },
+    /// A chip run: the chip's shared banked LLC + DRAM broker, seen as
+    /// core `core` (see [`crate::SharedLlc`]). The broker is owned by
+    /// the chip and only *installed* here (`llc: Some`) for the
+    /// duration of this core's tick — the chip moves the `Box` in
+    /// before stepping the core and takes it back after, so the hot
+    /// path is an uncontended `&mut` with no lock.
+    Shared { core: u32, llc: Option<Box<SharedLlc>> },
+}
+
+/// Where an L1 miss found its line.
+struct Found {
+    hit: HitLevel,
+    ready_at: u64,
+    /// The found line's prefetch owner (cleared on a demand touch).
+    owner: Option<Requestor>,
+    /// Dirtiness the line brings into L2: the found copy's, or for a
+    /// DRAM fetch whether it serves a store.
+    dirty: bool,
+}
+
+/// Folds an evicted line into the next level's resident copy: the
+/// dirtiness joins, and a not-yet-consumed prefetch ownership moves
+/// down with it (what makes the timeliness L2/L3 buckets mean
+/// "prefetched, but evicted before use").
+fn absorb(line: &mut LineState, victim: LineState) {
+    line.dirty |= victim.dirty;
+    if line.prefetch_src.is_none() {
+        line.prefetch_src = victim.prefetch_src;
+    }
 }
 
 impl MemorySystem {
@@ -126,24 +144,25 @@ impl MemorySystem {
         MemorySystem {
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            l3: Cache::new(cfg.l3),
+            llc: Llc::Private {
+                l3: Cache::new(cfg.l3),
+                dram: Dram::new(cfg.dram_min_latency, cfg.dram_cycles_per_line),
+            },
             mshr: MshrFile::new(cfg.mshrs),
-            dram: Dram::new(cfg.dram_min_latency, cfg.dram_cycles_per_line),
             stride: StridePrefetcher::new(streams, degree, distance),
             imp: Imp::new(cfg.imp_config),
             stats: MemStats::default(),
             chaos: None,
             telemetry: None,
-            shared: None,
             cfg,
         }
     }
 
     /// Attaches this hierarchy to a chip-shared LLC + DRAM broker as
-    /// core `core`. From then on every L2 miss crosses the chip
-    /// interconnect into the shared banked LLC instead of the private
-    /// L3/DRAM; the private L3 sits unused. Shared-L3 write-backs are
-    /// accounted on the broker (chip-level stats), not in this core's
+    /// core `core`, dropping the private L3 and DRAM. From then on
+    /// every L2 miss crosses the chip interconnect into the shared
+    /// banked LLC. Shared-L3 write-backs are accounted on the broker
+    /// (chip-level stats), not in this core's
     /// [`MemStats::dram_writebacks`].
     ///
     /// This only marks the routing; the broker itself must be
@@ -152,14 +171,14 @@ impl MemorySystem {
     /// [`MemorySystem::take_shared_llc`] — an access while attached
     /// but not installed is a chip sequencing bug and panics.
     pub fn attach_shared_llc(&mut self, core: u32) {
-        self.shared = Some(SharedAttachment { llc: None, core });
+        self.llc = Llc::Shared { core, llc: None };
     }
 
     /// Whether this hierarchy routes its L2 misses through a
     /// chip-shared LLC ([`MemorySystem::attach_shared_llc`]), i.e.
     /// whether other cores observe the order of its accesses.
     pub fn shared_attached(&self) -> bool {
-        self.shared.is_some()
+        matches!(self.llc, Llc::Shared { .. })
     }
 
     /// Hands this core the chip's LLC broker for the duration of one
@@ -169,10 +188,12 @@ impl MemorySystem {
     ///
     /// Panics if the hierarchy is not attached, or a broker is already
     /// installed (the chip failed to take it back).
-    pub fn install_shared_llc(&mut self, llc: Box<SharedLlc>) {
-        let sh = self.shared.as_mut().expect("install_shared_llc on an unattached hierarchy");
-        assert!(sh.llc.is_none(), "shared LLC already installed (missing take_shared_llc)");
-        sh.llc = Some(llc);
+    pub fn install_shared_llc(&mut self, broker: Box<SharedLlc>) {
+        let Llc::Shared { llc, .. } = &mut self.llc else {
+            panic!("install_shared_llc on an unattached hierarchy");
+        };
+        assert!(llc.is_none(), "shared LLC already installed (missing take_shared_llc)");
+        *llc = Some(broker);
     }
 
     /// Takes the chip's LLC broker back after this core's tick.
@@ -181,10 +202,11 @@ impl MemorySystem {
     ///
     /// Panics if no broker is installed.
     pub fn take_shared_llc(&mut self) -> Box<SharedLlc> {
-        self.shared
-            .as_mut()
-            .and_then(|sh| sh.llc.take())
-            .expect("take_shared_llc with no broker installed")
+        match &mut self.llc {
+            Llc::Shared { llc, .. } => llc.take(),
+            Llc::Private { .. } => None,
+        }
+        .expect("take_shared_llc with no broker installed")
     }
 
     /// Enables per-line prefetch-lifecycle telemetry, retaining the
@@ -261,28 +283,44 @@ impl MemorySystem {
         pc: u64,
         now: u64,
     ) -> Result<AccessOutcome, MshrFull> {
-        let mut now = now;
-        // Fault injection on *speculative* traffic only: a dropped
-        // access looks to the requestor exactly like a full MSHR file
-        // (which every speculative path already tolerates); a delayed
-        // one simply issues late. Demand traffic is never touched.
-        if req.is_prefetch() {
-            if let Some(chaos) = &mut self.chaos {
-                if chaos.rng.chance(chaos.drop_p) {
-                    self.stats.pf_dropped_fault += 1;
-                    return Err(MshrFull);
-                }
-                if chaos.rng.chance(chaos.delay_p) {
-                    now += chaos.delay_cycles;
-                    self.stats.pf_delayed_fault += 1;
-                }
-            }
-        }
-        let mut outcome = self.do_access(addr, kind, req, pc, now)?;
+        let _ = pc;
+        let now = if req.is_prefetch() { self.chaos_issue(now).ok_or(MshrFull)? } else { now };
+        let mut outcome = self.do_access(addr, kind, req, now)?;
         if self.cfg.oracle && req == Requestor::Main && kind == Access::Load {
             outcome.ready_at = now + self.cfg.l1d.latency;
         }
         Ok(outcome)
+    }
+
+    /// Fault injection on *speculative* traffic only: the cycle a
+    /// prefetch issued at `now` really issues (late if delayed), or
+    /// `None` if it is dropped — which looks to the requestor exactly
+    /// like a full MSHR file, as every speculative path tolerates.
+    fn chaos_issue(&mut self, now: u64) -> Option<u64> {
+        let Some(chaos) = &mut self.chaos else {
+            return Some(now);
+        };
+        if chaos.rng.chance(chaos.drop_p) {
+            self.stats.pf_dropped_fault += 1;
+            return None;
+        }
+        if chaos.rng.chance(chaos.delay_p) {
+            self.stats.pf_delayed_fault += 1;
+            return Some(now + chaos.delay_cycles);
+        }
+        Some(now)
+    }
+
+    /// Counts the first demand use of a line `src` prefetched, found
+    /// at `level`.
+    fn count_use(&mut self, la: u64, src: Requestor, level: TimelinessLevel, now: u64) {
+        self.stats.pf_used[MemStats::req_idx(src)] += 1;
+        if src == Requestor::Runahead {
+            self.stats.timeliness[MemStats::timeliness_idx(level)] += 1;
+        }
+        if let Some(t) = &mut self.telemetry {
+            t.on_use(la, level, now);
+        }
     }
 
     fn do_access(
@@ -290,15 +328,14 @@ impl MemorySystem {
         addr: u64,
         kind: Access,
         req: Requestor,
-        pc: u64,
         now: u64,
     ) -> Result<AccessOutcome, MshrFull> {
-        let _ = pc;
         let la = self.l1d.line_addr(addr);
         self.mshr.expire(now);
 
         let is_demand = req == Requestor::Main;
-        if !is_demand && kind == Access::Store {
+        let store = kind == Access::Store;
+        if !is_demand && store {
             // Speculative requestors must never write: runahead is
             // architecturally invisible only if its stores stay out of
             // the hierarchy. The `checked` invariant layer asserts this
@@ -312,35 +349,26 @@ impl MemorySystem {
             }
         }
 
-        // 1. Merge with an outstanding miss to the same line.
+        // Merge with an outstanding miss to the same line.
         if let Some(ready) = self.mshr.pending(la) {
-            let owner = self.mshr.requestor_of(la);
+            let owner = self.mshr.requestor_of(la).filter(|o| o.is_prefetch());
             if is_demand {
-                if kind == Access::Load {
+                if !store {
                     self.stats.load_hits[MemStats::level_idx(HitLevel::Dram)] += 1;
                     self.stats.load_merges += 1;
                 }
-                if let Some(owner) = owner {
-                    if owner.is_prefetch() {
-                        // The prefetch was issued but did not complete
-                        // in time: "off-chip" timeliness.
-                        if owner == Requestor::Runahead {
-                            self.stats.timeliness
-                                [MemStats::timeliness_idx(TimelinessLevel::OffChip)] += 1;
-                        }
-                        self.stats.pf_used[MemStats::req_idx(owner)] += 1;
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_use(la, TimelinessLevel::OffChip, now);
-                        }
-                        // Transfer line ownership to the demand stream
-                        // so later touches count as plain hits.
-                        if let Some(line) = self.l1d.lookup(la) {
-                            line.prefetch_src = None;
-                        }
+                if let Some(src) = owner {
+                    // The prefetch was issued but did not complete in
+                    // time: "off-chip" timeliness.
+                    self.count_use(la, src, TimelinessLevel::OffChip, now);
+                    // Transfer line ownership to the demand stream so
+                    // later touches count as plain hits.
+                    if let Some(line) = self.l1d.lookup(la) {
+                        line.prefetch_src = None;
                     }
                 }
             }
-            if kind == Access::Store {
+            if store {
                 if let Some(line) = self.l1d.lookup(la) {
                     line.dirty = true;
                 }
@@ -348,27 +376,20 @@ impl MemorySystem {
             return Ok(AccessOutcome {
                 ready_at: ready.max(now + self.cfg.l1d.latency),
                 hit: HitLevel::Dram,
-                prefetched_by: owner.filter(|o| o.is_prefetch()),
+                prefetched_by: owner,
             });
         }
 
-        // 2. L1 hit.
+        // L1 hit.
         if let Some(line) = self.l1d.lookup(la) {
-            if kind == Access::Store {
-                line.dirty = true;
-            }
+            line.dirty |= store;
             let prefetched_by = line.prefetch_src;
             if is_demand {
-                if let Some(src) = line.prefetch_src.take() {
-                    self.stats.pf_used[MemStats::req_idx(src)] += 1;
-                    if src == Requestor::Runahead {
-                        self.stats.timeliness[MemStats::timeliness_idx(TimelinessLevel::L1)] += 1;
-                    }
-                    if let Some(t) = &mut self.telemetry {
-                        t.on_use(la, TimelinessLevel::L1, now);
-                    }
+                line.prefetch_src = None;
+                if let Some(src) = prefetched_by {
+                    self.count_use(la, src, TimelinessLevel::L1, now);
                 }
-                if kind == Access::Load {
+                if !store {
                     self.stats.load_hits[MemStats::level_idx(HitLevel::L1)] += 1;
                 }
             }
@@ -379,260 +400,149 @@ impl MemorySystem {
             });
         }
 
-        // L1 miss from here on: an MSHR entry is required.
-        if !self.mshr.has_free() {
+        // L1 miss from here on: it needs a private MSHR entry, and on
+        // a chip a shared one too if the shared LLC misses.
+        let found = self.mshr.has_free().then(|| self.lookup_below_l1(la, store, is_demand, now));
+        let Some(Some(Found { hit, ready_at, owner, dirty })) = found else {
             if req.is_prefetch() {
                 self.stats.pf_dropped_mshr += 1;
             }
             return Err(MshrFull);
-        }
-
-        let l1_lat = self.cfg.l1d.latency;
-        let l2_lat = self.cfg.l2.latency;
-        let l3_lat = self.cfg.l3.latency;
-
-        // 3. L2 hit.
-        if let Some(line) = self.l2.lookup(la) {
-            let was_pf = line.prefetch_src;
-            let dirty = line.dirty;
-            if is_demand {
-                if let Some(src) = line.prefetch_src.take() {
-                    self.stats.pf_used[MemStats::req_idx(src)] += 1;
-                    if src == Requestor::Runahead {
-                        self.stats.timeliness[MemStats::timeliness_idx(TimelinessLevel::L2)] += 1;
-                    }
-                    if let Some(t) = &mut self.telemetry {
-                        t.on_use(la, TimelinessLevel::L2, now);
-                    }
-                }
-                if kind == Access::Load {
-                    self.stats.load_hits[MemStats::level_idx(HitLevel::L2)] += 1;
-                }
-            }
-            let ready = now + l1_lat + l2_lat;
-            self.mshr.allocate(la, now, ready, req);
-            if req.is_prefetch() {
-                self.stats.pf_issued[MemStats::req_idx(req)] += 1;
-                if let Some(t) = &mut self.telemetry {
-                    t.on_issue(la, req, now, ready, HitLevel::L2);
-                }
-            }
-            self.fill_l1(la, kind, req, dirty, now);
-            return Ok(AccessOutcome { ready_at: ready, hit: HitLevel::L2, prefetched_by: was_pf });
-        }
-
-        // 4'/5' (chip runs only). With a shared LLC attached, an L2
-        // miss crosses the chip interconnect after the private L1+L2
-        // lookup; the shared broker replaces steps 4 and 5 entirely.
-        // The broker access is an uncontended `&mut` — the chip
-        // installs the owned broker around this core's tick (computed
-        // in its own scope so the `self.shared` borrow ends before the
-        // outcome is applied to the private structures below).
-        let shared_outcome = match self.shared.as_mut() {
-            None => None,
-            Some(sh) => {
-                let core = sh.core;
-                let llc = sh
-                    .llc
-                    .as_mut()
-                    .expect("shared-LLC access outside a chip core-step (broker not installed)");
-                Some(llc.access_line(core, la, now + l1_lat + l2_lat))
-            }
         };
-        if let Some(outcome) = shared_outcome {
-            return match outcome {
-                SharedOutcome::Hit { ready_at } => {
-                    if is_demand && kind == Access::Load {
-                        self.stats.load_hits[MemStats::level_idx(HitLevel::L3)] += 1;
-                    }
-                    self.mshr.allocate(la, now, ready_at, req);
-                    if req.is_prefetch() {
-                        self.stats.pf_issued[MemStats::req_idx(req)] += 1;
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_issue(la, req, now, ready_at, HitLevel::L3);
-                        }
-                    }
-                    // The shared L3 tracks no per-core prefetch
-                    // ownership, so a shared hit never reports
-                    // `prefetched_by` and the L3 timeliness bucket is
-                    // unreachable in chip runs (DESIGN.md §16).
-                    self.fill_l2_flagged(la, None, false, now);
-                    self.fill_l1(la, kind, req, false, now);
-                    Ok(AccessOutcome { ready_at, hit: HitLevel::L3, prefetched_by: None })
-                }
-                SharedOutcome::Miss { ready_at } => {
-                    self.mshr.allocate(la, now, ready_at, req);
-                    self.stats.dram_reads[MemStats::req_idx(req)] += 1;
-                    if req.is_prefetch() {
-                        self.stats.pf_issued[MemStats::req_idx(req)] += 1;
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_issue(la, req, now, ready_at, HitLevel::Dram);
-                        }
-                    }
-                    if is_demand && kind == Access::Load {
-                        self.stats.load_hits[MemStats::level_idx(HitLevel::Dram)] += 1;
-                    }
-                    let pf_src = req.is_prefetch().then_some(req);
-                    self.fill_l2_flagged(la, None, kind == Access::Store, now);
-                    self.fill_l1_flagged(la, pf_src, kind == Access::Store, now);
-                    Ok(AccessOutcome { ready_at, hit: HitLevel::Dram, prefetched_by: None })
-                }
-                SharedOutcome::Reject => {
-                    if req.is_prefetch() {
-                        self.stats.pf_dropped_mshr += 1;
-                    }
-                    Err(MshrFull)
-                }
-            };
-        }
-
-        // 4. L3 hit.
-        if let Some(line) = self.l3.lookup(la) {
-            let was_pf = line.prefetch_src;
-            let dirty = line.dirty;
-            if is_demand {
-                if let Some(src) = line.prefetch_src.take() {
-                    self.stats.pf_used[MemStats::req_idx(src)] += 1;
-                    if src == Requestor::Runahead {
-                        self.stats.timeliness[MemStats::timeliness_idx(TimelinessLevel::L3)] += 1;
-                    }
-                    if let Some(t) = &mut self.telemetry {
-                        t.on_use(la, TimelinessLevel::L3, now);
-                    }
-                }
-                if kind == Access::Load {
-                    self.stats.load_hits[MemStats::level_idx(HitLevel::L3)] += 1;
-                }
+        if is_demand {
+            if let Some(src) = owner {
+                let level =
+                    if hit == HitLevel::L2 { TimelinessLevel::L2 } else { TimelinessLevel::L3 };
+                self.count_use(la, src, level, now);
             }
-            let ready = now + l1_lat + l2_lat + l3_lat;
-            self.mshr.allocate(la, now, ready, req);
-            if req.is_prefetch() {
-                self.stats.pf_issued[MemStats::req_idx(req)] += 1;
-                if let Some(t) = &mut self.telemetry {
-                    t.on_issue(la, req, now, ready, HitLevel::L3);
-                }
+            if !store {
+                self.stats.load_hits[MemStats::level_idx(hit)] += 1;
             }
-            // Prefetch ownership is tracked on the L1 copy only; the
-            // L2 copy inherits it on eviction (fill_l1_flagged), which
-            // is what the timeliness L2/L3 buckets mean.
-            self.fill_l2_flagged(la, None, dirty, now);
-            self.fill_l1(la, kind, req, dirty, now);
-            return Ok(AccessOutcome { ready_at: ready, hit: HitLevel::L3, prefetched_by: was_pf });
         }
-
-        // 5. DRAM.
-        let lookup_done = now + l1_lat + l2_lat + l3_lat;
-        let ready = self.dram.read_line(lookup_done);
-        self.mshr.allocate(la, now, ready, req);
-        self.stats.dram_reads[MemStats::req_idx(req)] += 1;
+        self.mshr.allocate(la, now, ready_at, req);
+        if hit == HitLevel::Dram {
+            self.stats.dram_reads[MemStats::req_idx(req)] += 1;
+        }
         if req.is_prefetch() {
             self.stats.pf_issued[MemStats::req_idx(req)] += 1;
             if let Some(t) = &mut self.telemetry {
-                t.on_issue(la, req, now, ready, HitLevel::Dram);
+                t.on_issue(la, req, now, ready_at, hit);
             }
         }
-        if is_demand && kind == Access::Load {
-            self.stats.load_hits[MemStats::level_idx(HitLevel::Dram)] += 1;
+        // Fill inward. Prefetch ownership is tracked on the L1 copy
+        // only (the level runahead prefetches into); lower-level copies
+        // inherit it on eviction.
+        if hit == HitLevel::Dram {
+            self.fill_l3(la, false, None, now);
         }
-        let pf_src = req.is_prefetch().then_some(req);
-        // Flag only the L1 copy (the level runahead prefetches into);
-        // lower-level copies inherit the flag on eviction.
-        self.fill_l3(la, None, false, now);
-        self.fill_l2_flagged(la, None, kind == Access::Store, now);
-        self.fill_l1_flagged(la, pf_src, kind == Access::Store, now);
-        Ok(AccessOutcome { ready_at: ready, hit: HitLevel::Dram, prefetched_by: None })
+        if hit != HitLevel::L2 {
+            self.fill_l2(la, dirty, None, now);
+        }
+        self.fill_l1(la, store || dirty, req.is_prefetch().then_some(req), now);
+        Ok(AccessOutcome { ready_at, hit, prefetched_by: owner })
     }
 
-    fn fill_l1(&mut self, la: u64, kind: Access, req: Requestor, dirty: bool, now: u64) {
-        let pf_src = req.is_prefetch().then_some(req);
-        self.fill_l1_flagged(la, pf_src, kind == Access::Store || dirty, now);
-    }
-
-    fn fill_l1_flagged(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        if let Some(victim) = self.l1d.insert(la, dirty, pf_src) {
-            // The victim lives on in L2: carry its dirtiness and its
-            // not-yet-consumed prefetch ownership down with it (this
-            // is what makes the timeliness L2/L3 buckets mean
-            // "prefetched, but evicted before use").
-            match self.l2.lookup(victim.line_addr) {
-                Some(line) => {
-                    line.dirty |= victim.dirty;
-                    if line.prefetch_src.is_none() {
-                        line.prefetch_src = victim.prefetch_src;
+    /// The one lookup below L1: L2, then the private L3 or the chip's
+    /// shared LLC, then DRAM. A demand touch clears the owner of the
+    /// line it finds. `None` is a shared-MSHR-pool reject.
+    fn lookup_below_l1(&mut self, la: u64, store: bool, demand: bool, now: u64) -> Option<Found> {
+        let claim = |hit, ready_at, line: &mut LineState| {
+            let owner = line.prefetch_src;
+            if demand {
+                line.prefetch_src = None;
+            }
+            Found { hit, ready_at, owner, dirty: line.dirty }
+        };
+        let fetched = |ready_at| Found { hit: HitLevel::Dram, ready_at, owner: None, dirty: store };
+        let arrive = now + self.cfg.l1d.latency + self.cfg.l2.latency;
+        if let Some(line) = self.l2.lookup(la) {
+            return Some(claim(HitLevel::L2, arrive, line));
+        }
+        match &mut self.llc {
+            Llc::Private { l3, dram } => {
+                let lookup_done = arrive + self.cfg.l3.latency;
+                Some(match l3.lookup(la) {
+                    Some(line) => claim(HitLevel::L3, lookup_done, line),
+                    None => fetched(dram.read_line(lookup_done)),
+                })
+            }
+            Llc::Shared { core, llc } => {
+                let llc = llc.as_mut().expect("shared-LLC access with no broker installed");
+                // The shared L3 tracks no per-core prefetch ownership,
+                // so a shared hit never reports `prefetched_by` and the
+                // L3 timeliness bucket is unreachable in chip runs
+                // (DESIGN.md §16).
+                match llc.access_line(*core, la, arrive) {
+                    SharedOutcome::Hit { ready_at } => {
+                        Some(Found { hit: HitLevel::L3, ready_at, owner: None, dirty: false })
                     }
-                }
-                None => self.fill_l2_flagged_src(
-                    victim.line_addr,
-                    victim.prefetch_src,
-                    victim.dirty,
-                    now,
-                ),
-            }
-        }
-    }
-
-    fn fill_l2_flagged(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        self.fill_l2_flagged_src(la, pf_src, dirty, now);
-    }
-
-    fn fill_l2_flagged_src(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        if let Some(victim) = self.l2.insert(la, dirty, pf_src) {
-            match self.l3.lookup(victim.line_addr) {
-                Some(line) => {
-                    line.dirty |= victim.dirty;
-                    if line.prefetch_src.is_none() {
-                        line.prefetch_src = victim.prefetch_src;
-                    }
-                }
-                None => {
-                    let shared = if let Some(sh) = self.shared.as_mut() {
-                        // Chip run: the victim leaves the private
-                        // hierarchy into the shared LLC (merge or, if
-                        // dirty, install). Prefetch ownership does not
-                        // cross the boundary — its lifecycle ends here.
-                        let core = sh.core;
-                        sh.llc
-                            .as_mut()
-                            .expect("shared-LLC victim outside a chip core-step")
-                            .fill_victim(core, victim.line_addr, victim.dirty);
-                        true
-                    } else {
-                        false
-                    };
-                    if shared {
-                        if victim.prefetch_src.is_some() {
-                            if let Some(t) = &mut self.telemetry {
-                                t.on_evict(victim.line_addr, now);
-                            }
-                        }
-                    } else if victim.dirty {
-                        self.fill_l3(victim.line_addr, victim.prefetch_src, true, now);
-                    } else if victim.prefetch_src.is_some() {
-                        // A clean, still-flagged victim with no L3 copy
-                        // is silently dropped: the prefetched line has
-                        // left the hierarchy without ever being used.
-                        if let Some(t) = &mut self.telemetry {
-                            t.on_evict(victim.line_addr, now);
-                        }
-                    }
+                    SharedOutcome::Miss { ready_at } => Some(fetched(ready_at)),
+                    SharedOutcome::Reject => None,
                 }
             }
         }
     }
 
-    fn fill_l3(&mut self, la: u64, pf_src: Option<Requestor>, dirty: bool, now: u64) {
-        if let Some(victim) = self.l3.insert(la, dirty, pf_src) {
-            if victim.dirty {
-                self.dram.write_line(0);
-                self.stats.dram_writebacks += 1;
-            }
-            if victim.prefetch_src.is_some() {
-                // The still-flagged L3 victim is the last copy (the
-                // flag only reaches L3 after the L1/L2 copies were
-                // themselves evicted): unused-prefetch lifecycle ends.
-                if let Some(t) = &mut self.telemetry {
-                    t.on_evict(victim.line_addr, now);
+    /// Installs `la` in the L1. The victim lives on in L2.
+    fn fill_l1(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+        let Some(victim) = self.l1d.insert(la, dirty, pf_src) else {
+            return;
+        };
+        match self.l2.lookup(victim.line_addr) {
+            Some(line) => absorb(line, victim),
+            None => self.fill_l2(victim.line_addr, victim.dirty, victim.prefetch_src, now),
+        }
+    }
+
+    /// Installs `la` in the L2. The victim is folded into the private
+    /// L3's copy, installed there if dirty, or else dropped; on a chip
+    /// it leaves the core for the shared LLC (merge or, if dirty,
+    /// install). Prefetch ownership does not leave the core.
+    fn fill_l2(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+        let Some(victim) = self.l2.insert(la, dirty, pf_src) else {
+            return;
+        };
+        match &mut self.llc {
+            Llc::Private { l3, .. } => match l3.lookup(victim.line_addr) {
+                Some(line) => return absorb(line, victim),
+                None if victim.dirty => {
+                    return self.fill_l3(victim.line_addr, true, victim.prefetch_src, now);
                 }
+                None => {}
+            },
+            Llc::Shared { core, llc } => {
+                let llc = llc.as_mut().expect("shared-LLC victim outside a chip core-step");
+                llc.fill_victim(*core, victim.line_addr, victim.dirty);
+            }
+        }
+        if victim.prefetch_src.is_some() {
+            // The prefetched line has left the core without ever being
+            // used.
+            if let Some(t) = &mut self.telemetry {
+                t.on_evict(victim.line_addr, now);
+            }
+        }
+    }
+
+    /// Installs `la` in the private L3, writing a dirty victim back to
+    /// DRAM. A no-op on a chip, whose shared LLC fills itself.
+    fn fill_l3(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+        let Llc::Private { l3, dram } = &mut self.llc else {
+            return;
+        };
+        let Some(victim) = l3.insert(la, dirty, pf_src) else {
+            return;
+        };
+        if victim.dirty {
+            dram.write_line(0);
+            self.stats.dram_writebacks += 1;
+        }
+        if victim.prefetch_src.is_some() {
+            // The still-flagged L3 victim is the last copy (the flag
+            // only reaches L3 after the L1/L2 copies were themselves
+            // evicted): unused-prefetch lifecycle ends.
+            if let Some(t) = &mut self.telemetry {
+                t.on_evict(victim.line_addr, now);
             }
         }
     }
@@ -641,20 +551,12 @@ impl MemorySystem {
     /// Returns `true` if a new fetch was actually started.
     pub fn prefetch(&mut self, addr: u64, req: Requestor, now: u64) -> bool {
         debug_assert!(req.is_prefetch(), "prefetch requires a prefetching requestor");
-        let mut now = now;
-        if let Some(chaos) = &mut self.chaos {
-            if chaos.rng.chance(chaos.drop_p) {
-                self.stats.pf_dropped_fault += 1;
-                return false;
-            }
-            if chaos.rng.chance(chaos.delay_p) {
-                now += chaos.delay_cycles;
-                self.stats.pf_delayed_fault += 1;
-            }
-        }
+        let Some(now) = self.chaos_issue(now) else {
+            return false;
+        };
         let la = self.l1d.line_addr(addr);
         self.mshr.expire(now);
-        if self.l1d.contains(la) || self.mshr.is_pending(la) {
+        if self.l1d.contains(la) || self.mshr.pending(la).is_some() {
             return false;
         }
         // Reserve the last two MSHR entries for demand misses so that
@@ -663,7 +565,7 @@ impl MemorySystem {
             self.stats.pf_dropped_mshr += 1;
             return false;
         }
-        self.do_access(addr, Access::Load, req, 0, now).is_ok()
+        self.do_access(addr, Access::Load, req, now).is_ok()
     }
 
     /// Trains the hardware prefetchers on a main-thread demand load
@@ -711,11 +613,6 @@ impl MemorySystem {
     /// striding-load detection).
     pub fn stride_detector(&self) -> &crate::stride::StrideDetector {
         self.stride.detector()
-    }
-
-    /// Total DRAM lines transferred (reads + write-backs).
-    pub fn dram_lines_transferred(&self) -> u64 {
-        self.dram.lines_transferred()
     }
 }
 

@@ -31,8 +31,6 @@ pub struct MshrFile {
     /// Σ (ready − alloc) over all allocations; occupancy integral for
     /// the MLP figure.
     occupancy_integral: u64,
-    allocations: u64,
-    merges: u64,
 }
 
 impl MshrFile {
@@ -48,8 +46,6 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             next_ready: u64::MAX,
             occupancy_integral: 0,
-            allocations: 0,
-            merges: 0,
         }
     }
 
@@ -68,21 +64,10 @@ impl MshrFile {
         self.next_ready = self.entries.iter().map(|e| e.ready_at).min().unwrap_or(u64::MAX);
     }
 
-    /// Whether `line_addr` is outstanding, without counting a merge
-    /// (used by prefetch duplicate suppression, which is a probe, not
-    /// a secondary miss).
-    pub fn is_pending(&self, line_addr: u64) -> bool {
-        self.find(line_addr).is_some()
-    }
-
-    /// If `line_addr` is already outstanding, merges and returns its
-    /// ready cycle.
-    pub fn pending(&mut self, line_addr: u64) -> Option<u64> {
-        let ready = self.find(line_addr).map(|e| e.ready_at);
-        if ready.is_some() {
-            self.merges += 1;
-        }
-        ready
+    /// The ready cycle of `line_addr`'s outstanding miss, if any (a
+    /// secondary miss merges with it).
+    pub fn pending(&self, line_addr: u64) -> Option<u64> {
+        self.find(line_addr).map(|e| e.ready_at)
     }
 
     /// Attempts to allocate an entry for `line_addr`, resolving at
@@ -91,11 +76,10 @@ impl MshrFile {
         if self.entries.len() >= self.capacity {
             return false;
         }
-        debug_assert!(!self.is_pending(line_addr), "duplicate MSHR allocation");
+        debug_assert!(self.pending(line_addr).is_none(), "duplicate MSHR allocation");
         self.entries.push(Entry { line_addr, ready_at, requestor: req });
         self.next_ready = self.next_ready.min(ready_at);
         self.occupancy_integral += ready_at.saturating_sub(now);
-        self.allocations += 1;
         true
     }
 
@@ -110,13 +94,6 @@ impl MshrFile {
         self.entries.len()
     }
 
-    /// Earliest completion time among outstanding entries — the next
-    /// cycle at which the memory system can change state on its own
-    /// (used by the core's idle-cycle fast-forward).
-    pub fn next_ready_at(&self) -> Option<u64> {
-        (!self.entries.is_empty()).then_some(self.next_ready)
-    }
-
     /// Whether the file has a free entry.
     pub fn has_free(&self) -> bool {
         self.entries.len() < self.capacity
@@ -127,16 +104,6 @@ impl MshrFile {
     /// (the MLP metric).
     pub fn occupancy_integral(&self) -> u64 {
         self.occupancy_integral
-    }
-
-    /// Total allocations made.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Total merged (secondary) misses.
-    pub fn merges(&self) -> u64 {
-        self.merges
     }
 }
 
@@ -172,7 +139,6 @@ mod tests {
         m.allocate(0x40, 0, 250, Requestor::Runahead);
         assert_eq!(m.pending(0x40), Some(250));
         assert_eq!(m.pending(0x80), None);
-        assert_eq!(m.merges(), 1);
         assert_eq!(m.requestor_of(0x40), Some(Requestor::Runahead));
     }
 
@@ -182,11 +148,10 @@ mod tests {
         m.allocate(0x00, 10, 210, Requestor::Main); // 200 cycles
         m.allocate(0x40, 20, 120, Requestor::Main); // 100 cycles
         assert_eq!(m.occupancy_integral(), 300);
-        assert_eq!(m.allocations(), 2);
     }
 
-    /// Reference file: every `expire` is a `retain` and
-    /// `next_ready_at` a scan.
+    /// Reference file: every `expire` is a `retain` and the earliest
+    /// ready time a scan.
     struct AlwaysRetain {
         capacity: usize,
         entries: Vec<(u64, u64)>,
@@ -240,9 +205,9 @@ mod tests {
                 }
                 3 => assert_eq!(m.pending(la), r.pending(la), "op {op}: pending"),
                 _ => assert_eq!(
-                    m.next_ready_at(),
+                    (m.outstanding() > 0).then_some(m.next_ready),
                     r.entries.iter().map(|e| e.1).min(),
-                    "op {op}: next_ready_at"
+                    "op {op}: next ready"
                 ),
             }
             assert_eq!(m.outstanding(), r.entries.len(), "op {op}: outstanding");
