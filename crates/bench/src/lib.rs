@@ -75,9 +75,6 @@ pub enum Technique {
     Pre,
     /// Indirect memory prefetcher.
     Imp,
-    /// Classic invalidation-based runahead (extra comparison point,
-    /// not in the paper's headline figure).
-    Classic,
     /// Vector Runahead — the paper's contribution.
     Vr,
     /// Perfect-prefetch upper bound.
@@ -95,7 +92,6 @@ impl Technique {
             Technique::Baseline => "OoO",
             Technique::Pre => "PRE",
             Technique::Imp => "IMP",
-            Technique::Classic => "RA",
             Technique::Vr => "VR",
             Technique::Oracle => "Oracle",
         }
@@ -107,7 +103,6 @@ impl Technique {
             Technique::Baseline => (MemConfig::table1(), RunaheadConfig::none()),
             Technique::Pre => (MemConfig::table1(), RunaheadConfig::of(RunaheadKind::Precise)),
             Technique::Imp => (MemConfig::table1_with_imp(), RunaheadConfig::none()),
-            Technique::Classic => (MemConfig::table1(), RunaheadConfig::of(RunaheadKind::Classic)),
             Technique::Vr => (MemConfig::table1(), RunaheadConfig::vector()),
             Technique::Oracle => (MemConfig::table1_oracle(), RunaheadConfig::none()),
         }

@@ -61,8 +61,8 @@
 //!
 //! **Fault injection.** With the `chaos` cargo feature, every
 //! filesystem operation above can be routed through a seeded
-//! [`crate::chaos::FaultFs`] ([`ResultStore::open_with_chaos`]); the
-//! production build compiles to plain `std::fs` calls.
+//! `chaos::FaultFs` (`ResultStore::open_with_chaos`); the production
+//! build compiles to plain `std::fs` calls.
 
 use std::fs;
 use std::io;

@@ -756,7 +756,7 @@ impl Simulator {
 
     /// Number of pending completion events in the event-driven wakeup
     /// queue. Diagnostic: thanks to the flush-time purge of squashed
-    /// producers' events ([`Self::flush_after_head`]) this is
+    /// producers' events (in `flush_after_head`) this is
     /// bounded by the slot-slab size on any workload, however
     /// flush-heavy — a property the `checked` feature asserts every
     /// cycle and a regression test pins.

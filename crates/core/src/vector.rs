@@ -391,7 +391,7 @@ impl VectorRunahead {
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.vr_lanes` exceeds [`MAX_LANES`] (the simulator
+    /// Panics when `cfg.vr_lanes` exceeds `MAX_LANES` (the simulator
     /// validates this before construction).
     pub fn new(cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) -> VectorRunahead {
         assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);

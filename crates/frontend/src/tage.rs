@@ -113,7 +113,7 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if `hist_lengths` and `tag_bits` lengths differ, are
-    /// empty, or exceed [`MAX_TAGGED_TABLES`].
+    /// empty, or exceed `MAX_TAGGED_TABLES`.
     pub fn new(cfg: TageConfig) -> Tage {
         assert_eq!(cfg.hist_lengths.len(), cfg.tag_bits.len(), "table parameter mismatch");
         assert!(!cfg.hist_lengths.is_empty(), "need at least one tagged table");

@@ -44,7 +44,6 @@
 
 mod asm;
 mod cpu;
-mod encode;
 mod inst;
 mod mem;
 mod overlay;
@@ -54,9 +53,6 @@ mod reg;
 
 pub use asm::{Asm, AsmError, Label};
 pub use cpu::{Cpu, MemEffect, RegWrite, Step, StepError};
-pub use encode::{
-    decode_inst, decode_program, encode_inst, encode_program, DecodeError, INST_BYTES,
-};
 pub use inst::{Inst, Op, OpClass, SrcIter, Width};
 pub use mem::Memory;
 pub use overlay::StoreOverlay;

@@ -61,7 +61,9 @@ const EMPTY: Slot = Slot { key: 0, data: [0; 8], mask: 0, gen: 0 };
 const INITIAL_CAP: usize = 64;
 
 /// Byte-granular (granule-backed) store buffer used by speculative
-/// stepping. See the [module docs](self) for the design.
+/// stepping: the paper's "runahead cache". Speculative stores land
+/// here instead of in [`Memory`], and later speculative loads observe
+/// them.
 #[derive(Clone, Debug)]
 pub struct StoreOverlay {
     slots: Vec<Slot>,

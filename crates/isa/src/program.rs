@@ -4,9 +4,8 @@ use crate::inst::Inst;
 
 /// An assembled program: a flat sequence of instructions.
 ///
-/// Program counters are *instruction indices* (not byte addresses);
-/// the timing model maps index `i` to instruction-memory byte address
-/// `4·i` when it needs one (e.g. for the I-cache).
+/// Program counters are *instruction indices*, not byte addresses: no
+/// instruction cache is modelled, so a PC never needs one.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct Program {
     insts: Vec<Inst>,

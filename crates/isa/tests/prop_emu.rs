@@ -169,17 +169,3 @@ fn step_reports_match_static_dataflow() {
         }
     }
 }
-
-/// Binary encoding round-trips arbitrary well-formed instructions.
-#[test]
-fn encoding_round_trips() {
-    let mut rng = SplitMix64::new(0xE41D_0005);
-    for case in 0..64 {
-        let len = rng.range(1, 100);
-        let insts: Vec<Inst> = (0..len).map(|_| arb_inst(&mut rng)).collect();
-        let prog = Program::new(insts);
-        let bytes = vr_isa::encode_program(&prog);
-        let back = vr_isa::decode_program(&bytes).expect("well-formed");
-        assert_eq!(prog, back, "case {case}");
-    }
-}
