@@ -50,8 +50,9 @@ struct Opts {
     /// `campaign run` — points whose label contains the substring fail
     /// deterministically (exercises the poison-point path end to end).
     fail_point: Option<String>,
-    /// `--point-deadline-ms N`: per-point wall-clock deadline for
-    /// `campaign run` (the supervisor stops a point that exceeds it).
+    /// `--point-deadline-ms N`: per-attempt wall-clock deadline for
+    /// `campaign run` (a simulation past it stops itself; the second
+    /// trip poisons the point).
     point_deadline_ms: Option<u64>,
     /// `--tmp-age-ms N`: minimum tmp-file age for `campaign gc`
     /// reclamation (default: the store's 60 s grace period).

@@ -263,20 +263,12 @@ impl Table {
 pub struct BarChart {
     title: String,
     bars: Vec<(String, f64)>,
-    /// Value a full-width bar represents (auto if `None`).
-    max: Option<f64>,
 }
 
 impl BarChart {
     /// Creates an empty chart.
     pub fn new(title: &str) -> BarChart {
-        BarChart { title: title.to_string(), bars: Vec::new(), max: None }
-    }
-
-    /// Fixes the full-scale value instead of auto-scaling.
-    pub fn with_max(mut self, max: f64) -> BarChart {
-        self.max = Some(max);
-        self
+        BarChart { title: title.to_string(), bars: Vec::new() }
     }
 
     /// Appends one bar.
@@ -297,10 +289,7 @@ impl BarChart {
     /// Renders the chart (40-column bars).
     pub fn render(&self) -> String {
         const WIDTH: f64 = 40.0;
-        let max = self
-            .max
-            .unwrap_or_else(|| self.bars.iter().map(|(_, v)| *v).fold(0.0, f64::max))
-            .max(f64::MIN_POSITIVE);
+        let max = self.bars.iter().map(|(_, v)| *v).fold(0.0, f64::max).max(f64::MIN_POSITIVE);
         let label_w = self.bars.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
         let mut out = format!("{}\n", self.title);
         for (label, value) in &self.bars {
@@ -441,13 +430,5 @@ mod tests {
         assert_eq!(vr_hashes, 40, "max bar is full width");
         assert_eq!(pre_hashes, 20, "half value is half width");
         assert!(lines[1].contains("2.00"));
-    }
-
-    #[test]
-    fn bar_chart_with_fixed_max() {
-        let mut c = BarChart::new("x").with_max(4.0);
-        c.bar("a", 1.0);
-        let s = c.render();
-        assert_eq!(s.lines().nth(1).unwrap().matches('#').count(), 10);
     }
 }

@@ -590,6 +590,64 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
     std::fs::remove_dir_all(&store).ok();
 }
 
+/// The per-point deadline end to end: with a 1 ms budget every point
+/// of the figure trips it on both attempts and is poisoned with the
+/// deadline error, `status` shows the two trips per point, and after
+/// `gc` the same campaign without the flag computes every point.
+#[test]
+fn point_deadline_poisons_every_point_and_gc_recovers() {
+    let store = tmp("campaign-deadline");
+    std::fs::remove_dir_all(&store).ok();
+    let common = ["--figure", "fig-mshr", "--quick", "--insts", "400000", "--cache"];
+    let run = |extra: &[&str]| {
+        let mut args = vec!["campaign", "run"];
+        args.extend_from_slice(&common);
+        args.push(store.to_str().unwrap());
+        args.extend_from_slice(extra);
+        experiments(&args)
+    };
+
+    // 1. Every unique point trips twice and is poisoned; one retry
+    //    each.
+    let o = run(&["--point-deadline-ms", "1"]);
+    assert!(o.status.success(), "deadline-poisoned campaign must exit 0: {}", stderr(&o));
+    let out = stdout(&o);
+    let unique = cell(&out, "unique points").expect("unique points row");
+    assert!(unique.parse::<u64>().unwrap() > 0, "{out}");
+    assert_eq!(cell(&out, "poisoned").as_deref(), Some(unique.as_str()), "{out}");
+    assert_eq!(cell(&out, "retries").as_deref(), Some(unique.as_str()), "{out}");
+    assert_eq!(cell(&out, "computed").as_deref(), Some("0"), "{out}");
+    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("fig-mshr/")).collect();
+    assert_eq!(rows.len().to_string(), unique, "{out}");
+    assert!(rows.iter().all(|r| r.contains("deadline")), "{out}");
+
+    // 2. `status` lists every point with its two deadline trips.
+    let mut args = vec!["campaign", "status"];
+    args.extend_from_slice(&common);
+    args.push(store.to_str().unwrap());
+    let o = experiments(&args);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    assert!(out.contains("deadline trips"), "{out}");
+    assert_eq!(cell(&out, "poisoned").as_deref(), Some(unique.as_str()), "{out}");
+    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("fig-mshr/")).collect();
+    assert_eq!(rows.len().to_string(), unique, "{out}");
+    for row in rows {
+        assert_eq!(row.split_whitespace().last(), Some("2"), "deadline trips: {row}");
+    }
+
+    // 3. `gc` un-poisons; without the flag every point computes.
+    let o = experiments(&["campaign", "gc", "--cache", store.to_str().unwrap()]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    assert_eq!(cell(&stdout(&o), "poison removed").as_deref(), Some(unique.as_str()));
+    let o = run(&[]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    assert!(out.contains("campaign complete"), "{out}");
+    assert_eq!(cell(&out, "computed").as_deref(), Some(unique.as_str()), "{out}");
+    std::fs::remove_dir_all(&store).ok();
+}
+
 /// Sorted `(name, bytes)` snapshot of a store's published records —
 /// the byte-level identity witness for the concurrent-writer test.
 fn records(store: &std::path::Path) -> Vec<(String, Vec<u8>)> {

@@ -131,7 +131,9 @@ impl Executor<ChipPoint> for SimExecutor {
             })
             .collect();
         let mut chip = Chip::new(p.chip, p.core.clone(), p.mem.clone(), slots);
-        chip.set_stop_flag(ctx.stop.clone());
+        if let Some(at) = ctx.deadline {
+            chip.set_deadline(at);
+        }
         chip.try_run(p.max_insts)
     }
 }
@@ -190,9 +192,8 @@ mod tests {
         assert!(!store.contains(key));
         assert!(p.load(&store, key).is_none());
 
-        let run = SimExecutor
-            .execute(&p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new() })
-            .expect("chip runs");
+        let run =
+            SimExecutor.execute(&p, &ExecCtx { attempt: 0, deadline: None }).expect("chip runs");
         assert_eq!(run.per_core.len(), 2);
         p.save(&store, key, &run).expect("saves");
         assert!(store.contains(key));

@@ -26,11 +26,11 @@
 //! * an in-process [`CancelToken`] provides the graceful counterpart:
 //!   no new points are taken, the ones in hand finish, and the outcome
 //!   reports `cancelled`;
-//! * with [`EngineConfig::point_deadline`] set, a **supervisor** thread
-//!   watches every in-flight attempt and trips its [`StopFlag`] when
-//!   the wall clock runs out — the simulator stops cooperatively and
+//! * with [`EngineConfig::point_deadline`] set, each attempt gets a
+//!   **deadline**, the instant its budget runs out, in
+//!   [`ExecCtx::deadline`]; the simulator reads the clock itself and
 //!   returns [`SimError::Deadline`] with the same diagnostic snapshot
-//!   the deadlock watchdog takes;
+//!   the deadlock watchdog takes — no thread watches it;
 //! * a point that returns any other error, or trips the deadline
 //!   [`POISON_DEADLINE_TRIPS`] times, is **poisoned**: a structured
 //!   failure record lands in the store (`poison/`), re-runs skip the
@@ -42,10 +42,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vr_core::{CoreConfig, RunaheadConfig, SimError, SimStats, Simulator, StopFlag};
+use vr_core::{CoreConfig, RunaheadConfig, SimError, SimStats, Simulator};
 use vr_mem::MemConfig;
 use vr_obs::{Json, CAMPAIGN_SCHEMA};
 use vr_workloads::Workload;
@@ -90,7 +90,7 @@ impl CampaignPoint {
 
 /// Anything the campaign engine can drive: a content-addressed unit
 /// of work with a label and a way to load/save its result against the
-/// [`ResultStore`]. The engine itself (dedup, deadline supervision and
+/// [`ResultStore`]. The engine itself (dedup, deadlines and their
 /// retries, poison, cancellation, resumability) is generic over this —
 /// single-core [`CampaignPoint`]s and multi-core `ChipPoint`s flow
 /// through the identical machinery.
@@ -145,15 +145,16 @@ impl SweepPoint for CampaignPoint {
 }
 
 /// Per-attempt context handed to an [`Executor`]: which attempt this
-/// is and the supervisor's stop handle for it.
+/// is and when it must stop.
 #[derive(Clone, Debug)]
 pub struct ExecCtx {
     /// 0 on the first try, incremented on each retry.
     pub attempt: u32,
-    /// Tripped by the supervisor when [`EngineConfig::point_deadline`]
-    /// expires; a cooperative executor stops promptly and returns
+    /// The instant this attempt's [`EngineConfig::point_deadline`]
+    /// runs out, set when the attempt starts (`None` without one). An
+    /// executor stops promptly once it has passed and returns
     /// [`SimError::Deadline`].
-    pub stop: StopFlag,
+    pub deadline: Option<Instant>,
 }
 
 /// How a campaign point is computed. The indirection exists so tests
@@ -178,8 +179,7 @@ pub trait Executor<P: SweepPoint = CampaignPoint>: Sync {
 }
 
 /// The production executor: one fresh [`Simulator`] per call, with the
-/// attempt's [`StopFlag`] installed so the supervisor's deadline can
-/// stop it mid-run.
+/// attempt's deadline armed so the simulator stops itself mid-run.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SimExecutor;
 
@@ -193,7 +193,9 @@ impl Executor for SimExecutor {
             p.workload.memory.clone(),
             &p.workload.init_regs,
         );
-        sim.set_stop_flag(ctx.stop.clone());
+        if let Some(at) = ctx.deadline {
+            sim.set_deadline(at);
+        }
         sim.try_run(p.max_insts)
     }
 }
@@ -227,9 +229,10 @@ pub struct EngineConfig {
     /// Worker threads. `0` means one per available CPU; `1` runs
     /// inline on the calling thread (fully deterministic ordering).
     pub threads: usize,
-    /// Wall-clock budget per execution attempt. When set, a supervisor
-    /// watches every in-flight attempt and trips its [`StopFlag`] at
-    /// the deadline; `None` lets attempts run unbounded.
+    /// Wall-clock budget per execution attempt. When set, each attempt
+    /// is handed the instant it runs out ([`ExecCtx::deadline`]) and
+    /// the simulator stops itself there; `None` lets attempts run
+    /// unbounded.
     pub point_deadline: Option<Duration>,
 }
 
@@ -437,14 +440,6 @@ pub fn campaign_status<P: SweepPoint>(points: &[P], store: &ResultStore) -> Stat
     rep
 }
 
-/// One in-flight attempt, visible to the supervisor: which unique
-/// point, when it started and how to stop it.
-struct InFlight {
-    point: usize,
-    started: Instant,
-    stop: StopFlag,
-}
-
 /// What one campaign run shares between the threads driving it.
 struct Shared<'a> {
     store: Option<&'a ResultStore>,
@@ -452,8 +447,9 @@ struct Shared<'a> {
     progress: Option<ProgressSink<'a>>,
     total: u64,
     done: AtomicU64,
-    /// Armed around each execute call; at most one entry per thread.
-    inflight: Mutex<Vec<InFlight>>,
+    /// [`EngineConfig::point_deadline`], turned into an instant at the
+    /// start of each attempt.
+    point_deadline: Option<Duration>,
 }
 
 impl Shared<'_> {
@@ -467,10 +463,6 @@ impl Shared<'_> {
         if let Some(sink) = self.progress {
             sink(&ProgressEvent { done, total: self.total, label, kind });
         }
-    }
-
-    fn inflight(&self) -> std::sync::MutexGuard<'_, Vec<InFlight>> {
-        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -551,35 +543,11 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
         progress,
         total: unique.len() as u64,
         done: AtomicU64::new(0),
-        inflight: Mutex::new(Vec::new()),
+        point_deadline: cfg.point_deadline,
     };
-    let drive = || {
-        vr_pool::map(cfg.resolved_threads(unique.len()), &unique, |&idx| {
-            drive_point(&points[idx], keys[idx], idx, &shared, exec)
-        })
-    };
-    let driven = match cfg.point_deadline {
-        None => drive(),
-        Some(deadline) => {
-            // The supervisor runs beside the sweep on its own scoped
-            // thread, watching a done flag. The drop guard raises the
-            // flag even when an executor panic unwinds out of `drive`,
-            // so the supervisor always exits and the scope can join it
-            // (then re-raise the panic).
-            struct RaiseOnDrop<'a>(&'a AtomicBool);
-            impl Drop for RaiseOnDrop<'_> {
-                fn drop(&mut self) {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                scope.spawn(|| supervise(&shared, deadline, &done));
-                let _raise = RaiseOnDrop(&done);
-                drive()
-            })
-        }
-    };
+    let driven = vr_pool::map(cfg.resolved_threads(unique.len()), &unique, |&idx| {
+        drive_point(&points[idx], keys[idx], &shared, exec)
+    });
 
     // `map` returns in input order, so every list below is in
     // submission order regardless of how the threads interleaved.
@@ -621,31 +589,13 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
     (outcome, slots.into_iter().map(|s| outputs[s].clone()).collect())
 }
 
-/// The deadline supervisor: polls the in-flight attempts and trips the
-/// [`StopFlag`] of any past its wall-clock budget, until `done` is
-/// raised. Pure observation plus one atomic store, so it can never
-/// wedge the thread running the attempt.
-fn supervise(shared: &Shared<'_>, deadline: Duration, done: &AtomicBool) {
-    let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    while !done.load(Ordering::Acquire) {
-        for fl in shared.inflight().iter() {
-            if fl.started.elapsed() >= deadline {
-                fl.stop.trip();
-            }
-        }
-        std::thread::sleep(poll);
-    }
-}
-
-/// Takes one unique point (submitted at `idx`) to its [`Fate`] and
-/// counts the deadline retries it took: hit, skip-if-poisoned, then
-/// execute, retrying a deadline trip in place — a point is never handed
-/// back to the scheduler, so "every item claimed" always means "no work
-/// left".
+/// Takes one unique point to its [`Fate`] and counts the deadline
+/// retries it took: hit, skip-if-poisoned, then execute, retrying a
+/// deadline trip in place — a point is never handed back to the
+/// scheduler, so "every item claimed" always means "no work left".
 fn drive_point<P: SweepPoint, E: Executor<P>>(
     p: &P,
     key: PointKey,
-    idx: usize,
     shared: &Shared<'_>,
     exec: &E,
 ) -> (Fate<P::Output>, u64) {
@@ -669,14 +619,8 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
     let mut attempt = 0u32;
     let mut deadline_trips = 0u32;
     loop {
-        let ctx = ExecCtx { attempt, stop: StopFlag::new() };
-        shared.inflight().push(InFlight {
-            point: idx,
-            started: Instant::now(),
-            stop: ctx.stop.clone(),
-        });
-        let result = exec.execute(p, &ctx);
-        shared.inflight().retain(|fl| fl.point != idx);
+        let deadline = shared.point_deadline.map(|budget| Instant::now() + budget);
+        let result = exec.execute(p, &ExecCtx { attempt, deadline });
         let e = match result {
             Ok(out) => {
                 // A failed save degrades to "computed but not cached"
@@ -789,15 +733,16 @@ mod tests {
     }
 
     /// Blocks points whose label contains `slow` until the attempt's
-    /// stop flag trips, then reports a deadline — the cooperative
-    /// contract [`SimExecutor`] implements via the simulator.
+    /// deadline passes, then reports a deadline — the contract
+    /// [`SimExecutor`] implements via the simulator.
     struct SlowExec;
     impl Executor for SlowExec {
         fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
             if !p.label.contains("slow") {
                 return FakeExec.execute(p, ctx);
             }
-            while !ctx.stop.is_set() {
+            let at = ctx.deadline.expect("slow points run under a deadline");
+            while Instant::now() < at {
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(SimError::Deadline(Box::new(test_dump())))
@@ -912,7 +857,7 @@ mod tests {
         let points = points_with_duplicates_and_a_sick_one();
         let expect: Vec<Option<SimStats>> = points
             .iter()
-            .map(|p| SickExec.execute(p, &ExecCtx { attempt: 0, stop: StopFlag::new() }).ok())
+            .map(|p| SickExec.execute(p, &ExecCtx { attempt: 0, deadline: None }).ok())
             .collect();
         assert_eq!(expect.iter().filter(|o| o.is_none()).count(), 1);
         assert_eq!(expect[6], expect[1], "a duplicate receives its first occurrence's output");
@@ -1134,8 +1079,8 @@ mod tests {
     #[test]
     fn deadline_trips_twice_then_poisons_and_campaign_continues() {
         // One thread runs the points inline on the caller, two on the
-        // caller and a scoped thread; the supervisor's wiring is the
-        // same for both.
+        // caller and a scoped thread; each attempt's deadline is set
+        // the same way for both.
         for threads in [1, 2] {
             let (dir, store) = tmp_store("deadline");
             let mut points = tiny_points(4);
@@ -1158,8 +1103,7 @@ mod tests {
                 "second trip is the verdict (one retry in between)"
             );
             assert_eq!(rec.attempts, 2);
-            // Two supervised attempts of ~25ms each, not unbounded
-            // hangs.
+            // Two attempts of ~25ms each, not unbounded hangs.
             assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -1225,7 +1169,7 @@ mod tests {
         assert!(out.complete(), "{out:?}");
 
         // The stored record equals a direct simulation bit-for-bit.
-        let ctx = ExecCtx { attempt: 0, stop: StopFlag::new() };
+        let ctx = ExecCtx { attempt: 0, deadline: None };
         let direct = SimExecutor.execute(&p, &ctx).expect("sim runs");
         assert_eq!(store.load(p.key()), Some(direct));
 

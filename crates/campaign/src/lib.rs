@@ -20,7 +20,7 @@
 //!   `gc` maintenance;
 //! * [`engine`] — the campaign driver, the only thing that runs a point
 //!   list, one list per call in one process: scheduling through
-//!   `vr_pool::map`, deadline supervision with an in-place retry,
+//!   `vr_pool::map`, per-attempt deadlines with an in-place retry,
 //!   poisoning, cooperative cancellation, resumability.
 //!
 //! The crate depends only on the simulator crates and `std` — no

@@ -8,7 +8,7 @@
 //!                              point's stats or a whole chip point's
 //!                              run (see `crate::chip`)
 //!   poison/<key-hex16>.json    the verdict on a point the campaign
-//!                              supervisor gave up on
+//!                              engine gave up on
 //!   quarantine/<name>.<nanos>  records that failed validation
 //! ```
 //!
@@ -50,7 +50,7 @@
 //! and the point is recomputed. No store problem ever panics the
 //! caller; the worst case is a cache miss.
 //!
-//! **Poison records.** When the campaign supervisor declares a point
+//! **Poison records.** When the campaign engine declares a point
 //! unrunnable (a deterministic error, repeated deadline trips) it writes
 //! a [`PoisonRecord`] under `poison/` through the same writer and reads
 //! it back through the same reader (corrupt poison records are
@@ -156,7 +156,7 @@ pub struct VerifyReport {
     pub tmp_files: u64,
     /// Files already sitting in quarantine.
     pub quarantine_backlog: u64,
-    /// Valid poison records (points the supervisor gave up on).
+    /// Valid poison records (points the engine gave up on).
     pub poisoned: u64,
 }
 
@@ -191,7 +191,7 @@ pub struct GcReport {
     pub kept: u64,
 }
 
-/// A structured failure record for a point the campaign supervisor
+/// A structured failure record for a point the campaign engine
 /// declared unrunnable. Persisted under `poison/` so re-runs skip the
 /// point instead of reproducing the same verdict; cleared by
 /// [`ResultStore::gc`].

@@ -74,7 +74,9 @@
 //! println!("bank conflicts: {}", run.chip.bank_conflicts);
 //! ```
 
-use vr_core::{Advance, CoreConfig, RunaheadConfig, SimError, SimStats, Simulator, StopFlag};
+use std::time::Instant;
+
+use vr_core::{Advance, CoreConfig, RunaheadConfig, SimError, SimStats, Simulator};
 use vr_isa::{Memory, Program, Reg};
 use vr_mem::{MemConfig, SharedLlc, SharedLlcConfig};
 use vr_obs::{Fnv64, Json};
@@ -315,11 +317,12 @@ impl Chip {
         &self.cores[i]
     }
 
-    /// Arms a cooperative deadline on every core: once tripped, the
-    /// next chip cycle aborts with `SimError::Deadline`.
-    pub fn set_stop_flag(&mut self, flag: StopFlag) {
+    /// Arms the wall-clock deadline `at` on every core
+    /// ([`Simulator::set_deadline`]): once it has passed, the run
+    /// aborts with `SimError::Deadline`.
+    pub fn set_deadline(&mut self, at: Instant) {
         for core in &mut self.cores {
-            core.set_stop_flag(flag.clone());
+            core.set_deadline(at);
         }
     }
 
@@ -588,9 +591,7 @@ mod tests {
         let slots: Vec<CoreSlot> = (0..2).map(|_| slot(RunaheadConfig::vector())).collect();
         let mut chip =
             Chip::new(ChipConfig::with_cores(2), CoreConfig::table1(), MemConfig::table1(), slots);
-        let flag = StopFlag::new();
-        chip.set_stop_flag(flag.clone());
-        flag.trip();
+        chip.set_deadline(Instant::now());
         assert!(matches!(chip.try_run(5_000), Err(SimError::Deadline(_))));
     }
 

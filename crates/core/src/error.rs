@@ -149,9 +149,9 @@ pub enum SimError {
     /// The commit watchdog fired: no instruction committed for the
     /// configured number of cycles. Carries a full scheduler snapshot.
     Deadlock(Box<DeadlockDump>),
-    /// An external wall-clock deadline fired (a [`crate::StopFlag`]
-    /// was tripped, e.g. by the campaign supervisor): the run was
-    /// stopped cooperatively before completing its budget. Carries the
+    /// The wall-clock deadline armed with
+    /// [`crate::Simulator::set_deadline`] (e.g. the campaign engine's
+    /// per-point budget) passed before the run finished. Carries the
     /// same scheduler snapshot as [`SimError::Deadlock`] so a slow or
     /// wedged point is diagnosable from the error alone.
     Deadline(Box<DeadlockDump>),
@@ -203,7 +203,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::Deadlock(d) => write!(f, "simulator deadlock: {d}"),
             SimError::Deadline(d) => {
-                write!(f, "wall-clock deadline expired (stopped externally): {d}")
+                write!(f, "wall-clock deadline expired: {d}")
             }
             SimError::Invariant { cycle, what } => {
                 write!(f, "invariant violated at cycle {cycle}: {what}")

@@ -51,7 +51,7 @@ pub mod wakeup;
 pub use config::{CoreConfig, FaultPlan, FuPool, Latencies, RunaheadConfig, RunaheadKind};
 pub use error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};
 pub use runahead::ScalarRunahead;
-pub use sim::{Advance, Simulator, StopFlag};
+pub use sim::{Advance, Simulator};
 pub use stats::{harmonic_mean, SimStats};
 pub use telemetry::{EpisodeExit, EpisodeKind, EpisodeRecord, Telemetry};
 pub use trace::{PipelineTrace, TraceRecord};

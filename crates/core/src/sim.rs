@@ -1,6 +1,7 @@
 //! The out-of-order core timing model and runahead orchestration.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use vr_frontend::{Btb, DirectionPredictor, Ras, TageScL};
 use vr_isa::{Cpu, Inst, Memory, OpClass, Program, Reg, RegRef, SplitMix64, Step};
@@ -19,34 +20,16 @@ use crate::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_L
 /// episode runs before yielding.
 const EAGER_INTERVAL: u64 = 400;
 
-/// Cooperative cross-thread stop handle for a running simulation.
-///
-/// The simulator cannot be preempted — a simulation is one long
-/// synchronous loop — so an external supervisor (the campaign engine's
-/// per-point wall-clock deadline) stops it *cooperatively*: install a
-/// flag with [`Simulator::set_stop_flag`], trip it from any thread,
-/// and [`Simulator::try_run`] returns [`SimError::Deadline`] carrying
-/// the same [`DeadlockDump`] snapshot the commit watchdog produces.
-/// Cloning shares the flag; tripping is idempotent.
-#[derive(Clone, Default, Debug)]
-pub struct StopFlag(std::sync::Arc<std::sync::atomic::AtomicBool>);
+/// Ticks between two reads of the wall clock while a deadline is
+/// armed ([`Simulator::set_deadline`]). The first tick reads it, so a
+/// deadline already past stops the run at once.
+const DEADLINE_CHECK_TICKS: u32 = 1024;
 
-impl StopFlag {
-    /// A fresh, untripped flag.
-    pub fn new() -> StopFlag {
-        StopFlag::default()
-    }
-
-    /// Requests a stop: the simulation returns [`SimError::Deadline`]
-    /// at its next scheduler iteration.
-    pub fn trip(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Whether a stop has been requested.
-    pub fn is_set(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Relaxed)
-    }
+/// An armed wall-clock deadline and the ticks run since it was armed.
+#[derive(Clone, Copy, Debug)]
+struct Deadline {
+    at: Instant,
+    ticks: u32,
 }
 
 /// Cap on the front-end buffer (fetched but not dispatched
@@ -273,9 +256,9 @@ pub struct Simulator {
     /// full-ROB trigger in spirit (see DESIGN.md §4).
     backend_stalled: bool,
 
-    /// Cooperative external stop handle (see [`StopFlag`]); checked
-    /// once per scheduler iteration in [`Simulator::try_run`].
-    stop: Option<StopFlag>,
+    /// Wall-clock deadline (see [`Simulator::set_deadline`]); read
+    /// every [`DEADLINE_CHECK_TICKS`] ticks.
+    deadline: Option<Deadline>,
 
     cycle: u64,
     last_commit_cycle: u64,
@@ -347,7 +330,7 @@ impl Simulator {
             use_reference_vector: false,
             fault_rng,
             backend_stalled: false,
-            stop: None,
+            deadline: None,
             cycle: 0,
             last_commit_cycle: 0,
             committed_insts: 0,
@@ -440,7 +423,7 @@ impl Simulator {
     ///   access order. The cycle that *finishes* the episode is left
     ///   for a real tick; or
     /// * **ticks** the full pipeline for one cycle, then applies the
-    ///   watchdog and stop-flag checks.
+    ///   watchdog and deadline checks.
     ///
     /// How far the engine may run in one call is read from state the
     /// core already holds: a core attached to a chip-shared LLC stops
@@ -501,11 +484,14 @@ impl Simulator {
         if self.cycle - self.last_commit_cycle >= self.cfg.watchdog {
             return Err(SimError::Deadlock(Box::new(self.deadlock_dump())));
         }
-        // Cooperative wall-clock deadline: one branch when no flag
-        // is installed, one relaxed atomic load when one is — a
-        // supervisor can stop a slow point without preemption.
-        if self.stop.as_ref().is_some_and(StopFlag::is_set) {
-            return Err(SimError::Deadline(Box::new(self.deadlock_dump())));
+        // Wall-clock deadline: one branch when none is armed; when one
+        // is, a tick count, and a clock read every DEADLINE_CHECK_TICKS
+        // ticks.
+        if let Some(d) = &mut self.deadline {
+            if d.ticks % DEADLINE_CHECK_TICKS == 0 && Instant::now() >= d.at {
+                return Err(SimError::Deadline(Box::new(self.deadlock_dump())));
+            }
+            d.ticks = d.ticks.wrapping_add(1);
         }
         Ok(Advance::Ticked)
     }
@@ -669,13 +655,15 @@ impl Simulator {
         }
     }
 
-    /// Installs a cooperative [`StopFlag`]: when tripped (from any
-    /// thread), the running [`Self::try_run`] returns
-    /// [`SimError::Deadline`] at its next scheduler iteration. Stats
-    /// are bit-identical with or without an (untripped) flag — the
-    /// flag is only read, never influences timing.
-    pub fn set_stop_flag(&mut self, flag: StopFlag) {
-        self.stop = Some(flag);
+    /// Arms a wall-clock deadline: once `at` has passed, the running
+    /// [`Self::try_run`] returns [`SimError::Deadline`] within 1024
+    /// ticks (the clock is read on the first tick and every 1024th
+    /// after), carrying the same [`DeadlockDump`] snapshot the commit
+    /// watchdog takes. Stats are bit-identical with or without a
+    /// deadline that does not expire: the clock is only read and never
+    /// influences timing.
+    pub fn set_deadline(&mut self, at: Instant) {
+        self.deadline = Some(Deadline { at, ticks: 0 });
     }
 
     /// Enables pipeline tracing, retaining the last `capacity`
@@ -690,24 +678,17 @@ impl Simulator {
         self.tracer.as_ref()
     }
 
-    /// Enables runahead-episode *and* prefetch-lifecycle telemetry,
-    /// each retaining the last `capacity` completed records. The
-    /// reported [`SimStats`] are bit-identical with telemetry on or
-    /// off — the trackers only observe transitions the simulator and
-    /// memory system already perform.
+    /// Enables runahead-episode telemetry, retaining the last
+    /// `capacity` completed episodes. The reported [`SimStats`] are
+    /// bit-identical with telemetry on or off — the tracker only
+    /// observes transitions the simulator already performs.
     pub fn enable_telemetry(&mut self, capacity: usize) {
         self.telemetry = Some(Box::new(Telemetry::new(capacity)));
-        self.ms.enable_telemetry(capacity);
     }
 
     /// The runahead-episode tracker, if enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_deref()
-    }
-
-    /// The memory system's prefetch-lifecycle tracker, if enabled.
-    pub fn pf_telemetry(&self) -> Option<&vr_mem::PfTelemetry> {
-        self.ms.telemetry()
     }
 
     /// Memory image accessor (for architectural-result checks after a
@@ -2136,12 +2117,12 @@ mod tests {
     /// reference engine (episode fast-forward disabled), and the two
     /// runs must agree on *everything observable* — the complete
     /// `SimStats` (cycle-exact, so this also proves the episode skip
-    /// exact), the per-episode telemetry records, and the prefetch
-    /// lifecycle telemetry. Runs the no-VIR-pipelining ablation and
-    /// the bounded-termination and eager-trigger extensions too, so
-    /// the parity claim covers every engine mode the simulator can
-    /// configure; bfs on the uniform-random graph keeps the divergence
-    /// (lane invalidation) path in the diff.
+    /// exact) and the per-episode telemetry records and totals. Runs
+    /// the no-VIR-pipelining ablation and the bounded-termination and
+    /// eager-trigger extensions too, so the parity claim covers every
+    /// engine mode the simulator can configure; bfs on the
+    /// uniform-random graph keeps the divergence (lane invalidation)
+    /// path in the diff.
     #[test]
     fn swar_engine_matches_reference_on_golden_workloads() {
         use vr_workloads::{gap, graph::GraphPreset, Scale};
@@ -2170,9 +2151,7 @@ mod tests {
                     let stats = sim.try_run(40_000).expect("golden point runs clean");
                     let tel = sim.telemetry().expect("telemetry enabled");
                     let episodes: Vec<String> = tel.episodes().map(|e| format!("{e:?}")).collect();
-                    let totals = tel.to_json();
-                    let pf = sim.pf_telemetry().map(|p| p.to_json());
-                    (stats, episodes, totals, pf)
+                    (stats, episodes, tel.to_json())
                 };
                 let swar = run(false);
                 let reference = run(true);
@@ -2188,10 +2167,6 @@ mod tests {
                 assert_eq!(
                     swar.2, reference.2,
                     "telemetry totals diverged on {preset:?} with {ra:?}"
-                );
-                assert_eq!(
-                    swar.3, reference.3,
-                    "prefetch telemetry diverged on {preset:?} with {ra:?}"
                 );
             }
         }

@@ -166,12 +166,6 @@ impl Telemetry {
         self.episodes.iter()
     }
 
-    /// Total completed episodes ever recorded (including ones the
-    /// ring has evicted).
-    pub fn total_episodes(&self) -> u64 {
-        self.episodes.total()
-    }
-
     /// Episode-duration histogram (cycles, entry to exit).
     pub fn duration_hist(&self) -> &Histogram {
         &self.duration_hist
@@ -273,7 +267,6 @@ mod tests {
             t.on_exit(i * 100 + 10, 0, 0, 0, 0, EpisodeExit::Completed);
         }
         assert_eq!(t.episodes().count(), 2, "ring keeps the newest two");
-        assert_eq!(t.total_episodes(), 5);
         assert_eq!(t.entries(), 5);
         assert_eq!(t.completed(), 5);
         assert_eq!(t.duration_hist().count(), 5);

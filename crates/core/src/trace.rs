@@ -34,7 +34,6 @@ pub struct TraceRecord {
 pub struct PipelineTrace {
     records: VecDeque<TraceRecord>,
     capacity: usize,
-    total: u64,
 }
 
 impl PipelineTrace {
@@ -45,7 +44,7 @@ impl PipelineTrace {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> PipelineTrace {
         assert!(capacity > 0, "trace needs capacity");
-        PipelineTrace { records: VecDeque::with_capacity(capacity), capacity, total: 0 }
+        PipelineTrace { records: VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Appends a record, evicting the oldest beyond capacity.
@@ -54,17 +53,11 @@ impl PipelineTrace {
             self.records.pop_front();
         }
         self.records.push_back(r);
-        self.total += 1;
     }
 
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
-    }
-
-    /// Total records ever pushed (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// Renders the retained window as a pipeline diagram. The pc is
@@ -179,7 +172,6 @@ mod tests {
         }
         let seqs: Vec<u64> = t.records().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-        assert_eq!(t.total_recorded(), 10);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! [`SimError`]s from `try_run` — and as panics carrying the same
 //! message from the legacy `run` wrapper.
 
-use vr_core::{CoreConfig, RunaheadConfig, SimError, Simulator, StopFlag};
+use std::time::{Duration, Instant};
+
+use vr_core::{CoreConfig, RunaheadConfig, SimError, Simulator};
 use vr_isa::{Asm, Memory, Program, Reg};
 use vr_mem::MemConfig;
 
@@ -64,16 +66,15 @@ fn legacy_run_panics_with_the_dump_message() {
 fn tripped_stop_flag_returns_deadline_with_dump() {
     let (prog, mem) = dram_miss_program();
     let mut sim = sim_with_watchdog(prog, mem, 1_000_000);
-    let flag = StopFlag::new();
-    sim.set_stop_flag(flag.clone());
-    // Pre-tripped: the run stops at its first scheduler iteration with
-    // the same diagnostic snapshot the watchdog would take.
-    flag.trip();
+    // Already past: the run stops at its first tick with the same
+    // diagnostic snapshot the watchdog would take.
+    sim.set_deadline(Instant::now());
     let err = sim.try_run(u64::MAX).unwrap_err();
     let SimError::Deadline(dump) = err else {
         panic!("expected Deadline, got {err}");
     };
     assert_eq!(dump.rob_cap, 350, "deadline carries the full scheduler snapshot");
+    assert_eq!(dump.cycle, 1, "a deadline already past stops the first tick");
     let text = SimError::Deadline(dump).to_string();
     assert!(text.contains("wall-clock deadline expired"));
 }
@@ -84,15 +85,16 @@ fn untripped_stop_flag_changes_nothing() {
     let baseline =
         sim_with_watchdog(prog.clone(), mem.clone(), 1_000_000).try_run(u64::MAX).expect("halts");
     let mut sim = sim_with_watchdog(prog, mem, 1_000_000);
-    sim.set_stop_flag(StopFlag::new());
-    let flagged = sim.try_run(u64::MAX).expect("halts");
-    assert_eq!(flagged, baseline, "an installed-but-untripped flag must not perturb stats");
+    sim.set_deadline(Instant::now() + Duration::from_secs(3600));
+    let armed = sim.try_run(u64::MAX).expect("halts");
+    assert_eq!(armed, baseline, "an armed deadline that never expires must not perturb stats");
 }
 
 #[test]
 fn stop_flag_tripped_from_another_thread_stops_a_long_run() {
-    // A long straight-line loop workload: without the flag this runs
-    // for a large budget; the supervisor thread trips it mid-flight.
+    // A long straight-line loop workload: without a deadline this runs
+    // for a large budget; one a few milliseconds out stops it
+    // mid-flight, with no second thread involved.
     let mut a = Asm::new();
     a.li(Reg::A0, 0x10_000);
     let top = a.here();
@@ -101,17 +103,8 @@ fn stop_flag_tripped_from_another_thread_stops_a_long_run() {
     a.j(top);
     let prog = a.assemble();
     let mut sim = sim_with_watchdog(prog, Memory::new(), 1_000_000);
-    let flag = StopFlag::new();
-    sim.set_stop_flag(flag.clone());
-    let err = std::thread::scope(|s| {
-        let supervisor = s.spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            flag.trip();
-        });
-        let err = sim.try_run(u64::MAX).unwrap_err();
-        supervisor.join().unwrap();
-        err
-    });
+    sim.set_deadline(Instant::now() + Duration::from_millis(30));
+    let err = sim.try_run(u64::MAX).unwrap_err();
     assert!(matches!(err, SimError::Deadline(_)), "got {err}");
 }
 

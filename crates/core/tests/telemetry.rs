@@ -132,24 +132,3 @@ fn stats_are_bit_identical_with_telemetry_on_or_off() {
     let (_, with_tel) = run_with_telemetry();
     assert_eq!(base, with_tel, "telemetry must not change simulation results");
 }
-
-#[test]
-fn prefetch_telemetry_reconciles_with_mem_stats() {
-    let (s, stats) = run_with_telemetry();
-    let pf = s.pf_telemetry().expect("memory telemetry enabled");
-    assert!(pf.tracked() > 0, "runahead prefetches must be tracked");
-    assert_eq!(
-        pf.used() + pf.evicted_unused() + pf.inflight() as u64,
-        pf.tracked(),
-        "every tracked lifecycle ends in exactly one outcome"
-    );
-    // `pf_used` counts demand *touches* (several loads can merge into
-    // the same outstanding prefetch miss); the telemetry counts
-    // *lifecycles*, one per line — so it bounds the touch counter from
-    // below and the issue counter bounds it from above.
-    let pf_used: u64 = stats.mem.pf_used.iter().sum();
-    let pf_issued: u64 = stats.mem.pf_issued.iter().sum();
-    assert!(pf.used() > 0, "runahead prefetches must be consumed");
-    assert!(pf.used() <= pf_used, "lifecycles never exceed touches");
-    assert!(pf.tracked() <= pf_issued, "cannot track more than were issued");
-}

@@ -253,12 +253,6 @@ impl Inst {
         matches!(self.op, Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu)
     }
 
-    /// Whether this instruction changes control flow (conditional or
-    /// unconditional).
-    pub fn is_control(&self) -> bool {
-        self.is_cond_branch() || matches!(self.op, Op::Jal | Op::Jalr)
-    }
-
     /// Memory access width, if this is a load or store.
     pub fn mem_width(&self) -> Option<Width> {
         match self.op {
@@ -395,11 +389,9 @@ mod tests {
     fn branch_classification() {
         let b = inst(Op::Blt, 0, 1, 2, 42);
         assert!(b.is_cond_branch());
-        assert!(b.is_control());
         assert_eq!(b.class(), OpClass::Branch);
         let j = inst(Op::Jal, 1, 0, 0, 7);
         assert!(!j.is_cond_branch());
-        assert!(j.is_control());
     }
 
     #[test]

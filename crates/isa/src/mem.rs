@@ -315,11 +315,6 @@ impl Memory {
         (0..len).map(|i| self.read_u64(base + 8 * i as u64)).collect()
     }
 
-    /// Reads `len` consecutive `f64` values starting at `base`.
-    pub fn read_f64_vec(&self, base: u64, len: usize) -> Vec<f64> {
-        (0..len).map(|i| self.read_f64(base + 8 * i as u64)).collect()
-    }
-
     /// Deterministic digest of the memory image: a function of the
     /// readable contents only. An all-zero page contributes nothing, so
     /// a page written and then zeroed compares equal to one never
@@ -499,7 +494,8 @@ mod tests {
         assert_eq!(m.read(0x3000, 4), 7);
         assert_eq!(m.read(0x3004, 4), 8);
         m.write_f64_slice(0x4000, &[0.5, -1.0]);
-        assert_eq!(m.read_f64_vec(0x4000, 2), vec![0.5, -1.0]);
+        assert_eq!(m.read_f64(0x4000), 0.5);
+        assert_eq!(m.read_f64(0x4008), -1.0);
     }
 
     #[test]

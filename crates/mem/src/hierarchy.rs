@@ -8,7 +8,6 @@ use crate::mshr::MshrFile;
 use crate::shared::{SharedLlc, SharedOutcome};
 use crate::stats::{MemStats, TimelinessLevel};
 use crate::stride::StridePrefetcher;
-use crate::telemetry::PfTelemetry;
 use crate::Requestor;
 use vr_isa::SplitMix64;
 
@@ -91,10 +90,6 @@ pub struct MemorySystem {
     imp: Imp,
     stats: MemStats,
     chaos: Option<PrefetchChaos>,
-    /// Optional prefetch-lifecycle tracker. Boxed so the disabled
-    /// (default) case costs one pointer; every hook is an `if let` on
-    /// a prefetch *bookkeeping* path, never the per-access fast path.
-    telemetry: Option<Box<PfTelemetry>>,
 }
 
 /// What serves this core's L2 misses.
@@ -153,7 +148,6 @@ impl MemorySystem {
             imp: Imp::new(cfg.imp_config),
             stats: MemStats::default(),
             chaos: None,
-            telemetry: None,
             cfg,
         }
     }
@@ -207,19 +201,6 @@ impl MemorySystem {
             Llc::Private { .. } => None,
         }
         .expect("take_shared_llc with no broker installed")
-    }
-
-    /// Enables per-line prefetch-lifecycle telemetry, retaining the
-    /// last `capacity` completed lifecycles. The reported [`MemStats`]
-    /// are bit-identical with telemetry on or off — the tracker only
-    /// observes the bookkeeping the hierarchy already performs.
-    pub fn enable_telemetry(&mut self, capacity: usize) {
-        self.telemetry = Some(Box::new(PfTelemetry::new(capacity)));
-    }
-
-    /// The prefetch-lifecycle tracker, if enabled.
-    pub fn telemetry(&self) -> Option<&PfTelemetry> {
-        self.telemetry.as_deref()
     }
 
     /// Arms the fault-injection chaos layer: every subsequent
@@ -313,13 +294,10 @@ impl MemorySystem {
 
     /// Counts the first demand use of a line `src` prefetched, found
     /// at `level`.
-    fn count_use(&mut self, la: u64, src: Requestor, level: TimelinessLevel, now: u64) {
+    fn count_use(&mut self, src: Requestor, level: TimelinessLevel) {
         self.stats.pf_used[MemStats::req_idx(src)] += 1;
         if src == Requestor::Runahead {
             self.stats.timeliness[MemStats::timeliness_idx(level)] += 1;
-        }
-        if let Some(t) = &mut self.telemetry {
-            t.on_use(la, level, now);
         }
     }
 
@@ -360,7 +338,7 @@ impl MemorySystem {
                 if let Some(src) = owner {
                     // The prefetch was issued but did not complete in
                     // time: "off-chip" timeliness.
-                    self.count_use(la, src, TimelinessLevel::OffChip, now);
+                    self.count_use(src, TimelinessLevel::OffChip);
                     // Transfer line ownership to the demand stream so
                     // later touches count as plain hits.
                     if let Some(line) = self.l1d.lookup(la) {
@@ -387,7 +365,7 @@ impl MemorySystem {
             if is_demand {
                 line.prefetch_src = None;
                 if let Some(src) = prefetched_by {
-                    self.count_use(la, src, TimelinessLevel::L1, now);
+                    self.count_use(src, TimelinessLevel::L1);
                 }
                 if !store {
                     self.stats.load_hits[MemStats::level_idx(HitLevel::L1)] += 1;
@@ -413,7 +391,7 @@ impl MemorySystem {
             if let Some(src) = owner {
                 let level =
                     if hit == HitLevel::L2 { TimelinessLevel::L2 } else { TimelinessLevel::L3 };
-                self.count_use(la, src, level, now);
+                self.count_use(src, level);
             }
             if !store {
                 self.stats.load_hits[MemStats::level_idx(hit)] += 1;
@@ -425,20 +403,17 @@ impl MemorySystem {
         }
         if req.is_prefetch() {
             self.stats.pf_issued[MemStats::req_idx(req)] += 1;
-            if let Some(t) = &mut self.telemetry {
-                t.on_issue(la, req, now, ready_at, hit);
-            }
         }
         // Fill inward. Prefetch ownership is tracked on the L1 copy
         // only (the level runahead prefetches into); lower-level copies
         // inherit it on eviction.
         if hit == HitLevel::Dram {
-            self.fill_l3(la, false, None, now);
+            self.fill_l3(la, false, None);
         }
         if hit != HitLevel::L2 {
-            self.fill_l2(la, dirty, None, now);
+            self.fill_l2(la, dirty, None);
         }
-        self.fill_l1(la, store || dirty, req.is_prefetch().then_some(req), now);
+        self.fill_l1(la, store || dirty, req.is_prefetch().then_some(req));
         Ok(AccessOutcome { ready_at, hit, prefetched_by: owner })
     }
 
@@ -484,13 +459,13 @@ impl MemorySystem {
     }
 
     /// Installs `la` in the L1. The victim lives on in L2.
-    fn fill_l1(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+    fn fill_l1(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>) {
         let Some(victim) = self.l1d.insert(la, dirty, pf_src) else {
             return;
         };
         match self.l2.lookup(victim.line_addr) {
             Some(line) => absorb(line, victim),
-            None => self.fill_l2(victim.line_addr, victim.dirty, victim.prefetch_src, now),
+            None => self.fill_l2(victim.line_addr, victim.dirty, victim.prefetch_src),
         }
     }
 
@@ -498,16 +473,14 @@ impl MemorySystem {
     /// L3's copy, installed there if dirty, or else dropped; on a chip
     /// it leaves the core for the shared LLC (merge or, if dirty,
     /// install). Prefetch ownership does not leave the core.
-    fn fill_l2(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+    fn fill_l2(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>) {
         let Some(victim) = self.l2.insert(la, dirty, pf_src) else {
             return;
         };
         match &mut self.llc {
             Llc::Private { l3, .. } => match l3.lookup(victim.line_addr) {
-                Some(line) => return absorb(line, victim),
-                None if victim.dirty => {
-                    return self.fill_l3(victim.line_addr, true, victim.prefetch_src, now);
-                }
+                Some(line) => absorb(line, victim),
+                None if victim.dirty => self.fill_l3(victim.line_addr, true, victim.prefetch_src),
                 None => {}
             },
             Llc::Shared { core, llc } => {
@@ -515,18 +488,11 @@ impl MemorySystem {
                 llc.fill_victim(*core, victim.line_addr, victim.dirty);
             }
         }
-        if victim.prefetch_src.is_some() {
-            // The prefetched line has left the core without ever being
-            // used.
-            if let Some(t) = &mut self.telemetry {
-                t.on_evict(victim.line_addr, now);
-            }
-        }
     }
 
     /// Installs `la` in the private L3, writing a dirty victim back to
     /// DRAM. A no-op on a chip, whose shared LLC fills itself.
-    fn fill_l3(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>, now: u64) {
+    fn fill_l3(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>) {
         let Llc::Private { l3, dram } = &mut self.llc else {
             return;
         };
@@ -536,14 +502,6 @@ impl MemorySystem {
         if victim.dirty {
             dram.write_line(0);
             self.stats.dram_writebacks += 1;
-        }
-        if victim.prefetch_src.is_some() {
-            // The still-flagged L3 victim is the last copy (the flag
-            // only reaches L3 after the L1/L2 copies were themselves
-            // evicted): unused-prefetch lifecycle ends.
-            if let Some(t) = &mut self.telemetry {
-                t.on_evict(victim.line_addr, now);
-            }
         }
     }
 

@@ -36,7 +36,6 @@ mod mshr;
 mod shared;
 mod stats;
 mod stride;
-mod telemetry;
 
 pub use cache::{Cache, CacheConfig, LineState};
 pub use config::MemConfig;
@@ -47,7 +46,6 @@ pub use mshr::MshrFile;
 pub use shared::{SharedLlc, SharedLlcConfig, SharedLlcStats, SharedOutcome};
 pub use stats::{MemStats, TimelinessLevel};
 pub use stride::{PrefetchAddrs, StrideDetector, StrideEntry, StridePrefetcher};
-pub use telemetry::{PfEvent, PfOutcome, PfTelemetry};
 
 /// Who issued a memory request; used for traffic attribution
 /// (accuracy/coverage figures) and prefetch bookkeeping.
@@ -71,7 +69,7 @@ impl Requestor {
         self != Requestor::Main
     }
 
-    /// Stable lowercase label (used in telemetry/JSON export).
+    /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
             Requestor::Main => "main",

@@ -12,7 +12,7 @@ const BUCKETS: usize = 65;
 ///
 /// Recording is O(1) (a `leading_zeros` and three adds), so it is safe
 /// on telemetry paths; memory is a fixed 65-slot array, so cloning a
-/// telemetry-enabled `MemorySystem` stays cheap.
+/// telemetry-enabled `Simulator` stays cheap.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],

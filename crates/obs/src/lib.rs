@@ -6,11 +6,11 @@
 //! experiment harness:
 //!
 //! * [`RingLog`] — a bounded, allocation-stable event ring buffer
-//!   (oldest events are evicted; a total-pushed counter survives
-//!   eviction so aggregate reconciliation never depends on capacity);
+//!   (oldest events are evicted), holding the runahead-episode
+//!   records;
 //! * [`Histogram`] — power-of-two-bucketed `u64` histogram with exact
-//!   count/sum/min/max (used for prefetch lead-distance and
-//!   runahead-episode-shape distributions);
+//!   count/sum/min/max (used for the runahead-episode-duration
+//!   distribution);
 //! * [`Json`] — a zero-dependency JSON value type with a serializer
 //!   and a strict parser, used for every machine-readable artifact the
 //!   `experiments` harness emits (`--json`) and for validating those

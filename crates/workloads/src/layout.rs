@@ -32,11 +32,6 @@ impl Arena {
     pub fn alloc_u64s(&mut self, n: u64) -> u64 {
         self.alloc(n * 8)
     }
-
-    /// Next free address (for tests).
-    pub fn watermark(&self) -> u64 {
-        self.next
-    }
 }
 
 impl Default for Arena {
