@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use vr_frontend::{Btb, DirectionPredictor, Ras, TageScL};
 use vr_isa::{Cpu, Inst, Memory, OpClass, Program, Reg, RegRef, SplitMix64, Step};
-use vr_mem::{Access, HitLevel, MemConfig, MemorySystem};
+use vr_mem::{Access, HitLevel, MemConfig, MemorySystem, Requestor};
 
 use crate::config::{CoreConfig, RunaheadConfig, RunaheadKind};
 use crate::error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};
@@ -138,14 +138,20 @@ struct FfWindow {
     /// frozen, but the engine itself still has work, which
     /// [`Simulator::advance`] runs in virtual time.
     vector: bool,
+    /// The ready list holds only loads, and the oldest one's issue
+    /// attempt is rejected for a full MSHR file every cycle of the
+    /// window (its free cycle caps the horizon): each skipped cycle
+    /// books one rejected demand load.
+    load_retries: bool,
 }
 
 /// What one [`Simulator::advance`] call did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Advance {
     /// Skipped a proven no-op window up to the returned cycle without
-    /// ticking — no memory-system access was made, so under a chip
-    /// clock the core can sleep until the chip catches up.
+    /// ticking — no access reached the memory hierarchy (the attempts a
+    /// full MSHR file would have rejected are booked in bulk), so under
+    /// a chip clock the core can sleep until the chip catches up.
     Skipped(u64),
     /// A live vector-runahead episode ran its engine on the cheap path
     /// (identical memory accesses to full ticks; every other pipeline
@@ -246,6 +252,10 @@ pub struct Simulator {
     /// scalar-lane engine instead of the SWAR one.
     #[cfg(test)]
     use_reference_vector: bool,
+    /// Differential-test hook: `ff_analysis` finds no window, so every
+    /// cycle is a full tick.
+    #[cfg(test)]
+    every_cycle: bool,
     /// Seeded fault schedule when a [`crate::FaultPlan`] is configured.
     fault_rng: Option<SplitMix64>,
     /// Dispatch was blocked by a back-end resource (ROB, IQ, LQ/SQ or
@@ -328,6 +338,8 @@ impl Simulator {
             vector_pool: None,
             #[cfg(test)]
             use_reference_vector: false,
+            #[cfg(test)]
+            every_cycle: false,
             fault_rng,
             backend_stalled: false,
             deadline: None,
@@ -411,17 +423,19 @@ impl Simulator {
     /// One call does one of three things:
     ///
     /// * **skips** a window `ff_analysis` proves quiescent — no
-    ///   tick, no memory-system access, per-cycle stall counters
-    ///   bulk-applied;
+    ///   tick, no memory-system access, per-cycle stall counters and
+    ///   the full-MSHR retries of the oldest ready load bulk-applied;
     /// * **runs a live vector engine** forward in virtual time through
     ///   a window in which every *other* phase is proven frozen: active
     ///   cycles (gather issue, chain stepping) execute the engine's own
     ///   `step_cycle` at the exact timestamps the full ticks would have,
     ///   without the phase walk, and idle stretches jump via
-    ///   `idle_until`. The engine touches only its own state and the
+    ///   `idle_until` (booking the gather retries a full MSHR file
+    ///   rejects). The engine touches only its own state and the
     ///   memory system, so the hierarchy observes exactly the unskipped
-    ///   access order. The cycle that *finishes* the episode is left
-    ///   for a real tick; or
+    ///   access order. The window runs through delayed termination
+    ///   (past the episode's `end_at`) and stops before the cycle at
+    ///   which the engine `finishes`, which is left for a real tick; or
     /// * **ticks** the full pipeline for one cycle, then applies the
     ///   watchdog and deadline checks.
     ///
@@ -442,7 +456,7 @@ impl Simulator {
     pub fn advance(&mut self) -> Result<Advance, SimError> {
         if let Some(w) = self.ff_analysis() {
             if !w.vector {
-                self.apply_fast_forward(w.horizon, w.stalled);
+                self.apply_fast_forward(w.horizon, &w);
                 return Ok(Advance::Skipped(w.horizon));
             }
             let c = self.cycle;
@@ -454,29 +468,31 @@ impl Simulator {
             };
             let mut t = c;
             let mut stepped = false;
-            loop {
-                match eng.idle_until(t, end_at) {
-                    Some(i) if i > t => t = i.min(w.horizon),
-                    _ if t < end_at => {
+            // The finishing cycle (exit, flush) needs a real tick.
+            while t < w.horizon && !eng.finishes(&self.prog, t, t >= end_at) {
+                match eng.idle_until(&self.prog, &self.ms, t, end_at) {
+                    Some(idle) if idle.until > t => {
+                        let to = idle.until.min(w.horizon);
+                        if idle.retries {
+                            self.ms.book_rejected_loads(Requestor::Runahead, to - t);
+                        }
+                        t = to;
+                    }
+                    _ => {
                         let mut ctx =
                             RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: t };
-                        let status = eng.step_cycle(&mut ctx, false);
-                        debug_assert_eq!(
-                            status,
-                            VrStatus::Working,
-                            "a vector engine cannot finish before end_at"
-                        );
+                        let status = eng.step_cycle(&mut ctx, t >= end_at);
+                        debug_assert_eq!(status, VrStatus::Working, "stepped a finishing cycle");
                         t += 1;
                         stepped = true;
                     }
-                    _ => break, // the finishing cycle needs a real tick
                 }
-                if one_event || t >= w.horizon {
+                if one_event {
                     break;
                 }
             }
             if t > c {
-                self.apply_fast_forward(t, w.stalled);
+                self.apply_fast_forward(t, &w);
                 return Ok(if stepped { Advance::EngineStepped } else { Advance::Skipped(t) });
             }
         }
@@ -767,6 +783,13 @@ impl Simulator {
         self.use_reference_vector = on;
     }
 
+    /// Differential-test hook (unit tests only): no fast-forward of any
+    /// class, every cycle a full tick.
+    #[cfg(test)]
+    fn set_every_cycle(&mut self, on: bool) {
+        self.every_cycle = on;
+    }
+
     fn try_tick(&mut self) -> Result<(), SimError> {
         let c = self.cycle;
 
@@ -836,8 +859,11 @@ impl Simulator {
     ///   event bounds the skip horizon;
     /// * store drain: the post-commit store buffer is empty and only
     ///   commit refills it;
-    /// * issue: the ready list is empty and the earliest wakeup event
-    ///   bounds the horizon, so no instruction becomes ready earlier;
+    /// * issue: the ready list is empty — or holds only loads whose
+    ///   oldest is rejected for a full MSHR file until the horizon, so
+    ///   each cycle's issue is that one rejected attempt, booked in
+    ///   bulk — and the earliest wakeup event bounds the horizon, so no
+    ///   instruction becomes ready earlier;
     /// * dispatch: the front-end queue is empty, time-gated (the gate
     ///   bounds the horizon), or blocked on a back-end resource that
     ///   only the frozen commit/issue stages could free;
@@ -859,14 +885,22 @@ impl Simulator {
     /// skip applies with the engine's next event as an extra horizon
     /// bound. A live *vector* engine needs no idle precondition: the
     /// window is reported with `vector` set and `advance` runs the
-    /// engine through it. Fault injection draws from its RNG every
-    /// cycle an episode is live, so any armed fault plan disables the
-    /// episode skip entirely.
+    /// engine through it, delayed termination included. Fault
+    /// injection draws from its RNG every cycle an episode is live, so
+    /// any armed fault plan disables the episode skip entirely.
     fn ff_analysis(&self) -> Option<FfWindow> {
-        if !self.ready.is_empty() || !self.store_buffer.is_empty() {
+        #[cfg(test)]
+        if self.every_cycle {
+            return None;
+        }
+        if !self.store_buffer.is_empty() {
             return None;
         }
         let c = self.cycle;
+        let load_blocked = match self.ready.first() {
+            None => None,
+            Some(&oldest) => Some(self.ready_loads_blocked_until(oldest, c)?),
+        };
 
         let mut engine_idle = None;
         let mut vector = false;
@@ -976,19 +1010,52 @@ impl Simulator {
         if let Some(gate) = dispatch_gate {
             target = target.min(gate);
         }
-        (target > c).then_some(FfWindow { horizon: target, stalled, vector })
+        if let Some(free) = load_blocked {
+            target = target.min(free);
+        }
+        (target > c).then_some(FfWindow {
+            horizon: target,
+            stalled,
+            vector,
+            load_retries: load_blocked.is_some(),
+        })
     }
 
-    /// Skip cycles `self.cycle .. t`: bulk-apply the per-cycle stats
-    /// the skipped (or engine-only) ticks would have recorded.
-    fn apply_fast_forward(&mut self, t: u64, stalled: bool) {
+    /// For a non-empty ready list headed by `oldest`: when every ready
+    /// entry is a load and `oldest`'s issue attempt at `c` is rejected
+    /// for a full MSHR file, the first cycle it can be accepted. Until
+    /// then each issue phase is that one rejected attempt: the younger
+    /// loads wait behind it in program order, and no memory access in
+    /// between can change the verdict (the file stays full). The MSHR
+    /// compare comes first, so a ready list that can issue costs one.
+    fn ready_loads_blocked_until(&self, oldest: u64, c: u64) -> Option<u64> {
+        if self.ms.mshr_free(c)
+            || self.cfg.fu.load_ports == 0
+            || !self.ready.iter().all(|&q| self.slot(q).is_load())
+        {
+            return None;
+        }
+        let me = self.slot(oldest).step.mem.expect("load has a memory effect");
+        if self.forwarded(oldest, me.addr, me.width.bytes() as u8, c) {
+            return None;
+        }
+        self.ms.load_rejected_until(me.addr, Requestor::Main, c)
+    }
+
+    /// Skip cycles `self.cycle .. t` of window `w`: bulk-apply the
+    /// per-cycle stats the skipped (or engine-only) ticks would have
+    /// recorded, and the demand-load retries they would have made.
+    fn apply_fast_forward(&mut self, t: u64, w: &FfWindow) {
         let delta = t - self.cycle;
         self.cycle = t;
+        if w.load_retries {
+            self.ms.book_rejected_loads(Requestor::Main, delta);
+        }
         self.stats.commit_stall_cycles += delta;
-        if self.rob_len() >= self.cfg.rob || stalled {
+        if self.rob_len() >= self.cfg.rob || w.stalled {
             self.stats.full_rob_stall_cycles += delta;
         }
-        self.backend_stalled = stalled;
+        self.backend_stalled = w.stalled;
         if self.runahead.is_some() {
             self.stats.runahead_cycles += delta;
         }
@@ -1808,11 +1875,7 @@ impl Simulator {
             let me = s.step.mem.expect("load has a memory effect");
             (me.addr, me.width.bytes() as u8, s.step.pc)
         };
-        // Store-to-load forwarding from the nearest older in-flight
-        // store that fully covers this load, if it has executed; that
-        // store decides either way.
-        let forwarded =
-            self.stores.forwarder(seq, addr, bytes).is_some_and(|q| self.slot(q).done_by(c));
+        let forwarded = self.forwarded(seq, addr, bytes, c);
         #[cfg(feature = "checked")]
         assert_eq!(
             forwarded,
@@ -1834,6 +1897,13 @@ impl Simulator {
         s.hit = Some(hit);
         self.wake_events.push(c, done, seq);
         Ok(())
+    }
+
+    /// Store-to-load forwarding for load `seq` at cycle `c`: from the
+    /// nearest older in-flight store that fully covers it, if that
+    /// store has executed; that store decides either way.
+    fn forwarded(&self, seq: u64, addr: u64, bytes: u8, c: u64) -> bool {
+        self.stores.forwarder(seq, addr, bytes).is_some_and(|q| self.slot(q).done_by(c))
     }
 
     /// The forwarding verdict by the reference method the store ring
@@ -2168,6 +2238,112 @@ mod tests {
                     swar.2, reference.2,
                     "telemetry totals diverged on {preset:?} with {ra:?}"
                 );
+            }
+        }
+    }
+
+    /// `n` iterations of `sum += B[A[i]] + B[A[i] + 8]`, `A[i]` a
+    /// random line of a 64 MiB span. The loads of `B` are independent
+    /// of each other, so a full ROB holds more of them in flight than
+    /// there are MSHRs, and `A`'s stride lets Vector Runahead gather
+    /// them too. Every line of `B` maps to one L1 set, so a line is
+    /// often evicted from the L1 while its miss is still pending, and
+    /// the second word's load then merges with a full MSHR file.
+    fn mshr_flood(n: u64) -> vr_workloads::Workload {
+        let mut mem = Memory::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            mem.write_u64(0x10_0000 + i * 8, (x % (1 << 14)) * 4096);
+        }
+        let mut a = Asm::new();
+        let top = a.here();
+        a.ld(Reg::T3, Reg::T2, 0);
+        a.add(Reg::T3, Reg::T3, Reg::A1);
+        a.ld(Reg::T4, Reg::T3, 0);
+        a.addi(Reg::T5, Reg::T3, 8);
+        a.ld(Reg::T6, Reg::T5, 0);
+        a.add(Reg::S2, Reg::S2, Reg::T4);
+        a.add(Reg::S2, Reg::S2, Reg::T6);
+        a.addi(Reg::T2, Reg::T2, 8);
+        a.blt(Reg::T2, Reg::T1, top);
+        a.halt();
+        vr_workloads::Workload {
+            name: "mshr_flood".into(),
+            program: a.assemble(),
+            memory: mem,
+            init_regs: vec![
+                (Reg::T2, 0x10_0000),
+                (Reg::T1, 0x10_0000 + n * 8),
+                (Reg::A1, 0x4000_0000),
+            ],
+        }
+    }
+
+    /// Every-cycle differential for the fast-forward (DESIGN.md §9,
+    /// §14): each input runs once with every skip class on — idle
+    /// windows, engine windows through delayed termination, and both
+    /// full-MSHR retry classes — and once with `ff_analysis` off, a
+    /// full tick per cycle. The complete `SimStats` must agree (cycles,
+    /// stall counters, and the memory counters the booked retries
+    /// stand in for), and the fast-forwarded run must tick less. Runs
+    /// the baseline core and the four vector configurations of the
+    /// SWAR-vs-reference test, on bfs over Kron and Urand and on a
+    /// kernel that floods the MSHR file.
+    #[test]
+    fn fast_forward_matches_every_cycle_ticking() {
+        use vr_workloads::{gap, graph::GraphPreset, Scale};
+
+        let configs = [
+            RunaheadConfig::none(),
+            RunaheadConfig::vector(),
+            RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() },
+            RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
+            RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() },
+        ];
+        let inputs = [
+            gap::bfs_on(&GraphPreset::Kron.generate(Scale::Test), GraphPreset::Kron),
+            gap::bfs_on(&GraphPreset::Urand.generate(Scale::Test), GraphPreset::Urand),
+            mshr_flood(8000),
+        ];
+        for w in &inputs {
+            for ra in &configs {
+                let run = |every_cycle: bool| {
+                    let mut sim = Simulator::new(
+                        CoreConfig::table1(),
+                        MemConfig::table1(),
+                        ra.clone(),
+                        w.program.clone(),
+                        w.memory.clone(),
+                        &w.init_regs,
+                    );
+                    sim.set_every_cycle(every_cycle);
+                    let mut ticks = 0u64;
+                    while !sim.finished(40_000) {
+                        if sim.advance().expect("runs clean") == Advance::Ticked {
+                            ticks += 1;
+                        }
+                    }
+                    (sim.seal_stats(), ticks)
+                };
+                let (fast, fast_ticks) = run(false);
+                let (every, every_ticks) = run(true);
+                assert_eq!(fast, every, "SimStats diverged on {} with {ra:?}", w.name);
+                assert!(
+                    fast_ticks < every_ticks,
+                    "no cycle skipped on {} with {ra:?}: {fast_ticks} ticks",
+                    w.name
+                );
+                if w.name == "mshr_flood" {
+                    let served: u64 = fast.mem.load_hits.iter().sum();
+                    assert!(fast.mem.demand_loads > served, "demand loads must retry");
+                    assert!(
+                        ra.kind == RunaheadKind::None || fast.mem.pf_dropped_mshr > 0,
+                        "gathers must retry with {ra:?}"
+                    );
+                }
             }
         }
     }

@@ -46,12 +46,12 @@
 //! overlays propagate via `StoreOverlay::merge_from` instead of
 //! `clone`. In steady state a batch allocates nothing.
 
-use vr_isa::{Cpu, FReg, Inst, Op, Reg, RegRef, StoreOverlay, Width};
+use vr_isa::{Cpu, FReg, Inst, Op, Program, Reg, RegRef, StoreOverlay, Width};
 
 use crate::config::RunaheadConfig;
 use crate::invariant;
 use crate::runahead::RaCtx;
-use vr_mem::{Access, Requestor};
+use vr_mem::{Access, MemorySystem, Requestor};
 
 /// How many scalar gather sub-accesses the vector unit can inject into
 /// the memory pipeline per cycle (one full AVX-512-equivalent vector
@@ -79,6 +79,18 @@ pub enum VrStatus {
     /// At a batch boundary with the interval over: safe to leave
     /// runahead mode.
     Finished,
+}
+
+/// An idle stretch of the engine, reported by
+/// [`VectorRunahead::idle_until`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Idle {
+    /// First cycle at which the engine may next do observable work.
+    pub until: u64,
+    /// Each idle cycle is one attempt at a gather sub-access that the
+    /// full MSHR file rejects: the caller books those attempts
+    /// ([`MemorySystem::book_rejected_loads`]).
+    pub retries: bool,
 }
 
 /// One bit per lane, packed into machine words so scan/filter/
@@ -355,6 +367,7 @@ enum PhaseKind {
 /// The Vector Runahead engine for one runahead interval (pooled by the
 /// simulator and re-armed at each trigger via [`Self::reset`]).
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct VectorRunahead {
     lanes: usize,
     termination_slack: Option<u64>,
@@ -449,25 +462,85 @@ impl VectorRunahead {
 
     /// Runs one cycle; `interval_over` is true once the blocking load
     /// has returned (the engine then finishes the current batch and
-    /// reports [`VrStatus::Finished`] — delayed termination).
+    /// reports [`VrStatus::Finished`] — delayed termination). The
+    /// cycles that report `Finished` are exactly those
+    /// [`Self::finishes`] names.
     pub(crate) fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
         #[cfg(feature = "checked")]
         if let Err(e) = self.lane_mask_invariants() {
             panic!("vector lane mask invariant violated: {e}");
         }
+        if self.finishes(ctx.prog, ctx.now, interval_over) {
+            if self.phase == PhaseKind::Batch {
+                if ctx.now < self.batch.wait_until {
+                    // Bounded delayed termination (extension, off by
+                    // default): chain generation is stalled well into
+                    // the future behind a saturated memory system.
+                    self.batches_aborted += 1;
+                }
+                self.finish_batch();
+            }
+            return VrStatus::Finished;
+        }
         match self.phase {
-            PhaseKind::Scan => self.step_scan(ctx, interval_over),
-            PhaseKind::Batch => self.step_batch(ctx, interval_over),
+            PhaseKind::Scan => self.step_scan(ctx),
+            PhaseKind::Batch => self.step_batch(ctx),
+        }
+        VrStatus::Working
+    }
+
+    /// Whether [`Self::step_cycle`] at `now` reports
+    /// [`VrStatus::Finished`] — the one exit predicate, which the
+    /// simulator's engine window also reads to stop before that cycle.
+    /// Only once the interval is over: while scanning, at a batch
+    /// boundary, or (bounded delayed termination) stalled more than
+    /// the slack short of the chain's barrier.
+    pub(crate) fn finishes(&self, prog: &Program, now: u64, interval_over: bool) -> bool {
+        if !interval_over {
+            return false;
+        }
+        match self.phase {
+            PhaseKind::Scan => true,
+            PhaseKind::Batch => {
+                let b = &self.batch;
+                if now < b.wait_until {
+                    self.termination_slack.is_some_and(|slack| b.wait_until - now > slack)
+                } else {
+                    !b.gather_outstanding() && self.at_boundary(prog)
+                }
+            }
         }
     }
 
-    /// First cycle at which the engine can next do observable work
-    /// (touch the memory system, step lanes, or finish), given the
-    /// current cycle and the episode's `end_at`. `None` means the
-    /// engine is (or may be) busy right now. Used by the simulator's
-    /// fast-forward to skip dead episode cycles in bulk; must be
-    /// conservative but cycle-exact when `Some`.
-    pub(crate) fn idle_until(&self, now: u64, end_at: u64) -> Option<u64> {
+    /// Whether the batch's lockstep group is over: every lane died, or
+    /// lane 0 is back at the striding load, out of chain budget, or
+    /// off the program.
+    fn at_boundary(&self, prog: &Program) -> bool {
+        let b = &self.batch;
+        b.active.first().is_none_or(|lane0| {
+            let pc = b.pcs[lane0];
+            pc == b.stride_pc || b.chain_insts >= CHAIN_BUDGET || prog.fetch(pc).is_none()
+        })
+    }
+
+    /// The engine's next idle stretch, given the current cycle and the
+    /// episode's `end_at`: the first cycle at which it can next do
+    /// observable work (step lanes, finish, or have a memory access
+    /// accepted). `None` means the engine is (or may be) busy right
+    /// now. Used by the simulator's fast-forward to skip dead episode
+    /// cycles in bulk; must be conservative but cycle-exact when
+    /// `Some`. Past the chain's barrier the engine only idles against
+    /// a full MSHR file: retrying a gather sub-access (each cycle one
+    /// rejected attempt, [`Idle::retries`]) or waiting to issue a chain
+    /// scalar load (no attempt is made).
+    pub(crate) fn idle_until(
+        &self,
+        prog: &Program,
+        ms: &MemorySystem,
+        now: u64,
+        end_at: u64,
+    ) -> Option<Idle> {
+        let idle = |until| Idle { until, retries: false };
         match self.phase {
             PhaseKind::Scan => {
                 if now >= end_at {
@@ -475,7 +548,7 @@ impl VectorRunahead {
                 }
                 if self.scan.dead || self.scan.remaining == 0 {
                     // Idle until the interval ends (then Finished).
-                    Some(end_at)
+                    Some(idle(end_at))
                 } else {
                     None // actively scanning
                 }
@@ -483,33 +556,55 @@ impl VectorRunahead {
             PhaseKind::Batch => {
                 let b = &self.batch;
                 if now >= b.wait_until {
-                    return None; // draining gathers or stepping the chain
+                    if b.gather_outstanding() {
+                        let (_, addr) = b.pending_gather[b.gather_cursor];
+                        let until = ms.load_rejected_until(addr, Requestor::Runahead, now)?;
+                        return Some(Idle { until, retries: true });
+                    }
+                    if self.at_boundary(prog) {
+                        return None; // the batch ends this cycle
+                    }
+                    return self.scalar_load_blocked(prog, ms, now).map(idle);
                 }
                 let w = b.wait_until;
                 match self.termination_slack {
                     // No bounded termination: nothing observable can
                     // happen before the barrier.
-                    None => Some(w),
+                    None => Some(idle(w)),
                     Some(slack) => {
                         if w <= end_at {
                             // `interval_over` stays false for every
                             // cycle before the barrier: no abort.
-                            Some(w)
+                            Some(idle(w))
                         } else {
                             // The abort predicate `w - t > slack` can
                             // only hold at the first interval-over
                             // cycle (the gap shrinks as t grows).
                             let first = now.max(end_at);
                             if w - first > slack {
-                                (first > now).then_some(first)
+                                (first > now).then_some(idle(first))
                             } else {
-                                Some(w)
+                                Some(idle(w))
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Past the barrier, no gather outstanding, not at a batch
+    /// boundary: when the next chain instruction is a scalar load whose
+    /// operands are ready and the MSHR file is full, the cycle an
+    /// entry frees (`step_batch` retries it each cycle until then).
+    fn scalar_load_blocked(&self, prog: &Program, ms: &MemorySystem, now: u64) -> Option<u64> {
+        let b = &self.batch;
+        let lane0 = b.active.first()?;
+        let inst = prog.fetch(b.pcs[lane0])?;
+        let scalar_load = inst.is_load() && !inst.srcs().any(|s| b.taint[s.flat_index()]);
+        let operands_ready = inst.srcs().all(|s| b.reg_ready[s.flat_index()] <= now);
+        let free = ms.mshr_free_at(now);
+        (scalar_load && operands_ready && free > now).then_some(free)
     }
 
     /// Lane-mask bookkeeping invariants (checked builds; see
@@ -538,12 +633,9 @@ impl VectorRunahead {
 
     // ---- scan phase -------------------------------------------------
 
-    fn step_scan(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
-        if interval_over {
-            return VrStatus::Finished;
-        }
+    fn step_scan(&mut self, ctx: &mut RaCtx<'_>) {
         if self.scan.dead || self.scan.remaining == 0 {
-            return VrStatus::Working; // idle until the interval ends
+            return; // idle until the interval ends
         }
         for _ in 0..self.width {
             if self.scan.remaining == 0 {
@@ -561,7 +653,7 @@ impl VectorRunahead {
                     ctx.ms.stride_detector().confident_stride(self.scan.cursor.pc())
                 {
                     self.start_batch(ctx, inst, stride);
-                    return VrStatus::Working;
+                    return;
                 }
             }
             let Scan { cursor, overlay, dead, .. } = &mut self.scan;
@@ -578,7 +670,6 @@ impl VectorRunahead {
                 }
             }
         }
-        VrStatus::Working
     }
 
     /// Forks `k` lanes off the scan state (the scan cursor sits at the
@@ -662,21 +753,17 @@ impl VectorRunahead {
 
     // ---- batch phase ------------------------------------------------
 
-    fn step_batch(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
-        let batch = &mut self.batch;
-
-        if ctx.now < batch.wait_until {
-            // Bounded delayed termination (extension, off by default):
-            // the interval is over and chain generation is stalled
-            // well into the future behind a saturated memory system.
-            if let Some(slack) = self.termination_slack {
-                if interval_over && batch.wait_until - ctx.now > slack {
-                    self.batches_aborted += 1;
-                    return self.finish_batch(interval_over);
-                }
-            }
-            return VrStatus::Working;
+    fn step_batch(&mut self, ctx: &mut RaCtx<'_>) {
+        if ctx.now < self.batch.wait_until {
+            return;
         }
+        if !self.batch.gather_outstanding() && self.at_boundary(ctx.prog) {
+            // Every lane died, or the lockstep group reached the
+            // vector-runahead termination point.
+            self.finish_batch();
+            return;
+        }
+        let batch = &mut self.batch;
 
         // 1. Drain any pending gather sub-accesses, MSHR-limited.
         if batch.gather_outstanding() {
@@ -725,26 +812,14 @@ impl VectorRunahead {
                 batch.gather_cursor = 0;
                 batch.at_gather = LaneMask::default();
             }
-            return VrStatus::Working;
+            return;
         }
 
-        // 2. Batch boundary?
-        let Some(lane0) = batch.active.first() else {
-            // Every lane died: abandon the batch.
-            return self.finish_batch(interval_over);
-        };
+        // 2. Not at a batch boundary (checked above): lane 0 has a
+        // chain instruction.
+        let lane0 = batch.active.first().expect("a lane is live");
         let lane0_pc = batch.pcs[lane0];
-        let group_terminated = lane0_pc == batch.stride_pc
-            || batch.chain_insts >= CHAIN_BUDGET
-            || ctx.prog.fetch(lane0_pc).is_none();
-        if group_terminated {
-            // The lockstep group reached the vector-runahead
-            // termination point: one mask OR retires it whole.
-            batch.done |= batch.active;
-            batch.active = LaneMask::default();
-            return self.finish_batch(interval_over);
-        }
-        let inst = *ctx.prog.fetch(lane0_pc).expect("checked above");
+        let inst = *ctx.prog.fetch(lane0_pc).expect("lane 0 is on the program");
 
         // 3. Execute one chain instruction across all active lanes.
         let tainted = inst.srcs().any(|s| batch.taint[s.flat_index()]);
@@ -757,11 +832,11 @@ impl VectorRunahead {
             inst.srcs().map(|s| batch.reg_ready[s.flat_index()]).max().unwrap_or(0);
         if operands_ready_at > ctx.now {
             batch.wait_until = operands_ready_at;
-            return VrStatus::Working;
+            return;
         }
 
         if is_scalar_load && !ctx.ms.mshr_free(ctx.now) {
-            return VrStatus::Working; // retry next cycle
+            return; // retry next cycle
         }
 
         // Decode once, step all K lanes as fused column sweeps.
@@ -836,15 +911,18 @@ impl VectorRunahead {
             }
             batch.wait_until = next_free;
         }
-        VrStatus::Working
     }
 
-    fn finish_batch(&mut self, interval_over: bool) -> VrStatus {
+    /// Ends the batch: the lockstep group retires whole (one mask OR)
+    /// and scanning resumes past it.
+    fn finish_batch(&mut self) {
         let VectorRunahead { batch, scan, .. } = self;
+        batch.done |= batch.active;
+        batch.active = LaneMask::default();
         // Continue scanning from the most advanced surviving lane (it
         // sits at the striding load of a further future iteration), so
         // the next batch covers the iterations after this one.
-        match (batch.active | batch.done).last() {
+        match batch.done.last() {
             Some(l) => {
                 let cap = batch.cap;
                 let mut cpu = Cpu::new();
@@ -871,11 +949,6 @@ impl VectorRunahead {
             }
         }
         self.phase = PhaseKind::Scan;
-        if interval_over {
-            VrStatus::Finished
-        } else {
-            VrStatus::Working
-        }
     }
 
     /// Whether the engine is mid-batch (used to account delayed
@@ -1716,6 +1789,10 @@ mod tests {
     /// Builds `for i { t = A[i]; u = B[t*8]; }` and a warm stride
     /// detector for A's load PC.
     fn indirect_setup() -> (Program, Memory, MemorySystem, Cpu, u64) {
+        indirect_setup_on(MemConfig::table1())
+    }
+
+    fn indirect_setup_on(mem_cfg: MemConfig) -> (Program, Memory, MemorySystem, Cpu, u64) {
         let mut a = Asm::new();
         // x10=&A, x11=&B, x5=i(bytes), x6=end
         let loop_top = a.here();
@@ -1734,7 +1811,7 @@ mod tests {
         for i in 0..256u64 {
             mem.write_u64(0x10000 + i * 8, (i * 37) % 256); // A
         }
-        let mut ms = MemorySystem::new(MemConfig::table1());
+        let mut ms = MemorySystem::new(mem_cfg);
         // Warm the stride detector on A's PC.
         for i in 0..4u64 {
             let _ = ms.stride_detector();
@@ -1813,6 +1890,55 @@ mod tests {
         assert_eq!(pooled.lanes_spawned, fresh.lanes_spawned);
         assert_eq!(pooled.lanes_invalidated, fresh.lanes_invalidated);
         assert_eq!(pooled.batches_aborted, fresh.batches_aborted);
+    }
+
+    /// `idle_until` is exact: over every idle stretch it reports,
+    /// stepping the engine cycle by cycle changes no engine state, and
+    /// no memory statistic but the booked gather retries. A 4-entry
+    /// MSHR file keeps the file full at gathers, chain scalar loads and
+    /// batch boundaries alike; the interval ends halfway, so delayed
+    /// termination is covered up to the finishing cycle.
+    #[test]
+    fn idle_stretches_match_stepping_every_cycle() {
+        for lanes in [8, 16] {
+            let mem_cfg = MemConfig { mshrs: 4, ..MemConfig::table1() };
+            let (prog, mem, mut ms, cpu, _) = indirect_setup_on(mem_cfg);
+            let cfg = RunaheadConfig { vr_lanes: lanes, ..RunaheadConfig::vector() };
+            let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
+            let end_at = 3000;
+            let (mut now, mut jumps, mut retries) = (0, 0, 0);
+            while !vr.finishes(&prog, now, now >= end_at) {
+                match vr.idle_until(&prog, &ms, now, end_at) {
+                    Some(idle) if idle.until > now => {
+                        let (mut stepped, mut stepped_ms) = (vr.clone(), ms.clone());
+                        for t in now..idle.until {
+                            let mut ctx =
+                                RaCtx { prog: &prog, mem: &mem, ms: &mut stepped_ms, now: t };
+                            assert_eq!(
+                                stepped.step_cycle(&mut ctx, t >= end_at),
+                                VrStatus::Working
+                            );
+                        }
+                        if idle.retries {
+                            ms.book_rejected_loads(Requestor::Runahead, idle.until - now);
+                            retries += 1;
+                        }
+                        assert_eq!(format!("{stepped:?}"), format!("{vr:?}"), "idle from {now}");
+                        assert_eq!(stepped_ms.stats(), ms.stats(), "idle from {now}");
+                        (ms, now, jumps) = (stepped_ms, idle.until, jumps + 1);
+                    }
+                    _ => {
+                        let mut ctx = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now };
+                        assert_eq!(vr.step_cycle(&mut ctx, now >= end_at), VrStatus::Working);
+                        now += 1;
+                    }
+                }
+            }
+            assert!(vr.batches >= 2, "{lanes} lanes: {} batches", vr.batches);
+            assert!(jumps > 0 && retries > 0, "{lanes} lanes: {jumps} jumps, {retries} retries");
+            let mut ctx = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now };
+            assert_eq!(vr.step_cycle(&mut ctx, true), VrStatus::Finished);
+        }
     }
 
     #[test]

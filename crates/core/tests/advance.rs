@@ -2,14 +2,16 @@
 //! engine may run in one call is decided by whether the core's
 //! hierarchy is attached to a chip-shared LLC. The same program is
 //! driven through `advance` on an unattached core and on an attached
-//! one (a one-core "chip" with a real broker), call by call.
+//! one (a one-core "chip" with a real broker), call by call. A window
+//! touches the memory statistics only through the rejected attempts a
+//! full MSHR file would have seen, at most one per cycle moved.
 //!
 //! The fast-forward's trigger clause: a configured runahead trigger
 //! refuses a skip only when it could fire inside the window.
 
 use vr_core::{Advance, CoreConfig, RunaheadConfig, Simulator};
 use vr_isa::{Asm, Memory, Reg};
-use vr_mem::{MemConfig, SharedLlc, SharedLlcConfig};
+use vr_mem::{MemConfig, MemStats, SharedLlc, SharedLlcConfig};
 use vr_workloads::graph::GraphPreset;
 use vr_workloads::{gap, Scale};
 
@@ -57,6 +59,22 @@ struct Census {
     /// `EngineStepped` calls that moved the clock by more than one
     /// cycle *and* made memory-system accesses.
     multi_cycle_engine_windows: u64,
+    /// `EngineStepped` calls that started at or after their episode's
+    /// `end_at` (in delayed termination).
+    engine_windows_past_end_at: u64,
+}
+
+/// `after` differs from `before` at most by rejected load attempts —
+/// `demand_loads` and `pf_dropped_mshr`, each up to one per cycle of a
+/// `moved`-cycle window.
+fn only_rejected_attempts(before: &MemStats, after: &MemStats, moved: u64) -> bool {
+    let d = after.delta(before);
+    let retries_only = MemStats {
+        demand_loads: before.demand_loads,
+        pf_dropped_mshr: before.pf_dropped_mshr,
+        ..*after
+    };
+    retries_only == *before && d.demand_loads <= moved && d.pf_dropped_mshr <= moved
 }
 
 /// Runs `sim` to `halt` through `advance`, moving `llc` in and out
@@ -65,9 +83,12 @@ struct Census {
 fn drive(sim: &mut Simulator, mut llc: Option<Box<SharedLlc>>) -> Census {
     let attached = llc.is_some();
     let mut census = Census::default();
+    // Start cycles of this episode's `EngineStepped` windows.
+    let mut windows = Vec::new();
     sim.validate().expect("table-1 config is valid");
     while !sim.finished(u64::MAX) {
-        let (cycle, mem) = (sim.cycle(), sim.seal_stats().mem);
+        let before = sim.seal_stats();
+        let (cycle, mem) = (sim.cycle(), before.mem);
         if let Some(llc) = llc.take() {
             sim.install_shared_llc(llc);
         }
@@ -76,23 +97,41 @@ fn drive(sim: &mut Simulator, mut llc: Option<Box<SharedLlc>>) -> Census {
             llc = Some(sim.take_shared_llc());
         }
         let moved = sim.cycle() - cycle;
-        let accessed = sim.seal_stats().mem != mem;
+        let after = sim.seal_stats();
+        let accessed = after.mem != mem;
         match action {
             Advance::Skipped(to) => {
                 census.skips += 1;
                 assert_eq!(to, sim.cycle(), "Skipped reports the cycle it reached");
                 assert!(moved > 0, "an empty window must tick instead");
-                assert!(!accessed, "a skipped window touched the memory system at {cycle}");
+                assert!(
+                    only_rejected_attempts(&mem, &after.mem, moved),
+                    "a skipped window touched the memory system at {cycle}"
+                );
             }
             Advance::EngineStepped => {
                 census.engine_steps += 1;
+                windows.push(cycle);
                 if attached {
                     assert_eq!(moved, 1, "an attached engine ran past one cycle at {cycle}");
                 } else if moved > 1 && accessed {
                     census.multi_cycle_engine_windows += 1;
                 }
             }
-            Advance::Ticked => assert_eq!(moved, 1, "a tick is one cycle"),
+            Advance::Ticked => {
+                assert_eq!(moved, 1, "a tick is one cycle");
+                // An exit in delayed termination books `cycle - end_at`.
+                let delayed = after.delayed_termination_stall_cycles
+                    - before.delayed_termination_stall_cycles;
+                if delayed > 0 {
+                    let end_at = cycle - delayed;
+                    census.engine_windows_past_end_at +=
+                        windows.iter().filter(|&&w| w >= end_at).count() as u64;
+                }
+                if after.runahead_entries > before.runahead_entries {
+                    windows.clear();
+                }
+            }
         }
     }
     census
@@ -106,6 +145,10 @@ fn attachment_alone_decides_how_far_a_vector_engine_runs() {
     assert!(
         free_census.multi_cycle_engine_windows > 0,
         "an unattached core must run its engine through whole windows: {free_census:?}"
+    );
+    assert!(
+        free_census.engine_windows_past_end_at > 0,
+        "an unattached core must run delayed termination in engine windows: {free_census:?}"
     );
 
     let cfg = MemConfig::table1();

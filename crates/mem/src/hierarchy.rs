@@ -238,15 +238,51 @@ impl MemorySystem {
         self.mshr.outstanding()
     }
 
-    /// Whether an MSHR entry is free at `now` (VR's gather issue gate).
-    pub fn mshr_free(&mut self, now: u64) -> bool {
-        self.mshr.expire(now);
-        self.mshr.has_free()
+    /// Whether an MSHR entry is free at `now` (the runahead engines'
+    /// scalar-load issue gate).
+    pub fn mshr_free(&self, now: u64) -> bool {
+        self.mshr_free_at(now) == now
+    }
+
+    /// The first cycle `>= now` at which an MSHR entry is free (see
+    /// [`MshrFile::free_at`]).
+    pub fn mshr_free_at(&self, now: u64) -> u64 {
+        self.mshr.free_at(now)
     }
 
     /// Whether the line containing `addr` is resident in the L1-D.
     pub fn in_l1(&self, addr: u64) -> bool {
         self.l1d.contains(addr)
+    }
+
+    /// When a load of `addr` by `req` at `now` would be rejected for a
+    /// full MSHR file, the first cycle at which it could be accepted:
+    /// every attempt before it is rejected too, since no access in
+    /// between can change the verdict. `Some` only when the file is
+    /// full at `now`, the line is not in the L1 (a hit is accepted) and
+    /// no MSHR entry for it is pending (a merge is accepted), and, for
+    /// a prefetching requestor, the chaos layer is unarmed (its draws
+    /// make each attempt different). Pure: expires and counts nothing.
+    pub fn load_rejected_until(&self, addr: u64, req: Requestor, now: u64) -> Option<u64> {
+        let free = self.mshr_free_at(now);
+        if free == now || (req.is_prefetch() && self.chaos.is_some()) {
+            return None;
+        }
+        let la = self.l1d.line_addr(addr);
+        (!self.l1d.contains(la) && self.mshr.pending(la).is_none()).then_some(free)
+    }
+
+    /// Books `n` rejected load attempts by `req` at once — what `n`
+    /// [`MemorySystem::access`] calls that
+    /// [`MemorySystem::load_rejected_until`] proved rejected would have
+    /// counted: [`MemStats::demand_loads`] for the main thread,
+    /// [`MemStats::pf_dropped_mshr`] for a prefetching requestor.
+    pub fn book_rejected_loads(&mut self, req: Requestor, n: u64) {
+        if req.is_prefetch() {
+            self.stats.pf_dropped_mshr += n;
+        } else {
+            self.stats.demand_loads += n;
+        }
     }
 
     /// Performs a demand or speculative access at cycle `now`.
@@ -629,6 +665,46 @@ mod tests {
         let d = ms.stats().delta(&before);
         assert_eq!(d.demand_loads, 3, "every attempt counts");
         assert_eq!(d.load_hits.iter().sum::<u64>(), 1, "the load is served once");
+    }
+
+    #[test]
+    fn rejected_until_matches_access_and_booking_matches_retries() {
+        // 4 MSHRs, 4 L1 sets of 2 ways. One line resident in set 1,
+        // then four misses to set 0: the first two are evicted from the
+        // L1 while their fills are still pending.
+        let mut ms = sys();
+        ms.access(0x1040, Access::Load, Requestor::Main, 1, 300).unwrap();
+        let free = (0..4u64)
+            .map(|i| ms.access(0x8000 + i * 0x100, Access::Load, Requestor::Main, i, 1000 + i))
+            .map(|r| r.unwrap().ready_at)
+            .min()
+            .unwrap();
+        assert!(!ms.in_l1(0x8000));
+        let now = 1010;
+        let new_line = 0x20_000;
+        for req in [Requestor::Main, Requestor::Runahead] {
+            assert_eq!(ms.load_rejected_until(new_line, req, now), Some(free), "{req:?}");
+            assert_eq!(ms.load_rejected_until(0x1040, req, now), None, "L1 hit");
+            assert_eq!(ms.load_rejected_until(0x8308, req, now), None, "merge, line in L1");
+            assert_eq!(ms.load_rejected_until(0x8008, req, now), None, "merge, line evicted");
+            assert_eq!(ms.load_rejected_until(new_line, req, free), None, "an entry frees");
+        }
+        // Every attempt up to `free` is rejected, and the bulk booking
+        // counts what the attempts counted.
+        let mut stepped = ms.clone();
+        let mut booked = ms.clone();
+        for t in now..free {
+            assert!(stepped.access(new_line, Access::Load, Requestor::Main, 9, t).is_err());
+            assert!(stepped.access(new_line, Access::Load, Requestor::Runahead, 9, t).is_err());
+        }
+        booked.book_rejected_loads(Requestor::Main, free - now);
+        booked.book_rejected_loads(Requestor::Runahead, free - now);
+        assert_eq!(stepped.stats(), booked.stats());
+        assert!(stepped.access(new_line, Access::Load, Requestor::Main, 9, free).is_ok());
+        // An armed chaos layer draws per prefetch attempt: no verdict.
+        ms.set_prefetch_chaos(0.0, 0.0, 1);
+        assert_eq!(ms.load_rejected_until(new_line, Requestor::Runahead, now), None);
+        assert_eq!(ms.load_rejected_until(new_line, Requestor::Main, now), Some(free));
     }
 
     #[test]

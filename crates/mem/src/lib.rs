@@ -68,14 +68,4 @@ impl Requestor {
     pub fn is_prefetch(self) -> bool {
         self != Requestor::Main
     }
-
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Requestor::Main => "main",
-            Requestor::Runahead => "runahead",
-            Requestor::Stride => "stride",
-            Requestor::Imp => "imp",
-        }
-    }
 }

@@ -99,6 +99,18 @@ impl MshrFile {
         self.entries.len() < self.capacity
     }
 
+    /// The first cycle `>= now` at which the file has a free entry,
+    /// without expiring anything: `now` unless every entry is still
+    /// outstanding at `now`, else the earliest `ready_at` (the cycle an
+    /// [`MshrFile::expire`] releases it).
+    pub fn free_at(&self, now: u64) -> u64 {
+        if self.has_free() || self.next_ready <= now {
+            now
+        } else {
+            self.next_ready
+        }
+    }
+
     /// Σ over all allocations of their in-flight duration, in cycles.
     /// Dividing by elapsed cycles yields average outstanding misses
     /// (the MLP metric).
@@ -120,6 +132,22 @@ mod tests {
         assert!(!m.allocate(0x80, 0, 100, Requestor::Main));
         assert!(!m.has_free());
         assert_eq!(m.outstanding(), 2);
+    }
+
+    #[test]
+    fn free_at_is_the_first_cycle_an_expire_frees_an_entry() {
+        let mut m = MshrFile::new(2);
+        assert_eq!(m.free_at(5), 5, "empty");
+        m.allocate(0x00, 0, 100, Requestor::Main);
+        assert_eq!(m.free_at(5), 5, "one entry left");
+        m.allocate(0x40, 0, 80, Requestor::Main);
+        assert_eq!(m.free_at(5), 80);
+        assert_eq!(m.free_at(79), 80);
+        assert_eq!(m.free_at(80), 80, "not expired yet, but expire(80) frees it");
+        m.expire(79);
+        assert!(!m.has_free());
+        m.expire(80);
+        assert!(m.has_free());
     }
 
     #[test]
@@ -203,7 +231,17 @@ mod tests {
                     m.expire(now);
                     r.expire(now);
                 }
-                3 => assert_eq!(m.pending(la), r.pending(la), "op {op}: pending"),
+                3 => {
+                    assert_eq!(m.pending(la), r.pending(la), "op {op}: pending");
+                    let live: Vec<u64> =
+                        r.entries.iter().map(|e| e.1).filter(|&ready| ready > now).collect();
+                    let free = if live.len() < r.capacity {
+                        now
+                    } else {
+                        live.iter().copied().min().expect("full")
+                    };
+                    assert_eq!(m.free_at(now), free, "op {op}: free_at");
+                }
                 _ => assert_eq!(
                     (m.outstanding() > 0).then_some(m.next_ready),
                     r.entries.iter().map(|e| e.1).min(),

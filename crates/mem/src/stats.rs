@@ -45,7 +45,10 @@ pub struct MemStats {
     /// Prefetched lines later touched by a demand access, per
     /// requestor.
     pub pf_used: [u64; 4],
-    /// Prefetches dropped because the MSHR file was full.
+    /// Prefetch *attempts* rejected because the MSHR file was full
+    /// (or, for a hardware prefetcher, its share of it): a runahead
+    /// gather sub-access retried for `k` cycles before it is accepted
+    /// counts `k`.
     pub pf_dropped_mshr: u64,
     /// Prefetches dropped by injected faults (the fault-injection
     /// harness's drop-prefetch chaos; always 0 in normal runs).

@@ -3,15 +3,11 @@
 use std::collections::VecDeque;
 
 /// A bounded ring buffer of events: the last `capacity` pushes are
-/// retained, older events are evicted, and [`RingLog::total`] counts
-/// every push ever made (so aggregate invariants — "episode exits sum
-/// to the `SimStats` counters" — can be checked against running totals
-/// rather than the retained window).
+/// retained, older events are evicted.
 #[derive(Clone, Debug)]
 pub struct RingLog<T> {
     buf: VecDeque<T>,
     capacity: usize,
-    total: u64,
 }
 
 impl<T> RingLog<T> {
@@ -22,7 +18,7 @@ impl<T> RingLog<T> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> RingLog<T> {
         assert!(capacity > 0, "ring log needs capacity");
-        RingLog { buf: VecDeque::with_capacity(capacity.min(1024)), capacity, total: 0 }
+        RingLog { buf: VecDeque::with_capacity(capacity.min(1024)), capacity }
     }
 
     /// Appends an event, evicting the oldest beyond capacity.
@@ -31,7 +27,6 @@ impl<T> RingLog<T> {
             self.buf.pop_front();
         }
         self.buf.push_back(event);
-        self.total += 1;
     }
 
     /// Retained events, oldest first.
@@ -53,11 +48,6 @@ impl<T> RingLog<T> {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Total events ever pushed (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 impl<'a, T> IntoIterator for &'a RingLog<T> {
@@ -73,13 +63,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn keeps_newest_and_counts_total() {
+    fn keeps_the_newest_events() {
         let mut log = RingLog::new(3);
         for i in 0..10u32 {
             log.push(i);
         }
         assert_eq!(log.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
-        assert_eq!(log.total(), 10);
         assert_eq!(log.len(), 3);
         assert_eq!(log.capacity(), 3);
         assert!(!log.is_empty());
