@@ -29,9 +29,9 @@ use vr_bench::report::{write_exports, Report, RunMeta};
 use vr_bench::{cell, hmean, pct, ratio, sweep, BarChart, Table, Technique};
 use vr_campaign::{CampaignPoint, ChipPoint};
 use vr_chip::ChipRun;
-use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, SimStats, Simulator};
+use vr_core::{harmonic_mean, CoreConfig, SimStats, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
-use vr_workloads::{graph::GraphPreset, Scale, Workload};
+use vr_workloads::{graph::GraphPreset, Scale};
 
 struct Opts {
     /// `--insts`, `--all-inputs`, `--quick`: what determines a
@@ -135,7 +135,6 @@ const COMMANDS: &[Cmd] = &[
         run: Run::Chip(points::fig_chip, fig_chip),
     },
     tool("trace", "pipeline-diagram trace of one workload under VR", false, trace_cmd),
-    tool("fault-oracle", "fault-injection architectural-invisibility check", false, fault_oracle),
     tool(
         "campaign",
         "result-store campaign over the figure sim points (run/status/verify/gc)",
@@ -234,6 +233,22 @@ fn usage() -> String {
     u
 }
 
+/// The value after `flag`, parsed; a missing or unparsable value exits
+/// 2 with `error: <flag> requires <what>`.
+fn flag_value<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    match it.next().and_then(|v| v.parse().ok()) {
+        Some(v) => v,
+        None => {
+            eprintln!("error: {flag} requires {what}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(id) = args.first().cloned() else {
@@ -261,100 +276,26 @@ fn main() {
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--insts" => {
-                insts = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!("error: --insts requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--insts" => insts = Some(flag_value(&mut it, a, "a positive integer")),
+            // 0 is an explicit "auto": every available core.
             "--threads" => {
-                // 0 is an explicit "auto": every available core.
-                threads = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(0) => vr_pool::cpus(),
-                    Some(n) => n,
-                    None => {
-                        eprintln!("error: --threads requires a non-negative integer");
-                        std::process::exit(2);
-                    }
-                };
+                threads = match flag_value(&mut it, a, "a non-negative integer") {
+                    0 => vr_pool::cpus(),
+                    n => n,
+                }
             }
-            "--cache" => {
-                cache_dir = match it.next() {
-                    Some(p) => Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --cache requires a directory path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--figure" => {
-                figure = match it.next() {
-                    Some(f) => Some(f.clone()),
-                    None => {
-                        eprintln!("error: --figure requires a figure id");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--cancel-after-ms" => {
-                cancel_after_ms = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!("error: --cancel-after-ms requires an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--fail-point" => {
-                fail_point = match it.next() {
-                    Some(s) => Some(s.clone()),
-                    None => {
-                        eprintln!("error: --fail-point requires a label substring");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--cache" => cache_dir = Some(flag_value(&mut it, a, "a directory path")),
+            "--figure" => figure = Some(flag_value(&mut it, a, "a figure id")),
+            "--cancel-after-ms" => cancel_after_ms = Some(flag_value(&mut it, a, "an integer")),
+            "--fail-point" => fail_point = Some(flag_value(&mut it, a, "a label substring")),
             "--point-deadline-ms" => {
-                point_deadline_ms = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!("error: --point-deadline-ms requires an integer");
-                        std::process::exit(2);
-                    }
-                };
+                point_deadline_ms = Some(flag_value(&mut it, a, "an integer"));
             }
-            "--tmp-age-ms" => {
-                tmp_age_ms = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => Some(n),
-                    None => {
-                        eprintln!("error: --tmp-age-ms requires an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--tmp-age-ms" => tmp_age_ms = Some(flag_value(&mut it, a, "an integer")),
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
             "--quick" => quick = true,
-            "--json" => {
-                json = match it.next() {
-                    Some(p) => Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --json requires a path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--csv" => {
-                csv = match it.next() {
-                    Some(p) => Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --csv requires a path");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--json" => json = Some(flag_value(&mut it, a, "a path")),
+            "--csv" => csv = Some(flag_value(&mut it, a, "a path")),
             other if !other.starts_with('-') && workload.is_none() => {
                 workload = Some(other.to_string());
             }
@@ -1275,10 +1216,11 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     s.row(vec!["cycles".into(), stats.cycles.to_string()]);
     s.row(vec!["instructions".into(), stats.instructions.to_string()]);
     s.row(vec!["IPC".into(), format!("{:.3}", stats.ipc())]);
+    let completed = stats.runahead_entries - stats.runahead_aborts - u64::from(tel.in_episode());
     s.row(vec!["runahead entries".into(), stats.runahead_entries.to_string()]);
-    s.row(vec!["episodes completed".into(), tel.completed().to_string()]);
-    s.row(vec!["vector batches".into(), tel.batches().to_string()]);
-    s.row(vec!["lanes spawned".into(), tel.lanes_spawned().to_string()]);
+    s.row(vec!["episodes completed".into(), completed.to_string()]);
+    s.row(vec!["vector batches".into(), stats.vr_batches.to_string()]);
+    s.row(vec!["lanes spawned".into(), stats.vr_lanes_spawned.to_string()]);
     r.push_table("summary", s);
     let mut et = Table::new(&["trigger pc", "entered", "exited", "kind", "batches", "lanes"]);
     for e in tel.episodes() {
@@ -1298,86 +1240,6 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     vec![r]
 }
 
-// ------------------------------------------------------------ fault oracle
-
-/// Robustness artifact (not a paper figure): runs three Test-scale
-/// workloads to completion under seeded fault-injection plans and
-/// checks that committed registers, the final memory image and the
-/// retired-instruction count are bit-identical to the no-runahead
-/// baseline — the architectural-invisibility contract of runahead.
-/// The returned report is marked failed on any mismatch, which makes
-/// `main` exit non-zero after printing and exporting it.
-fn fault_oracle(_opts: &Opts) -> Vec<Report> {
-    use vr_core::{FaultPlan, RunaheadKind};
-    use vr_isa::Reg;
-
-    let mut rep = Report::new(
-        "fault-oracle",
-        "Fault-injection oracle: runahead is architecturally invisible",
-    );
-
-    let run = |w: &Workload, ra: RunaheadConfig| {
-        let mut sim = Simulator::new(
-            CoreConfig::table1(),
-            MemConfig::tiny_for_tests(),
-            ra,
-            w.program.clone(),
-            w.memory.clone(),
-            &w.init_regs,
-        );
-        let stats = sim.try_run(u64::MAX).unwrap_or_else(|e| {
-            eprintln!("error: {}: {e}", w.name);
-            std::process::exit(1);
-        });
-        let regs: Vec<u64> = (0..32).map(|i| sim.committed_cpu().x(Reg::new(i))).collect();
-        (stats, regs, sim.memory().digest())
-    };
-
-    let g = GraphPreset::Kron.generate(Scale::Test);
-    let set = vec![
-        vr_workloads::hpcdb::kangaroo(Scale::Test),
-        vr_workloads::hpcdb::hashjoin(Scale::Test, 2),
-        vr_workloads::gap::bfs_on(&g, GraphPreset::Kron),
-    ];
-
-    let mut t = Table::new(&[
-        "workload", "kind", "seed", "faults", "aborts", "pf-drop", "pf-delay", "arch",
-    ]);
-    let mut failed = false;
-    for w in &set {
-        let (_, base_regs, base_digest) = run(w, RunaheadConfig::none());
-        for kind in [RunaheadKind::Classic, RunaheadKind::Vector] {
-            for seed in [1u64, 2, 3] {
-                let ra = RunaheadConfig {
-                    fault_plan: Some(FaultPlan::chaos(seed)),
-                    ..RunaheadConfig::of(kind)
-                };
-                let (stats, regs, digest) = run(w, ra);
-                let ok = regs == base_regs && digest == base_digest;
-                failed |= !ok;
-                t.row(vec![
-                    w.name.clone(),
-                    format!("{kind:?}"),
-                    seed.to_string(),
-                    stats.faults_injected.to_string(),
-                    stats.runahead_aborts.to_string(),
-                    stats.mem.pf_dropped_fault.to_string(),
-                    stats.mem.pf_delayed_fault.to_string(),
-                    if ok { "OK".into() } else { "MISMATCH".into() },
-                ]);
-            }
-        }
-    }
-    rep.push_table("oracle", t);
-    rep.failed = failed;
-    rep.push_note(if failed {
-        "error: fault injection leaked into architectural state"
-    } else {
-        "all runs bit-identical to the no-runahead baseline"
-    });
-    vec![rep]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1393,7 +1255,7 @@ mod tests {
         let rows = ids.len();
         ids.dedup();
         assert_eq!(ids.len(), rows, "an id appears in two rows");
-        for id in ["table1", "table-hw", "trace", "fault-oracle", "bogus"] {
+        for id in ["table1", "table-hw", "trace", "bogus"] {
             assert!(enumerate(id, &quick()).is_none(), "{id}");
         }
         assert!(figure_ids().contains(&"fig-chip") && !figure_ids().contains(&"table1"));

@@ -43,7 +43,7 @@ fn no_arguments_prints_generated_usage_and_exits_nonzero() {
     assert!(err.contains("usage: experiments"), "missing usage header: {err}");
     // The id list is generated from the dispatch table: every command
     // must appear, including the ones added by this layer.
-    for id in ["table1", "fig-accuracy", "trace", "fault-oracle", "all"] {
+    for id in ["table1", "fig-accuracy", "trace", "all"] {
         assert!(err.contains(id), "usage must list {id}: {err}");
     }
     assert!(err.contains("--json"), "usage must document --json: {err}");
@@ -53,8 +53,8 @@ fn no_arguments_prints_generated_usage_and_exits_nonzero() {
 fn unknown_subcommand_exits_nonzero_with_usage() {
     // Retired ids: `fig-breakdown` was folded into `fig-ablation`; the
     // throughput report was a second simulator timer (`benchmark/` is
-    // the one).
-    for id in ["fig-bogus", "fig-breakdown", "perf-report"] {
+    // the one); the fault oracle is `vr-core`'s `fault_oracle` test.
+    for id in ["fig-bogus", "fig-breakdown", "perf-report", "fault-oracle"] {
         let o = experiments(&[id]);
         assert_eq!(o.status.code(), Some(2), "{id}");
         let err = stderr(&o);

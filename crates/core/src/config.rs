@@ -223,7 +223,7 @@ pub enum RunaheadKind {
 /// speculative machinery — aborting episodes mid-flight, poisoning
 /// vector lanes, forcing early interval exits, and dropping/delaying
 /// prefetches in the memory system — while the differential oracle
-/// (`tests/tests/fault_oracle.rs`) asserts that committed registers,
+/// (`crates/core/tests/fault_oracle.rs`) asserts that committed registers,
 /// the memory image and the retired-instruction count never change.
 ///
 /// All probabilities are per-opportunity Bernoulli draws from one

@@ -31,7 +31,7 @@ pub struct OldestSlot {
 /// Status of the runahead episode (if any) at dump time.
 #[derive(Clone, Debug)]
 pub struct EpisodeStatus {
-    /// Engine kind as text ("Classic", "Vector", …).
+    /// Engine kind as text ("Scalar" or "Vector").
     pub kind: String,
     /// Whether the front-end keeps fetching for the main thread while
     /// the episode runs (eager/decoupled trigger).

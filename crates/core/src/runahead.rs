@@ -1,15 +1,18 @@
-//! Scalar runahead engines: classic invalidation-based runahead and
-//! Precise Runahead Execution (PRE).
+//! The runahead engine interface, and the scalar engines behind it:
+//! classic invalidation-based runahead and Precise Runahead Execution
+//! (PRE).
 //!
-//! Both pre-execute the *future* instruction stream from the committed
-//! architectural state during a full-ROB stall. Registers whose values
+//! Every engine pre-executes the *future* instruction stream from the
+//! committed architectural state during a full-ROB stall. The
+//! simulator builds one engine per core and drives it only through
+//! [`RunaheadEngine`]. In the scalar engines, registers whose values
 //! depend on a long-latency (LLC-missing) load are INV-propagated, so
 //! dependent loads cannot compute addresses — the first-level-only
 //! coverage limitation the paper's motivation describes. Vector
 //! Runahead (in [`crate::vector`]) removes it by *waiting* for each
 //! vectorized gather level.
 
-use vr_isa::{Cpu, Memory, Program, RegRef, StoreOverlay};
+use vr_isa::{Cpu, Memory, Program, RegRef, SplitMix64, StoreOverlay};
 use vr_mem::{Access, HitLevel, MemorySystem, Requestor};
 
 /// Shared per-cycle context handed to the runahead engines by the
@@ -19,6 +22,97 @@ pub(crate) struct RaCtx<'a> {
     pub mem: &'a Memory,
     pub ms: &'a mut MemorySystem,
     pub now: u64,
+}
+
+/// Result of one engine cycle.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum VrStatus {
+    /// Still working (pre-executing, scanning, gathering, or following
+    /// a chain).
+    Working,
+    /// The interval is over and the engine is at a safe point: leave
+    /// runahead mode.
+    Finished,
+}
+
+/// An idle stretch of an engine, reported by
+/// [`RunaheadEngine::idle_until`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Idle {
+    /// First cycle at which the engine may next do observable work.
+    pub until: u64,
+    /// Each idle cycle is one attempt at a gather sub-access that the
+    /// full MSHR file rejects: the caller books those attempts
+    /// ([`MemorySystem::book_rejected_loads`]).
+    pub retries: bool,
+}
+
+/// What one episode's engine did, folded into
+/// [`crate::SimStats`] (and the telemetry record) when the episode
+/// ends.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub(crate) struct EpisodeCounters {
+    /// Instructions pre-executed (scalar engines).
+    pub insts: u64,
+    /// A vector interval that never found a striding load.
+    pub no_stride: bool,
+    /// Vector batches completed or started.
+    pub batches: u64,
+    /// Vector batches abandoned by bounded delayed termination.
+    pub batches_aborted: u64,
+    /// Scalar-equivalent lanes spawned.
+    pub lanes_spawned: u64,
+    /// Lanes invalidated by divergence or faults.
+    pub lanes_invalidated: u64,
+}
+
+/// One runahead engine: built once per core by the simulator and
+/// re-armed in place by every trigger (DESIGN.md §12).
+pub(crate) trait RunaheadEngine {
+    /// Re-arms the engine for a fresh episode from the committed state
+    /// `cpu`, positioned at the triggering load's PC. `blocked_dst` is
+    /// the blocking load's destination (scalar engines start it INV);
+    /// `base` seeds the first vector batch with a striding load's PC
+    /// and last address (the eager trigger). Keeps every buffer's
+    /// capacity, so a trigger allocates nothing.
+    fn reset(&mut self, cpu: Cpu, blocked_dst: Option<RegRef>, base: Option<(u64, u64)>);
+
+    /// Runs one cycle; `interval_over` is true once the blocking load
+    /// has returned (or the episode expired). The cycles that report
+    /// [`VrStatus::Finished`] are exactly those [`Self::finishes`]
+    /// names.
+    fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus;
+
+    /// Whether [`Self::step_cycle`] at `now` may report
+    /// [`VrStatus::Finished`]: the simulator's engine window stops
+    /// before such a cycle and leaves it for a full tick.
+    fn finishes(&self, prog: &Program, now: u64, interval_over: bool) -> bool;
+
+    /// The engine's next idle stretch, given the current cycle and the
+    /// episode's `end_at`: the first cycle at which it can next do
+    /// observable work. `None` means the engine may act this cycle.
+    /// Must be conservative, and cycle-exact when `Some`.
+    fn idle_until(&self, prog: &Program, ms: &MemorySystem, now: u64, end_at: u64) -> Option<Idle>;
+
+    /// Fault injection: invalidates each still-active lane with
+    /// probability `frac`; returns how many were poisoned (0 for an
+    /// engine without lanes).
+    fn poison_lanes(&mut self, rng: &mut SplitMix64, frac: f64) -> u64;
+
+    /// This episode's counters so far.
+    fn counters(&self) -> EpisodeCounters;
+
+    /// Structural self-check (the `checked` feature).
+    #[cfg_attr(not(feature = "checked"), allow(dead_code))]
+    fn invariants(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Capacities of the steady-state-critical buffers, for engines
+    /// that have them (diagnostic for the alloc-budget test).
+    fn buffer_caps(&self) -> Option<(usize, usize, usize)> {
+        None
+    }
 }
 
 /// The classic / PRE scalar runahead engine.
@@ -55,22 +149,6 @@ impl ScalarRunahead {
         }
     }
 
-    /// Re-arms a pooled engine for a fresh episode without giving up
-    /// any of the capacity its [`StoreOverlay`] has grown (DESIGN.md
-    /// §12): behaviourally identical to `*self = ScalarRunahead::new(
-    /// cpu, blocked_dst, width)` but allocation-free.
-    pub fn reset(&mut self, cpu: Cpu, blocked_dst: Option<RegRef>, width: usize) {
-        self.cursor = cpu;
-        self.overlay.clear();
-        self.inv = [false; RegRef::FLAT_COUNT];
-        if let Some(d) = blocked_dst {
-            self.inv[d.flat_index()] = true;
-        }
-        self.insts = 0;
-        self.dead = false;
-        self.width = width;
-    }
-
     /// Instructions pre-executed so far.
     pub fn insts(&self) -> u64 {
         self.insts
@@ -81,18 +159,9 @@ impl ScalarRunahead {
         self.dead
     }
 
-    /// Fast-forward contract (mirrors
-    /// [`crate::VectorRunahead::idle_until`]): once the cursor is dead,
-    /// every `step_cycle` before the interval expires is a pure no-op,
-    /// so the next observable event is the episode finishing at
-    /// `end_at`. `None` means the engine may act this cycle.
-    pub(crate) fn idle_until(&self, now: u64, end_at: u64) -> Option<u64> {
-        (self.dead && now < end_at).then_some(end_at)
-    }
-
     /// Runs one cycle of runahead pre-execution; returns instructions
     /// processed.
-    pub(crate) fn step_cycle(&mut self, ctx: &mut RaCtx<'_>) -> u64 {
+    fn pre_execute(&mut self, ctx: &mut RaCtx<'_>) -> u64 {
         let mut done = 0;
         for _ in 0..self.width {
             if self.dead {
@@ -160,6 +229,47 @@ impl ScalarRunahead {
     }
 }
 
+impl RunaheadEngine for ScalarRunahead {
+    fn reset(&mut self, cpu: Cpu, blocked_dst: Option<RegRef>, _base: Option<(u64, u64)>) {
+        self.cursor = cpu;
+        self.overlay.clear();
+        self.inv = [false; RegRef::FLAT_COUNT];
+        if let Some(d) = blocked_dst {
+            self.inv[d.flat_index()] = true;
+        }
+        self.insts = 0;
+        self.dead = false;
+    }
+
+    /// A scalar episode ends exactly when its interval does (classic
+    /// runahead exits when the blocking load returns).
+    fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
+        if interval_over {
+            return VrStatus::Finished;
+        }
+        self.pre_execute(ctx);
+        VrStatus::Working
+    }
+
+    fn finishes(&self, _prog: &Program, _now: u64, interval_over: bool) -> bool {
+        interval_over
+    }
+
+    /// Once the cursor is dead, every cycle before the interval ends is
+    /// a pure no-op.
+    fn idle_until(&self, _: &Program, _: &MemorySystem, now: u64, end_at: u64) -> Option<Idle> {
+        (self.dead && now < end_at).then_some(Idle { until: end_at, retries: false })
+    }
+
+    fn poison_lanes(&mut self, _rng: &mut SplitMix64, _frac: f64) -> u64 {
+        0
+    }
+
+    fn counters(&self) -> EpisodeCounters {
+        EpisodeCounters { insts: self.insts, ..EpisodeCounters::default() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +303,7 @@ mod tests {
 
         let mut ra = ScalarRunahead::new(cpu, None, 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 0 };
-        ra.step_cycle(&mut c);
+        ra.pre_execute(&mut c);
 
         // Only the A access reached the memory system.
         assert_eq!(ms.stats().dram_reads_by(Requestor::Runahead), 1);
@@ -222,7 +332,7 @@ mod tests {
 
         let mut ra = ScalarRunahead::new(cpu, None, 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 1000 };
-        ra.step_cycle(&mut c);
+        ra.pre_execute(&mut c);
 
         // Both A (hit) and B[5] were accessed.
         assert!(ms.in_l1(0x20000 + 5 * 8) || ms.outstanding_misses(1000) > 0);
@@ -242,7 +352,7 @@ mod tests {
         let cpu = Cpu::new();
         let mut ra = ScalarRunahead::new(cpu, Some(RegRef::Int(Reg::T0)), 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 0 };
-        ra.step_cycle(&mut c);
+        ra.pre_execute(&mut c);
         assert_eq!(ms.stats().dram_reads_total(), 0);
     }
 
@@ -258,7 +368,7 @@ mod tests {
         let cpu = Cpu::new();
         let mut ra = ScalarRunahead::new(cpu, Some(RegRef::Int(Reg::T0)), 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 0 };
-        ra.step_cycle(&mut c);
+        ra.pre_execute(&mut c);
         assert_eq!(ms.stats().dram_reads_total(), 1);
     }
 
@@ -276,7 +386,7 @@ mod tests {
         cpu.set_x(Reg::A0, 0x40000);
         let mut ra = ScalarRunahead::new(cpu, None, 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 0 };
-        ra.step_cycle(&mut c);
+        ra.pre_execute(&mut c);
         // The load still probes the cache (prefetch effect), but no
         // store traffic exists and memory is untouched.
         assert_eq!(ms.stats().demand_stores, 0);
@@ -296,8 +406,8 @@ mod tests {
         let (mem, mut ms) = ctx_parts();
         let mut ra = ScalarRunahead::new(Cpu::new(), None, 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 0 };
-        assert_eq!(ra.step_cycle(&mut c), 5);
+        assert_eq!(ra.pre_execute(&mut c), 5);
         let mut c = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now: 1 };
-        assert_eq!(ra.step_cycle(&mut c), 5);
+        assert_eq!(ra.pre_execute(&mut c), 5);
     }
 }

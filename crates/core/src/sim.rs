@@ -9,11 +9,11 @@ use vr_mem::{Access, HitLevel, MemConfig, MemorySystem, Requestor};
 
 use crate::config::{CoreConfig, RunaheadConfig, RunaheadKind};
 use crate::error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};
-use crate::runahead::{RaCtx, ScalarRunahead};
+use crate::runahead::{RaCtx, RunaheadEngine, ScalarRunahead, VrStatus};
 use crate::stats::SimStats;
 use crate::telemetry::{EpisodeExit, EpisodeKind, Telemetry};
 use crate::trace::{PipelineTrace, TraceRecord};
-use crate::vector::{VectorRunahead, VrStatus};
+use crate::vector::{VectorRunahead, MAX_LANES};
 use crate::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
 
 /// Cycles a decoupled (eager-trigger extension) vector-runahead
@@ -107,18 +107,9 @@ impl Slot {
     }
 }
 
-enum Engine {
-    Scalar(Box<ScalarRunahead>),
-    Vector(Box<VectorRunahead>),
-    /// The pre-SoA scalar-lane engine, swapped in by the differential
-    /// test to prove the SWAR engine observably identical (test builds
-    /// only; see [`crate::vector::reference`]).
-    #[cfg(test)]
-    RefVector(Box<crate::vector::reference::ReferenceVectorRunahead>),
-}
-
+/// A live runahead episode; it drives the core's one engine
+/// (`Simulator::engine`).
 struct RunaheadEpisode {
-    engine: Engine,
     /// Cycle the blocking load returns (or the eager episode expires).
     end_at: u64,
     /// Decoupled episodes (eager-trigger extension) do not stall
@@ -134,10 +125,10 @@ struct FfWindow {
     /// The steady-state `backend_stalled` value the skipped dispatch
     /// phases would have recomputed each cycle.
     stalled: bool,
-    /// A live (non-decoupled) vector episode: the *pipeline* is
-    /// frozen, but the engine itself still has work, which
+    /// A live (non-decoupled) episode: the *pipeline* is frozen, but
+    /// the engine itself may still have work, which
     /// [`Simulator::advance`] runs in virtual time.
-    vector: bool,
+    engine: bool,
     /// The ready list holds only loads, and the oldest one's issue
     /// attempt is rejected for a full MSHR file every cycle of the
     /// window (its free cycle caps the horizon): each skipped cycle
@@ -153,7 +144,7 @@ pub enum Advance {
     /// full MSHR file would have rejected are booked in bulk), so under
     /// a chip clock the core can sleep until the chip catches up.
     Skipped(u64),
-    /// A live vector-runahead episode ran its engine on the cheap path
+    /// A live runahead episode ran its engine on the cheap path
     /// (identical memory accesses to full ticks; every other pipeline
     /// phase proven frozen): one cycle on a core attached to a shared
     /// LLC, up to the window's horizon otherwise.
@@ -243,15 +234,11 @@ pub struct Simulator {
     div_busy_until: u64,
     fdiv_busy_until: u64,
 
+    /// The core's runahead engine (`None` for the baseline core): built
+    /// once from [`RunaheadKind`] and re-armed in place by every
+    /// trigger, so an episode allocates nothing (DESIGN.md §12).
+    engine: Option<Box<dyn RunaheadEngine>>,
     runahead: Option<RunaheadEpisode>,
-    /// Parked engines from finished episodes, re-armed in place by the
-    /// next trigger so steady-state episodes allocate nothing.
-    scalar_pool: Option<Box<ScalarRunahead>>,
-    vector_pool: Option<Box<VectorRunahead>>,
-    /// Differential-test hook: vector triggers check out the reference
-    /// scalar-lane engine instead of the SWAR one.
-    #[cfg(test)]
-    use_reference_vector: bool,
     /// Differential-test hook: `ff_analysis` finds no window, so every
     /// cycle is a full tick.
     #[cfg(test)]
@@ -306,6 +293,21 @@ impl Simulator {
             SplitMix64::new(plan.seed)
         });
         let n_slots = slab_slots(&cfg);
+        let engine: Option<Box<dyn RunaheadEngine>> = match ra_cfg.kind {
+            RunaheadKind::None => None,
+            // PRE's slice filtering focuses the same front-end bandwidth
+            // on load slices; modelled at core width with no exit flush
+            // (DESIGN.md §4).
+            RunaheadKind::Classic | RunaheadKind::Precise => {
+                Some(Box::new(ScalarRunahead::new(cpu, None, cfg.width)))
+            }
+            // Over-wide lane masks are a `BadConfig` that `validate`
+            // reports before the first cycle.
+            RunaheadKind::Vector if ra_cfg.vr_lanes > MAX_LANES => None,
+            RunaheadKind::Vector => {
+                Some(Box::new(VectorRunahead::new(cpu, &ra_cfg, cfg.width, cfg.fu.vec_alu)))
+            }
+        };
         Simulator {
             ms,
             bp: TageScL::default_8kb(),
@@ -333,11 +335,8 @@ impl Simulator {
             pending_branch: None,
             div_busy_until: 0,
             fdiv_busy_until: 0,
+            engine,
             runahead: None,
-            scalar_pool: None,
-            vector_pool: None,
-            #[cfg(test)]
-            use_reference_vector: false,
             #[cfg(test)]
             every_cycle: false,
             fault_rng,
@@ -425,7 +424,7 @@ impl Simulator {
     /// * **skips** a window `ff_analysis` proves quiescent — no
     ///   tick, no memory-system access, per-cycle stall counters and
     ///   the full-MSHR retries of the oldest ready load bulk-applied;
-    /// * **runs a live vector engine** forward in virtual time through
+    /// * **runs a live runahead engine** forward in virtual time through
     ///   a window in which every *other* phase is proven frozen: active
     ///   cycles (gather issue, chain stepping) execute the engine's own
     ///   `step_cycle` at the exact timestamps the full ticks would have,
@@ -438,6 +437,9 @@ impl Simulator {
     ///   which the engine `finishes`, which is left for a real tick; or
     /// * **ticks** the full pipeline for one cycle, then applies the
     ///   watchdog and deadline checks.
+    ///
+    /// Classic, PRE and Vector Runahead share this window: each engine
+    /// answers `finishes` and `idle_until` for itself.
     ///
     /// How far the engine may run in one call is read from state the
     /// core already holds: a core attached to a chip-shared LLC stops
@@ -455,17 +457,14 @@ impl Simulator {
     /// `validate` reports); only the full-tick path can fail.
     pub fn advance(&mut self) -> Result<Advance, SimError> {
         if let Some(w) = self.ff_analysis() {
-            if !w.vector {
+            if !w.engine {
                 self.apply_fast_forward(w.horizon, &w);
                 return Ok(Advance::Skipped(w.horizon));
             }
             let c = self.cycle;
             let one_event = self.ms.shared_attached();
-            let ep = self.runahead.as_mut().expect("a vector window implies a live episode");
-            let end_at = ep.end_at;
-            let Engine::Vector(eng) = &mut ep.engine else {
-                unreachable!("ff_analysis saw a vector engine")
-            };
+            let end_at = self.runahead.as_ref().expect("an engine window has an episode").end_at;
+            let eng = self.engine.as_mut().expect("a live episode has an engine");
             let mut t = c;
             let mut stepped = false;
             // The finishing cycle (exit, flush) needs a real tick.
@@ -521,7 +520,13 @@ impl Simulator {
         self.stats.instructions = self.committed_insts;
         self.stats.mshr_occupancy_integral = self.ms.mshr_occupancy_integral();
         self.stats.mem = *self.ms.stats();
-        self.stats
+        let mut stats = self.stats;
+        // A live episode's pre-executed instructions count already;
+        // the rest of its counters fold in at exit.
+        if let (Some(_), Some(eng)) = (&self.runahead, &self.engine) {
+            stats.runahead_insts += eng.counters().insts;
+        }
+        stats
     }
 
     /// Panicking convenience wrapper over [`Self::try_run`] for call
@@ -637,10 +642,7 @@ impl Simulator {
             done_at: s.done_at,
         });
         let episode = self.runahead.as_ref().map(|ep| EpisodeStatus {
-            kind: match &ep.engine {
-                Engine::Scalar(_) => "Scalar".to_string(),
-                _ => "Vector".to_string(),
-            },
+            kind: format!("{:?}", self.episode_kind()),
             decoupled: ep.decoupled,
             end_at: ep.end_at,
         });
@@ -725,7 +727,7 @@ impl Simulator {
     /// core's lines in the shared cache. Must be called before the
     /// first cycle; a core with no attachment keeps its private
     /// L3/DRAM, bit-identical to the pre-chip simulator. An attached
-    /// core's [`Self::advance`] stops a vector engine after one event
+    /// core's [`Self::advance`] stops a runahead engine after one event
     /// so cross-core arrival order stays exact. The broker itself is
     /// owned by the chip and moved in/out around every `advance` via
     /// [`Self::install_shared_llc`] / [`Self::take_shared_llc`].
@@ -762,25 +764,19 @@ impl Simulator {
     }
 
     /// Capacities of the vector engine's steady-state-critical buffers
-    /// (`pending_gather`, the gather scratch, lane columns), from
-    /// whichever engine exists — live episode or pool. `None` until
-    /// the first vector episode. Diagnostic for the alloc-budget test:
+    /// (`pending_gather`, the gather scratch, lane columns); `None`
+    /// without a vector engine. Diagnostic for the alloc-budget test:
     /// these must not grow across the ROI.
     #[doc(hidden)]
     pub fn vector_buffer_caps(&self) -> Option<(usize, usize, usize)> {
-        if let Some(ep) = &self.runahead {
-            if let Engine::Vector(eng) = &ep.engine {
-                return Some(eng.buffer_caps());
-            }
-        }
-        self.vector_pool.as_deref().map(VectorRunahead::buffer_caps)
+        self.engine.as_ref()?.buffer_caps()
     }
 
-    /// Differential-test hook (unit tests only): route vector triggers
-    /// to the pre-SoA reference engine.
+    /// Differential-test hook (unit tests only): replace the core's
+    /// runahead engine before the first cycle.
     #[cfg(test)]
-    fn set_use_reference_vector(&mut self, on: bool) {
-        self.use_reference_vector = on;
+    fn set_engine(&mut self, engine: Box<dyn RunaheadEngine>) {
+        self.engine = Some(engine);
     }
 
     /// Differential-test hook (unit tests only): no fast-forward of any
@@ -877,17 +873,14 @@ impl Simulator {
     /// counters are bulk-incremented with the same values the skipped
     /// ticks would have accumulated.
     ///
-    /// A second skip class covers *runahead episodes* (DESIGN.md §14):
-    /// a non-decoupled episode freezes commit, fetch and the trigger
-    /// by construction, so whenever the engine itself reports an idle
-    /// window (waiting on a gather barrier, or dead until the interval
-    /// expires) and the back end has no pending work, the same bulk
-    /// skip applies with the engine's next event as an extra horizon
-    /// bound. A live *vector* engine needs no idle precondition: the
-    /// window is reported with `vector` set and `advance` runs the
-    /// engine through it, delayed termination included. Fault
-    /// injection draws from its RNG every cycle an episode is live, so
-    /// any armed fault plan disables the episode skip entirely.
+    /// A second class covers *runahead episodes* (DESIGN.md §14): a
+    /// non-decoupled episode freezes commit, fetch and the trigger by
+    /// construction, so once dispatch and issue are proven frozen the
+    /// window is reported with `engine` set and `advance` runs the live
+    /// engine — classic, PRE or vector — through it, delayed
+    /// termination included. Fault injection draws from its RNG every
+    /// cycle an episode is live, so any armed fault plan disables the
+    /// episode window entirely.
     fn ff_analysis(&self) -> Option<FfWindow> {
         #[cfg(test)]
         if self.every_cycle {
@@ -902,32 +895,18 @@ impl Simulator {
             Some(&oldest) => Some(self.ready_loads_blocked_until(oldest, c)?),
         };
 
-        let mut engine_idle = None;
-        let mut vector = false;
         let mut head_blocked_dram = false;
-        if let Some(ep) = &self.runahead {
+        let engine = if let Some(ep) = &self.runahead {
             // Decoupled episodes leave the whole pipeline live; a
             // fault plan consumes RNG per episode cycle.
             if ep.decoupled || self.fault_rng.is_some() {
                 return None;
             }
-            match &ep.engine {
-                Engine::Scalar(eng) => match eng.idle_until(c, ep.end_at) {
-                    Some(t) if t > c => engine_idle = Some(t),
-                    _ => return None, // engine may act this cycle
-                },
-                // No idle precondition: `advance` runs the engine
-                // forward in virtual time (active cycles stepped,
-                // idle windows jumped).
-                Engine::Vector(_) => vector = true,
-                // The reference path never skips: the differential
-                // test runs it unskipped against the fast-forwarded
-                // SWAR path, proving the skip cycle-exact.
-                #[cfg(test)]
-                Engine::RefVector(_) => return None,
-            }
             // Commit, trigger and fetch are frozen by the episode
-            // itself; only dispatch below needs checking.
+            // itself; only dispatch below needs checking. `advance`
+            // runs the engine forward in virtual time (active cycles
+            // stepped, idle windows jumped).
+            true
         } else {
             // Commit must be frozen; the trigger is checked below, once
             // the dispatch verdict it reads is known.
@@ -941,19 +920,14 @@ impl Simulator {
 
             // Fetch must be frozen.
             if let Some(bseq) = self.pending_branch {
-                let resolved = if self.rob_head_seq == self.rob_end_seq || bseq < self.rob_head_seq
-                {
-                    true
-                } else {
-                    bseq < self.rob_end_seq && self.slot(bseq).done_by(c)
-                };
-                if resolved {
+                if self.branch_resolved(bseq, c) {
                     return None; // fetch clears the redirect this cycle
                 }
             } else if !self.fetch_done && self.fetch_q_len() < fetch_q_cap(&self.cfg) {
                 return None; // fetch has work
             }
-        }
+            false
+        };
 
         // Dispatch must be frozen: empty, time-gated, or blocked.
         // `stalled` is the steady-state `backend_stalled` value the
@@ -966,17 +940,7 @@ impl Simulator {
             if eligible_at > c {
                 dispatch_gate = Some(eligible_at);
             } else {
-                let inst = front.step.inst;
-                let blocked = self.rob_len() >= self.cfg.rob
-                    || self.iq_used >= self.cfg.iq
-                    || (inst.is_load() && self.lq_used >= self.cfg.lq)
-                    || (inst.is_store() && self.stores.len() >= self.cfg.sq)
-                    || match inst.dst() {
-                        Some(RegRef::Int(_)) => self.free_int == 0,
-                        Some(RegRef::Fp(_)) => self.free_fp == 0,
-                        None => false,
-                    };
-                if !blocked {
+                if !self.dispatch_blocked(front.step.inst) {
                     return None; // dispatch acts this cycle
                 }
                 stalled = true;
@@ -990,20 +954,16 @@ impl Simulator {
         // value on this cycle, the recomputed `stalled` on every later
         // one.
         if head_blocked_dram
-            && self.ra_cfg.kind != RunaheadKind::None
+            && self.engine.is_some()
             && (self.rob_len() >= self.cfg.rob || self.backend_stalled || stalled)
         {
             return None; // the trigger may fire in the window
         }
 
         // Horizon: the earliest cycle anything can happen — the next
-        // completion event, the dispatch time gate, the runahead
-        // engine's next event, or the watchdog deadline (exclusive of
-        // the reporting cycle itself).
+        // completion event, the dispatch time gate, or the watchdog
+        // deadline (exclusive of the reporting cycle itself).
         let mut target = self.last_commit_cycle.saturating_add(self.cfg.watchdog - 1);
-        if let Some(t) = engine_idle {
-            target = target.min(t);
-        }
         if let Some(t) = self.wake_events.next_time(c) {
             target = target.min(t);
         }
@@ -1016,7 +976,7 @@ impl Simulator {
         (target > c).then_some(FfWindow {
             horizon: target,
             stalled,
-            vector,
+            engine,
             load_retries: load_blocked.is_some(),
         })
     }
@@ -1196,11 +1156,10 @@ impl Simulator {
             // the memory hierarchy.
             inv::check_no_spec_stores(self.ms.stats().spec_stores).map_err(&err)?;
 
-            // Vector lane-mask accounting (DESIGN.md §14).
-            if let Some(ep) = &self.runahead {
-                if let Engine::Vector(eng) = &ep.engine {
-                    eng.lane_mask_invariants().map_err(&err)?;
-                }
+            // The live engine's own bookkeeping (vector lane masks,
+            // DESIGN.md §14).
+            if let (Some(_), Some(eng)) = (&self.runahead, &self.engine) {
+                eng.invariants().map_err(&err)?;
             }
         }
         Ok(())
@@ -1209,152 +1168,17 @@ impl Simulator {
     // ---- runahead ---------------------------------------------------
 
     fn step_runahead(&mut self, c: u64) {
-        let Some(ep) = &mut self.runahead else { return };
-        let interval_over = c >= ep.end_at;
-        let mut finished = false;
-        let mut flush = false;
-        match &mut ep.engine {
-            Engine::Scalar(eng) => {
-                if interval_over {
-                    finished = true;
-                    flush = self.ra_cfg.kind == RunaheadKind::Classic;
-                } else {
-                    let mut ctx =
-                        RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
-                    self.stats.runahead_insts += eng.step_cycle(&mut ctx);
-                }
+        let Some(ep) = &self.runahead else { return };
+        let (end_at, decoupled) = (ep.end_at, ep.decoupled);
+        let eng = self.engine.as_mut().expect("a live episode has an engine");
+        let mut ctx = RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
+        if eng.step_cycle(&mut ctx, c >= end_at) == VrStatus::Finished {
+            // Delayed termination: a coupled engine that finishes past
+            // the interval has stalled commit for the difference.
+            if !decoupled && c > end_at {
+                self.stats.delayed_termination_stall_cycles += c - end_at;
             }
-            Engine::Vector(eng) => {
-                let mut ctx = RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
-                if eng.step_cycle(&mut ctx, interval_over) == VrStatus::Finished {
-                    finished = true;
-                    flush = !ep.decoupled;
-                    if !ep.decoupled && c > ep.end_at {
-                        self.stats.delayed_termination_stall_cycles += c - ep.end_at;
-                    }
-                }
-            }
-            #[cfg(test)]
-            Engine::RefVector(eng) => {
-                let mut ctx = RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
-                if eng.step_cycle(&mut ctx, interval_over) == VrStatus::Finished {
-                    finished = true;
-                    flush = !ep.decoupled;
-                    if !ep.decoupled && c > ep.end_at {
-                        self.stats.delayed_termination_stall_cycles += c - ep.end_at;
-                    }
-                }
-            }
-        }
-        if finished {
-            let ep = self.runahead.take().expect("episode exists");
-            self.accumulate_episode_stats(&ep, c, EpisodeExit::Completed);
-            if flush {
-                self.flush_after_head(c);
-            }
-            self.release_engine(ep.engine);
-        }
-    }
-
-    /// Folds an ending episode's engine counters into the run stats
-    /// and closes the telemetry record (shared by the normal exit path
-    /// and fault-induced aborts).
-    fn accumulate_episode_stats(&mut self, ep: &RunaheadEpisode, c: u64, exit: EpisodeExit) {
-        // (found_stride, batches, batches_aborted, spawned,
-        // invalidated) for whichever vector engine ran.
-        let vec_counters = match &ep.engine {
-            Engine::Scalar(_) => None,
-            Engine::Vector(eng) => Some((
-                eng.found_stride,
-                eng.batches,
-                eng.batches_aborted,
-                eng.lanes_spawned,
-                eng.lanes_invalidated,
-            )),
-            #[cfg(test)]
-            Engine::RefVector(eng) => Some((
-                eng.found_stride,
-                eng.batches,
-                eng.batches_aborted,
-                eng.lanes_spawned,
-                eng.lanes_invalidated,
-            )),
-        };
-        if let Some((found_stride, batches, aborted, spawned, invalidated)) = vec_counters {
-            self.stats.vr_batches += batches;
-            self.stats.vr_batches_aborted += aborted;
-            self.stats.vr_lanes_spawned += spawned;
-            self.stats.vr_lanes_invalidated += invalidated;
-            if !found_stride {
-                self.stats.vr_no_stride_intervals += 1;
-            }
-        }
-        if let Some(t) = &mut self.telemetry {
-            let (batches, batches_aborted, lanes_spawned, lanes_invalidated) = match vec_counters {
-                None => (0, 0, 0, 0),
-                Some((_, b, ba, ls, li)) => (b, ba, ls, li),
-            };
-            t.on_exit(c, batches, batches_aborted, lanes_spawned, lanes_invalidated, exit);
-        }
-    }
-
-    /// Parks a finished episode's engine for reuse by the next trigger
-    /// — the steady-state trigger path allocates nothing (DESIGN.md
-    /// §12).
-    fn release_engine(&mut self, engine: Engine) {
-        match engine {
-            Engine::Scalar(eng) => self.scalar_pool = Some(eng),
-            Engine::Vector(eng) => self.vector_pool = Some(eng),
-            // The reference engine is test-only; no pooling needed.
-            #[cfg(test)]
-            Engine::RefVector(_) => {}
-        }
-    }
-
-    /// Takes the pooled scalar engine (or builds the first one),
-    /// re-armed for a fresh episode.
-    fn checkout_scalar(&mut self, cpu: Cpu, blocked_dst: Option<RegRef>) -> Box<ScalarRunahead> {
-        match self.scalar_pool.take() {
-            Some(mut eng) => {
-                eng.reset(cpu, blocked_dst, self.cfg.width);
-                eng
-            }
-            None => Box::new(ScalarRunahead::new(cpu, blocked_dst, self.cfg.width)),
-        }
-    }
-
-    /// Checks out a vector engine as an [`Engine`] — the SWAR engine,
-    /// or the differential reference model when the test hook asks for
-    /// it.
-    fn checkout_vector_engine(&mut self, cpu: Cpu) -> Engine {
-        #[cfg(test)]
-        if self.use_reference_vector {
-            return Engine::RefVector(Box::new(
-                crate::vector::reference::ReferenceVectorRunahead::new(
-                    cpu,
-                    &self.ra_cfg,
-                    self.cfg.width,
-                    self.cfg.fu.vec_alu,
-                ),
-            ));
-        }
-        Engine::Vector(self.checkout_vector(cpu))
-    }
-
-    /// Takes the pooled vector engine (or builds the first one),
-    /// re-armed for a fresh episode.
-    fn checkout_vector(&mut self, cpu: Cpu) -> Box<VectorRunahead> {
-        match self.vector_pool.take() {
-            Some(mut eng) => {
-                eng.reset(cpu, &self.ra_cfg, self.cfg.width, self.cfg.fu.vec_alu);
-                eng
-            }
-            None => Box::new(VectorRunahead::new(
-                cpu,
-                &self.ra_cfg,
-                self.cfg.width,
-                self.cfg.fu.vec_alu,
-            )),
+            self.end_episode(c, EpisodeExit::Completed);
         }
     }
 
@@ -1366,20 +1190,41 @@ impl Simulator {
     /// path for engine faults and the `abort_episode` fault-injection
     /// lever. A no-op when no episode is running.
     fn abort_episode(&mut self, c: u64) {
-        let Some(ep) = self.runahead.take() else { return };
-        self.accumulate_episode_stats(&ep, c, EpisodeExit::Aborted);
-        self.stats.runahead_aborts += 1;
-        // Mirror the timing consequences of the normal exit path:
-        // classic runahead pays its invalidation flush; a coupled
-        // vector episode re-fills the pipeline it had frozen.
-        let flush = match &ep.engine {
-            Engine::Scalar(_) => self.ra_cfg.kind == RunaheadKind::Classic,
-            _ => !ep.decoupled,
-        };
-        if flush {
+        if self.runahead.is_some() {
+            self.stats.runahead_aborts += 1;
+            self.end_episode(c, EpisodeExit::Aborted);
+        }
+    }
+
+    /// Ends the live episode (normal exit or abort): folds the engine's
+    /// counters into the run stats, closes the telemetry record, and
+    /// pays the exit flush — classic runahead's invalidation, a coupled
+    /// vector episode's re-fill of the pipeline it froze; PRE and
+    /// decoupled episodes keep the window.
+    fn end_episode(&mut self, c: u64, exit: EpisodeExit) {
+        let ep = self.runahead.take().expect("an episode is live");
+        let n = self.engine.as_ref().expect("a live episode has an engine").counters();
+        self.stats.runahead_insts += n.insts;
+        self.stats.vr_batches += n.batches;
+        self.stats.vr_batches_aborted += n.batches_aborted;
+        self.stats.vr_lanes_spawned += n.lanes_spawned;
+        self.stats.vr_lanes_invalidated += n.lanes_invalidated;
+        self.stats.vr_no_stride_intervals += u64::from(n.no_stride);
+        if let Some(t) = &mut self.telemetry {
+            t.on_exit(c, &n, exit);
+        }
+        if !ep.decoupled && self.ra_cfg.kind != RunaheadKind::Precise {
             self.flush_after_head(c);
         }
-        self.release_engine(ep.engine);
+    }
+
+    /// Which kind of engine this core's episodes run.
+    fn episode_kind(&self) -> EpisodeKind {
+        if self.ra_cfg.kind == RunaheadKind::Vector {
+            EpisodeKind::Vector
+        } else {
+            EpisodeKind::Scalar
+        }
     }
 
     /// Applies the configured [`crate::FaultPlan`] for this cycle.
@@ -1407,16 +1252,9 @@ impl Simulator {
                 }
             }
             if rng.chance(plan.poison_lanes) {
-                if let Some(ep) = &mut self.runahead {
-                    let n = match &mut ep.engine {
-                        Engine::Scalar(_) => 0,
-                        Engine::Vector(eng) => eng.poison_lanes(&mut rng, 0.5),
-                        #[cfg(test)]
-                        Engine::RefVector(eng) => eng.poison_lanes(&mut rng, 0.5),
-                    };
-                    if n > 0 {
-                        self.stats.faults_injected += 1;
-                    }
+                let eng = self.engine.as_mut().expect("a live episode has an engine");
+                if eng.poison_lanes(&mut rng, 0.5) > 0 {
+                    self.stats.faults_injected += 1;
                 }
             }
         }
@@ -1424,7 +1262,7 @@ impl Simulator {
     }
 
     fn maybe_trigger(&mut self, c: u64) {
-        if self.runahead.is_some() || self.ra_cfg.kind == RunaheadKind::None {
+        if self.runahead.is_some() || self.engine.is_none() {
             return;
         }
         // Canonical trigger: back-end full (ROB or an equivalent
@@ -1442,23 +1280,12 @@ impl Simulator {
         let blocked_dst = head.step.inst.dst();
         let mut cpu = self.committed;
         cpu.set_pc(trigger_pc);
-        let engine = match self.ra_cfg.kind {
-            RunaheadKind::Classic => Engine::Scalar(self.checkout_scalar(cpu, blocked_dst)),
-            // PRE's slice filtering focuses the same front-end
-            // bandwidth on load slices; modelled at core width with no
-            // exit flush (DESIGN.md §4).
-            RunaheadKind::Precise => Engine::Scalar(self.checkout_scalar(cpu, blocked_dst)),
-            RunaheadKind::Vector => self.checkout_vector_engine(cpu),
-            RunaheadKind::None => unreachable!(),
-        };
+        self.engine.as_mut().expect("checked above").reset(cpu, blocked_dst, None);
+        let kind = self.episode_kind();
         if let Some(t) = &mut self.telemetry {
-            let kind = match &engine {
-                Engine::Scalar(_) => EpisodeKind::Scalar,
-                _ => EpisodeKind::Vector,
-            };
             t.on_enter(trigger_pc, kind, false, c);
         }
-        self.runahead = Some(RunaheadEpisode { engine, end_at, decoupled: false });
+        self.runahead = Some(RunaheadEpisode { end_at, decoupled: false });
         self.stats.runahead_entries += 1;
     }
 
@@ -1477,16 +1304,11 @@ impl Simulator {
         if self.ms.stride_detector().confident_stride(load_pc).is_none() {
             return;
         }
-        let last_addr = entry.last_addr;
+        let base = Some((load_pc, entry.last_addr));
         let mut cpu = self.committed;
         cpu.set_pc(load_pc);
-        let mut engine = self.checkout_vector_engine(cpu);
-        match &mut engine {
-            Engine::Vector(eng) => eng.seed_base(load_pc, last_addr),
-            #[cfg(test)]
-            Engine::RefVector(eng) => eng.seed_base(load_pc, last_addr),
-            Engine::Scalar(_) => unreachable!("vector trigger checks out a vector engine"),
-        }
+        let Some(eng) = self.engine.as_mut() else { return };
+        eng.reset(cpu, None, base);
         // Clamp the episode against the watchdog budget so a decoupled
         // episode can never outlive the deadlock detector, and saturate
         // the cycle math so a pathological `c` near u64::MAX cannot
@@ -1496,7 +1318,7 @@ impl Simulator {
             t.on_enter(load_pc, EpisodeKind::Vector, true, c);
         }
         self.runahead =
-            Some(RunaheadEpisode { engine, end_at: c.saturating_add(interval), decoupled: true });
+            Some(RunaheadEpisode { end_at: c.saturating_add(interval), decoupled: true });
         self.stats.runahead_entries += 1;
     }
 
@@ -1932,6 +1754,21 @@ impl Simulator {
 
     // ---- dispatch ---------------------------------------------------
 
+    /// Whether a back-end resource — ROB, IQ, LQ/SQ or a free physical
+    /// register — blocks dispatching `inst`. The one definition both
+    /// dispatch and the fast-forward proof read.
+    fn dispatch_blocked(&self, inst: Inst) -> bool {
+        self.rob_len() >= self.cfg.rob
+            || self.iq_used >= self.cfg.iq
+            || (inst.is_load() && self.lq_used >= self.cfg.lq)
+            || (inst.is_store() && self.stores.len() >= self.cfg.sq)
+            || match inst.dst() {
+                Some(RegRef::Int(_)) => self.free_int == 0,
+                Some(RegRef::Fp(_)) => self.free_fp == 0,
+                None => false,
+            }
+    }
+
     fn dispatch(&mut self, c: u64) {
         self.backend_stalled = false;
         for _ in 0..self.cfg.width {
@@ -1944,16 +1781,7 @@ impl Simulator {
                 break;
             }
             let inst = front.step.inst;
-            let blocked = self.rob_len() >= self.cfg.rob
-                || self.iq_used >= self.cfg.iq
-                || (inst.is_load() && self.lq_used >= self.cfg.lq)
-                || (inst.is_store() && self.stores.len() >= self.cfg.sq)
-                || match inst.dst() {
-                    Some(RegRef::Int(_)) => self.free_int == 0,
-                    Some(RegRef::Fp(_)) => self.free_fp == 0,
-                    None => false,
-                };
-            if blocked {
+            if self.dispatch_blocked(inst) {
                 self.backend_stalled = true;
                 break;
             }
@@ -2007,6 +1835,17 @@ impl Simulator {
 
     // ---- fetch ------------------------------------------------------
 
+    /// Whether the mispredicted branch `bseq` has resolved by cycle `c`
+    /// (it left the window, or completed): fetch clears the redirect
+    /// then. The one definition both fetch and the fast-forward proof
+    /// read. Seq-addressed slab: the branch, if still in flight, lives
+    /// at `slot(bseq)` — no scan needed.
+    fn branch_resolved(&self, bseq: u64, c: u64) -> bool {
+        self.rob_head_seq == self.rob_end_seq
+            || bseq < self.rob_head_seq
+            || (bseq < self.rob_end_seq && self.slot(bseq).done_by(c))
+    }
+
     fn fetch(&mut self, c: u64) -> Result<(), SimError> {
         // Non-decoupled runahead owns the front-end.
         if matches!(&self.runahead, Some(ep) if !ep.decoupled) {
@@ -2015,14 +1854,7 @@ impl Simulator {
         // Misprediction: fetch resumes the cycle after the branch
         // resolves.
         if let Some(bseq) = self.pending_branch {
-            // Seq-addressed slab: the branch (if still in flight)
-            // lives at `slot(bseq)` — no scan needed.
-            let resolved = if self.rob_head_seq == self.rob_end_seq || bseq < self.rob_head_seq {
-                true
-            } else {
-                bseq < self.rob_end_seq && self.slot(bseq).done_by(c)
-            };
-            if resolved {
+            if self.branch_resolved(bseq, c) {
                 self.pending_branch = None;
             }
             return Ok(());
@@ -2216,7 +2048,18 @@ mod tests {
                         w.memory.clone(),
                         &w.init_regs,
                     );
-                    sim.set_use_reference_vector(reference);
+                    if reference {
+                        let (core, ra) = (CoreConfig::table1(), ra.clone());
+                        sim.set_engine(Box::new(
+                            crate::vector::reference::ReferenceVectorRunahead::new(
+                                Cpu::new(),
+                                &ra,
+                                core.width,
+                                core.fu.vec_alu,
+                            ),
+                        ));
+                        sim.set_every_cycle(true);
+                    }
                     sim.enable_telemetry(4096);
                     let stats = sim.try_run(40_000).expect("golden point runs clean");
                     let tel = sim.telemetry().expect("telemetry enabled");
@@ -2289,15 +2132,17 @@ mod tests {
     /// full tick per cycle. The complete `SimStats` must agree (cycles,
     /// stall counters, and the memory counters the booked retries
     /// stand in for), and the fast-forwarded run must tick less. Runs
-    /// the baseline core and the four vector configurations of the
-    /// SWAR-vs-reference test, on bfs over Kron and Urand and on a
-    /// kernel that floods the MSHR file.
+    /// the baseline core, classic runahead, PRE and the four vector
+    /// configurations of the SWAR-vs-reference test, on bfs over Kron
+    /// and Urand and on a kernel that floods the MSHR file.
     #[test]
     fn fast_forward_matches_every_cycle_ticking() {
         use vr_workloads::{gap, graph::GraphPreset, Scale};
 
         let configs = [
             RunaheadConfig::none(),
+            RunaheadConfig::of(RunaheadKind::Classic),
+            RunaheadConfig::of(RunaheadKind::Precise),
             RunaheadConfig::vector(),
             RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() },
             RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
@@ -2340,12 +2185,40 @@ mod tests {
                     let served: u64 = fast.mem.load_hits.iter().sum();
                     assert!(fast.mem.demand_loads > served, "demand loads must retry");
                     assert!(
-                        ra.kind == RunaheadKind::None || fast.mem.pf_dropped_mshr > 0,
+                        ra.kind != RunaheadKind::Vector || fast.mem.pf_dropped_mshr > 0,
                         "gathers must retry with {ra:?}"
                     );
                 }
             }
         }
+    }
+
+    /// The engine's counters fold into `SimStats` at episode exit, yet
+    /// a mid-episode `seal_stats` already counts what the live scalar
+    /// engine has pre-executed: the count never drops from one call to
+    /// the next, and it grows while an episode is live.
+    #[test]
+    fn mid_episode_seal_counts_live_runahead_insts() {
+        use vr_workloads::{gap, graph::GraphPreset, Scale};
+
+        let w = gap::bfs_on(&GraphPreset::Kron.generate(Scale::Test), GraphPreset::Kron);
+        let mut sim = Simulator::new(
+            CoreConfig::table1(),
+            MemConfig::table1(),
+            RunaheadConfig::of(RunaheadKind::Classic),
+            w.program.clone(),
+            w.memory.clone(),
+            &w.init_regs,
+        );
+        let (mut last, mut grew_live) = (0, false);
+        while !sim.finished(20_000) {
+            sim.advance().expect("runs clean");
+            let n = sim.seal_stats().runahead_insts;
+            assert!(n >= last, "runahead_insts dropped {last} -> {n} at cycle {}", sim.cycle);
+            grew_live |= sim.runahead.is_some() && n > last;
+            last = n;
+        }
+        assert!(grew_live, "no live episode pre-executed anything");
     }
 
     #[cfg(feature = "checked")]

@@ -10,11 +10,12 @@
 //!
 //! Each completed episode yields an [`EpisodeRecord`] (trigger PC,
 //! entry/exit cycle, batch and lane counts, how it ended) in a
-//! ring-buffered window; *running totals* are kept separately so they
-//! reconcile exactly with the [`crate::SimStats`] runahead counters
-//! even after the ring evicts old records.
+//! ring-buffered window, and its duration in a histogram. Run totals
+//! live only in [`crate::SimStats`].
 
 use vr_obs::{Histogram, Json, RingLog};
+
+use crate::runahead::EpisodeCounters;
 
 /// Which engine ran the episode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,59 +94,22 @@ pub struct Telemetry {
     episodes: RingLog<EpisodeRecord>,
     /// Episode durations in cycles (entry to exit).
     duration_hist: Histogram,
-    // Running totals — never evicted, so they reconcile exactly with
-    // the SimStats runahead counters.
-    entries: u64,
-    completed: u64,
-    aborted: u64,
-    batches: u64,
-    batches_aborted: u64,
-    lanes_spawned: u64,
-    lanes_invalidated: u64,
 }
 
 impl Telemetry {
     /// Creates a tracker retaining the last `capacity` completed
     /// episodes.
     pub fn new(capacity: usize) -> Telemetry {
-        Telemetry {
-            open: None,
-            episodes: RingLog::new(capacity),
-            duration_hist: Histogram::new(),
-            entries: 0,
-            completed: 0,
-            aborted: 0,
-            batches: 0,
-            batches_aborted: 0,
-            lanes_spawned: 0,
-            lanes_invalidated: 0,
-        }
+        Telemetry { open: None, episodes: RingLog::new(capacity), duration_hist: Histogram::new() }
     }
 
     pub(crate) fn on_enter(&mut self, trigger_pc: u64, kind: EpisodeKind, decoupled: bool, c: u64) {
         debug_assert!(self.open.is_none(), "episodes never nest");
-        self.entries += 1;
         self.open = Some(OpenEpisode { trigger_pc, entered_at: c, kind, decoupled });
     }
 
-    pub(crate) fn on_exit(
-        &mut self,
-        c: u64,
-        batches: u64,
-        batches_aborted: u64,
-        lanes_spawned: u64,
-        lanes_invalidated: u64,
-        exit: EpisodeExit,
-    ) {
+    pub(crate) fn on_exit(&mut self, c: u64, n: &EpisodeCounters, exit: EpisodeExit) {
         let Some(open) = self.open.take() else { return };
-        match exit {
-            EpisodeExit::Completed => self.completed += 1,
-            EpisodeExit::Aborted => self.aborted += 1,
-        }
-        self.batches += batches;
-        self.batches_aborted += batches_aborted;
-        self.lanes_spawned += lanes_spawned;
-        self.lanes_invalidated += lanes_invalidated;
         self.duration_hist.record(c.saturating_sub(open.entered_at));
         self.episodes.push(EpisodeRecord {
             trigger_pc: open.trigger_pc,
@@ -153,10 +117,10 @@ impl Telemetry {
             exited_at: c,
             kind: open.kind,
             decoupled: open.decoupled,
-            batches,
-            batches_aborted,
-            lanes_spawned,
-            lanes_invalidated,
+            batches: n.batches,
+            batches_aborted: n.batches_aborted,
+            lanes_spawned: n.lanes_spawned,
+            lanes_invalidated: n.lanes_invalidated,
             exit,
         });
     }
@@ -171,45 +135,6 @@ impl Telemetry {
         &self.duration_hist
     }
 
-    /// Episodes entered (reconciles with `SimStats::runahead_entries`).
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
-    /// Episodes that ran to their natural end.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Episodes aborted mid-flight (reconciles with
-    /// `SimStats::runahead_aborts`).
-    pub fn aborted(&self) -> u64 {
-        self.aborted
-    }
-
-    /// Total vector batches over all exited episodes (reconciles with
-    /// `SimStats::vr_batches`).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Total vector batches abandoned mid-flight.
-    pub fn batches_aborted(&self) -> u64 {
-        self.batches_aborted
-    }
-
-    /// Total SIMT lanes spawned (reconciles with
-    /// `SimStats::vr_lanes_spawned`).
-    pub fn lanes_spawned(&self) -> u64 {
-        self.lanes_spawned
-    }
-
-    /// Total lanes invalidated (reconciles with
-    /// `SimStats::vr_lanes_invalidated`).
-    pub fn lanes_invalidated(&self) -> u64 {
-        self.lanes_invalidated
-    }
-
     /// Whether an episode is currently in flight (entered, not yet
     /// exited).
     pub fn in_episode(&self) -> bool {
@@ -221,13 +146,6 @@ impl Telemetry {
     /// one (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("entries".into(), Json::U64(self.entries)),
-            ("completed".into(), Json::U64(self.completed)),
-            ("aborted".into(), Json::U64(self.aborted)),
-            ("batches".into(), Json::U64(self.batches)),
-            ("batches_aborted".into(), Json::U64(self.batches_aborted)),
-            ("lanes_spawned".into(), Json::U64(self.lanes_spawned)),
-            ("lanes_invalidated".into(), Json::U64(self.lanes_invalidated)),
             ("in_episode".into(), Json::Bool(self.open.is_some())),
             ("duration_cycles".into(), self.duration_hist.to_json()),
         ])
@@ -238,23 +156,27 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn counters(batches: u64, lanes_spawned: u64) -> EpisodeCounters {
+        EpisodeCounters { batches, lanes_spawned, ..EpisodeCounters::default() }
+    }
+
     #[test]
     fn enter_exit_records_an_episode() {
         let mut t = Telemetry::new(8);
         t.on_enter(0x40, EpisodeKind::Vector, false, 100);
         assert!(t.in_episode());
-        assert_eq!(t.entries(), 1);
-        t.on_exit(350, 3, 1, 24, 2, EpisodeExit::Completed);
+        t.on_exit(
+            350,
+            &EpisodeCounters { batches_aborted: 1, ..counters(3, 24) },
+            EpisodeExit::Completed,
+        );
         assert!(!t.in_episode());
-        assert_eq!(t.completed(), 1);
-        assert_eq!(t.aborted(), 0);
-        assert_eq!(t.batches(), 3);
-        assert_eq!(t.lanes_spawned(), 24);
         let ep: Vec<_> = t.episodes().collect();
         assert_eq!(ep.len(), 1);
         assert_eq!(ep[0].trigger_pc, 0x40);
         assert_eq!(ep[0].entered_at, 100);
         assert_eq!(ep[0].exited_at, 350);
+        assert_eq!((ep[0].batches, ep[0].batches_aborted, ep[0].lanes_spawned), (3, 1, 24));
         assert_eq!(ep[0].exit, EpisodeExit::Completed);
         assert_eq!(t.duration_hist().max(), Some(250));
     }
@@ -264,21 +186,17 @@ mod tests {
         let mut t = Telemetry::new(2);
         for i in 0..5u64 {
             t.on_enter(i, EpisodeKind::Scalar, false, i * 100);
-            t.on_exit(i * 100 + 10, 0, 0, 0, 0, EpisodeExit::Completed);
+            t.on_exit(i * 100 + 10, &counters(0, 0), EpisodeExit::Completed);
         }
         assert_eq!(t.episodes().count(), 2, "ring keeps the newest two");
-        assert_eq!(t.entries(), 5);
-        assert_eq!(t.completed(), 5);
-        assert_eq!(t.duration_hist().count(), 5);
+        assert_eq!(t.duration_hist().count(), 5, "the histogram keeps every episode");
     }
 
     #[test]
     fn aborts_are_distinguished() {
         let mut t = Telemetry::new(4);
         t.on_enter(0x10, EpisodeKind::Vector, true, 0);
-        t.on_exit(50, 1, 1, 8, 8, EpisodeExit::Aborted);
-        assert_eq!(t.aborted(), 1);
-        assert_eq!(t.completed(), 0);
+        t.on_exit(50, &counters(1, 8), EpisodeExit::Aborted);
         let ep: Vec<_> = t.episodes().collect();
         assert_eq!(ep[0].exit, EpisodeExit::Aborted);
         assert!(ep[0].decoupled);
@@ -287,22 +205,20 @@ mod tests {
     #[test]
     fn exit_without_enter_is_ignored() {
         let mut t = Telemetry::new(4);
-        t.on_exit(10, 1, 0, 1, 0, EpisodeExit::Completed);
-        assert_eq!(t.completed(), 0);
+        t.on_exit(10, &counters(1, 1), EpisodeExit::Completed);
         assert_eq!(t.episodes().count(), 0);
+        assert_eq!(t.duration_hist().count(), 0);
     }
 
     #[test]
     fn json_export_has_the_schema_fields() {
         let mut t = Telemetry::new(4);
         t.on_enter(0x40, EpisodeKind::Vector, false, 0);
-        t.on_exit(90, 2, 0, 16, 0, EpisodeExit::Completed);
+        t.on_exit(90, &counters(2, 16), EpisodeExit::Completed);
         let j = t.to_json();
-        for key in
-            ["entries", "completed", "aborted", "batches", "lanes_spawned", "duration_cycles"]
-        {
+        for key in ["in_episode", "duration_cycles"] {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
-        assert_eq!(j.get("batches").and_then(Json::as_u64), Some(2));
+        assert_eq!(j.get("in_episode"), Some(&Json::Bool(false)));
     }
 }

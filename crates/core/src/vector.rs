@@ -38,19 +38,19 @@
 //!
 //! # Hot-path memory discipline (DESIGN.md §12)
 //!
-//! The engine is pooled by the simulator and reused across episodes
-//! via [`VectorRunahead::reset`]. Scan and batch state are persistent
+//! The simulator builds one engine per core and re-arms it at every
+//! trigger (`RunaheadEngine::reset`). Scan and batch state are persistent
 //! sub-structs selected by a [`PhaseKind`] discriminant (no per-phase
 //! boxes), lane columns are grow-only and pre-sized to `vr_lanes` at
 //! construction (as are `pending_gather` and every scratch buffer), and
 //! overlays propagate via `StoreOverlay::merge_from` instead of
 //! `clone`. In steady state a batch allocates nothing.
 
-use vr_isa::{Cpu, FReg, Inst, Op, Program, Reg, RegRef, StoreOverlay, Width};
+use vr_isa::{Cpu, FReg, Inst, Op, Program, Reg, RegRef, SplitMix64, StoreOverlay, Width};
 
 use crate::config::RunaheadConfig;
 use crate::invariant;
-use crate::runahead::RaCtx;
+use crate::runahead::{EpisodeCounters, Idle, RaCtx, RunaheadEngine, VrStatus};
 use vr_mem::{Access, MemorySystem, Requestor};
 
 /// How many scalar gather sub-accesses the vector unit can inject into
@@ -70,28 +70,6 @@ pub(crate) const CHAIN_BUDGET: usize = 200;
 /// Instructions the scalar scan may process while looking for a
 /// striding load before giving up on vectorizing this interval.
 pub(crate) const SCAN_BUDGET: usize = 512;
-
-/// Result of one engine cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VrStatus {
-    /// Still working (scanning, gathering, or following a chain).
-    Working,
-    /// At a batch boundary with the interval over: safe to leave
-    /// runahead mode.
-    Finished,
-}
-
-/// An idle stretch of the engine, reported by
-/// [`VectorRunahead::idle_until`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Idle {
-    /// First cycle at which the engine may next do observable work.
-    pub until: u64,
-    /// Each idle cycle is one attempt at a gather sub-access that the
-    /// full MSHR file rejects: the caller books those attempts
-    /// ([`MemorySystem::book_rejected_loads`]).
-    pub retries: bool,
-}
 
 /// One bit per lane, packed into machine words so scan/filter/
 /// poisoning are word-wide bit operations instead of per-lane bool
@@ -243,7 +221,7 @@ fn for_each_lane(mask: LaneMask, k: usize, mut f: impl FnMut(usize)) {
 
 /// Struct-of-arrays lane state plus the chain bookkeeping of the
 /// current batch. Only lanes `0..k` are live; the column stride `cap`
-/// is grow-only so pooled engines never reallocate in steady state.
+/// is grow-only so a re-armed engine never reallocates in steady state.
 #[derive(Clone, Debug)]
 struct Batch {
     stride_pc: u64,
@@ -327,8 +305,8 @@ impl Batch {
         }
     }
 
-    /// Grows the column stride to at least `lanes` (a pool reset with
-    /// a wider config; a no-op in steady state).
+    /// Grows the column stride to at least `lanes` (a no-op once
+    /// pre-sized at construction).
     fn ensure_lanes(&mut self, lanes: usize) {
         if lanes <= self.cap {
             return;
@@ -364,8 +342,8 @@ enum PhaseKind {
     Batch,
 }
 
-/// The Vector Runahead engine for one runahead interval (pooled by the
-/// simulator and re-armed at each trigger via [`Self::reset`]).
+/// The Vector Runahead engine (built once per core by the simulator and
+/// re-armed in place at each trigger).
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone))]
 pub struct VectorRunahead {
@@ -433,166 +411,6 @@ impl VectorRunahead {
         }
     }
 
-    /// Re-arms a pooled engine for a new interval without giving back
-    /// any capacity (lane columns, overlays, scratch buffers all
-    /// survive; see DESIGN.md §12). State-identical to a fresh
-    /// [`Self::new`].
-    pub fn reset(&mut self, cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) {
-        assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);
-        self.lanes = cfg.vr_lanes;
-        self.termination_slack = cfg.termination_slack;
-        self.vir_pipelining = cfg.vir_pipelining;
-        self.vec_alu = vec_alu.max(1);
-        self.width = width;
-        self.phase = PhaseKind::Scan;
-        self.scan.cursor = cpu;
-        self.scan.overlay.clear();
-        self.scan.remaining = SCAN_BUDGET;
-        self.scan.dead = false;
-        self.next_base = None;
-        self.found_stride = false;
-        self.batches = 0;
-        self.batches_aborted = 0;
-        self.lanes_spawned = 0;
-        self.lanes_invalidated = 0;
-        self.batch.ensure_lanes(cfg.vr_lanes);
-        // The rest of the batch state is fully re-initialized by
-        // `start_batch`; nothing reads it while the phase is Scan.
-    }
-
-    /// Runs one cycle; `interval_over` is true once the blocking load
-    /// has returned (the engine then finishes the current batch and
-    /// reports [`VrStatus::Finished`] — delayed termination). The
-    /// cycles that report `Finished` are exactly those
-    /// [`Self::finishes`] names.
-    pub(crate) fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
-        #[cfg(feature = "checked")]
-        if let Err(e) = self.lane_mask_invariants() {
-            panic!("vector lane mask invariant violated: {e}");
-        }
-        if self.finishes(ctx.prog, ctx.now, interval_over) {
-            if self.phase == PhaseKind::Batch {
-                if ctx.now < self.batch.wait_until {
-                    // Bounded delayed termination (extension, off by
-                    // default): chain generation is stalled well into
-                    // the future behind a saturated memory system.
-                    self.batches_aborted += 1;
-                }
-                self.finish_batch();
-            }
-            return VrStatus::Finished;
-        }
-        match self.phase {
-            PhaseKind::Scan => self.step_scan(ctx),
-            PhaseKind::Batch => self.step_batch(ctx),
-        }
-        VrStatus::Working
-    }
-
-    /// Whether [`Self::step_cycle`] at `now` reports
-    /// [`VrStatus::Finished`] — the one exit predicate, which the
-    /// simulator's engine window also reads to stop before that cycle.
-    /// Only once the interval is over: while scanning, at a batch
-    /// boundary, or (bounded delayed termination) stalled more than
-    /// the slack short of the chain's barrier.
-    pub(crate) fn finishes(&self, prog: &Program, now: u64, interval_over: bool) -> bool {
-        if !interval_over {
-            return false;
-        }
-        match self.phase {
-            PhaseKind::Scan => true,
-            PhaseKind::Batch => {
-                let b = &self.batch;
-                if now < b.wait_until {
-                    self.termination_slack.is_some_and(|slack| b.wait_until - now > slack)
-                } else {
-                    !b.gather_outstanding() && self.at_boundary(prog)
-                }
-            }
-        }
-    }
-
-    /// Whether the batch's lockstep group is over: every lane died, or
-    /// lane 0 is back at the striding load, out of chain budget, or
-    /// off the program.
-    fn at_boundary(&self, prog: &Program) -> bool {
-        let b = &self.batch;
-        b.active.first().is_none_or(|lane0| {
-            let pc = b.pcs[lane0];
-            pc == b.stride_pc || b.chain_insts >= CHAIN_BUDGET || prog.fetch(pc).is_none()
-        })
-    }
-
-    /// The engine's next idle stretch, given the current cycle and the
-    /// episode's `end_at`: the first cycle at which it can next do
-    /// observable work (step lanes, finish, or have a memory access
-    /// accepted). `None` means the engine is (or may be) busy right
-    /// now. Used by the simulator's fast-forward to skip dead episode
-    /// cycles in bulk; must be conservative but cycle-exact when
-    /// `Some`. Past the chain's barrier the engine only idles against
-    /// a full MSHR file: retrying a gather sub-access (each cycle one
-    /// rejected attempt, [`Idle::retries`]) or waiting to issue a chain
-    /// scalar load (no attempt is made).
-    pub(crate) fn idle_until(
-        &self,
-        prog: &Program,
-        ms: &MemorySystem,
-        now: u64,
-        end_at: u64,
-    ) -> Option<Idle> {
-        let idle = |until| Idle { until, retries: false };
-        match self.phase {
-            PhaseKind::Scan => {
-                if now >= end_at {
-                    return None; // reports Finished this cycle
-                }
-                if self.scan.dead || self.scan.remaining == 0 {
-                    // Idle until the interval ends (then Finished).
-                    Some(idle(end_at))
-                } else {
-                    None // actively scanning
-                }
-            }
-            PhaseKind::Batch => {
-                let b = &self.batch;
-                if now >= b.wait_until {
-                    if b.gather_outstanding() {
-                        let (_, addr) = b.pending_gather[b.gather_cursor];
-                        let until = ms.load_rejected_until(addr, Requestor::Runahead, now)?;
-                        return Some(Idle { until, retries: true });
-                    }
-                    if self.at_boundary(prog) {
-                        return None; // the batch ends this cycle
-                    }
-                    return self.scalar_load_blocked(prog, ms, now).map(idle);
-                }
-                let w = b.wait_until;
-                match self.termination_slack {
-                    // No bounded termination: nothing observable can
-                    // happen before the barrier.
-                    None => Some(idle(w)),
-                    Some(slack) => {
-                        if w <= end_at {
-                            // `interval_over` stays false for every
-                            // cycle before the barrier: no abort.
-                            Some(idle(w))
-                        } else {
-                            // The abort predicate `w - t > slack` can
-                            // only hold at the first interval-over
-                            // cycle (the gap shrinks as t grows).
-                            let first = now.max(end_at);
-                            if w - first > slack {
-                                (first > now).then_some(idle(first))
-                            } else {
-                                Some(idle(w))
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Past the barrier, no gather outstanding, not at a batch
     /// boundary: when the next chain instruction is a scalar load whose
     /// operands are ready and the MSHR file is full, the cycle an
@@ -622,13 +440,6 @@ impl VectorRunahead {
             b.poisoned.words(),
             b.at_gather.words(),
         )
-    }
-
-    /// Capacities of the steady-state-critical buffers (diagnostic;
-    /// asserted stable by the alloc-budget test).
-    #[doc(hidden)]
-    pub fn buffer_caps(&self) -> (usize, usize, usize) {
-        (self.batch.pending_gather.capacity(), self.scratch_mem.capacity(), self.batch.cap)
     }
 
     // ---- scan phase -------------------------------------------------
@@ -957,24 +768,164 @@ impl VectorRunahead {
         self.phase == PhaseKind::Batch
     }
 
-    /// Seeds the first batch's base address for `stride_pc` from the
-    /// stride detector's most recent observation — used by the eager
-    /// (decoupled) trigger extension, where the committed register
-    /// state lags the triggering load by a full ROB.
-    pub fn seed_base(&mut self, stride_pc: u64, last_addr: u64) {
-        self.next_base = Some((stride_pc, last_addr));
+    /// Whether the batch's lockstep group is over: every lane died, or
+    /// lane 0 is back at the striding load, out of chain budget, or
+    /// off the program.
+    fn at_boundary(&self, prog: &Program) -> bool {
+        let b = &self.batch;
+        b.active.first().is_none_or(|lane0| {
+            let pc = b.pcs[lane0];
+            pc == b.stride_pc || b.chain_insts >= CHAIN_BUDGET || prog.fetch(pc).is_none()
+        })
+    }
+}
+
+impl RunaheadEngine for VectorRunahead {
+    /// Re-arms the engine for a new interval without giving back any
+    /// capacity (lane columns, overlays, scratch buffers all survive;
+    /// see DESIGN.md §12): state-identical to a fresh
+    /// [`VectorRunahead::new`]. `base` seeds the first batch of the
+    /// eager (decoupled) trigger extension, where the committed
+    /// register state lags the triggering load by a full ROB.
+    fn reset(&mut self, cpu: Cpu, _blocked_dst: Option<RegRef>, base: Option<(u64, u64)>) {
+        self.phase = PhaseKind::Scan;
+        self.scan.cursor = cpu;
+        self.scan.overlay.clear();
+        self.scan.remaining = SCAN_BUDGET;
+        self.scan.dead = false;
+        self.next_base = base;
+        self.found_stride = false;
+        self.batches = 0;
+        self.batches_aborted = 0;
+        self.lanes_spawned = 0;
+        self.lanes_invalidated = 0;
+        // The batch state is fully re-initialized by `start_batch`;
+        // nothing reads it while the phase is Scan.
     }
 
-    /// Fault injection: invalidates each still-active lane of the
-    /// current batch with probability `frac` (counted in
-    /// [`Self::lanes_invalidated`]). Returns how many lanes were
-    /// poisoned. A no-op outside a batch. Because lanes only generate
-    /// prefetches, poisoning them is architecturally invisible — the
-    /// differential oracle checks exactly that.
-    ///
-    /// The per-lane draws build a doom mask; the kill itself is a
-    /// single mask AND-NOT.
-    pub(crate) fn poison_lanes(&mut self, rng: &mut vr_isa::SplitMix64, frac: f64) -> u64 {
+    /// Runs one cycle; `interval_over` is true once the blocking load
+    /// has returned (the engine then finishes the current batch and
+    /// reports [`VrStatus::Finished`] — delayed termination). The
+    /// cycles that report `Finished` are exactly those
+    /// [`Self::finishes`] names.
+    fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
+        #[cfg(feature = "checked")]
+        if let Err(e) = self.lane_mask_invariants() {
+            panic!("vector lane mask invariant violated: {e}");
+        }
+        if self.finishes(ctx.prog, ctx.now, interval_over) {
+            if self.phase == PhaseKind::Batch {
+                if ctx.now < self.batch.wait_until {
+                    // Bounded delayed termination (extension, off by
+                    // default): chain generation is stalled well into
+                    // the future behind a saturated memory system.
+                    self.batches_aborted += 1;
+                }
+                self.finish_batch();
+            }
+            return VrStatus::Finished;
+        }
+        match self.phase {
+            PhaseKind::Scan => self.step_scan(ctx),
+            PhaseKind::Batch => self.step_batch(ctx),
+        }
+        VrStatus::Working
+    }
+
+    /// Whether [`Self::step_cycle`] at `now` reports
+    /// [`VrStatus::Finished`] — the one exit predicate, which the
+    /// simulator's engine window also reads to stop before that cycle.
+    /// Only once the interval is over: while scanning, at a batch
+    /// boundary, or (bounded delayed termination) stalled more than
+    /// the slack short of the chain's barrier.
+    fn finishes(&self, prog: &Program, now: u64, interval_over: bool) -> bool {
+        if !interval_over {
+            return false;
+        }
+        match self.phase {
+            PhaseKind::Scan => true,
+            PhaseKind::Batch => {
+                let b = &self.batch;
+                if now < b.wait_until {
+                    self.termination_slack.is_some_and(|slack| b.wait_until - now > slack)
+                } else {
+                    !b.gather_outstanding() && self.at_boundary(prog)
+                }
+            }
+        }
+    }
+
+    /// The engine's next idle stretch, given the current cycle and the
+    /// episode's `end_at`: the first cycle at which it can next do
+    /// observable work (step lanes, finish, or have a memory access
+    /// accepted). `None` means the engine is (or may be) busy right
+    /// now. Used by the simulator's fast-forward to skip dead episode
+    /// cycles in bulk; must be conservative but cycle-exact when
+    /// `Some`. Past the chain's barrier the engine only idles against
+    /// a full MSHR file: retrying a gather sub-access (each cycle one
+    /// rejected attempt, [`Idle::retries`]) or waiting to issue a chain
+    /// scalar load (no attempt is made).
+    fn idle_until(&self, prog: &Program, ms: &MemorySystem, now: u64, end_at: u64) -> Option<Idle> {
+        let idle = |until| Idle { until, retries: false };
+        match self.phase {
+            PhaseKind::Scan => {
+                if now >= end_at {
+                    return None; // reports Finished this cycle
+                }
+                if self.scan.dead || self.scan.remaining == 0 {
+                    // Idle until the interval ends (then Finished).
+                    Some(idle(end_at))
+                } else {
+                    None // actively scanning
+                }
+            }
+            PhaseKind::Batch => {
+                let b = &self.batch;
+                if now >= b.wait_until {
+                    if b.gather_outstanding() {
+                        let (_, addr) = b.pending_gather[b.gather_cursor];
+                        let until = ms.load_rejected_until(addr, Requestor::Runahead, now)?;
+                        return Some(Idle { until, retries: true });
+                    }
+                    if self.at_boundary(prog) {
+                        return None; // the batch ends this cycle
+                    }
+                    return self.scalar_load_blocked(prog, ms, now).map(idle);
+                }
+                let w = b.wait_until;
+                match self.termination_slack {
+                    // No bounded termination: nothing observable can
+                    // happen before the barrier.
+                    None => Some(idle(w)),
+                    Some(slack) => {
+                        if w <= end_at {
+                            // `interval_over` stays false for every
+                            // cycle before the barrier: no abort.
+                            Some(idle(w))
+                        } else {
+                            // The abort predicate `w - t > slack` can
+                            // only hold at the first interval-over
+                            // cycle (the gap shrinks as t grows).
+                            let first = now.max(end_at);
+                            if w - first > slack {
+                                (first > now).then_some(idle(first))
+                            } else {
+                                Some(idle(w))
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Invalidates each still-active lane of the current batch with
+    /// probability `frac` (counted in `lanes_invalidated`); a no-op
+    /// outside a batch. Because lanes only generate prefetches,
+    /// poisoning them is architecturally invisible — the differential
+    /// oracle checks exactly that. The per-lane draws build a doom
+    /// mask; the kill itself is a single mask AND-NOT.
+    fn poison_lanes(&mut self, rng: &mut SplitMix64, frac: f64) -> u64 {
         if self.phase != PhaseKind::Batch {
             return 0;
         }
@@ -990,6 +941,25 @@ impl VectorRunahead {
         let n = doom.count() as u64;
         self.lanes_invalidated += n;
         n
+    }
+
+    fn counters(&self) -> EpisodeCounters {
+        EpisodeCounters {
+            insts: 0,
+            no_stride: !self.found_stride,
+            batches: self.batches,
+            batches_aborted: self.batches_aborted,
+            lanes_spawned: self.lanes_spawned,
+            lanes_invalidated: self.lanes_invalidated,
+        }
+    }
+
+    fn invariants(&self) -> Result<(), String> {
+        self.lane_mask_invariants()
+    }
+
+    fn buffer_caps(&self) -> Option<(usize, usize, usize)> {
+        Some((self.batch.pending_gather.capacity(), self.scratch_mem.capacity(), self.batch.cap))
     }
 }
 
@@ -1294,11 +1264,11 @@ pub fn hardware_overhead_bytes(lanes: usize) -> u64 {
 #[cfg(test)]
 #[allow(dead_code)]
 pub(crate) mod reference {
-    use super::{VrStatus, CHAIN_BUDGET, GATHER_ISSUE_PER_CYCLE, SCAN_BUDGET};
+    use super::{CHAIN_BUDGET, GATHER_ISSUE_PER_CYCLE, SCAN_BUDGET};
     use crate::config::RunaheadConfig;
-    use crate::runahead::RaCtx;
-    use vr_isa::{Cpu, Op, Reg, RegRef, StoreOverlay};
-    use vr_mem::{Access, Requestor};
+    use crate::runahead::{EpisodeCounters, Idle, RaCtx, RunaheadEngine, VrStatus};
+    use vr_isa::{Cpu, Op, Program, Reg, RegRef, SplitMix64, StoreOverlay};
+    use vr_mem::{Access, MemorySystem, Requestor};
 
     #[derive(Clone, Debug)]
     struct Lane {
@@ -1419,32 +1389,6 @@ pub(crate) mod reference {
                 batches_aborted: 0,
                 lanes_spawned: 0,
                 lanes_invalidated: 0,
-            }
-        }
-
-        pub fn reset(&mut self, cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) {
-            self.lanes = cfg.vr_lanes;
-            self.termination_slack = cfg.termination_slack;
-            self.vir_pipelining = cfg.vir_pipelining;
-            self.vec_alu = vec_alu.max(1);
-            self.width = width;
-            self.phase = PhaseKind::Scan;
-            self.scan.cursor = cpu;
-            self.scan.overlay.clear();
-            self.scan.remaining = SCAN_BUDGET;
-            self.scan.dead = false;
-            self.next_base = None;
-            self.found_stride = false;
-            self.batches = 0;
-            self.batches_aborted = 0;
-            self.lanes_spawned = 0;
-            self.lanes_invalidated = 0;
-        }
-
-        pub(crate) fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
-            match self.phase {
-                PhaseKind::Scan => self.step_scan(ctx, interval_over),
-                PhaseKind::Batch => self.step_batch(ctx, interval_over),
             }
         }
 
@@ -1756,12 +1700,42 @@ pub(crate) mod reference {
         pub fn in_batch(&self) -> bool {
             self.phase == PhaseKind::Batch
         }
+    }
 
-        pub fn seed_base(&mut self, stride_pc: u64, last_addr: u64) {
-            self.next_base = Some((stride_pc, last_addr));
+    /// The reference engine is never skipped: `finishes` and
+    /// `idle_until` give the conservative answers, so the simulator
+    /// runs every one of its cycles as a full tick.
+    impl RunaheadEngine for ReferenceVectorRunahead {
+        fn reset(&mut self, cpu: Cpu, _blocked_dst: Option<RegRef>, base: Option<(u64, u64)>) {
+            self.phase = PhaseKind::Scan;
+            self.scan.cursor = cpu;
+            self.scan.overlay.clear();
+            self.scan.remaining = SCAN_BUDGET;
+            self.scan.dead = false;
+            self.next_base = base;
+            self.found_stride = false;
+            self.batches = 0;
+            self.batches_aborted = 0;
+            self.lanes_spawned = 0;
+            self.lanes_invalidated = 0;
         }
 
-        pub(crate) fn poison_lanes(&mut self, rng: &mut vr_isa::SplitMix64, frac: f64) -> u64 {
+        fn step_cycle(&mut self, ctx: &mut RaCtx<'_>, interval_over: bool) -> VrStatus {
+            match self.phase {
+                PhaseKind::Scan => self.step_scan(ctx, interval_over),
+                PhaseKind::Batch => self.step_batch(ctx, interval_over),
+            }
+        }
+
+        fn finishes(&self, _prog: &Program, _now: u64, _interval_over: bool) -> bool {
+            true
+        }
+
+        fn idle_until(&self, _: &Program, _: &MemorySystem, _: u64, _: u64) -> Option<Idle> {
+            None
+        }
+
+        fn poison_lanes(&mut self, rng: &mut SplitMix64, frac: f64) -> u64 {
             if self.phase != PhaseKind::Batch {
                 return 0;
             }
@@ -1776,6 +1750,17 @@ pub(crate) mod reference {
             self.lanes_invalidated += n;
             n
         }
+
+        fn counters(&self) -> EpisodeCounters {
+            EpisodeCounters {
+                insts: 0,
+                no_stride: !self.found_stride,
+                batches: self.batches,
+                batches_aborted: self.batches_aborted,
+                lanes_spawned: self.lanes_spawned,
+                lanes_invalidated: self.lanes_invalidated,
+            }
+        }
     }
 }
 
@@ -1783,6 +1768,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::ReferenceVectorRunahead;
     use super::*;
+    use crate::runahead::ScalarRunahead;
     use vr_isa::{Asm, Memory, Program};
     use vr_mem::{MemConfig, MemorySystem};
 
@@ -1867,7 +1853,7 @@ mod tests {
 
     #[test]
     fn reset_matches_a_fresh_engine() {
-        // A pooled engine reset for a new interval must behave exactly
+        // An engine re-armed for a new interval must behave exactly
         // like a newly constructed one (DESIGN.md §12).
         let (prog, mem, mut ms, cpu, _) = indirect_setup();
         let cfg = RunaheadConfig { vr_lanes: 16, ..RunaheadConfig::vector() };
@@ -1882,7 +1868,7 @@ mod tests {
         run_engine(&mut pooled, &prog, &mem, &mut ms2, 500);
         let (_, _, mut ms3, _, _) = indirect_setup();
         let _ = stride_pc;
-        pooled.reset(cpu, &cfg, 5, 3);
+        pooled.reset(cpu, None, None);
         run_engine(&mut pooled, &prog, &mem, &mut ms3, 2000);
 
         assert_eq!(pooled.found_stride, fresh.found_stride);
@@ -1892,53 +1878,69 @@ mod tests {
         assert_eq!(pooled.batches_aborted, fresh.batches_aborted);
     }
 
-    /// `idle_until` is exact: over every idle stretch it reports,
-    /// stepping the engine cycle by cycle changes no engine state, and
-    /// no memory statistic but the booked gather retries. A 4-entry
-    /// MSHR file keeps the file full at gathers, chain scalar loads and
-    /// batch boundaries alike; the interval ends halfway, so delayed
-    /// termination is covered up to the finishing cycle.
-    #[test]
-    fn idle_stretches_match_stepping_every_cycle() {
-        for lanes in [8, 16] {
-            let mem_cfg = MemConfig { mshrs: 4, ..MemConfig::table1() };
-            let (prog, mem, mut ms, cpu, _) = indirect_setup_on(mem_cfg);
-            let cfg = RunaheadConfig { vr_lanes: lanes, ..RunaheadConfig::vector() };
-            let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
-            let end_at = 3000;
-            let (mut now, mut jumps, mut retries) = (0, 0, 0);
-            while !vr.finishes(&prog, now, now >= end_at) {
-                match vr.idle_until(&prog, &ms, now, end_at) {
-                    Some(idle) if idle.until > now => {
-                        let (mut stepped, mut stepped_ms) = (vr.clone(), ms.clone());
-                        for t in now..idle.until {
-                            let mut ctx =
-                                RaCtx { prog: &prog, mem: &mem, ms: &mut stepped_ms, now: t };
-                            assert_eq!(
-                                stepped.step_cycle(&mut ctx, t >= end_at),
-                                VrStatus::Working
-                            );
-                        }
-                        if idle.retries {
-                            ms.book_rejected_loads(Requestor::Runahead, idle.until - now);
-                            retries += 1;
-                        }
-                        assert_eq!(format!("{stepped:?}"), format!("{vr:?}"), "idle from {now}");
-                        assert_eq!(stepped_ms.stats(), ms.stats(), "idle from {now}");
-                        (ms, now, jumps) = (stepped_ms, idle.until, jumps + 1);
+    /// Runs `eng` up to its finishing cycle (the interval ends at
+    /// `end_at`), jumping every idle stretch it reports and checking
+    /// each against a clone stepped cycle by cycle: same engine state,
+    /// same memory statistics once the booked gather retries are added.
+    /// Returns the stretches jumped and how many booked retries.
+    fn check_idle_stretches<E: RunaheadEngine + Clone + std::fmt::Debug>(
+        eng: &mut E,
+        prog: &Program,
+        mem: &Memory,
+        ms: &mut MemorySystem,
+        end_at: u64,
+    ) -> (u64, u64) {
+        let (mut now, mut jumps, mut retries) = (0, 0, 0);
+        while !eng.finishes(prog, now, now >= end_at) {
+            match eng.idle_until(prog, ms, now, end_at) {
+                Some(idle) if idle.until > now => {
+                    let (mut stepped, mut stepped_ms) = (eng.clone(), ms.clone());
+                    for t in now..idle.until {
+                        let mut ctx = RaCtx { prog, mem, ms: &mut stepped_ms, now: t };
+                        assert_eq!(stepped.step_cycle(&mut ctx, t >= end_at), VrStatus::Working);
                     }
-                    _ => {
-                        let mut ctx = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now };
-                        assert_eq!(vr.step_cycle(&mut ctx, now >= end_at), VrStatus::Working);
-                        now += 1;
+                    if idle.retries {
+                        ms.book_rejected_loads(Requestor::Runahead, idle.until - now);
+                        retries += 1;
                     }
+                    assert_eq!(format!("{stepped:?}"), format!("{eng:?}"), "idle from {now}");
+                    assert_eq!(stepped_ms.stats(), ms.stats(), "idle from {now}");
+                    (*ms, now, jumps) = (stepped_ms, idle.until, jumps + 1);
+                }
+                _ => {
+                    let mut ctx = RaCtx { prog, mem, ms, now };
+                    assert_eq!(eng.step_cycle(&mut ctx, now >= end_at), VrStatus::Working);
+                    now += 1;
                 }
             }
+        }
+        let mut ctx = RaCtx { prog, mem, ms, now };
+        assert_eq!(eng.step_cycle(&mut ctx, true), VrStatus::Finished);
+        (jumps, retries)
+    }
+
+    /// `idle_until` is exact, for the vector and the scalar engine:
+    /// over every idle stretch it reports, stepping the engine cycle by
+    /// cycle changes no engine state, and no memory statistic but the
+    /// booked gather retries. A 4-entry MSHR file keeps the file full
+    /// at gathers, chain scalar loads and batch boundaries alike; the
+    /// interval ends halfway, so delayed termination is covered up to
+    /// the finishing cycle (the scalar engine's cursor dies first).
+    #[test]
+    fn idle_stretches_match_stepping_every_cycle() {
+        let mem_cfg = MemConfig { mshrs: 4, ..MemConfig::table1() };
+        for lanes in [8, 16] {
+            let (prog, mem, mut ms, cpu, _) = indirect_setup_on(mem_cfg.clone());
+            let cfg = RunaheadConfig { vr_lanes: lanes, ..RunaheadConfig::vector() };
+            let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
+            let (jumps, retries) = check_idle_stretches(&mut vr, &prog, &mem, &mut ms, 3000);
             assert!(vr.batches >= 2, "{lanes} lanes: {} batches", vr.batches);
             assert!(jumps > 0 && retries > 0, "{lanes} lanes: {jumps} jumps, {retries} retries");
-            let mut ctx = RaCtx { prog: &prog, mem: &mem, ms: &mut ms, now };
-            assert_eq!(vr.step_cycle(&mut ctx, true), VrStatus::Finished);
         }
+        let (prog, mem, mut ms, cpu, _) = indirect_setup_on(mem_cfg);
+        let mut scalar = ScalarRunahead::new(cpu, None, 5);
+        let (jumps, _) = check_idle_stretches(&mut scalar, &prog, &mem, &mut ms, 3000);
+        assert!(scalar.is_dead() && jumps > 0, "scalar: {jumps} jumps");
     }
 
     #[test]
@@ -2208,13 +2210,13 @@ mod tests {
         let (prog, mem, mut ms, cpu, _) = indirect_setup();
         let cfg = RunaheadConfig { vr_lanes: 64, ..RunaheadConfig::vector() };
         let mut vr = VectorRunahead::new(cpu, &cfg, 5, 3);
-        let caps0 = vr.buffer_caps();
+        let caps0 = vr.buffer_caps().expect("a vector engine reports its buffers");
         assert!(caps0.0 >= 64 && caps0.1 >= 64 && caps0.2 >= 64, "pre-size at construction");
         run_engine(&mut vr, &prog, &mem, &mut ms, 10_000);
-        assert_eq!(vr.buffer_caps(), caps0, "steady state must not regrow lane buffers");
-        // And a pooled reset keeps the capacity.
-        vr.reset(cpu, &cfg, 5, 3);
-        assert_eq!(vr.buffer_caps(), caps0);
+        assert_eq!(vr.buffer_caps(), Some(caps0), "steady state must not regrow lane buffers");
+        // And a re-arm keeps the capacity.
+        vr.reset(cpu, None, None);
+        assert_eq!(vr.buffer_caps(), Some(caps0));
     }
 
     #[test]

@@ -51,6 +51,8 @@ fn workloads() -> Vec<Workload> {
         hpcdb::kangaroo(Scale::Test),
         hpcdb::hashjoin(Scale::Test, 2),
         gap::bfs_on(&graph::kronecker(7, 8, 21), graph::GraphPreset::Kron),
+        // The Test-scale Kronecker graph the quick figures run on.
+        gap::bfs_on(&graph::GraphPreset::Kron.generate(Scale::Test), graph::GraphPreset::Kron),
     ]
 }
 
@@ -74,7 +76,7 @@ fn fault_injection_is_architecturally_invisible() {
     for w in workloads() {
         let (_, baseline) = run_to_halt(&w, RunaheadConfig::none());
         for kind in [RunaheadKind::Classic, RunaheadKind::Vector] {
-            for seed in [1u64, 0xDEAD_BEEF] {
+            for seed in [1u64, 2, 3, 0xDEAD_BEEF] {
                 let ra = RunaheadConfig {
                     fault_plan: Some(FaultPlan::chaos(seed)),
                     ..RunaheadConfig::of(kind)

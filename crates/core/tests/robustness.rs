@@ -146,6 +146,27 @@ fn zero_watchdog_is_a_bad_config() {
 }
 
 #[test]
+fn over_wide_vector_lanes_are_a_bad_config() {
+    // The engine is built in `new`; a lane count past the lane masks'
+    // capacity must still surface as a typed error, not a panic.
+    let mut a = Asm::new();
+    a.halt();
+    let ra = RunaheadConfig { vr_lanes: 1 << 20, ..RunaheadConfig::vector() };
+    let err = Simulator::new(
+        CoreConfig::table1(),
+        MemConfig::tiny_for_tests(),
+        ra,
+        a.assemble(),
+        Memory::new(),
+        &[],
+    )
+    .try_run(10)
+    .unwrap_err();
+    let SimError::BadConfig { what } = err else { panic!("expected BadConfig, got {err}") };
+    assert!(what.contains("lane-mask"), "{what}");
+}
+
+#[test]
 fn runaway_program_is_a_program_fault() {
     // No halt: fetch runs off the end of the program.
     let mut a = Asm::new();
