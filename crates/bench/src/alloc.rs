@@ -9,6 +9,11 @@
 //! every call into the global allocator across a measured region of
 //! interest and assert the delta is zero.
 //!
+//! It also keeps a high-water mark of live bytes (each call's `Layout`
+//! size, added on allocation and taken off on free), so a region that
+//! *must* allocate — building a workload image — can be held to what
+//! it keeps rather than to zero.
+//!
 //! This module is dependency-free: it wraps [`std::alloc::System`] and
 //! bumps relaxed atomics. It lives in the library unconditionally (the
 //! counters are inert unless registered via `#[global_allocator]`);
@@ -38,6 +43,11 @@ pub struct CountingAlloc {
     reallocs: AtomicU64,
     frees: AtomicU64,
     bytes: AtomicU64,
+    /// Bytes allocated and not yet freed, by each call's `Layout`.
+    live: AtomicU64,
+    /// The most `live` has been since construction or the last
+    /// [`CountingAlloc::reset_peak`].
+    peak: AtomicU64,
 }
 
 impl CountingAlloc {
@@ -49,6 +59,8 @@ impl CountingAlloc {
             reallocs: AtomicU64::new(0),
             frees: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            live: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
         }
     }
 
@@ -81,6 +93,35 @@ impl CountingAlloc {
     pub fn heap_ops(&self) -> u64 {
         self.allocations() + self.reallocations()
     }
+
+    /// Bytes allocated and not yet freed.
+    pub fn live_bytes(&self) -> u64 {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of [`CountingAlloc::live_bytes`] since
+    /// construction or the last [`CountingAlloc::reset_peak`]. A
+    /// reallocation that moves counts its old and new blocks both, as
+    /// both are held while the contents are copied.
+    pub fn peak_live_bytes(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current live bytes, so a
+    /// region's peak rise is `peak_live_bytes() - live_bytes()` read
+    /// at this call.
+    pub fn reset_peak(&self) {
+        self.peak.store(self.live_bytes(), Ordering::Relaxed);
+    }
+
+    fn grow(&self, size: usize) {
+        let live = self.live.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(&self, size: usize) {
+        self.live.fetch_sub(size as u64, Ordering::Relaxed);
+    }
 }
 
 impl Default for CountingAlloc {
@@ -96,23 +137,37 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            self.grow(layout.size());
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            self.grow(layout.size());
+        }
+        p
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.reallocs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            self.grow(new_size);
+            self.shrink(layout.size());
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         self.frees.fetch_add(1, Ordering::Relaxed);
+        self.shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -141,6 +196,26 @@ mod tests {
         assert_eq!(a.frees(), 1);
         assert_eq!(a.heap_ops(), 2);
         assert_eq!(a.bytes_allocated(), 64 + 128);
+        assert_eq!(a.live_bytes(), 0);
+        // The realloc held the 64-byte and 128-byte blocks at once.
+        assert_eq!(a.peak_live_bytes(), 64 + 128);
+    }
+
+    #[test]
+    fn peak_tracks_live_bytes_from_the_last_reset() {
+        let a = CountingAlloc::new();
+        let big = Layout::from_size_align(1000, 8).unwrap();
+        let small = Layout::from_size_align(10, 8).unwrap();
+        unsafe {
+            let p = a.alloc(big);
+            a.dealloc(p, big);
+            assert_eq!((a.live_bytes(), a.peak_live_bytes()), (0, 1000));
+            a.reset_peak();
+            let q = a.alloc(small);
+            assert_eq!((a.live_bytes(), a.peak_live_bytes()), (10, 10));
+            a.dealloc(q, small);
+        }
+        assert_eq!(a.peak_live_bytes(), 10);
     }
 
     #[test]

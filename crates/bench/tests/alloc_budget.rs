@@ -23,12 +23,20 @@
 //!   footprint — so the ROI exercises the full machinery: full-ROB
 //!   stalls, vectorized episode entry, gathers, episode exit flushes,
 //!   and the wakeup/flush paths of the slab scheduler.
+//!
+//! One more scenario bounds workload *generation* rather than the loop:
+//! a builder streams its arrays into `vr_isa::Memory`, so building an
+//! image may raise the heap's high-water mark by the pages it maps,
+//! their chunk tables and one write batch — never by a host-side copy
+//! of a whole array.
 
 use vr_bench::alloc::CountingAlloc;
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_isa::{Asm, Memory, Program, Reg};
 use vr_mem::MemConfig;
+use vr_workloads::graph::{kronecker, Csr, GraphPreset};
+use vr_workloads::{gap, hpcdb, Workload};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -142,7 +150,58 @@ fn single_core_roi(scenario: &str, prog: Program, mem: Memory) {
     );
 }
 
+/// Heap bytes behind one mapped 4 KiB page: the page and its `Arc`
+/// header (two counts).
+const PAGE_HEAP_BYTES: u64 = 4096 + 16;
+/// Heap bytes behind one 2 MiB chunk: its 512-entry page table and the
+/// table's `Arc` header.
+const CHUNK_HEAP_BYTES: u64 = 512 * 8 + 16;
+/// `Memory`'s bulk writers encode at most 64 Ki elements of 8 bytes at
+/// a time.
+const WRITE_BATCH_BYTES: u64 = (1 << 16) * 8;
+/// Room for what a builder allocates beside its image: the assembled
+/// program, its name and registers, and the memory's chunk vector.
+const BUILD_SLACK_BYTES: u64 = 64 << 10;
+
+/// Builds a workload over a fresh mid-size Kronecker graph and asserts
+/// that the build's high-water rise of live heap bytes is at most the
+/// pages it maps, their chunk tables and one write batch. The graph is
+/// generated before the measurement starts; its image is not, so the
+/// build maps (and is allowed) the graph's pages too.
+fn generation_budget(build: fn(&Csr) -> Workload) {
+    let g = kronecker(16, 16, 24301);
+    ALLOC.reset_peak();
+    let before = ALLOC.live_bytes();
+    let w = build(&g);
+    let rise = ALLOC.peak_live_bytes() - before;
+    let pages = w.memory.mapped_pages() as u64;
+    // Arena arrays are contiguous from a 2 MiB-aligned base, so the
+    // pages span at most one chunk more than they fill.
+    let chunks = pages.div_ceil(512) + 1;
+    let limit =
+        pages * PAGE_HEAP_BYTES + chunks * CHUNK_HEAP_BYTES + WRITE_BATCH_BYTES + BUILD_SLACK_BYTES;
+    assert!(
+        rise <= limit,
+        "building {} over {} edges raised live heap bytes by {rise}, over the {limit} its \
+         {pages} pages, {chunks} chunk tables and one write batch account for",
+        w.name,
+        g.num_edges(),
+    );
+    println!(
+        "alloc budget OK (generation): {} raised live heap bytes by {} KiB of the {} KiB its \
+         {pages} pages, {chunks} chunk tables and one write batch allow",
+        w.name,
+        rise >> 10,
+        limit >> 10,
+    );
+}
+
 fn main() {
+    // ---- Generation: `sssp_on` streams a weight per edge, NAS-CG a
+    // matrix value per edge, each straight into the image.
+    generation_budget(|g| gap::sssp_on(g, GraphPreset::Kron));
+    generation_budget(hpcdb::nas_cg_on);
+
     // 2^20 entries × 8 B × 2 tables = 16 MiB — several times the
     // Table 1 LLC, so the indirect loads keep missing to DRAM across
     // the whole run and runahead episodes never dry up.

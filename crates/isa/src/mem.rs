@@ -276,38 +276,57 @@ impl Memory {
     /// Writes `values` as a contiguous array of `N`-byte little-endian
     /// elements at `base`: encoded in bounded batches and handed to
     /// [`Memory::write_bytes`], so the page lookup is paid per page,
-    /// not per element.
-    fn write_le_slice<T: Copy, const N: usize>(
+    /// not per element, and a generator is drawn one batch at a time
+    /// instead of collected first. Every bulk writer is this one loop.
+    fn write_le<T, const N: usize>(
         &mut self,
         base: u64,
-        values: &[T],
+        values: impl IntoIterator<Item = T>,
         le_bytes: impl Fn(T) -> [u8; N],
     ) {
         // Elements per batch; bounds the temporary byte buffer.
         const BATCH: usize = 1 << 16;
-        let mut bytes = Vec::with_capacity(values.len().min(BATCH) * N);
-        for (bi, batch) in values.chunks(BATCH).enumerate() {
+        let mut values = values.into_iter();
+        let mut bytes = Vec::with_capacity(values.size_hint().0.min(BATCH) * N);
+        let mut addr = base;
+        loop {
             bytes.clear();
-            for &v in batch {
+            for v in values.by_ref().take(BATCH) {
                 bytes.extend_from_slice(&le_bytes(v));
             }
-            self.write_bytes(base.wrapping_add((bi * BATCH * N) as u64), &bytes);
+            if bytes.is_empty() {
+                return;
+            }
+            self.write_bytes(addr, &bytes);
+            addr = addr.wrapping_add(bytes.len() as u64);
         }
+    }
+
+    /// Writes the `u64` values `values` yields as a contiguous array at
+    /// `base`, without collecting them.
+    pub fn write_u64s(&mut self, base: u64, values: impl IntoIterator<Item = u64>) {
+        self.write_le(base, values, u64::to_le_bytes);
+    }
+
+    /// Writes the `f64` values `values` yields as a contiguous array at
+    /// `base`, without collecting them.
+    pub fn write_f64s(&mut self, base: u64, values: impl IntoIterator<Item = f64>) {
+        self.write_le(base, values, f64::to_le_bytes);
     }
 
     /// Writes a slice of `u64` values as a contiguous array at `base`.
     pub fn write_u64_slice(&mut self, base: u64, values: &[u64]) {
-        self.write_le_slice(base, values, u64::to_le_bytes);
+        self.write_u64s(base, values.iter().copied());
     }
 
     /// Writes a slice of `u32` values as a contiguous array at `base`.
     pub fn write_u32_slice(&mut self, base: u64, values: &[u32]) {
-        self.write_le_slice(base, values, u32::to_le_bytes);
+        self.write_le(base, values.iter().copied(), u32::to_le_bytes);
     }
 
     /// Writes a slice of `f64` values as a contiguous array at `base`.
     pub fn write_f64_slice(&mut self, base: u64, values: &[f64]) {
-        self.write_le_slice(base, values, f64::to_le_bytes);
+        self.write_f64s(base, values.iter().copied());
     }
 
     /// Reads `len` consecutive `u64` values starting at `base`.
@@ -496,6 +515,30 @@ mod tests {
         m.write_f64_slice(0x4000, &[0.5, -1.0]);
         assert_eq!(m.read_f64(0x4000), 0.5);
         assert_eq!(m.read_f64(0x4008), -1.0);
+    }
+
+    #[test]
+    fn streamed_writes_match_element_by_element_writes() {
+        // Mid-page and off an 8-byte boundary, so elements straddle
+        // pages; each array runs past one 64 Ki-element batch.
+        const BASE: u64 = 0x3_0ffc;
+        const LEN: u64 = (1 << 16) + 1000;
+        const F_BASE: u64 = BASE + 8 * LEN;
+        let int = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let float = |i: u64| i as f64 / 3.0 - 7.0;
+        let mut streamed = Memory::new();
+        streamed.write_u64s(BASE, (0..LEN).map(int));
+        streamed.write_f64s(F_BASE, (0..LEN).map(float));
+        let mut by_element = Memory::new();
+        for i in 0..LEN {
+            by_element.write_u64(BASE + 8 * i, int(i));
+            by_element.write_f64(F_BASE + 8 * i, float(i));
+        }
+        assert_eq!(streamed.mapped_pages(), by_element.mapped_pages());
+        assert_eq!(streamed.digest(), by_element.digest());
+        for a in (BASE - 16..F_BASE + 8 * LEN + 16).step_by(8) {
+            assert_eq!(streamed.read_u64(a), by_element.read_u64(a), "at {a:#x}");
+        }
     }
 
     #[test]

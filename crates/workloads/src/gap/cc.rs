@@ -17,8 +17,7 @@ pub fn cc_on(g: &Csr, preset: GraphPreset) -> Workload {
     let mut img = load_graph(g);
     let n = img.n;
     let comp = img.arena.alloc_u64s(n);
-    let labels: Vec<u64> = (0..n).collect();
-    img.memory.write_u64_slice(comp, &labels);
+    img.memory.write_u64s(comp, 0..n);
 
     let mut a = Asm::new();
     let (row, col, cmp) = (Reg::A0, Reg::A1, Reg::A2);

@@ -21,9 +21,7 @@ pub fn pr_on(g: &Csr, preset: GraphPreset) -> Workload {
     let consts = img.arena.alloc_u64s(2);
 
     let init_rank = 1.0 / n as f64;
-    let contribs: Vec<f64> =
-        (0..n as usize).map(|v| init_rank / g.degree(v).max(1) as f64).collect();
-    img.memory.write_f64_slice(contrib, &contribs);
+    img.memory.write_f64s(contrib, (0..n as usize).map(|v| init_rank / g.degree(v).max(1) as f64));
     img.memory.write_f64(consts, 0.15 / n as f64);
     img.memory.write_f64(consts + 8, 0.85);
 

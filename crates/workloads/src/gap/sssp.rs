@@ -30,9 +30,8 @@ pub fn sssp_on(g: &Csr, preset: GraphPreset) -> Workload {
     let dist = img.arena.alloc_u64s(n);
     let weights = img.arena.alloc_u64s(m.max(1));
     let src = source_vertex(g);
-    let dists: Vec<u64> = (0..n).map(|v| if v == src { 0 } else { INF }).collect();
-    img.memory.write_u64_slice(dist, &dists);
-    img.memory.write_u64_slice(weights, &(0..m).map(weight).collect::<Vec<_>>());
+    img.memory.write_u64s(dist, (0..n).map(|v| if v == src { 0 } else { INF }));
+    img.memory.write_u64s(weights, (0..m).map(weight));
 
     let mut a = Asm::new();
     let (row, col, dst_arr, wts) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3);

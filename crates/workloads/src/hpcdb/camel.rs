@@ -27,8 +27,8 @@ pub fn camel(scale: Scale) -> Workload {
     let idx = arena.alloc_u64s(iters);
     let data = arena.alloc_u64s(len);
     let result = arena.alloc_u64s(1);
-    memory.write_u64_slice(idx, &xorshift_stream(0xCA, iters, len));
-    memory.write_u64_slice(data, &xorshift_stream(0xE1, len, u64::MAX));
+    memory.write_u64s(idx, xorshift_stream(0xCA, iters, len));
+    memory.write_u64s(data, xorshift_stream(0xE1, len, u64::MAX));
 
     let mut a = Asm::new();
     let (idx_r, data_r, res) = (Reg::A0, Reg::A1, Reg::A6);
@@ -82,10 +82,9 @@ pub fn camel(scale: Scale) -> Workload {
 pub fn camel_reference(scale: Scale) -> u64 {
     let len = table_len(scale);
     let iters = iter_count(scale);
-    let idx = xorshift_stream(0xCA, iters, len);
-    let data = xorshift_stream(0xE1, len, u64::MAX);
+    let data: Vec<u64> = xorshift_stream(0xE1, len, u64::MAX).collect();
     let mut acc = 0x1234_5678u64;
-    for (i, &ix) in idx.iter().enumerate() {
+    for (i, ix) in xorshift_stream(0xCA, iters, len).enumerate() {
         acc ^= data[ix as usize];
         if (i as u64).is_multiple_of(HUMP) {
             for _ in 0..MIX_ROUNDS {

@@ -35,8 +35,8 @@ pub fn hashjoin(scale: Scale, depth: u32) -> Workload {
     let keys = arena.alloc_u64s(iters);
     let table = arena.alloc_u64s(len);
     let result = arena.alloc_u64s(1);
-    memory.write_u64_slice(keys, &xorshift_stream(0x4A11, iters, u64::MAX));
-    memory.write_u64_slice(table, &xorshift_stream(0x7AB1 ^ u64::from(depth), len, u64::MAX));
+    memory.write_u64s(keys, xorshift_stream(0x4A11, iters, u64::MAX));
+    memory.write_u64s(table, xorshift_stream(0x7AB1 ^ u64::from(depth), len, u64::MAX));
 
     let mut a = Asm::new();
     let (keys_r, table_r, res) = (Reg::A0, Reg::A1, Reg::A6);
@@ -85,11 +85,9 @@ pub fn hashjoin_reference(scale: Scale, depth: u32) -> u64 {
     let len = table_len(scale);
     let mask = len - 1;
     let iters = iter_count(scale);
-    let keys = xorshift_stream(0x4A11, iters, u64::MAX);
-    let table = xorshift_stream(0x7AB1 ^ u64::from(depth), len, u64::MAX);
+    let table: Vec<u64> = xorshift_stream(0x7AB1 ^ u64::from(depth), len, u64::MAX).collect();
     let mut acc = 0u64;
-    for &key in &keys {
-        let mut k = key;
+    for mut k in xorshift_stream(0x4A11, iters, u64::MAX) {
         for _ in 0..depth {
             k = table[hash(k, mask) as usize];
         }

@@ -25,9 +25,9 @@ pub fn kangaroo(scale: Scale) -> Workload {
     let b_arr = arena.alloc_u64s(len);
     let c_arr = arena.alloc_u64s(len);
     let result = arena.alloc_u64s(1);
-    memory.write_u64_slice(a_arr, &xorshift_stream(0xA0, iters, len));
-    memory.write_u64_slice(b_arr, &xorshift_stream(0xB0, len, len));
-    memory.write_u64_slice(c_arr, &xorshift_stream(0xC0, len, u64::MAX));
+    memory.write_u64s(a_arr, xorshift_stream(0xA0, iters, len));
+    memory.write_u64s(b_arr, xorshift_stream(0xB0, len, len));
+    memory.write_u64s(c_arr, xorshift_stream(0xC0, len, u64::MAX));
 
     let mut asm = Asm::new();
     let (ar, br, cr, res) = (Reg::A0, Reg::A1, Reg::A2, Reg::A6);
@@ -79,14 +79,13 @@ pub fn kangaroo(scale: Scale) -> Workload {
 pub fn kangaroo_reference(scale: Scale) -> u64 {
     let len = table_len(scale);
     let iters = iter_count(scale);
-    let a = xorshift_stream(0xA0, iters, len);
-    let b = xorshift_stream(0xB0, len, len);
-    let c = xorshift_stream(0xC0, len, u64::MAX);
+    let b: Vec<u64> = xorshift_stream(0xB0, len, len).collect();
+    let c: Vec<u64> = xorshift_stream(0xC0, len, u64::MAX).collect();
     let mix = |v: u64| {
         let v = v ^ (v >> 9);
         v.wrapping_mul(5) & (len - 1)
     };
-    a.iter().fold(0u64, |acc, &v| {
+    xorshift_stream(0xA0, iters, len).fold(0u64, |acc, v| {
         let v1 = b[mix(v) as usize];
         acc.wrapping_add(c[mix(v1) as usize])
     })

@@ -16,7 +16,7 @@ mod randomaccess;
 pub use camel::{camel, camel_reference};
 pub use hashjoin::{hashjoin, hashjoin_reference};
 pub use kangaroo::{kangaroo, kangaroo_reference};
-pub use nas::{nas_cg, nas_cg_reference, nas_is, nas_is_reference};
+pub use nas::{nas_cg, nas_cg_on, nas_cg_reference, nas_is, nas_is_reference};
 pub use randomaccess::{randomaccess, randomaccess_reference};
 
 use crate::gap::bfs;
@@ -41,17 +41,16 @@ pub(crate) fn iter_count(scale: Scale) -> u64 {
     }
 }
 
-/// Deterministic xorshift64 stream used to fill index tables.
-pub(crate) fn xorshift_stream(seed: u64, n: u64, modulus: u64) -> Vec<u64> {
+/// Deterministic xorshift64 stream used to fill index tables: the
+/// builders write it straight into memory, the references collect it.
+pub(crate) fn xorshift_stream(seed: u64, n: u64, modulus: u64) -> impl Iterator<Item = u64> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..n)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % modulus
-        })
-        .collect()
+    (0..n).map(move |_| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % modulus
+    })
 }
 
 /// Graph500: breadth-first search over a Kronecker graph with
@@ -74,11 +73,35 @@ mod tests {
 
     #[test]
     fn xorshift_stream_is_deterministic_and_bounded() {
-        let a = xorshift_stream(42, 100, 64);
-        let b = xorshift_stream(42, 100, 64);
-        assert_eq!(a, b);
+        let a: Vec<u64> = xorshift_stream(42, 100, 64).collect();
+        assert!(xorshift_stream(42, 100, 64).eq(a.iter().copied()));
         assert!(a.iter().all(|&v| v < 64));
-        assert_ne!(a, xorshift_stream(43, 100, 64));
+        assert!(!xorshift_stream(43, 100, 64).eq(a.iter().copied()));
+    }
+
+    /// Digests and page counts of the Test-scale images in
+    /// `hpcdb_suite` order, taken when every table was collected into a
+    /// `Vec` (and NAS-CG's values written one element at a time) before
+    /// it was written into memory.
+    #[test]
+    fn images_digest_as_when_their_tables_were_collected_first() {
+        const PINS: [(&str, u64, usize); 8] = [
+            ("Camel", 0xd5e5_54a2_1e80_a06b, 6),
+            ("Graph500", 0xaed0_9e17_4e55_d162, 12),
+            ("HJ2", 0xb4e5_8f69_b468_eaa8, 6),
+            ("HJ8", 0x6ea4_a18d_0457_0d74, 6),
+            ("Kangaroo", 0x21f5_7269_a9a9_e495, 8),
+            ("NAS-CG", 0x2d9e_2119_2976_6035, 19),
+            ("NAS-IS", 0x0857_f9be_86e9_e7f0, 8),
+            ("RandomAccess", 0x8263_9d51_255b_0618, 4),
+        ];
+        let suite = crate::hpcdb_suite(Scale::Test);
+        assert_eq!(suite.len(), PINS.len());
+        for (w, (name, digest, pages)) in suite.iter().zip(PINS) {
+            assert_eq!(w.name, name);
+            assert_eq!(w.memory.digest(), digest, "{name}");
+            assert_eq!(w.memory.mapped_pages(), pages, "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use vr_isa::{Asm, FReg, Reg};
 
-use crate::graph::uniform;
+use crate::gap::load_graph;
+use crate::graph::{uniform, Csr};
 use crate::hpcdb::{iter_count, table_len, xorshift_stream};
 use crate::layout::Arena;
 use crate::{Scale, Workload};
@@ -19,30 +20,36 @@ fn cg_value(e: u64) -> f64 {
     ((e % 97) as f64 + 1.0) / 97.0
 }
 
-/// Builds the NAS-CG sparse matvec. `w` lands in its output array.
-pub fn nas_cg(scale: Scale) -> Workload {
+/// Deterministic input-vector value per vertex.
+fn p_value(v: u64) -> f64 {
+    ((v % 31) as f64 - 15.0) / 31.0
+}
+
+/// The sparse matrix of NAS-CG at each scale.
+fn cg_matrix(scale: Scale) -> Csr {
     let (n, deg) = match scale {
         Scale::Test => (512, 8),
         Scale::Paper => (1 << 16, 24),
     };
-    let g = uniform(n, deg, 0xC6);
-    let m = g.num_edges() as u64;
+    uniform(n, deg, 0xC6)
+}
 
-    let mut arena = Arena::new();
-    let mut memory = vr_isa::Memory::new();
-    let row_ptr = arena.alloc_u64s(n as u64 + 1);
-    let col_idx = arena.alloc_u64s(m);
-    let a_vals = arena.alloc_u64s(m);
-    let p_vec = arena.alloc_u64s(n as u64);
-    let w_vec = arena.alloc_u64s(n as u64);
-    memory.write_u64_slice(row_ptr, g.row_ptr());
-    memory.write_u64_slice(col_idx, g.col_idx());
-    for e in 0..m {
-        memory.write_f64(a_vals + 8 * e, cg_value(e));
-    }
-    for v in 0..n as u64 {
-        memory.write_f64(p_vec + 8 * v, ((v % 31) as f64 - 15.0) / 31.0);
-    }
+/// Builds the NAS-CG sparse matvec over its matrix at `scale`. `w`
+/// lands in its output array.
+pub fn nas_cg(scale: Scale) -> Workload {
+    nas_cg_on(&cg_matrix(scale))
+}
+
+/// Builds the NAS-CG sparse matvec over the matrix `g`: `a[e]` and
+/// `p[v]` are deterministic functions of the edge and vertex index.
+pub fn nas_cg_on(g: &Csr) -> Workload {
+    let mut img = load_graph(g);
+    let (n, m) = (img.n, g.num_edges() as u64);
+    let a_vals = img.arena.alloc_u64s(m);
+    let p_vec = img.arena.alloc_u64s(n);
+    let w_vec = img.arena.alloc_u64s(n);
+    img.memory.write_f64s(a_vals, (0..m).map(cg_value));
+    img.memory.write_f64s(p_vec, (0..n).map(p_value));
 
     let mut a = Asm::new();
     let (row, col, av, pv, wv) = (Reg::A0, Reg::A1, Reg::A2, Reg::A3, Reg::A4);
@@ -86,26 +93,23 @@ pub fn nas_cg(scale: Scale) -> Workload {
     Workload {
         name: "NAS-CG".to_owned(),
         program: a.assemble(),
-        memory,
+        memory: img.memory,
         init_regs: vec![
-            (row, row_ptr),
-            (col, col_idx),
+            (row, img.row_ptr),
+            (col, img.col_idx),
             (av, a_vals),
             (pv, p_vec),
             (wv, w_vec),
-            (nreg, n as u64),
+            (nreg, n),
         ],
     }
 }
 
 /// Pure-Rust reference: the `w` vector.
 pub fn nas_cg_reference(scale: Scale) -> Vec<f64> {
-    let (n, deg) = match scale {
-        Scale::Test => (512, 8),
-        Scale::Paper => (1 << 16, 24),
-    };
-    let g = uniform(n, deg, 0xC6);
-    let p: Vec<f64> = (0..n as u64).map(|v| ((v % 31) as f64 - 15.0) / 31.0).collect();
+    let g = cg_matrix(scale);
+    let n = g.num_nodes();
+    let p: Vec<f64> = (0..n as u64).map(p_value).collect();
     (0..n)
         .map(|v| {
             let mut sum = 0.0;
@@ -127,7 +131,7 @@ pub fn nas_is(scale: Scale) -> Workload {
     let mut memory = vr_isa::Memory::new();
     let keys = arena.alloc_u64s(iters);
     let counts = arena.alloc_u64s(buckets);
-    memory.write_u64_slice(keys, &xorshift_stream(0x15, iters, buckets));
+    memory.write_u64s(keys, xorshift_stream(0x15, iters, buckets));
 
     let mut a = Asm::new();
     let (keys_r, counts_r) = (Reg::A0, Reg::A1);
@@ -163,9 +167,8 @@ pub fn nas_is(scale: Scale) -> Workload {
 pub fn nas_is_reference(scale: Scale) -> Vec<u64> {
     let buckets = table_len(scale) / 2;
     let iters = iter_count(scale) * 2;
-    let keys = xorshift_stream(0x15, iters, buckets);
     let mut counts = vec![0u64; buckets as usize];
-    for k in keys {
+    for k in xorshift_stream(0x15, iters, buckets) {
         counts[k as usize] += 1;
     }
     counts

@@ -19,7 +19,7 @@ pub fn randomaccess(scale: Scale) -> Workload {
     let mut memory = vr_isa::Memory::new();
     let rand_arr = arena.alloc_u64s(iters);
     let table = arena.alloc_u64s(len);
-    memory.write_u64_slice(rand_arr, &xorshift_stream(0x6055, iters, u64::MAX));
+    memory.write_u64s(rand_arr, xorshift_stream(0x6055, iters, u64::MAX));
 
     let mut a = Asm::new();
     let (rnd, tbl) = (Reg::A0, Reg::A1);
@@ -58,9 +58,8 @@ pub fn randomaccess_reference(scale: Scale) -> Vec<u64> {
     let len = table_len(scale);
     let mask = len - 1;
     let iters = iter_count(scale);
-    let rands = xorshift_stream(0x6055, iters, u64::MAX);
     let mut table = vec![0u64; len as usize];
-    for r in rands {
+    for r in xorshift_stream(0x6055, iters, u64::MAX) {
         table[(r & mask) as usize] ^= r;
     }
     table
