@@ -1006,7 +1006,7 @@ fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> R
     );
 
     // Chip-level fast-forward telemetry (an attachment in the JSON
-    // export, with no schema tag until ROADMAP item 1's export
+    // export, with no schema tag until the CPI-stack export
     // defines one): how the chip *simulated*, never
     // what it simulated — the figure's tables and stored records are
     // byte-identical with or without it. A direct probe run of one
@@ -1134,8 +1134,8 @@ fn table_hw(_opts: &Opts) -> Vec<Report> {
 /// telemetry enabled, asserts the trace is well-ordered, and renders
 /// the commit window with runahead episodes annotated (`<RA>` rows,
 /// `== runahead episode ==` separators). The full telemetry is
-/// attached to the JSON export, with no schema tag until ROADMAP item
-/// 1's export defines one.
+/// attached to the JSON export, with no schema tag until the CPI-stack
+/// export defines one.
 fn trace_cmd(opts: &Opts) -> Vec<Report> {
     use vr_core::PipelineTrace;
     const TRACE_WINDOW: usize = 64;

@@ -6,7 +6,7 @@
 //! the text output by construction — there is no second formatting
 //! path to drift. The JSON document is versioned
 //! ([`EXPERIMENTS_SCHEMA`], see DESIGN.md §10); attached telemetry
-//! sections carry no schema tag of their own yet — ROADMAP item 1's
+//! sections carry no schema tag of their own yet — the CPI-stack
 //! export defines one.
 
 use std::path::Path;
@@ -42,9 +42,9 @@ pub struct Report {
     sections: Vec<Section>,
     metrics: Vec<(String, f64)>,
     extra: Vec<(String, Json)>,
-    /// Set when the figure detected a failure (e.g. the fault oracle
-    /// found an architectural mismatch); the driver exits non-zero
-    /// after printing and exporting.
+    /// Set when the report detected a failure — `campaign run` when a
+    /// point failed, `campaign verify` when the store is not clean; the
+    /// driver exits non-zero after printing and exporting.
     pub failed: bool,
 }
 

@@ -13,11 +13,10 @@
 //!
 //! * [`fingerprint`] — [`PointKey`] and the [`CODE_SALT`] staleness
 //!   lever;
-//! * [`serial`] — exact (bit-identical round trip) JSON serialization
-//!   of the stats structs;
 //! * [`store`] — the on-disk store: atomic publishes, per-record
 //!   checksums, quarantine-not-crash corruption handling, `verify` /
-//!   `gc` maintenance;
+//!   `gc` maintenance; every stats record is written and read, bit
+//!   for bit, by its [`vr_obs::Counters`] impl;
 //! * [`engine`] — the campaign driver, the only thing that runs a point
 //!   list, one list per call in one process: scheduling through
 //!   `vr_pool::map`, per-attempt deadlines with an in-place retry,
@@ -34,7 +33,7 @@ pub mod chaos;
 pub mod chip;
 pub mod engine;
 pub mod fingerprint;
-pub mod serial;
+mod serial;
 pub mod store;
 
 pub use chip::{chip_point_key, ChipPoint, ChipSlot};
@@ -44,7 +43,6 @@ pub use engine::{
     StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
 };
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
-pub use serial::{chip_run_from_json, chip_run_to_json, stats_from_json, stats_to_json};
 pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,

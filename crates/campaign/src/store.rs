@@ -41,10 +41,11 @@
 //!
 //! **Corruption policy.** Every read fully validates the record: the
 //! embedded key against the filename, the payload checksum, a strict
-//! field-exhaustive parse of the payload by its tag (an unknown tag, or
-//! a kind the caller did not ask for, is corrupt), and the code-version
-//! salt last. Salt mismatch means *stale* (a legitimate record from an
-//! older simulator) — it is treated as a miss and left for `gc`.
+//! parse of the payload by its tag through the record's
+//! [`vr_obs::Counters`] impl (an unknown tag, or a kind the caller did
+//! not ask for, is corrupt), and the code-version salt last. Salt
+//! mismatch means *stale* (a legitimate record from an older
+//! simulator) — it is treated as a miss and left for `gc`.
 //! Everything else means *corrupt* — the record is moved into
 //! `quarantine/` (never deleted: the bytes may matter for diagnosis)
 //! and the point is recomputed. No store problem ever panics the
@@ -72,10 +73,10 @@ use std::time::Duration;
 
 use vr_chip::ChipRun;
 use vr_core::SimStats;
-use vr_obs::{Fnv64, Json, CAMPAIGN_SCHEMA, CHIPSTORE_SCHEMA, RESULTSTORE_SCHEMA};
+use vr_obs::{Counters, Fnv64, Json, CAMPAIGN_SCHEMA, CHIPSTORE_SCHEMA, RESULTSTORE_SCHEMA};
 
 use crate::fingerprint::{PointKey, CODE_SALT};
-use crate::serial::{chip_run_from_json, chip_run_to_json, stats_from_json, stats_to_json};
+use crate::serial::{chip_run_from_json, chip_run_to_json};
 
 /// Minimum age a `.tmp-*` file must reach before a default
 /// [`ResultStore::gc`] reclaims it. A temp file younger than this may
@@ -420,7 +421,7 @@ impl ResultStore {
     /// Returns the underlying I/O error (callers treat a failed save
     /// as "result not cached", never as a failed computation).
     pub fn save(&self, key: PointKey, label: &str, stats: &SimStats) -> io::Result<()> {
-        self.write(&self.records, key, label, RESULTSTORE_SCHEMA, stats_to_json(stats))
+        self.write(&self.records, key, label, RESULTSTORE_SCHEMA, stats.to_json())
     }
 
     /// Persists a whole chip run for `key` as one record, the same way
@@ -673,7 +674,7 @@ fn validate(text: &str, key: PointKey, want: Want) -> Result<Payload, Fault> {
     let label = text_field("label")?;
     let payload = match (text_field("schema")?, want) {
         (RESULTSTORE_SCHEMA, Want::Stats | Want::Result) => {
-            stats_from_json(body).ok().map(Payload::Stats)
+            SimStats::from_json(body).ok().map(Payload::Stats)
         }
         (CHIPSTORE_SCHEMA, Want::Chip(_) | Want::Result) => chip_run_from_json(body)
             .ok()

@@ -143,6 +143,18 @@ pub struct ChipStats {
     pub dram_writebacks: u64,
 }
 
+// The one field list the result store's writer and reader derive from
+// (in this order: the stored JSON order).
+vr_obs::counters!(ChipStats {
+    cycles,
+    bank_conflicts,
+    arbitration_stall_cycles,
+    shared_mshr_rejections,
+    llc_hits,
+    llc_misses,
+    dram_writebacks,
+});
+
 /// One core's workload assignment: the program/memory image, its
 /// initial registers, and the runahead technique this core runs
 /// (cores can mix VR-on and VR-off).

@@ -6,6 +6,7 @@ use std::time::Instant;
 use vr_frontend::{Btb, DirectionPredictor, Ras, TageScL};
 use vr_isa::{Cpu, Inst, Memory, OpClass, Program, Reg, RegRef, SplitMix64, Step};
 use vr_mem::{Access, HitLevel, MemConfig, MemorySystem, Requestor};
+use vr_obs::Counters;
 
 use crate::config::{CoreConfig, RunaheadConfig, RunaheadKind};
 use crate::error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};

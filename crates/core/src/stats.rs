@@ -10,10 +10,18 @@ pub struct SimStats {
     /// Committed (retired) instructions.
     pub instructions: u64,
 
-    /// Cycles on which commit made no progress while the ROB was
-    /// completely full (the trigger-opportunity metric of Fig. 2).
+    /// Cycles on which commit made no progress while the back end was
+    /// full: the ROB was full **or** dispatch was blocked on any
+    /// back-end resource (ROB, IQ, LQ/SQ or a free physical register)
+    /// — the same condition the runahead trigger reads (the
+    /// trigger-opportunity metric of Fig. 2). A subset of
+    /// [`SimStats::commit_stall_cycles`], not a count of full-ROB
+    /// cycles alone.
     pub full_rob_stall_cycles: u64,
-    /// Cycles on which commit made no progress for any reason.
+    /// Cycles on which commit made no progress (before the core
+    /// halts), for any reason. Includes every cycle of a coupled
+    /// runahead episode, since such an episode blocks commit
+    /// throughout (delayed termination included).
     pub commit_stall_cycles: u64,
 
     /// Conditional branches committed.
@@ -23,14 +31,20 @@ pub struct SimStats {
 
     /// Times a runahead interval was entered.
     pub runahead_entries: u64,
-    /// Cycles spent inside runahead intervals.
+    /// Cycles on which a runahead episode (coupled or decoupled) was
+    /// live: from its trigger until its engine finishes or is aborted,
+    /// so delayed termination past the interval end is included.
     pub runahead_cycles: u64,
     /// Instructions pre-executed by the scalar runahead engines.
     pub runahead_insts: u64,
     /// Cycles commit remained stalled *after* the blocking load had
     /// returned, because Vector Runahead's delayed termination had not
     /// finished the chain (the ~7% commit-stall cost the follow-on
-    /// paper measures).
+    /// paper measures). Booked once per episode, at its normal exit,
+    /// for coupled episodes only (an aborted episode books none).
+    /// These cycles are also counted in
+    /// [`SimStats::runahead_cycles`] and
+    /// [`SimStats::commit_stall_cycles`].
     pub delayed_termination_stall_cycles: u64,
 
     /// Vectorized batches executed by Vector Runahead.
@@ -60,92 +74,32 @@ pub struct SimStats {
     pub mshr_occupancy_integral: u64,
 }
 
-impl SimStats {
-    /// Counter-wise difference `self − earlier`: the statistics of the
-    /// region executed *between* two snapshots of the same simulator.
-    /// Used by [`crate::Simulator::run_roi`] to implement
-    /// warmup-then-measure (the paper's region-of-interest
-    /// methodology).
-    ///
-    /// Written with *exhaustive destructuring* — no `..` rest pattern —
-    /// so adding a counter to `SimStats` without deciding how it
-    /// subtracts is a compile error, not a silently-zero delta (the
-    /// memory-side counters get the same guarantee from
-    /// [`MemStats::delta`]).
-    pub fn delta(&self, earlier: &SimStats) -> SimStats {
-        fn sub(a: u64, b: u64) -> u64 {
-            a.saturating_sub(b)
-        }
-        // Both sides destructured exhaustively: a new field must be
-        // named here (twice) before this compiles again.
-        let SimStats {
-            cycles,
-            instructions,
-            full_rob_stall_cycles,
-            commit_stall_cycles,
-            branches,
-            mispredicts,
-            runahead_entries,
-            runahead_cycles,
-            runahead_insts,
-            delayed_termination_stall_cycles,
-            vr_batches,
-            vr_batches_aborted,
-            vr_lanes_spawned,
-            vr_lanes_invalidated,
-            vr_no_stride_intervals,
-            faults_injected,
-            runahead_aborts,
-            mem,
-            mshr_occupancy_integral,
-        } = *self;
-        let SimStats {
-            cycles: e_cycles,
-            instructions: e_instructions,
-            full_rob_stall_cycles: e_full_rob_stall_cycles,
-            commit_stall_cycles: e_commit_stall_cycles,
-            branches: e_branches,
-            mispredicts: e_mispredicts,
-            runahead_entries: e_runahead_entries,
-            runahead_cycles: e_runahead_cycles,
-            runahead_insts: e_runahead_insts,
-            delayed_termination_stall_cycles: e_delayed_termination_stall_cycles,
-            vr_batches: e_vr_batches,
-            vr_batches_aborted: e_vr_batches_aborted,
-            vr_lanes_spawned: e_vr_lanes_spawned,
-            vr_lanes_invalidated: e_vr_lanes_invalidated,
-            vr_no_stride_intervals: e_vr_no_stride_intervals,
-            faults_injected: e_faults_injected,
-            runahead_aborts: e_runahead_aborts,
-            mem: e_mem,
-            mshr_occupancy_integral: e_mshr_occupancy_integral,
-        } = *earlier;
-        SimStats {
-            cycles: sub(cycles, e_cycles),
-            instructions: sub(instructions, e_instructions),
-            full_rob_stall_cycles: sub(full_rob_stall_cycles, e_full_rob_stall_cycles),
-            commit_stall_cycles: sub(commit_stall_cycles, e_commit_stall_cycles),
-            branches: sub(branches, e_branches),
-            mispredicts: sub(mispredicts, e_mispredicts),
-            runahead_entries: sub(runahead_entries, e_runahead_entries),
-            runahead_cycles: sub(runahead_cycles, e_runahead_cycles),
-            runahead_insts: sub(runahead_insts, e_runahead_insts),
-            delayed_termination_stall_cycles: sub(
-                delayed_termination_stall_cycles,
-                e_delayed_termination_stall_cycles,
-            ),
-            vr_batches: sub(vr_batches, e_vr_batches),
-            vr_batches_aborted: sub(vr_batches_aborted, e_vr_batches_aborted),
-            vr_lanes_spawned: sub(vr_lanes_spawned, e_vr_lanes_spawned),
-            vr_lanes_invalidated: sub(vr_lanes_invalidated, e_vr_lanes_invalidated),
-            vr_no_stride_intervals: sub(vr_no_stride_intervals, e_vr_no_stride_intervals),
-            faults_injected: sub(faults_injected, e_faults_injected),
-            runahead_aborts: sub(runahead_aborts, e_runahead_aborts),
-            mem: mem.delta(&e_mem),
-            mshr_occupancy_integral: sub(mshr_occupancy_integral, e_mshr_occupancy_integral),
-        }
-    }
+// The one field list: `delta` (the region between two snapshots, as
+// `Simulator::run_roi` measures it), the result store's writer and its
+// reader all derive from it, in this order (the stored JSON order).
+vr_obs::counters!(SimStats {
+    cycles,
+    instructions,
+    full_rob_stall_cycles,
+    commit_stall_cycles,
+    branches,
+    mispredicts,
+    runahead_entries,
+    runahead_cycles,
+    runahead_insts,
+    delayed_termination_stall_cycles,
+    vr_batches,
+    vr_batches_aborted,
+    vr_lanes_spawned,
+    vr_lanes_invalidated,
+    vr_no_stride_intervals,
+    faults_injected,
+    runahead_aborts,
+    mem,
+    mshr_occupancy_integral,
+});
 
+impl SimStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -163,7 +117,9 @@ impl SimStats {
         self.mshr_occupancy_integral as f64 / self.cycles as f64
     }
 
-    /// Fraction of cycles stalled on a full ROB.
+    /// Fraction of cycles commit stalled behind a full back end
+    /// ([`SimStats::full_rob_stall_cycles`]: a full ROB or any other
+    /// back-end resource blocking dispatch).
     pub fn full_rob_stall_fraction(&self) -> f64 {
         if self.cycles == 0 {
             return 0.0;
@@ -222,6 +178,7 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_obs::Counters;
 
     #[test]
     fn ipc_and_guards() {

@@ -142,8 +142,8 @@ impl Telemetry {
     }
 
     /// JSON rendering of the aggregate state. Attached to reports
-    /// without a schema tag for now: ROADMAP item 1's export defines
-    /// one (DESIGN.md §10).
+    /// without a schema tag for now: the CPI-stack export defines one
+    /// (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("in_episode".into(), Json::Bool(self.open.is_some())),

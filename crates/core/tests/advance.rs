@@ -12,6 +12,7 @@
 use vr_core::{Advance, CoreConfig, RunaheadConfig, Simulator};
 use vr_isa::{Asm, Memory, Reg};
 use vr_mem::{MemConfig, MemStats, SharedLlc, SharedLlcConfig};
+use vr_obs::Counters;
 use vr_workloads::graph::GraphPreset;
 use vr_workloads::{gap, Scale};
 

@@ -613,6 +613,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_obs::Counters;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(MemConfig::tiny_for_tests())

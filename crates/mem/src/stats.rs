@@ -140,72 +140,30 @@ impl MemStats {
         }
         self.timeliness.map(|c| c as f64 / total as f64)
     }
-
-    /// Counters accumulated since `earlier` (saturating per field).
-    ///
-    /// Written with *exhaustive destructuring* — no `..` rest pattern —
-    /// so adding a counter to `MemStats` without deciding how it
-    /// subtracts is a compile error, not a silently-zero delta.
-    pub fn delta(&self, earlier: &MemStats) -> MemStats {
-        fn sub(a: u64, b: u64) -> u64 {
-            a.saturating_sub(b)
-        }
-        fn sub4(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-            [sub(a[0], b[0]), sub(a[1], b[1]), sub(a[2], b[2]), sub(a[3], b[3])]
-        }
-        // Both sides destructured exhaustively: a new field must be
-        // named here (twice) before this compiles again.
-        let MemStats {
-            demand_loads,
-            demand_stores,
-            load_hits,
-            load_merges,
-            dram_reads,
-            dram_writebacks,
-            pf_issued,
-            pf_used,
-            pf_dropped_mshr,
-            pf_dropped_fault,
-            pf_delayed_fault,
-            spec_stores,
-            timeliness,
-        } = *self;
-        let MemStats {
-            demand_loads: e_demand_loads,
-            demand_stores: e_demand_stores,
-            load_hits: e_load_hits,
-            load_merges: e_load_merges,
-            dram_reads: e_dram_reads,
-            dram_writebacks: e_dram_writebacks,
-            pf_issued: e_pf_issued,
-            pf_used: e_pf_used,
-            pf_dropped_mshr: e_pf_dropped_mshr,
-            pf_dropped_fault: e_pf_dropped_fault,
-            pf_delayed_fault: e_pf_delayed_fault,
-            spec_stores: e_spec_stores,
-            timeliness: e_timeliness,
-        } = *earlier;
-        MemStats {
-            demand_loads: sub(demand_loads, e_demand_loads),
-            demand_stores: sub(demand_stores, e_demand_stores),
-            load_hits: sub4(load_hits, e_load_hits),
-            load_merges: sub(load_merges, e_load_merges),
-            dram_reads: sub4(dram_reads, e_dram_reads),
-            dram_writebacks: sub(dram_writebacks, e_dram_writebacks),
-            pf_issued: sub4(pf_issued, e_pf_issued),
-            pf_used: sub4(pf_used, e_pf_used),
-            pf_dropped_mshr: sub(pf_dropped_mshr, e_pf_dropped_mshr),
-            pf_dropped_fault: sub(pf_dropped_fault, e_pf_dropped_fault),
-            pf_delayed_fault: sub(pf_delayed_fault, e_pf_delayed_fault),
-            spec_stores: sub(spec_stores, e_spec_stores),
-            timeliness: sub4(timeliness, e_timeliness),
-        }
-    }
 }
+
+// The one field list: `delta`, the result store's writer and its
+// reader all derive from it, in this order (the stored JSON order).
+vr_obs::counters!(MemStats {
+    demand_loads,
+    demand_stores,
+    load_hits,
+    load_merges,
+    dram_reads,
+    dram_writebacks,
+    pf_issued,
+    pf_used,
+    pf_dropped_mshr,
+    pf_dropped_fault,
+    pf_delayed_fault,
+    spec_stores,
+    timeliness,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_obs::Counters;
 
     #[test]
     fn mpki_math() {

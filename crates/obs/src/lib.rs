@@ -11,6 +11,9 @@
 //! * [`Histogram`] — power-of-two-bucketed `u64` histogram with exact
 //!   count/sum/min/max (used for the runahead-episode-duration
 //!   distribution);
+//! * [`Counters`] — the one trait every statistics record implements
+//!   from its one [`counters!`] field list: snapshot delta, exact JSON
+//!   writer and strict reader;
 //! * [`Json`] — a zero-dependency JSON value type with a serializer
 //!   and a strict parser, used for every machine-readable artifact the
 //!   `experiments` harness emits (`--json`) and for validating those
@@ -20,11 +23,15 @@
 //! these structures when telemetry is explicitly enabled, so a
 //! disabled build path carries nothing but an `Option` check.
 
+mod counters;
 mod fnv;
 mod hist;
 mod json;
 mod ring;
 
+#[doc(hidden)]
+pub use counters::field_from_json;
+pub use counters::Counters;
 pub use fnv::Fnv64;
 pub use hist::Histogram;
 pub use json::Json;
