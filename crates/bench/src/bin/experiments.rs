@@ -1288,4 +1288,111 @@ mod tests {
         };
         assert_eq!(all.len(), sum, "`all` must be exactly the single-core figures' union");
     }
+
+    /// Point `i`'s synthetic stats: every counter a render reads is a
+    /// distinct function of `i`, so a render that reads the wrong
+    /// counter or the wrong point moves the pin.
+    fn synthetic(i: u64) -> SimStats {
+        let k = i + 1;
+        let mut s = SimStats {
+            cycles: 1_000 + 7 * k,
+            instructions: 600 + 5 * k + k * k % 13,
+            full_rob_stall_cycles: 100 + 3 * k,
+            commit_stall_cycles: 50 + 2 * k,
+            runahead_entries: k,
+            runahead_cycles: 40 + 9 * k,
+            delayed_termination_stall_cycles: 20 + 4 * k,
+            vr_batches: 2 * k,
+            vr_lanes_spawned: 61 * k,
+            vr_lanes_invalidated: k / 2,
+            mshr_occupancy_integral: 2_000 + 17 * k,
+            ..SimStats::default()
+        };
+        s.mem.load_hits = [10 * k, 3 * k, 2 * k + 1, 30 + k];
+        s.mem.dram_reads = [40 + 2 * k, 7 * k, 1, k % 3];
+        s.mem.timeliness = [k, k + 1, 2 * k, 3];
+        s
+    }
+
+    /// With `holes`, every 5th point is a HOLE.
+    fn synthetic_outputs<O>(n: usize, holes: bool, output: impl Fn(u64) -> O) -> Vec<Option<O>> {
+        (0..n).map(|i| (!holes || i % 5 != 4).then(|| output(i as u64))).collect()
+    }
+
+    /// Every figure's text, JSON and CSV, pinned over synthetic outputs
+    /// so the pin holds however the simulator's statistics move: once
+    /// with every 5th point a HOLE, and once with none (a HOLE in each
+    /// 5-point group would otherwise mask whole columns and aggregates).
+    #[test]
+    fn every_figure_render_is_pinned() {
+        let fnv = |s: &str| vr_obs::Fnv64::new().str(s).finish();
+        let opts =
+            FigureOpts { insts: 1_000, presets: vec![GraphPreset::Kron], scale: Scale::Test };
+        let sets = Sets::new(opts.clone());
+        let mut got = Vec::new();
+        for (holes, c) in
+            [true, false].into_iter().flat_map(|h| COMMANDS.iter().map(move |c| (h, c)))
+        {
+            let r = match c.run {
+                Run::Tool(_) => continue,
+                Run::Scalar(points, render) => {
+                    let points = points(&sets);
+                    render(&opts, &points, &synthetic_outputs(points.len(), holes, synthetic))
+                }
+                Run::Chip(points, render) => {
+                    let points = points(&sets);
+                    let out = synthetic_outputs(points.len(), holes, |i| {
+                        let k = i + 1;
+                        ChipRun {
+                            per_core: (0..points[i as usize].chip.cores as u64)
+                                .map(|c| synthetic(8 * i + c))
+                                .collect(),
+                            chip: vr_chip::ChipStats {
+                                cycles: 1_000 + 7 * k,
+                                bank_conflicts: 3 * k,
+                                arbitration_stall_cycles: 5 * k,
+                                shared_mshr_rejections: 7 * k,
+                                llc_hits: 11 * k,
+                                llc_misses: 13 * k,
+                                dram_writebacks: k,
+                            },
+                        }
+                    });
+                    render(&opts, &points, &out)
+                }
+            };
+            got.push((
+                c.id,
+                holes,
+                fnv(&r.render_text()),
+                fnv(&r.to_json().to_pretty()),
+                fnv(&r.to_csv()),
+            ));
+        }
+        let want: &[(&str, bool, u64, u64, u64)] = &[
+            ("table2", true, 0xb2c9a65201079117, 0x43ed9f2de0c14905, 0x5e85c6407116498f),
+            ("fig-perf", true, 0x21957a880a9d6c90, 0x7243f221c94663ca, 0x954d2eddf373beb7),
+            ("fig-rob", true, 0x54712dda9c7cf410, 0x9552e8af17114cdc, 0x3ae3bd4e0efa8731),
+            ("fig-mlp", true, 0x0d0e11ef71c2aa06, 0x5819cfdb44c49b09, 0xf140e4f336362e7f),
+            ("fig-accuracy", true, 0xb74eebcdea0f1e30, 0x61e0f9d84c37d0cc, 0xf95521e00281bc4d),
+            ("fig-timeliness", true, 0xf40329dd2b933117, 0x76e95c0940390f47, 0x47c33518267e08d8),
+            ("fig-veclen", true, 0xc320750d7ad1403e, 0x3858426980a8da0e, 0x57fad72838b03362),
+            ("fig-interval", true, 0x8443a301c878dbf2, 0xe8209fbbe2d2182f, 0xb281e98459e6f2d3),
+            ("fig-ablation", true, 0x727e436e0e22fec4, 0xbf818d0505e96586, 0x7c4f31dbece64f71),
+            ("fig-mshr", true, 0x967d517c43eb2e4f, 0xc2105a526f53e865, 0x7a80bbf469b867f1),
+            ("fig-chip", true, 0x54ce59625382b15a, 0x24b54cbca58eacd9, 0x219cff65eff9d0ec),
+            ("table2", false, 0xad34bc7bc306a155, 0x33adaf4ea8907e20, 0x514166c78791594b),
+            ("fig-perf", false, 0x014078db3d0810f6, 0x04d482868be22154, 0x2375c94de351b9db),
+            ("fig-rob", false, 0x18c1d1ce60504c98, 0x6ee05433856941d4, 0x116a47b504fa5490),
+            ("fig-mlp", false, 0x8dd22bc62411c4ff, 0x5f45a366c2970f24, 0x38bcd90127f3705e),
+            ("fig-accuracy", false, 0x7be515439e34d049, 0x2815f4e97fe3ee31, 0xbb5fa1d1c126b35c),
+            ("fig-timeliness", false, 0x652891188e06f660, 0x217a2a6fd21ca497, 0xeef05a161ef09ad8),
+            ("fig-veclen", false, 0x3843542a8ceb9945, 0x2ac4dbfd8362a5b2, 0xba2db4b1d5fc40d2),
+            ("fig-interval", false, 0x40b34b930f0c09ff, 0xc8b6dac7f89267c6, 0xf74dee2cbf297452),
+            ("fig-ablation", false, 0x95fda63df66b6db7, 0xe1444f6598697552, 0xf982a8a2f4332033),
+            ("fig-mshr", false, 0xc7c2ac22c7417b39, 0x72adb2f8513abcf0, 0x277d08773a5837dc),
+            ("fig-chip", false, 0x9458c57b05974aff, 0x891ef0c9551b53e8, 0xa5273307ec9368c7),
+        ];
+        assert_eq!(got, want);
+    }
 }
