@@ -9,25 +9,29 @@
 //! its point list (`vr_bench::points`) and the render of
 //! `(points, outputs)` into a [`Report`]. [`run_cmd`] is the only thing
 //! that connects them — enumerate, [`vr_bench::sweep`] (the campaign
-//! engine, against the `--cache` store when there is one), render — so
-//! `all`, `--cache` and `campaign run/status` all read the same
-//! table, and every figure is bit-identical at any `--threads` and
+//! engine, against the `--cache` store `Opts` owns when there is one),
+//! render — so `all`, `--cache` and `campaign run/status` all read the
+//! same table, and every figure is bit-identical at any `--threads` and
 //! against any store.
+//!
+//! A render computes numbers, never text: each figure row is a label
+//! plus one `Option<f64>` per column of a typed [`Table`], `None`
+//! being a HOLE (a poisoned point, or a value derived from one). The
+//! table prints every cell in its column's [`Fmt`], and the text on
+//! stdout and the `--json` / `--csv` exports all read those strings,
+//! so exported values always equal the printed ones (see DESIGN.md
+//! §10, §13).
 //!
 //! Simulator speed is not measured here: `benchmark/` (the command in
 //! `BENCHMARK.json`) is the one timer, and `BENCH_history.jsonl` its
 //! record.
-//!
-//! The text printed to stdout and the `--json` / `--csv` exports are
-//! rendered from the *same* reports, so exported values always equal
-//! the printed ones (see DESIGN.md §10).
 
 use std::path::PathBuf;
 
 use vr_bench::points::{self, FigureOpts, Sets};
 use vr_bench::report::{write_exports, Report, RunMeta};
-use vr_bench::{cell, hmean, pct, ratio, sweep, BarChart, Table, Technique};
-use vr_campaign::{CampaignPoint, ChipPoint};
+use vr_bench::{hmean, sweep, BarChart, Fmt, Table, Technique};
+use vr_campaign::{CampaignPoint, ChipPoint, Executor, ResultStore, SimExecutor, SweepPoint};
 use vr_chip::ChipRun;
 use vr_core::{harmonic_mean, CoreConfig, SimStats, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
@@ -57,6 +61,12 @@ struct Opts {
     /// `--tmp-age-ms N`: minimum tmp-file age for `campaign gc`
     /// reclamation (default: the store's 60 s grace period).
     tmp_age_ms: Option<u64>,
+    /// `--cache DIR`: the result store every figure point goes through.
+    store: Option<ResultStore>,
+    /// Labels of the points that rendered as HOLEs so far, in sweep
+    /// order; `main` prints them after rendering so a degraded figure
+    /// is loud without being fatal.
+    holes: Vec<String>,
 }
 
 /// One dispatchable subcommand: the id `main` matches on, the help
@@ -77,7 +87,7 @@ type Render<P, O> = fn(&FigureOpts, &[P], &[Option<O>]) -> Report;
 enum Run {
     /// Simulates nothing through the store: a configuration table or a
     /// tool with its own side artifacts.
-    Tool(fn(&Opts) -> Vec<Report>),
+    Tool(fn(&mut Opts) -> Vec<Report>),
     /// A figure over single-core points: its point list and render.
     Scalar(fn(&Sets) -> Vec<CampaignPoint>, Render<CampaignPoint, SimStats>),
     /// A figure over multi-core chip points.
@@ -88,7 +98,7 @@ const fn tool(
     id: &'static str,
     help: &'static str,
     in_all: bool,
-    run: fn(&Opts) -> Vec<Report>,
+    run: fn(&mut Opts) -> Vec<Report>,
 ) -> Cmd {
     Cmd { id, help, in_all, run: Run::Tool(run) }
 }
@@ -146,23 +156,28 @@ const COMMANDS: &[Cmd] = &[
 
 /// Runs one command. A figure is enumerated from `sets`, swept through
 /// the campaign engine against the `--cache` store (if any) and
-/// rendered from `(points, outputs)`.
-fn run_cmd(cmd: &Cmd, opts: &Opts, sets: &Sets) -> Vec<Report> {
-    let store = vr_bench::cache::active();
+/// rendered from `(points, outputs)`; its HOLEs join `opts.holes`.
+fn run_cmd(cmd: &Cmd, opts: &mut Opts, sets: &Sets) -> Vec<Report> {
+    fn sweep_render<P: SweepPoint>(
+        opts: &mut Opts,
+        points: &[P],
+        render: Render<P, P::Output>,
+    ) -> Report
+    where
+        SimExecutor: Executor<P>,
+    {
+        let (out, holes) = sweep(points, opts.store.as_ref(), opts.threads);
+        opts.holes.extend(holes);
+        render(&opts.fig, points, &out)
+    }
     match cmd.run {
         Run::Tool(run) => run(opts),
-        Run::Scalar(points, render) => {
-            let points = points(sets);
-            vec![render(&opts.fig, &points, &sweep(&points, store, opts.threads))]
-        }
-        Run::Chip(points, render) => {
-            let points = points(sets);
-            vec![render(&opts.fig, &points, &sweep(&points, store, opts.threads))]
-        }
+        Run::Scalar(points, render) => vec![sweep_render(opts, &points(sets), render)],
+        Run::Chip(points, render) => vec![sweep_render(opts, &points(sets), render)],
     }
 }
 
-fn all_figures(opts: &Opts) -> Vec<Report> {
+fn all_figures(opts: &mut Opts) -> Vec<Report> {
     let sets = Sets::new(opts.fig.clone());
     COMMANDS.iter().filter(|c| c.in_all).flat_map(|c| run_cmd(c, opts, &sets)).collect()
 }
@@ -313,7 +328,13 @@ fn main() {
     // explicit `--insts` wins wherever it appears.
     let insts = insts.unwrap_or(if quick { 60_000 } else { 200_000 });
     let scale = if quick { Scale::Test } else { Scale::Paper };
-    let opts = Opts {
+    let store = cache_dir.map(|dir| {
+        ResultStore::open(&dir).unwrap_or_else(|e| {
+            eprintln!("error: cannot open result store at {}: {e}", dir.display());
+            std::process::exit(1);
+        })
+    });
+    let mut opts = Opts {
         fig: FigureOpts { insts, presets, scale },
         threads,
         workload,
@@ -322,16 +343,12 @@ fn main() {
         fail_point,
         point_deadline_ms,
         tmp_age_ms,
+        store,
+        holes: Vec::new(),
     };
 
-    if let Some(dir) = &cache_dir {
-        if let Err(e) = vr_bench::cache::enable(dir) {
-            eprintln!("error: cannot open result store at {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-
-    let reports = run_cmd(cmd, &opts, &Sets::new(opts.fig.clone()));
+    let sets = Sets::new(opts.fig.clone());
+    let reports = run_cmd(cmd, &mut opts, &sets);
     for r in &reports {
         print!("{}", r.render_text());
     }
@@ -354,7 +371,7 @@ fn main() {
     if let Some(p) = &csv {
         eprintln!("wrote {}", p.display());
     }
-    if let Some(c) = vr_bench::cache::counters() {
+    if let Some(c) = opts.store.as_ref().map(ResultStore::counters) {
         eprintln!(
             "cache: {} hits, {} misses, {} writes, {} stale, {} quarantined",
             c.hits, c.misses, c.writes, c.stale, c.quarantined
@@ -363,7 +380,7 @@ fn main() {
     // Degradation summary: poisoned points rendered as HOLE cells are
     // loud on stderr but never fatal — a partial figure beats no
     // figure, and the poison record says exactly what to retry.
-    let holes = vr_bench::cache::holes();
+    let holes = &opts.holes;
     if !holes.is_empty() {
         eprintln!(
             "degraded: {} poisoned point(s) rendered as HOLE: {}",
@@ -394,10 +411,10 @@ fn first_line(err: &str) -> String {
 /// cheap census; `verify` fully validates every record (non-zero exit
 /// if the store is not clean); `gc` reclaims stale/corrupt/orphaned
 /// files.
-fn campaign_cmd(opts: &Opts) -> Vec<Report> {
+fn campaign_cmd(opts: &mut Opts) -> Vec<Report> {
     use vr_campaign::{
-        campaign_status, run_campaign, CancelToken, EngineConfig, ExecCtx, Executor, ProgressEvent,
-        ProgressKind, SimExecutor,
+        campaign_status, run_campaign, CancelToken, EngineConfig, ExecCtx, ProgressEvent,
+        ProgressKind,
     };
 
     /// `--fail-point SUBSTR`: points whose label contains the
@@ -418,23 +435,18 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
         }
     }
 
-    impl Executor for FailPointExec {
-        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, vr_core::SimError> {
-            self.injected(&p.label)?;
+    // Every point type the real executor runs, single-core and chip
+    // alike, so the fig-chip poison path is exercisable end to end too.
+    impl<P: SweepPoint> Executor<P> for FailPointExec
+    where
+        SimExecutor: Executor<P>,
+    {
+        fn execute(&self, p: &P, ctx: &ExecCtx) -> Result<P::Output, vr_core::SimError> {
+            self.injected(p.label())?;
             SimExecutor.execute(p, ctx)
         }
     }
-
-    // The same fault injection for multi-core chip points, so the
-    // fig-chip poison path (`--fail-point` → HOLE cells) is
-    // exercisable end to end too.
-    impl Executor<ChipPoint> for FailPointExec {
-        fn execute(&self, p: &ChipPoint, ctx: &ExecCtx) -> Result<ChipRun, vr_core::SimError> {
-            self.injected(&p.label)?;
-            Executor::<ChipPoint>::execute(&SimExecutor, p, ctx)
-        }
-    }
-    let Some(store) = vr_bench::cache::active() else {
+    let Some(store) = opts.store.as_ref() else {
         eprintln!("error: campaign requires --cache DIR (the store to run against)");
         std::process::exit(2);
     };
@@ -628,7 +640,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
 
 // ---------------------------------------------------------------- table 1
 
-fn table1(_opts: &Opts) -> Vec<Report> {
+fn table1(_opts: &mut Opts) -> Vec<Report> {
     let c = CoreConfig::table1();
     let m = MemConfig::table1();
     let mut r = Report::new("table1", "Table 1: baseline configuration for the OoO core");
@@ -693,13 +705,6 @@ fn table1(_opts: &Opts) -> Vec<Report> {
 
 // ------------------------------------------------------- figure helpers
 
-/// Exports a derived metric, unless a HOLE tainted it.
-fn metric(r: &mut Report, name: &str, derived: Option<f64>) {
-    if let Some(v) = derived {
-        r.metric(name, v);
-    }
-}
-
 fn speedup(s: Option<SimStats>, base: Option<SimStats>) -> Option<f64> {
     Some(s?.speedup_over(&base?))
 }
@@ -725,17 +730,13 @@ fn speedups_over_first<'a>(
 /// an h-mean row. Also returns the column h-means, for the figures
 /// that export them as metrics.
 fn speedup_table(headers: &[&str], rows: &[(&str, Vec<Option<f64>>)]) -> (Table, Vec<Option<f64>>) {
-    let mut t = Table::new(headers);
+    let mut t = Table::figure(headers, &vec![Fmt::Ratio; headers.len() - 1]);
     for (name, sps) in rows {
-        let mut cells = vec![name.to_string()];
-        cells.extend(sps.iter().map(|&sp| cell(sp, ratio)));
-        t.row(cells);
+        t.values(name, sps.iter().copied());
     }
     let hmeans: Vec<Option<f64>> =
         (1..headers.len()).map(|i| hmean(rows.iter().map(|(_, sps)| sps[i - 1]))).collect();
-    let mut hm = vec!["h-mean".to_string()];
-    hm.extend(hmeans.iter().map(|&h| cell(h, ratio)));
-    t.row(hm);
+    t.values("h-mean", hmeans.iter().copied());
     (t, hmeans)
 }
 
@@ -744,7 +745,10 @@ fn speedup_table(headers: &[&str], rows: &[(&str, Vec<Option<f64>>)]) -> (Table,
 fn table2(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("table2", "Table 2: graph inputs (synthetic stand-ins) + measured LLC MPKI");
-    let mut t = Table::new(&["input", "nodes(K)", "edges(K)", "footprint(MB)", "LLC MPKI"]);
+    let mut t = Table::figure(
+        &["input", "nodes(K)", "edges(K)", "footprint(MB)", "LLC MPKI"],
+        &[Fmt::Fixed(1); 4],
+    );
     let kernels = points.len() / GraphPreset::ALL.len();
     for (p, runs) in GraphPreset::ALL.into_iter().zip(out.chunks(kernels)) {
         // The graph's size, from its shape: a CSR of `n + 1` row offsets
@@ -757,14 +761,9 @@ fn table2(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) ->
             let insts: u64 = runs.iter().map(|s| s.instructions).sum();
             misses as f64 * 1000.0 / insts as f64
         });
-        metric(&mut r, &format!("mpki_{}", p.abbrev()), mpki);
-        t.row(vec![
-            p.abbrev().into(),
-            format!("{:.1}", nodes as f64 / 1e3),
-            format!("{:.1}", edges as f64 / 1e3),
-            format!("{:.1}", ((nodes + 1 + edges) * 8) as f64 / (1 << 20) as f64),
-            cell(mpki, |m| format!("{m:.1}")),
-        ]);
+        r.metric(&format!("mpki_{}", p.abbrev()), mpki);
+        let mb = ((nodes + 1 + edges) * 8) as f64 / (1 << 20) as f64;
+        t.values(p.abbrev(), [Some(nodes as f64 / 1e3), Some(edges as f64 / 1e3), Some(mb), mpki]);
     }
     r.push_table("inputs", t);
     r
@@ -781,7 +780,7 @@ fn fig_perf(o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) 
     let (t, hmeans) = speedup_table(&["benchmark", "PRE", "IMP", "VR", "Oracle"], &rows);
     let techs = &Technique::HEADLINE[1..];
     for (tech, &hm) in techs.iter().zip(&hmeans) {
-        metric(&mut r, &format!("hmean_{}", tech.label()), hm);
+        r.metric(&format!("hmean_{}", tech.label()), hm);
     }
     let vr = techs.iter().position(|&t| t == Technique::Vr).expect("VR is a headline technique");
     let mut vr_chart = BarChart::new("VR speedup over the baseline OoO");
@@ -803,8 +802,10 @@ fn fig_rob(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) 
         "Fig. ROB sensitivity: OoO and VR vs ROB size (back-end queues and PRF \
          scaled in proportion), normalized to OoO@350; plus full-window stall fraction",
     );
-    let mut t =
-        Table::new(&["ROB", "OoO IPC", "VR IPC", "OoO norm", "VR norm", "VR/OoO", "stall%"]);
+    let mut t = Table::figure(
+        &["ROB", "OoO IPC", "VR IPC", "OoO norm", "VR norm", "VR/OoO", "stall%"],
+        &[Fmt::Fixed(3), Fmt::Fixed(3), Fmt::Ratio, Fmt::Ratio, Fmt::Ratio, Fmt::Pct],
+    );
     let robs = points::ROBS;
     let set = points.len() / (robs.len() * 2);
     // (ROB index, workload index) -> that point's OoO and VR runs.
@@ -823,15 +824,8 @@ fn fig_rob(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) 
         let vr_norm = gm(column(&|i| Some(vr(ri, i)?.ipc() / ooo(at350, i)?.ipc())));
         let stall = column(&|i| Some(ooo(ri, i)?.full_rob_stall_fraction()))
             .map(|v| v.iter().sum::<f64>() / v.len() as f64);
-        t.row(vec![
-            rob.to_string(),
-            cell(ooo_ipc, |v| format!("{v:.3}")),
-            cell(vr_ipc, |v| format!("{v:.3}")),
-            cell(ooo_norm, ratio),
-            cell(vr_norm, ratio),
-            cell(vr_ipc.zip(ooo_ipc).map(|(v, o)| v / o), ratio),
-            cell(stall, pct),
-        ]);
+        let vr_over_ooo = vr_ipc.zip(ooo_ipc).map(|(v, o)| v / o);
+        t.values(&rob.to_string(), [ooo_ipc, vr_ipc, ooo_norm, vr_norm, vr_over_ooo, stall]);
     }
     r.push_table("sweep", t);
     r
@@ -842,10 +836,9 @@ fn fig_rob(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) 
 fn fig_mlp(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("fig-mlp", "Fig. MLP: average outstanding L1-D misses (MSHRs used per cycle)");
-    let mut t = Table::new(&["benchmark", "OoO", "VR"]);
+    let mut t = Table::figure(&["benchmark", "OoO", "VR"], &[Fmt::Fixed(2); 2]);
     for (p, o) in points.chunks(2).zip(out.chunks(2)) {
-        let mlp = |s: Option<SimStats>| cell(s, |s| format!("{:.2}", s.mlp()));
-        t.row(vec![p[0].workload.name.clone(), mlp(o[0]), mlp(o[1])]);
+        t.values(&p[0].workload.name, o.iter().map(|s| Some(s.as_ref()?.mlp())));
     }
     r.push_table("mlp", t);
     r
@@ -859,19 +852,16 @@ fn fig_accuracy(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStat
         "Fig. accuracy/coverage: DRAM line reads normalized to the baseline, \
          split main thread vs runahead",
     );
-    let mut t = Table::new(&["benchmark", "OoO total", "VR main", "VR runahead", "VR total(norm)"]);
+    let mut t = Table::figure(
+        &["benchmark", "OoO total", "VR main", "VR runahead", "VR total(norm)"],
+        &[Fmt::Int, Fmt::Fixed(2), Fmt::Fixed(2), Fmt::Fixed(2)],
+    );
     for (p, o) in points.chunks(2).zip(out.chunks(2)) {
         let bt = o[0].map(|b| b.mem.dram_reads_total() as f64);
-        let norm = |reads: &dyn Fn(&SimStats) -> u64| {
-            cell(o[1].zip(bt).map(|(v, bt)| reads(&v) as f64 / bt), |x| format!("{x:.2}"))
-        };
-        t.row(vec![
-            p[0].workload.name.clone(),
-            cell(bt, |bt| format!("{bt:.0}")),
-            norm(&|v| v.mem.dram_reads_by(Requestor::Main)),
-            norm(&|v| v.mem.dram_reads_by(Requestor::Runahead)),
-            norm(&|v| v.mem.dram_reads_total()),
-        ]);
+        let norm = |reads: &dyn Fn(&SimStats) -> u64| Some(reads(&o[1]?) as f64 / bt?);
+        let main = norm(&|v| v.mem.dram_reads_by(Requestor::Main));
+        let runahead = norm(&|v| v.mem.dram_reads_by(Requestor::Runahead));
+        t.values(&p[0].workload.name, [bt, main, runahead, norm(&|v| v.mem.dram_reads_total())]);
     }
     r.push_table("dram-reads", t);
     r
@@ -884,12 +874,10 @@ fn fig_timeliness(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimSt
         "fig-timeliness",
         "Fig. timeliness: where the main thread finds runahead-prefetched lines",
     );
-    let mut t = Table::new(&["benchmark", "L1", "L2", "L3", "off-chip"]);
+    let mut t = Table::figure(&["benchmark", "L1", "L2", "L3", "off-chip"], &[Fmt::Pct; 4]);
     for (p, o) in points.iter().zip(out) {
         let f = o.map(|s| s.mem.timeliness_fractions());
-        let mut cells = vec![p.workload.name.clone()];
-        cells.extend((0..4).map(|level| cell(f.map(|f| f[level]), pct)));
-        t.row(cells);
+        t.values(&p.workload.name, (0..4).map(|level| Some(f?[level])));
     }
     r.push_table("timeliness", t);
     r
@@ -905,7 +893,7 @@ fn fig_veclen(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStats>
     let rows = speedups_over_first(points, out, 1 + points::LANES.len());
     let (t, hmeans) = speedup_table(&["benchmark", "K=16", "K=32", "K=64", "K=128"], &rows);
     for (k, &hm) in points::LANES.iter().zip(&hmeans) {
-        metric(&mut r, &format!("hmean_K{k}"), hm);
+        r.metric(&format!("hmean_K{k}"), hm);
     }
     r.push_table("speedup", t);
     r
@@ -919,29 +907,34 @@ fn fig_interval(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStat
         "Fig. trigger/interval statistics (VR): entries, runahead-time, \
          full-window stall, delayed-termination commit stall",
     );
-    let mut t = Table::new(&[
-        "benchmark",
-        "entries",
-        "ra-time",
-        "stall(OoO)",
-        "delay-stall",
-        "batches",
-        "lanes",
-        "inv",
-    ]);
+    let mut t = Table::figure(
+        &[
+            "benchmark",
+            "entries",
+            "ra-time",
+            "stall(OoO)",
+            "delay-stall",
+            "batches",
+            "lanes",
+            "inv",
+        ],
+        &[Fmt::Int, Fmt::Pct, Fmt::Pct, Fmt::Pct, Fmt::Int, Fmt::Int, Fmt::Int],
+    );
     for (p, o) in points.chunks(2).zip(out.chunks(2)) {
         let (b, v) = (o[0], o[1]);
-        let of_vr = |f: &dyn Fn(SimStats) -> String| cell(v, f);
-        t.row(vec![
-            p[0].workload.name.clone(),
-            of_vr(&|v| v.runahead_entries.to_string()),
-            of_vr(&|v| pct(v.runahead_cycles as f64 / v.cycles as f64)),
-            cell(b, |b| pct(b.full_rob_stall_fraction())),
-            of_vr(&|v| pct(v.delayed_termination_stall_cycles as f64 / v.cycles as f64)),
-            of_vr(&|v| v.vr_batches.to_string()),
-            of_vr(&|v| v.vr_lanes_spawned.to_string()),
-            of_vr(&|v| v.vr_lanes_invalidated.to_string()),
-        ]);
+        let of_vr = |f: &dyn Fn(SimStats) -> f64| v.map(f);
+        t.values(
+            &p[0].workload.name,
+            [
+                of_vr(&|v| v.runahead_entries as f64),
+                of_vr(&|v| v.runahead_cycles as f64 / v.cycles as f64),
+                b.map(|b| b.full_rob_stall_fraction()),
+                of_vr(&|v| v.delayed_termination_stall_cycles as f64 / v.cycles as f64),
+                of_vr(&|v| v.vr_batches as f64),
+                of_vr(&|v| v.vr_lanes_spawned as f64),
+                of_vr(&|v| v.vr_lanes_invalidated as f64),
+            ],
+        );
     }
     r.push_table("intervals", t);
     r
@@ -962,7 +955,7 @@ fn fig_ablation(_o: &FigureOpts, points: &[CampaignPoint], out: &[Option<SimStat
     let headers: Vec<&str> = std::iter::once("benchmark").chain(labels).collect();
     let (t, hmeans) = speedup_table(&headers, &rows);
     for (label, &hm) in labels.iter().zip(&hmeans) {
-        metric(&mut r, &format!("hmean_{}", label.trim_start_matches('+')), hm);
+        r.metric(&format!("hmean_{}", label.trim_start_matches('+')), hm);
     }
     r.push_table("speedup", t);
     r
@@ -1043,44 +1036,38 @@ fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> R
 
     // Per-point contention census: the shared-LLC counters only a
     // chip-level run can produce (all zero at N=1 — no shared LLC).
-    let mut t = Table::new(&[
-        "point",
-        "cores",
-        "IPC/core",
-        "bank-conf",
-        "arb-stall",
-        "mshr-rej",
-        "LLC hit%",
-    ]);
+    let mut t = Table::figure(
+        &["point", "cores", "IPC/core", "bank-conf", "arb-stall", "mshr-rej", "LLC hit%"],
+        &[Fmt::Int, Fmt::Fixed(3), Fmt::Int, Fmt::Int, Fmt::Int, Fmt::Pct],
+    );
     for (p, run) in points.iter().zip(runs) {
         let run = run.as_ref();
         let hm = run.map(per_core_hmean);
-        metric(&mut r, &format!("ipc_{}", p.label), hm);
-        metric(
-            &mut r,
-            &format!("bank_conflicts_{}", p.label),
-            run.map(|run| run.chip.bank_conflicts as f64),
+        let of_chip = |f: &dyn Fn(&vr_chip::ChipStats) -> f64| run.map(|run| f(&run.chip));
+        r.metric(&format!("ipc_{}", p.label), hm);
+        r.metric(&format!("bank_conflicts_{}", p.label), of_chip(&|c| c.bank_conflicts as f64));
+        t.values(
+            &p.label,
+            [
+                Some(p.chip.cores as f64),
+                hm,
+                of_chip(&|c| c.bank_conflicts as f64),
+                of_chip(&|c| c.arbitration_stall_cycles as f64),
+                of_chip(&|c| c.shared_mshr_rejections as f64),
+                // No lookups means no hits: 0 / 1.
+                of_chip(&|c| c.llc_hits as f64 / (c.llc_hits + c.llc_misses).max(1) as f64),
+            ],
         );
-        let of_chip = |f: &dyn Fn(&vr_chip::ChipStats) -> String| cell(run, |run| f(&run.chip));
-        t.row(vec![
-            p.label.clone(),
-            p.chip.cores.to_string(),
-            cell(hm, |hm| format!("{hm:.3}")),
-            of_chip(&|c| c.bank_conflicts.to_string()),
-            of_chip(&|c| c.arbitration_stall_cycles.to_string()),
-            of_chip(&|c| c.shared_mshr_rejections.to_string()),
-            of_chip(&|c| {
-                let lookups = c.llc_hits + c.llc_misses;
-                pct(if lookups == 0 { 0.0 } else { c.llc_hits as f64 / lookups as f64 })
-            }),
-        ]);
     }
     r.push_table("contention", t);
 
     // VR/OoO speedup per (placement, N) — how much of single-core
     // VR's win survives contention. The point list is OoO-then-VR
     // pairs, so adjacent runs pair up.
-    let mut s = Table::new(&["placement", "cores", "OoO IPC", "VR IPC", "VR/OoO"]);
+    let mut s = Table::figure(
+        &["placement", "cores", "OoO IPC", "VR IPC", "VR/OoO"],
+        &[Fmt::Int, Fmt::Fixed(3), Fmt::Fixed(3), Fmt::Ratio],
+    );
     let mut chart = BarChart::new("VR speedup over OoO under shared-LLC contention");
     for (pp, rr) in points.chunks(2).zip(runs.chunks(2)) {
         let ([po, pv], [ro, rv]) = (pp, rr) else { continue };
@@ -1091,19 +1078,13 @@ fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> R
         let (o_ipc, v_ipc) = (ro.as_ref().map(per_core_hmean), rv.as_ref().map(per_core_hmean));
         let sp = v_ipc.zip(o_ipc).map(|(v, o)| v / o);
         let name = po.label.trim_end_matches("/OoO").trim_start_matches("fig-chip/");
-        metric(&mut r, &format!("speedup_{name}"), sp);
+        r.metric(&format!("speedup_{name}"), sp);
         if let Some(sp) = sp {
             chart.bar(name, sp);
         }
         // A pair with either side poisoned has no comparison to show:
         // the healthy side's IPC is in the census above.
-        s.row(vec![
-            name.to_string(),
-            po.chip.cores.to_string(),
-            cell(sp.and(o_ipc), |v| format!("{v:.3}")),
-            cell(sp.and(v_ipc), |v| format!("{v:.3}")),
-            cell(sp, ratio),
-        ]);
+        s.values(name, [Some(po.chip.cores as f64), sp.and(o_ipc), sp.and(v_ipc), sp]);
     }
     r.push_table("speedup", s);
     r.push_chart(chart);
@@ -1112,7 +1093,7 @@ fn fig_chip(o: &FigureOpts, points: &[ChipPoint], runs: &[Option<ChipRun>]) -> R
 
 // ---------------------------------------------------------------- hw table
 
-fn table_hw(_opts: &Opts) -> Vec<Report> {
+fn table_hw(_opts: &mut Opts) -> Vec<Report> {
     let mut r = Report::new("table-hw", "Hardware overhead of the Vector Runahead structures");
     let mut t = Table::new(&["structure", "bits", "bytes"]);
     let items = vr_core::hardware_overhead_bits(128);
@@ -1122,7 +1103,7 @@ fn table_hw(_opts: &Opts) -> Vec<Report> {
         t.row(vec![(*name).into(), bits.to_string(), format!("{:.1}", *bits as f64 / 8.0)]);
     }
     t.row(vec!["TOTAL".into(), total.to_string(), format!("{:.0}", (total as f64 / 8.0).ceil())]);
-    r.metric("total_bits", total as f64);
+    r.metric("total_bits", Some(total as f64));
     r.push_table("overhead", t);
     vec![r]
 }
@@ -1136,7 +1117,7 @@ fn table_hw(_opts: &Opts) -> Vec<Report> {
 /// `== runahead episode ==` separators). The full telemetry is
 /// attached to the JSON export, with no schema tag until the CPI-stack
 /// export defines one.
-fn trace_cmd(opts: &Opts) -> Vec<Report> {
+fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
     use vr_core::PipelineTrace;
     const TRACE_WINDOW: usize = 64;
     /// Records of context rendered before the focused episode's entry.
@@ -1235,7 +1216,7 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     }
     r.push_table("episodes", et);
     r.push_note(window.render_annotated(&episodes));
-    r.metric("ipc", stats.ipc());
+    r.metric("ipc", Some(stats.ipc()));
     r.attach("telemetry", tel.to_json());
     vec![r]
 }
@@ -1287,6 +1268,34 @@ mod tests {
             panic!("`all` is a single-core point set")
         };
         assert_eq!(all.len(), sum, "`all` must be exactly the single-core figures' union");
+    }
+
+    /// Two of the paper's Fig. 7 claims, read back from the rendered
+    /// table: Oracle bounds every technique on every row and on the
+    /// h-mean, and VR's h-mean is a speedup.
+    #[test]
+    fn fig_perf_oracle_bounds_every_technique_and_vr_speeds_up() {
+        let opts =
+            FigureOpts { insts: 20_000, presets: vec![GraphPreset::Kron], scale: Scale::Test };
+        let points = points::fig_perf(&Sets::new(opts.clone()));
+        let (out, holes) = sweep(&points, None, 2);
+        assert!(holes.is_empty(), "{holes:?}");
+        let r = fig_perf(&opts, &points, &out);
+        let t = r.table("speedup").expect("fig-perf has a speedup table");
+        let rows: Vec<String> = t.rows().into_iter().map(|row| row[0].clone()).collect();
+        assert_eq!(rows.len(), 14, "13 benchmarks and the h-mean: {rows:?}");
+        assert_eq!(rows[13], "h-mean");
+        let value =
+            |row: &str, col: &str| t.value(row, col).unwrap_or_else(|| panic!("{row}/{col}"));
+        for row in &rows {
+            let oracle = value(row, "Oracle");
+            for tech in ["PRE", "IMP", "VR"] {
+                let sp = value(row, tech);
+                assert!(oracle >= sp, "{row}: Oracle {oracle:.3}x < {tech} {sp:.3}x");
+            }
+        }
+        let vr = value("h-mean", "VR");
+        assert!(vr > 1.0, "VR h-mean {vr:.3}x is no speedup");
     }
 
     /// Point `i`'s synthetic stats: every counter a render reads is a

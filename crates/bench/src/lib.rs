@@ -11,7 +11,6 @@
 //! ```
 
 pub mod alloc;
-pub mod cache;
 pub mod micro;
 pub mod points;
 pub mod report;
@@ -26,10 +25,11 @@ use vr_workloads::{gap_suite, graph::GraphPreset, hpcdb_suite, Scale, Workload};
 
 /// Runs a figure's point list — the one way the harness runs one:
 /// through the campaign engine on `threads` threads, against `store`
-/// when there is one (the CLI passes [`cache::active`]), one attempt
-/// per point (no deadline is set, so nothing is retried). Returns one output per point, in order; `None` is a
-/// HOLE — a point an earlier campaign poisoned, or one that failed now
-/// and was poisoned for it — whose label is noted in [`cache::holes`].
+/// when there is one, one attempt per point (no deadline is set, so
+/// nothing is retried). Returns one output per point, in order, and
+/// the labels of the HOLEs among them, in point order: a `None` output
+/// is a point an earlier campaign poisoned, or one that failed now and
+/// was poisoned for it.
 ///
 /// Every point builds its own [`Simulator`] from cloned program and
 /// memory state, and a stored result round-trips bit-identically, so
@@ -40,7 +40,11 @@ use vr_workloads::{gap_suite, graph::GraphPreset, hpcdb_suite, Scale, Workload};
 ///
 /// Without a store there is nowhere to record a failed simulation, so
 /// its error panics.
-pub fn sweep<P>(points: &[P], store: Option<&ResultStore>, threads: usize) -> Vec<Option<P::Output>>
+pub fn sweep<P>(
+    points: &[P],
+    store: Option<&ResultStore>,
+    threads: usize,
+) -> (Vec<Option<P::Output>>, Vec<String>)
 where
     P: SweepPoint,
     SimExecutor: Executor<P>,
@@ -58,12 +62,9 @@ where
             panic!("{error}");
         }
     }
-    for (p, out) in points.iter().zip(&outputs) {
-        if out.is_none() {
-            cache::note_hole(p.label());
-        }
-    }
-    outputs
+    let holes = points.iter().zip(&outputs).filter(|(_, out)| out.is_none());
+    let holes = holes.map(|(p, _)| p.label().to_string()).collect();
+    (outputs, holes)
 }
 
 /// The evaluated techniques, in the paper's presentation order.
@@ -135,17 +136,9 @@ pub fn run_custom(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// What a cell or aggregate derived from a poisoned point reads.
+/// What a figure [`Table`] prints for a value derived from a poisoned
+/// point: such a value is garbage and must not masquerade as data.
 pub const HOLE: &str = "HOLE";
-
-/// Renders a value derived from point outputs — `None` once any point
-/// it derives from is a HOLE, in which case the cell reads [`HOLE`]: a
-/// value derived from a poisoned point is garbage and must not
-/// masquerade as data. Every such cell and aggregate goes through
-/// here.
-pub fn cell<T>(derived: Option<T>, render: impl FnOnce(T) -> String) -> String {
-    derived.map_or_else(|| HOLE.to_string(), render)
-}
 
 /// Harmonic mean of a column of derived values; one HOLE taints the
 /// whole aggregate.
@@ -191,27 +184,83 @@ pub fn sweep_workload_set(scale: Scale) -> Vec<Workload> {
     v
 }
 
-/// Fixed-width text table printer (the harness's "figure" output).
+/// How a figure column prints its values.
+#[derive(Clone, Copy, Debug)]
+pub enum Fmt {
+    /// A whole number: `1234`.
+    Int,
+    /// `d` decimals: `Fixed(2)` prints `1.23`.
+    Fixed(usize),
+    /// [`ratio`]: `1.23x`.
+    Ratio,
+    /// [`pct`]: `7.1%`.
+    Pct,
+}
+
+impl Fmt {
+    /// Prints `v`, or [`HOLE`] for `None`.
+    fn print(self, v: Option<f64>) -> String {
+        let Some(v) = v else { return HOLE.to_string() };
+        match self {
+            Fmt::Int => format!("{v:.0}"),
+            Fmt::Fixed(d) => format!("{v:.d$}"),
+            Fmt::Ratio => ratio(v),
+            Fmt::Pct => pct(v),
+        }
+    }
+}
+
+/// A table cell: text, or a number (`None` is a HOLE).
+#[derive(Clone, Debug)]
+enum Cell {
+    Text(String),
+    Num(Option<f64>),
+}
+
+/// Fixed-width table (the harness's "figure" output). A text table
+/// holds rows of strings; a figure table holds rows of a label plus
+/// one number or HOLE per column, printed in the column's [`Fmt`].
 #[derive(Clone, Debug)]
 pub struct Table {
     headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    /// The format of every column after the first; empty in a text
+    /// table.
+    fmts: Vec<Fmt>,
+    rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
-    /// Creates a table with the given column headers.
+    /// Creates a text table with the given column headers.
     pub fn new(headers: &[&str]) -> Table {
-        Table { headers: headers.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
+        let headers = headers.iter().map(|s| s.to_string()).collect();
+        Table { headers, fmts: Vec::new(), rows: Vec::new() }
     }
 
-    /// Appends a row (must match the header count).
+    /// Creates a figure table: a label column, then one column per
+    /// format. Panics unless every column after the first has exactly
+    /// one format.
+    pub fn figure(headers: &[&str], fmts: &[Fmt]) -> Table {
+        assert_eq!(fmts.len() + 1, headers.len(), "one format per value column");
+        Table { fmts: fmts.to_vec(), ..Table::new(headers) }
+    }
+
+    /// Appends a text row (must match the header count).
     ///
     /// # Panics
     ///
     /// Panics if the cell count differs from the header count.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
+        self.rows.push(cells.into_iter().map(Cell::Text).collect());
+    }
+
+    /// Appends a figure row: `label`, then one value per format (the
+    /// count is asserted).
+    pub fn values(&mut self, label: &str, values: impl IntoIterator<Item = Option<f64>>) {
+        let mut row = vec![Cell::Text(label.to_string())];
+        row.extend(values.into_iter().map(Cell::Num));
+        assert_eq!(row.len(), self.fmts.len() + 1, "row arity mismatch");
+        self.rows.push(row);
     }
 
     /// The column headers, in order.
@@ -219,15 +268,30 @@ impl Table {
         &self.headers
     }
 
-    /// The appended rows, in order.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
+    /// The rows as printed: the text, JSON and CSV views all read
+    /// these.
+    pub fn rows(&self) -> Vec<Vec<String>> {
+        let print = |(i, c): (usize, &Cell)| match c {
+            Cell::Text(s) => s.clone(),
+            Cell::Num(v) => self.fmts[i - 1].print(*v),
+        };
+        self.rows.iter().map(|row| row.iter().enumerate().map(print).collect()).collect()
+    }
+
+    /// The number in the row labelled `row` under header `col`; `None`
+    /// for a HOLE, a text cell, or a row or column the table lacks.
+    pub fn value(&self, row: &str, col: &str) -> Option<f64> {
+        let c = self.headers.iter().position(|h| h == col)?;
+        let r = self.rows.iter().find(|r| matches!(&r[0], Cell::Text(l) if l == row))?;
+        let Cell::Num(v) = r[c] else { return None };
+        v
     }
 
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
+        let rows = self.rows();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
             }
@@ -249,7 +313,7 @@ impl Table {
         let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
-        for row in &self.rows {
+        for row in &rows {
             out.push_str(&fmt_row(row, &widths));
             out.push('\n');
         }
@@ -370,9 +434,41 @@ mod tests {
     }
 
     #[test]
+    fn figure_rows_print_in_their_column_format_and_read_back() {
+        let mut t = Table::figure(
+            &["benchmark", "n", "ipc", "VR", "stall"],
+            &[Fmt::Int, Fmt::Fixed(3), Fmt::Ratio, Fmt::Pct],
+        );
+        t.values("HJ8", [Some(42.0), Some(1.23456), Some(1.5), Some(0.071)]);
+        t.values("bfs_UR", [Some(7.0), None, Some(0.62), None]);
+        assert_eq!(
+            t.rows(),
+            [["HJ8", "42", "1.235", "1.50x", "7.1%"], ["bfs_UR", "7", HOLE, "0.62x", HOLE]]
+        );
+        assert_eq!(t.value("HJ8", "VR"), Some(1.5));
+        assert_eq!(t.value("bfs_UR", "ipc"), None, "a HOLE reads back as no value");
+        assert_eq!(t.value("HJ8", "benchmark"), None, "a label is not a value");
+        assert_eq!(t.value("HJ2", "VR"), None);
+        assert_eq!(t.value("HJ8", "IMP"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one format per value column")]
+    fn a_figure_table_takes_exactly_one_format_per_value_column() {
+        let _ = Table::figure(&["benchmark", "entries", "ra-time"], &[Fmt::Pct]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn figure_row_arity_is_checked() {
+        let mut t = Table::figure(&["benchmark", "VR"], &[Fmt::Ratio]);
+        t.values("HJ8", [Some(1.0), Some(2.0)]);
+    }
+
+    #[test]
     fn a_hole_masks_the_cells_and_aggregates_derived_from_it() {
-        assert_eq!(cell(Some(1.5), ratio), "1.50x");
-        assert_eq!(cell(None, ratio), HOLE);
+        assert_eq!(Fmt::Ratio.print(Some(1.5)), "1.50x");
+        assert_eq!(Fmt::Ratio.print(None), HOLE);
         assert_eq!(hmean([Some(1.0), Some(2.0)]), Some(harmonic_mean(&[1.0, 2.0])));
         assert_eq!(hmean([Some(1.0), None, Some(2.0)]), None, "one HOLE taints the column");
     }
@@ -398,8 +494,46 @@ mod tests {
             .into_iter()
             .map(|tech| Some(run_technique(&w, CoreConfig::table1(), tech, 5_000)))
             .collect();
-        assert_eq!(sweep(&points, None, 1), direct);
-        assert_eq!(sweep(&points, None, 2), direct);
+        assert_eq!(sweep(&points, None, 1), (direct.clone(), vec![]));
+        assert_eq!(sweep(&points, None, 2), (direct, vec![]));
+    }
+
+    #[test]
+    fn sweep_hands_back_the_poisoned_labels_in_point_order() {
+        let dir = std::env::temp_dir().join(format!(
+            "vr-bench-sweep-holes-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let store = ResultStore::open(&dir).expect("open a temporary store");
+        let w = std::sync::Arc::new(quick_workload_set().swap_remove(7));
+        let points: Vec<vr_campaign::CampaignPoint> = (1..=4)
+            .map(|i| vr_campaign::CampaignPoint {
+                label: format!("p{i}"),
+                workload: std::sync::Arc::clone(&w),
+                core: CoreConfig::table1(),
+                mem: MemConfig::table1(),
+                ra: RunaheadConfig::none(),
+                max_insts: 1_000 * i,
+            })
+            .collect();
+        // Poisoned in reverse, so the order that comes back is the
+        // points', not the store's.
+        for p in [&points[3], &points[1]] {
+            let rec = vr_campaign::PoisonRecord {
+                key: p.key(),
+                label: p.label.clone(),
+                error: "poisoned by the test".into(),
+                attempts: 1,
+                deadline_trips: 0,
+            };
+            store.poison(&rec).expect("poison a point");
+        }
+        let (outputs, holes) = sweep(&points, Some(&store), 2);
+        assert_eq!(holes, ["p2", "p4"]);
+        let present: Vec<bool> = outputs.iter().map(Option::is_some).collect();
+        assert_eq!(present, [true, false, true, false]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

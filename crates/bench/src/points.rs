@@ -52,11 +52,6 @@ impl Sets {
         Sets { opts, full: OnceCell::new(), sweep: OnceCell::new() }
     }
 
-    /// The options the sets are generated from.
-    pub fn opts(&self) -> &FigureOpts {
-        &self.opts
-    }
-
     /// The evaluation set: GAP kernels over the selected presets plus
     /// the hpc-db benchmarks (the small-input set under `--quick`).
     pub fn full(&self) -> &[Arc<Workload>] {

@@ -1,10 +1,13 @@
 //! Machine-readable experiment reports: the `--json` / `--csv` export
 //! surface of the `experiments` binary.
 //!
-//! Every figure builds a [`Report`] from the *same* rendered
-//! [`Table`]s it prints as text, so the exported values are equal to
-//! the text output by construction — there is no second formatting
-//! path to drift. The JSON document is versioned
+//! Every figure builds a [`Report`] from typed [`Table`]s: a figure
+//! row is a label plus one number or HOLE per column, printed in that
+//! column's format. The text, JSON and CSV views all read the same
+//! printed strings ([`Table::rows`]), so the exported values are equal
+//! to the text output by construction — there is no second formatting
+//! path to drift — and [`Report::table`] with [`Table::value`] reads
+//! the numbers back. The JSON document is versioned
 //! ([`EXPERIMENTS_SCHEMA`], see DESIGN.md §10); attached telemetry
 //! sections carry no schema tag of their own yet — the CPI-stack
 //! export defines one.
@@ -77,9 +80,20 @@ impl Report {
         self.sections.push(Section::Note(note.into()));
     }
 
-    /// Records a derived numeric metric (exported under `"metrics"`).
-    pub fn metric(&mut self, name: &str, v: f64) {
-        self.metrics.push((name.to_string(), v));
+    /// Records a derived numeric metric (exported under `"metrics"`),
+    /// unless a HOLE tainted it (`None`).
+    pub fn metric(&mut self, name: &str, v: Option<f64>) {
+        if let Some(v) = v {
+            self.metrics.push((name.to_string(), v));
+        }
+    }
+
+    /// The table pushed under `name`, if any.
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.sections.iter().find_map(|s| match s {
+            Section::Table { name: n, table } if n == name => Some(table),
+            _ => None,
+        })
     }
 
     /// Attaches an arbitrary JSON sub-document (e.g. a telemetry
@@ -200,7 +214,7 @@ impl Report {
             out.push_str(&line(table.headers()));
             out.push('\n');
             for r in table.rows() {
-                out.push_str(&line(r));
+                out.push_str(&line(&r));
                 out.push('\n');
             }
             out.push('\n');
@@ -277,6 +291,7 @@ pub fn write_exports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fmt;
 
     fn sample() -> Report {
         let mut t = Table::new(&["benchmark", "VR"]);
@@ -284,7 +299,8 @@ mod tests {
         t.row(vec!["with,comma".into(), "0.90x".into()]);
         let mut r = Report::new("fig-test", "a test figure");
         r.push_table("main", t);
-        r.metric("hmean", 1.23);
+        r.metric("hmean", Some(1.23));
+        r.metric("tainted", None);
         r
     }
 
@@ -320,6 +336,7 @@ mod tests {
         assert_eq!(reports[0].get("id").and_then(Json::as_str), Some("fig-test"));
         let m = reports[0].get("metrics").expect("metrics");
         assert!((m.get("hmean").and_then(Json::as_f64).unwrap() - 1.23).abs() < 1e-12);
+        assert!(m.get("tainted").is_none(), "a HOLE-tainted metric is not exported");
     }
 
     #[test]
@@ -328,6 +345,17 @@ mod tests {
         assert!(csv.starts_with("# schema: vr-experiments-v1\n"));
         assert!(csv.contains("benchmark,VR\n"));
         assert!(csv.contains("\"with,comma\",0.90x\n"));
+    }
+
+    #[test]
+    fn a_table_is_found_by_name_and_its_numbers_read_back() {
+        let mut t = Table::figure(&["benchmark", "VR"], &[Fmt::Ratio]);
+        t.values("HJ8", [Some(4.05)]);
+        let mut r = Report::new("x", "t");
+        r.push_table("speedup", t);
+        assert_eq!(r.table("speedup").and_then(|t| t.value("HJ8", "VR")), Some(4.05));
+        assert!(r.table("mlp").is_none());
+        assert!(r.render_text().contains("4.05x"));
     }
 
     #[test]

@@ -716,7 +716,7 @@ mod tests {
     impl Executor for FailingExec {
         fn execute(&self, p: &CampaignPoint, _ctx: &ExecCtx) -> Result<SimStats, SimError> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            Err(SimError::Memory { cycle: 1, what: format!("injected fault on {}", p.label) })
+            Err(SimError::Invariant { cycle: 1, what: format!("injected fault on {}", p.label) })
         }
     }
 
@@ -846,7 +846,7 @@ mod tests {
     impl Executor for SickExec {
         fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
             if p.label.contains("sick") {
-                return Err(SimError::Memory { cycle: 1, what: "injected fault".into() });
+                return Err(SimError::Invariant { cycle: 1, what: "injected fault".into() });
             }
             FakeExec.execute(p, ctx)
         }
@@ -940,7 +940,7 @@ mod tests {
     impl Executor<Counted> for CountedExec {
         fn execute(&self, p: &Counted, ctx: &ExecCtx) -> Result<SimStats, SimError> {
             if p.inner.label.contains("sick") {
-                return Err(SimError::Memory { cycle: 1, what: "injected fault".into() });
+                return Err(SimError::Invariant { cycle: 1, what: "injected fault".into() });
             }
             FakeExec.execute(&p.inner, ctx)
         }

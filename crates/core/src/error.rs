@@ -164,22 +164,6 @@ pub enum SimError {
         /// Human-readable description of the violated invariant.
         what: String,
     },
-    /// The runahead engine reached an inconsistent state. The
-    /// simulator aborts the episode and, where possible, continues;
-    /// this error means even that recovery failed.
-    Runahead {
-        /// Cycle of the fault.
-        cycle: u64,
-        /// Description.
-        what: String,
-    },
-    /// The memory system reported an unrecoverable inconsistency.
-    Memory {
-        /// Cycle of the fault.
-        cycle: u64,
-        /// Description.
-        what: String,
-    },
     /// The workload itself misbehaved (fetch ran off the program,
     /// an unmapped jump, …) — a harness bug, not a simulator bug.
     Program {
@@ -207,12 +191,6 @@ impl fmt::Display for SimError {
             }
             SimError::Invariant { cycle, what } => {
                 write!(f, "invariant violated at cycle {cycle}: {what}")
-            }
-            SimError::Runahead { cycle, what } => {
-                write!(f, "runahead engine fault at cycle {cycle}: {what}")
-            }
-            SimError::Memory { cycle, what } => {
-                write!(f, "memory system fault at cycle {cycle}: {what}")
             }
             SimError::Program { cycle, pc, what } => {
                 write!(f, "program fault at cycle {cycle}, pc {pc:#x}: {what}")

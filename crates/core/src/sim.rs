@@ -823,15 +823,7 @@ impl Simulator {
         self.fetch(c)?;
 
         // 8. Stats.
-        if committed == 0 && !self.halted {
-            self.stats.commit_stall_cycles += 1;
-            if self.rob_len() >= self.cfg.rob || self.backend_stalled {
-                self.stats.full_rob_stall_cycles += 1;
-            }
-        }
-        if self.runahead.is_some() {
-            self.stats.runahead_cycles += 1;
-        }
+        self.book_cycles(1, committed > 0 || self.halted, self.backend_stalled);
         self.cycle += 1;
         Ok(())
     }
@@ -1012,13 +1004,24 @@ impl Simulator {
         if w.load_retries {
             self.ms.book_rejected_loads(Requestor::Main, delta);
         }
-        self.stats.commit_stall_cycles += delta;
-        if self.rob_len() >= self.cfg.rob || w.stalled {
-            self.stats.full_rob_stall_cycles += delta;
-        }
+        self.book_cycles(delta, false, w.stalled);
         self.backend_stalled = w.stalled;
+    }
+
+    /// Books `n` cycles of one pipeline state to the cycle-class
+    /// counters: weight 1 from a tick, the window length from a
+    /// fast-forward. `committed` is false when commit made no progress
+    /// on a live core; `stalled` says a back-end queue refused
+    /// dispatch.
+    fn book_cycles(&mut self, n: u64, committed: bool, stalled: bool) {
+        if !committed {
+            self.stats.commit_stall_cycles += n;
+            if self.rob_len() >= self.cfg.rob || stalled {
+                self.stats.full_rob_stall_cycles += n;
+            }
+        }
         if self.runahead.is_some() {
-            self.stats.runahead_cycles += delta;
+            self.stats.runahead_cycles += n;
         }
     }
 
