@@ -102,7 +102,7 @@ fn bench_cache_mshr() {
     let r = Runner::new("mshr");
     let mut m = MshrFile::new(24);
     for i in 0..24u64 {
-        m.allocate(i * 64, 0, u64::MAX / 2 + i, Requestor::Main);
+        m.allocate(i * 64, 0, u64::MAX / 2 + i);
     }
     let mut now = 0u64;
     r.bench("expire_nothing_due", || {

@@ -44,7 +44,10 @@ use vr_workloads::Workload;
 /// * 3 — `RunaheadConfig` lost three hashed fields and the `SimStats`
 ///   record one key, so every key and the record layout changed; the
 ///   goldens did not.
-pub const CODE_SALT: u64 = 3;
+/// * 4 — a prefetched line has one owner record, so `pf_used` counts
+///   each issue at most once (`golden_stats`' `pf_used_ra` re-pinned),
+///   and the `MemStats` record gained `pf_evicted_unused`.
+pub const CODE_SALT: u64 = 4;
 
 /// The 64-bit content address of one simulation point.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -75,6 +75,7 @@ mod tests {
                 dram_writebacks: 30,
                 pf_issued: [31, 32, 33, 34],
                 pf_used: [35, 36, 37, 38],
+                pf_evicted_unused: [47, 48, 49, 50],
                 pf_dropped_mshr: 39,
                 pf_dropped_fault: 40,
                 pf_delayed_fault: 41,
@@ -96,12 +97,12 @@ mod tests {
     /// schema tag) in the same change.
     #[test]
     fn stored_record_bytes_are_pinned() {
-        assert_eq!(fnv(&SimStats::to_json(&dense_stats()).to_pretty()), 0x96ae_ab73_ebd4_8099);
+        assert_eq!(fnv(&SimStats::to_json(&dense_stats()).to_pretty()), 0xe707_5b62_aba3_5488);
         let run = ChipRun {
             per_core: vec![dense_stats(), SimStats::default()],
             chip: ChipStats { cycles: u64::MAX, llc_hits: 7, ..ChipStats::default() },
         };
-        assert_eq!(fnv(&chip_run_to_json(&run).to_pretty()), 0x5906_8ee7_43da_9da7);
+        assert_eq!(fnv(&chip_run_to_json(&run).to_pretty()), 0x4ffb_3a91_b915_6594);
     }
 
     #[test]

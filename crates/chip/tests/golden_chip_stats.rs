@@ -115,7 +115,7 @@ fn golden_chip_n2_homog_vector() {
                 dram_loads: 777,
                 l1_loads: 3309,
                 pf_issued_ra: 145,
-                pf_used_ra: 84,
+                pf_used_ra: 64,
                 dram_reads_total: 478,
                 reg_digest: 18030273617011519076,
             },
@@ -134,7 +134,7 @@ fn golden_chip_n2_homog_vector() {
                 dram_loads: 798,
                 l1_loads: 3301,
                 pf_issued_ra: 145,
-                pf_used_ra: 86,
+                pf_used_ra: 64,
                 dram_reads_total: 478,
                 reg_digest: 18030273617011519076,
             },
@@ -177,7 +177,7 @@ fn golden_chip_n4_mixed_placement() {
                 dram_loads: 783,
                 l1_loads: 3303,
                 pf_issued_ra: 145,
-                pf_used_ra: 84,
+                pf_used_ra: 64,
                 dram_reads_total: 478,
                 reg_digest: 18030273617011519076,
             },
@@ -215,7 +215,7 @@ fn golden_chip_n4_mixed_placement() {
                 dram_loads: 783,
                 l1_loads: 3303,
                 pf_issued_ra: 145,
-                pf_used_ra: 84,
+                pf_used_ra: 64,
                 dram_reads_total: 478,
                 reg_digest: 18030273617011519076,
             },

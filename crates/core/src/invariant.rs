@@ -13,6 +13,8 @@
 // helpers referenced only by their unit tests.
 #![cfg_attr(not(feature = "checked"), allow(dead_code))]
 
+use vr_mem::MemStats;
+
 /// A structure's occupancy must not exceed its capacity.
 /// Returns a description of the violation, if any.
 pub(crate) fn check_occupancy(name: &str, used: usize, cap: usize) -> Result<(), String> {
@@ -102,6 +104,20 @@ pub(crate) fn check_no_spec_stores(spec_stores: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Prefetch outcomes never outnumber issues: per requestor, `pf_used
+/// + pf_evicted_unused <= pf_issued` (the rest are still resident).
+pub(crate) fn check_prefetch_outcomes(m: &MemStats) -> Result<(), String> {
+    for i in 0..m.pf_issued.len() {
+        let (used, evicted, issued) = (m.pf_used[i], m.pf_evicted_unused[i], m.pf_issued[i]);
+        if used + evicted > issued {
+            return Err(format!(
+                "requestor {i}: {used} used + {evicted} evicted > {issued} issued"
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +177,15 @@ mod tests {
     fn spec_store_containment() {
         assert!(check_no_spec_stores(0).is_ok());
         assert!(check_no_spec_stores(1).unwrap_err().contains("architecturally invisible"));
+    }
+
+    #[test]
+    fn prefetch_outcomes_never_outnumber_issues() {
+        let mut m = MemStats { pf_issued: [0, 5, 3, 0], ..Default::default() };
+        m.pf_used = [0, 3, 1, 0];
+        m.pf_evicted_unused = [0, 2, 1, 0];
+        assert!(check_prefetch_outcomes(&m).is_ok());
+        m.pf_used[2] = 3;
+        assert!(check_prefetch_outcomes(&m).unwrap_err().contains("requestor 2"));
     }
 }

@@ -516,11 +516,24 @@ impl Simulator {
     /// statistics) into [`SimStats`] and returns the snapshot — the
     /// tail of [`Self::try_run`], exposed for external clock owners.
     /// Idempotent; safe to call mid-run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some requestor's prefetches do not conserve (see
+    /// [`vr_mem::MemStats::pf_issued`]).
     pub fn seal_stats(&mut self) -> SimStats {
         self.stats.cycles = self.cycle;
         self.stats.instructions = self.committed_insts;
         self.stats.mshr_occupancy_integral = self.ms.mshr_occupancy_integral();
         self.stats.mem = *self.ms.stats();
+        let (m, resident) = (&self.stats.mem, self.ms.pf_resident());
+        for i in 0..resident.len() {
+            assert_eq!(
+                m.pf_issued[i],
+                m.pf_used[i] + m.pf_evicted_unused[i] + resident[i],
+                "prefetch outcomes of requestor {i} do not conserve (resident {resident:?})"
+            );
+        }
         let mut stats = self.stats;
         // A live episode's pre-executed instructions count already;
         // the rest of its counters fold in at exit.
@@ -1159,6 +1172,9 @@ impl Simulator {
             // Runahead containment: speculative requestors never write
             // the memory hierarchy.
             inv::check_no_spec_stores(self.ms.stats().spec_stores).map_err(&err)?;
+            // The O(1) half of the prefetch-outcome law; the exact law,
+            // which walks the caches, is checked at seal.
+            inv::check_prefetch_outcomes(self.ms.stats()).map_err(&err)?;
 
             // The live engine's own bookkeeping (vector lane masks,
             // DESIGN.md §14).

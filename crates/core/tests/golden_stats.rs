@@ -150,7 +150,7 @@ fn golden_bfs_kron_classic_runahead() {
             dram_loads: 1917,
             l1_loads: 7729,
             pf_issued_ra: 53,
-            pf_used_ra: 143,
+            pf_used_ra: 53,
             dram_reads_total: 676,
             reg_digest: 7198178889232601213,
         },
@@ -177,7 +177,7 @@ fn golden_bfs_kron_vector_runahead() {
             dram_loads: 1231,
             l1_loads: 7930,
             pf_issued_ra: 234,
-            pf_used_ra: 254,
+            pf_used_ra: 222,
             dram_reads_total: 677,
             reg_digest: 7198178889232601213,
         },
@@ -231,7 +231,7 @@ fn golden_bfs_urand_classic_runahead() {
             dram_loads: 1382,
             l1_loads: 7681,
             pf_issued_ra: 36,
-            pf_used_ra: 57,
+            pf_used_ra: 36,
             dram_reads_total: 700,
             reg_digest: 7467811890302669665,
         },

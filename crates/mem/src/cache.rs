@@ -39,7 +39,10 @@ pub struct LineState {
     /// Needs write-back on eviction.
     pub dirty: bool,
     /// Who filled the line, if it was a prefetch and has not yet been
-    /// demand-touched.
+    /// demand-touched: the one owner record of a prefetch. It starts
+    /// on the L1 copy the prefetch installs and moves down with the
+    /// line on eviction. A demand touch takes it (`pf_used`), a drop
+    /// books it (`pf_evicted_unused`); nothing else reads or clears it.
     pub prefetch_src: Option<Requestor>,
 }
 
@@ -186,16 +189,10 @@ impl Cache {
         (last.line_addr != EMPTY.line_addr).then_some(last)
     }
 
-    /// Removes the line containing `addr` (back-invalidation), if
-    /// present; returns its state.
-    pub fn invalidate(&mut self, addr: u64) -> Option<LineState> {
-        let la = self.line_addr(addr);
-        let pos = self.probe(la)?;
-        let set = self.set_mut(la);
-        let line = set[pos];
-        set.copy_within(pos + 1.., pos);
-        set[set.len() - 1] = EMPTY;
-        Some(line)
+    /// The prefetch owner of every resident line that has one, for the
+    /// seal-time census of unused prefetches.
+    pub(crate) fn owners(&self) -> impl Iterator<Item = Requestor> + '_ {
+        self.ways.iter().filter_map(|l| l.prefetch_src)
     }
 
     /// Number of resident lines (for tests).
@@ -260,15 +257,6 @@ mod tests {
         c.fill(256, None);
         let victim = c.fill(512, None).unwrap();
         assert!(victim.dirty, "dirty LRU line must be reported on eviction");
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.fill(0, None);
-        assert!(c.invalidate(0x20).is_some()); // same line as 0
-        assert!(!c.contains(0));
-        assert!(c.invalidate(0).is_none());
     }
 
     #[test]
@@ -344,17 +332,12 @@ mod tests {
             victim
         }
 
-        fn invalidate(&mut self, la: u64) -> Option<LineState> {
-            let pos = self.probe(la)?;
-            Some(self.set(la).remove(pos))
-        }
-
         fn resident_lines(&self) -> usize {
             self.sets.iter().map(Vec::len).sum()
         }
     }
 
-    /// Seeded `fill`/`insert`/`lookup`/`probe`/`promote`/`invalidate` on
+    /// Seeded `fill`/`insert`/`lookup`/`probe`/`promote` on
     /// the flat cache and the `Vec`-per-set reference: every return
     /// value, and afterwards every line's probe position and flags, must
     /// agree.
@@ -362,13 +345,13 @@ mod tests {
         let mut flat = Cache::new(cfg);
         let mut reference = VecCache::new(cfg);
         let mut rng = SplitMix64::new(seed);
-        // Three lines per way of capacity: sets fill, evict and drain.
+        // Three lines per way of capacity: sets fill and evict.
         let universe = (cfg.sets() * cfg.assoc * 3) as u64;
         let srcs = [None, Some(Requestor::Runahead), Some(Requestor::Stride)];
         for op in 0..10_000 {
             let la = rng.below(universe) * 64;
             let addr = la + rng.below(64);
-            match rng.below(6) {
+            match rng.below(5) {
                 0 | 1 => {
                     let src = srcs[rng.below(3) as usize];
                     assert_eq!(
@@ -377,7 +360,7 @@ mod tests {
                         "op {op}: fill victim"
                     );
                 }
-                5 if reference.probe(la).is_none() => {
+                4 if reference.probe(la).is_none() => {
                     // `insert` is `fill` plus a dirty flag, for a line
                     // known to be absent.
                     let src = srcs[rng.below(3) as usize];
@@ -398,19 +381,12 @@ mod tests {
                         w.prefetch_src = w.prefetch_src.take().or(Some(Requestor::Imp));
                     }
                 }
-                3 => {
+                _ => {
                     let pos = flat.probe(addr);
                     assert_eq!(pos, reference.probe(la), "op {op}: probe");
                     if let Some(pos) = pos {
                         assert_eq!(*flat.promote(addr, pos), *reference.promote(la, pos));
                     }
-                }
-                _ => {
-                    assert_eq!(
-                        flat.invalidate(addr),
-                        reference.invalidate(la),
-                        "op {op}: invalidate"
-                    );
                 }
             }
             assert_eq!(flat.resident_lines(), reference.resident_lines(), "op {op}");

@@ -41,9 +41,6 @@ pub struct AccessOutcome {
     pub ready_at: u64,
     /// Level that served the access.
     pub hit: HitLevel,
-    /// If the line was brought in by a prefetcher/runahead and this is
-    /// its first demand touch: who prefetched it.
-    pub prefetched_by: Option<Requestor>,
 }
 
 /// Error: the MSHR file has no free entry; the access must be retried
@@ -111,7 +108,7 @@ enum Llc {
 struct Found {
     hit: HitLevel,
     ready_at: u64,
-    /// The found line's prefetch owner (cleared on a demand touch).
+    /// The found line's prefetch owner, taken by a demand touch.
     owner: Option<Requestor>,
     /// Dirtiness the line brings into L2: the found copy's, or for a
     /// DRAM fetch whether it serves a store.
@@ -121,12 +118,15 @@ struct Found {
 /// Folds an evicted line into the next level's resident copy: the
 /// dirtiness joins, and a not-yet-consumed prefetch ownership moves
 /// down with it (what makes the timeliness L2/L3 buckets mean
-/// "prefetched, but evicted before use").
-fn absorb(line: &mut LineState, victim: LineState) {
+/// "prefetched, but evicted before use"). A copy holds one owner:
+/// returns the victim's if the copy already had one.
+fn absorb(line: &mut LineState, victim: LineState) -> Option<Requestor> {
     line.dirty |= victim.dirty;
     if line.prefetch_src.is_none() {
         line.prefetch_src = victim.prefetch_src;
+        return None;
     }
+    victim.prefetch_src
 }
 
 impl MemorySystem {
@@ -337,6 +337,28 @@ impl MemorySystem {
         }
     }
 
+    /// Books an owner record that leaves the core's caches unused.
+    fn count_evicted_unused(&mut self, owner: Option<Requestor>) {
+        if let Some(src) = owner {
+            self.stats.pf_evicted_unused[MemStats::req_idx(src)] += 1;
+        }
+    }
+
+    /// Prefetched lines still resident and unused, per requestor: the
+    /// owners found by one walk over the L1, the L2 and the private L3
+    /// (a chip's shared LLC holds none). With `pf_used` and
+    /// `pf_evicted_unused` this accounts for every `pf_issued`.
+    pub fn pf_resident(&self) -> [u64; 4] {
+        let mut n = [0; 4];
+        let mut count = |c: &Cache| c.owners().for_each(|src| n[MemStats::req_idx(src)] += 1);
+        count(&self.l1d);
+        count(&self.l2);
+        if let Llc::Private { l3, .. } = &self.llc {
+            count(l3);
+        }
+        n
+    }
+
     fn do_access(
         &mut self,
         addr: u64,
@@ -363,55 +385,44 @@ impl MemorySystem {
             }
         }
 
-        // Merge with an outstanding miss to the same line.
+        // Merge with an outstanding miss to the same line. A demand
+        // merge touches the L1 copy the allocation installed as an L1
+        // hit does. If that copy was evicted while pending, its owner
+        // moved down with it and the demand touch that finds it there
+        // books the use.
         if let Some(ready) = self.mshr.pending(la) {
-            let owner = self.mshr.requestor_of(la).filter(|o| o.is_prefetch());
             if is_demand {
                 if !store {
                     self.stats.load_hits[MemStats::level_idx(HitLevel::Dram)] += 1;
                     self.stats.load_merges += 1;
                 }
-                if let Some(src) = owner {
-                    // The prefetch was issued but did not complete in
-                    // time: "off-chip" timeliness.
-                    self.count_use(src, TimelinessLevel::OffChip);
-                    // Transfer line ownership to the demand stream so
-                    // later touches count as plain hits.
-                    if let Some(line) = self.l1d.lookup(la) {
-                        line.prefetch_src = None;
-                    }
-                }
-            }
-            if store {
                 if let Some(line) = self.l1d.lookup(la) {
-                    line.dirty = true;
+                    line.dirty |= store;
+                    if let Some(src) = line.prefetch_src.take() {
+                        // The prefetch was issued but did not complete
+                        // in time: "off-chip" timeliness.
+                        self.count_use(src, TimelinessLevel::OffChip);
+                    }
                 }
             }
             return Ok(AccessOutcome {
                 ready_at: ready.max(now + self.cfg.l1d.latency),
                 hit: HitLevel::Dram,
-                prefetched_by: owner,
             });
         }
 
         // L1 hit.
         if let Some(line) = self.l1d.lookup(la) {
             line.dirty |= store;
-            let prefetched_by = line.prefetch_src;
             if is_demand {
-                line.prefetch_src = None;
-                if let Some(src) = prefetched_by {
+                if let Some(src) = line.prefetch_src.take() {
                     self.count_use(src, TimelinessLevel::L1);
                 }
                 if !store {
                     self.stats.load_hits[MemStats::level_idx(HitLevel::L1)] += 1;
                 }
             }
-            return Ok(AccessOutcome {
-                ready_at: now + self.cfg.l1d.latency,
-                hit: HitLevel::L1,
-                prefetched_by,
-            });
+            return Ok(AccessOutcome { ready_at: now + self.cfg.l1d.latency, hit: HitLevel::L1 });
         }
 
         // L1 miss from here on: it needs a private MSHR entry, and on
@@ -433,7 +444,7 @@ impl MemorySystem {
                 self.stats.load_hits[MemStats::level_idx(hit)] += 1;
             }
         }
-        self.mshr.allocate(la, now, ready_at, req);
+        self.mshr.allocate(la, now, ready_at);
         if hit == HitLevel::Dram {
             self.stats.dram_reads[MemStats::req_idx(req)] += 1;
         }
@@ -450,18 +461,15 @@ impl MemorySystem {
             self.fill_l2(la, dirty, None);
         }
         self.fill_l1(la, store || dirty, req.is_prefetch().then_some(req));
-        Ok(AccessOutcome { ready_at, hit, prefetched_by: owner })
+        Ok(AccessOutcome { ready_at, hit })
     }
 
     /// The one lookup below L1: L2, then the private L3 or the chip's
-    /// shared LLC, then DRAM. A demand touch clears the owner of the
+    /// shared LLC, then DRAM. A demand touch takes the owner of the
     /// line it finds. `None` is a shared-MSHR-pool reject.
     fn lookup_below_l1(&mut self, la: u64, store: bool, demand: bool, now: u64) -> Option<Found> {
         let claim = |hit, ready_at, line: &mut LineState| {
-            let owner = line.prefetch_src;
-            if demand {
-                line.prefetch_src = None;
-            }
+            let owner = if demand { line.prefetch_src.take() } else { None };
             Found { hit, ready_at, owner, dirty: line.dirty }
         };
         let fetched = |ready_at| Found { hit: HitLevel::Dram, ready_at, owner: None, dirty: store };
@@ -480,8 +488,8 @@ impl MemorySystem {
             Llc::Shared { core, llc } => {
                 let llc = llc.as_mut().expect("shared-LLC access with no broker installed");
                 // The shared L3 tracks no per-core prefetch ownership,
-                // so a shared hit never reports `prefetched_by` and the
-                // L3 timeliness bucket is unreachable in chip runs
+                // so a shared hit never books a use and the L3
+                // timeliness bucket is unreachable in chip runs
                 // (DESIGN.md §16).
                 match llc.access_line(*core, la, arrive) {
                     SharedOutcome::Hit { ready_at } => {
@@ -500,7 +508,10 @@ impl MemorySystem {
             return;
         };
         match self.l2.lookup(victim.line_addr) {
-            Some(line) => absorb(line, victim),
+            Some(line) => {
+                let lost = absorb(line, victim);
+                self.count_evicted_unused(lost);
+            }
             None => self.fill_l2(victim.line_addr, victim.dirty, victim.prefetch_src),
         }
     }
@@ -508,22 +519,28 @@ impl MemorySystem {
     /// Installs `la` in the L2. The victim is folded into the private
     /// L3's copy, installed there if dirty, or else dropped; on a chip
     /// it leaves the core for the shared LLC (merge or, if dirty,
-    /// install). Prefetch ownership does not leave the core.
+    /// install). Prefetch ownership does not leave the core: a dropped
+    /// or handed-over owner is booked evicted unused.
     fn fill_l2(&mut self, la: u64, dirty: bool, pf_src: Option<Requestor>) {
         let Some(victim) = self.l2.insert(la, dirty, pf_src) else {
             return;
         };
-        match &mut self.llc {
+        let lost = match &mut self.llc {
             Llc::Private { l3, .. } => match l3.lookup(victim.line_addr) {
                 Some(line) => absorb(line, victim),
-                None if victim.dirty => self.fill_l3(victim.line_addr, true, victim.prefetch_src),
-                None => {}
+                None if victim.dirty => {
+                    self.fill_l3(victim.line_addr, true, victim.prefetch_src);
+                    None
+                }
+                None => victim.prefetch_src,
             },
             Llc::Shared { core, llc } => {
                 let llc = llc.as_mut().expect("shared-LLC victim outside a chip core-step");
                 llc.fill_victim(*core, victim.line_addr, victim.dirty);
+                victim.prefetch_src
             }
-        }
+        };
+        self.count_evicted_unused(lost);
     }
 
     /// Installs `la` in the private L3, writing a dirty victim back to
@@ -539,6 +556,7 @@ impl MemorySystem {
             dram.write_line(0);
             self.stats.dram_writebacks += 1;
         }
+        self.count_evicted_unused(victim.prefetch_src);
     }
 
     /// Issues a (drop-on-full) prefetch for the line containing `addr`.
@@ -740,7 +758,6 @@ mod tests {
         // Main thread arrives after the fill completes: L1 timely hit.
         let r = ms.access(0x2000, Access::Load, Requestor::Main, 5, 400).unwrap();
         assert_eq!(r.hit, HitLevel::L1);
-        assert_eq!(r.prefetched_by, Some(Requestor::Runahead));
         assert_eq!(ms.stats().timeliness[0], 1); // L1 bucket
         assert_eq!(ms.stats().pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
         // Second touch is a plain hit, not double-counted.
@@ -855,35 +872,113 @@ mod tests {
     }
 
     /// Demand-loads `n` lines that share line 0's L1 set (4 sets) and
-    /// L2 set (8 sets) on the tiny hierarchy, one every 1000 cycles
+    /// L2 set (8 sets) on the tiny hierarchy, one every `every` cycles
     /// from `start`: two push line 0 out of the L1, four out of the L2
     /// too, while it stays in its 16-set L3. Returns the next free
     /// cycle.
-    fn evict_line0(ms: &mut MemorySystem, n: u64, start: u64) -> u64 {
+    fn evict_line0(ms: &mut MemorySystem, n: u64, start: u64, every: u64) -> u64 {
         for k in 1..=n {
-            ms.access(k * 0x200, Access::Load, Requestor::Main, 1, start + k * 1000).unwrap();
+            ms.access(k * 0x200, Access::Load, Requestor::Main, 1, start + k * every).unwrap();
         }
-        start + (n + 1) * 1000
+        start + (n + 1) * every
+    }
+
+    /// Every issued prefetch has exactly one outcome: used, evicted
+    /// unused, or still resident.
+    fn assert_law(ms: &MemorySystem) {
+        let (s, resident) = (ms.stats(), ms.pf_resident());
+        for i in 0..4 {
+            assert_eq!(
+                s.pf_issued[i],
+                s.pf_used[i] + s.pf_evicted_unused[i] + resident[i],
+                "requestor {i}: {s:?}, resident {resident:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn demand_merges_into_a_pending_prefetch_count_one_use() {
+        let mut ms = sys();
+        assert!(ms.prefetch(0x2000, Requestor::Runahead, 0));
+        for t in 1..=4 {
+            let r = ms.access(0x2000 + t * 8, Access::Load, Requestor::Main, 5, t).unwrap();
+            assert_eq!(r.hit, HitLevel::Dram);
+        }
+        let s = ms.stats();
+        assert_eq!(s.load_merges, 4);
+        assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
+        assert_eq!(s.timeliness, [0, 0, 0, 1]);
+        assert_law(&ms);
+    }
+
+    #[test]
+    fn prefetch_evicted_from_l1_while_pending_is_used_once_at_l2() {
+        let ra = MemStats::req_idx(Requestor::Runahead);
+        let mut ms = sys();
+        assert!(ms.prefetch(0, Requestor::Runahead, 0));
+        assert_eq!(ms.pf_resident()[ra], 1);
+        // Two loads push line 0 out of the L1 before its fill (242).
+        let now = evict_line0(&mut ms, 2, 0, 10);
+        assert!(!ms.in_l1(0) && now < 242);
+        assert_eq!(ms.pf_resident()[ra], 1, "the owner moved down to the L2 copy");
+        // The merge finds no L1 copy, so it books nothing.
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
+        assert_eq!(r.hit, HitLevel::Dram);
+        assert_eq!(ms.stats().pf_used[ra], 0);
+        // The demand touch that finds the line in the L2 books the use.
+        let r = ms.access(0, Access::Load, Requestor::Main, 5, 1000).unwrap();
+        assert_eq!(r.hit, HitLevel::L2);
+        let s = ms.stats();
+        assert_eq!(s.pf_used[ra], 1);
+        assert_eq!(s.timeliness, [0, 1, 0, 0]);
+        assert_eq!(s.pf_evicted_unused[ra], 0);
+        assert_eq!(ms.pf_resident()[ra], 0);
+        assert_law(&ms);
+    }
+
+    #[test]
+    fn unused_prefetches_are_booked_where_their_owner_leaves() {
+        let (ra, stride) =
+            (MemStats::req_idx(Requestor::Runahead), MemStats::req_idx(Requestor::Stride));
+        let mut ms = sys();
+        // A runahead prefetch, evicted to the L2 unused; a stride
+        // prefetch of the same line then owns the new L1 copy.
+        assert!(ms.prefetch(0, Requestor::Runahead, 0));
+        let now = evict_line0(&mut ms, 2, 1000, 1000);
+        assert!(ms.prefetch(0, Requestor::Stride, now));
+        assert_eq!(ms.pf_resident(), [0, 1, 1, 0]);
+        assert_law(&ms);
+        // Its eviction folds into the L2 copy, which keeps its owner:
+        // the stride prefetch left unused.
+        let now = evict_line0(&mut ms, 2, now, 1000);
+        assert_eq!(ms.stats().pf_evicted_unused[stride], 1);
+        assert_eq!(ms.pf_resident(), [0, 1, 0, 0]);
+        assert_law(&ms);
+        // Lines sharing line 0's L3 set push it out of every level.
+        for k in 1..=16 {
+            ms.access(k * 0x400, Access::Load, Requestor::Main, 1, now + k * 1000).unwrap();
+        }
+        assert_eq!(ms.stats().pf_evicted_unused[ra], 1);
+        assert_eq!(ms.pf_resident(), [0; 4]);
+        assert_law(&ms);
     }
 
     #[test]
     fn runahead_prefetch_evicted_from_l1_counts_l2_timeliness() {
         let mut ms = sys();
         assert!(ms.prefetch(0, Requestor::Runahead, 0));
-        let now = evict_line0(&mut ms, 2, 1000);
+        let now = evict_line0(&mut ms, 2, 1000, 1000);
         assert!(!ms.in_l1(0));
         let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
         assert_eq!(r.hit, HitLevel::L2);
         assert_eq!(r.ready_at, now + 4 + 8);
-        assert_eq!(r.prefetched_by, Some(Requestor::Runahead));
         let s = ms.stats();
         assert_eq!(s.timeliness, [0, 1, 0, 0]);
         assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
         // The demand touch consumed the ownership: a re-touch after
         // another eviction is a plain hit.
-        let now = evict_line0(&mut ms, 2, now);
-        let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
-        assert_eq!(r.prefetched_by, None);
+        let now = evict_line0(&mut ms, 2, now, 1000);
+        ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
         assert_eq!(ms.stats().pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
     }
 
@@ -891,10 +986,9 @@ mod tests {
     fn runahead_prefetch_evicted_from_l1_and_l2_counts_l3_timeliness() {
         let mut ms = sys();
         assert!(ms.prefetch(0, Requestor::Runahead, 0));
-        let now = evict_line0(&mut ms, 6, 1000);
+        let now = evict_line0(&mut ms, 6, 1000, 1000);
         let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
         assert_eq!(r.hit, HitLevel::L3);
-        assert_eq!(r.prefetched_by, Some(Requestor::Runahead));
         let s = ms.stats();
         assert_eq!(s.timeliness, [0, 0, 1, 0]);
         assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 1);
@@ -905,7 +999,7 @@ mod tests {
     fn private_l3_hit_latency() {
         let mut ms = sys();
         ms.access(0, Access::Load, Requestor::Main, 1, 0).unwrap();
-        let now = evict_line0(&mut ms, 6, 1000);
+        let now = evict_line0(&mut ms, 6, 1000, 1000);
         let reads = ms.stats().dram_reads_total();
         let r = ms.access(0, Access::Load, Requestor::Main, 1, now).unwrap();
         assert_eq!(r.hit, HitLevel::L3);
@@ -959,15 +1053,17 @@ mod tests {
     fn shared_llc_hit_reports_no_prefetch_owner() {
         let mut ms = shared_sys(4);
         assert!(ms.prefetch(0, Requestor::Runahead, 0));
-        let now = evict_line0(&mut ms, 6, 1000);
+        let now = evict_line0(&mut ms, 6, 1000, 1000);
         let r = ms.access(0, Access::Load, Requestor::Main, 5, now).unwrap();
         assert_eq!(r.hit, HitLevel::L3);
         assert_eq!(r.ready_at, now + 42);
-        // Prefetch ownership does not cross into the shared LLC.
-        assert_eq!(r.prefetched_by, None);
+        // Prefetch ownership does not cross into the shared LLC: the
+        // L2 victim handed over is booked evicted unused.
         let s = ms.stats();
         assert_eq!(s.timeliness, [0; 4]);
         assert_eq!(s.pf_used[MemStats::req_idx(Requestor::Runahead)], 0);
+        assert_eq!(s.pf_evicted_unused[MemStats::req_idx(Requestor::Runahead)], 1);
+        assert_law(&ms);
         assert_eq!(s.load_hits[MemStats::level_idx(HitLevel::L3)], 1);
         assert_eq!(ms.take_shared_llc().stats().llc_hits, 1);
     }

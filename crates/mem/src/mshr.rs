@@ -1,12 +1,11 @@
 //! Miss-status holding registers.
 
-use crate::Requestor;
-
+/// One outstanding miss. Who prefetched the line is recorded once, on
+/// its cache copy ([`crate::LineState::prefetch_src`]), not here.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     line_addr: u64,
     ready_at: u64,
-    requestor: Requestor,
 }
 
 /// The L1-D MSHR file: at most `capacity` distinct lines may be
@@ -49,10 +48,6 @@ impl MshrFile {
         }
     }
 
-    fn find(&self, line_addr: u64) -> Option<&Entry> {
-        self.entries.iter().find(|e| e.line_addr == line_addr)
-    }
-
     /// Releases entries whose fills have completed by `now`. Before
     /// the earliest `ready_at` no entry can go, so the file is not
     /// scanned.
@@ -67,25 +62,20 @@ impl MshrFile {
     /// The ready cycle of `line_addr`'s outstanding miss, if any (a
     /// secondary miss merges with it).
     pub fn pending(&self, line_addr: u64) -> Option<u64> {
-        self.find(line_addr).map(|e| e.ready_at)
+        self.entries.iter().find(|e| e.line_addr == line_addr).map(|e| e.ready_at)
     }
 
     /// Attempts to allocate an entry for `line_addr`, resolving at
     /// `ready_at`. Returns `false` if the file is full.
-    pub fn allocate(&mut self, line_addr: u64, now: u64, ready_at: u64, req: Requestor) -> bool {
+    pub fn allocate(&mut self, line_addr: u64, now: u64, ready_at: u64) -> bool {
         if self.entries.len() >= self.capacity {
             return false;
         }
         debug_assert!(self.pending(line_addr).is_none(), "duplicate MSHR allocation");
-        self.entries.push(Entry { line_addr, ready_at, requestor: req });
+        self.entries.push(Entry { line_addr, ready_at });
         self.next_ready = self.next_ready.min(ready_at);
         self.occupancy_integral += ready_at.saturating_sub(now);
         true
-    }
-
-    /// Requestor that allocated the outstanding entry for `line_addr`.
-    pub fn requestor_of(&self, line_addr: u64) -> Option<Requestor> {
-        self.find(line_addr).map(|e| e.requestor)
     }
 
     /// Number of currently outstanding entries (call [`MshrFile::expire`]
@@ -127,9 +117,9 @@ mod tests {
     #[test]
     fn allocate_until_full_then_reject() {
         let mut m = MshrFile::new(2);
-        assert!(m.allocate(0x00, 0, 100, Requestor::Main));
-        assert!(m.allocate(0x40, 0, 100, Requestor::Main));
-        assert!(!m.allocate(0x80, 0, 100, Requestor::Main));
+        assert!(m.allocate(0x00, 0, 100));
+        assert!(m.allocate(0x40, 0, 100));
+        assert!(!m.allocate(0x80, 0, 100));
         assert!(!m.has_free());
         assert_eq!(m.outstanding(), 2);
     }
@@ -138,9 +128,9 @@ mod tests {
     fn free_at_is_the_first_cycle_an_expire_frees_an_entry() {
         let mut m = MshrFile::new(2);
         assert_eq!(m.free_at(5), 5, "empty");
-        m.allocate(0x00, 0, 100, Requestor::Main);
+        m.allocate(0x00, 0, 100);
         assert_eq!(m.free_at(5), 5, "one entry left");
-        m.allocate(0x40, 0, 80, Requestor::Main);
+        m.allocate(0x40, 0, 80);
         assert_eq!(m.free_at(5), 80);
         assert_eq!(m.free_at(79), 80);
         assert_eq!(m.free_at(80), 80, "not expired yet, but expire(80) frees it");
@@ -153,7 +143,7 @@ mod tests {
     #[test]
     fn expire_frees_entries() {
         let mut m = MshrFile::new(1);
-        m.allocate(0x00, 0, 100, Requestor::Main);
+        m.allocate(0x00, 0, 100);
         m.expire(99);
         assert_eq!(m.outstanding(), 1);
         m.expire(100);
@@ -164,17 +154,16 @@ mod tests {
     #[test]
     fn merge_returns_pending_ready_time() {
         let mut m = MshrFile::new(4);
-        m.allocate(0x40, 0, 250, Requestor::Runahead);
+        m.allocate(0x40, 0, 250);
         assert_eq!(m.pending(0x40), Some(250));
         assert_eq!(m.pending(0x80), None);
-        assert_eq!(m.requestor_of(0x40), Some(Requestor::Runahead));
     }
 
     #[test]
     fn occupancy_integral_accumulates_durations() {
         let mut m = MshrFile::new(4);
-        m.allocate(0x00, 10, 210, Requestor::Main); // 200 cycles
-        m.allocate(0x40, 20, 120, Requestor::Main); // 100 cycles
+        m.allocate(0x00, 10, 210); // 200 cycles
+        m.allocate(0x40, 20, 120); // 100 cycles
         assert_eq!(m.occupancy_integral(), 300);
     }
 
@@ -221,7 +210,7 @@ mod tests {
                     if r.pending(la).is_none() {
                         let ready = now + rng.range(1, 300);
                         assert_eq!(
-                            m.allocate(la, now, ready, Requestor::Main),
+                            m.allocate(la, now, ready),
                             r.allocate(la, ready),
                             "op {op}: allocate"
                         );

@@ -40,15 +40,25 @@ pub struct MemStats {
     /// Dirty-line write-backs to DRAM.
     pub dram_writebacks: u64,
 
-    /// Prefetched lines issued per prefetching requestor.
+    /// Prefetched lines issued per prefetching requestor. Each issue
+    /// ends one way: used, evicted unused, or still resident unused
+    /// ([`crate::MemorySystem::pf_resident`]); `seal_stats` asserts
+    /// `pf_issued == pf_used + pf_evicted_unused + resident`.
     pub pf_issued: [u64; 4],
     /// Prefetched lines later touched by a demand access, per
-    /// requestor.
+    /// requestor: at most once per issue, by the touch that takes the
+    /// line's owner record.
     pub pf_used: [u64; 4],
+    /// Prefetched lines whose owner record left the core's caches
+    /// before any demand touch, per requestor: dropped from the last
+    /// private level, handed to a chip's shared LLC, or folded into a
+    /// lower copy that already had an owner.
+    pub pf_evicted_unused: [u64; 4],
     /// Prefetch *attempts* rejected because the MSHR file was full
     /// (or, for a hardware prefetcher, its share of it): a runahead
     /// gather sub-access retried for `k` cycles before it is accepted
-    /// counts `k`.
+    /// counts `k`. A rejected attempt is not an issue, so drops sit
+    /// outside the `pf_issued` law.
     pub pf_dropped_mshr: u64,
     /// Prefetches dropped by injected faults (the fault-injection
     /// harness's drop-prefetch chaos; always 0 in normal runs).
@@ -153,6 +163,7 @@ vr_obs::counters!(MemStats {
     dram_writebacks,
     pf_issued,
     pf_used,
+    pf_evicted_unused,
     pf_dropped_mshr,
     pf_dropped_fault,
     pf_delayed_fault,
@@ -206,6 +217,7 @@ mod tests {
             dram_writebacks: 8,
             pf_issued: [0, 7, 6, 5],
             pf_used: [0, 5, 4, 3],
+            pf_evicted_unused: [0, 1, 2, 1],
             pf_dropped_mshr: 2,
             pf_dropped_fault: 1,
             pf_delayed_fault: 1,

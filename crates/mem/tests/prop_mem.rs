@@ -71,7 +71,7 @@ fn mshr_capacity_invariant() {
             assert!(m.outstanding() <= 8, "case {case}");
             let la = line * 64;
             if m.pending(la).is_none() && m.has_free() {
-                m.allocate(la, now, now + 200, Requestor::Main);
+                m.allocate(la, now, now + 200);
                 assert_eq!(m.pending(la), Some(now + 200), "case {case}");
             }
         }
