@@ -494,6 +494,49 @@ mod tests {
         }
     }
 
+    /// One document holding every class of character the escaper and
+    /// the reader treat differently — `"`, `\`, `\n`, `\r`, `\t`, other
+    /// control characters, DEL (which passes unescaped), 2-, 3- and
+    /// 4-byte UTF-8 and the empty string — with escapes at the start
+    /// and at the end of a run, as object keys and as values.
+    fn every_escape_class() -> Json {
+        let strings = [
+            "\"quoted\"",
+            "back\\slash",
+            "line\nfeed",
+            "carriage\rreturn",
+            "tab\t",
+            "\u{1}soh",
+            "del \u{7f} passes raw",
+            "two-byte é ñ ß",
+            "three-byte € 漢字 \u{fffd}",
+            "four-byte 🦘 𝄞",
+            "",
+            "\\\n\"\u{1}\u{1f}",
+            "plain ascii run",
+        ];
+        let members = strings
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.to_string(), Json::Arr(vec![Json::from(*s), Json::U64(i as u64)])));
+        Json::Obj(members.collect())
+    }
+
+    /// The compact and pretty renderings of [`every_escape_class`],
+    /// pinned by FNV-1a: the store checksums the compact rendering and
+    /// writes the pretty one, so a change to either moves every record.
+    #[test]
+    fn escaped_renderings_are_pinned() {
+        let doc = every_escape_class();
+        let fnv = |text: String| {
+            let mut h = crate::Fnv64::new();
+            h.write_bytes(text.as_bytes());
+            h.finish()
+        };
+        assert_eq!(fnv(doc.to_string()), 0x44f9_c52d_71d5_5432, "compact: {doc}");
+        assert_eq!(fnv(doc.to_pretty()), 0x997e_b30a_31aa_844a, "pretty: {}", doc.to_pretty());
+    }
+
     /// Non-finite floats have no JSON representation: the serializer
     /// documents them as `null`. A store record must therefore never
     /// round-trip NaN/±inf — pin that the emitted byte really is
