@@ -9,6 +9,7 @@
 //! the workspace carries no registry dependencies.
 
 use vr_bench::micro::{black_box, Runner};
+use vr_campaign::ResultStore;
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
@@ -17,6 +18,7 @@ use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
 use vr_mem::{
     Access, Cache, MemConfig, MemorySystem, MshrFile, Requestor, SharedLlc, SharedLlcConfig,
 };
+use vr_obs::Json;
 use vr_workloads::{graph::GraphPreset, Scale};
 
 fn bench_memory() {
@@ -476,6 +478,52 @@ fn bench_fingerprint() {
     });
 }
 
+/// What a result-store hit costs (DESIGN.md "What a hit costs"): a
+/// load reads, parses, checksums and decodes one record. The scalar
+/// record holds a real `SimStats` (~1.4 KB), the chip record a whole
+/// 8-core `ChipRun` (~12 KB); `parse_chip_record` is the JSON reader's
+/// share of the latter.
+fn bench_store() {
+    let w = vr_workloads::hpcdb::kangaroo(Scale::Test);
+    let (core, mcfg, ra) = (CoreConfig::table1(), MemConfig::table1(), RunaheadConfig::vector());
+    let stats = Simulator::new(
+        core.clone(),
+        mcfg.clone(),
+        ra.clone(),
+        w.program.clone(),
+        w.memory.clone(),
+        &w.init_regs,
+    )
+    .run(20_000);
+    let slots = (0..8)
+        .map(|_| CoreSlot {
+            ra: ra.clone(),
+            program: w.program.clone(),
+            memory: w.memory.clone(),
+            init_regs: w.init_regs.clone(),
+        })
+        .collect();
+    let run = Chip::new(ChipConfig::with_cores(8), core.clone(), mcfg.clone(), slots)
+        .try_run(20_000)
+        .expect("8-core chip run");
+
+    let dir = std::env::temp_dir().join(format!("vr-components-store-{}", std::process::id()));
+    let store = ResultStore::open(&dir).expect("open the store");
+    let scalar = vr_campaign::point_key(&w, &core, &mcfg, &ra, 20_000);
+    let chip = vr_campaign::point_key(&w, &core, &mcfg, &ra, 20_001);
+    store.save(scalar, "kangaroo-vr", &stats).expect("save");
+    store.save_chip(chip, "kangaroo-vr-x8", &run).expect("save_chip");
+
+    let r = Runner::new("store");
+    r.bench("load_scalar", || black_box(store.load(scalar).expect("hit")));
+    r.bench("load_chip_8core", || black_box(store.load_chip(chip, 8).expect("hit")));
+    let text = std::fs::read_to_string(store.records_dir().join(format!("{}.json", chip.hex())))
+        .expect("chip record");
+    Runner::new("json")
+        .bench("parse_chip_record", || black_box(Json::parse(&text).expect("parses")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The two costs a copy-on-write image trades (DESIGN.md "What a point
 /// costs before it simulates"): cloning the Paper-scale `bfs_KR` image
 /// bumps one count per 2 MiB chunk, and the first store to a page the
@@ -501,6 +549,7 @@ fn bench_image_copy() {
 fn main() {
     bench_memory();
     bench_fingerprint();
+    bench_store();
     bench_image_copy();
     bench_emulator();
     bench_tage();

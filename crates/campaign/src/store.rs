@@ -65,6 +65,7 @@
 //! `chaos::FaultFs` (`ResultStore::open_with_chaos`); the production
 //! build compiles to plain `std::fs` calls.
 
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -649,11 +650,24 @@ fn record_path(dir: &Path, key: PointKey) -> PathBuf {
 
 /// Checksum of the serialized payload: FNV-1a over the *compact*
 /// rendering (whitespace-independent, so the pretty record layout may
-/// change without invalidating checksums).
+/// change without invalidating checksums), streamed into the hasher
+/// as it is rendered.
 fn payload_checksum(payload: &Json) -> String {
-    let mut h = Fnv64::new();
-    h.write_bytes(payload.to_string().as_bytes());
-    format!("{:016x}", h.finish())
+    let mut sink = FnvBytes(Fnv64::new());
+    write!(sink, "{payload}").expect("hashing never fails");
+    format!("{:016x}", sink.0.finish())
+}
+
+/// Folds every string written to it into the hasher as raw bytes, with
+/// no length prefix: the checksum is the FNV-1a of the rendering's
+/// bytes however the renderer splits them into writes.
+struct FnvBytes(Fnv64);
+
+impl fmt::Write for FnvBytes {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Full record validation: the embedded key against `key` (the one the

@@ -481,3 +481,26 @@ fn a_poison_record_outside_the_envelope_is_quarantined_once() {
     assert_eq!(store.counters().quarantined, 1, "quarantined once, then simply absent");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A record nested past the reader's depth bound is corrupt: a miss
+/// that lands in quarantine. Read on a thread with the stack a
+/// `vr_pool::map` worker gets (2 MiB), where an unbounded recursive
+/// descent over 100 000 `[` overflows the stack and aborts the process.
+#[test]
+fn a_deeply_nested_record_is_a_quarantined_miss() {
+    let dir = scratch("nested");
+    let store = ResultStore::open(&dir).unwrap();
+    let k = some_key(7);
+    let path = record_path(&store, k);
+    fs::write(&path, "[".repeat(100_000)).unwrap();
+    let loaded = std::thread::scope(|s| {
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        worker.spawn_scoped(s, || store.load(k)).unwrap().join().unwrap()
+    });
+    assert_eq!(loaded, None, "a nested record must miss");
+    assert!(!path.exists(), "a nested record must quarantine");
+    let c = store.counters();
+    assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1));
+    assert_eq!(store.quarantine_backlog().unwrap(), 1);
+    fs::remove_dir_all(&dir).ok();
+}

@@ -125,7 +125,8 @@ impl Json {
     }
 
     /// Parses a JSON document (the full input must be one value plus
-    /// optional whitespace).
+    /// optional whitespace). Arrays and objects nest at most 128 deep,
+    /// so no input can exhaust the stack of the thread reading it.
     ///
     /// # Errors
     ///
@@ -133,7 +134,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -182,21 +183,33 @@ impl fmt::Display for Json {
 
 struct Escaped<'a>(&'a str);
 
+/// Writes the runs between escapes with one `write_str` each. Every
+/// byte that needs an escape is ASCII, so it is never part of a
+/// multi-byte character and each run is a whole `&str`.
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"")?;
-        for c in self.0.chars() {
-            match c {
-                '"' => write!(f, "\\\"")?,
-                '\\' => write!(f, "\\\\")?,
-                '\n' => write!(f, "\\n")?,
-                '\r' => write!(f, "\\r")?,
-                '\t' => write!(f, "\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => write!(f, "{c}")?,
+        f.write_str("\"")?;
+        let mut run = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&self.0[run..i])?;
+            if escape.is_empty() {
+                write!(f, "\\u{b:04x}")?;
+            } else {
+                f.write_str(escape)?;
             }
+            run = i + 1;
         }
-        write!(f, "\"")
+        f.write_str(&self.0[run..])?;
+        f.write_str("\"")
     }
 }
 
@@ -242,6 +255,12 @@ impl From<String> for Json {
 
 // ---- parser ---------------------------------------------------------
 
+/// How deep arrays and objects may nest in a parsed document. The
+/// parser recurses once per level; the deepest document this workspace
+/// writes nests a handful of levels, and a bound keeps a corrupt file
+/// of brackets from overflowing the reading thread's stack.
+const MAX_DEPTH: usize = 128;
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -257,22 +276,26 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which `depth` containers enclose.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'{') => parse_object(b, pos),
+        Some(b'[') => parse_array(b, pos, depth + 1),
+        Some(b'{') => parse_object(b, pos, depth + 1),
         Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
         Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -281,7 +304,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -294,7 +317,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -307,7 +330,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, ":")?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -328,13 +351,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // The run up to the next `"` or `\`. Both are ASCII, so the run
+        // ends on a character boundary of the input and is valid UTF-8.
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+        let end = run.map_or(b.len(), |n| *pos + n);
+        out.push_str(std::str::from_utf8(&b[*pos..end]).expect("input was a str"));
+        *pos = end;
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a `\`.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -363,14 +393,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let s = std::str::from_utf8(&b[*pos..]).expect("input was a str");
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -535,6 +557,61 @@ mod tests {
         };
         assert_eq!(fnv(doc.to_string()), 0x44f9_c52d_71d5_5432, "compact: {doc}");
         assert_eq!(fnv(doc.to_pretty()), 0x997e_b30a_31aa_844a, "pretty: {}", doc.to_pretty());
+    }
+
+    /// The reader inverts the escaper on every class of character, in
+    /// both renderings.
+    #[test]
+    fn every_escape_class_round_trips() {
+        let doc = every_escape_class();
+        for text in [doc.to_string(), doc.to_pretty()] {
+            assert_eq!(Json::parse(&text).expect("parses"), doc, "text was: {text}");
+        }
+    }
+
+    /// A string cut off inside an unescaped run, or right after an
+    /// escape, is an error, not a truncated value.
+    #[test]
+    fn a_string_cut_off_inside_a_run_is_unterminated() {
+        for bad in ["\"abc", "\"a\\nbc", "[\"x\", \"é漢🦘", "{\"k\": \"v"] {
+            assert_eq!(Json::parse(bad), Err("unterminated string".to_string()), "{bad}");
+        }
+        assert_eq!(Json::parse("\"ab\\"), Err("bad escape at byte 4".to_string()));
+    }
+
+    /// A long string mixing every class of character survives a round
+    /// trip exactly (a correctness check: the reader and the escaper
+    /// scan runs, and a run here spans up to hundreds of bytes).
+    #[test]
+    fn a_one_mib_string_round_trips() {
+        let pieces = ["plain ascii ", "é", "漢", "🦘", "\"", "\\", "\n", "\u{1}", "\u{7f}", ""];
+        let mut long = String::new();
+        for i in 0usize.. {
+            if long.len() >= 1 << 20 {
+                break;
+            }
+            long.push_str(pieces[i % pieces.len()]);
+            long.push_str(&"x".repeat(i % 257));
+        }
+        let doc = Json::Arr(vec![Json::from(long.as_str()), Json::Obj(vec![(long, Json::Null)])]);
+        for text in [doc.to_string(), doc.to_pretty()] {
+            assert_eq!(Json::parse(&text).expect("parses"), doc);
+        }
+    }
+
+    /// Arrays and objects nest at most `MAX_DEPTH` deep. Past it the
+    /// parser returns an error instead of recursing, however deep the
+    /// input goes.
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH - 1).replace(":}", ":{}}")).is_ok());
+        let deeper = format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}");
+        assert_eq!(Json::parse(&nested("[", "]", MAX_DEPTH + 1)), Err(deeper.clone()));
+        assert_eq!(Json::parse(&"[".repeat(100_000)), Err(deeper));
+        let objects = nested("{\"a\":", "}", MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).unwrap_err().starts_with("nesting deeper than"));
     }
 
     /// Non-finite floats have no JSON representation: the serializer
