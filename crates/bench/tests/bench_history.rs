@@ -1,7 +1,11 @@
 //! `BENCH_history.jsonl` is the only committed record of simulator
 //! speed: one line per PR, the medians (and, where recorded, the
-//! quartiles) of the benchmark `BENCHMARK.json` defines. This keeps
-//! the record from drifting from that definition.
+//! quartiles) of the benchmark `BENCHMARK.json` defines. A line may
+//! also carry, per metric, the median and quartiles of the per-pair
+//! change/parent ratios of the alternating pairs it was measured in
+//! (`<metric>_ratio`, `_ratio_q1`, `_ratio_q3`): unlike the absolute
+//! numbers, those compare across hosts. This keeps the record from
+//! drifting from that definition.
 
 use std::path::PathBuf;
 
@@ -41,15 +45,28 @@ fn every_history_line_matches_the_benchmark_definition() {
         let got: Vec<&str> = per_workload.iter().map(|(w, _)| w.as_str()).collect();
         assert_eq!(got, workloads, "{at}: workload names");
         for (w, values) in per_workload {
+            // The pair-ratio triple is optional per metric: all three
+            // keys or none.
+            let mut want = keys.clone();
+            for m in &medians {
+                let triple =
+                    [format!("{m}_ratio"), format!("{m}_ratio_q1"), format!("{m}_ratio_q3")];
+                match triple.iter().filter(|k| values.get(k).is_some()).count() {
+                    0 => {}
+                    3 => want.extend(triple),
+                    _ => panic!("{at}: {w} {m}: the ratio triple is all three keys or none"),
+                }
+            }
+            want.sort_unstable();
             let mut got: Vec<&str> =
                 values.as_obj().expect("metrics").iter().map(|(k, _)| k.as_str()).collect();
             got.sort_unstable();
-            assert_eq!(got, keys, "{at}: {w} metric keys");
-            // Where all three were recorded, the median lies inside its
-            // quartiles.
-            for m in &medians {
+            assert_eq!(got, want, "{at}: {w} metric keys");
+            // Where all three were recorded, a median (of the values or
+            // of the ratios) lies inside its quartiles.
+            for m in medians.iter().flat_map(|m| [m.clone(), format!("{m}_ratio")]) {
                 let num = |k: &str| values.get(k).and_then(Json::as_f64);
-                let q = (num(&format!("{m}_q1")), num(m), num(&format!("{m}_q3")));
+                let q = (num(&format!("{m}_q1")), num(&m), num(&format!("{m}_q3")));
                 if let (Some(q1), Some(med), Some(q3)) = q {
                     assert!(q1 <= med && med <= q3, "{at}: {w} {m} {q1} {med} {q3}");
                 }

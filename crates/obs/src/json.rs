@@ -191,20 +191,19 @@ impl fmt::Display for Escaped<'_> {
         f.write_str("\"")?;
         let mut run = 0;
         for (i, b) in self.0.bytes().enumerate() {
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1f => "",
+            let short = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\r' => Some("\\r"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
                 _ => continue,
             };
             f.write_str(&self.0[run..i])?;
-            if escape.is_empty() {
-                write!(f, "\\u{b:04x}")?;
-            } else {
-                f.write_str(escape)?;
+            match short {
+                Some(escape) => f.write_str(escape)?,
+                None => write!(f, "\\u{b:04x}")?,
             }
             run = i + 1;
         }
