@@ -719,3 +719,28 @@ fn trace_renders_an_annotated_episode_window() {
     assert!(out.contains("== runahead episode ["), "no episode separator: {out}");
     assert!(out.contains("<RA>"), "no record flagged in-episode: {out}");
 }
+
+/// The `trace` command's stdout and `--json` export, pinned by their
+/// FNV-1a digests: the episode bookkeeping the command reads (completed
+/// records, whether one is still open) must render the same bytes
+/// however it is stored.
+#[test]
+fn trace_output_is_pinned() {
+    let fnv = |b: &[u8]| {
+        let mut h = vr_obs::Fnv64::new();
+        h.write_bytes(b);
+        h.finish()
+    };
+    let path = tmp("trace.json");
+    let o = experiments(&["trace", "Kangaroo", "--quick", "--json", path.to_str().unwrap()]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let json = std::fs::read(&path).expect("json written");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        (fnv(&o.stdout), fnv(&json)),
+        (0x8a4b445459e3e6c2, 0x8ff9b8c581983e6d),
+        "stdout:\n{}\njson:\n{}",
+        stdout(&o),
+        String::from_utf8_lossy(&json)
+    );
+}
