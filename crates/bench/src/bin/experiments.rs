@@ -1165,7 +1165,7 @@ fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
         .episodes()
         .filter(|e| e.exited_at >= covered)
         .last()
-        .map(|e| (e.entered_at, e.exited_at));
+        .map(|e| (e.episode.entered_at, e.exited_at));
     let start = match focus {
         Some((entered, _)) => records
             .iter()
@@ -1183,7 +1183,7 @@ fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
     let window_start = window.records().next().map_or(0, |r| r.fetch_at);
     let episodes: Vec<(u64, u64)> = tel
         .episodes()
-        .map(|e| (e.entered_at, e.exited_at))
+        .map(|e| (e.episode.entered_at, e.exited_at))
         .filter(|&(_, exited)| exited >= window_start)
         .collect();
 
@@ -1197,7 +1197,8 @@ fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
     s.row(vec!["cycles".into(), stats.cycles.to_string()]);
     s.row(vec!["instructions".into(), stats.instructions.to_string()]);
     s.row(vec!["IPC".into(), format!("{:.3}", stats.ipc())]);
-    let completed = stats.runahead_entries - stats.runahead_aborts - u64::from(tel.in_episode());
+    let completed =
+        stats.runahead_entries - stats.runahead_aborts - u64::from(sim.episode().is_some());
     s.row(vec!["runahead entries".into(), stats.runahead_entries.to_string()]);
     s.row(vec!["episodes completed".into(), completed.to_string()]);
     s.row(vec!["vector batches".into(), stats.vr_batches.to_string()]);
@@ -1206,10 +1207,10 @@ fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
     let mut et = Table::new(&["trigger pc", "entered", "exited", "kind", "batches", "lanes"]);
     for e in tel.episodes() {
         et.row(vec![
-            format!("{:#x}", e.trigger_pc),
-            e.entered_at.to_string(),
+            format!("{:#x}", e.episode.trigger_pc),
+            e.episode.entered_at.to_string(),
             e.exited_at.to_string(),
-            e.kind.label().into(),
+            e.episode.kind.label().into(),
             e.batches.to_string(),
             e.lanes_spawned.to_string(),
         ]);
@@ -1217,7 +1218,7 @@ fn trace_cmd(opts: &mut Opts) -> Vec<Report> {
     r.push_table("episodes", et);
     r.push_note(window.render_annotated(&episodes));
     r.metric("ipc", Some(stats.ipc()));
-    r.attach("telemetry", tel.to_json());
+    r.attach("telemetry", tel.to_json(sim.episode()));
     vec![r]
 }
 

@@ -504,3 +504,22 @@ fn a_deeply_nested_record_is_a_quarantined_miss() {
     assert_eq!(store.quarantine_backlog().unwrap(), 1);
     fs::remove_dir_all(&dir).ok();
 }
+
+/// A counter spelled with a leading zero is not JSON. The record reads
+/// the same numbers and its checksum still matches, so only the
+/// reader's grammar tells it apart: a miss that lands in quarantine,
+/// never a hit.
+#[test]
+fn a_counter_with_a_leading_zero_is_quarantined_not_served() {
+    let dir = scratch("leading-zero");
+    let store = ResultStore::open(&dir).unwrap();
+    let (k, s) = (some_key(8), some_stats(7));
+    store.save(k, "p", &s).unwrap();
+    let path =
+        rewrite(&store, k, |t| t.replace("\"instructions\": 7,", "\"instructions\": 07,"), "07");
+    assert_eq!(store.load(k), None, "a record read loosely would be served");
+    assert!(!path.exists(), "the record must quarantine");
+    let c = store.counters();
+    assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1));
+    fs::remove_dir_all(&dir).ok();
+}

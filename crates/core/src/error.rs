@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::telemetry::Episode;
+
 /// The slot at the head of the reorder buffer when a deadlock dump is
 /// taken — usually the instruction the pipeline is wedged behind.
 #[derive(Clone, Debug)]
@@ -26,18 +28,6 @@ pub struct OldestSlot {
     pub issued: bool,
     /// Cycle its result is (or was) due, if issued.
     pub done_at: Option<u64>,
-}
-
-/// Status of the runahead episode (if any) at dump time.
-#[derive(Clone, Debug)]
-pub struct EpisodeStatus {
-    /// Engine kind as text ("Scalar" or "Vector").
-    pub kind: String,
-    /// Whether the front-end keeps fetching for the main thread while
-    /// the episode runs (eager/decoupled trigger).
-    pub decoupled: bool,
-    /// Cycle at which the episode's interval ends.
-    pub end_at: u64,
 }
 
 /// Snapshot of every occupancy counter the scheduler depends on, taken
@@ -84,7 +74,7 @@ pub struct DeadlockDump {
     /// The ROB head, if the ROB is non-empty.
     pub oldest: Option<OldestSlot>,
     /// The in-flight runahead episode, if any.
-    pub episode: Option<EpisodeStatus>,
+    pub episode: Option<Episode>,
     /// Whether the workload has architecturally halted.
     pub halted: bool,
     /// Whether fetch has stopped (halt reached in fetch).
@@ -135,7 +125,7 @@ impl fmt::Display for DeadlockDump {
         match &self.episode {
             Some(e) => write!(
                 f,
-                "  runahead episode: {} decoupled={} end_at={}",
+                "  runahead episode: {:?} decoupled={} end_at={}",
                 e.kind, e.decoupled, e.end_at
             ),
             None => write!(f, "  runahead episode: <none>"),

@@ -49,11 +49,11 @@ mod vector;
 pub mod wakeup;
 
 pub use config::{CoreConfig, FaultPlan, FuPool, Latencies, RunaheadConfig, RunaheadKind};
-pub use error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};
+pub use error::{DeadlockDump, OldestSlot, SimError};
 pub use runahead::{ScalarRunahead, VrStatus};
 pub use sim::{Advance, Simulator};
 pub use stats::{harmonic_mean, SimStats};
-pub use telemetry::{EpisodeExit, EpisodeKind, EpisodeRecord, Telemetry};
+pub use telemetry::{Episode, EpisodeExit, EpisodeKind, EpisodeRecord, Telemetry};
 pub use trace::{PipelineTrace, TraceRecord};
 pub use vector::{hardware_overhead_bits, hardware_overhead_bytes, VectorRunahead};
 pub use wakeup::WakeupLists;

@@ -9,10 +9,10 @@ use vr_mem::{Access, HitLevel, MemConfig, MemorySystem, Requestor};
 use vr_obs::Counters;
 
 use crate::config::{CoreConfig, RunaheadConfig, RunaheadKind};
-use crate::error::{DeadlockDump, EpisodeStatus, OldestSlot, SimError};
+use crate::error::{DeadlockDump, OldestSlot, SimError};
 use crate::runahead::{RaCtx, RunaheadEngine, ScalarRunahead, VrStatus};
 use crate::stats::SimStats;
-use crate::telemetry::{EpisodeExit, EpisodeKind, Telemetry};
+use crate::telemetry::{Episode, EpisodeExit, EpisodeKind, Telemetry};
 use crate::trace::{PipelineTrace, TraceRecord};
 use crate::vector::{VectorRunahead, MAX_LANES};
 use crate::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
@@ -106,16 +106,6 @@ impl Slot {
     fn done_by(&self, cycle: u64) -> bool {
         self.done_at.is_some_and(|d| d <= cycle)
     }
-}
-
-/// A live runahead episode; it drives the core's one engine
-/// (`Simulator::engine`).
-struct RunaheadEpisode {
-    /// Cycle the blocking load returns (or the eager episode expires).
-    end_at: u64,
-    /// Decoupled episodes (eager-trigger extension) do not stall
-    /// fetch/commit and do not flush on exit.
-    decoupled: bool,
 }
 
 /// A provably-quiescent pipeline window (see `Simulator::ff_analysis`).
@@ -239,7 +229,11 @@ pub struct Simulator {
     /// once from [`RunaheadKind`] and re-armed in place by every
     /// trigger, so an episode allocates nothing (DESIGN.md §12).
     engine: Option<Box<dyn RunaheadEngine>>,
-    runahead: Option<RunaheadEpisode>,
+    /// What the engine's episodes are, fixed with the engine.
+    episode_kind: EpisodeKind,
+    /// The live episode: entered only in `enter_episode`, closed only
+    /// in `end_episode`; it drives `engine`.
+    runahead: Option<Episode>,
     /// Differential-test hook: `ff_analysis` finds no window, so every
     /// cycle is a full tick.
     #[cfg(test)]
@@ -337,6 +331,11 @@ impl Simulator {
             div_busy_until: 0,
             fdiv_busy_until: 0,
             engine,
+            episode_kind: if ra_cfg.kind == RunaheadKind::Vector {
+                EpisodeKind::Vector
+            } else {
+                EpisodeKind::Scalar
+            },
             runahead: None,
             #[cfg(test)]
             every_cycle: false,
@@ -655,11 +654,6 @@ impl Simulator {
             issued: s.issued,
             done_at: s.done_at,
         });
-        let episode = self.runahead.as_ref().map(|ep| EpisodeStatus {
-            kind: format!("{:?}", self.episode_kind()),
-            decoupled: ep.decoupled,
-            end_at: ep.end_at,
-        });
         let cycle = self.cycle;
         DeadlockDump {
             cycle,
@@ -681,7 +675,7 @@ impl Simulator {
             free_fp: self.free_fp.max(0) as usize,
             mshr_outstanding: self.ms.outstanding_misses(cycle),
             oldest,
-            episode,
+            episode: self.runahead,
             halted: self.halted,
             fetch_done: self.fetch_done,
         }
@@ -721,6 +715,12 @@ impl Simulator {
     /// The runahead-episode tracker, if enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.telemetry.as_deref()
+    }
+
+    /// The live runahead episode, if one has been entered and has not
+    /// yet exited.
+    pub fn episode(&self) -> Option<&Episode> {
+        self.runahead.as_ref()
     }
 
     /// Memory image accessor (for architectural-result checks after a
@@ -1013,19 +1013,21 @@ impl Simulator {
     /// recorded, and the demand-load retries they would have made.
     fn apply_fast_forward(&mut self, t: u64, w: &FfWindow) {
         let delta = t - self.cycle;
-        self.cycle = t;
         if w.load_retries {
             self.ms.book_rejected_loads(Requestor::Main, delta);
         }
         self.book_cycles(delta, false, w.stalled);
+        self.cycle = t;
         self.backend_stalled = w.stalled;
     }
 
-    /// Books `n` cycles of one pipeline state to the cycle-class
-    /// counters: weight 1 from a tick, the window length from a
-    /// fast-forward. `committed` is false when commit made no progress
-    /// on a live core; `stalled` says a back-end queue refused
-    /// dispatch.
+    /// Books cycles `[self.cycle, self.cycle + n)`, all in one pipeline
+    /// state, to the cycle-class counters: `n` is 1 from a tick and the
+    /// window length from a fast-forward, the only two callers and the
+    /// only place these four counters are written. `committed` is false
+    /// when commit made no progress on a live core; `stalled` says a
+    /// back-end queue refused dispatch. The part of the range at or
+    /// after a live coupled episode's `end_at` is delayed termination.
     fn book_cycles(&mut self, n: u64, committed: bool, stalled: bool) {
         if !committed {
             self.stats.commit_stall_cycles += n;
@@ -1033,8 +1035,13 @@ impl Simulator {
                 self.stats.full_rob_stall_cycles += n;
             }
         }
-        if self.runahead.is_some() {
+        if let Some(ep) = &self.runahead {
             self.stats.runahead_cycles += n;
+            if !ep.decoupled {
+                let from = self.cycle.max(ep.end_at);
+                self.stats.delayed_termination_stall_cycles +=
+                    (self.cycle + n).saturating_sub(from);
+            }
         }
     }
 
@@ -1189,15 +1196,10 @@ impl Simulator {
 
     fn step_runahead(&mut self, c: u64) {
         let Some(ep) = &self.runahead else { return };
-        let (end_at, decoupled) = (ep.end_at, ep.decoupled);
+        let end_at = ep.end_at;
         let eng = self.engine.as_mut().expect("a live episode has an engine");
         let mut ctx = RaCtx { prog: &self.prog, mem: &self.mem, ms: &mut self.ms, now: c };
         if eng.step_cycle(&mut ctx, c >= end_at) == VrStatus::Finished {
-            // Delayed termination: a coupled engine that finishes past
-            // the interval has stalled commit for the difference.
-            if !decoupled && c > end_at {
-                self.stats.delayed_termination_stall_cycles += c - end_at;
-            }
             self.end_episode(c, EpisodeExit::Completed);
         }
     }
@@ -1231,19 +1233,10 @@ impl Simulator {
         self.stats.vr_lanes_invalidated += n.lanes_invalidated;
         self.stats.vr_no_stride_intervals += u64::from(n.no_stride);
         if let Some(t) = &mut self.telemetry {
-            t.on_exit(c, &n, exit);
+            t.on_exit(&ep, c, &n, exit);
         }
         if !ep.decoupled && self.ra_cfg.kind != RunaheadKind::Precise {
             self.flush_after_head(c);
-        }
-    }
-
-    /// Which kind of engine this core's episodes run.
-    fn episode_kind(&self) -> EpisodeKind {
-        if self.ra_cfg.kind == RunaheadKind::Vector {
-            EpisodeKind::Vector
-        } else {
-            EpisodeKind::Scalar
         }
     }
 
@@ -1295,18 +1288,14 @@ impl Simulator {
         if !(full && blocked) {
             return;
         }
-        let end_at = head.done_at.expect("issued load has a completion time");
-        let trigger_pc = head.step.pc;
-        let blocked_dst = head.step.inst.dst();
-        let mut cpu = self.committed;
-        cpu.set_pc(trigger_pc);
-        self.engine.as_mut().expect("checked above").reset(cpu, blocked_dst, None);
-        let kind = self.episode_kind();
-        if let Some(t) = &mut self.telemetry {
-            t.on_enter(trigger_pc, kind, false, c);
-        }
-        self.runahead = Some(RunaheadEpisode { end_at, decoupled: false });
-        self.stats.runahead_entries += 1;
+        let ep = Episode {
+            trigger_pc: head.step.pc,
+            entered_at: c,
+            end_at: head.done_at.expect("issued load has a completion time"),
+            kind: self.episode_kind,
+            decoupled: false,
+        };
+        self.enter_episode(ep, head.step.inst.dst(), None);
     }
 
     /// Eager (decoupled) trigger — extension used by `fig-ablation`'s
@@ -1317,6 +1306,7 @@ impl Simulator {
         if !self.ra_cfg.eager_trigger
             || self.ra_cfg.kind != RunaheadKind::Vector
             || self.runahead.is_some()
+            || self.engine.is_none()
         {
             return;
         }
@@ -1324,21 +1314,35 @@ impl Simulator {
         if self.ms.stride_detector().confident_stride(load_pc).is_none() {
             return;
         }
-        let base = Some((load_pc, entry.last_addr));
-        let mut cpu = self.committed;
-        cpu.set_pc(load_pc);
-        let Some(eng) = self.engine.as_mut() else { return };
-        eng.reset(cpu, None, base);
         // Clamp the episode against the watchdog budget so a decoupled
         // episode can never outlive the deadlock detector, and saturate
         // the cycle math so a pathological `c` near u64::MAX cannot
         // wrap `end_at` into the past.
         let interval = EAGER_INTERVAL.min(self.cfg.watchdog.saturating_sub(1)).max(1);
-        if let Some(t) = &mut self.telemetry {
-            t.on_enter(load_pc, EpisodeKind::Vector, true, c);
-        }
-        self.runahead =
-            Some(RunaheadEpisode { end_at: c.saturating_add(interval), decoupled: true });
+        let ep = Episode {
+            trigger_pc: load_pc,
+            entered_at: c,
+            end_at: c.saturating_add(interval),
+            kind: self.episode_kind,
+            decoupled: true,
+        };
+        self.enter_episode(ep, None, Some((load_pc, entry.last_addr)));
+    }
+
+    /// Enters `ep`, the one way an episode starts: re-arms the engine
+    /// on the committed state at `ep.trigger_pc` (`blocked_dst` is the
+    /// blocking load's destination, `base` an eager trigger's striding
+    /// load) and counts the entry.
+    fn enter_episode(
+        &mut self,
+        ep: Episode,
+        blocked_dst: Option<RegRef>,
+        base: Option<(u64, u64)>,
+    ) {
+        let mut cpu = self.committed;
+        cpu.set_pc(ep.trigger_pc);
+        self.engine.as_mut().expect("an episode needs an engine").reset(cpu, blocked_dst, base);
+        self.runahead = Some(ep);
         self.stats.runahead_entries += 1;
     }
 
@@ -2084,7 +2088,7 @@ mod tests {
                     let stats = sim.try_run(40_000).expect("golden point runs clean");
                     let tel = sim.telemetry().expect("telemetry enabled");
                     let episodes: Vec<String> = tel.episodes().map(|e| format!("{e:?}")).collect();
-                    (stats, episodes, tel.to_json())
+                    (stats, episodes, tel.to_json(sim.episode()))
                 };
                 let swar = run(false);
                 let reference = run(true);
@@ -2239,6 +2243,38 @@ mod tests {
             last = n;
         }
         assert!(grew_live, "no live episode pre-executed anything");
+    }
+
+    /// Delayed termination is booked cycle by cycle, not at the exit:
+    /// a run sealed while a coupled episode is past its `end_at` has
+    /// booked exactly `cycle - end_at` for that episode.
+    #[test]
+    fn a_seal_mid_delayed_termination_has_booked_cycle_minus_end_at() {
+        let w = vr_workloads::hpcdb::kangaroo(vr_workloads::Scale::Test);
+        let mut sim = Simulator::new(
+            CoreConfig::table1(),
+            MemConfig::table1(),
+            RunaheadConfig::vector(),
+            w.program.clone(),
+            w.memory.clone(),
+            &w.init_regs,
+        );
+        // Delayed cycles booked before the live episode was entered.
+        let (mut entered, mut before) = (None, 0);
+        let (ep, stats) = loop {
+            assert!(!sim.finished(100_000), "no episode ran past its end_at");
+            sim.advance().expect("runs clean");
+            let Some(ep) = sim.runahead else { continue };
+            let stats = sim.seal_stats();
+            if entered != Some(ep.entered_at) {
+                entered = Some(ep.entered_at);
+                before = stats.delayed_termination_stall_cycles;
+            }
+            if !ep.decoupled && sim.cycle > ep.end_at + 1 {
+                break (ep, stats);
+            }
+        };
+        assert_eq!(stats.delayed_termination_stall_cycles - before, sim.cycle - ep.end_at);
     }
 
     #[cfg(feature = "checked")]

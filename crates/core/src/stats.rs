@@ -33,17 +33,24 @@ pub struct SimStats {
     pub runahead_entries: u64,
     /// Cycles on which a runahead episode (coupled or decoupled) was
     /// live: from its trigger until its engine finishes or is aborted,
-    /// so delayed termination past the interval end is included.
+    /// so delayed termination past the interval end is included, and an
+    /// aborted episode counts every cycle up to its abort. Booked per
+    /// tick and per fast-forward window, in `Simulator::book_cycles`
+    /// only.
     pub runahead_cycles: u64,
     /// Instructions pre-executed by the scalar runahead engines.
     pub runahead_insts: u64,
     /// Cycles commit remained stalled *after* the blocking load had
     /// returned, because Vector Runahead's delayed termination had not
     /// finished the chain (the ~7% commit-stall cost the follow-on
-    /// paper measures). Booked once per episode, at its normal exit,
-    /// for coupled episodes only (an aborted episode books none).
-    /// These cycles are also counted in
-    /// [`SimStats::runahead_cycles`] and
+    /// paper measures): the cycles a live coupled episode spends at or
+    /// after its `end_at`. Booked per tick and per fast-forward window,
+    /// in `Simulator::book_cycles` only, as the cycles pass, so an
+    /// episode aborted past its `end_at` (only under a
+    /// [`crate::FaultPlan`]) has booked the cycles up to its abort, and
+    /// a snapshot taken mid-episode includes the live one's cycles so
+    /// far. Decoupled episodes book none. These cycles are also counted
+    /// in [`SimStats::runahead_cycles`] and
     /// [`SimStats::commit_stall_cycles`].
     pub delayed_termination_stall_cycles: u64,
 

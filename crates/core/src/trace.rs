@@ -2,9 +2,8 @@
 //! pipeline-diagram renderer (the moral equivalent of gem5's
 //! `O3PipeView`).
 
-use std::collections::VecDeque;
-
 use vr_isa::Inst;
+use vr_obs::RingLog;
 
 /// Stage timestamps of one committed instruction.
 #[derive(Clone, Copy, Debug)]
@@ -32,8 +31,7 @@ pub struct TraceRecord {
 /// Bounded ring buffer of the most recent [`TraceRecord`]s.
 #[derive(Debug)]
 pub struct PipelineTrace {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
+    records: RingLog<TraceRecord>,
 }
 
 impl PipelineTrace {
@@ -43,16 +41,12 @@ impl PipelineTrace {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> PipelineTrace {
-        assert!(capacity > 0, "trace needs capacity");
-        PipelineTrace { records: VecDeque::with_capacity(capacity), capacity }
+        PipelineTrace { records: RingLog::new(capacity) }
     }
 
     /// Appends a record, evicting the oldest beyond capacity.
     pub fn push(&mut self, r: TraceRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-        }
-        self.records.push_back(r);
+        self.records.push(r);
     }
 
     /// The retained records, oldest first.

@@ -41,8 +41,8 @@
 //! The simulator builds one engine per core and re-arms it at every
 //! trigger (`RunaheadEngine::reset`). Scan and batch state are persistent
 //! sub-structs selected by a [`PhaseKind`] discriminant (no per-phase
-//! boxes), lane columns are grow-only and pre-sized to `vr_lanes` at
-//! construction (as are `pending_gather` and every scratch buffer), and
+//! boxes), lane columns are sized to `vr_lanes` once, at construction
+//! (as are `pending_gather` and every scratch buffer), and
 //! overlays propagate via `StoreOverlay::merge_from` instead of
 //! `clone`. In steady state a batch allocates nothing.
 
@@ -221,7 +221,8 @@ fn for_each_lane(mask: LaneMask, k: usize, mut f: impl FnMut(usize)) {
 
 /// Struct-of-arrays lane state plus the chain bookkeeping of the
 /// current batch. Only lanes `0..k` are live; the column stride `cap`
-/// is grow-only so a re-armed engine never reallocates in steady state.
+/// is `vr_lanes`, fixed at construction, so a re-armed engine never
+/// reallocates.
 #[derive(Clone, Debug)]
 struct Batch {
     stride_pc: u64,
@@ -303,22 +304,6 @@ impl Batch {
             issued_in_level: 0,
             chain_insts: 0,
         }
-    }
-
-    /// Grows the column stride to at least `lanes` (a no-op once
-    /// pre-sized at construction).
-    fn ensure_lanes(&mut self, lanes: usize) {
-        if lanes <= self.cap {
-            return;
-        }
-        self.cap = lanes;
-        self.pcs.resize(lanes, 0);
-        self.xcols.resize(Reg::COUNT * lanes, 0);
-        self.fcols.resize(FReg::COUNT * lanes, 0.0);
-        while self.overlays.len() < lanes {
-            self.overlays.push(StoreOverlay::new());
-        }
-        self.pending_gather.reserve(lanes.saturating_sub(self.pending_gather.capacity()));
     }
 
     /// Gather sub-accesses not yet accepted by the memory system.
@@ -505,7 +490,6 @@ impl VectorRunahead {
             Some((stride_pc, base_addr.wrapping_add((stride as u64).wrapping_mul(k as u64))));
 
         let batch = &mut self.batch;
-        batch.ensure_lanes(k);
         batch.stride_pc = stride_pc;
         batch.k = k;
         batch.taint = [false; RegRef::FLAT_COUNT];

@@ -61,7 +61,8 @@ struct Census {
     /// cycle *and* made memory-system accesses.
     multi_cycle_engine_windows: u64,
     /// `EngineStepped` calls that started at or after their episode's
-    /// `end_at` (in delayed termination).
+    /// `end_at` (in delayed termination): every cycle they moved was
+    /// booked as delayed termination.
     engine_windows_past_end_at: u64,
 }
 
@@ -84,8 +85,6 @@ fn only_rejected_attempts(before: &MemStats, after: &MemStats, moved: u64) -> bo
 fn drive(sim: &mut Simulator, mut llc: Option<Box<SharedLlc>>) -> Census {
     let attached = llc.is_some();
     let mut census = Census::default();
-    // Start cycles of this episode's `EngineStepped` windows.
-    let mut windows = Vec::new();
     sim.validate().expect("table-1 config is valid");
     while !sim.finished(u64::MAX) {
         let before = sim.seal_stats();
@@ -112,7 +111,11 @@ fn drive(sim: &mut Simulator, mut llc: Option<Box<SharedLlc>>) -> Census {
             }
             Advance::EngineStepped => {
                 census.engine_steps += 1;
-                windows.push(cycle);
+                let delayed = after.delayed_termination_stall_cycles
+                    - before.delayed_termination_stall_cycles;
+                if delayed == moved {
+                    census.engine_windows_past_end_at += 1;
+                }
                 if attached {
                     assert_eq!(moved, 1, "an attached engine ran past one cycle at {cycle}");
                 } else if moved > 1 && accessed {
@@ -121,17 +124,6 @@ fn drive(sim: &mut Simulator, mut llc: Option<Box<SharedLlc>>) -> Census {
             }
             Advance::Ticked => {
                 assert_eq!(moved, 1, "a tick is one cycle");
-                // An exit in delayed termination books `cycle - end_at`.
-                let delayed = after.delayed_termination_stall_cycles
-                    - before.delayed_termination_stall_cycles;
-                if delayed > 0 {
-                    let end_at = cycle - delayed;
-                    census.engine_windows_past_end_at +=
-                        windows.iter().filter(|&&w| w >= end_at).count() as u64;
-                }
-                if after.runahead_entries > before.runahead_entries {
-                    windows.clear();
-                }
             }
         }
     }

@@ -61,7 +61,7 @@ fn episode_totals_reconcile_exactly_with_simstats() {
     // nothing evicted at this budget) or is still open.
     let exited = tel.episodes().count() as u64;
     assert_eq!(
-        exited + u64::from(tel.in_episode()),
+        exited + u64::from(s.episode().is_some()),
         stats.runahead_entries,
         "every entry observed, every exit recorded"
     );
@@ -78,17 +78,37 @@ fn episode_totals_reconcile_exactly_with_simstats() {
     assert!(stats.vr_lanes_spawned > 0, "vector episodes spawn lanes");
 }
 
+/// Delayed termination is the part of a coupled episode past its
+/// `end_at`, so on a fault-free run that leaves no episode open the
+/// closed records account for every delayed-termination cycle.
+#[test]
+fn delayed_termination_is_the_records_tails_past_end_at() {
+    let mut s = sim(RunaheadConfig::vector());
+    s.enable_telemetry(4096);
+    let stats = s.try_run(u64::MAX).expect("runs to halt");
+    assert!(s.episode().is_none(), "the run must leave no episode open");
+    let tel = s.telemetry().expect("telemetry enabled");
+    assert_eq!(tel.episodes().count() as u64, stats.runahead_entries, "the ring evicted nothing");
+    let tails: u64 = tel
+        .episodes()
+        .filter(|e| !e.episode.decoupled && e.exited_at > e.episode.end_at)
+        .map(|e| e.exited_at - e.episode.end_at)
+        .sum();
+    assert!(tails > 0, "the chain must run into delayed termination");
+    assert_eq!(tails, stats.delayed_termination_stall_cycles);
+}
+
 #[test]
 fn episode_records_are_vector_kind_and_well_formed() {
     let (s, stats) = run_with_telemetry();
     let tel = s.telemetry().expect("telemetry enabled");
     let mut last_exit = 0u64;
     for e in tel.episodes() {
-        assert_eq!(e.kind, EpisodeKind::Vector);
+        assert_eq!(e.episode.kind, EpisodeKind::Vector);
         assert_eq!(e.exit, EpisodeExit::Completed);
-        assert!(!e.decoupled, "plain VR triggers at the stalled ROB head");
-        assert!(e.entered_at <= e.exited_at);
-        assert!(e.entered_at >= last_exit, "episodes never overlap");
+        assert!(!e.episode.decoupled, "plain VR triggers at the stalled ROB head");
+        assert!(e.episode.entered_at <= e.exited_at);
+        assert!(e.episode.entered_at >= last_exit, "episodes never overlap");
         last_exit = e.exited_at;
         assert!(e.exited_at <= stats.cycles);
         assert!(e.lanes_spawned >= e.lanes_invalidated);
@@ -101,7 +121,8 @@ fn trace_is_well_ordered_and_flags_records_inside_an_episode() {
     let trace = s.trace().expect("trace enabled");
     assert!(trace.is_well_ordered(), "stage timestamps must be monotone");
     let tel = s.telemetry().expect("telemetry enabled");
-    let episodes: Vec<(u64, u64)> = tel.episodes().map(|e| (e.entered_at, e.exited_at)).collect();
+    let episodes: Vec<(u64, u64)> =
+        tel.episodes().map(|e| (e.episode.entered_at, e.exited_at)).collect();
     assert!(!episodes.is_empty());
     // At least one committed instruction's in-flight span overlaps a
     // runahead episode (the blocked ROB head itself always does).

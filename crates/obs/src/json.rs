@@ -97,26 +97,28 @@ impl Json {
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
         use fmt::Write as _;
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
+        let indent = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str("  "));
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
+                    indent(out, depth + 1);
                     item.write_pretty(out, depth + 1);
                     out.push_str(if i + 1 == items.len() { "\n" } else { ",\n" });
                 }
-                let _ = write!(out, "{close}]");
+                indent(out, depth);
+                out.push(']');
             }
             Json::Obj(members) if !members.is_empty() => {
                 out.push_str("{\n");
                 for (i, (k, v)) in members.iter().enumerate() {
-                    let _ = write!(out, "{pad}{}: ", Escaped(k));
+                    indent(out, depth + 1);
+                    let _ = write!(out, "{}: ", Escaped(k));
                     v.write_pretty(out, depth + 1);
                     out.push_str(if i + 1 == members.len() { "\n" } else { ",\n" });
                 }
-                let _ = write!(out, "{close}}}");
+                indent(out, depth);
+                out.push('}');
             }
             other => {
                 let _ = write!(out, "{other}");
@@ -350,9 +352,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
-        // The run up to the next `"` or `\`. Both are ASCII, so the run
-        // ends on a character boundary of the input and is valid UTF-8.
-        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+        // The run up to the next `"`, `\` or control character. All are
+        // ASCII, so the run ends on a character boundary of the input and
+        // is valid UTF-8.
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
         let end = run.map_or(b.len(), |n| *pos + n);
         out.push_str(std::str::from_utf8(&b[*pos..end]).expect("input was a str"));
         *pos = end;
@@ -361,6 +364,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
+            }
+            Some(c) if *c < 0x20 => {
+                return Err(format!("raw control character {c:#04x} at byte {pos}", pos = *pos));
             }
             Some(_) => {
                 // The run stopped at a `\`.
@@ -397,32 +403,47 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// Reads a number by the JSON grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. An integer reads
+/// as [`Json::U64`] (`-0` too) or, when negative, [`Json::I64`]; one
+/// out of their range, or with a fraction or an exponent, reads as
+/// [`Json::F64`].
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut float = false;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
+    let digits = |p: usize| {
+        let n = b[p..].iter().take_while(|c| c.is_ascii_digit()).count();
+        (n > 0).then_some(p + n)
+    };
+    let scan = || {
+        let mut p = start + usize::from(b[start] == b'-');
+        p = if b.get(p) == Some(&b'0') { p + 1 } else { digits(p)? };
+        let int_end = p;
+        if b.get(p) == Some(&b'.') {
+            p = digits(p + 1)?;
         }
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii");
-    if !float {
+        if matches!(b.get(p), Some(b'e' | b'E')) {
+            p = digits(p + 1 + usize::from(matches!(b.get(p + 1), Some(b'+' | b'-'))))?;
+        }
+        // No number byte may follow: `01` stops after its `0`.
+        let more = matches!(b.get(p), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
+        (!more).then_some((p, p == int_end))
+    };
+    let Some((end, integer)) = scan() else {
+        let n = b[start..].iter().take_while(|c| c.is_ascii_digit() || b"-+.eE".contains(c));
+        let text = std::str::from_utf8(&b[start..start + n.count()]).expect("ascii");
+        return Err(format!("bad number `{text}` at byte {start}"));
+    };
+    *pos = end;
+    let text = std::str::from_utf8(&b[start..end]).expect("ascii");
+    if integer {
         if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::U64(v));
         }
         if let Ok(v) = text.parse::<i64>() {
-            return Ok(Json::I64(v));
+            return Ok(Json::from(v));
         }
     }
-    text.parse::<f64>().map(Json::F64).map_err(|_| format!("bad number `{text}` at byte {start}"))
+    Ok(Json::F64(text.parse().expect("the grammar is a subset of Rust's float syntax")))
 }
 
 #[cfg(test)]
@@ -596,6 +617,57 @@ mod tests {
         for text in [doc.to_string(), doc.to_pretty()] {
             assert_eq!(Json::parse(&text).expect("parses"), doc);
         }
+    }
+
+    /// Integers have no leading zeros, in the integer part of a float
+    /// either.
+    #[test]
+    fn rejects_leading_zeros() {
+        for bad in ["007", "01.5", "-01", "[00]", "{\"a\":012}"] {
+            assert!(Json::parse(bad).is_err(), "should reject: {bad}");
+        }
+        assert_eq!(Json::parse("007"), Err("bad number `007` at byte 0".to_string()));
+        assert_eq!(Json::parse("0"), Ok(Json::U64(0)));
+        assert_eq!(Json::parse("0.5"), Ok(Json::F64(0.5)));
+        assert_eq!(Json::parse("10"), Ok(Json::U64(10)));
+    }
+
+    /// A fraction and an exponent each need at least one digit.
+    #[test]
+    fn rejects_a_dot_or_exponent_without_digits() {
+        for bad in ["1.", "-1.", "[1.]", "1.e5", ".5", "1e", "1e+", "-", "-.5", "1.5.3"] {
+            assert!(Json::parse(bad).is_err(), "should reject: {bad}");
+        }
+        assert_eq!(Json::parse("1."), Err("bad number `1.` at byte 0".to_string()));
+        assert_eq!(Json::parse("1.0e+5"), Ok(Json::F64(1.0e5)));
+        assert_eq!(Json::parse("-2E-3"), Ok(Json::F64(-2e-3)));
+    }
+
+    /// Control characters inside a string must be escaped; a raw one
+    /// is an error.
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for bad in ["\"a\nb\"", "\"tab\there\"", "\"\u{0}\"", "{\"k\u{1f}\": 1}"] {
+            assert!(Json::parse(bad).is_err(), "should reject: {bad:?}");
+        }
+        assert_eq!(
+            Json::parse("\"a\nb\""),
+            Err("raw control character 0x0a at byte 2".to_string())
+        );
+        assert_eq!(Json::parse("\"a\\nb\""), Ok(Json::from("a\nb")));
+        assert_eq!(Json::parse("\"del \u{7f}\""), Ok(Json::from("del \u{7f}")));
+    }
+
+    /// `-0` is zero, and reads as the value `Json::from(0)` builds.
+    #[test]
+    fn negative_zero_reads_as_zero() {
+        assert_eq!(Json::parse("-0"), Ok(Json::from(0i64)));
+        assert_eq!(Json::parse("-0"), Ok(Json::U64(0)));
+        assert_eq!(Json::parse("-7"), Ok(Json::I64(-7)));
+        assert_eq!(
+            Json::parse("-0.0").map(|j| j.as_f64().map(f64::to_bits)),
+            Ok(Some(0x8000_0000_0000_0000))
+        );
     }
 
     /// Arrays and objects nest at most `MAX_DEPTH` deep. Past it the
