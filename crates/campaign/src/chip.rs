@@ -184,6 +184,13 @@ mod tests {
         assert_ne!(base.key(), swapped.key(), "placement order participates");
     }
 
+    /// The key of a 2-slot chip point, pinned for the same reason as
+    /// `point_keys_are_pinned`: a stored chip record is found by it.
+    #[test]
+    fn chip_point_key_is_pinned() {
+        assert_eq!(point(2, 1000).key(), PointKey(0x9a6c_cd43_854e_d027));
+    }
+
     #[test]
     fn chip_point_round_trips_through_the_store() {
         let (dir, store) = tmp_store("roundtrip");

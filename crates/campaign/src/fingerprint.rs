@@ -108,7 +108,8 @@ pub fn point_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vr_workloads::{hpcdb, Scale};
+    use vr_workloads::graph::GraphPreset;
+    use vr_workloads::{gap, hpcdb, Scale};
 
     #[test]
     fn hex_round_trips() {
@@ -119,6 +120,30 @@ mod tests {
         assert_eq!(PointKey::from_hex("zzzzzzzzzzzzzzzz"), None);
         // Leading zeros are preserved (fixed width).
         assert_eq!(PointKey(5).hex().len(), 16);
+    }
+
+    /// The keys of four Table 1 points, pinned. A stored record is
+    /// found by its key, so these may only change in a commit that
+    /// bumps [`CODE_SALT`]: any other edit that moves one re-keys
+    /// every store.
+    #[test]
+    fn point_keys_are_pinned() {
+        let graph = GraphPreset::Kron.generate(Scale::Test);
+        let workloads = [hpcdb::kangaroo(Scale::Test), gap::bfs_on(&graph, GraphPreset::Kron)];
+        let mut got = Vec::new();
+        for w in &workloads {
+            for ra in [RunaheadConfig::none(), RunaheadConfig::vector()] {
+                let key = point_key(w, &CoreConfig::table1(), &MemConfig::table1(), &ra, 200_000);
+                got.push(key);
+            }
+        }
+        let want = [
+            PointKey(0x9965_e703_9b93_93d6), // Kangaroo, OoO
+            PointKey(0x8296_dd98_79f4_b321), // Kangaroo, VR
+            PointKey(0x9d0a_783e_7006_63f4), // bfs_KR, OoO
+            PointKey(0x86e8_ad9e_bd48_f78b), // bfs_KR, VR
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
