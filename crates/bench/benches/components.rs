@@ -8,8 +8,10 @@
 //! Uses the offline `vr_bench::micro` harness (`harness = false`) so
 //! the workspace carries no registry dependencies.
 
+use std::sync::Arc;
+
 use vr_bench::micro::{black_box, Runner};
-use vr_campaign::ResultStore;
+use vr_campaign::{ChipSlot, ResultStore};
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::wakeup::{CompletionQueue, InFlightStore, StoreRing, WakeupLists, NO_LINK};
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
@@ -455,7 +457,9 @@ fn bench_chip_step() {
 
 /// What content addressing costs (DESIGN.md "What a fingerprint
 /// costs"): one pass over a 16 MiB image the first time it is seen,
-/// a load every time after, and `point_key` on top of the latter.
+/// a load every time after, and `point_key` on top of the latter. An
+/// 8-core chip point hashes eight slots' listings, images and configs
+/// (Kangaroo on even cores, Camel on odd ones).
 fn bench_fingerprint() {
     let r = Runner::new("fingerprint");
     let mut rng = vr_isa::SplitMix64::new(0x5EED);
@@ -475,6 +479,16 @@ fn bench_fingerprint() {
     black_box(w.memory.digest());
     r.bench("point_key_memoised_image", || {
         black_box(vr_campaign::point_key(&w, &core, &mcfg, &ra, 200_000))
+    });
+    let pair = [Arc::new(w), Arc::new(vr_workloads::hpcdb::camel(Scale::Test))];
+    let slots: Vec<ChipSlot> =
+        (0..8).map(|i| ChipSlot { workload: Arc::clone(&pair[i % 2]), ra: ra.clone() }).collect();
+    for w in &pair {
+        black_box(w.memory.digest());
+    }
+    let chip = ChipConfig::with_cores(8);
+    r.bench("chip_point_key_8core", || {
+        black_box(vr_campaign::chip_point_key(&chip, &core, &mcfg, &slots, 200_000))
     });
 }
 

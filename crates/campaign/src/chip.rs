@@ -85,7 +85,7 @@ pub fn chip_point_key(
     for s in slots {
         let w = &s.workload;
         h.write_str(&w.name);
-        h.write_str(&w.program.to_listing());
+        h.write_str(w.program.listing());
         h.write_u64(w.memory.digest());
         h.write_u64(w.init_regs.len() as u64);
         for &(r, v) in &w.init_regs {

@@ -18,13 +18,16 @@
 //! `store gc` reclaims it. Pure speed work that keeps the goldens
 //! bit-identical and the keys unchanged keeps the salt.
 //!
-//! What a key costs: everything but the memory image is a few
-//! microseconds of FNV over the listing and the config hooks. The
-//! image is fingerprinted by [`vr_isa::Memory::digest`], one
-//! word-parallel pass the first time a process sees that image and a
-//! memoised load afterwards (DESIGN.md "What a fingerprint costs") —
-//! still, callers derive a point's key once and pass it on (see
-//! [`crate::SweepPoint`]).
+//! What a key costs: the two expensive inputs are computed once per
+//! process and kept. The listing is rendered by the first
+//! [`vr_isa::Program::listing`] call (~5-10 us) and shared by every
+//! clone of the program; the image is fingerprinted by
+//! [`vr_isa::Memory::digest`], one word-parallel pass the first time a
+//! process sees that image and a memoised load afterwards (DESIGN.md
+//! "What a fingerprint costs"). A key after that is byte-serial FNV
+//! over the listing (~1.7 us for a 1 KB listing) plus the config hooks
+//! (~0.8 us) — still, callers derive a point's key once and pass it on
+//! (see [`crate::SweepPoint`]).
 
 use vr_core::{CoreConfig, RunaheadConfig};
 use vr_mem::MemConfig;
@@ -60,9 +63,12 @@ impl PointKey {
         format!("{:016x}", self.0)
     }
 
-    /// Parses the [`PointKey::hex`] rendering.
+    /// Parses the [`PointKey::hex`] rendering: exactly 16 lowercase
+    /// hex digits. Any other spelling of the same value (upper case, a
+    /// leading `+`) is rejected, so a store file or an embedded key
+    /// names a point only in the one spelling `hex` writes.
     pub fn from_hex(s: &str) -> Option<PointKey> {
-        if s.len() != 16 {
+        if s.len() != 16 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
             return None;
         }
         u64::from_str_radix(s, 16).ok().map(PointKey)
@@ -89,7 +95,7 @@ pub fn point_key(
     h.write_u64(CODE_SALT);
     // Workload content.
     h.write_str(&w.name);
-    h.write_str(&w.program.to_listing());
+    h.write_str(w.program.listing());
     h.write_u64(w.memory.digest());
     h.write_u64(w.init_regs.len() as u64);
     for &(r, v) in &w.init_regs {
@@ -120,6 +126,16 @@ mod tests {
         assert_eq!(PointKey::from_hex("zzzzzzzzzzzzzzzz"), None);
         // Leading zeros are preserved (fixed width).
         assert_eq!(PointKey(5).hex().len(), 16);
+    }
+
+    #[test]
+    fn from_hex_rejects_spellings_hex_never_writes() {
+        assert_eq!(PointKey::from_hex("0123456789ABCDEF"), None, "upper case");
+        assert_eq!(PointKey::from_hex("0123456789abcdeF"), None, "one upper-case digit");
+        assert_eq!(PointKey::from_hex("+123456789abcdef"), None, "a sign");
+        assert_eq!(PointKey::from_hex("-123456789abcdef"), None, "a sign");
+        assert_eq!(PointKey::from_hex(" 123456789abcdef"), None, "a space");
+        assert_eq!(PointKey::from_hex("0123456789abcdef"), Some(PointKey(0x0123_4567_89ab_cdef)));
     }
 
     /// The keys of four Table 1 points, pinned. A stored record is

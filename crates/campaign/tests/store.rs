@@ -523,3 +523,47 @@ fn a_counter_with_a_leading_zero_is_quarantined_not_served() {
     assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1));
     fs::remove_dir_all(&dir).ok();
 }
+
+/// `PointKey::hex` writes a key as 16 lowercase digits, and `load`
+/// opens only that name. A record filed under another spelling of its
+/// key (upper case, a leading `+`) would never be served, so `verify`
+/// must not count it `ok` (and `gc` keep it forever): it quarantines.
+#[test]
+fn a_record_under_a_misspelled_key_is_quarantined_not_counted() {
+    let k = PointKey(0x0123_4567_89ab_cdef);
+    for name in ["0123456789ABCDEF.json", "+123456789abcdef.json"] {
+        let dir = scratch("key-spelling");
+        let store = ResultStore::open(&dir).unwrap();
+        store.save(k, "p", &some_stats(3)).unwrap();
+        let misspelled = store.records_dir().join(name);
+        fs::rename(record_path(&store, k), &misspelled).unwrap();
+
+        let rep = store.verify().unwrap();
+        assert_eq!((rep.ok, rep.quarantined), (0, 1), "{name}: {rep:?}");
+        assert!(!misspelled.exists(), "{name} must quarantine");
+        assert_eq!(store.load(k), None, "{name}");
+        assert_eq!(store.counters().hits, 0, "{name}");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The same for the key a record embeds: spelled in upper case under
+/// the right file name, the record is corrupt, not a hit.
+#[test]
+fn a_record_embedding_a_misspelled_key_is_quarantined_not_served() {
+    let dir = scratch("embedded-key-spelling");
+    let store = ResultStore::open(&dir).unwrap();
+    let k = PointKey(0x0123_4567_89ab_cdef);
+    store.save(k, "p", &some_stats(3)).unwrap();
+    let path = rewrite(
+        &store,
+        k,
+        |t| t.replace("\"0123456789abcdef\"", "\"0123456789ABCDEF\""),
+        "upper-case key",
+    );
+    assert_eq!(store.load(k), None);
+    assert!(!path.exists(), "the record must quarantine");
+    let c = store.counters();
+    assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 1));
+    fs::remove_dir_all(&dir).ok();
+}

@@ -23,7 +23,7 @@
 //!
 //! Lane state is struct-of-arrays: per-lane PCs and both register
 //! files live in flat column vectors inside [`Batch`] (register *r* of
-//! lane *l* at `r·cap + l`), and the per-lane `active`/`done` bools are
+//! lane *l* at `r·K + l`), and the per-lane `active`/`done` bools are
 //! [`LaneMask`] bit words, so lane scans, divergence filtering and
 //! fault poisoning are single-word bit operations. Each
 //! chain instruction is decoded once and stepped across all K lanes by
@@ -220,22 +220,20 @@ fn for_each_lane(mask: LaneMask, k: usize, mut f: impl FnMut(usize)) {
 }
 
 /// Struct-of-arrays lane state plus the chain bookkeeping of the
-/// current batch. Only lanes `0..k` are live; the column stride `cap`
-/// is `vr_lanes`, fixed at construction, so a re-armed engine never
-/// reallocates.
+/// current batch. Every batch forks all `lanes` (`vr_lanes`, fixed at
+/// construction) lanes, so the lane count is also the column stride
+/// and a re-armed engine never reallocates.
 #[derive(Clone, Debug)]
 struct Batch {
     stride_pc: u64,
-    /// Column stride: capacity in lanes of every per-lane column.
-    cap: usize,
-    /// Live lane count of the current batch.
-    k: usize,
+    /// K: the lanes of every batch, and the column stride.
+    lanes: usize,
     /// Per-lane next PC (the lockstep group shares one fetch PC; these
     /// only diverge transiently at control ops, and divergent lanes
     /// are immediately invalidated).
     pcs: Vec<u64>,
     /// Integer register columns: register `r` of lane `l` at
-    /// `r·cap + l`. The `x0` column is never written.
+    /// `r·lanes + l`. The `x0` column is never written.
     xcols: Vec<u64>,
     /// Floating-point register columns, same layout.
     fcols: Vec<f64>,
@@ -280,15 +278,14 @@ struct Batch {
 }
 
 impl Batch {
-    fn with_capacity(cap: usize) -> Batch {
+    fn new(lanes: usize) -> Batch {
         Batch {
             stride_pc: 0,
-            cap,
-            k: 0,
-            pcs: vec![0; cap],
-            xcols: vec![0; Reg::COUNT * cap],
-            fcols: vec![0.0; FReg::COUNT * cap],
-            overlays: (0..cap).map(|_| StoreOverlay::new()).collect(),
+            lanes,
+            pcs: vec![0; lanes],
+            xcols: vec![0; Reg::COUNT * lanes],
+            fcols: vec![0.0; FReg::COUNT * lanes],
+            overlays: (0..lanes).map(|_| StoreOverlay::new()).collect(),
             active: LaneMask::default(),
             done: LaneMask::default(),
             poisoned: LaneMask::default(),
@@ -296,7 +293,7 @@ impl Batch {
             taint: [false; RegRef::FLAT_COUNT],
             reg_ready: [0; RegRef::FLAT_COUNT],
             wait_until: 0,
-            pending_gather: Vec::with_capacity(cap),
+            pending_gather: Vec::with_capacity(lanes),
             gather_cursor: 0,
             gather_dst: None,
             gather_ready_max: 0,
@@ -332,7 +329,6 @@ enum PhaseKind {
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone))]
 pub struct VectorRunahead {
-    lanes: usize,
     termination_slack: Option<u64>,
     vir_pipelining: bool,
     vec_alu: usize,
@@ -372,7 +368,6 @@ impl VectorRunahead {
     pub fn new(cpu: Cpu, cfg: &RunaheadConfig, width: usize, vec_alu: usize) -> VectorRunahead {
         assert!(cfg.vr_lanes <= MAX_LANES, "vr_lanes {} exceeds {MAX_LANES}", cfg.vr_lanes);
         VectorRunahead {
-            lanes: cfg.vr_lanes,
             termination_slack: cfg.termination_slack,
             vir_pipelining: cfg.vir_pipelining,
             vec_alu: vec_alu.max(1),
@@ -384,7 +379,7 @@ impl VectorRunahead {
                 remaining: SCAN_BUDGET,
                 dead: false,
             },
-            batch: Batch::with_capacity(cfg.vr_lanes),
+            batch: Batch::new(cfg.vr_lanes),
             next_base: None,
             scratch_mem: Vec::with_capacity(cfg.vr_lanes),
             scratch_val: Vec::with_capacity(cfg.vr_lanes),
@@ -419,7 +414,7 @@ impl VectorRunahead {
         }
         let b = &self.batch;
         invariant::check_lane_masks(
-            b.k,
+            b.lanes,
             b.active.words(),
             b.done.words(),
             b.poisoned.words(),
@@ -468,7 +463,7 @@ impl VectorRunahead {
         }
     }
 
-    /// Forks `k` lanes off the scan state (the scan cursor sits at the
+    /// Forks K lanes off the scan state (the scan cursor sits at the
     /// striding load): broadcasts the cursor's register files into the
     /// lane columns, executes the striding load for each lane's future
     /// iteration, and arms the first gather level.
@@ -481,7 +476,7 @@ impl VectorRunahead {
             _ => reg_base,
         };
         let width_bytes = inst.mem_width().map_or(8, |w| w.bytes());
-        let k = self.lanes;
+        let k = self.batch.lanes;
 
         self.found_stride = true;
         self.batches += 1;
@@ -491,7 +486,6 @@ impl VectorRunahead {
 
         let batch = &mut self.batch;
         batch.stride_pc = stride_pc;
-        batch.k = k;
         batch.taint = [false; RegRef::FLAT_COUNT];
         let dst = inst.dst();
         if let Some(d) = dst {
@@ -499,12 +493,11 @@ impl VectorRunahead {
         }
 
         // Broadcast the scan cursor's register files into the columns.
-        let cap = batch.cap;
         for r in 0..Reg::COUNT {
-            batch.xcols[r * cap..r * cap + k].fill(cursor.x(Reg::new(r as u8)));
+            batch.xcols[r * k..(r + 1) * k].fill(cursor.x(Reg::new(r as u8)));
         }
         for r in 0..FReg::COUNT {
-            batch.fcols[r * cap..r * cap + k].fill(cursor.f(FReg::new(r as u8)));
+            batch.fcols[r * k..(r + 1) * k].fill(cursor.f(FReg::new(r as u8)));
         }
 
         batch.pending_gather.clear();
@@ -516,9 +509,9 @@ impl VectorRunahead {
             let value = ctx.mem.read(addr, width_bytes);
             match dst {
                 Some(RegRef::Int(r)) if !r.is_zero() => {
-                    batch.xcols[r.index() * cap + l] = value;
+                    batch.xcols[r.index() * k + l] = value;
                 }
-                Some(RegRef::Fp(fr)) => batch.fcols[fr.index() * cap + l] = f64::from_bits(value),
+                Some(RegRef::Fp(fr)) => batch.fcols[fr.index() * k + l] = f64::from_bits(value),
                 _ => {} // stores to x0 and destination-less loads: no effect
             }
             batch.pcs[l] = stride_pc + 1;
@@ -719,14 +712,14 @@ impl VectorRunahead {
         // the next batch covers the iterations after this one.
         match batch.done.last() {
             Some(l) => {
-                let cap = batch.cap;
+                let k = batch.lanes;
                 let mut cpu = Cpu::new();
                 cpu.set_pc(batch.pcs[l]);
                 for r in 1..Reg::COUNT {
-                    cpu.set_x(Reg::new(r as u8), batch.xcols[r * cap + l]);
+                    cpu.set_x(Reg::new(r as u8), batch.xcols[r * k + l]);
                 }
                 for r in 0..FReg::COUNT {
-                    cpu.set_f(FReg::new(r as u8), batch.fcols[r * cap + l]);
+                    cpu.set_f(FReg::new(r as u8), batch.fcols[r * k + l]);
                 }
                 scan.cursor = cpu;
                 // The scan overlay already holds the batch's base
@@ -943,7 +936,7 @@ impl RunaheadEngine for VectorRunahead {
     }
 
     fn buffer_caps(&self) -> Option<(usize, usize, usize)> {
-        Some((self.batch.pending_gather.capacity(), self.scratch_mem.capacity(), self.batch.cap))
+        Some((self.batch.pending_gather.capacity(), self.scratch_mem.capacity(), self.batch.lanes))
     }
 }
 
@@ -967,27 +960,26 @@ fn exec_level(
     is_gather_load: bool,
     is_scalar_load: bool,
 ) -> Option<u64> {
-    let Batch { cap, k, pcs, xcols, fcols, overlays, active, pending_gather, at_gather, .. } =
-        batch;
-    let (cap, k) = (*cap, *k);
+    let Batch { lanes, pcs, xcols, fcols, overlays, active, pending_gather, at_gather, .. } = batch;
+    let k = *lanes;
     let x = xcols.as_mut_slice();
     let f = fcols.as_mut_slice();
     let pcs = pcs.as_mut_slice();
-    // Hoisted bounds facts: every column index below is `col·cap + l`
-    // with `l < k ≤ cap`, so one check per column lets the per-lane
-    // loops compile without bound checks (and auto-vectorize).
-    assert!(k <= cap && pcs.len() >= k);
-    assert!(x.len() >= (inst.rs1 as usize + 1) * cap);
-    assert!(x.len() >= (inst.rs2 as usize + 1) * cap);
-    assert!(x.len() >= (inst.rd as usize + 1) * cap);
-    assert!(f.len() >= (inst.rs1 as usize + 1) * cap);
-    assert!(f.len() >= (inst.rs2 as usize + 1) * cap);
-    assert!(f.len() >= (inst.rd as usize + 1) * cap);
+    // Hoisted bounds facts: every column index below is `col·k + l`
+    // with `l < k`, so one check per column lets the per-lane loops
+    // compile without bound checks (and auto-vectorize).
+    assert!(pcs.len() >= k);
+    assert!(x.len() >= (inst.rs1 as usize + 1) * k);
+    assert!(x.len() >= (inst.rs2 as usize + 1) * k);
+    assert!(x.len() >= (inst.rd as usize + 1) * k);
+    assert!(f.len() >= (inst.rs1 as usize + 1) * k);
+    assert!(f.len() >= (inst.rs2 as usize + 1) * k);
+    assert!(f.len() >= (inst.rd as usize + 1) * k);
     let imm = inst.imm;
     let wr = inst.rd != 0;
-    let c1 = inst.rs1 as usize * cap;
-    let c2 = inst.rs2 as usize * cap;
-    let cd = inst.rd as usize * cap;
+    let c1 = inst.rs1 as usize * k;
+    let c2 = inst.rs2 as usize * k;
+    let cd = inst.rd as usize * k;
     let fall = pc0.wrapping_add(1);
 
     if matches!(inst.op, Op::Halt) {
