@@ -25,8 +25,8 @@
 //! [`vr_isa::Memory::digest`], one word-parallel pass the first time a
 //! process sees that image and a memoised load afterwards (DESIGN.md
 //! "What a fingerprint costs"). A key after that is byte-serial FNV
-//! over the listing (~1.7 us for a 1 KB listing) plus the config hooks
-//! (~0.8 us) — still, callers derive a point's key once and pass it on
+//! over the listing (~1.5 us for a 1 KB listing) plus the config hooks
+//! (~0.7 us) — still, callers derive a point's key once and pass it on
 //! (see [`crate::SweepPoint`]).
 
 use vr_core::{CoreConfig, RunaheadConfig};

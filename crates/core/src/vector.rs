@@ -220,9 +220,9 @@ fn for_each_lane(mask: LaneMask, k: usize, mut f: impl FnMut(usize)) {
 }
 
 /// Struct-of-arrays lane state plus the chain bookkeeping of the
-/// current batch. Every batch forks all `lanes` (`vr_lanes`, fixed at
-/// construction) lanes, so the lane count is also the column stride
-/// and a re-armed engine never reallocates.
+/// current batch. Every batch forks the same K = `vr_lanes` lanes,
+/// fixed at construction, so K is also the column stride and a
+/// re-armed engine never reallocates.
 #[derive(Clone, Debug)]
 struct Batch {
     stride_pc: u64,
