@@ -28,7 +28,8 @@
 //! a builder streams its arrays into `vr_isa::Memory`, so building an
 //! image may raise the heap's high-water mark by the pages it maps,
 //! their chunk tables and one write batch — never by a host-side copy
-//! of a whole array.
+//! of a whole array. A last one lays out 1024 identical pages, which
+//! share one allocation, so its rise is a few pages, not 1024.
 
 use vr_bench::alloc::CountingAlloc;
 use vr_chip::{Chip, ChipConfig, CoreSlot};
@@ -196,11 +197,52 @@ fn generation_budget(build: fn(&Csr) -> Workload) {
     );
 }
 
+/// Room for the table a bulk write keeps of the pages it laid out (one
+/// entry here, in a map's smallest allocation) and the memory's chunk
+/// vector.
+const LAID_OUT_TABLE_BYTES: u64 = 4 << 10;
+
+/// Lays out a 1024-page array of one repeated value with `write_u64s`
+/// and asserts that the high-water rise of live heap bytes is a few
+/// pages, the chunk tables, one write batch and the table of pages laid
+/// out: the 1024 identical pages share one allocation, and the image
+/// still maps (and reads back) all of them.
+fn shared_pages_budget() {
+    const PAGES: u64 = 1024;
+    const BASE: u64 = 0x100_0000;
+    let mut mem = Memory::new();
+    ALLOC.reset_peak();
+    let before = ALLOC.live_bytes();
+    mem.write_u64s(BASE, std::iter::repeat_n(0x5EED_u64, (PAGES * 512) as usize));
+    let rise = ALLOC.peak_live_bytes() - before;
+    assert_eq!(mem.mapped_pages() as u64, PAGES);
+    assert_eq!(mem.read_u64(BASE + PAGES * 4096 - 8), 0x5EED);
+    let chunks = PAGES.div_ceil(512) + 1;
+    let limit =
+        4 * PAGE_HEAP_BYTES + chunks * CHUNK_HEAP_BYTES + WRITE_BATCH_BYTES + LAID_OUT_TABLE_BYTES;
+    assert!(
+        rise <= limit,
+        "laying out {PAGES} identical pages raised live heap bytes by {rise}, over the {limit} \
+         a few pages, {chunks} chunk tables, one write batch and the table account for \
+         ({PAGES} pages of their own would be {})",
+        PAGES * PAGE_HEAP_BYTES,
+    );
+    println!(
+        "alloc budget OK (shared pages): {PAGES} identical pages raised live heap bytes by {} \
+         KiB of the {} KiB a few pages, {chunks} chunk tables, one write batch and the table \
+         allow",
+        rise >> 10,
+        limit >> 10,
+    );
+}
+
 fn main() {
     // ---- Generation: `sssp_on` streams a weight per edge, NAS-CG a
     // matrix value per edge, each straight into the image.
     generation_budget(|g| gap::sssp_on(g, GraphPreset::Kron));
     generation_budget(hpcdb::nas_cg_on);
+    // ---- Generation: identical pages of one bulk array share one page.
+    shared_pages_budget();
 
     // 2^20 entries × 8 B × 2 tables = 16 MiB — several times the
     // Table 1 LLC, so the indirect loads keep missing to DRAM across

@@ -96,13 +96,18 @@ pub struct Tage {
     cfg: TageConfig,
     base: Vec<u8>,
     tables: Vec<Vec<TageEntry>>,
-    /// Circular raw history; index 0 is the newest bit's slot pointer.
+    /// Circular raw history, `hist_head` the newest bit's slot. Its
+    /// length is a power of two above the longest history, so a
+    /// position is a mask, not a division.
     hist: Vec<u8>,
     hist_head: usize,
     folded_idx: Vec<Folded>,
     folded_tag0: Vec<Folded>,
     folded_tag1: Vec<Folded>,
-    updates: u64,
+    /// Updates left until the next usefulness reset: counts down from
+    /// `u_reset_period`, so the check is a compare, not a division. A
+    /// period of 0 never resets: the count wraps to 2^64 updates.
+    until_reset: u64,
     /// Simple LFSR for allocation-tie randomization.
     lfsr: u32,
 }
@@ -121,7 +126,7 @@ impl Tage {
             cfg.hist_lengths.len() <= MAX_TAGGED_TABLES,
             "at most {MAX_TAGGED_TABLES} tagged tables supported"
         );
-        let max_hist = *cfg.hist_lengths.last().unwrap() as usize + 1;
+        let ring = (*cfg.hist_lengths.last().unwrap() as usize + 1).next_power_of_two();
         let tables = vec![vec![TageEntry::default(); 1 << cfg.table_log]; cfg.hist_lengths.len()];
         let folded_idx = cfg.hist_lengths.iter().map(|&l| Folded::new(l, cfg.table_log)).collect();
         let folded_tag0 =
@@ -135,12 +140,12 @@ impl Tage {
         Tage {
             base: vec![2; 1 << cfg.base_log],
             tables,
-            hist: vec![0; max_hist],
+            hist: vec![0; ring],
             hist_head: 0,
             folded_idx,
             folded_tag0,
             folded_tag1,
-            updates: 0,
+            until_reset: cfg.u_reset_period,
             lfsr: 0x2468_ace1,
             cfg,
         }
@@ -184,15 +189,15 @@ impl Tage {
     }
 
     fn push_history(&mut self, taken: bool) {
-        let n = self.hist.len();
-        self.hist_head = (self.hist_head + 1) % n;
+        let mask = self.hist.len() - 1;
+        self.hist_head = (self.hist_head + 1) & mask;
         self.hist[self.hist_head] = u8::from(taken);
         let new_bit = u32::from(taken);
         for t in 0..self.cfg.hist_lengths.len() {
             let l = self.cfg.hist_lengths[t] as usize;
             // The bit that just left the window of length l: the one
             // that was `l` positions back before this push.
-            let evict = u32::from(self.hist[(self.hist_head + n - l) % n]);
+            let evict = u32::from(self.hist[self.hist_head.wrapping_sub(l) & mask]);
             self.folded_idx[t].update(new_bit, evict);
             self.folded_tag0[t].update(new_bit, evict);
             self.folded_tag1[t].update(new_bit, evict);
@@ -236,7 +241,6 @@ impl DirectionPredictor for Tage {
         };
 
         // --- update.
-        self.updates += 1;
         let base_idx = self.base_index(pc);
 
         match provider {
@@ -296,7 +300,9 @@ impl DirectionPredictor for Tage {
         }
 
         // --- periodic graceful reset of usefulness counters.
-        if self.updates.is_multiple_of(self.cfg.u_reset_period) {
+        self.until_reset = self.until_reset.wrapping_sub(1);
+        if self.until_reset == 0 {
+            self.until_reset = self.cfg.u_reset_period;
             for table in &mut self.tables {
                 for e in table.iter_mut() {
                     e.useful >>= 1;
@@ -391,6 +397,30 @@ mod tests {
         let bits = Tage::default_8kb().storage_bits();
         let kib = bits as f64 / 8192.0;
         assert!((6.0..=10.0).contains(&kib), "storage {kib:.2} KiB should be ≈8 KiB");
+    }
+
+    #[test]
+    fn history_ring_is_a_power_of_two_past_the_longest_history() {
+        let p = Tage::default_8kb();
+        assert!(p.hist.len().is_power_of_two());
+        assert!(p.hist.len() > 130);
+    }
+
+    #[test]
+    fn usefulness_halves_every_reset_period_updates() {
+        let mut p = Tage::new(TageConfig { u_reset_period: 4, ..TageConfig::budget_8kb() });
+        let max_useful = |p: &Tage| p.tables.iter().flatten().map(|e| e.useful).max().unwrap();
+        for e in p.tables.iter_mut().flatten() {
+            e.useful = 3;
+        }
+        for round in 0..2 {
+            for i in 0..3 {
+                p.predict_and_train(0x40 + i, i % 2 == 0);
+            }
+            assert_eq!(max_useful(&p), 3 >> round, "no reset before update {}", 4 * (round + 1));
+            p.predict_and_train(0x40, true);
+            assert_eq!(max_useful(&p), 3 >> (round + 1), "reset at update {}", 4 * (round + 1));
+        }
     }
 
     #[test]

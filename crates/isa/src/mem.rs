@@ -1,5 +1,6 @@
 //! Sparse byte-addressed memory.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,6 +77,12 @@ const HINT_SLOTS: usize = 16;
 /// `image.clone()` thus pays for the pages it stores to, and any
 /// number of clones hold the image's bytes once. Clones may be taken
 /// from a shared `&Memory` on several threads and dropped in any order.
+///
+/// Pages may also be shared inside one image: a bulk writer
+/// ([`Memory::write_bytes`], `write_u64s` and the other array writers)
+/// lays out each distinct page of one array once, and a repeat of it
+/// holds the same page. A first write to such a page copies it just as
+/// a write to a page shared with a clone does.
 ///
 /// ```
 /// use vr_isa::Memory;
@@ -154,9 +161,11 @@ impl Memory {
         self.chunks[pos].pages[(pidx & CHUNK_MASK) as usize].as_deref()
     }
 
-    /// The page containing page index `pidx`, mapping it (and its
-    /// chunk) on demand.
-    fn page_mut(&mut self, pidx: u64) -> &mut Page {
+    /// The slot of page index `pidx`, mapping its chunk on demand. An
+    /// empty slot is counted as mapped: the caller fills it. Always
+    /// inlined, so a store's `page_mut` stays one call.
+    #[inline(always)]
+    fn slot_mut(&mut self, pidx: u64) -> &mut Option<Arc<Page>> {
         // The caller is about to write: whatever digest was memoised
         // no longer describes the contents. A plain store (`&mut self`
         // proves no other thread is looking).
@@ -174,14 +183,21 @@ impl Memory {
                 pos
             }
         };
-        // Un-share the table, then the page: a count check each when
-        // this memory is the sole holder, a copy when a clone is too.
+        // Un-share the table: a count check when this memory is its
+        // sole holder, a copy when a clone is too.
         let pages = Arc::make_mut(&mut self.chunks[pos].pages);
         let slot = &mut pages[(pidx & CHUNK_MASK) as usize];
         if slot.is_none() {
             self.mapped += 1;
         }
-        Arc::make_mut(slot.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE])))
+        slot
+    }
+
+    /// The page containing page index `pidx`, mapping it (and its
+    /// chunk) on demand.
+    fn page_mut(&mut self, pidx: u64) -> &mut Page {
+        // Un-share the page, as `slot_mut` did its table.
+        Arc::make_mut(self.slot_mut(pidx).get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE])))
     }
 
     /// Number of mapped 4 KiB pages.
@@ -204,12 +220,17 @@ impl Memory {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported access size {size}");
         let off = (addr & PAGE_MASK) as usize;
         if off + size as usize <= PAGE_SIZE {
-            // Fast path: the access lies within one page.
-            let mut bytes = [0u8; 8];
-            if let Some(page) = self.page(addr >> PAGE_SHIFT) {
-                bytes[..size as usize].copy_from_slice(&page[off..off + size as usize]);
-            }
-            return u64::from_le_bytes(bytes);
+            // Fast path: the access lies within one page. One fixed
+            // width per arm, so each is a plain load rather than a
+            // variable-length copy.
+            let Some(page) = self.page(addr >> PAGE_SHIFT) else { return 0 };
+            let at = &page[off..];
+            return match size {
+                1 => u64::from(at[0]),
+                2 => u64::from(u16::from_le_bytes(*at.first_chunk().expect("in page"))),
+                4 => u64::from(u32::from_le_bytes(*at.first_chunk().expect("in page"))),
+                _ => u64::from_le_bytes(*at.first_chunk().expect("in page")),
+            };
         }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate().take(size as usize) {
@@ -260,24 +281,53 @@ impl Memory {
     }
 
     /// Writes raw bytes at `addr`, copying page-sized chunks (the fast
-    /// path for bulk workload-image construction).
+    /// path for bulk workload-image construction). A whole page that
+    /// was not mapped and repeats one this call already laid out shares
+    /// that page, copy-on-write, as a clone would.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        self.lay_out(addr, bytes, &mut LaidOut::new());
+    }
+
+    /// [`Memory::write_bytes`] for a caller that lays one array out in
+    /// several calls, with `laid_out` the pages its earlier calls laid
+    /// out.
+    ///
+    /// A whole, not-yet-mapped page is looked up in `laid_out` by a hash
+    /// of its bytes. When an earlier page with the same hash also has
+    /// the same 4096 bytes, the slot takes a clone of that page's `Arc`
+    /// instead of an allocation of its own; otherwise the page is
+    /// allocated, and recorded unless its hash is taken (no chaining:
+    /// a collision costs a page, not a probe sequence). Sharing is what
+    /// [`Clone`] already does between memories, so nothing can tell:
+    /// `page_mut` gives the first writer to a shared page a private
+    /// copy, and reads, [`Memory::digest`] and `mapped_pages()` see the
+    /// same bytes and pages as before. A page that was already mapped
+    /// is written in place, as is a page the call covers only in part.
+    fn lay_out(&mut self, addr: u64, bytes: &[u8], laid_out: &mut LaidOut) {
         let mut offset = 0usize;
         while offset < bytes.len() {
             let a = addr.wrapping_add(offset as u64);
             let page_off = (a & PAGE_MASK) as usize;
             let chunk = (PAGE_SIZE - page_off).min(bytes.len() - offset);
-            let page = self.page_mut(a >> PAGE_SHIFT);
-            page[page_off..page_off + chunk].copy_from_slice(&bytes[offset..offset + chunk]);
+            let src = &bytes[offset..offset + chunk];
             offset += chunk;
+            if let Ok(whole) = <&Page>::try_from(src) {
+                let slot = self.slot_mut(a >> PAGE_SHIFT);
+                if slot.is_none() {
+                    *slot = Some(share_or_allocate(laid_out, whole));
+                    continue;
+                }
+            }
+            self.page_mut(a >> PAGE_SHIFT)[page_off..page_off + chunk].copy_from_slice(src);
         }
     }
 
     /// Writes `values` as a contiguous array of `N`-byte little-endian
-    /// elements at `base`: encoded in bounded batches and handed to
-    /// [`Memory::write_bytes`], so the page lookup is paid per page,
-    /// not per element, and a generator is drawn one batch at a time
-    /// instead of collected first. Every bulk writer is this one loop.
+    /// elements at `base`: encoded in bounded batches and laid out by
+    /// [`Memory::lay_out`], so the page lookup is paid per page, not
+    /// per element, a generator is drawn one batch at a time instead of
+    /// collected first, and a page the array repeats is laid out once.
+    /// Every bulk writer is this one loop.
     fn write_le<T, const N: usize>(
         &mut self,
         base: u64,
@@ -288,6 +338,9 @@ impl Memory {
         const BATCH: usize = 1 << 16;
         let mut values = values.into_iter();
         let mut bytes = Vec::with_capacity(values.size_hint().0.min(BATCH) * N);
+        // One table for the whole array, so a page repeated across
+        // batches is laid out once too.
+        let mut laid_out = LaidOut::new();
         let mut addr = base;
         loop {
             bytes.clear();
@@ -297,7 +350,7 @@ impl Memory {
             if bytes.is_empty() {
                 return;
             }
-            self.write_bytes(addr, &bytes);
+            self.lay_out(addr, &bytes, &mut laid_out);
             addr = addr.wrapping_add(bytes.len() as u64);
         }
     }
@@ -424,6 +477,28 @@ fn digest_lanes(page: &Page) -> Option<[u64; DIGEST_LANES]> {
     (any != 0).then_some(lanes)
 }
 
+/// The pages one bulk write has laid out, each under its
+/// [`page_hash`]: a flat map whose entries (a key and an `Arc`) need no
+/// allocation of their own. It lives for one call and holds a count on
+/// each page it records.
+type LaidOut = HashMap<u64, Arc<Page>>;
+
+/// A hash of one page's bytes: [`Memory::digest`]'s four lanes folded
+/// by its mixer, so a page costs one pass (0 for an all-zero page).
+fn page_hash(page: &Page) -> u64 {
+    digest_lanes(page).map_or(0, |lanes| lanes.into_iter().fold(DIGEST_SEED, |h, l| mix64(h ^ l)))
+}
+
+/// `page` as a page of its own, or as a clone of the one with the same
+/// bytes `laid_out` holds. See [`Memory::lay_out`].
+fn share_or_allocate(laid_out: &mut LaidOut, page: &Page) -> Arc<Page> {
+    match laid_out.entry(page_hash(page)) {
+        Entry::Occupied(e) if **e.get() == *page => Arc::clone(e.get()),
+        Entry::Occupied(_) => Arc::new(*page),
+        Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(*page))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,6 +614,140 @@ mod tests {
         for a in (BASE - 16..F_BASE + 8 * LEN + 16).step_by(8) {
             assert_eq!(streamed.read_u64(a), by_element.read_u64(a), "at {a:#x}");
         }
+    }
+
+    /// The `Arc` behind the page holding `addr`, which must be mapped.
+    fn page_arc(m: &Memory, addr: u64) -> &Arc<Page> {
+        let pidx = addr >> PAGE_SHIFT;
+        let pos = m.find_chunk(pidx >> CHUNK_BITS).expect("chunk mapped");
+        m.chunks[pos].pages[(pidx & CHUNK_MASK) as usize].as_ref().expect("page mapped")
+    }
+
+    /// Word `i` of an array whose pages all hold the same 512 words.
+    fn periodic(i: u64) -> u64 {
+        (i % 512).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+    }
+
+    /// 64 pages of one repeated page at `base`, streamed, and the same
+    /// words written one at a time.
+    fn repeated_pages(base: u64) -> (Memory, Memory) {
+        let mut streamed = Memory::new();
+        streamed.write_u64s(base, (0..64 * 512).map(periodic));
+        let mut by_element = Memory::new();
+        for i in 0..64 * 512 {
+            by_element.write_u64(base + 8 * i, periodic(i));
+        }
+        (streamed, by_element)
+    }
+
+    #[test]
+    fn a_repeated_page_is_laid_out_once_and_reads_as_written() {
+        const BASE: u64 = 0x40_0000;
+        let (streamed, by_element) = repeated_pages(BASE);
+        // One page behind all 64 slots; the map and the bytes as before.
+        let first = page_arc(&streamed, BASE);
+        for p in 0..64 {
+            assert!(Arc::ptr_eq(first, page_arc(&streamed, BASE + p * 4096)), "page {p}");
+        }
+        assert_eq!(streamed.mapped_pages(), 64);
+        assert_eq!(streamed.digest(), by_element.digest());
+        for a in (BASE - 8..BASE + 64 * 4096 + 8).step_by(4) {
+            assert_eq!(streamed.read(a, 4), by_element.read(a, 4), "at {a:#x}");
+        }
+    }
+
+    #[test]
+    fn a_write_into_a_shared_page_changes_that_page_only() {
+        const BASE: u64 = 0x40_0000;
+        let (mut streamed, mut by_element) = repeated_pages(BASE);
+        let at = BASE + 17 * 4096 + 40;
+        streamed.write_u64(at, 0xdead);
+        by_element.write_u64(at, 0xdead);
+        assert_eq!(streamed.read_u64(at), 0xdead);
+        assert_eq!(streamed.read_u64(at + 4096), periodic(5));
+        assert_eq!(streamed.read_u64(at - 4096), periodic(5));
+        assert_eq!(streamed.mapped_pages(), 64);
+        assert_eq!(streamed.digest(), by_element.digest());
+        for a in (BASE..BASE + 64 * 4096).step_by(8) {
+            assert_eq!(streamed.read_u64(a), by_element.read_u64(a), "at {a:#x}");
+        }
+        // The written page left the share; the other 63 still hold one.
+        assert!(!Arc::ptr_eq(page_arc(&streamed, at), page_arc(&streamed, BASE)));
+        assert!(Arc::ptr_eq(page_arc(&streamed, BASE), page_arc(&streamed, BASE + 63 * 4096)));
+    }
+
+    #[test]
+    fn a_clone_of_shared_pages_and_its_origin_write_apart() {
+        const BASE: u64 = 0x40_0000;
+        let (origin, _) = repeated_pages(BASE);
+        let untouched = origin.digest();
+        for write_origin in [false, true] {
+            let mut a = origin.clone();
+            let mut b = origin.clone();
+            let (written, other) = if write_origin { (&mut a, &b) } else { (&mut b, &a) };
+            written.write_u64(BASE + 3 * 4096, 7);
+            assert_eq!(written.read_u64(BASE + 3 * 4096), 7);
+            assert_eq!(other.read_u64(BASE + 3 * 4096), periodic(0));
+            assert_eq!(other.digest(), untouched);
+            assert_ne!(written.digest(), untouched);
+            assert_eq!(other.mapped_pages(), 64);
+            for p in 0..64 {
+                assert_eq!(other.read_u64(BASE + p * 4096), periodic(0), "page {p}");
+            }
+            b.write_u64(BASE + 9 * 4096, 9);
+            assert_eq!(a.read_u64(BASE + 9 * 4096), periodic(0));
+        }
+        assert_eq!(origin.digest(), untouched);
+    }
+
+    #[test]
+    fn a_page_mapped_before_a_bulk_write_is_written_in_place() {
+        const BASE: u64 = 0x40_0000;
+        let mut m = Memory::new();
+        m.write_u64(BASE + 4096 + 8, 5);
+        let before = Arc::as_ptr(page_arc(&m, BASE + 4096));
+        m.write_u64s(BASE, (0..4 * 512).map(periodic));
+        // Same allocation, new bytes, and not shared with its twins.
+        assert_eq!(Arc::as_ptr(page_arc(&m, BASE + 4096)), before);
+        assert!(!Arc::ptr_eq(page_arc(&m, BASE + 4096), page_arc(&m, BASE)));
+        assert!(Arc::ptr_eq(page_arc(&m, BASE), page_arc(&m, BASE + 2 * 4096)));
+        assert_eq!(m.read_u64(BASE + 4096 + 8), periodic(1));
+        assert_eq!(m.mapped_pages(), 4);
+    }
+
+    #[test]
+    fn shared_pages_wrap_at_the_top_of_the_address_space_like_write() {
+        // Four identical whole pages: two below the top, two from 0.
+        let page: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8 | 1).collect();
+        let bytes = page.repeat(4);
+        let base = 0u64.wrapping_sub(2 * 4096);
+        let mut m = Memory::new();
+        m.write_bytes(base, &bytes);
+        let mut w = Memory::new();
+        for (i, &b) in bytes.iter().enumerate() {
+            w.write(base.wrapping_add(i as u64), 1, u64::from(b));
+        }
+        assert_eq!(m.mapped_pages(), 4);
+        assert_eq!(m.digest(), w.digest());
+        assert!(Arc::ptr_eq(page_arc(&m, base), page_arc(&m, 4096)));
+        for i in (0..bytes.len() as u64).step_by(4) {
+            let a = base.wrapping_add(i);
+            assert_eq!(m.read(a, 4), w.read(a, 4), "at {a:#x}");
+        }
+        assert_eq!(m.read(u64::MAX - 3, 8), w.read(u64::MAX - 3, 8));
+    }
+
+    #[test]
+    fn pages_with_equal_hashes_but_different_bytes_stay_apart() {
+        // Two pages under one key: the second is laid out on its own.
+        let mut laid_out = LaidOut::new();
+        let a: Page = [1; PAGE_SIZE];
+        let b: Page = [2; PAGE_SIZE];
+        laid_out.insert(page_hash(&b), Arc::new(a));
+        let got = share_or_allocate(&mut laid_out, &b);
+        assert_eq!(*got, b);
+        assert_eq!(*laid_out[&page_hash(&b)], a, "a collision does not replace the entry");
+        assert!(Arc::ptr_eq(&share_or_allocate(&mut laid_out, &[0; PAGE_SIZE]), &laid_out[&0]));
     }
 
     #[test]
