@@ -4,7 +4,8 @@
 //! `benches/` cannot use `criterion` (registry dependency). This
 //! module provides the ~5% of criterion they actually need: warmup,
 //! timed batches over `std::time::Instant`, median-of-samples
-//! reporting, and a `black_box` to keep the optimizer honest.
+//! reporting with the samples' quartiles beside it, and a `black_box`
+//! to keep the optimizer honest.
 //!
 //! Run with `cargo bench -p vr-bench --bench components` (the bench
 //! target sets `harness = false` and drives [`Runner`] from `main`).
@@ -54,8 +55,9 @@ impl Runner {
     }
 
     /// Benchmarks `f`, calling it once per iteration, prints
-    /// `group/name  median-time  (throughput)` and returns the median
-    /// wall-clock time per iteration.
+    /// `group/name  median-time  [q1 .. q3]  throughput` — the median
+    /// and quartiles of the samples, so a row shows its own spread —
+    /// and returns the median wall-clock time per iteration.
     pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) -> Duration {
         // Calibration: find an iteration count whose sample takes
         // roughly `sample_time`. Start at 1 and double.
@@ -89,15 +91,24 @@ impl Runner {
             })
             .collect();
         per_iter.sort_unstable();
-        let median = per_iter[per_iter.len() / 2];
+        let [q1, median, q3] = quartiles(&per_iter);
         println!(
-            "{:<44} {:>12}/iter   {:>14.0} iters/s",
+            "{:<44} {:>12}/iter  [{} .. {}]  {:>14.0} iters/s",
             format!("{}/{}", self.group, name),
             fmt_duration(median),
+            fmt_duration(q1),
+            fmt_duration(q3),
             1.0 / median.as_secs_f64()
         );
         median
     }
+}
+
+/// The lower quartile, median and upper quartile of `sorted` (nearest
+/// rank; of 11 samples, the 3rd, 6th and 9th).
+fn quartiles(sorted: &[Duration]) -> [Duration; 3] {
+    let n = sorted.len();
+    [sorted[n / 4], sorted[n / 2], sorted[3 * n / 4]]
 }
 
 #[cfg(test)]
@@ -117,6 +128,13 @@ mod tests {
             acc
         });
         assert!(per_iter > Duration::ZERO);
+    }
+
+    #[test]
+    fn quartiles_of_eleven_samples_are_the_3rd_6th_and_9th() {
+        let sorted: Vec<Duration> = (1..=11).map(Duration::from_nanos).collect();
+        assert_eq!(quartiles(&sorted), [3, 6, 9].map(Duration::from_nanos));
+        assert_eq!(quartiles(&sorted[..1]), [Duration::from_nanos(1); 3]);
     }
 
     #[test]

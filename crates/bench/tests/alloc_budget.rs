@@ -30,14 +30,19 @@
 //! their chunk tables and one write batch — never by a host-side copy
 //! of a whole array. A last one lays out 1024 identical pages, which
 //! share one allocation, so its rise is a few pages, not 1024.
+//!
+//! The first scenario counts what a warm result-store hit acquires from
+//! the heap: a handful of allocations per record, where a reader that
+//! built a JSON tree made one per token.
 
 use vr_bench::alloc::CountingAlloc;
+use vr_campaign::{point_key, ResultStore};
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::{CoreConfig, RunaheadConfig, Simulator};
 use vr_isa::{Asm, Memory, Program, Reg};
 use vr_mem::MemConfig;
 use vr_workloads::graph::{kronecker, Csr, GraphPreset};
-use vr_workloads::{gap, hpcdb, Workload};
+use vr_workloads::{gap, hpcdb, Scale, Workload};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -236,7 +241,72 @@ fn shared_pages_budget() {
     );
 }
 
+/// Heap acquisitions one warm store hit may make: the record's path
+/// and text, and for a chip record its per-core list.
+const SCALAR_HIT_OPS: u64 = 8;
+const CHIP_HIT_OPS: u64 = 10;
+
+/// Saves a real scalar record (`kangaroo` under Vector Runahead) and a
+/// real 8-core chip record, as the `components` bench's `store` rows
+/// do, and counts the heap acquisitions of one warm `load` and one
+/// warm `load_chip`: the reader builds no tree and copies no string it
+/// does not keep, so a hit costs a handful, not one per token.
+fn store_hit_budget() {
+    let w = hpcdb::kangaroo(Scale::Test);
+    let (core, mcfg, ra) = (CoreConfig::table1(), MemConfig::table1(), RunaheadConfig::vector());
+    let stats = Simulator::new(
+        core.clone(),
+        mcfg.clone(),
+        ra.clone(),
+        w.program.clone(),
+        w.memory.clone(),
+        &w.init_regs,
+    )
+    .run(20_000);
+    let slots = (0..8)
+        .map(|_| CoreSlot {
+            ra: ra.clone(),
+            program: w.program.clone(),
+            memory: w.memory.clone(),
+            init_regs: w.init_regs.clone(),
+        })
+        .collect();
+    let run = Chip::new(ChipConfig::with_cores(8), core.clone(), mcfg.clone(), slots)
+        .try_run(20_000)
+        .expect("8-core chip run");
+    let dir = std::env::temp_dir().join(format!("vr-alloc-budget-store-{}", std::process::id()));
+    let store = ResultStore::open(&dir).expect("open the store");
+    let scalar = point_key(&w, &core, &mcfg, &ra, 20_000);
+    let chip = point_key(&w, &core, &mcfg, &ra, 20_001);
+    store.save(scalar, "kangaroo-vr", &stats).expect("save");
+    store.save_chip(chip, "kangaroo-vr-x8", &run).expect("save_chip");
+    // Warm: the first loads may touch lazily built process state.
+    assert_eq!(store.load(scalar), Some(stats), "the scalar record reads back");
+    assert_eq!(store.load_chip(chip, 8), Some(run.clone()), "the chip record reads back");
+
+    let count = |load: &dyn Fn() -> bool| {
+        let before = ALLOC.heap_ops();
+        assert!(load(), "a warm load is a hit");
+        ALLOC.heap_ops() - before
+    };
+    let scalar_ops = count(&|| store.load(scalar).is_some());
+    let chip_ops = count(&|| store.load_chip(chip, 8).is_some());
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        scalar_ops <= SCALAR_HIT_OPS && chip_ops <= CHIP_HIT_OPS,
+        "a warm scalar hit made {scalar_ops} heap acquisitions (budget {SCALAR_HIT_OPS}), an \
+         8-core chip hit {chip_ops} (budget {CHIP_HIT_OPS})"
+    );
+    println!(
+        "alloc budget OK (store hit): a warm scalar hit made {scalar_ops} heap acquisitions \
+         (budget {SCALAR_HIT_OPS}), an 8-core chip hit {chip_ops} (budget {CHIP_HIT_OPS})"
+    );
+}
+
 fn main() {
+    // ---- The store: a warm hit reads its record without a tree.
+    store_hit_budget();
+
     // ---- Generation: `sssp_on` streams a weight per edge, NAS-CG a
     // matrix value per edge, each straight into the image.
     generation_budget(|g| gap::sssp_on(g, GraphPreset::Kron));

@@ -7,7 +7,13 @@
 //! form that drops the outputs):
 //!
 //! * points whose result is already stored are **cache hits** — no
-//!   simulation runs, and the loaded value is the point's output;
+//!   simulation runs, and the loaded value is the point's output. The
+//!   store is probed for every point on the calling thread, in
+//!   submission order, before anything is computed, so a round of hits
+//!   starts no thread and reports its hits in order. A worker does not
+//!   look at the store again before it computes, so a point another
+//!   process stores or poisons meanwhile is computed here anyway: wasted
+//!   work, never a wrong record, since publishes are atomic;
 //! * missing points are computed through [`vr_pool::map`], the
 //!   workspace's one fan-out: inline on the caller at one thread
 //!   (fully deterministic ordering), otherwise on the caller plus
@@ -545,12 +551,24 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
         done: AtomicU64::new(0),
         point_deadline: cfg.point_deadline,
     };
-    let driven = vr_pool::map(cfg.resolved_threads(unique.len()), &unique, |&idx| {
-        drive_point(&points[idx], keys[idx], &shared, exec)
+    // The store is probed on the calling thread, in submission order;
+    // only the points it cannot settle go to the pool, so a round of
+    // hits starts no thread.
+    let mut fates: Vec<Option<(Fate<P::Output>, u64)>> = unique
+        .iter()
+        .map(|&idx| probe(&points[idx], keys[idx], &shared).map(|fate| (fate, 0)))
+        .collect();
+    let misses: Vec<usize> = (0..unique.len()).filter(|&u| fates[u].is_none()).collect();
+    let computed = vr_pool::map(cfg.resolved_threads(misses.len()), &misses, |&u| {
+        let idx = unique[u];
+        compute_point(&points[idx], keys[idx], &shared, exec)
     });
+    for (&u, driven) in misses.iter().zip(computed) {
+        fates[u] = Some(driven);
+    }
 
-    // `map` returns in input order, so every list below is in
-    // submission order regardless of how the threads interleaved.
+    // `fates` is in submission order, so every list below is too,
+    // regardless of how the threads interleaved.
     let mut outcome = CampaignOutcome {
         submitted: points.len() as u64,
         duplicates: (points.len() - unique.len()) as u64,
@@ -559,8 +577,9 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
         ..CampaignOutcome::default()
     };
     let mut outputs: Vec<Option<P::Output>> = Vec::with_capacity(unique.len());
-    for (&idx, (fate, retries)) in unique.iter().zip(driven) {
+    for (&idx, driven) in unique.iter().zip(fates) {
         let label = || points[idx].label().to_string();
+        let (fate, retries) = driven.expect("every point was probed or computed");
         outcome.retries += retries;
         outputs.push(match fate {
             Fate::Untaken => None,
@@ -589,11 +608,32 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
     (outcome, slots.into_iter().map(|s| outputs[s].clone()).collect())
 }
 
-/// Takes one unique point to its [`Fate`] and counts the deadline
-/// retries it took: hit, skip-if-poisoned, then execute, retrying a
-/// deadline trip in place — a point is never handed back to the
-/// scheduler, so "every item claimed" always means "no work left".
-fn drive_point<P: SweepPoint, E: Executor<P>>(
+/// Settles one unique point from the store, on the calling thread:
+/// untaken once the campaign is cancelled, else a hit, else skipped if
+/// poisoned. `None` means the point must be computed.
+fn probe<P: SweepPoint>(p: &P, key: PointKey, shared: &Shared<'_>) -> Option<Fate<P::Output>> {
+    if shared.cancel.is_cancelled() {
+        return Some(Fate::Untaken);
+    }
+    let store = shared.store?;
+    if let Some(out) = p.load(store, key) {
+        shared.finish(p.label(), ProgressKind::CacheHit);
+        return Some(Fate::Hit(out));
+    }
+    if store.load_poison(key).is_some() {
+        // An earlier run already gave up on this point; skip it rather
+        // than reproducing the same verdict (`store gc` un-poisons).
+        shared.finish(p.label(), ProgressKind::SkippedPoisoned);
+        return Some(Fate::SkippedPoisoned);
+    }
+    None
+}
+
+/// Takes one point the store could not settle to its [`Fate`] and
+/// counts the deadline retries it took: execute, retrying a deadline
+/// trip in place — a point is never handed back to the scheduler, so
+/// "every item claimed" always means "no work left".
+fn compute_point<P: SweepPoint, E: Executor<P>>(
     p: &P,
     key: PointKey,
     shared: &Shared<'_>,
@@ -602,20 +642,6 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
     if shared.cancel.is_cancelled() {
         return (Fate::Untaken, 0);
     }
-    if let Some(store) = shared.store {
-        if let Some(out) = p.load(store, key) {
-            shared.finish(p.label(), ProgressKind::CacheHit);
-            return (Fate::Hit(out), 0);
-        }
-        if store.load_poison(key).is_some() {
-            // An earlier run already gave up on this point; skip it
-            // rather than reproducing the same verdict (`store gc`
-            // un-poisons).
-            shared.finish(p.label(), ProgressKind::SkippedPoisoned);
-            return (Fate::SkippedPoisoned, 0);
-        }
-    }
-
     let mut attempt = 0u32;
     let mut deadline_trips = 0u32;
     loop {
@@ -676,6 +702,7 @@ fn drive_point<P: SweepPoint, E: Executor<P>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
     use vr_workloads::{hpcdb, Scale};
 
@@ -1210,6 +1237,121 @@ mod tests {
         assert_eq!(js.get("kind").and_then(Json::as_str), Some("status"));
         assert_eq!(js.get("missing").and_then(Json::as_u64), Some(2));
         assert_eq!(js.get("poisoned").and_then(Json::as_u64), Some(1));
+    }
+
+    /// Computes like [`FakeExec`], recording which points it ran.
+    #[derive(Default)]
+    struct RecordingExec {
+        ran: std::sync::Mutex<Vec<String>>,
+    }
+    impl Executor for RecordingExec {
+        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
+            self.ran.lock().unwrap().push(p.label.clone());
+            FakeExec.execute(p, ctx)
+        }
+    }
+
+    /// Every progress event of a run: the thread it came from, the
+    /// point and what happened.
+    type Events = std::sync::Mutex<Vec<(std::thread::ThreadId, u64, String, ProgressKind)>>;
+
+    fn record(events: &Events) -> impl Fn(&ProgressEvent<'_>) + Sync + '_ {
+        |ev| {
+            let who = std::thread::current().id();
+            events.lock().unwrap().push((who, ev.done, ev.label.to_string(), ev.kind));
+        }
+    }
+
+    /// Fills a fresh store with `points`, then removes the records of
+    /// the points at `cold`.
+    fn warm_store(tag: &str, points: &[CampaignPoint], cold: &[usize]) -> (PathBuf, ResultStore) {
+        let (dir, store) = tmp_store(tag);
+        let fill =
+            run_campaign(points, &store, &FakeExec, &cfg_threads(1), &CancelToken::new(), None);
+        assert!(fill.complete(), "{fill:?}");
+        for &i in cold {
+            std::fs::remove_file(
+                store.records_dir().join(format!("{}.json", points[i].key().hex())),
+            )
+            .unwrap();
+        }
+        (dir, store)
+    }
+
+    #[test]
+    fn an_all_hit_campaign_executes_nothing_and_reports_its_hits_in_order_on_the_caller() {
+        let points = tiny_points(6);
+        let (dir, store) = warm_store("all-hit", &points, &[]);
+        let (exec, events) = (RecordingExec::default(), Events::default());
+        let sink = record(&events);
+        let (out, outputs) = run_points(
+            &points,
+            Some(&store),
+            &exec,
+            &cfg_threads(4),
+            &CancelToken::new(),
+            Some(&sink),
+        );
+        assert!(out.complete() && out.cache_hits == 6, "{out:?}");
+        assert!(exec.ran.lock().unwrap().is_empty(), "a hit executes nothing");
+        assert!(outputs.iter().all(Option::is_some));
+        let caller = std::thread::current().id();
+        let events = std::mem::take(&mut *events.lock().unwrap());
+        let want: Vec<_> =
+            (0..6).map(|i| (caller, i + 1, format!("p{i}"), ProgressKind::CacheHit)).collect();
+        assert_eq!(events, want, "every hit, on the calling thread, in submission order");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_half_warm_campaign_computes_exactly_the_misses() {
+        let points = tiny_points(6);
+        for threads in [1, 2] {
+            let (dir, store) = warm_store(&format!("half-warm-{threads}"), &points, &[1, 3, 4]);
+            let (exec, events) = (RecordingExec::default(), Events::default());
+            let sink = record(&events);
+            let out = run_campaign(
+                &points,
+                &store,
+                &exec,
+                &cfg_threads(threads),
+                &CancelToken::new(),
+                Some(&sink),
+            );
+            assert!(out.complete(), "{out:?}");
+            assert_eq!((out.cache_hits, out.computed), (3, 3));
+            let mut ran = exec.ran.into_inner().unwrap();
+            ran.sort();
+            assert_eq!(ran, ["p1", "p3", "p4"], "threads={threads}");
+            // The hits are settled first, in submission order.
+            let events = std::mem::take(&mut *events.lock().unwrap());
+            let first: Vec<_> = events[..3].iter().map(|(_, _, l, k)| (l.as_str(), *k)).collect();
+            let hit = ProgressKind::CacheHit;
+            assert_eq!(first, [("p0", hit), ("p2", hit), ("p5", hit)], "threads={threads}");
+            assert!(events[3..].iter().all(|e| e.3 == ProgressKind::Computed));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_campaign_cancelled_before_the_run_leaves_every_point_untaken() {
+        let points = tiny_points(6);
+        let (dir, store) = warm_store("cancelled", &points, &[0, 2, 4]);
+        let (exec, events) = (RecordingExec::default(), Events::default());
+        let sink = record(&events);
+        let token = CancelToken::new();
+        token.cancel();
+        let read_before = store.counters();
+        let (out, outputs) =
+            run_points(&points, Some(&store), &exec, &cfg_threads(2), &token, Some(&sink));
+        assert!(out.cancelled, "{out:?}");
+        assert_eq!((out.cache_hits, out.computed, out.skipped_poisoned), (0, 0, 0));
+        assert!(out.failed.is_empty() && out.poisoned.is_empty(), "{out:?}");
+        assert!(outputs.iter().all(Option::is_none), "not even a stored point is taken");
+        assert!(exec.ran.lock().unwrap().is_empty());
+        assert!(events.lock().unwrap().is_empty(), "an untaken point reports nothing");
+        assert_eq!(store.counters(), read_before, "the store is not read");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use vr_chip::{ChipRun, ChipStats};
 use vr_core::SimStats;
-use vr_obs::{field_from_json, Counters, Json};
+use vr_obs::{Counters, Json, Reader};
 
 /// Serializes a whole chip point's result — every core's stats in core
 /// order, then the chip-level counters — as the payload of its one
@@ -26,17 +26,34 @@ pub(crate) fn chip_run_to_json(run: &ChipRun) -> Json {
     ])
 }
 
-/// Strict inverse of [`chip_run_to_json`].
+/// Strict reader, the inverse of [`chip_run_to_json`]: reads the value
+/// that comes next in `r`, members as [`Counters::read`] reads a
+/// record's.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing or mistyped field (the
 /// store quarantines such records and recomputes the point).
-pub(crate) fn chip_run_from_json(j: &Json) -> Result<ChipRun, String> {
-    let per_core = j.get("per_core").and_then(Json::as_arr).ok_or("missing array `per_core`")?;
+pub(crate) fn read_chip_run(r: &mut Reader<'_>) -> Result<ChipRun, String> {
+    let (mut per_core, mut chip) = (None, None);
+    r.object(|name, r| {
+        match name {
+            "per_core" if per_core.is_none() => {
+                let mut stats = Vec::new();
+                r.array(|_, r| SimStats::read(r).map(|s| stats.push(s)))
+                    .map_err(|e| format!("array `per_core`: {e}"))?;
+                per_core = Some(stats);
+            }
+            "chip" if chip.is_none() => {
+                chip = Some(ChipStats::read(r).map_err(|e| format!("field `chip`: {e}"))?);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
     Ok(ChipRun {
-        per_core: per_core.iter().map(SimStats::from_json).collect::<Result<_, _>>()?,
-        chip: field_from_json::<ChipStats>(j, "chip")?,
+        per_core: per_core.ok_or("missing array `per_core`")?,
+        chip: chip.ok_or("missing field `chip`")?,
     })
 }
 
@@ -44,6 +61,15 @@ pub(crate) fn chip_run_from_json(j: &Json) -> Result<ChipRun, String> {
 mod tests {
     use super::*;
     use vr_mem::MemStats;
+
+    /// [`read_chip_run`] over a tree.
+    fn chip_run_from_json(j: &Json) -> Result<ChipRun, String> {
+        let text = j.to_string();
+        let mut r = Reader::new(&text);
+        let run = read_chip_run(&mut r)?;
+        r.finish()?;
+        Ok(run)
+    }
 
     fn dense_stats() -> SimStats {
         // Every field non-zero and distinct, extremes included, so a

@@ -39,9 +39,10 @@
 //! (default [`TMP_GC_GRACE`]): a `gc` running beside a live writer must
 //! not delete the temp file that writer is about to rename.
 //!
-//! **Corruption policy.** Every read fully validates the record: the
+//! **Corruption policy.** Every read fully validates the record, in one
+//! pass of a [`vr_obs::Reader`] over its text with no tree built: the
 //! embedded key against the filename, the payload checksum, a strict
-//! parse of the payload by its tag through the record's
+//! read of the payload by its tag through the record's
 //! [`vr_obs::Counters`] impl (an unknown tag, or a kind the caller did
 //! not ask for, is corrupt), and the code-version salt last. Salt
 //! mismatch means *stale* (a legitimate record from an older
@@ -65,19 +66,22 @@
 //! `chaos::FaultFs` (`ResultStore::open_with_chaos`); the production
 //! build compiles to plain `std::fs` calls.
 
-use std::fmt::{self, Write as _};
+use std::borrow::Cow;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use vr_chip::ChipRun;
 use vr_core::SimStats;
-use vr_obs::{Counters, Fnv64, Json, CAMPAIGN_SCHEMA, CHIPSTORE_SCHEMA, RESULTSTORE_SCHEMA};
+use vr_obs::{
+    Counters, Event, Json, Reader, CAMPAIGN_SCHEMA, CHIPSTORE_SCHEMA, RESULTSTORE_SCHEMA,
+};
 
 use crate::fingerprint::{PointKey, CODE_SALT};
-use crate::serial::{chip_run_from_json, chip_run_to_json};
+use crate::serial::{chip_run_to_json, read_chip_run};
 
 /// Minimum age a `.tmp-*` file must reach before a default
 /// [`ResultStore::gc`] reclaims it. A temp file younger than this may
@@ -110,6 +114,7 @@ enum Fault {
 // Short-lived: every read unpacks it at once, and boxing the stats
 // would put an allocation on every scalar load.
 #[allow(clippy::large_enum_variant)]
+#[cfg_attr(test, derive(PartialEq, Debug))]
 enum Payload {
     Stats(SimStats),
     Chip(ChipRun),
@@ -117,7 +122,7 @@ enum Payload {
 }
 
 /// What a read asks for; a record of any other kind is corrupt.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum Want {
     /// A single-core point's result (a cache lookup).
     Stats,
@@ -644,79 +649,173 @@ impl ResultStore {
     }
 }
 
+/// `dir/<key-hex16>.json`.
 fn record_path(dir: &Path, key: PointKey) -> PathBuf {
     dir.join(format!("{}.json", key.hex()))
 }
 
 /// Checksum of the serialized payload: FNV-1a over the *compact*
 /// rendering (whitespace-independent, so the pretty record layout may
-/// change without invalidating checksums), streamed into the hasher
-/// as it is rendered.
+/// change without invalidating checksums).
 fn payload_checksum(payload: &Json) -> String {
-    let mut sink = FnvBytes(Fnv64::new());
-    write!(sink, "{payload}").expect("hashing never fails");
-    format!("{:016x}", sink.0.finish())
+    format!("{:016x}", payload.digest())
 }
 
-/// Folds every string written to it into the hasher as raw bytes, with
-/// no length prefix: the checksum is the FNV-1a of the rendering's
-/// bytes however the renderer splits them into writes.
-struct FnvBytes(Fnv64);
-
-impl fmt::Write for FnvBytes {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.write_bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Full record validation: the embedded key against `key` (the one the
-/// filename names), the payload checksum, a strict parse of the payload
-/// by its schema tag (an unknown tag is corrupt), the kind `want` asks
-/// for, and the salt last — a record must be *well-formed* to be merely
-/// stale, so a garbled record with a garbled salt is corrupt.
+/// Full record validation, in one pass of a [`Reader`] over `text`: the
+/// embedded key against `key` (the one the filename names), the payload
+/// checksum, a strict read of the payload by its schema tag (an unknown
+/// tag is corrupt), the kind `want` asks for, and the salt last — a
+/// record must be *well-formed* to be merely stale, so a garbled record
+/// with a garbled salt is corrupt.
+///
+/// The envelope's members may come in any order; the first of a name
+/// given twice counts and unknown names are skipped, as [`Json::get`]
+/// reads a tree. The payload is decoded as it is read, with its
+/// checksum folded from the same tokens; only when no `schema` precedes
+/// it is it skipped and read again once the tag is known.
 fn validate(text: &str, key: PointKey, want: Want) -> Result<Payload, Fault> {
-    let doc = Json::parse(text).map_err(|_| Fault::Corrupt)?;
-    let text_field = |name| doc.get(name).and_then(Json::as_str).ok_or(Fault::Corrupt);
-    if PointKey::from_hex(text_field("key")?) != Some(key) {
+    let mut r = Reader::new(text);
+    let mut env = Envelope::default();
+    r.object(|name, r| env.member(name, r, key, want)).map_err(|_| Fault::Corrupt)?;
+    r.finish().map_err(|_| Fault::Corrupt)?;
+    let (Some(embedded), Some(checksum), Some(label), Some(schema), Some(body)) =
+        (env.key, env.checksum, env.label, env.schema, env.stats)
+    else {
         return Err(Fault::Corrupt);
-    }
-    let body = doc.get("stats").ok_or(Fault::Corrupt)?;
-    if text_field("checksum")? != payload_checksum(body) {
-        return Err(Fault::Corrupt);
-    }
-    let label = text_field("label")?;
-    let payload = match (text_field("schema")?, want) {
-        (RESULTSTORE_SCHEMA, Want::Stats | Want::Result) => {
-            SimStats::from_json(body).ok().map(Payload::Stats)
-        }
-        (CHIPSTORE_SCHEMA, Want::Chip(_) | Want::Result) => chip_run_from_json(body)
-            .ok()
-            .filter(|run| !matches!(want, Want::Chip(cores) if cores != run.per_core.len()))
-            .map(Payload::Chip),
-        (CAMPAIGN_SCHEMA, Want::Poison) => poison_from_json(body, key, label).map(Payload::Poison),
-        // An unknown tag, or a kind the caller did not ask for.
-        _ => None,
     };
-    let payload = payload.ok_or(Fault::Corrupt)?;
-    match doc.get("salt").and_then(Json::as_u64) {
+    // The checksum is spelled as a key is, so it parses as one.
+    let digest = PointKey::from_hex(&checksum).map(|k| k.0);
+    if PointKey::from_hex(&embedded) != Some(key) || digest != Some(body.digest) {
+        return Err(Fault::Corrupt);
+    }
+    let mut payload = match body.payload {
+        Some(payload) => payload,
+        None => {
+            let mut again = Reader::new(&text[body.span]);
+            let payload = read_payload(&schema, want, key, &mut again);
+            payload.and_then(|p| again.finish().map(|()| p)).map_err(|_| Fault::Corrupt)?
+        }
+    };
+    if let Payload::Poison(rec) = &mut payload {
+        rec.label = label.into_owned();
+    }
+    match env.salt {
         Some(CODE_SALT) => Ok(payload),
         Some(_) => Err(Fault::Stale),
         None => Err(Fault::Corrupt),
     }
 }
 
-/// Strict parse of a poison verdict's payload (the inverse of the body
+/// The first of each envelope member a record holds, as [`validate`]
+/// reads them.
+#[derive(Default)]
+struct Envelope<'a> {
+    schema: Option<Cow<'a, str>>,
+    key: Option<Cow<'a, str>>,
+    salt: Option<u64>,
+    label: Option<Cow<'a, str>>,
+    checksum: Option<Cow<'a, str>>,
+    stats: Option<Body>,
+}
+
+/// The `stats` member: where it lies in the text, the digest of its
+/// compact rendering and, if the schema tag preceded it, its payload.
+struct Body {
+    span: Range<usize>,
+    digest: u64,
+    payload: Option<Payload>,
+}
+
+impl<'a> Envelope<'a> {
+    /// Reads the value of member `name`. A defect here is an error: a
+    /// record with one is corrupt whatever else it holds.
+    fn member(
+        &mut self,
+        name: &str,
+        r: &mut Reader<'a>,
+        key: PointKey,
+        want: Want,
+    ) -> Result<(), String> {
+        let text = |r: &mut Reader<'a>| match r.next_event()? {
+            Event::Str(s) => Ok(Some(s)),
+            _ => Err("not a string".to_string()),
+        };
+        match name {
+            "schema" if self.schema.is_none() => self.schema = text(r)?,
+            "key" if self.key.is_none() => self.key = text(r)?,
+            "label" if self.label.is_none() => self.label = text(r)?,
+            "checksum" if self.checksum.is_none() => self.checksum = text(r)?,
+            "salt" if self.salt.is_none() => self.salt = Some(u64::read(r)?),
+            "stats" if self.stats.is_none() => {
+                let start = r.offset();
+                r.start_digest();
+                let payload = match &self.schema {
+                    Some(schema) => Some(read_payload(schema, want, key, r)?),
+                    None => {
+                        r.skip()?;
+                        None
+                    }
+                };
+                let digest = r.take_digest().expect("started above");
+                self.stats = Some(Body { span: start..r.offset(), digest, payload });
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    }
+}
+
+/// Reads the payload that comes next in `r` by its schema tag, if it is
+/// the kind `want` asks for. A poison verdict's label is the envelope's,
+/// filled in by [`validate`].
+fn read_payload(
+    schema: &str,
+    want: Want,
+    key: PointKey,
+    r: &mut Reader<'_>,
+) -> Result<Payload, String> {
+    match (schema, want) {
+        (RESULTSTORE_SCHEMA, Want::Stats | Want::Result) => SimStats::read(r).map(Payload::Stats),
+        (CHIPSTORE_SCHEMA, Want::Chip(cores)) => {
+            let run = read_chip_run(r)?;
+            if run.per_core.len() != cores {
+                return Err(format!("{} cores, want {cores}", run.per_core.len()));
+            }
+            Ok(Payload::Chip(run))
+        }
+        (CHIPSTORE_SCHEMA, Want::Result) => read_chip_run(r).map(Payload::Chip),
+        (CAMPAIGN_SCHEMA, Want::Poison) => read_poison(r, key).map(Payload::Poison),
+        // An unknown tag, or a kind the caller did not ask for.
+        _ => Err(format!("a `{schema}` record is not the kind asked for")),
+    }
+}
+
+/// Strict reader of a poison verdict's payload (the inverse of the body
 /// [`ResultStore::poison`] writes); the key and label come from the
 /// envelope.
-fn poison_from_json(body: &Json, key: PointKey, label: &str) -> Option<PoisonRecord> {
-    let count = |name| body.get(name).and_then(Json::as_u64).and_then(|v| u32::try_from(v).ok());
-    Some(PoisonRecord {
+fn read_poison(r: &mut Reader<'_>, key: PointKey) -> Result<PoisonRecord, String> {
+    let (mut error, mut attempts, mut deadline_trips) = (None, None, None);
+    let count = |r: &mut Reader<'_>| {
+        u32::try_from(u64::read(r)?).map(Some).map_err(|_| "not a u32".to_string())
+    };
+    r.object(|name, r| {
+        match name {
+            "error" if error.is_none() => match r.next_event()? {
+                Event::Str(s) => error = Some(s.into_owned()),
+                _ => return Err("field `error`: not a string".to_string()),
+            },
+            "attempts" if attempts.is_none() => attempts = count(r)?,
+            "deadline_trips" if deadline_trips.is_none() => deadline_trips = count(r)?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(PoisonRecord {
         key,
-        label: label.into(),
-        error: body.get("error").and_then(Json::as_str)?.into(),
-        attempts: count("attempts")?,
-        deadline_trips: count("deadline_trips")?,
+        label: String::new(),
+        error: error.ok_or("missing field `error`")?,
+        attempts: attempts.ok_or("missing field `attempts`")?,
+        deadline_trips: deadline_trips.ok_or("missing field `deadline_trips`")?,
     })
 }
 
@@ -783,4 +882,445 @@ pub fn snapshot_records(root: &Path) -> io::Result<Vec<(String, Vec<u8>)>> {
         }
     }
     Ok(v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vr_chip::{Chip, ChipConfig, ChipStats, CoreSlot};
+    use vr_core::{CoreConfig, RunaheadConfig, Simulator};
+    use vr_isa::SplitMix64;
+    use vr_mem::MemConfig;
+    use vr_workloads::{hpcdb, Scale};
+
+    // ---- the tree reader, kept as the oracle of `validate` -----------
+
+    /// The reader [`validate`] replaced: parse the whole record into a
+    /// tree, re-render `stats` to check its checksum, then decode the
+    /// tree. Members are found with [`Json::get`], so the first of a
+    /// repeated name counts and unknown names are ignored.
+    fn tree_validate(text: &str, key: PointKey, want: Want) -> Result<Payload, Fault> {
+        let doc = Json::parse(text).map_err(|_| Fault::Corrupt)?;
+        let text_field = |name| doc.get(name).and_then(Json::as_str).ok_or(Fault::Corrupt);
+        if PointKey::from_hex(text_field("key")?) != Some(key) {
+            return Err(Fault::Corrupt);
+        }
+        let body = doc.get("stats").ok_or(Fault::Corrupt)?;
+        if text_field("checksum")? != payload_checksum(body) {
+            return Err(Fault::Corrupt);
+        }
+        let label = text_field("label")?;
+        let payload = match (text_field("schema")?, want) {
+            (RESULTSTORE_SCHEMA, Want::Stats | Want::Result) => {
+                tree_stats(body).map(Payload::Stats)
+            }
+            (CHIPSTORE_SCHEMA, Want::Chip(_) | Want::Result) => tree_chip(body)
+                .filter(|run| !matches!(want, Want::Chip(cores) if cores != run.per_core.len()))
+                .map(Payload::Chip),
+            (CAMPAIGN_SCHEMA, Want::Poison) => tree_poison(body, key, label).map(Payload::Poison),
+            _ => None,
+        };
+        let payload = payload.ok_or(Fault::Corrupt)?;
+        match doc.get("salt").and_then(Json::as_u64) {
+            Some(CODE_SALT) => Ok(payload),
+            Some(_) => Err(Fault::Stale),
+            None => Err(Fault::Corrupt),
+        }
+    }
+
+    /// `input` rebuilt in the shape of `template`, a counter record's
+    /// `to_json`, each member found with [`Json::get`]: the tree's rules
+    /// for names, so the oracle does not lean on [`Counters::read`]'s.
+    fn canonical(template: &Json, input: &Json) -> Option<Json> {
+        match template {
+            Json::U64(_) => input.as_u64().map(Json::U64),
+            Json::Arr(t) => {
+                let a = input.as_arr().filter(|a| a.len() == t.len())?;
+                a.iter().zip(t).map(|(v, t)| canonical(t, v)).collect::<Option<_>>().map(Json::Arr)
+            }
+            Json::Obj(t) => t
+                .iter()
+                .map(|(k, t)| Some((k.clone(), canonical(t, input.get(k)?)?)))
+                .collect::<Option<_>>()
+                .map(Json::Obj),
+            other => unreachable!("a counter record holds no {other}"),
+        }
+    }
+
+    fn tree_counters<T: Counters + Default>(body: &Json) -> Option<T> {
+        let shaped = canonical(&T::default().to_json(), body)?;
+        Some(T::from_json(&shaped).expect("a record in its own shape reads"))
+    }
+
+    fn tree_stats(body: &Json) -> Option<SimStats> {
+        tree_counters(body)
+    }
+
+    fn tree_chip(body: &Json) -> Option<ChipRun> {
+        let per_core = body.get("per_core")?.as_arr()?;
+        Some(ChipRun {
+            per_core: per_core.iter().map(tree_stats).collect::<Option<_>>()?,
+            chip: tree_counters::<ChipStats>(body.get("chip")?)?,
+        })
+    }
+
+    fn tree_poison(body: &Json, key: PointKey, label: &str) -> Option<PoisonRecord> {
+        let count =
+            |name| body.get(name).and_then(Json::as_u64).and_then(|v| u32::try_from(v).ok());
+        Some(PoisonRecord {
+            key,
+            label: label.into(),
+            error: body.get("error").and_then(Json::as_str)?.into(),
+            attempts: count("attempts")?,
+            deadline_trips: count("deadline_trips")?,
+        })
+    }
+
+    // ---- real records and their mutations ----------------------------
+
+    const SCALAR: PointKey = PointKey(0x0123_4567_89ab_cdef);
+    const CHIP: PointKey = PointKey(0x1111_2222_3333_4444);
+    const POISON: PointKey = PointKey(0xfedc_ba98_7654_3210);
+    const WANTS: [Want; 5] =
+        [Want::Stats, Want::Chip(2), Want::Chip(3), Want::Result, Want::Poison];
+
+    /// A scalar record of a real `kangaroo` run under Vector Runahead, a
+    /// record of a real 2-core chip run, and a poison verdict, as the
+    /// store writes them.
+    fn real_records() -> [(PointKey, String); 3] {
+        let w = hpcdb::kangaroo(Scale::Test);
+        let (core, mem, ra) =
+            (CoreConfig::table1(), MemConfig::tiny_for_tests(), RunaheadConfig::vector());
+        let stats = Simulator::new(
+            core.clone(),
+            mem.clone(),
+            ra.clone(),
+            w.program.clone(),
+            w.memory.clone(),
+            &w.init_regs,
+        )
+        .run(3_000);
+        let slots = (0..2)
+            .map(|_| CoreSlot {
+                ra: ra.clone(),
+                program: w.program.clone(),
+                memory: w.memory.clone(),
+                init_regs: w.init_regs.clone(),
+            })
+            .collect();
+        let run = Chip::new(ChipConfig::with_cores(2), core, mem, slots)
+            .try_run(2_000)
+            .expect("2-core chip run");
+        let dir = std::env::temp_dir().join(format!(
+            "vr-store-unit-{}-{}",
+            std::process::id(),
+            crate::test_nonce()
+        ));
+        let store = ResultStore::open(&dir).expect("open store");
+        store.save(SCALAR, "kangaroo/vr", &stats).unwrap();
+        store.save_chip(CHIP, "kangaroo/vr-x2", &run).unwrap();
+        let verdict = PoisonRecord {
+            key: POISON,
+            label: "kangaroo/\"sick\"".into(),
+            error: "deadline exceeded at cycle 100".into(),
+            attempts: 2,
+            deadline_trips: 2,
+        };
+        store.poison(&verdict).unwrap();
+        let read = |dir: &Path, key| fs::read_to_string(record_path(dir, key)).unwrap();
+        let records = [
+            (SCALAR, read(&store.records, SCALAR)),
+            (CHIP, read(&store.records, CHIP)),
+            (POISON, read(&store.poison, POISON)),
+        ];
+        fs::remove_dir_all(&dir).ok();
+        records
+    }
+
+    /// Paths (member and element indices) to every object in `j`.
+    fn object_paths(j: &Json, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let children: Vec<&Json> = match j {
+            Json::Obj(m) => {
+                out.push(path.clone());
+                m.iter().map(|(_, v)| v).collect()
+            }
+            Json::Arr(a) => a.iter().collect(),
+            _ => return,
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            object_paths(child, path, out);
+            path.pop();
+        }
+    }
+
+    /// The members of a random object in `doc`.
+    fn some_object<'j>(doc: &'j mut Json, rng: &mut SplitMix64) -> &'j mut Vec<(String, Json)> {
+        let mut paths = Vec::new();
+        object_paths(doc, &mut Vec::new(), &mut paths);
+        let path = &paths[rng.below(paths.len() as u64) as usize];
+        let node = path.iter().fold(doc, |j, &i| match j {
+            Json::Obj(m) => &mut m[i].1,
+            Json::Arr(a) => &mut a[i],
+            _ => unreachable!("a path runs through containers"),
+        });
+        match node {
+            Json::Obj(m) => m,
+            _ => unreachable!("the path ends at an object"),
+        }
+    }
+
+    /// Edits the parsed record and renders it again, compact or pretty.
+    fn retree(
+        text: &str,
+        rng: &mut SplitMix64,
+        edit: impl FnOnce(&mut Json, &mut SplitMix64),
+    ) -> String {
+        let Ok(mut doc) = Json::parse(text) else { return text.to_string() };
+        edit(&mut doc, rng);
+        if rng.flip() {
+            doc.to_string()
+        } else {
+            doc.to_pretty()
+        }
+    }
+
+    /// Byte ranges of the string tokens (quotes included) and of the
+    /// other scalar tokens of `text`, as far as it lexes.
+    fn tokens(text: &str) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let (b, mut strings, mut numbers, mut i) = (text.as_bytes(), vec![], vec![], 0);
+        while i < b.len() {
+            match b[i] {
+                b'"' => {
+                    let start = i;
+                    i += 1;
+                    while i < b.len() && b[i] != b'"' {
+                        i += if b[i] == b'\\' { 2 } else { 1 };
+                    }
+                    strings.push(start..(i + 1).min(b.len()));
+                }
+                b'-' | b'0'..=b'9' => {
+                    let start = i;
+                    while i < b.len()
+                        && matches!(b[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                    {
+                        i += 1;
+                    }
+                    numbers.push(start..i);
+                    continue;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        (strings, numbers)
+    }
+
+    /// `text` with `range` replaced by `with`.
+    fn splice(text: &str, range: Range<usize>, with: &str) -> String {
+        format!("{}{with}{}", &text[..range.start], &text[range.end..])
+    }
+
+    /// The value token after the first `"name":` in `text`.
+    fn value_after(text: &str, name: &str) -> Option<Range<usize>> {
+        let at = text.find(&format!("\"{name}\""))? + name.len() + 2;
+        let (strings, numbers) = tokens(text);
+        let colon = at + text[at..].find(':')?;
+        strings.into_iter().chain(numbers).filter(|t| t.start > colon).min_by_key(|t| t.start)
+    }
+
+    /// One seeded mutation of a record.
+    fn mutate(text: &str, rng: &mut SplitMix64) -> String {
+        let pick = |rng: &mut SplitMix64, n: usize| rng.below(n as u64) as usize;
+        match rng.below(10) {
+            // Whitespace reflow: spaces, tabs and line breaks between
+            // tokens added or removed.
+            0 => {
+                let (strings, _) = tokens(text);
+                let mut out = String::new();
+                for (i, c) in text.char_indices() {
+                    let in_string = strings.iter().any(|s| s.start < i && i + 1 < s.end);
+                    if in_string {
+                        out.push(c);
+                        continue;
+                    }
+                    if c.is_ascii_whitespace() && rng.flip() {
+                        continue;
+                    }
+                    out.push(c);
+                    if matches!(c, '{' | '}' | '[' | ']' | ',' | ':') && rng.chance(0.2) {
+                        out.push([' ', '\t', '\n', '\r'][pick(rng, 4)]);
+                    }
+                }
+                out
+            }
+            // Member reorder.
+            1 => retree(text, rng, |doc, rng| {
+                let members = some_object(doc, rng);
+                for i in (1..members.len()).rev() {
+                    members.swap(i, pick(rng, i + 1));
+                }
+            }),
+            // A duplicate member, before or after the original, with
+            // the same or a different value.
+            2 => retree(text, rng, |doc, rng| {
+                let members = some_object(doc, rng);
+                if members.is_empty() {
+                    return;
+                }
+                let (name, mut value) = members[pick(rng, members.len())].clone();
+                if rng.flip() {
+                    value = match value {
+                        Json::U64(v) => Json::U64(v.wrapping_add(1)),
+                        Json::Str(s) => Json::Str(s + "x"),
+                        _ => Json::Null,
+                    };
+                }
+                let at = pick(rng, members.len() + 1);
+                members.insert(at, (name, value));
+            }),
+            // An unknown member.
+            3 => retree(text, rng, |doc, rng| {
+                let value =
+                    [Json::U64(7), Json::from("x"), Json::Arr(vec![Json::Null]), Json::Obj(vec![])];
+                let value = value[pick(rng, 4)].clone();
+                let members = some_object(doc, rng);
+                let at = pick(rng, members.len() + 1);
+                members.insert(at, ("unknown".into(), value));
+            }),
+            // A `\uXXXX` (or `\/`) spelling of a character of a string.
+            4 => {
+                let (strings, _) = tokens(text);
+                let Some(s) = strings.get(pick(rng, strings.len().max(1))) else {
+                    return text.into();
+                };
+                let plain: Vec<usize> = (s.start + 1..s.end.saturating_sub(1))
+                    .filter(|&i| {
+                        text.as_bytes()[i].is_ascii_alphanumeric() || text.as_bytes()[i] == b'/'
+                    })
+                    .filter(|&i| text.as_bytes()[i - 1] != b'\\')
+                    .collect();
+                let Some(&i) = plain.get(pick(rng, plain.len().max(1))) else { return text.into() };
+                let c = text.as_bytes()[i];
+                let spelled = match rng.below(3) {
+                    0 if c == b'/' => "\\/".to_string(),
+                    1 => format!("\\u{c:04X}"),
+                    _ => format!("\\u{c:04x}"),
+                };
+                splice(text, i..i + 1, &spelled)
+            }
+            // `-0`, an exponent, a fraction or a leading zero.
+            5 => {
+                let (_, numbers) = tokens(text);
+                let Some(n) = numbers.get(pick(rng, numbers.len().max(1))) else {
+                    return text.into();
+                };
+                let t = &text[n.clone()];
+                let respelled = match rng.below(5) {
+                    0 if t == "0" => "-0".to_string(),
+                    1 if t.ends_with("000") && t.len() > 3 => format!("{}e3", &t[..t.len() - 3]),
+                    1 => format!("{t}e0"),
+                    2 => format!("0{t}"),
+                    3 => format!("{t}.0"),
+                    _ => "-0".to_string(),
+                };
+                splice(text, n.clone(), &respelled)
+            }
+            // Truncation.
+            6 => text[..pick(rng, text.len())].to_string(),
+            // A single-byte flip.
+            7 => {
+                let i = pick(rng, text.len());
+                let b = b"{}[],:\"\\ 0123456789abcdefxyz-.eE"[pick(rng, 32)];
+                splice(text, i..i + 1, std::str::from_utf8(&[b]).unwrap())
+            }
+            // A swapped key, salt or schema.
+            _ => {
+                let (name, with) = match rng.below(3) {
+                    0 => ("key", format!("\"{}\"", [SCALAR, CHIP, POISON][pick(rng, 3)].hex())),
+                    1 => (
+                        "salt",
+                        ["3", "5", "4", "40", "\"4\"", "-4", "4.0"][pick(rng, 7)].to_string(),
+                    ),
+                    _ => {
+                        let tags = [RESULTSTORE_SCHEMA, CHIPSTORE_SCHEMA, CAMPAIGN_SCHEMA, "vr-x"];
+                        ("schema", format!("\"{}\"", tags[pick(rng, 4)]))
+                    }
+                };
+                match value_after(text, name) {
+                    Some(r) => splice(text, r, &with),
+                    None => text.into(),
+                }
+            }
+        }
+    }
+
+    /// Sets the first `checksum` to the digest of the first `stats`, so
+    /// a mutation inside the payload is judged on more than its
+    /// checksum.
+    fn fix_checksum(text: &str) -> String {
+        let Ok(doc) = Json::parse(text) else { return text.into() };
+        match (doc.get("stats"), value_after(text, "checksum")) {
+            (Some(body), Some(r)) => splice(text, r, &format!("\"{}\"", payload_checksum(body))),
+            _ => text.into(),
+        }
+    }
+
+    /// The one-pass reader and the tree reader return the same verdict
+    /// (the same payload, `Stale` or `Corrupt`) on seeded mutations of
+    /// real scalar, chip and poison records, asked for as every kind.
+    #[test]
+    fn the_one_pass_reader_agrees_with_the_tree_reader_on_mutated_records() {
+        let records = real_records();
+        let mut rng = SplitMix64::new(0x5eed_0046);
+        let (mut ok, mut stale, mut corrupt) = (0, 0, 0);
+        for case in 0..2_400 {
+            let (key, original) = &records[case % records.len()];
+            let mut text = original.clone();
+            for _ in 0..1 + rng.below(3) {
+                text = mutate(&text, &mut rng);
+            }
+            if rng.flip() {
+                text = fix_checksum(&text);
+            }
+            for want in WANTS {
+                let verdict = validate(&text, *key, want);
+                assert_eq!(
+                    verdict,
+                    tree_validate(&text, *key, want),
+                    "case {case}, {want:?}:\n{text}"
+                );
+                match verdict {
+                    Ok(_) => ok += 1,
+                    Err(Fault::Stale) => stale += 1,
+                    Err(_) => corrupt += 1,
+                }
+            }
+        }
+        // Every verdict is well represented, or the agreement says little.
+        assert!(
+            ok >= 300 && stale >= 50 && corrupt >= 3_000,
+            "{ok} ok, {stale} stale, {corrupt} corrupt"
+        );
+    }
+
+    /// Unmutated, each record reads as what was saved, asked for as its
+    /// own kind only; a record's key is checked against the file's.
+    #[test]
+    fn real_records_read_back_as_their_own_kind_only() {
+        for (key, text) in real_records() {
+            for want in WANTS {
+                let verdict = validate(&text, key, want);
+                assert_eq!(verdict, tree_validate(&text, key, want), "{want:?}");
+                let own = match key {
+                    SCALAR => matches!(want, Want::Stats | Want::Result),
+                    CHIP => matches!(want, Want::Chip(2) | Want::Result),
+                    _ => matches!(want, Want::Poison),
+                };
+                assert_eq!(verdict.is_ok(), own, "{key:?} as {want:?}");
+            }
+            let other = PointKey(key.0 ^ 1);
+            assert_eq!(validate(&text, other, Want::Result), Err(Fault::Corrupt));
+        }
+    }
 }

@@ -247,15 +247,21 @@ impl Memory {
     /// Panics if `size` is not 1, 2, 4 or 8.
     pub fn write(&mut self, addr: u64, size: u64, value: u64) {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported access size {size}");
-        let bytes = value.to_le_bytes();
         let off = (addr & PAGE_MASK) as usize;
         if off + size as usize <= PAGE_SIZE {
-            // Fast path: the access lies within one page.
-            let page = self.page_mut(addr >> PAGE_SHIFT);
-            page[off..off + size as usize].copy_from_slice(&bytes[..size as usize]);
+            // Fast path: the access lies within one page. One fixed
+            // width per arm, as in `read`, so each is a plain store
+            // rather than a variable-length copy.
+            let at = &mut self.page_mut(addr >> PAGE_SHIFT)[off..];
+            match size {
+                1 => at[0] = value as u8,
+                2 => *at.first_chunk_mut().expect("in page") = (value as u16).to_le_bytes(),
+                4 => *at.first_chunk_mut().expect("in page") = (value as u32).to_le_bytes(),
+                _ => *at.first_chunk_mut().expect("in page") = value.to_le_bytes(),
+            }
             return;
         }
-        for (i, b) in bytes.iter().enumerate().take(size as usize) {
+        for (i, b) in value.to_le_bytes().iter().enumerate().take(size as usize) {
             self.write_byte(addr.wrapping_add(i as u64), *b);
         }
     }
@@ -535,6 +541,31 @@ mod tests {
         m.write(addr, 8, 0x1122_3344_5566_7788);
         assert_eq!(m.read(addr, 8), 0x1122_3344_5566_7788);
         assert_eq!(m.mapped_pages(), 2);
+    }
+
+    /// Every width, written at each of a page's last 8 offsets (the
+    /// ones that fit take the one-page path, the rest straddle into the
+    /// next page), reads back whole, and moves no byte around it.
+    #[test]
+    fn every_width_at_a_page_end_reads_back_and_spares_its_neighbours() {
+        const VALUE: u64 = 0x8877_6655_4433_2211;
+        for size in [1u64, 2, 4, 8] {
+            for addr in 0x2000 - 8..0x2000 {
+                let mut m = Memory::new();
+                m.write_bytes(0x2000 - 16, &[0xee; 32]);
+                m.write(addr, size, VALUE);
+                let mask = if size == 8 { u64::MAX } else { (1 << (8 * size)) - 1 };
+                assert_eq!(m.read(addr, size), VALUE & mask, "size {size} at {addr:#x}");
+                for a in 0x2000 - 16..0x2000 + 16 {
+                    let want = if (addr..addr + size).contains(&a) {
+                        VALUE.to_le_bytes()[(a - addr) as usize]
+                    } else {
+                        0xee
+                    };
+                    assert_eq!(m.read(a, 1), u64::from(want), "size {size} at {addr:#x}: {a:#x}");
+                }
+            }
+        }
     }
 
     #[test]

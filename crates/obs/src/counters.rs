@@ -10,7 +10,7 @@
 //! step is a compile error, never a counter that silently subtracts or
 //! reads back as zero.
 
-use crate::Json;
+use crate::{Event, Json, Reader};
 
 /// A record of monotone `u64` counters.
 pub trait Counters: Sized {
@@ -20,13 +20,30 @@ pub trait Counters: Sized {
     /// Exact JSON form: a `u64` is a number, an array of counters an
     /// array, a record an object with its fields in list order.
     fn to_json(&self) -> Json;
-    /// Strict inverse of [`Counters::to_json`].
+    /// Strict reader, the inverse of [`Counters::to_json`]: reads the
+    /// value that comes next in `r`. A record's members may come in any
+    /// order; of a name given twice the first counts and the rest are
+    /// skipped, and so are names the record does not have, as
+    /// [`Json::get`] would read them from a tree.
     ///
     /// # Errors
     ///
     /// A message naming the missing or mistyped field (outermost
     /// first, down to the leaf).
-    fn from_json(j: &Json) -> Result<Self, String>;
+    fn read(r: &mut Reader<'_>) -> Result<Self, String>;
+
+    /// [`Counters::read`] over a tree: reads `j`'s compact rendering.
+    ///
+    /// # Errors
+    ///
+    /// As [`Counters::read`].
+    fn from_json(j: &Json) -> Result<Self, String> {
+        let text = j.to_string();
+        let mut r = Reader::new(&text);
+        let v = Self::read(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
 }
 
 impl Counters for u64 {
@@ -38,8 +55,12 @@ impl Counters for u64 {
         Json::U64(*self)
     }
 
-    fn from_json(j: &Json) -> Result<u64, String> {
-        j.as_u64().ok_or_else(|| "not a u64".to_string())
+    #[inline]
+    fn read(r: &mut Reader<'_>) -> Result<u64, String> {
+        match r.next_event()? {
+            Event::U64(v) => Ok(v),
+            _ => Err("not a u64".to_string()),
+        }
     }
 }
 
@@ -52,24 +73,18 @@ impl<const N: usize> Counters for [u64; N] {
         Json::Arr(self.iter().map(u64::to_json).collect())
     }
 
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let arr = j.as_arr().ok_or("not an array")?;
-        if arr.len() != N {
-            return Err(format!("array has {} elements, want {N}", arr.len()));
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, String> {
         let mut out = [0u64; N];
-        for (i, (o, v)) in out.iter_mut().zip(arr).enumerate() {
-            *o = u64::from_json(v).map_err(|e| format!("element {i}: {e}"))?;
+        let len = r.array(|i, r| match out.get_mut(i) {
+            Some(o) => u64::read(r).map(|v| *o = v).map_err(|e| format!("element {i}: {e}")),
+            // Counted, so the error can say how long the array is.
+            None => r.skip(),
+        })?;
+        if len != N {
+            return Err(format!("array has {len} elements, want {N}"));
         }
         Ok(out)
     }
-}
-
-/// Reads field `key` of object `j` (the reader [`counters!`](crate::counters)
-/// expands to).
-pub fn field_from_json<T: Counters>(j: &Json, key: &str) -> Result<T, String> {
-    let v = j.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
-    T::from_json(v).map_err(|e| format!("field `{key}`: {e}"))
 }
 
 /// Implements [`Counters`] for a struct from its one field list.
@@ -111,9 +126,26 @@ macro_rules! counters {
                 ])
             }
 
-            fn from_json(j: &$crate::Json) -> ::std::result::Result<Self, ::std::string::String> {
+            fn read(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<Self, ::std::string::String> {
+                $(let mut $field = ::std::option::Option::None;)+
+                r.object(|name, r| {
+                    match name {
+                        $(stringify!($field) if $field.is_none() => {
+                            let v = $crate::Counters::read(r).map_err(|e| {
+                                ::std::format!("field `{}`: {e}", stringify!($field))
+                            })?;
+                            $field = ::std::option::Option::Some(v);
+                        })+
+                        _ => r.skip()?,
+                    }
+                    ::std::result::Result::Ok(())
+                })?;
                 ::std::result::Result::Ok($ty {
-                    $($field: $crate::field_from_json(j, stringify!($field))?),+
+                    $($field: $field.ok_or_else(|| {
+                        ::std::format!("missing field `{}`", stringify!($field))
+                    })?),+
                 })
             }
         }

@@ -1,12 +1,18 @@
-//! A zero-dependency JSON value type: serializer + strict parser.
+//! A zero-dependency JSON value type: serializer + strict parser, and
+//! the pull [`Reader`] the parser is built on.
 //!
 //! The workspace is deliberately offline (no registry crates, so no
 //! serde); this module is the single JSON implementation every
 //! machine-readable artifact goes through. The parser exists so tests
 //! and tooling can *validate* what the serializer (or CI) produced —
-//! it accepts exactly the JSON grammar, no extensions.
+//! it accepts exactly the JSON grammar, no extensions. The reader
+//! hands the same grammar out token by token, so the result store
+//! reads a record without building a tree.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+
+use crate::Fnv64;
 
 /// A JSON value.
 ///
@@ -96,7 +102,6 @@ impl Json {
     }
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
-        use fmt::Write as _;
         let indent = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str("  "));
         match self {
             Json::Arr(items) if !items.is_empty() => {
@@ -127,21 +132,28 @@ impl Json {
     }
 
     /// Parses a JSON document (the full input must be one value plus
-    /// optional whitespace). Arrays and objects nest at most 128 deep,
-    /// so no input can exhaust the stack of the thread reading it.
+    /// optional whitespace) through a [`Reader`]: arrays and objects
+    /// nest at most 128 deep, and the tree is built with an explicit
+    /// stack, so no input can exhaust the stack of the thread reading
+    /// it.
     ///
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first violation.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
+        let mut r = Reader::new(input);
+        let value = read_tree(&mut r)?;
+        r.finish()?;
         Ok(value)
+    }
+
+    /// FNV-1a of the compact rendering (`Display`), streamed into the
+    /// hasher as it is rendered. A [`Reader`] folds the same digest
+    /// from a document's text ([`Reader::start_digest`]).
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv64::new();
+        write!(FnvBytes(&mut h), "{self}").expect("hashing never fails");
+        h.finish()
     }
 }
 
@@ -254,20 +266,435 @@ impl From<String> for Json {
     }
 }
 
-// ---- parser ---------------------------------------------------------
+// ---- reader ---------------------------------------------------------
 
-/// How deep arrays and objects may nest in a parsed document. The
-/// parser recurses once per level; the deepest document this workspace
-/// writes nests a handful of levels, and a bound keeps a corrupt file
-/// of brackets from overflowing the reading thread's stack.
+/// How deep arrays and objects may nest in a document. The deepest
+/// document this workspace writes nests a handful of levels; the bound
+/// keeps the reader's container stack one `u128` and rejects a corrupt
+/// file of brackets instead of following it.
 const MAX_DEPTH: usize = 128;
 
+/// One token of a JSON document, as a [`Reader`] hands it out.
+#[derive(Debug, PartialEq)]
+pub enum Event<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number that reads as [`Json::U64`].
+    U64(u64),
+    /// A number that reads as [`Json::I64`].
+    I64(i64),
+    /// A number that reads as [`Json::F64`].
+    F64(f64),
+    /// A string value: borrowed from the input unless it holds an
+    /// escape.
+    Str(Cow<'a, str>),
+    /// An object member's name (its `:` read too); the member's value
+    /// comes next.
+    Key(Cow<'a, str>),
+    /// `[`.
+    ArrStart,
+    /// `]`.
+    ArrEnd,
+    /// `{`.
+    ObjStart,
+    /// `}`.
+    ObjEnd,
+}
+
+/// What a [`Reader`] may read next.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Expect {
+    /// A value: the document's, or a member's after its `:`.
+    Value,
+    /// The first element or member of the container just opened, or
+    /// its end.
+    First,
+    /// A `,` and the next element or member, or the container's end;
+    /// at depth 0, nothing (the document's value is complete).
+    Next,
+}
+
+/// A pull reader over one JSON document: the strict grammar
+/// [`Json::parse`] accepts, handed out token by token as [`Event`]s,
+/// with no tree and, unless a string holds an escape, no allocation.
+///
+/// Arrays and objects nest at most 128 deep; the container stack is a
+/// bit set, so no input can make the reader recurse or grow. A reader
+/// can also fold what it reads into an FNV-1a digest
+/// ([`Reader::start_digest`]): the digest of the value's *compact*
+/// rendering, the one [`Json::digest`] computes from a tree, however
+/// the text was spaced or spelled.
+///
+/// ```
+/// use vr_obs::{Event, Json, Reader};
+///
+/// let mut r = Reader::new(r#"{"n": [1, 2], "s": "x"}"#);
+/// let mut sum = 0;
+/// r.start_digest();
+/// r.object(|name, r| {
+///     match name {
+///         "n" => {
+///             r.array(|_, r| {
+///                 if let Event::U64(v) = r.next_event()? {
+///                     sum += v;
+///                 }
+///                 Ok(())
+///             })?;
+///         }
+///         _ => r.skip()?,
+///     }
+///     Ok(())
+/// })?;
+/// let digest = r.take_digest();
+/// r.finish()?;
+/// assert_eq!(sum, 3);
+/// assert_eq!(digest, Some(Json::parse(r#"{"n":[1,2],"s":"x"}"#)?.digest()));
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around the next token.
+    depth: usize,
+    /// Bit `d` set: the container at depth `d + 1` is an object.
+    objects: u128,
+    expect: Expect,
+    digest: Option<Fnv64>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0, depth: 0, objects: 0, expect: Expect::Value, digest: None }
+    }
+
+    /// The byte offset the reader has reached.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Reads the next token.
+    ///
+    /// # Errors
+    ///
+    /// A message with the byte offset of the first violation of the
+    /// grammar, or of the nesting bound. Once the document's value is
+    /// complete there is no next token: the end of the input is
+    /// reported as unexpected, anything else as trailing garbage.
+    #[inline]
+    pub fn next_event(&mut self) -> Result<Event<'a>, String> {
+        let b = self.text.as_bytes();
+        skip_ws(b, &mut self.pos);
+        if self.expect == Expect::Value {
+            return self.value();
+        }
+        if self.depth == 0 {
+            return Err(self.trailing());
+        }
+        let object = (self.objects >> (self.depth - 1)) & 1 == 1;
+        let close = if object { b'}' } else { b']' };
+        if b.get(self.pos) == Some(&close) {
+            self.pos += 1;
+            self.fold(&[close]);
+            self.depth -= 1;
+            self.expect = Expect::Next;
+            return Ok(if object { Event::ObjEnd } else { Event::ArrEnd });
+        }
+        if self.expect == Expect::Next {
+            if b.get(self.pos) != Some(&b',') {
+                let close = close as char;
+                return Err(format!("expected `,` or `{close}` at byte {pos}", pos = self.pos));
+            }
+            self.pos += 1;
+            self.fold(b",");
+        }
+        if object {
+            self.key()
+        } else {
+            self.value()
+        }
+    }
+
+    /// Skips the value that comes next, whole (every token in it is
+    /// still checked, and still folded into a running digest).
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::next_event`].
+    pub fn skip(&mut self) -> Result<(), String> {
+        let mut open = 0usize;
+        loop {
+            match self.next_event()? {
+                Event::ArrStart | Event::ObjStart => open += 1,
+                Event::ArrEnd | Event::ObjEnd => open -= 1,
+                Event::Key(_) => continue,
+                _ => {}
+            }
+            if open == 0 {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads the object that comes next, member by member: `member` is
+    /// called with each name, in document order, and must read (or
+    /// [`skip`](Reader::skip)) exactly that member's value.
+    ///
+    /// # Errors
+    ///
+    /// `"not an object"` if the next value is something else, else the
+    /// first error of the reader or of `member`.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.next_event()? != Event::ObjStart {
+            return Err("not an object".to_string());
+        }
+        loop {
+            match self.next_event()? {
+                Event::Key(name) => member(&name, self)?,
+                Event::ObjEnd => return Ok(()),
+                other => unreachable!("an object holds names and its end, not {other:?}"),
+            }
+        }
+    }
+
+    /// Reads the array that comes next, element by element: `element`
+    /// is called with each index and must read (or
+    /// [`skip`](Reader::skip)) exactly that element. Returns how many
+    /// elements the array holds.
+    ///
+    /// # Errors
+    ///
+    /// `"not an array"` if the next value is something else, else the
+    /// first error of the reader or of `element`.
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(usize, &mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        if self.next_event()? != Event::ArrStart {
+            return Err("not an array".to_string());
+        }
+        let mut n = 0;
+        loop {
+            skip_ws(self.text.as_bytes(), &mut self.pos);
+            if self.text.as_bytes().get(self.pos) == Some(&b']') {
+                self.next_event()?;
+                return Ok(n);
+            }
+            element(n, self)?;
+            n += 1;
+        }
+    }
+
+    /// Checks that the document's value is complete and only
+    /// whitespace follows it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::next_event`] at the end of a document; `"unexpected end
+    /// of input"` if the value is not complete.
+    pub fn finish(&mut self) -> Result<(), String> {
+        skip_ws(self.text.as_bytes(), &mut self.pos);
+        if self.depth != 0 || self.expect != Expect::Next {
+            return Err("unexpected end of input".to_string());
+        }
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.trailing())
+        }
+    }
+
+    /// Starts folding every token read from here on into a fresh
+    /// FNV-1a digest of the compact rendering. Start it right before a
+    /// value and take it right after, and it is that value's
+    /// [`Json::digest`].
+    pub fn start_digest(&mut self) {
+        self.digest = Some(Fnv64::new());
+    }
+
+    /// Stops the digest [`Reader::start_digest`] started and returns it
+    /// (`None` if none was running).
+    pub fn take_digest(&mut self) -> Option<u64> {
+        self.digest.take().map(|h| h.finish())
+    }
+
+    fn trailing(&self) -> String {
+        if self.pos == self.text.len() {
+            "unexpected end of input".to_string()
+        } else {
+            format!("trailing garbage at byte {pos}", pos = self.pos)
+        }
+    }
+
+    /// Folds bytes of the compact rendering into a running digest.
+    #[inline]
+    fn fold(&mut self, bytes: &[u8]) {
+        if let Some(h) = &mut self.digest {
+            h.write_bytes(bytes);
+        }
+    }
+
+    /// Folds string `s`, read from `start` to the reader's offset. One
+    /// without escapes renders as its own text: the reader refuses raw
+    /// `"`, `\` and control characters, the only bytes [`Escaped`]
+    /// changes. Every escape is longer than what it decodes to, so the
+    /// text holds none when it is `s` and its two quotes.
+    #[inline]
+    fn fold_str(&mut self, s: &str, start: usize) {
+        let Some(h) = &mut self.digest else { return };
+        if s.len() + 2 == self.pos - start {
+            h.write_bytes(&self.text.as_bytes()[start..self.pos]);
+        } else {
+            write!(FnvBytes(h), "{}", Escaped(s)).expect("hashing never fails");
+        }
+    }
+
+    /// Reads an object member's name and its `:`.
+    #[inline]
+    fn key(&mut self) -> Result<Event<'a>, String> {
+        let b = self.text.as_bytes();
+        skip_ws(b, &mut self.pos);
+        let start = self.pos;
+        let name = parse_string(self.text, &mut self.pos)?;
+        self.fold_str(&name, start);
+        skip_ws(b, &mut self.pos);
+        expect(b, &mut self.pos, ":")?;
+        self.fold(b":");
+        self.expect = Expect::Value;
+        Ok(Event::Key(name))
+    }
+
+    /// Reads a value's first token: a whole scalar, or the opener of a
+    /// container.
+    #[inline]
+    fn value(&mut self) -> Result<Event<'a>, String> {
+        let b = self.text.as_bytes();
+        skip_ws(b, &mut self.pos);
+        let start = self.pos;
+        let event = match b.get(start) {
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                return Err(format!("nesting deeper than {MAX_DEPTH} at byte {start}"));
+            }
+            Some(&open @ (b'[' | b'{')) => {
+                self.pos += 1;
+                self.fold(&[open]);
+                let object = open == b'{';
+                self.objects =
+                    (self.objects & !(1 << self.depth)) | (u128::from(object) << self.depth);
+                self.depth += 1;
+                self.expect = Expect::First;
+                return Ok(if object { Event::ObjStart } else { Event::ArrStart });
+            }
+            None => return Err("unexpected end of input".to_string()),
+            Some(b'n') => expect(b, &mut self.pos, "null").map(|()| Event::Null)?,
+            Some(b't') => expect(b, &mut self.pos, "true").map(|()| Event::Bool(true))?,
+            Some(b'f') => expect(b, &mut self.pos, "false").map(|()| Event::Bool(false))?,
+            Some(b'"') => {
+                let s = parse_string(self.text, &mut self.pos)?;
+                self.fold_str(&s, start);
+                Event::Str(s)
+            }
+            Some(c) if *c == b'-' || c.is_ascii_digit() => {
+                let n = parse_number(b, &mut self.pos)?;
+                if let Some(h) = &mut self.digest {
+                    fold_number(h, &n, &b[start..self.pos]);
+                }
+                n
+            }
+            Some(c) => return Err(format!("unexpected byte {c:#04x} at {start}")),
+        };
+        if matches!(event, Event::Null | Event::Bool(_)) {
+            self.fold(&b[start..self.pos]);
+        }
+        self.expect = Expect::Next;
+        Ok(event)
+    }
+}
+
+/// Folds the compact rendering of number `n`, read from `text`, into
+/// `h`. An integer renders as its own text, but for `-0`, which reads
+/// (and renders) as `0`; a float renders in its shortest form.
+#[inline]
+fn fold_number(h: &mut Fnv64, n: &Event<'_>, text: &[u8]) {
+    match *n {
+        Event::U64(_) | Event::I64(_) if text != b"-0" => h.write_bytes(text),
+        Event::U64(v) => write!(FnvBytes(h), "{v}").expect("hashing never fails"),
+        Event::F64(v) => write!(FnvBytes(h), "{}", Json::F64(v)).expect("hashing never fails"),
+        _ => unreachable!("a number reads as a number"),
+    }
+}
+
+/// Folds every string written to it into the hasher as raw bytes, with
+/// no length prefix: the digest is the FNV-1a of the rendering's bytes
+/// however the renderer splits them into writes. (Not an
+/// `impl fmt::Write for Fnv64`: `Fnv64::write_str` is length-prefixed.)
+struct FnvBytes<'h>(&'h mut Fnv64);
+
+impl fmt::Write for FnvBytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Reads the value that comes next in `r` into a tree, one container
+/// level per entry of an explicit stack (no recursion).
+fn read_tree(r: &mut Reader<'_>) -> Result<Json, String> {
+    // The containers being filled, each with the name it will be
+    // stored under in its parent (if that is an object).
+    let mut open: Vec<(Json, Option<String>)> = Vec::new();
+    let mut name = None;
+    loop {
+        let value = match r.next_event()? {
+            Event::Key(k) => {
+                name = Some(k.into_owned());
+                continue;
+            }
+            Event::ArrStart => {
+                open.push((Json::Arr(Vec::new()), name.take()));
+                continue;
+            }
+            Event::ObjStart => {
+                open.push((Json::Obj(Vec::new()), name.take()));
+                continue;
+            }
+            Event::ArrEnd | Event::ObjEnd => {
+                let (container, its_name) = open.pop().expect("the reader closes what it opened");
+                name = its_name;
+                container
+            }
+            Event::Null => Json::Null,
+            Event::Bool(v) => Json::Bool(v),
+            Event::U64(v) => Json::U64(v),
+            Event::I64(v) => Json::I64(v),
+            Event::F64(v) => Json::F64(v),
+            Event::Str(s) => Json::Str(s.into_owned()),
+        };
+        match open.last_mut() {
+            None => return Ok(value),
+            Some((Json::Arr(items), _)) => items.push(value),
+            Some((Json::Obj(members), _)) => {
+                members.push((name.take().expect("a member's name comes before it"), value));
+            }
+            Some(_) => unreachable!("only containers are open"),
+        }
+    }
+}
+
+#[inline]
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
+#[inline]
 fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
@@ -277,99 +704,41 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-/// Parses the value at `pos`, which `depth` containers enclose.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
-    }
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => parse_array(b, pos, depth + 1),
-        Some(b'{') => parse_object(b, pos, depth + 1),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos, depth)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut members = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, ":")?;
-        let value = parse_value(b, pos, depth)?;
-        members.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Reads the string at `pos`: borrowed from `text` when it holds no
+/// escape, else decoded run by run into a `String`.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let b = text.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
-    let mut out = String::new();
+    let mut decoded: Option<String> = None;
     loop {
         // The run up to the next `"`, `\` or control character. All are
-        // ASCII, so the run ends on a character boundary of the input and
-        // is valid UTF-8.
-        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
-        let end = run.map_or(b.len(), |n| *pos + n);
-        out.push_str(std::str::from_utf8(&b[*pos..end]).expect("input was a str"));
+        // ASCII, so the run ends on a character boundary of the input.
+        let start = *pos;
+        let run = b[start..].iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+        let end = run.map_or(b.len(), |n| start + n);
         *pos = end;
-        match b.get(*pos) {
+        match b.get(end) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(match decoded {
+                    None => Cow::Borrowed(&text[start..end]),
+                    Some(mut out) => {
+                        out.push_str(&text[start..end]);
+                        Cow::Owned(out)
+                    }
+                });
             }
             Some(c) if *c < 0x20 => {
-                return Err(format!("raw control character {c:#04x} at byte {pos}", pos = *pos));
+                return Err(format!("raw control character {c:#04x} at byte {end}"));
             }
             Some(_) => {
                 // The run stopped at a `\`.
+                let out = decoded.get_or_insert_with(String::new);
+                out.push_str(&text[start..end]);
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -405,10 +774,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 /// Reads a number by the JSON grammar,
 /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. An integer reads
-/// as [`Json::U64`] (`-0` too) or, when negative, [`Json::I64`]; one
+/// as [`Event::U64`] (`-0` too) or, when negative, [`Event::I64`]; one
 /// out of their range, or with a fraction or an exponent, reads as
-/// [`Json::F64`].
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// [`Event::F64`].
+#[inline]
+fn parse_number<'a>(b: &[u8], pos: &mut usize) -> Result<Event<'a>, String> {
     let start = *pos;
     let digits = |p: usize| {
         let n = b[p..].iter().take_while(|c| c.is_ascii_digit()).count();
@@ -437,13 +807,14 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let text = std::str::from_utf8(&b[start..end]).expect("ascii");
     if integer {
         if let Ok(v) = text.parse::<u64>() {
-            return Ok(Json::U64(v));
+            return Ok(Event::U64(v));
         }
         if let Ok(v) = text.parse::<i64>() {
-            return Ok(Json::from(v));
+            // Only `-0` is a non-negative integer `u64` refuses.
+            return Ok(u64::try_from(v).map_or(Event::I64(v), Event::U64));
         }
     }
-    Ok(Json::F64(text.parse().expect("the grammar is a subset of Rust's float syntax")))
+    Ok(Event::F64(text.parse().expect("the grammar is a subset of Rust's float syntax")))
 }
 
 #[cfg(test)]
@@ -683,6 +1054,82 @@ mod tests {
         assert_eq!(Json::parse(&"[".repeat(100_000)), Err(deeper));
         let objects = nested("{\"a\":", "}", MAX_DEPTH + 1);
         assert!(Json::parse(&objects).unwrap_err().starts_with("nesting deeper than"));
+    }
+
+    /// The reader hands a document out token by token; strings without
+    /// an escape borrow the input.
+    #[test]
+    fn a_reader_hands_out_a_document_as_events() {
+        let text = r#" {"a": [1, -2, 2.5, true, null], "b\n": "x\"y", "c": {}} "#;
+        let mut r = Reader::new(text);
+        let mut events = Vec::new();
+        while r.finish().is_err() {
+            events.push(r.next_event().expect("valid"));
+        }
+        use Event::*;
+        let (a, b, c) = (Cow::Borrowed("a"), Cow::Owned("b\n".to_string()), "c".into());
+        assert_eq!(
+            events,
+            [
+                ObjStart,
+                Key(a),
+                ArrStart,
+                U64(1),
+                I64(-2),
+                F64(2.5),
+                Bool(true),
+                Null,
+                ArrEnd,
+                Key(b),
+                Str(Cow::Owned("x\"y".into())),
+                Key(c),
+                ObjStart,
+                ObjEnd,
+                ObjEnd
+            ]
+        );
+        assert!(matches!(&events[1], Key(Cow::Borrowed(_))), "no escape, no copy");
+        assert_eq!(r.next_event(), Err("unexpected end of input".to_string()));
+    }
+
+    /// A digest the reader folds from the text equals [`Json::digest`]
+    /// of the tree, whatever spacing and spelling the text uses: escapes
+    /// re-escaped, `-0` read as `0`, floats in their shortest form.
+    #[test]
+    fn the_reader_digest_is_the_tree_digest_however_the_text_is_spelled() {
+        let doc = every_escape_class();
+        let spelled = [
+            doc.to_string(),
+            doc.to_pretty(),
+            doc.to_string().replace("plain", "pl\\u0061in").replace("line", "\\u006Cine"),
+            r#"[0, -0, 1e3, 18446744073709551616, -9, 0.5e-1, "a\/b", {"k" : [ ] }]"#.into(),
+        ];
+        for text in spelled {
+            let mut r = Reader::new(&text);
+            r.start_digest();
+            r.skip().expect("valid");
+            let digest = r.take_digest();
+            r.finish().expect("one document");
+            assert_eq!(digest, Some(Json::parse(&text).unwrap().digest()), "{text}");
+        }
+    }
+
+    /// `skip` passes over one whole value, checking it; `finish` wants
+    /// the document complete and nothing after it.
+    #[test]
+    fn skip_reads_one_whole_value_and_finish_wants_nothing_after_it() {
+        let mut r = Reader::new(r#"[{"a": [[1], {"b": 2}]}, 3]"#);
+        assert_eq!(r.next_event(), Ok(Event::ArrStart));
+        r.skip().unwrap();
+        assert_eq!(r.next_event(), Ok(Event::U64(3)));
+        assert_eq!(r.finish(), Err("unexpected end of input".to_string()), "the array is open");
+        assert_eq!(r.next_event(), Ok(Event::ArrEnd));
+        assert_eq!(r.finish(), Ok(()));
+        let mut r = Reader::new("[1, 2 3]");
+        assert_eq!(r.skip(), Err("expected `,` or `]` at byte 6".to_string()));
+        let mut r = Reader::new("{} x");
+        r.skip().unwrap();
+        assert_eq!(r.finish(), Err("trailing garbage at byte 3".to_string()));
     }
 
     /// Non-finite floats have no JSON representation: the serializer

@@ -17,7 +17,9 @@
 //! * [`Json`] — a zero-dependency JSON value type with a serializer
 //!   and a strict parser, used for every machine-readable artifact the
 //!   `experiments` harness emits (`--json`) and for validating those
-//!   artifacts in tests and CI.
+//!   artifacts in tests and CI; the parser is built on [`Reader`], a
+//!   pull reader that hands a document out as [`Event`]s, which the
+//!   result store reads records with, tree-free.
 //!
 //! Everything here is pay-as-you-go: the simulator only constructs
 //! these structures when telemetry is explicitly enabled, so a
@@ -29,12 +31,10 @@ mod hist;
 mod json;
 mod ring;
 
-#[doc(hidden)]
-pub use counters::field_from_json;
 pub use counters::Counters;
 pub use fnv::Fnv64;
 pub use hist::Histogram;
-pub use json::Json;
+pub use json::{Event, Json, Reader};
 pub use ring::RingLog;
 
 /// Schema-version tag of a single-core point's record in the on-disk
