@@ -54,9 +54,9 @@ struct Opts {
     /// `campaign run` — points whose label contains the substring fail
     /// deterministically (exercises the poison-point path end to end).
     fail_point: Option<String>,
-    /// `--point-deadline-ms N`: per-attempt wall-clock deadline for
-    /// `campaign run` (a simulation past it stops itself; the second
-    /// trip poisons the point).
+    /// `--point-deadline-ms N`: per-point wall-clock deadline for
+    /// `campaign run` (a simulation past it stops itself, and the point
+    /// fails this run without being stored).
     point_deadline_ms: Option<u64>,
     /// `--tmp-age-ms N`: minimum tmp-file age for `campaign gc`
     /// reclamation (default: the store's 60 s grace period).
@@ -240,6 +240,7 @@ fn usage() -> String {
          \x20 --cancel-after-ms N  cancel a `campaign run` after N ms (testing aid)\n\
          \x20 --fail-point S       fail points whose label contains S (testing aid)\n\
          \x20 --point-deadline-ms N  per-point wall-clock deadline for `campaign run`\n\
+         \x20               (a point past it fails this run and is not stored)\n\
          \x20 --tmp-age-ms N       min tmp-file age for `campaign gc` (default 60000)\n\
          \nthe `trace` id takes a positional workload name (see its error text \
          for the available names); `campaign` takes a positional action \
@@ -399,7 +400,7 @@ fn main() {
 
 /// First line of a (possibly multi-line) error for table cells —
 /// deadline errors carry a full scheduler dump that would wreck the
-/// column layout; the complete text lives in the poison record.
+/// column layout; the complete text is in the `--json` export.
 fn first_line(err: &str) -> String {
     err.lines().next().unwrap_or("").to_string()
 }
@@ -491,7 +492,6 @@ fn campaign_cmd(opts: &mut Opts) -> Vec<Report> {
                 let what = match ev.kind {
                     ProgressKind::CacheHit => "hit".to_string(),
                     ProgressKind::Computed => "computed".to_string(),
-                    ProgressKind::Retried { attempt } => format!("retry (attempt {attempt})"),
                     ProgressKind::Failed => "FAILED".to_string(),
                     ProgressKind::Poisoned => "POISONED".to_string(),
                     ProgressKind::SkippedPoisoned => "skipped (poisoned)".to_string(),
@@ -512,7 +512,6 @@ fn campaign_cmd(opts: &mut Opts) -> Vec<Report> {
             t.row(vec!["unique points".into(), out.total.to_string()]);
             t.row(vec!["cache hits".into(), out.cache_hits.to_string()]);
             t.row(vec!["computed".into(), out.computed.to_string()]);
-            t.row(vec!["retries".into(), out.retries.to_string()]);
             t.row(vec!["failed".into(), out.failed.len().to_string()]);
             t.row(vec!["poisoned".into(), out.poisoned.len().to_string()]);
             t.row(vec!["skipped (poisoned)".into(), out.skipped_poisoned.to_string()]);
@@ -521,7 +520,7 @@ fn campaign_cmd(opts: &mut Opts) -> Vec<Report> {
             if !out.failed.is_empty() {
                 let mut ft = Table::new(&["point", "error"]);
                 for (label, err) in &out.failed {
-                    ft.row(vec![label.clone(), err.clone()]);
+                    ft.row(vec![label.clone(), first_line(err)]);
                 }
                 r.push_table("failures", ft);
                 r.failed = true;
@@ -572,14 +571,9 @@ fn campaign_cmd(opts: &mut Opts) -> Vec<Report> {
             ]);
             r.push_table("status", t);
             if st.poisoned > 0 {
-                let mut pt = Table::new(&["point", "error", "attempts", "deadline trips"]);
+                let mut pt = Table::new(&["point", "error"]);
                 for rec in store.poison_list().unwrap_or_default() {
-                    pt.row(vec![
-                        rec.label,
-                        first_line(&rec.error),
-                        rec.attempts.to_string(),
-                        rec.deadline_trips.to_string(),
-                    ]);
+                    pt.row(vec![rec.label, first_line(&rec.error)]);
                 }
                 r.push_table("poison", pt);
             }

@@ -524,8 +524,6 @@ mod tests {
                 key: p.key(),
                 label: p.label.clone(),
                 error: "poisoned by the test".into(),
-                attempts: 1,
-                deadline_trips: 0,
             };
             store.poison(&rec).expect("poison a point");
         }

@@ -591,11 +591,12 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
 }
 
 /// The per-point deadline end to end: with a 1 ms budget every point
-/// of the figure trips it on both attempts and is poisoned with the
-/// deadline error, `status` shows the two trips per point, and after
-/// `gc` the same campaign without the flag computes every point.
+/// of the figure trips it once and fails this run with the deadline
+/// error, nothing lands under `poison/`, `status` still counts every
+/// point as missing, and the same campaign without the flag computes
+/// every point with no `gc` in between.
 #[test]
-fn point_deadline_poisons_every_point_and_gc_recovers() {
+fn point_deadline_fails_every_point_for_this_run_only() {
     let store = tmp("campaign-deadline");
     std::fs::remove_dir_all(&store).ok();
     let common = ["--figure", "fig-mshr", "--quick", "--insts", "400000", "--cache"];
@@ -607,39 +608,44 @@ fn point_deadline_poisons_every_point_and_gc_recovers() {
         experiments(&args)
     };
 
-    // 1. Every unique point trips twice and is poisoned; one retry
-    //    each.
-    let o = run(&["--point-deadline-ms", "1"]);
-    assert!(o.status.success(), "deadline-poisoned campaign must exit 0: {}", stderr(&o));
+    // 1. Every unique point trips once and fails; none is poisoned.
+    let jpath = tmp("campaign-deadline.json");
+    let o = run(&["--point-deadline-ms", "1", "--json", jpath.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(1), "a deadline trip is a failure: {}", stderr(&o));
     let out = stdout(&o);
     let unique = cell(&out, "unique points").expect("unique points row");
     assert!(unique.parse::<u64>().unwrap() > 0, "{out}");
-    assert_eq!(cell(&out, "poisoned").as_deref(), Some(unique.as_str()), "{out}");
-    assert_eq!(cell(&out, "retries").as_deref(), Some(unique.as_str()), "{out}");
+    assert_eq!(cell(&out, "failed").as_deref(), Some(unique.as_str()), "{out}");
+    assert_eq!(cell(&out, "poisoned").as_deref(), Some("0"), "{out}");
     assert_eq!(cell(&out, "computed").as_deref(), Some("0"), "{out}");
-    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("fig-mshr/")).collect();
-    assert_eq!(rows.len().to_string(), unique, "{out}");
-    assert!(rows.iter().all(|r| r.contains("deadline")), "{out}");
+    let doc = Json::parse(&std::fs::read_to_string(&jpath).expect("json written")).unwrap();
+    std::fs::remove_file(&jpath).ok();
+    let reports = doc.get("reports").and_then(Json::as_arr).expect("reports");
+    let tables = reports[0].get("tables").and_then(Json::as_arr).expect("tables");
+    let failures = tables
+        .iter()
+        .find(|t| t.get("name").and_then(Json::as_str) == Some("failures"))
+        .and_then(|t| t.get("rows").and_then(Json::as_arr))
+        .expect("a failures table");
+    assert_eq!(failures.len().to_string(), unique, "{out}");
+    for row in failures {
+        let error = row.as_arr().and_then(|r| r[1].as_str()).expect("point | error row");
+        assert!(error.contains("deadline"), "{error}");
+    }
+    let poison = std::fs::read_dir(store.join("poison")).expect("poison dir").count();
+    assert_eq!(poison, 0, "a deadline trip is not a stored verdict");
 
-    // 2. `status` lists every point with its two deadline trips.
+    // 2. `status` counts every point as missing, none as poisoned.
     let mut args = vec!["campaign", "status"];
     args.extend_from_slice(&common);
     args.push(store.to_str().unwrap());
     let o = experiments(&args);
     assert!(o.status.success(), "stderr: {}", stderr(&o));
     let out = stdout(&o);
-    assert!(out.contains("deadline trips"), "{out}");
-    assert_eq!(cell(&out, "poisoned").as_deref(), Some(unique.as_str()), "{out}");
-    let rows: Vec<&str> = out.lines().filter(|l| l.starts_with("fig-mshr/")).collect();
-    assert_eq!(rows.len().to_string(), unique, "{out}");
-    for row in rows {
-        assert_eq!(row.split_whitespace().last(), Some("2"), "deadline trips: {row}");
-    }
+    assert_eq!(cell(&out, "missing").as_deref(), Some(unique.as_str()), "{out}");
+    assert_eq!(cell(&out, "poisoned").as_deref(), Some("0"), "{out}");
 
-    // 3. `gc` un-poisons; without the flag every point computes.
-    let o = experiments(&["campaign", "gc", "--cache", store.to_str().unwrap()]);
-    assert!(o.status.success(), "stderr: {}", stderr(&o));
-    assert_eq!(cell(&stdout(&o), "poison removed").as_deref(), Some(unique.as_str()));
+    // 3. Without the flag every point computes, with no `gc` first.
     let o = run(&[]);
     assert!(o.status.success(), "stderr: {}", stderr(&o));
     let out = stdout(&o);

@@ -4,8 +4,8 @@
 //! (core count, LLC banking), one core/memory configuration shared by
 //! every core, and one workload + runahead config per core slot. It
 //! flows through the *same* engine machinery as a single-core
-//! [`crate::CampaignPoint`] — dedup, deadlines and their retries,
-//! poison, resumability — via the [`SweepPoint`] impl below.
+//! [`crate::CampaignPoint`] — dedup, deadlines, poison, resumability —
+//! via the [`SweepPoint`] impl below.
 //!
 //! Storage: a chip point's whole result ([`ChipRun`]: every core's
 //! stats and the chip-level contention counters) is one record under
@@ -199,8 +199,7 @@ mod tests {
         assert!(!store.contains(key));
         assert!(p.load(&store, key).is_none());
 
-        let run =
-            SimExecutor.execute(&p, &ExecCtx { attempt: 0, deadline: None }).expect("chip runs");
+        let run = SimExecutor.execute(&p, &ExecCtx { deadline: None }).expect("chip runs");
         assert_eq!(run.per_core.len(), 2);
         p.save(&store, key, &run).expect("saves");
         assert!(store.contains(key));

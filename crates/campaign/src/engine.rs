@@ -19,12 +19,8 @@
 //!   (fully deterministic ordering), otherwise on the caller plus
 //!   scoped threads with one point claimed at a time, so load balances
 //!   regardless of how wildly per-point runtimes differ;
-//! * the simulator is deterministic, so the only error worth a second
-//!   attempt is [`SimError::Deadline`], the one that depends on the wall
-//!   clock: it is retried at once and in place (the retry never goes
-//!   back to the scheduler, so "every point claimed" always means "no
-//!   work left", with no completion race), and any other [`SimError`]
-//!   is final on its first occurrence;
+//! * each point is executed **once** per run: the simulator is
+//!   deterministic, so a second attempt would reproduce the first;
 //! * each computed result is published atomically, so killing the
 //!   process at any instant (SIGTERM, SIGKILL) leaves the store
 //!   consistent and a re-run computes only what is missing
@@ -32,13 +28,14 @@
 //! * an in-process [`CancelToken`] provides the graceful counterpart:
 //!   no new points are taken, the ones in hand finish, and the outcome
 //!   reports `cancelled`;
-//! * with [`EngineConfig::point_deadline`] set, each attempt gets a
+//! * with [`EngineConfig::point_deadline`] set, each point gets a
 //!   **deadline**, the instant its budget runs out, in
 //!   [`ExecCtx::deadline`]; the simulator reads the clock itself and
 //!   returns [`SimError::Deadline`] with the same diagnostic snapshot
-//!   the deadlock watchdog takes — no thread watches it;
-//! * a point that returns any other error, or trips the deadline
-//!   [`POISON_DEADLINE_TRIPS`] times, is **poisoned**: a structured
+//!   the deadlock watchdog takes — no thread watches it. A deadline
+//!   trip judges the host's clock, not the code, so the point **fails
+//!   this run** and nothing is stored: the next run computes it again;
+//! * a point that returns any other error is **poisoned**: a structured
 //!   failure record lands in the store (`poison/`), re-runs skip the
 //!   point, and the campaign *continues* — one permanently sick point
 //!   degrades its figure cells, never the whole campaign
@@ -58,11 +55,6 @@ use vr_workloads::Workload;
 
 use crate::fingerprint::{point_key, PointKey};
 use crate::store::{PoisonRecord, ResultStore};
-
-/// Deadline expiries a point is allowed before it is poisoned. Two,
-/// not one: a single trip can be an unlucky machine stall (CI noise,
-/// page cache cold); the second on the very same point is a verdict.
-pub const POISON_DEADLINE_TRIPS: u32 = 2;
 
 /// One simulation point of a campaign: a workload plus the full
 /// configuration and budget that determine its statistics.
@@ -96,8 +88,8 @@ impl CampaignPoint {
 
 /// Anything the campaign engine can drive: a content-addressed unit
 /// of work with a label and a way to load/save its result against the
-/// [`ResultStore`]. The engine itself (dedup, deadlines and their
-/// retries, poison, cancellation, resumability) is generic over this —
+/// [`ResultStore`]. The engine itself (dedup, deadlines, poison,
+/// cancellation, resumability) is generic over this —
 /// single-core [`CampaignPoint`]s and multi-core `ChipPoint`s flow
 /// through the identical machinery.
 pub trait SweepPoint: Sync {
@@ -150,14 +142,14 @@ impl SweepPoint for CampaignPoint {
     }
 }
 
-/// Per-attempt context handed to an [`Executor`]: which attempt this
-/// is and when it must stop.
+/// What an [`Executor`] is handed besides the point: when it must stop.
+/// One field does not need a struct; this one stays only so the
+/// repository benchmark's executor (`benchmark/`), which names it, keeps
+/// compiling.
 #[derive(Clone, Debug)]
 pub struct ExecCtx {
-    /// 0 on the first try, incremented on each retry.
-    pub attempt: u32,
-    /// The instant this attempt's [`EngineConfig::point_deadline`]
-    /// runs out, set when the attempt starts (`None` without one). An
+    /// The instant the point's [`EngineConfig::point_deadline`] runs
+    /// out, set when its execution starts (`None` without one). An
     /// executor stops promptly once it has passed and returns
     /// [`SimError::Deadline`].
     pub deadline: Option<Instant>,
@@ -166,7 +158,7 @@ pub struct ExecCtx {
 /// How a campaign point is computed. The indirection exists so tests
 /// can inject failing, slow or instant executors: the real simulator
 /// is deterministic, so against [`SimExecutor`] a point either always
-/// fails or never does, and only a deadline varies between attempts.
+/// fails or never does, and only a deadline varies between runs.
 ///
 /// Generic over the point type (defaulting to [`CampaignPoint`], so
 /// plain `impl Executor for X` / `E: Executor` keep meaning the
@@ -178,14 +170,13 @@ pub trait Executor<P: SweepPoint = CampaignPoint>: Sync {
     ///
     /// # Errors
     ///
-    /// Returns the simulation error. The engine retries a
-    /// [`SimError::Deadline`] until it has tripped
-    /// [`POISON_DEADLINE_TRIPS`] times; any other error is final.
+    /// Returns the simulation error. The engine fails the point for this
+    /// run on a [`SimError::Deadline`] and poisons it on any other.
     fn execute(&self, p: &P, ctx: &ExecCtx) -> Result<P::Output, SimError>;
 }
 
 /// The production executor: one fresh [`Simulator`] per call, with the
-/// attempt's deadline armed so the simulator stops itself mid-run.
+/// point's deadline armed so the simulator stops itself mid-run.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SimExecutor;
 
@@ -235,10 +226,10 @@ pub struct EngineConfig {
     /// Worker threads. `0` means one per available CPU; `1` runs
     /// inline on the calling thread (fully deterministic ordering).
     pub threads: usize,
-    /// Wall-clock budget per execution attempt. When set, each attempt
-    /// is handed the instant it runs out ([`ExecCtx::deadline`]) and
-    /// the simulator stops itself there; `None` lets attempts run
-    /// unbounded.
+    /// Wall-clock budget per point. When set, each execution is handed
+    /// the instant it runs out ([`ExecCtx::deadline`]) and the
+    /// simulator stops itself there, failing the point for this run;
+    /// `None` lets points run unbounded.
     pub point_deadline: Option<Duration>,
 }
 
@@ -254,28 +245,21 @@ impl EngineConfig {
 pub enum ProgressKind {
     /// Result served from the store; no simulation ran.
     CacheHit,
-    /// Simulated (possibly after deadline retries) and stored.
+    /// Simulated and stored.
     Computed,
-    /// An attempt tripped the deadline; the point will be retried.
-    Retried {
-        /// The 0-based attempt that failed.
-        attempt: u32,
-    },
     /// The point was declared unrunnable and a poison record was
     /// published; the campaign continues without it.
     Poisoned,
     /// The point already had a poison record from an earlier run and
     /// was skipped without executing.
     SkippedPoisoned,
-    /// Given up on without a poison record (no store, the poison write
-    /// failed, or the run was cancelled mid-retry); the point is
-    /// recorded as failed.
+    /// Given up on without a poison record (a deadline trip, no store,
+    /// or the poison write failed); the point is recorded as failed.
     Failed,
 }
 
 /// One progress notification. `done` counts points that reached a
-/// terminal state (hit, computed or failed) *including* this one —
-/// retries report the current `done` without advancing it.
+/// terminal state (hit, computed or failed) *including* this one.
 #[derive(Clone, Copy, Debug)]
 pub struct ProgressEvent<'a> {
     /// Terminal points so far.
@@ -306,17 +290,18 @@ pub struct CampaignOutcome {
     pub cache_hits: u64,
     /// Points simulated this run.
     pub computed: u64,
-    /// Deadline trips that were retried.
+    /// Always 0: the engine runs each point once, and
+    /// [`CampaignOutcome::to_json`] leaves the field out. It stays only
+    /// so the repository benchmark (`benchmark/`), which reads it, keeps
+    /// compiling.
     pub retries: u64,
     /// `(label, error)` for points poisoned *this run* (a non-deadline
-    /// error or repeated deadline trips; a poison record was published
-    /// for each).
+    /// error; a poison record was published for each).
     pub poisoned: Vec<(String, String)>,
     /// Points skipped because an earlier run already poisoned them.
     pub skipped_poisoned: u64,
     /// `(label, error)` for points that failed without a poison record
-    /// (no store, cancelled mid-retry, or the poison write itself
-    /// failed).
+    /// (a deadline trip, no store, or the poison write itself failed).
     pub failed: Vec<(String, String)>,
     /// Whether the run stopped early on a [`CancelToken`].
     pub cancelled: bool,
@@ -353,7 +338,7 @@ impl CampaignOutcome {
             total,
             cache_hits,
             computed,
-            retries,
+            retries: _,
             poisoned,
             skipped_poisoned,
             failed,
@@ -379,7 +364,6 @@ impl CampaignOutcome {
             ("total".into(), Json::U64(*total)),
             ("cache_hits".into(), Json::U64(*cache_hits)),
             ("computed".into(), Json::U64(*computed)),
-            ("retries".into(), Json::U64(*retries)),
             ("poisoned".into(), label_error_arr(poisoned)),
             ("skipped_poisoned".into(), Json::U64(*skipped_poisoned)),
             ("failed".into(), label_error_arr(failed)),
@@ -453,8 +437,8 @@ struct Shared<'a> {
     progress: Option<ProgressSink<'a>>,
     total: u64,
     done: AtomicU64,
-    /// [`EngineConfig::point_deadline`], turned into an instant at the
-    /// start of each attempt.
+    /// [`EngineConfig::point_deadline`], turned into an instant when a
+    /// point's execution starts.
     point_deadline: Option<Duration>,
 }
 
@@ -462,10 +446,6 @@ impl Shared<'_> {
     /// Counts one more terminal point and reports it.
     fn finish(&self, label: &str, kind: ProgressKind) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.emit(done, label, kind);
-    }
-
-    fn emit(&self, done: u64, label: &str, kind: ProgressKind) {
         if let Some(sink) = self.progress {
             sink(&ProgressEvent { done, total: self.total, label, kind });
         }
@@ -481,7 +461,7 @@ enum Fate<O> {
     SkippedPoisoned,
     /// Given up on, with a poison record published.
     Poisoned(String),
-    /// Given up on without one (no store, cancelled mid-retry, or the
+    /// Given up on without one (a deadline trip, no store, or the
     /// poison write itself failed).
     Failed(String),
 }
@@ -554,17 +534,15 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
     // The store is probed on the calling thread, in submission order;
     // only the points it cannot settle go to the pool, so a round of
     // hits starts no thread.
-    let mut fates: Vec<Option<(Fate<P::Output>, u64)>> = unique
-        .iter()
-        .map(|&idx| probe(&points[idx], keys[idx], &shared).map(|fate| (fate, 0)))
-        .collect();
+    let mut fates: Vec<Option<Fate<P::Output>>> =
+        unique.iter().map(|&idx| probe(&points[idx], keys[idx], &shared)).collect();
     let misses: Vec<usize> = (0..unique.len()).filter(|&u| fates[u].is_none()).collect();
     let computed = vr_pool::map(cfg.resolved_threads(misses.len()), &misses, |&u| {
         let idx = unique[u];
         compute_point(&points[idx], keys[idx], &shared, exec)
     });
-    for (&u, driven) in misses.iter().zip(computed) {
-        fates[u] = Some(driven);
+    for (&u, fate) in misses.iter().zip(computed) {
+        fates[u] = Some(fate);
     }
 
     // `fates` is in submission order, so every list below is too,
@@ -577,11 +555,9 @@ pub fn run_points<P: SweepPoint, E: Executor<P>>(
         ..CampaignOutcome::default()
     };
     let mut outputs: Vec<Option<P::Output>> = Vec::with_capacity(unique.len());
-    for (&idx, driven) in unique.iter().zip(fates) {
+    for (&idx, fate) in unique.iter().zip(fates) {
         let label = || points[idx].label().to_string();
-        let (fate, retries) = driven.expect("every point was probed or computed");
-        outcome.retries += retries;
-        outputs.push(match fate {
+        outputs.push(match fate.expect("every point was probed or computed") {
             Fate::Untaken => None,
             Fate::Hit(out) => {
                 outcome.cache_hits += 1;
@@ -629,73 +605,45 @@ fn probe<P: SweepPoint>(p: &P, key: PointKey, shared: &Shared<'_>) -> Option<Fat
     None
 }
 
-/// Takes one point the store could not settle to its [`Fate`] and
-/// counts the deadline retries it took: execute, retrying a deadline
-/// trip in place — a point is never handed back to the scheduler, so
-/// "every item claimed" always means "no work left".
+/// Takes one point the store could not settle to its [`Fate`], with
+/// one execution: a result is saved, a deadline trip fails the point
+/// for this run only, and any other error poisons it.
 fn compute_point<P: SweepPoint, E: Executor<P>>(
     p: &P,
     key: PointKey,
     shared: &Shared<'_>,
     exec: &E,
-) -> (Fate<P::Output>, u64) {
+) -> Fate<P::Output> {
     if shared.cancel.is_cancelled() {
-        return (Fate::Untaken, 0);
+        return Fate::Untaken;
     }
-    let mut attempt = 0u32;
-    let mut deadline_trips = 0u32;
-    loop {
-        let deadline = shared.point_deadline.map(|budget| Instant::now() + budget);
-        let result = exec.execute(p, &ExecCtx { attempt, deadline });
-        let e = match result {
-            Ok(out) => {
-                // A failed save degrades to "computed but not cached"
-                // — the result is still counted; a re-run will
-                // recompute the point.
-                if let Some(store) = shared.store {
-                    let _ = p.save(store, key, &out);
-                }
-                shared.finish(p.label(), ProgressKind::Computed);
-                return (Fate::Computed(out), u64::from(attempt));
+    let deadline = shared.point_deadline.map(|budget| Instant::now() + budget);
+    let e = match exec.execute(p, &ExecCtx { deadline }) {
+        Ok(out) => {
+            // A failed save degrades to "computed but not cached" — the
+            // result is still counted; a re-run will recompute the point.
+            if let Some(store) = shared.store {
+                let _ = p.save(store, key, &out);
             }
-            Err(e) => e,
-        };
-        // Only the wall clock can change between attempts, so only a
-        // deadline trip earns another one, and never a pause before it.
-        let deadline = matches!(e, SimError::Deadline(_));
-        deadline_trips += u32::from(deadline);
-        let cancelled = shared.cancel.is_cancelled();
-        if deadline && !cancelled && deadline_trips < POISON_DEADLINE_TRIPS {
-            shared.emit(
-                shared.done.load(Ordering::Relaxed),
-                p.label(),
-                ProgressKind::Retried { attempt },
-            );
-            attempt += 1;
-            continue;
+            shared.finish(p.label(), ProgressKind::Computed);
+            return Fate::Computed(out);
         }
-        // Cancellation is not a verdict on the point — no poison
-        // record, just a plain failure this run.
-        let poisoned = !cancelled
-            && shared.store.is_some_and(|store| {
-                store
-                    .poison(&PoisonRecord {
-                        key,
-                        label: p.label().to_string(),
-                        error: e.to_string(),
-                        attempts: attempt + 1,
-                        deadline_trips,
-                    })
-                    .is_ok()
-            });
-        let fate = if poisoned {
-            shared.finish(p.label(), ProgressKind::Poisoned);
-            Fate::Poisoned(e.to_string())
-        } else {
-            shared.finish(p.label(), ProgressKind::Failed);
-            Fate::Failed(e.to_string())
-        };
-        return (fate, u64::from(attempt));
+        Err(e) => e,
+    };
+    // A deadline trip depends on the host's clock, which the key does
+    // not hash, so only another kind of error is a verdict worth storing.
+    let error = e.to_string();
+    let poisoned = !matches!(e, SimError::Deadline(_))
+        && shared.store.is_some_and(|store| {
+            let rec = PoisonRecord { key, label: p.label().to_string(), error: error.clone() };
+            store.poison(&rec).is_ok()
+        });
+    if poisoned {
+        shared.finish(p.label(), ProgressKind::Poisoned);
+        Fate::Poisoned(error)
+    } else {
+        shared.finish(p.label(), ProgressKind::Failed);
+        Fate::Failed(error)
     }
 }
 
@@ -747,28 +695,20 @@ mod tests {
         }
     }
 
-    /// Trips the deadline on every point's first attempt and computes
-    /// the point on its second.
-    struct DeadlineOnceExec;
-    impl Executor for DeadlineOnceExec {
-        fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
-            if ctx.attempt == 0 {
-                return Err(SimError::Deadline(Box::new(test_dump())));
-            }
-            FakeExec.execute(p, ctx)
-        }
+    /// Blocks points whose label contains `slow` until their deadline
+    /// passes, then reports a deadline — the contract [`SimExecutor`]
+    /// implements via the simulator — counting those executions.
+    /// Without a deadline every point computes at once.
+    #[derive(Default)]
+    struct SlowExec {
+        slow_calls: AtomicU32,
     }
-
-    /// Blocks points whose label contains `slow` until the attempt's
-    /// deadline passes, then reports a deadline — the contract
-    /// [`SimExecutor`] implements via the simulator.
-    struct SlowExec;
     impl Executor for SlowExec {
         fn execute(&self, p: &CampaignPoint, ctx: &ExecCtx) -> Result<SimStats, SimError> {
-            if !p.label.contains("slow") {
+            let Some(at) = ctx.deadline.filter(|_| p.label.contains("slow")) else {
                 return FakeExec.execute(p, ctx);
-            }
-            let at = ctx.deadline.expect("slow points run under a deadline");
+            };
+            self.slow_calls.fetch_add(1, Ordering::Relaxed);
             while Instant::now() < at {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -882,10 +822,8 @@ mod tests {
     #[test]
     fn outputs_follow_submission_order_at_any_thread_count_and_reload_identically() {
         let points = points_with_duplicates_and_a_sick_one();
-        let expect: Vec<Option<SimStats>> = points
-            .iter()
-            .map(|p| SickExec.execute(p, &ExecCtx { attempt: 0, deadline: None }).ok())
-            .collect();
+        let expect: Vec<Option<SimStats>> =
+            points.iter().map(|p| SickExec.execute(p, &ExecCtx { deadline: None }).ok()).collect();
         assert_eq!(expect.iter().filter(|o| o.is_none()).count(), 1);
         assert_eq!(expect[6], expect[1], "a duplicate receives its first occurrence's output");
 
@@ -930,7 +868,7 @@ mod tests {
                 &CancelToken::new(),
                 None,
             );
-            assert_eq!((out.computed, out.cache_hits, out.retries), (5, 0, 0));
+            assert_eq!((out.computed, out.cache_hits), (5, 0));
             assert!(out.poisoned.is_empty(), "nowhere to poison: {out:?}");
             assert_eq!(out.failed.len(), 1);
             assert_eq!(out.failed[0].0, "p5-sick");
@@ -1002,7 +940,7 @@ mod tests {
             };
             // Computed, poisoned and duplicate paths.
             let first = run();
-            assert_eq!((first.computed, first.retries, first.duplicates), (4, 0, 3));
+            assert_eq!((first.computed, first.duplicates), (4, 3));
             assert_eq!(first.poisoned.len(), 2);
             // Hit, skipped-poisoned and duplicate paths.
             let second = run();
@@ -1030,36 +968,11 @@ mod tests {
                 None,
             );
             assert_eq!(exec.calls.load(Ordering::Relaxed), 1, "a deterministic error is final");
-            assert_eq!((out.poisoned.len(), out.retries), (1, 0), "{out:?}");
+            assert_eq!(out.poisoned.len(), 1, "{out:?}");
             let rec = store.load_poison(points[0].key()).expect("poison record");
-            assert_eq!((rec.attempts, rec.deadline_trips), (1, 0));
+            assert!(rec.error.contains("injected fault"), "{rec:?}");
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn a_deadline_trip_is_retried_and_the_retry_can_succeed() {
-        let (dir, store) = tmp_store("deadline-once");
-        let points = tiny_points(1);
-        let retried = AtomicU32::new(0);
-        let sink = |ev: &ProgressEvent<'_>| {
-            if let ProgressKind::Retried { attempt } = ev.kind {
-                assert_eq!(attempt, 0);
-                retried.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let out = run_campaign(
-            &points,
-            &store,
-            &DeadlineOnceExec,
-            &cfg_threads(1),
-            &CancelToken::new(),
-            Some(&sink),
-        );
-        assert!(out.complete(), "{out:?}");
-        assert_eq!((out.computed, out.retries), (1, 1));
-        assert_eq!(retried.load(Ordering::Relaxed), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1082,8 +995,6 @@ mod tests {
         // Each point now carries a structured poison record...
         for p in &points {
             let rec = store.load_poison(p.key()).expect("poison record");
-            assert_eq!(rec.attempts, 1);
-            assert_eq!(rec.deadline_trips, 0);
             assert!(rec.error.contains("injected fault"));
         }
         let status = campaign_status(&points, &store);
@@ -1104,34 +1015,45 @@ mod tests {
     }
 
     #[test]
-    fn deadline_trips_twice_then_poisons_and_campaign_continues() {
+    fn a_deadline_trip_executes_once_and_fails_without_poison() {
         // One thread runs the points inline on the caller, two on the
-        // caller and a scoped thread; each attempt's deadline is set
-        // the same way for both.
+        // caller and a scoped thread; each point's deadline is set the
+        // same way for both.
         for threads in [1, 2] {
-            let (dir, store) = tmp_store("deadline");
+            let (dir, store) = tmp_store(&format!("deadline-{threads}"));
             let mut points = tiny_points(4);
             points[2].label = "p2-slow".into();
             let cfg = EngineConfig {
                 point_deadline: Some(Duration::from_millis(25)),
                 ..cfg_threads(threads)
             };
-            let t0 = std::time::Instant::now();
-            let out = run_campaign(&points, &store, &SlowExec, &cfg, &CancelToken::new(), None);
-            assert!(out.degraded_complete(), "{out:?}");
-            assert_eq!(out.computed, 3, "healthy points unaffected");
-            assert_eq!(out.poisoned.len(), 1);
-            assert_eq!(out.poisoned[0].0, "p2-slow");
-            assert!(out.poisoned[0].1.contains("deadline"), "{:?}", out.poisoned[0]);
-
-            let rec = store.load_poison(points[2].key()).expect("poison record");
-            assert_eq!(
-                rec.deadline_trips, POISON_DEADLINE_TRIPS,
-                "second trip is the verdict (one retry in between)"
-            );
-            assert_eq!(rec.attempts, 2);
-            // Two attempts of ~25ms each, not unbounded hangs.
+            let exec = SlowExec::default();
+            let t0 = Instant::now();
+            let out = run_campaign(&points, &store, &exec, &cfg, &CancelToken::new(), None);
+            // One execution of ~25 ms, not an unbounded hang.
             assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
+            assert_eq!(exec.slow_calls.load(Ordering::Relaxed), 1, "executed exactly once");
+            assert_eq!(out.computed, 3, "healthy points unaffected");
+            assert!(out.poisoned.is_empty(), "{out:?}");
+            assert_eq!(out.failed.len(), 1);
+            assert_eq!(out.failed[0].0, "p2-slow");
+            assert!(out.failed[0].1.contains("deadline"), "{:?}", out.failed[0]);
+            assert!(!out.degraded_complete(), "a failure, not a degradation");
+            let poison = std::fs::read_dir(dir.join("poison")).unwrap().count();
+            assert_eq!(poison, 0, "a deadline trip is not a stored verdict");
+
+            // The next run, without a deadline, computes the point; no
+            // `gc` in between.
+            let again = run_campaign(
+                &points,
+                &store,
+                &exec,
+                &cfg_threads(threads),
+                &CancelToken::new(),
+                None,
+            );
+            assert!(again.complete(), "{again:?}");
+            assert_eq!((again.cache_hits, again.computed), (3, 1));
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1196,7 +1118,7 @@ mod tests {
         assert!(out.complete(), "{out:?}");
 
         // The stored record equals a direct simulation bit-for-bit.
-        let ctx = ExecCtx { attempt: 0, deadline: None };
+        let ctx = ExecCtx { deadline: None };
         let direct = SimExecutor.execute(&p, &ctx).expect("sim runs");
         assert_eq!(store.load(p.key()), Some(direct));
 
@@ -1221,6 +1143,7 @@ mod tests {
         };
         let j = out.to_json();
         assert_eq!(j.get("schema").and_then(Json::as_str), Some(CAMPAIGN_SCHEMA));
+        assert_eq!(j.get("retries"), None, "a count that is always 0 is not exported");
         assert_eq!(j.get("cache_hits").and_then(Json::as_u64), Some(5));
         assert_eq!(j.get("cancelled"), Some(&Json::Bool(false)));
         let failed = j.get("failed").and_then(Json::as_arr).unwrap();

@@ -19,8 +19,8 @@
 //!   for bit, by its [`vr_obs::Counters`] impl;
 //! * [`engine`] — the campaign driver, the only thing that runs a point
 //!   list, one list per call in one process: scheduling through
-//!   `vr_pool::map`, per-attempt deadlines with an in-place retry,
-//!   poisoning, cooperative cancellation, resumability.
+//!   `vr_pool::map`, one execution per point under an optional
+//!   deadline, poisoning, cooperative cancellation, resumability.
 //!
 //! The crate depends only on the simulator crates and `std` — no
 //! registry dependencies, like the rest of the workspace.
@@ -40,7 +40,7 @@ pub use chip::{chip_point_key, ChipPoint, ChipSlot};
 pub use engine::{
     campaign_status, run_campaign, run_points, CampaignOutcome, CampaignPoint, CancelToken,
     EngineConfig, ExecCtx, Executor, ProgressEvent, ProgressKind, ProgressSink, SimExecutor,
-    StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
+    StatusReport, SweepPoint,
 };
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
 pub use store::{

@@ -19,8 +19,7 @@
 //! * `vr-resultstore-v1` — a single-core point's `SimStats`;
 //! * `vr-chipstore-v2` — a chip point's whole `ChipRun` (`per_core`
 //!   stats plus the `chip` counters);
-//! * `vr-campaign-v1` — a poison verdict (`error`, `attempts`,
-//!   `deadline_trips`).
+//! * `vr-campaign-v1` — a poison verdict (`error`).
 //!
 //! The payload field is spelled `stats` for every kind, the name the
 //! first scalar records used, so a scalar record is byte for byte what
@@ -53,13 +52,16 @@
 //! caller; the worst case is a cache miss.
 //!
 //! **Poison records.** When the campaign engine declares a point
-//! unrunnable (a deterministic error, repeated deadline trips) it writes
-//! a [`PoisonRecord`] under `poison/` through the same writer and reads
-//! it back through the same reader (corrupt poison records are
-//! quarantined, stale-salt ones ignored). A poisoned point is skipped on
-//! re-runs — the campaign *degrades* instead of wedging on a permanently
-//! failing point — and `gc` clears poison records, which is the
-//! deliberate "retry everything" lever.
+//! unrunnable (a deterministic error; never a deadline trip, which
+//! judges the host's clock) it writes a [`PoisonRecord`] under `poison/`
+//! through the same writer and reads it back through the same reader
+//! (corrupt poison records are quarantined, stale-salt ones ignored). A
+//! poisoned point is skipped on re-runs — the campaign *degrades*
+//! instead of wedging on a permanently failing point — and `gc` clears
+//! poison records, which is the deliberate "retry everything" lever.
+//! Earlier engines retried deadline trips and poisoned a point after
+//! two; such a record (`deadline_trips` above 0) reads as stale, so the
+//! point is computed again and `gc` removes the record.
 //!
 //! **Fault injection.** With the `chaos` cargo feature, every
 //! filesystem operation above can be routed through a seeded
@@ -119,6 +121,10 @@ enum Payload {
     Stats(SimStats),
     Chip(ChipRun),
     Poison(PoisonRecord),
+    /// A poison verdict on deadline trips, written by an engine that
+    /// retried them: [`validate`] reads it as stale, so it never leaves
+    /// there.
+    TimedOut,
 }
 
 /// What a read asks for; a record of any other kind is corrupt.
@@ -208,14 +214,8 @@ pub struct PoisonRecord {
     pub key: PointKey,
     /// Human-readable point label (workload / config).
     pub label: String,
-    /// Rendering of the last error the point produced.
+    /// Rendering of the error the point produced.
     pub error: String,
-    /// Execution attempts consumed before giving up (one more than the
-    /// deadline trips that were retried).
-    pub attempts: u32,
-    /// How many of those attempts were killed by the wall-clock
-    /// deadline.
-    pub deadline_trips: u32,
 }
 
 /// The content-addressed result store. All methods take `&self`:
@@ -450,11 +450,7 @@ impl ResultStore {
     /// Returns the underlying I/O error (callers degrade to an
     /// unpersisted in-memory failure — the campaign still finishes).
     pub fn poison(&self, rec: &PoisonRecord) -> io::Result<()> {
-        let body = Json::Obj(vec![
-            ("error".into(), Json::from(rec.error.as_str())),
-            ("attempts".into(), Json::U64(u64::from(rec.attempts))),
-            ("deadline_trips".into(), Json::U64(u64::from(rec.deadline_trips))),
-        ]);
+        let body = Json::Obj(vec![("error".into(), Json::from(rec.error.as_str()))]);
         self.write(&self.poison, rec.key, &rec.label, CAMPAIGN_SCHEMA, body)
     }
 
@@ -700,7 +696,7 @@ fn validate(text: &str, key: PointKey, want: Want) -> Result<Payload, Fault> {
         rec.label = label.into_owned();
     }
     match env.salt {
-        Some(CODE_SALT) => Ok(payload),
+        Some(CODE_SALT) if !matches!(payload, Payload::TimedOut) => Ok(payload),
         Some(_) => Err(Fault::Stale),
         None => Err(Fault::Corrupt),
     }
@@ -784,7 +780,7 @@ fn read_payload(
             Ok(Payload::Chip(run))
         }
         (CHIPSTORE_SCHEMA, Want::Result) => read_chip_run(r).map(Payload::Chip),
-        (CAMPAIGN_SCHEMA, Want::Poison) => read_poison(r, key).map(Payload::Poison),
+        (CAMPAIGN_SCHEMA, Want::Poison) => read_poison(r, key),
         // An unknown tag, or a kind the caller did not ask for.
         _ => Err(format!("a `{schema}` record is not the kind asked for")),
     }
@@ -792,30 +788,26 @@ fn read_payload(
 
 /// Strict reader of a poison verdict's payload (the inverse of the body
 /// [`ResultStore::poison`] writes); the key and label come from the
-/// envelope.
-fn read_poison(r: &mut Reader<'_>, key: PointKey) -> Result<PoisonRecord, String> {
-    let (mut error, mut attempts, mut deadline_trips) = (None, None, None);
-    let count = |r: &mut Reader<'_>| {
-        u32::try_from(u64::read(r)?).map(Some).map_err(|_| "not a u32".to_string())
-    };
+/// envelope. An earlier engine's `attempts` member is skipped like any
+/// unknown one, and its `deadline_trips` above 0 marks a verdict on the
+/// clock, [`Payload::TimedOut`].
+fn read_poison(r: &mut Reader<'_>, key: PointKey) -> Result<Payload, String> {
+    let (mut error, mut deadline_trips) = (None, None);
     r.object(|name, r| {
         match name {
             "error" if error.is_none() => match r.next_event()? {
                 Event::Str(s) => error = Some(s.into_owned()),
                 _ => return Err("field `error`: not a string".to_string()),
             },
-            "attempts" if attempts.is_none() => attempts = count(r)?,
-            "deadline_trips" if deadline_trips.is_none() => deadline_trips = count(r)?,
+            "deadline_trips" if deadline_trips.is_none() => deadline_trips = Some(u64::read(r)?),
             _ => r.skip()?,
         }
         Ok(())
     })?;
-    Ok(PoisonRecord {
-        key,
-        label: String::new(),
-        error: error.ok_or("missing field `error`")?,
-        attempts: attempts.ok_or("missing field `attempts`")?,
-        deadline_trips: deadline_trips.ok_or("missing field `deadline_trips`")?,
+    let error = error.ok_or("missing field `error`")?;
+    Ok(match deadline_trips {
+        Some(1..) => Payload::TimedOut,
+        _ => Payload::Poison(PoisonRecord { key, label: String::new(), error }),
     })
 }
 
@@ -917,12 +909,12 @@ mod tests {
             (CHIPSTORE_SCHEMA, Want::Chip(_) | Want::Result) => tree_chip(body)
                 .filter(|run| !matches!(want, Want::Chip(cores) if cores != run.per_core.len()))
                 .map(Payload::Chip),
-            (CAMPAIGN_SCHEMA, Want::Poison) => tree_poison(body, key, label).map(Payload::Poison),
+            (CAMPAIGN_SCHEMA, Want::Poison) => tree_poison(body, key, label),
             _ => None,
         };
         let payload = payload.ok_or(Fault::Corrupt)?;
         match doc.get("salt").and_then(Json::as_u64) {
-            Some(CODE_SALT) => Ok(payload),
+            Some(CODE_SALT) if payload != Payload::TimedOut => Ok(payload),
             Some(_) => Err(Fault::Stale),
             None => Err(Fault::Corrupt),
         }
@@ -964,15 +956,13 @@ mod tests {
         })
     }
 
-    fn tree_poison(body: &Json, key: PointKey, label: &str) -> Option<PoisonRecord> {
-        let count =
-            |name| body.get(name).and_then(Json::as_u64).and_then(|v| u32::try_from(v).ok());
-        Some(PoisonRecord {
-            key,
-            label: label.into(),
-            error: body.get("error").and_then(Json::as_str)?.into(),
-            attempts: count("attempts")?,
-            deadline_trips: count("deadline_trips")?,
+    fn tree_poison(body: &Json, key: PointKey, label: &str) -> Option<Payload> {
+        let error = body.get("error").and_then(Json::as_str)?.into();
+        let deadline_trips = body.get("deadline_trips").map_or(Some(0), Json::as_u64)?;
+        Some(if deadline_trips > 0 {
+            Payload::TimedOut
+        } else {
+            Payload::Poison(PoisonRecord { key, label: label.into(), error })
         })
     }
 
@@ -1022,9 +1012,7 @@ mod tests {
         let verdict = PoisonRecord {
             key: POISON,
             label: "kangaroo/\"sick\"".into(),
-            error: "deadline exceeded at cycle 100".into(),
-            attempts: 2,
-            deadline_trips: 2,
+            error: "invariant violated at cycle 100".into(),
         };
         store.poison(&verdict).unwrap();
         let read = |dir: &Path, key| fs::read_to_string(record_path(dir, key)).unwrap();

@@ -14,6 +14,7 @@ use vr_campaign::{
 use vr_chip::{ChipRun, ChipStats};
 use vr_core::{CoreConfig, RunaheadConfig, SimStats};
 use vr_mem::MemConfig;
+use vr_obs::Json;
 use vr_workloads::{hpcdb, Scale};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -407,9 +408,7 @@ fn poison_round_trips_and_gc_clears_it() {
     let rec = vr_campaign::PoisonRecord {
         key: some_key(30),
         label: "kangaroo/none".into(),
-        error: "wall-clock deadline expired (twice)".into(),
-        attempts: 3,
-        deadline_trips: 2,
+        error: "invariant violated at cycle 9: injected".into(),
     };
     assert!(store.load_poison(rec.key).is_none());
     store.poison(&rec).unwrap();
@@ -433,13 +432,7 @@ fn poison_round_trips_and_gc_clears_it() {
 fn corrupt_poison_is_quarantined_and_the_point_runs_again() {
     let dir = scratch("poison-corrupt");
     let store = ResultStore::open(&dir).unwrap();
-    let rec = vr_campaign::PoisonRecord {
-        key: some_key(31),
-        label: "p".into(),
-        error: "e".into(),
-        attempts: 1,
-        deadline_trips: 0,
-    };
+    let rec = vr_campaign::PoisonRecord { key: some_key(31), label: "p".into(), error: "e".into() };
     store.poison(&rec).unwrap();
     let path = dir.join("poison").join(format!("{}.json", rec.key.hex()));
     fs::write(&path, "{ definitely not a poison record").unwrap();
@@ -479,6 +472,55 @@ fn a_poison_record_outside_the_envelope_is_quarantined_once() {
     assert!(!path.exists());
     assert!(store.load_poison(key).is_none());
     assert_eq!(store.counters().quarantined, 1, "quarantined once, then simply absent");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A poison record in the payload shape of the engine that retried
+/// deadline trips: `{"error", "attempts", "deadline_trips"}`, in a valid
+/// envelope under the current salt.
+fn retry_era_poison(key: PointKey, deadline_trips: u32) -> String {
+    let stats =
+        format!("{{\"error\": \"e\", \"attempts\": 2, \"deadline_trips\": {deadline_trips}}}");
+    let checksum = Json::parse(&stats).unwrap().digest();
+    format!(
+        "{{\"schema\": \"vr-campaign-v1\", \"key\": \"{}\", \"salt\": {CODE_SALT}, \
+         \"label\": \"p\", \"checksum\": \"{checksum:016x}\", \"stats\": {stats}}}",
+        key.hex()
+    )
+}
+
+#[test]
+fn a_retry_era_poison_record_on_deadline_trips_is_stale() {
+    // A verdict on the wall clock: a miss, counted stale by verify and
+    // removed by gc, never quarantined and never served as poison.
+    let dir = scratch("poison-retry-era-deadline");
+    let store = ResultStore::open(&dir).unwrap();
+    let key = some_key(33);
+    let path = dir.join("poison").join(format!("{}.json", key.hex()));
+    fs::write(&path, retry_era_poison(key, 2)).unwrap();
+    assert!(store.load_poison(key).is_none(), "the point is runnable again");
+    assert!(path.exists(), "stale, not quarantined");
+    assert_eq!((store.counters().stale, store.counters().quarantined), (1, 0));
+    let rep = store.verify().unwrap();
+    assert_eq!((rep.stale, rep.poisoned, rep.quarantined), (1, 0, 0));
+    assert_eq!(store.gc().unwrap().poison_removed, 1);
+    assert!(!path.exists());
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_retry_era_poison_record_on_a_deterministic_error_is_still_poison() {
+    // `deadline_trips: 0` is a verdict on the code; `attempts` is
+    // skipped like any unknown member.
+    let dir = scratch("poison-retry-era-error");
+    let store = ResultStore::open(&dir).unwrap();
+    let key = some_key(34);
+    fs::write(dir.join("poison").join(format!("{}.json", key.hex())), retry_era_poison(key, 0))
+        .unwrap();
+    let rec = vr_campaign::PoisonRecord { key, label: "p".into(), error: "e".into() };
+    assert_eq!(store.load_poison(key), Some(rec));
+    let rep = store.verify().unwrap();
+    assert_eq!((rep.stale, rep.poisoned, rep.quarantined), (0, 1, 0));
     fs::remove_dir_all(&dir).ok();
 }
 
