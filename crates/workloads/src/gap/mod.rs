@@ -117,6 +117,30 @@ mod tests {
         }
     }
 
+    /// Digests of the five kernels' images and NAS-CG's over a graph
+    /// large enough to be generated and built by two workers, taken
+    /// when `Csr` held its neighbour ids as `u64`s.
+    #[test]
+    fn images_over_a_split_graph_are_pinned() {
+        const PINS: [(&str, u64); 6] = [
+            ("bc_KR", 0x1cdd_34e4_28c3_1de7),
+            ("bfs_KR", 0x8e7c_a353_6d08_edbc),
+            ("cc_KR", 0x177c_3f53_941c_e0c6),
+            ("pr_KR", 0xb6fd_2253_3ba0_70ae),
+            ("sssp_KR", 0x1b99_1e11_abdc_5dee),
+            ("NAS-CG", 0xdf31_383c_a1ac_dc44),
+        ];
+        let g = crate::graph::kronecker(16, 16, 24301);
+        let images = [bc_on, bfs_on, cc_on, pr_on, sssp_on]
+            .map(|build| build(&g, GraphPreset::Kron))
+            .into_iter()
+            .chain([crate::hpcdb::nas_cg_on(&g)]);
+        for (w, (name, digest)) in images.zip(PINS) {
+            assert_eq!(w.name, name);
+            assert_eq!(w.memory.digest(), digest, "{name}");
+        }
+    }
+
     #[test]
     fn a_kernel_never_sees_another_kernels_arrays() {
         let g = uniform(64, 4, 1);
