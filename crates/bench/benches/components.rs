@@ -538,6 +538,14 @@ fn bench_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What generating a graph costs: `kronecker(16, 16, seed)` draws 1 Mi
+/// edges of 16 levels each and counting-sorts them into a CSR, split
+/// over the CPUs as the paper-scale inputs are.
+fn bench_graph() {
+    let r = Runner::new("graph");
+    r.bench("kronecker_16_16", || black_box(vr_workloads::graph::kronecker(16, 16, 24301)));
+}
+
 /// The two costs a copy-on-write image trades (DESIGN.md "What a point
 /// costs before it simulates"): cloning the Paper-scale `bfs_KR` image
 /// bumps one count per 2 MiB chunk, and the first store to a page the
@@ -565,6 +573,7 @@ fn main() {
     bench_fingerprint();
     bench_store();
     bench_image_copy();
+    bench_graph();
     bench_emulator();
     bench_tage();
     bench_memory_system();

@@ -8,7 +8,7 @@ use vr_mem::{HitLevel, MemConfig, Requestor};
 use vr_workloads::{gap_suite, graph::GraphPreset, hpcdb_suite, Scale, Workload};
 
 fn find(name: &str) -> Workload {
-    let mut all = hpcdb_suite(Scale::Paper);
+    let mut all: Vec<Workload> = hpcdb_suite(Scale::Paper).into_iter().collect();
     for p in [GraphPreset::Kron, GraphPreset::Urand] {
         all.extend(gap_suite(Scale::Paper, p));
     }

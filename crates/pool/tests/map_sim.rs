@@ -9,7 +9,7 @@ use vr_workloads::{hpcdb_suite, Scale, Workload};
 
 #[test]
 fn simulation_stats_are_bit_identical_serial_vs_four_threads() {
-    let set = hpcdb_suite(Scale::Test);
+    let set: Vec<Workload> = hpcdb_suite(Scale::Test).into_iter().collect();
     let points: Vec<(&Workload, RunaheadConfig)> = set
         .iter()
         .take(4)

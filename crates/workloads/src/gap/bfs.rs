@@ -101,6 +101,7 @@ pub fn bfs_reference(g: &Csr, src: u64) -> (Vec<u64>, u64) {
     let mut reached = 1u64;
     while let Some(v) = queue.pop_front() {
         for &u in g.neighbors(v as usize) {
+            let u = u64::from(u);
             if parent[u as usize] == 0 {
                 parent[u as usize] = v + 1;
                 queue.push_back(u);

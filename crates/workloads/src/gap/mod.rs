@@ -43,7 +43,7 @@ pub(crate) fn load_graph(g: &Csr) -> GraphImage {
     let memory = g.image.get_or_init(|| {
         let mut memory = Memory::new();
         memory.write_u64_slice(row_ptr, g.row_ptr());
-        memory.write_u64_slice(col_idx, g.col_idx());
+        memory.write_u64s(col_idx, g.col_idx().iter().map(|&d| u64::from(d)));
         memory
     });
     GraphImage { row_ptr, col_idx, n: g.num_nodes() as u64, arena, memory: memory.clone() }

@@ -18,7 +18,7 @@
 //! however the list was split. The number of threads therefore changes
 //! how long a graph takes and nothing else.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use vr_isa::{Memory, SplitMix64};
@@ -28,10 +28,13 @@ use crate::Scale;
 
 /// Compressed-sparse-row directed graph. Immutable once built: the
 /// arrays are read through [`Csr::row_ptr`] and [`Csr::col_idx`].
+/// Neighbour ids are `u32`s, the width a packed edge gives them;
+/// `gap::load_graph` widens them to the image's 8-byte elements as it
+/// writes the image.
 #[derive(Clone, Debug)]
 pub struct Csr {
     row_ptr: Vec<u64>,
-    col_idx: Vec<u64>,
+    col_idx: Vec<u32>,
     /// The two arrays as `gap::load_graph` lays them out in simulated
     /// memory, built on first use. Every GAP kernel over this graph
     /// starts from a clone of it, so their images share the graph's
@@ -46,7 +49,7 @@ impl Csr {
     }
 
     /// Destination vertex per edge.
-    pub fn col_idx(&self) -> &[u64] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -66,7 +69,7 @@ impl Csr {
     }
 
     /// Neighbours of `v`.
-    pub fn neighbors(&self, v: usize) -> &[u64] {
+    pub fn neighbors(&self, v: usize) -> &[u32] {
         &self.col_idx[self.row_ptr[v] as usize..self.row_ptr[v + 1] as usize]
     }
 
@@ -116,20 +119,23 @@ impl Csr {
         // nothing another worker reads; the scope's join orders them
         // before `into_inner`. Both conversions happen in place, and
         // the zeroed pages are first touched by the workers.
-        let col_idx: Vec<AtomicU64> =
-            vec![0; edges.len()].into_iter().map(AtomicU64::new).collect();
+        let col_idx: Vec<AtomicU32> =
+            vec![0; edges.len()].into_iter().map(AtomicU32::new).collect();
         vr_pool::map(cpus(), chunks.into_iter().zip(slots), |(chunk, mut slot)| {
             for &e in chunk {
                 let at = &mut slot[src(e)];
-                col_idx[*at as usize].store(e & 0xFFFF_FFFF, Ordering::Relaxed);
+                col_idx[*at as usize].store(dst(e), Ordering::Relaxed);
                 *at += 1;
             }
         });
-        let col_idx = col_idx.into_iter().map(AtomicU64::into_inner).collect();
+        let col_idx = col_idx.into_iter().map(AtomicU32::into_inner).collect();
         Csr { row_ptr, col_idx, image: OnceLock::new() }
     }
 
-    /// Memory footprint in bytes when laid out as 8-byte arrays.
+    /// Bytes of simulated memory the graph's image takes: both arrays
+    /// laid out as 8-byte elements, as `gap::load_graph` writes them.
+    /// Image bytes, not host bytes: the host holds `col_idx` at 4
+    /// bytes per edge.
     pub fn footprint_bytes(&self) -> u64 {
         (self.row_ptr.len() + self.col_idx.len()) as u64 * 8
     }
@@ -143,6 +149,11 @@ fn pack(src: u64, dst: u64) -> u64 {
 /// The source vertex of a packed edge.
 fn src(e: u64) -> usize {
     (e >> 32) as usize
+}
+
+/// The destination vertex of a packed edge: its low 32 bits.
+fn dst(e: u64) -> u32 {
+    e as u32
 }
 
 /// Edges a thread must have to itself before generation splits: below
@@ -373,10 +384,12 @@ impl GraphPreset {
 mod tests {
     use super::*;
 
-    /// FNV-1a over the little-endian bytes of `row_ptr` then `col_idx`.
+    /// FNV-1a over the little-endian bytes of `row_ptr` then `col_idx`,
+    /// each id widened to a `u64` as the image holds it.
     fn fnv(g: &Csr) -> u64 {
+        let widened = g.col_idx.iter().map(|&d| u64::from(d));
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in g.row_ptr.iter().chain(&g.col_idx).flat_map(|w| w.to_le_bytes()) {
+        for b in g.row_ptr.iter().copied().chain(widened).flat_map(u64::to_le_bytes) {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
         h
@@ -437,16 +450,10 @@ mod tests {
 
     /// The generator's output is part of every GAP image and so of
     /// every `PointKey`: pinned to what the `if r < ..` chain this
-    /// function used to be produced (FNV-1a over the little-endian
-    /// bytes of `row_ptr` then `col_idx`).
+    /// function used to be produced ([`fnv`]).
     #[test]
     fn kronecker_graph_is_bit_identical_to_the_branching_generator() {
-        let g = kronecker(12, 8, 7);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in g.row_ptr.iter().chain(&g.col_idx).flat_map(|w| w.to_le_bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        assert_eq!(h, 0x3b80_8a36_d833_1bd0);
+        assert_eq!(fnv(&kronecker(12, 8, 7)), 0x3b80_8a36_d833_1bd0);
     }
 
     /// Taken from the single-threaded generators that drew an `f64` per

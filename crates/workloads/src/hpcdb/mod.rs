@@ -95,7 +95,7 @@ mod tests {
             ("NAS-IS", 0x0857_f9be_86e9_e7f0, 8),
             ("RandomAccess", 0x8263_9d51_255b_0618, 4),
         ];
-        let suite = crate::hpcdb_suite(Scale::Test);
+        let suite: Vec<Workload> = crate::hpcdb_suite(Scale::Test).into_iter().collect();
         assert_eq!(suite.len(), PINS.len());
         for (w, (name, digest, pages)) in suite.iter().zip(PINS) {
             assert_eq!(w.name, name);

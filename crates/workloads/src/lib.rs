@@ -113,12 +113,18 @@ pub fn gap_suite(scale: Scale, preset: graph::GraphPreset) -> Vec<Workload> {
     ]
 }
 
-/// The eight hpc-db benchmarks at a scale, built concurrently (each is
-/// a pure function of the scale) on one thread per CPU: more threads
-/// would not build faster, only contend for the allocator and the page
-/// tables.
-pub fn hpcdb_suite(scale: Scale) -> Vec<Workload> {
-    let builders: Vec<fn(Scale) -> Workload> = vec![
+/// The eight hpc-db benchmarks at a scale, in suite order, built in
+/// waves of one per CPU: each wave's kernels are built concurrently
+/// through `vr_pool::map` (each is a pure function of the scale), and
+/// the next wave is built only once the caller has taken every
+/// workload of this one. A caller that drops what it does not keep
+/// therefore holds at most one wave besides what it kept, never all
+/// eight. More threads would not build faster, only contend for the
+/// allocator and the page tables. It is an `IntoIterator`, as the
+/// `Vec` it replaced was, so `into_iter`, `extend` and `chain` take it
+/// as before; a caller that wants a `Vec` collects it.
+pub fn hpcdb_suite(scale: Scale) -> impl IntoIterator<Item = Workload> {
+    static BUILDERS: [fn(Scale) -> Workload; 8] = [
         hpcdb::camel,
         hpcdb::graph500,
         |s| hpcdb::hashjoin(s, 2),
@@ -128,7 +134,9 @@ pub fn hpcdb_suite(scale: Scale) -> Vec<Workload> {
         hpcdb::nas_is,
         hpcdb::randomaccess,
     ];
-    vr_pool::map(vr_pool::cpus(), builders, |build| build(scale))
+    BUILDERS
+        .chunks(vr_pool::cpus())
+        .flat_map(move |wave| vr_pool::map(wave.len(), wave, |build| build(scale)))
 }
 
 #[cfg(test)]
@@ -139,13 +147,46 @@ mod tests {
     fn suites_have_the_papers_benchmark_count() {
         let gap = gap_suite(Scale::Test, graph::GraphPreset::Kron);
         assert_eq!(gap.len(), 5);
-        let hd = hpcdb_suite(Scale::Test);
+        let hd: Vec<Workload> = hpcdb_suite(Scale::Test).into_iter().collect();
         assert_eq!(hd.len(), 8);
         let names: Vec<_> = hd.iter().map(|w| w.name.as_str()).collect();
         assert_eq!(
             names,
             ["Camel", "Graph500", "HJ2", "HJ8", "Kangaroo", "NAS-CG", "NAS-IS", "RandomAccess"]
         );
+    }
+
+    /// The same image, program and entry registers.
+    fn assert_same(streamed: &Workload, alone: &Workload) {
+        assert_eq!(streamed.name, alone.name);
+        assert_eq!(streamed.memory.digest(), alone.memory.digest(), "{}", alone.name);
+        assert_eq!(streamed.memory.mapped_pages(), alone.memory.mapped_pages(), "{}", alone.name);
+        assert_eq!(streamed.program.insts(), alone.program.insts(), "{}", alone.name);
+        assert_eq!(streamed.init_regs, alone.init_regs, "{}", alone.name);
+    }
+
+    #[test]
+    fn the_streamed_suite_is_each_builder_called_alone() {
+        let s = Scale::Test;
+        let alone = [
+            hpcdb::camel(s),
+            hpcdb::graph500(s),
+            hpcdb::hashjoin(s, 2),
+            hpcdb::hashjoin(s, 8),
+            hpcdb::kangaroo(s),
+            hpcdb::nas_cg(s),
+            hpcdb::nas_is(s),
+            hpcdb::randomaccess(s),
+        ];
+        let streamed: Vec<Workload> = hpcdb_suite(s).into_iter().collect();
+        assert_eq!(streamed.len(), alone.len());
+        for (streamed, alone) in streamed.iter().zip(&alone) {
+            assert_same(streamed, alone);
+        }
+        // What the benchmark's chip pair keeps of the suite.
+        let camel =
+            hpcdb_suite(s).into_iter().find(|w| w.name == "Camel").expect("Camel is in the suite");
+        assert_same(&camel, &alone[0]);
     }
 
     #[test]
