@@ -19,6 +19,7 @@ use vr_frontend::{DirectionPredictor, Tage};
 use vr_isa::{Asm, Cpu, Memory, Reg, StoreOverlay};
 use vr_mem::{
     Access, Cache, MemConfig, MemorySystem, MshrFile, Requestor, SharedLlc, SharedLlcConfig,
+    StrideDetector,
 };
 use vr_obs::Json;
 use vr_workloads::{graph::GraphPreset, Scale};
@@ -114,6 +115,22 @@ fn bench_cache_mshr() {
         m.expire(black_box(now));
         black_box(m.outstanding())
     });
+}
+
+/// One train of the Table-1 stride table, which every committed load
+/// pays. Cycling over `n` PCs in turn always trains the LRU entry: with
+/// 16 live PCs each train is a hit at the far end of the scan, with 17
+/// each is a miss that evicts.
+fn bench_stride() {
+    let r = Runner::new("stride");
+    for n in [16u64, 17] {
+        let mut d = StrideDetector::new(MemConfig::table1().stride_params.0);
+        let mut i = 0u64;
+        r.bench(&format!("train_mru_{n}_live_pcs"), || {
+            i += 1;
+            black_box(d.train(i % n, 0x1000 * (i % n) + 8 * (i / n)))
+        });
+    }
 }
 
 /// The granule [`StoreOverlay`] (DESIGN.md §12): the speculative
@@ -578,6 +595,7 @@ fn main() {
     bench_tage();
     bench_memory_system();
     bench_cache_mshr();
+    bench_stride();
     bench_store_overlay();
     bench_lane_masks();
     bench_wakeup_lists();

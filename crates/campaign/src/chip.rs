@@ -188,7 +188,7 @@ mod tests {
     /// `point_keys_are_pinned`: a stored chip record is found by it.
     #[test]
     fn chip_point_key_is_pinned() {
-        assert_eq!(point(2, 1000).key(), PointKey(0x9a6c_cd43_854e_d027));
+        assert_eq!(point(2, 1000).key(), PointKey(0x908f_0852_2612_bbfa));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use vr_isa::{Cpu, FReg, Inst, Op, Program, Reg, RegRef, SplitMix64, StoreOverlay
 use crate::config::RunaheadConfig;
 use crate::invariant;
 use crate::runahead::{EpisodeCounters, Idle, RaCtx, RunaheadEngine, VrStatus};
-use vr_mem::{Access, MemorySystem, Requestor};
+use vr_mem::{Access, MemConfig, MemorySystem, Requestor, StrideDetector};
 
 /// How many scalar gather sub-accesses the vector unit can inject into
 /// the memory pipeline per cycle (one full AVX-512-equivalent vector
@@ -1208,10 +1208,14 @@ fn st_mask(w: Width) -> u64 {
 /// `lanes` is the vectorization degree K (mask widths scale with it).
 pub fn hardware_overhead_bits(lanes: usize) -> Vec<(&'static str, u64)> {
     let lanes = lanes as u64;
+    // VR reads the L1-D stride prefetcher's table rather than keeping
+    // its own, so it is charged for the table Table 1 builds.
+    let (streams, _, _) = MemConfig::table1().stride_params;
     vec![
-        // 32-entry stride detector: 48b PC + 48b addr + 16b stride +
-        // 2b confidence + 1b innermost per entry.
-        ("stride detector (32 entries)", 32 * (48 + 48 + 16 + 2 + 1)),
+        (
+            "stride detector (16 entries, shared with the L1-D prefetcher)",
+            StrideDetector::new(streams).storage_bits(),
+        ),
         // Vector register allocation table: 16 architectural entries ×
         // 16 physical register ids × 9 bits.
         ("vector register allocation table", 16 * 16 * 9),
@@ -2026,7 +2030,7 @@ mod tests {
         assert!((500..2000).contains(&bytes), "VR hardware overhead should be ≈1 KB, got {bytes}");
         let items = hardware_overhead_bits(128);
         assert!(items.iter().any(|(n, _)| n.contains("stride detector")));
-        assert_eq!(items.iter().find(|(n, _)| n.contains("stride")).unwrap().1, 32 * 115);
+        assert_eq!(items.iter().find(|(n, _)| n.contains("stride")).unwrap().1, 16 * 115);
     }
 
     // ---- SoA/mask machinery -----------------------------------------

@@ -1,5 +1,6 @@
 //! Stride detection (reference prediction table) and the always-on
-//! L1-D stride prefetcher.
+//! L1-D stride prefetcher. Vector Runahead has no detector of its own:
+//! it reads the prefetcher's 16-entry table.
 
 /// One reference-prediction-table entry: the paper's stride detector
 /// stores the load PC, previous address, stride and a 2-bit saturating
@@ -19,76 +20,63 @@ pub struct StrideEntry {
 
 /// Per-PC stride detector / reference prediction table (RPT).
 ///
-/// Shared design between the L1-D stride prefetcher (16 streams) and
-/// Vector Runahead's striding-load detector (32 entries): a 2-way
-/// set-associative, LRU-replaced table of [`StrideEntry`]s (pure
-/// direct mapping thrashes when two loads of one tight loop alias —
-/// our instruction-index PCs are denser than x86 byte PCs). An entry
-/// is *confident* once the same non-zero stride repeats
+/// One table serves both the L1-D stride prefetcher (Table 1's 16
+/// streams) and Vector Runahead, which reads the prefetcher's table to
+/// find its striding load (`MemorySystem::stride_detector`). It is
+/// fully associative and LRU-replaced: a set-indexed table lets loads
+/// of one loop body evict each other according to where they sit, and
+/// VR then finds no striding load (DESIGN.md §4.1). An entry is
+/// *confident* once the same non-zero stride repeats
 /// `CONFIDENT_THRESHOLD` times.
 #[derive(Clone, Debug)]
 pub struct StrideDetector {
-    /// MRU-first, at most [`StrideDetector::WAYS`] entries per set.
-    sets: Vec<Vec<StrideEntry>>,
-    mask: u64,
-    entry_count: usize,
+    /// MRU first; slots not yet filled hold [`EMPTY`] at the tail.
+    entries: Box<[StrideEntry]>,
 }
+
+/// An unused slot. PCs are instruction indices, so no real PC can
+/// equal `u64::MAX`.
+const EMPTY: StrideEntry = StrideEntry { pc: u64::MAX, last_addr: 0, stride: 0, confidence: 0 };
 
 impl StrideDetector {
     /// Confidence level at and above which a stride is trusted.
     pub const CONFIDENT_THRESHOLD: u8 = 2;
 
-    /// Associativity.
-    pub const WAYS: usize = 2;
-
-    /// Creates a detector with `entries` slots (power of two, ≥ 2).
+    /// Creates a detector with `entries` slots.
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power of two or is below the
-    /// associativity.
+    /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> StrideDetector {
-        assert!(entries.is_power_of_two(), "entry count must be a power of two");
-        assert!(entries >= Self::WAYS, "need at least one full set");
-        let sets = entries / Self::WAYS;
-        // Allocate every set's way storage up front: cloning an empty
-        // `Vec::with_capacity(..)` drops the capacity, which would
-        // leave cold sets growing on the hot path (DESIGN.md §12).
-        let mut storage = Vec::with_capacity(sets);
-        storage.resize_with(sets, || Vec::with_capacity(Self::WAYS));
-        StrideDetector { sets: storage, mask: sets as u64 - 1, entry_count: entries }
-    }
-
-    fn set_of(&self, pc: u64) -> usize {
-        // Folded-XOR index: loop bodies emit loads at small constant
-        // PC distances, so plain low bits systematically alias.
-        (((pc >> 3) ^ pc) & self.mask) as usize
+        assert!(entries > 0, "need at least one entry");
+        StrideDetector { entries: vec![EMPTY; entries].into_boxed_slice() }
     }
 
     /// Trains on one load execution; returns the entry state after
-    /// training.
+    /// training. The entry moves to the front; a PC not in the table
+    /// replaces the LRU entry. Neither allocates.
     pub fn train(&mut self, pc: u64, addr: u64) -> StrideEntry {
-        let set_idx = self.set_of(pc);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|e| e.pc == pc) {
-            let mut e = set.remove(pos);
-            let stride = addr.wrapping_sub(e.last_addr) as i64;
-            if stride == e.stride && stride != 0 {
-                e.confidence = (e.confidence + 1).min(3);
-            } else {
-                e.stride = stride;
-                e.confidence = 0;
+        let t = &mut self.entries;
+        let (pos, e) = match t.iter().position(|e| e.pc == pc) {
+            Some(pos) => {
+                let mut e = t[pos];
+                let stride = addr.wrapping_sub(e.last_addr) as i64;
+                if stride == e.stride && stride != 0 {
+                    e.confidence = (e.confidence + 1).min(3);
+                } else {
+                    e.stride = stride;
+                    e.confidence = 0;
+                }
+                e.last_addr = addr;
+                (pos, e)
             }
-            e.last_addr = addr;
-            set.insert(0, e);
-            return set[0];
-        }
-        if set.len() == Self::WAYS {
-            set.pop();
-        }
-        let fresh = StrideEntry { pc, last_addr: addr, stride: 0, confidence: 0 };
-        set.insert(0, fresh);
-        fresh
+            None => (t.len() - 1, StrideEntry { pc, last_addr: addr, stride: 0, confidence: 0 }),
+        };
+        // A memmove, not `rotate_right`, which moves short slices one
+        // element at a time (DESIGN.md §12).
+        t.copy_within(..pos, 1);
+        t[0] = e;
+        e
     }
 
     /// The confident stride for the load at `pc`, if any.
@@ -101,14 +89,14 @@ impl StrideDetector {
 
     /// The full entry for `pc`, if tracked.
     pub fn entry(&self, pc: u64) -> Option<&StrideEntry> {
-        self.sets[self.set_of(pc)].iter().find(|e| e.pc == pc)
+        self.entries.iter().find(|e| e.pc == pc)
     }
 
     /// Storage cost in bits (for the hardware-overhead table): per
     /// entry 48-bit PC + 48-bit address + 16-bit stride + 2-bit
     /// confidence + 1 innermost bit.
     pub fn storage_bits(&self) -> u64 {
-        self.entry_count as u64 * (48 + 48 + 16 + 2 + 1)
+        self.entries.len() as u64 * (48 + 48 + 16 + 2 + 1)
     }
 }
 
@@ -242,29 +230,33 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_pcs_evict_lru() {
-        let mut d = StrideDetector::new(2); // one set of two ways
-        d.train(0, 0x100);
-        d.train(2, 0x200);
-        d.train(0, 0x108); // refresh pc 0
-        d.train(4, 0x300); // evicts pc 2 (LRU)
-        assert!(d.entry(0).is_some(), "pc 0 was MRU and must survive");
-        assert!(d.entry(2).is_none(), "pc 2 was LRU and must be evicted");
-        assert!(d.entry(4).is_some());
+    fn one_pc_past_capacity_evicts_exactly_the_lru_one() {
+        let mut d = StrideDetector::new(16);
+        for pc in 0..16u64 {
+            d.train(pc, 0x1000 * pc);
+        }
+        d.train(0, 0x8); // refresh pc 0: pc 1 is now LRU
+        d.train(16, 0x10_0000);
+        assert!(d.entry(1).is_none(), "pc 1 was LRU and must be evicted");
+        for pc in (0..=16u64).filter(|&pc| pc != 1) {
+            assert!(d.entry(pc).is_some(), "pc {pc} must survive");
+        }
     }
 
     #[test]
-    fn two_alternating_pcs_in_one_set_both_stay_confident() {
-        // The pathological pattern that broke direct mapping: two
-        // loads of the same loop body aliasing to one set, trained
-        // alternately in program order.
+    fn three_pcs_of_one_old_set_all_become_confident() {
+        // 0, 9 and 18 all mapped to set 0 of the retired 8-set, 2-way
+        // folded-XOR index ((pc >> 3) ^ pc) & 7, where trained in turn
+        // they evicted each other before any became confident.
         let mut d = StrideDetector::new(16);
         for i in 0..8u64 {
-            d.train(5, 0x1000 + i * 8);
-            d.train(5 + 8 * 2, 0x9000 + i * 64); // same set, other way
+            d.train(0, 0x1000 + i * 8);
+            d.train(9, 0x9000 + i * 64);
+            d.train(18, 0x20_0000 - i * 16);
         }
-        assert_eq!(d.confident_stride(5), Some(8));
-        assert_eq!(d.confident_stride(21), Some(64));
+        assert_eq!(d.confident_stride(0), Some(8));
+        assert_eq!(d.confident_stride(9), Some(64));
+        assert_eq!(d.confident_stride(18), Some(-16));
     }
 
     #[test]
